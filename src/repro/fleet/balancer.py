@@ -117,8 +117,10 @@ class PowerOfTwoBalancer(Balancer):
     def route(self, tenant: str, eligible: Sequence[int], now: float) -> int:
         if len(eligible) == 1:
             return eligible[0]
-        first, second = self._rng.sample(list(eligible), 2)
-        return min((first, second), key=lambda index: (self._load(index), index))
+        first, second = self._rng.sample(eligible, 2)
+        if (self._load(first), first) <= (self._load(second), second):
+            return first
+        return second
 
 
 class RandomBalancer(Balancer):
@@ -127,7 +129,7 @@ class RandomBalancer(Balancer):
     name = "random"
 
     def route(self, tenant: str, eligible: Sequence[int], now: float) -> int:
-        return self._rng.choice(list(eligible))
+        return self._rng.choice(eligible)
 
 
 class TenantAffinityBalancer(Balancer):

@@ -558,9 +558,23 @@ class ClusterSimulator:
         else:
             def routable(i: int) -> bool:
                 return replicas[i].healthy
-        filter_routing = (
-            have_faults or have_gray or fdet is not None
-        )
+        #: Routing view: each tenant's routable targets in ``eligible``
+        #: order, rebuilt only when ``health_version`` (fail, recover,
+        #: degrade, undegrade) or the detector's ``version`` moves.
+        health_version = 0
+        view_key: Optional[Tuple[int, int]] = None
+        views: Dict[str, Tuple[int, ...]] = {}
+
+        def routable_targets(name: str) -> Tuple[int, ...]:
+            nonlocal view_key
+            key = (health_version, fdet.version if fdet is not None else 0)
+            if key != view_key:
+                views.clear()
+                view_key = key
+            if name not in views:
+                views[name] = tuple(i for i in eligible[name] if routable(i))
+            return views[name]
+
         #: Per-request failover ledger, keyed by ``(tenant, arrival)``
         #: for plain runs and by the live request object under overload:
         #: (attempts so far, start of the current attempt).  Entries
@@ -577,6 +591,17 @@ class ClusterSimulator:
             spec.name: index for index, spec in enumerate(self.tenants)
         }
 
+        def route_arrival(name: str) -> Optional[int]:
+            """Pick a replica for an arriving request, or book it
+            unroutable (arrived and lost at aggregation) when none is."""
+            targets = routable_targets(name)
+            if not targets:
+                unroutable[name] += 1
+                if tracer is not None:
+                    tracer.request_unroutable(name, sim.now)
+                return None
+            return balancer.route(name, targets, sim.now)
+
         controller: Optional[OverloadController] = None
         if ospec is not None:
             # The controller is the fleet's front door: every attempt
@@ -585,15 +610,9 @@ class ClusterSimulator:
             def route_request(
                 name: str,
             ) -> Optional[Tuple[TenantState, Optional[int]]]:
-                targets = eligible[name]
-                if filter_routing:
-                    targets = tuple(i for i in targets if routable(i))
-                    if not targets:
-                        unroutable[name] += 1
-                        if tracer is not None:
-                            tracer.request_unroutable(name, sim.now)
-                        return None
-                choice = balancer.route(name, targets, sim.now)
+                choice = route_arrival(name)
+                if choice is None:
+                    return None
                 return (replicas[choice].states[name], choice)
 
             def deliver(index: int, req) -> None:
@@ -647,19 +666,10 @@ class ClusterSimulator:
                         )
                         pump(count + 1)
                         return
-                    targets = eligible[spec.name]
-                    if filter_routing:
-                        targets = tuple(i for i in targets if routable(i))
-                        if not targets:
-                            # Nobody can take it: the fleet still saw the
-                            # request — booked as arrived and lost at
-                            # aggregation time.
-                            unroutable[spec.name] += 1
-                            if tracer is not None:
-                                tracer.request_unroutable(spec.name, sim.now)
-                            pump(count + 1)
-                            return
-                    choice = balancer.route(spec.name, targets, sim.now)
+                    choice = route_arrival(spec.name)
+                    if choice is None:
+                        pump(count + 1)
+                        return
                     landing = replicas[choice].states[spec.name]
                     if tracer is None:
                         landing.on_arrival(sim.now)
@@ -684,9 +694,11 @@ class ClusterSimulator:
 
         # ------------------------------------------------- fault events
         def fail(replica: Replica) -> None:
+            nonlocal health_version
             replica.down_depth += 1
             if replica.down_depth > 1:
                 return  # already down (overlapping outage windows)
+            health_version += 1
             if fdet is not None:
                 fdet.note_onset(replica.index, sim.now)
             if tracer is not None:
@@ -730,11 +742,7 @@ class ClusterSimulator:
                                 t_idx, item, reason="lost"
                             )
                         continue
-                    rescue = tuple(
-                        i
-                        for i in eligible[state.spec.name]
-                        if routable(i)
-                    )
+                    rescue = routable_targets(state.spec.name)
                     if not rescue:
                         state.lost += 1
                         if tracer is not None:
@@ -784,8 +792,10 @@ class ClusterSimulator:
                         )
 
         def recover(replica: Replica) -> None:
+            nonlocal health_version
             replica.down_depth -= 1
             if replica.down_depth == 0:
+                health_version += 1
                 if fdet is not None and not replica.degraded:
                     fdet.note_clear(replica.index, sim.now)
                 if tracer is not None:
@@ -806,8 +816,10 @@ class ClusterSimulator:
         # clearance feed the detector's ground-truth ledger so
         # mean-time-to-detect measures probe latency, not luck.
         def degrade(replica: Replica, deg: Degradation) -> None:
+            nonlocal health_version
             was_bad = not replica.healthy or replica.degraded
             replica.gray_begin(deg.mode, deg.severity)
+            health_version += 1
             if fdet is not None and not was_bad:
                 fdet.note_onset(replica.index, sim.now)
             if tracer is not None:
@@ -817,7 +829,9 @@ class ClusterSimulator:
                 )
 
         def undegrade(replica: Replica, deg: Degradation) -> None:
+            nonlocal health_version
             replica.gray_end(deg.mode, deg.severity)
+            health_version += 1
             if (
                 fdet is not None
                 and replica.healthy
@@ -994,9 +1008,7 @@ class ClusterSimulator:
             key = (name, item) if controller is None else item
             used, _ = failover_state.get(key, (0, 0.0))
             candidates = tuple(
-                i
-                for i in eligible[name]
-                if i != replica.index and routable(i)
+                i for i in routable_targets(name) if i != replica.index
             )
             if used >= max_failovers or not candidates:
                 failover_state.pop(key, None)
@@ -1181,19 +1193,21 @@ class ClusterSimulator:
                 # Exact grid ``count * epoch`` — see the single-device
                 # boundary chain; chained ``now + epoch`` sums drift.
                 upcoming = (count + 1) * epoch
-                pending = (
-                    any(state.queue for state in replica.states.values())
-                    or any(
-                        stream_open[index]
-                        for index, spec in enumerate(self.tenants)
-                        if replica.serves(spec.name)
+                if upcoming <= horizon or (
+                    drain
+                    and (
+                        any(state.queue for state in replica.states.values())
+                        or any(
+                            stream_open[index]
+                            for index, spec in enumerate(self.tenants)
+                            if replica.serves(spec.name)
+                        )
+                        or (
+                            controller is not None
+                            and controller.pending_deliveries > 0
+                        )
                     )
-                    or (
-                        controller is not None
-                        and controller.pending_deliveries > 0
-                    )
-                )
-                if upcoming <= horizon or (drain and pending):
+                ):
                     sim.schedule_at(upcoming, lambda: boundary(count + 1))
 
             return boundary

@@ -192,6 +192,10 @@ class FailureDetector:
             else spec.request_timeout_ms * cycles_per_ms
         )
         self._replicas = [_ReplicaView() for _ in range(num_replicas)]
+        self._ejected = 0
+        #: Bumped on every ejection and readmission, so callers can cache
+        #: views derived from :meth:`routable` until it changes.
+        self.version = 0
         #: Detection latencies (cycles) for true onsets the detector
         #: caught, and the two ways it can be wrong.
         self.detection_lags: List[float] = []
@@ -203,13 +207,12 @@ class FailureDetector:
         return not self._replicas[index].ejected
 
     def detected_healthy_count(self) -> int:
-        return sum(1 for view in self._replicas if not view.ejected)
+        return self.num_replicas - self._ejected
 
     # ------------------------------------------------------------ ejection
     def _eject_budget_ok(self) -> bool:
-        ejected = self.num_replicas - self.detected_healthy_count()
         limit = max(1, int(self.spec.max_eject_fraction * self.num_replicas))
-        return ejected + 1 <= limit
+        return self._ejected + 1 <= limit
 
     def _eject(self, index: int, now: float) -> bool:
         view = self._replicas[index]
@@ -217,6 +220,8 @@ class FailureDetector:
             return False
         view.ejected = True
         view.ejected_at = now
+        self._ejected += 1
+        self.version += 1
         view.ok_streak = 0
         if view.onset_at is not None:
             self.detection_lags.append(now - view.onset_at)
@@ -227,6 +232,9 @@ class FailureDetector:
 
     def _readmit(self, index: int) -> None:
         view = self._replicas[index]
+        if view.ejected:
+            self._ejected -= 1
+            self.version += 1
         view.ejected = False
         view.fail_streak = 0
         view.ok_streak = 0

@@ -18,6 +18,7 @@ result's clock converts for display.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -94,13 +95,23 @@ def _union(intervals: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]
     return merged
 
 
-def _covered(t: float, intervals: Sequence[Tuple[float, float]]) -> bool:
-    for start, end in intervals:
-        if start <= t < end:
-            return True
-        if start > t:
-            break
-    return False
+def _split(
+    samples: Sequence[Tuple[float, float]],
+    windows: Sequence[Tuple[float, float]],
+) -> Tuple[List[Tuple[float, float]], List[Tuple[float, float]]]:
+    """Split samples into (inside, outside) the sorted disjoint
+    ``windows``: only the last window starting at or before a sample's
+    time can cover it."""
+    starts = [start for start, _ in windows]
+    inside: List[Tuple[float, float]] = []
+    outside: List[Tuple[float, float]] = []
+    for sample in samples:
+        k = bisect_right(starts, sample[0]) - 1
+        if k >= 0 and sample[0] < windows[k][1]:
+            inside.append(sample)
+        else:
+            outside.append(sample)
+    return inside, outside
 
 
 def _window_metrics(
@@ -143,8 +154,7 @@ def compute_resilience(
     )
     incident_cycles = sum(end - start for start, end in windows)
 
-    during = [s for s in completions if _covered(s[0], windows)]
-    outside = [s for s in completions if not _covered(s[0], windows)]
+    during, outside = _split(completions, windows)
 
     faults = [i for i in incidents if i.kind == "fault"]
     down_cycles = 0.0

@@ -19,6 +19,9 @@ The load-bearing guarantees, in test order:
 * request timeouts convert unbounded waits into ``timed_out`` with
   conservation intact, and a run-level detector overrides the
   scenario's;
+* routing runs on a cached view of the routable replicas that equals a
+  fresh health filter at every route, and a probe-detected drill stays
+  pinned to a record made before the view was cached;
 * results carry the detector spec and MTTD through serialization, and
   legacy records (no detector keys) round-trip byte-identically.
 """
@@ -30,6 +33,7 @@ import pytest
 
 from repro.core.serialize import fleet_result_from_dict, fleet_result_to_dict
 from repro.fleet import DeviceSpec, plan_capacity, simulate_fleet
+from repro.fleet.balancer import PowerOfTwoBalancer
 from repro.fleet.detector import (
     DetectorSpec,
     FailureDetector,
@@ -342,6 +346,117 @@ class TestTimeoutFailover:
         )
         assert plan.scenario == "flaky-replica"
         assert plan.probes
+
+
+# ------------------------------------------------------- routing view
+class _SpyBalancer(PowerOfTwoBalancer):
+    """Power-of-two routing that checks every target set it is handed
+    against a brute-force health filter over the replicas."""
+
+    name = "spy"
+
+    def __init__(self, gray_aware):
+        self.gray_aware = gray_aware
+        self.filtered = 0
+        self.failovers = 0
+
+    def route(self, tenant, eligible, now):
+        expected = tuple(
+            replica.index
+            for replica in self._replicas
+            if replica.serves(tenant)
+            and replica.healthy
+            and not (self.gray_aware and replica.degraded)
+        )
+        if len(expected) < len(self._replicas):
+            self.filtered += 1
+        if tuple(eligible) != expected:
+            # Failover leaves out exactly the replica it is leaving.
+            missing = [i for i in expected if i not in eligible]
+            assert len(missing) == 1, (eligible, expected)
+            assert tuple(eligible) == tuple(
+                i for i in expected if i != missing[0]
+            )
+            self.failovers += 1
+        return super().route(tenant, eligible, now)
+
+
+class TestRoutingView:
+    @pytest.mark.parametrize("replicas", [3, 7, 16])
+    @pytest.mark.parametrize(
+        "scenario, oracle",
+        [
+            ("chaos", False),
+            ("chaos", True),
+            ("rack-loss", False),
+            ("rack-loss", True),
+            ("gray-failure", True),
+        ],
+    )
+    def test_every_route_sees_exactly_the_routable_replicas(
+        self, toy_design, replicas, scenario, oracle
+    ):
+        """Fresh arrivals, evacuation and failover all route on the
+        cached view; it must equal a fresh filter at every call."""
+        detector = None
+        if oracle:
+            detector = DetectorSpec(
+                request_timeout_ms=3.0 * _epoch_ms(toy_design),
+                max_failovers=1,
+            )
+        spy = _SpyBalancer(gray_aware=oracle)
+        result = simulate_fleet(
+            DeviceSpec(toy_design).replicated(replicas),
+            _tenants(toy_design, 1.2 * replicas),
+            duration_cycles=60 * toy_design.epoch_cycles,
+            balancer=spy,
+            seed=replicas,
+            queue_depth=10**6,
+            scenario=scenario,
+            detector=detector,
+        )
+        assert spy.filtered > 0
+        # With one failover allowed, each failover is one route.
+        assert spy.failovers <= result.total_failed_over
+        if oracle:
+            assert result.total_failed_over > 0
+
+    def test_probe_run_is_pinned(self, toy_design):
+        """Power-of-two + chaos + probe detection with timeout failover,
+        pinned dict-for-dict to a record made before routing was cached."""
+        result = simulate_fleet(
+            DeviceSpec(toy_design).replicated(6),
+            _tenants(toy_design, 4.5),
+            duration_cycles=80 * toy_design.epoch_cycles,
+            balancer="power-of-two",
+            seed=7,
+            queue_depth=10**6,
+            drain=True,
+            scenario="chaos",
+            detector=DetectorSpec(
+                mode="probe",
+                request_timeout_ms=4.0 * _epoch_ms(toy_design),
+                max_failovers=2,
+            ),
+        )
+        path = os.path.join(DATA_DIR, "probe_chaos_power_of_two_run.json")
+        with open(path) as handle:
+            pinned = json.load(handle)
+        assert json.loads(json.dumps(fleet_result_to_dict(result))) == pinned
+        assert result.total_failed_over > 0
+        assert result.resilience.mean_time_to_detect_cycles is not None
+
+    def test_detector_version_tracks_ejections(self):
+        fd = _detector()
+        assert fd.version == 0
+        fd.record_probe(0, 40.0, ok=False)
+        assert fd.version == 0  # one failure is not an ejection
+        fd.record_probe(0, 80.0, ok=False)
+        assert fd.version == 1
+        fd.record_probe(0, 120.0, ok=True)
+        fd.record_probe(0, 160.0, ok=True)  # readmitted
+        assert fd.version == 2
+        assert fd.detected_healthy_count() == 4
 
 
 # ------------------------------------------------------ serialization
