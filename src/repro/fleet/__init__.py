@@ -9,10 +9,10 @@ operator questions: :func:`plan_capacity` binary-searches the minimum
 board count meeting an SLO at a target rate, and :func:`autoscale`
 steps a reactive p99/queue-depth controller between traffic windows.
 
-A single-replica fleet reproduces :func:`repro.serve.simulate_traffic`
-exactly (same seed, same per-tenant metrics) — the device model is
-shared, not approximated — so fleet answers inherit the paper model's
-calibration.  See ``repro fleet --help`` for the CLI entry points.
+:func:`repro.serve.simulate_traffic` is a single-replica fleet run:
+there is one device model and one event loop, so fleet answers inherit
+the paper model's calibration by construction.  See ``repro fleet
+--help`` for the CLI entry points.
 """
 
 from .balancer import (

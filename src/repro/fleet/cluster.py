@@ -1,20 +1,18 @@
 """The cluster simulator: N epoch-pipelined devices, one event engine.
 
-Scale-out layer over :mod:`repro.serve`: the same seeded arrival streams
-(one per tenant, keyed exactly as :func:`repro.serve.simulator.simulate_traffic`
-keys them), but each arrival is routed by a pluggable
-:class:`~repro.fleet.balancer.Balancer` to one of N replicas, each an
-independent epoch-pipelined device model with its own per-tenant bounded
-FIFO queues, epoch boundary chain, and CLP busy accounting.  All
-replicas share one discrete-event engine, so cross-replica orderings are
-deterministic under a fixed seed.
+Scale-out layer over :mod:`repro.serve`'s device model: seeded arrival
+streams (one per tenant, keyed ``{seed}/{index}/{name}``) are routed by
+a pluggable :class:`~repro.fleet.balancer.Balancer` to one of N
+replicas, each an independent epoch-pipelined device model with its own
+per-tenant bounded FIFO queues, epoch boundary chain, and CLP busy
+accounting.  All replicas share one discrete-event engine, so
+cross-replica orderings are deterministic under a fixed seed.
 
-The construction is deliberately a superset of the single-device
-simulator: with one replica, every arrival routes to it, the event
-structure degenerates to ``simulate_traffic``'s, and the per-tenant
-metrics come out *identical* — the differential tests pin this bit for
-bit.  That equivalence is what makes fleet-level answers (how many
-boards?) trustworthy extrapolations of the paper's device model.
+This is the repo's only traffic event loop: the single-device
+simulator, :func:`repro.serve.simulator.simulate_traffic`, is a
+one-replica run of this class reshaped into a ``ServeResult``.  Fleet
+answers (how many boards?) therefore extrapolate exactly the device
+model a lone board is measured with.
 """
 
 from __future__ import annotations
@@ -167,7 +165,7 @@ class Replica:
 def _aggregate_tenant(
     spec: TenantSpec,
     states: Sequence[TenantState],
-    elapsed: float,
+    stats: Sequence[TenantStats],
     unroutable: int = 0,
     gate_arrivals: int = 0,
     gate_rejected: int = 0,
@@ -176,7 +174,12 @@ def _aggregate_tenant(
     timed_out: int = 0,
     failed_over: int = 0,
 ) -> TenantStats:
-    """Fleet-wide view of one tenant: merge raw samples, then reduce.
+    """Fleet-wide view of one tenant: merge per-replica stats and samples.
+
+    ``stats`` are the replicas' already-reduced views of ``states`` (same
+    order); counters sum from them, and latency percentiles merge the raw
+    samples — except for a tenant served by one state, whose summary is
+    reused rather than sorting the same latencies a second time.
 
     ``unroutable`` counts arrivals that found no healthy replica to land
     on during an outage — they never reached a replica's state, so the
@@ -192,10 +195,14 @@ def _aggregate_tenant(
     and logical requests that failed over at least once) — fleet-level
     concepts, tracked outside the per-replica tenant states.
     """
-    latencies: List[float] = []
-    for state in states:
-        latencies.extend(state.latencies)
-    completions = sum(state.completions for state in states)
+    if len(stats) == 1:
+        latency = stats[0].latency
+    else:
+        latencies: List[float] = []
+        for state in states:
+            latencies.extend(state.latencies)
+        latency = LatencySummary.of(latencies)
+    completions = sum(s.completions for s in stats)
     firsts = [s.first_completion for s in states if s.first_completion is not None]
     lasts = [s.last_completion for s in states if s.last_completion is not None]
     steady = None
@@ -204,37 +211,20 @@ def _aggregate_tenant(
     return TenantStats(
         name=spec.name,
         offered_rate_per_cycle=spec.process.mean_rate,
-        arrivals=(
-            sum(state.arrivals for state in states)
-            + unroutable
-            + gate_arrivals
-        ),
+        arrivals=sum(s.arrivals for s in stats) + unroutable + gate_arrivals,
         completions=completions,
-        drops=sum(state.drops for state in states),
-        in_flight=sum(
-            len(state.queue) + state.pipeline for state in states
-        ),
-        latency=LatencySummary.of(latencies),
-        mean_queue_depth=sum(
-            state.mean_queue_depth(elapsed) for state in states
-        ),
-        peak_queue_depth=max(state.peak_queue for state in states),
+        drops=sum(s.drops for s in stats),
+        in_flight=sum(s.in_flight for s in stats),
+        latency=latency,
+        mean_queue_depth=sum(s.mean_queue_depth for s in stats),
+        peak_queue_depth=max(s.peak_queue_depth for s in stats),
         steady_rate_per_cycle=steady,
-        lost=sum(state.lost for state in states) + unroutable,
-        rejected=(
-            sum(getattr(state, "rejected", 0) for state in states)
-            + gate_rejected
-        ),
-        expired=sum(getattr(state, "expired", 0) for state in states),
-        retries=(
-            sum(getattr(state, "retries", 0) for state in states)
-            + gate_retries
-        ),
-        hedges=(
-            sum(getattr(state, "hedges", 0) for state in states)
-            + gate_hedges
-        ),
-        late=sum(getattr(state, "late", 0) for state in states),
+        lost=sum(s.lost for s in stats) + unroutable,
+        rejected=sum(s.rejected for s in stats) + gate_rejected,
+        expired=sum(s.expired for s in stats),
+        retries=sum(s.retries for s in stats) + gate_retries,
+        hedges=sum(s.hedges for s in stats) + gate_hedges,
+        late=sum(s.late for s in stats),
         priority=spec.priority,
         timed_out=timed_out,
         failed_over=failed_over,
@@ -327,7 +317,6 @@ class ClusterSimulator:
     ) -> FleetResult:
         """One seeded traffic window over the whole fleet.
 
-        Semantics mirror :func:`repro.serve.simulator.simulate_traffic`:
         ``drain=False`` cuts the run at the horizon (queued/pipelined
         requests reported in-flight); ``drain=True`` stops arrivals at
         the horizon but serves out every queue, so arrivals equal
@@ -638,8 +627,8 @@ class ClusterSimulator:
             )
 
         def start_stream(spec: TenantSpec, index: int) -> None:
-            # Same RNG keying as the single-device simulator: the fleet
-            # sees the *same* traffic a lone board would.
+            # Keyed by tenant, not replica: the fleet sees the *same*
+            # traffic a lone board would.
             rng = random.Random(f"{seed}/{index}/{spec.name}")
             stream: Iterator[float] = processes[index].times(rng)
             limit = spec.limit
@@ -1190,8 +1179,9 @@ class ClusterSimulator:
                                 replica, state, arrival, gen, errored
                             ),
                         )
-                # Exact grid ``count * epoch`` — see the single-device
-                # boundary chain; chained ``now + epoch`` sums drift.
+                # Exact grid ``count * epoch``: chaining ``now + epoch``
+                # would accumulate float error over long horizons and
+                # drift from the fast engine's batched grid.
                 upcoming = (count + 1) * epoch
                 if upcoming <= horizon or (
                     drain
@@ -1232,10 +1222,7 @@ class ClusterSimulator:
             ]
             busy_samplers = [
                 BusySampler(
-                    recorder,
-                    f"util/{replica.label}",
-                    replica.clp_busy,
-                    aggregate="max",
+                    recorder, f"util/{replica.label}", replica.clp_busy
                 )
                 for replica in replicas
             ]
@@ -1330,6 +1317,13 @@ class ClusterSimulator:
         failed_over: Optional[Dict[str, int]] = None,
     ) -> FleetResult:
         """Reduce final replica state to a :class:`FleetResult` (engine-shared)."""
+        replica_stats = tuple(replica.stats(elapsed) for replica in replicas)
+        #: Each replica's reduced tenant stats by name, reused below so
+        #: no tenant's latencies are reduced twice.
+        by_name = [
+            {stats.name: stats for stats in rstats.tenants}
+            for rstats in replica_stats
+        ]
         aggregates = tuple(
             _aggregate_tenant(
                 spec,
@@ -1338,7 +1332,11 @@ class ClusterSimulator:
                     for replica in replicas
                     if replica.serves(spec.name)
                 ],
-                elapsed,
+                [
+                    by_name[replica.index][spec.name]
+                    for replica in replicas
+                    if replica.serves(spec.name)
+                ],
                 unroutable[spec.name],
                 gate_arrivals=(
                     controller.gate_arrivals[spec.name]
@@ -1431,7 +1429,7 @@ class ClusterSimulator:
             policy=self.policy,
             drained=drain,
             tenants=aggregates,
-            replicas=tuple(replica.stats(elapsed) for replica in replicas),
+            replicas=replica_stats,
             scenario=scenario.name if scenario is not None else None,
             incidents=incidents,
             resilience=resilience,

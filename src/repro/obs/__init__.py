@@ -13,7 +13,8 @@ package adds the time dimension back, opt-in and zero-cost when off:
   JSONL.
 
 Both are driven through one :class:`ObsSpec` handed to
-``simulate_traffic`` / ``ClusterSimulator.run``.  With the default
+``ClusterSimulator.run`` (directly, or through ``simulate_traffic``,
+which is a one-board fleet run).  With the default
 ``ObsSpec()`` (or ``obs=None``) the simulators schedule no extra events
 and take no extra branches that alter event ordering, so results stay
 bit-identical to pre-observability runs — the differential tests pin

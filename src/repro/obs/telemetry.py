@@ -224,9 +224,9 @@ class TenantGroupSampler:
 
     ``states`` are ``TenantState``-shaped objects (duck-typed: ``queue``,
     ``pipeline``, ``arrivals``, ``completions``, ``drops``, ``lost``,
-    ``latencies``); a fleet passes every replica's state for the tenant,
-    a single-device run passes a list of one.  Gauges fire on every grid
-    window regardless of traffic, so idle windows record explicit zeros.
+    ``latencies``); the fleet passes the state of every replica that
+    serves the tenant.  Gauges fire on every grid window regardless of
+    traffic, so idle windows record explicit zeros.
     """
 
     def __init__(
@@ -287,12 +287,11 @@ class TenantGroupSampler:
 
 
 class BusySampler:
-    """Windowed busy fractions from a live list of busy-cycle counters.
+    """Windowed duty factor from a live list of busy-cycle counters.
 
     ``busy`` is the simulator's mutable per-CLP accumulator; each sample
-    diffs it against the previous window.  With ``aggregate="max"`` one
-    series carries the epoch-limiting CLP's share (a replica's duty
-    factor); otherwise each counter gets its own ``<prefix><i>`` series.
+    diffs it against the previous window and records the epoch-limiting
+    CLP's share (a replica's duty factor) as the ``name`` series.
     Fractions clamp at 0 — a failure's admission-charge refund can pull
     a window's delta negative, which reads as an idle window.
     """
@@ -300,14 +299,12 @@ class BusySampler:
     def __init__(
         self,
         recorder: MetricsRecorder,
-        prefix: str,
+        name: str,
         busy: "List[float]",
-        aggregate: str = "none",
     ):
         self.recorder = recorder
-        self.prefix = prefix
+        self.name = name
         self.busy = busy
-        self.aggregate = aggregate
         self._marks = [0.0] * len(busy)
         self._when = 0.0
 
@@ -319,15 +316,7 @@ class BusySampler:
             self._marks[index] = total
             fractions.append(max(0.0, delta / span) if span > 0 else 0.0)
         self._when = when
-        if self.aggregate == "max":
-            self.recorder.windowed(
-                self.prefix, window, max(fractions, default=0.0)
-            )
-        else:
-            for index, fraction in enumerate(fractions):
-                self.recorder.windowed(
-                    f"{self.prefix}{index}", window, fraction
-                )
+        self.recorder.windowed(self.name, window, max(fractions, default=0.0))
 
 
 @dataclass(frozen=True)

@@ -503,7 +503,7 @@ class OverloadReport:
 
 # --------------------------------------------------------------- controller
 class OverloadController:
-    """Run-scoped overload logic shared by serve and fleet simulators.
+    """Run-scoped overload logic, hosted by the cluster simulator.
 
     The host simulator owns routing and the event loop; the controller
     owns every admission decision, retry/hedge scheduling, brownout

@@ -12,10 +12,12 @@ with its own admission slot.
 
 On top of that service process sits an open-loop traffic model: seeded
 arrival streams (:mod:`repro.serve.arrivals`) feed bounded per-tenant
-FIFO queues with a drop policy, and the discrete-event engine
-(:class:`repro.sim.engine.Simulator`) interleaves arrivals, epoch
-dispatch, and completions deterministically.  Epoch length can be taken
-from the analytic model (optionally bandwidth-capped through
+FIFO queues with a drop policy.  This module owns the device model —
+the tenant plan, the per-tenant queue state, the epoch calibration —
+while the event loop that runs it lives in one place,
+:class:`repro.fleet.cluster.ClusterSimulator`: :func:`simulate_traffic`
+is a one-board fleet run.  Epoch length can be taken from the analytic
+model (optionally bandwidth-capped through
 :meth:`MultiCLPDesign.epoch_cycles_under_bandwidth`) or calibrated by
 running the cycle-level system simulator
 (:func:`repro.sim.system.simulate_system`) on one epoch.
@@ -23,14 +25,12 @@ running the cycle-level system simulator
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Deque,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -39,8 +39,8 @@ from typing import (
 )
 
 if TYPE_CHECKING:
-    from ..obs.telemetry import ObsSpec, TimeSeries
-    from .overload import OverloadReport, OverloadSpec
+    from ..obs.telemetry import ObsSpec
+    from .overload import OverloadSpec
 
 from ..core.design import MultiCLPDesign
 from ..opt.joint import _JOINT_SEPARATOR, JointDesign
@@ -166,7 +166,6 @@ class TenantState:
         self.peak_queue = 0
         self._occupancy_area = 0.0
         self._occupancy_mark = 0.0
-        self.stream_open = True
 
     # ------------------------------------------------------------- occupancy
     def _touch(self, now: float) -> None:
@@ -288,6 +287,13 @@ def simulate_traffic(
 ) -> ServeResult:
     """Drive ``design`` with seeded request streams and measure serving.
 
+    A serve run *is* a one-board fleet run: this builds a single-replica
+    :class:`~repro.fleet.cluster.ClusterSimulator` over ``design`` and
+    reshapes its :class:`~repro.fleet.metrics.FleetResult` into a
+    :class:`~repro.serve.metrics.ServeResult`.  Arrival streams keep
+    their ``{seed}/{index}/{name}`` RNG keys, so a lone board sees the
+    same traffic a fleet would.
+
     ``tenants`` must name exactly the networks the design serves (any
     order).  With ``drain=False`` the run is cut at ``duration_cycles``
     and queued/pipelined requests are reported as in-flight; with
@@ -302,14 +308,14 @@ def simulate_traffic(
     bit, which the differential test suite pins.
 
     ``obs`` (an :class:`~repro.obs.ObsSpec`) opts the run into windowed
-    telemetry (carried on the result's ``timeseries`` field) and/or
-    request-lifecycle tracing.  Observation runs on the event engine:
-    under ``engine="auto"`` an observed run falls back from the fast
-    solver to the event loop (scalar results are bit-identical either
-    way); an explicit ``engine="fast"`` keeps the fast solver and
-    reports ``timeseries=None``, and raises if a trace was requested.
-    With ``obs=None`` (the default) no extra events are scheduled and
-    results are bit-identical to pre-observability behaviour.
+    telemetry (carried on the result's ``timeseries`` field, with the
+    fleet's series for board ``#0``) and/or request-lifecycle tracing.
+    Observation runs on the event engine: under ``engine="auto"`` an
+    observed run falls back from the fast solver to the event loop
+    (scalar results are bit-identical either way); an explicit
+    ``engine="fast"`` keeps the fast solver and reports
+    ``timeseries=None``, and raises if a trace was requested.  With
+    ``obs=None`` (the default) no extra events are scheduled.
 
     ``overload`` (an :class:`~repro.serve.overload.OverloadSpec`) opts
     the run into admission control, queue disciplines, client retries,
@@ -322,292 +328,25 @@ def simulate_traffic(
     Determinism: identical arguments (including ``seed``) produce an
     identical :class:`~repro.serve.metrics.ServeResult`, bit for bit.
     """
-    from ..sim.engine import Simulator
-    from ..sim.fastpath import resolve_engine, run_serve_fast
-    from .overload import (
-        OverloadController,
-        OverloadSpec,
-        OverloadTenantState,
+    from ..fleet.cluster import ClusterSimulator
+    from ..fleet.device import DeviceSpec
+
+    base, _ = tenant_plans(design)
+    fleet = ClusterSimulator(
+        DeviceSpec(design, bytes_per_cycle=bytes_per_cycle, calibrate=calibrate),
+        tenants,
+        frequency_mhz=frequency_mhz,
+        queue_depth=queue_depth,
+        policy=policy,
+    ).run(
+        duration_cycles,
+        seed=seed,
+        drain=drain,
+        engine=engine,
+        obs=obs,
+        overload=overload,
     )
-
-    if duration_cycles <= 0:
-        raise ValueError("duration_cycles must be positive")
-    if queue_depth < 1:
-        raise ValueError("queue_depth must be at least 1")
-    if policy not in DROP_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; known: {DROP_POLICIES}")
-
-    base, plans = tenant_plans(design)
-    offered = [spec.name for spec in tenants]
-    if sorted(offered) != sorted(plans):
-        raise ValueError(
-            f"tenants {sorted(offered)} do not match the design's networks "
-            f"{sorted(plans)}"
-        )
-
-    overload_active = (overload is not None and overload.active) or any(
-        spec.deadline_ms is not None for spec in tenants
-    )
-    ospec = None
-    if overload_active:
-        ospec = overload if overload is not None else OverloadSpec()
-
-    epoch = resolve_epoch(base, bytes_per_cycle, calibrate)
-    cycles_per_ms = frequency_mhz * 1e3
-    states: List[TenantState] = []
-    for spec in tenants:
-        depth, clp_cycles = plans[spec.name]
-        if ospec is not None:
-            deadline_ms = (
-                spec.deadline_ms
-                if spec.deadline_ms is not None
-                else ospec.deadline_ms
-            )
-            states.append(
-                OverloadTenantState(
-                    spec, depth, clp_cycles, queue_depth, policy,
-                    queue_policy=ospec.queue_policy,
-                    epoch=epoch,
-                    deadline_cycles=(
-                        None
-                        if deadline_ms is None
-                        else deadline_ms * cycles_per_ms
-                    ),
-                )
-            )
-        else:
-            states.append(
-                TenantState(spec, depth, clp_cycles, queue_depth, policy)
-            )
-
-    clp_busy = [0.0] * base.num_clps
-    horizon = float(duration_cycles)
-
-    concrete = resolve_engine(engine, has_overload=overload_active)
-    obs_active = obs is not None and obs.active
-    if obs_active and concrete == "fast":
-        if engine == "fast" and obs.trace is not None:
-            raise ValueError(
-                "engine='fast' cannot emit a trace; use 'auto' or 'event'"
-            )
-        if engine != "fast":
-            # The fast solver has no event stream to sample or trace;
-            # "auto" prefers observability over speed.  An explicit
-            # "fast" keeps the solver and reports timeseries=None.
-            concrete = "event"
-
-    if concrete == "fast":
-        elapsed = run_serve_fast(states, clp_busy, epoch, horizon, seed, drain)
-        return _assemble_result(
-            design, base, states, clp_busy, epoch, horizon, elapsed,
-            frequency_mhz, seed, queue_depth, policy, drain,
-        )
-
-    recorder = obs.make_recorder(horizon) if obs_active else None
-    tracer = obs.trace if obs_active else None
-
-    sim = Simulator(
-        on_event=(
-            None
-            if recorder is None
-            else lambda when: recorder.count("engine_events", when)
-        )
-    )
-
-    controller: Optional[OverloadController] = None
-    if ospec is not None:
-        # Retries/hedges re-enter through the same admission path as
-        # fresh arrivals; the single-device "fleet" has one landing spot.
-        def deliver(index: int, req) -> None:
-            controller.arrive(
-                index, req, lambda index=index: (states[index], None)
-            )
-
-        controller = OverloadController(
-            ospec,
-            tenants,
-            horizon=horizon,
-            frequency_mhz=frequency_mhz,
-            seed=seed,
-            schedule_at=sim.schedule_at,
-            now=lambda: sim.now,
-            deliver=deliver,
-            tracer=tracer,
-            recorder=recorder,
-        )
-
-    # Arrivals: one self-rescheduling event chain per tenant, each with
-    # a private RNG keyed by (seed, tenant index, tenant name).
-    def start_stream(state: TenantState, index: int) -> None:
-        rng = random.Random(f"{seed}/{index}/{state.spec.name}")
-        stream: Iterator[float] = state.spec.process.times(rng)
-        limit = state.spec.limit
-
-        def pump(count: int = 0) -> None:
-            if limit is not None and count >= limit:
-                state.stream_open = False
-                return
-            try:
-                when = next(stream)
-            except StopIteration:
-                state.stream_open = False
-                return
-            if when > horizon:
-                state.stream_open = False
-                return
-
-            def fire() -> None:
-                if controller is not None:
-                    controller.arrive(
-                        index,
-                        controller.make_request(sim.now),
-                        lambda: (state, None),
-                    )
-                elif tracer is None:
-                    state.on_arrival(sim.now)
-                else:
-                    before = state.drops
-                    state.on_arrival(sim.now)
-                    tracer.request_arrived(
-                        state.spec.name,
-                        None,
-                        sim.now,
-                        dropped=state.drops > before,
-                        policy=policy,
-                    )
-                pump(count + 1)
-
-            sim.schedule_at(when, fire)
-
-        pump()
-
-    for index, state in enumerate(states):
-        start_stream(state, index)
-
-    def complete(state: TenantState, arrival: float) -> None:
-        state.on_completion(arrival, sim.now)
-        if tracer is not None:
-            tracer.request_completed(state.spec.name, None, sim.now, arrival)
-
-    def complete_overload(t_index: int, state: TenantState, req) -> None:
-        controller.complete(t_index, state, req)
-        if tracer is not None:
-            tracer.request_completed(
-                state.spec.name, None, sim.now, req.arrival
-            )
-
-    def boundary(index: int = 0) -> None:
-        for t_index, state in enumerate(states):
-            if controller is not None:
-                req = controller.dispatch(t_index, state, None)
-                if req is None:
-                    continue
-                arrival = req.arrival
-            else:
-                req = None
-                arrival = state.admit(sim.now)
-                if arrival is None:
-                    continue
-            if tracer is not None:
-                tracer.request_dispatched(
-                    state.spec.name, None, sim.now, arrival
-                )
-            for clp_index, cycles in enumerate(state.clp_cycles):
-                clp_busy[clp_index] += cycles
-            if req is not None:
-                sim.schedule(
-                    state.depth_epochs * epoch,
-                    lambda t_index=t_index, state=state, req=req: (
-                        complete_overload(t_index, state, req)
-                    ),
-                )
-            else:
-                sim.schedule(
-                    state.depth_epochs * epoch,
-                    lambda state=state, arrival=arrival: complete(
-                        state, arrival
-                    ),
-                )
-        # Boundaries live on the exact grid ``index * epoch``: chaining
-        # ``now + epoch`` instead would accumulate float error over long
-        # horizons and drift from the fast engine's batched grid.
-        upcoming = (index + 1) * epoch
-        pending = any(s.queue or s.stream_open for s in states) or (
-            controller is not None and controller.pending_deliveries > 0
-        )
-        if upcoming <= horizon or (drain and pending):
-            sim.schedule_at(upcoming, lambda: boundary(index + 1))
-
-    boundary()  # first dispatch at cycle 0
-
-    if recorder is not None:
-        from ..obs.telemetry import BusySampler, TenantGroupSampler
-
-        tenant_samplers = [
-            TenantGroupSampler(recorder, state.spec.name, [state])
-            for state in states
-        ]
-        busy_sampler = BusySampler(recorder, "util/CLP", clp_busy)
-
-        def sample(window: int, when: float) -> None:
-            for sampler in tenant_samplers:
-                sampler.sample(window, when)
-            busy_sampler.sample(window, when)
-
-        # Samplers live on the same grid as every other event, read-only
-        # and scheduled last, so they never perturb the run they watch.
-        for window, when in enumerate(recorder.times):
-            sim.schedule_at(
-                when, lambda window=window, when=when: sample(window, when)
-            )
-
-    if drain:
-        elapsed = max(sim.run(), horizon)
-    else:
-        # The observation window is the horizon even if events ran dry.
-        sim.run(until=horizon)
-        elapsed = horizon
-
-    if controller is not None:
-        # Gate rejections (token bucket, brownout) never reached a
-        # tenant state; fold the controller's front-door ledger in so
-        # per-tenant conservation holds: arrivals == completions +
-        # drops + lost + rejected + expired + in_flight.
-        for state in states:
-            name = state.spec.name
-            state.arrivals += controller.gate_arrivals[name]
-            state.rejected += controller.gate_rejected[name]
-            state.retries += controller.gate_retries[name]
-            state.hedges += controller.gate_hedges[name]
-
-    return _assemble_result(
-        design, base, states, clp_busy, epoch, horizon, elapsed,
-        frequency_mhz, seed, queue_depth, policy, drain,
-        timeseries=recorder.finalize() if recorder is not None else None,
-        overload=controller.report() if controller is not None else None,
-    )
-
-
-def _assemble_result(
-    design: Union[MultiCLPDesign, JointDesign],
-    base: MultiCLPDesign,
-    states: Sequence[TenantState],
-    clp_busy: Sequence[float],
-    epoch: float,
-    horizon: float,
-    elapsed: float,
-    frequency_mhz: float,
-    seed: int,
-    queue_depth: int,
-    policy: str,
-    drain: bool,
-    timeseries: Optional["TimeSeries"] = None,
-    overload: Optional["OverloadReport"] = None,
-) -> ServeResult:
-    """Reduce final run state to a :class:`ServeResult` (engine-shared)."""
-    fractions = tuple(
-        min(1.0, busy / elapsed) if elapsed > 0 else 0.0 for busy in clp_busy
-    )
+    board = fleet.replicas[0]
     label = (
         " + ".join(net.name for net in design.networks)
         if isinstance(design, JointDesign)
@@ -616,17 +355,17 @@ def _assemble_result(
     return ServeResult(
         design_label=f"{label} [{base.dtype.label}]",
         num_clps=base.num_clps,
-        epoch_cycles=epoch,
-        pipeline_depths=tuple(state.depth_epochs for state in states),
+        epoch_cycles=board.epoch_cycles,
+        pipeline_depths=board.pipeline_depths,
         frequency_mhz=frequency_mhz,
-        horizon_cycles=horizon,
-        elapsed_cycles=elapsed,
+        horizon_cycles=fleet.horizon_cycles,
+        elapsed_cycles=fleet.elapsed_cycles,
         seed=seed,
         queue_depth=queue_depth,
         policy=policy,
         drained=drain,
-        tenants=tuple(state.stats(elapsed) for state in states),
-        clp_busy_fraction=fractions,
-        timeseries=timeseries,
-        overload=overload,
+        tenants=fleet.tenants,
+        clp_busy_fraction=board.clp_busy_fraction,
+        timeseries=fleet.timeseries,
+        overload=fleet.overload,
     )

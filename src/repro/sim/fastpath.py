@@ -5,9 +5,9 @@ request; for plain open-loop runs — no fault scenario, no surge — the
 whole simulation is a deterministic function of the arrival times and
 the epoch grid, so it can be solved with batched numpy array ops
 instead of a callback loop.  This module is that solver, used by
-:func:`repro.serve.simulator.simulate_traffic` and
-:class:`repro.fleet.cluster.ClusterSimulator` when ``engine="fast"``
-(or ``"auto"`` without a scenario).
+:class:`repro.fleet.cluster.ClusterSimulator` — and so by
+:func:`repro.serve.simulator.simulate_traffic`, a one-board fleet run —
+when ``engine="fast"`` (or ``"auto"`` without a scenario).
 
 The contract is *bit-for-bit* equality with the event engine, not
 statistical agreement: every float in the result is produced by the
@@ -76,39 +76,39 @@ def resolve_engine(
 ) -> str:
     """Pick the concrete engine for a run.
 
-    ``auto`` selects the fast path whenever no fault/surge scenario is
-    in play, no overload feature (admission, non-FIFO discipline,
-    retries, brownout, deadlines) is active, and no *active* failure
-    detector (probe mode or request timeouts) is armed; the event
-    engine remains the reference (and only) path for those runs —
-    failure events, retry feedback loops, and probe/timeout events
-    genuinely interleave with traffic.  Requesting ``fast`` together
-    with any of them is an error rather than a silent downgrade.
+    ``auto`` selects the fast path unless the run needs something only
+    the event engine can run: a fault/surge scenario, an active overload
+    feature (admission, non-FIFO discipline, retries, brownout,
+    deadlines), or an *active* failure detector (probe mode or request
+    timeouts) — failure events, retry feedback loops, and probe/timeout
+    events genuinely interleave with traffic.  Requesting ``fast``
+    together with any of them is one error naming every blocker, rather
+    than a silent downgrade.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
+    blockers = [
+        feature
+        for needed, feature in (
+            (has_scenario, "fault/surge scenarios"),
+            (
+                has_overload,
+                "overload control (admission, queue disciplines, retries, "
+                "brownout, deadlines)",
+            ),
+            (
+                has_detector,
+                "an active failure detector (probe mode or request timeouts)",
+            ),
+        )
+        if needed
+    ]
     if engine == "auto":
-        return (
-            "event"
-            if (has_scenario or has_overload or has_detector)
-            else "fast"
-        )
-    if engine == "fast" and has_scenario:
+        return "event" if blockers else "fast"
+    if engine == "fast" and blockers:
         raise ValueError(
-            "engine='fast' cannot run fault/surge scenarios; "
-            "use engine='event' (or 'auto') for scenario runs"
-        )
-    if engine == "fast" and has_overload:
-        raise ValueError(
-            "engine='fast' cannot run overload control (admission, "
-            "queue disciplines, retries, brownout, deadlines); "
-            "use engine='event' (or 'auto') for overload runs"
-        )
-    if engine == "fast" and has_detector:
-        raise ValueError(
-            "engine='fast' cannot run an active failure detector "
-            "(probe mode or request timeouts); use engine='event' "
-            "(or 'auto') for detector runs"
+            f"engine='fast' cannot run {' and '.join(blockers)}; "
+            "use engine='event' (or 'auto')"
         )
     return engine
 
@@ -412,7 +412,6 @@ def _fill_state(
     state.peak_queue = solved.peak
     state._occupancy_area = solved.area
     state._occupancy_mark = solved.mark
-    state.stream_open = False
     return float(finish[fired - 1]) if fired else None
 
 
@@ -423,6 +422,10 @@ def _charge_clps(clp_busy: List[float], state, admissions: int) -> None:
 
 
 # ------------------------------------------------------------------ serve
+# Unused by the simulators: serve runs solve through ``run_fleet_fast``
+# with one replica.  Kept because the per-layer tracer in
+# ``perfbench/tracer.py`` patches it by name, and a missing name fails
+# every traced benchmark run; delete it together with that patch.
 def run_serve_fast(
     states: Sequence,
     clp_busy: List[float],
@@ -433,11 +436,10 @@ def run_serve_fast(
 ) -> float:
     """Solve a single-device run in place; returns the elapsed cycles.
 
-    ``states`` are the run's fresh ``TenantState`` objects (in tenant
-    order, as ``simulate_traffic`` builds them); each is filled with
-    exactly the counters and float accumulators the event loop would
-    have left behind, so the caller's result assembly is shared between
-    engines.  CLP busy cycles are charged through each state's
+    ``states`` are the run's fresh ``TenantState`` objects in tenant
+    order; each is filled with exactly the counters and float
+    accumulators the event loop would have left behind, so the caller's
+    result assembly is shared between engines.  CLP busy cycles are charged through each state's
     ``clp_cycles`` just as boundary admissions would.
     """
     last_k = _last_boundary(horizon, epoch)

@@ -240,6 +240,13 @@ class TestEngineSelection:
         with pytest.raises(ValueError):
             resolve_engine("warp")
 
+    def test_fast_error_names_every_blocker(self):
+        with pytest.raises(ValueError) as raised:
+            resolve_engine("fast", has_scenario=True, has_detector=True)
+        message = str(raised.value)
+        assert "scenario" in message and "detector" in message
+        assert "overload" not in message
+
     def test_fleet_fast_with_scenario_rejected(self, toy_design):
         epoch = toy_design.epoch_cycles
         tenants = [TenantSpec("toy", make_arrival_process(

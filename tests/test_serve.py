@@ -11,7 +11,10 @@ Three layers of assurance:
   to the cycle-level system simulator (``calibrate="simulate"``).
 """
 
+import json
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,10 +24,15 @@ from repro.core.serialize import (
     serve_result_from_dict,
     serve_result_to_dict,
 )
+from repro.obs import ObsSpec, TraceRecorder
 from repro.serve import (
+    AdmissionPolicy,
+    BrownoutPolicy,
     BurstyArrivals,
     ConstantRate,
+    OverloadSpec,
     PoissonArrivals,
+    RetryPolicy,
     SLOSpec,
     TenantSpec,
     TraceArrivals,
@@ -421,6 +429,123 @@ class TestSerialization:
         assert result.tenant("toy").name == "toy"
         with pytest.raises(KeyError):
             result.tenant("nope")
+
+
+# ------------------------------------------------------------ pinned records
+#: Golden records of ``serve_result_to_dict`` (timeseries popped) for a
+#: fixed matrix of serve runs.  Regenerate with
+#: ``REPRO_RECORD_PINNED=1 pytest tests/test_serve.py -k pinned`` only
+#: when a change is *meant* to alter serve results.
+PINNED_PATH = Path(__file__).parent / "data" / "serve_pinned_runs.json"
+
+
+def _pinned_runs(toy, joint):
+    """Case id -> zero-argument serve run, over engines, arrivals, drain,
+    drop policies, queue depths, a joint design, overload, and obs."""
+    toy_epoch = toy.epoch_cycles
+    joint_epoch = joint.epoch_cycles
+    joint_names = [network.name for network in joint.networks]
+    # One epoch in milliseconds at the default 100 MHz clock.
+    toy_ms = toy_epoch / 1e5
+    joint_ms = joint_epoch / 1e5
+
+    def toy_run(kind, mult, epochs, tenant=None, **run):
+        proc = make_arrival_process(
+            kind, mult / toy_epoch, period_cycles=8.0 * toy_epoch
+        )
+        tenants = [TenantSpec("toy", proc, **(tenant or {}))]
+        return lambda: simulate_traffic(
+            toy, tenants, duration_cycles=epochs * toy_epoch, **run
+        )
+
+    def joint_run(mult, epochs, priorities=(0, 0), **run):
+        tenants = [
+            TenantSpec(name, PoissonArrivals(mult / joint_epoch), priority=p)
+            for name, p in zip(joint_names, priorities)
+        ]
+        return lambda: simulate_traffic(
+            joint, tenants, duration_cycles=epochs * joint_epoch, **run
+        )
+
+    cases = {}
+    for engine in ("fast", "event"):
+        cases.update({
+            f"{engine}-constant-cut": toy_run(
+                "constant", 0.8, 300, engine=engine, queue_depth=64),
+            f"{engine}-poisson-drain-tail": toy_run(
+                "poisson", 1.3, 400, engine=engine, seed=3, queue_depth=8,
+                drain=True),
+            f"{engine}-bursty-cut-head": toy_run(
+                "bursty", 1.5, 500, engine=engine, seed=5, queue_depth=4,
+                policy="drop-head"),
+            f"{engine}-poisson-drain-head": toy_run(
+                "poisson", 2.0, 300, engine=engine, seed=7, queue_depth=2,
+                policy="drop-head", drain=True),
+            f"{engine}-bursty-drain": toy_run(
+                "bursty", 0.9, 400, engine=engine, seed=11, queue_depth=16,
+                drain=True),
+            f"{engine}-joint": joint_run(
+                1.1, 300, engine=engine, seed=2, queue_depth=32),
+        })
+    cases.update({
+        "overload-edf-admission-retries": toy_run(
+            "poisson", 1.6, 600, tenant={"deadline_ms": 8 * toy_ms},
+            seed=13,
+            overload=OverloadSpec(
+                queue_policy="edf",
+                admission=AdmissionPolicy(deadline_admission=True),
+                retry=RetryPolicy(max_attempts=3, base_ms=toy_ms),
+            )),
+        "overload-edf-expired-drain": toy_run(
+            "bursty", 1.5, 500, tenant={"deadline_ms": 6 * toy_ms},
+            seed=17, drain=True, overload=OverloadSpec(queue_policy="edf")),
+        "overload-priority-bucket-hedge-brownout": joint_run(
+            1.2, 600, priorities=(1, 0), seed=19, queue_depth=16,
+            overload=OverloadSpec(
+                queue_policy="priority",
+                admission=AdmissionPolicy(
+                    rate_rps=1.1e3 / joint_ms, burst=4.0),
+                retry=RetryPolicy(
+                    max_attempts=2, base_ms=joint_ms,
+                    hedge_ms=3 * joint_ms),
+                brownout=BrownoutPolicy(
+                    p99_ms=6 * joint_ms, window_ms=40 * joint_ms),
+                deadline_ms=20 * joint_ms,
+            )),
+        "overload-fifo-late": toy_run(
+            "poisson", 1.2, 500, seed=23,
+            overload=OverloadSpec(deadline_ms=5 * toy_ms)),
+        "observed": toy_run(
+            "poisson", 1.1, 300, seed=29,
+            obs=ObsSpec(timeseries=True, trace=TraceRecorder())),
+        "observed-overload": toy_run(
+            "poisson", 1.4, 300, tenant={"deadline_ms": 6 * toy_ms},
+            seed=31, queue_depth=8,
+            overload=OverloadSpec(
+                queue_policy="priority", retry=RetryPolicy(base_ms=toy_ms)),
+            obs=ObsSpec(timeseries=True, trace=TraceRecorder())),
+    })
+    return cases
+
+
+def _pinned_record(result):
+    record = serve_result_to_dict(result)
+    record.pop("timeseries", None)
+    return record
+
+
+def test_pinned_runs_match_records(toy_design, joint_design_690t):
+    runs = _pinned_runs(toy_design, joint_design_690t)
+    records = {name: _pinned_record(run()) for name, run in runs.items()}
+    if os.environ.get("REPRO_RECORD_PINNED"):
+        PINNED_PATH.write_text(json.dumps(records, indent=1, sort_keys=True))
+    pinned = json.loads(PINNED_PATH.read_text())
+    assert sorted(pinned) == sorted(records)
+    for name, record in records.items():
+        # Compare through JSON text so float reprs must match exactly.
+        assert json.dumps(record, sort_keys=True) == json.dumps(
+            pinned[name], sort_keys=True
+        ), name
 
 
 # --------------------------------------------------------------------- SLO
