@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, Sequence
+from typing import Dict, Mapping, Sequence
 
 __all__ = [
     "ReplicaView",
@@ -39,6 +39,7 @@ __all__ = [
     "TenantAffinityBalancer",
     "BALANCER_NAMES",
     "make_balancer",
+    "routes_fixed",
 ]
 
 
@@ -168,4 +169,16 @@ def make_balancer(name: str) -> Balancer:
             return policy()
     raise ValueError(
         f"unknown balancer {name!r}; known: {', '.join(BALANCER_NAMES)}"
+    )
+
+
+def routes_fixed(
+    balancer: Balancer, eligible: Mapping[str, Sequence[int]]
+) -> bool:
+    """True when every route is forced: each tenant has one eligible
+    replica and the policy is built in, so that replica is its answer
+    whatever the RNG or load.  ``type`` is compared exactly, since a
+    subclass may override ``route`` with arbitrary behaviour."""
+    return type(balancer) in _POLICIES and all(
+        len(targets) == 1 for targets in eligible.values()
     )

@@ -38,7 +38,7 @@ from ..scenario.library import ScenarioSpec, get_scenario
 from ..scenario.resilience import compute_resilience
 from ..serve.metrics import LatencySummary, TenantStats
 from ..serve.simulator import DROP_POLICIES, TenantSpec, TenantState
-from .balancer import Balancer, make_balancer
+from .balancer import Balancer, make_balancer, routes_fixed
 from .detector import DetectorSpec, FailureDetector
 from .device import DeviceSpec
 from .metrics import FleetResult, ReplicaStats
@@ -580,6 +580,21 @@ class ClusterSimulator:
             spec.name: index for index, spec in enumerate(self.tenants)
         }
 
+        #: Tenant -> (state, index) of its one board when routes are
+        #: forced and no fault, gray window or probe ejection can change
+        #: them: arrivals skip the router, as in every serve run.
+        fixed_landing: Dict[str, Tuple[TenantState, int]] = (
+            {
+                name: (replicas[targets[0]].states[name], targets[0])
+                for name, targets in eligible.items()
+            }
+            if not outages
+            and not degradations
+            and fdet is None
+            and routes_fixed(balancer, eligible)
+            else {}
+        )
+
         def route_arrival(name: str) -> Optional[int]:
             """Pick a replica for an arriving request, or book it
             unroutable (arrived and lost at aggregation) when none is."""
@@ -599,6 +614,9 @@ class ClusterSimulator:
             def route_request(
                 name: str,
             ) -> Optional[Tuple[TenantState, Optional[int]]]:
+                landing = fixed_landing.get(name)
+                if landing is not None:
+                    return landing
                 choice = route_arrival(name)
                 if choice is None:
                     return None
@@ -632,6 +650,7 @@ class ClusterSimulator:
             rng = random.Random(f"{seed}/{index}/{spec.name}")
             stream: Iterator[float] = processes[index].times(rng)
             limit = spec.limit
+            fixed = fixed_landing.get(spec.name)
 
             def pump(count: int = 0) -> None:
                 if limit is not None and count >= limit:
@@ -655,11 +674,14 @@ class ClusterSimulator:
                         )
                         pump(count + 1)
                         return
-                    choice = route_arrival(spec.name)
-                    if choice is None:
-                        pump(count + 1)
-                        return
-                    landing = replicas[choice].states[spec.name]
+                    if fixed is not None:
+                        landing, choice = fixed
+                    else:
+                        choice = route_arrival(spec.name)
+                        if choice is None:
+                            pump(count + 1)
+                            return
+                        landing = replicas[choice].states[spec.name]
                     if tracer is None:
                         landing.on_arrival(sim.now)
                     else:

@@ -14,11 +14,12 @@ which is how "N boards of this design" is expressed without N objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Optional, Tuple, Union
 
 from ..core.design import MultiCLPDesign
 from ..opt.joint import JointDesign
-from ..serve.simulator import resolve_epoch, tenant_plans
+from ..serve.simulator import design_name, resolve_epoch, tenant_plans
 
 __all__ = ["DeviceSpec", "CALIBRATION_MODES"]
 
@@ -59,6 +60,10 @@ class DeviceSpec:
     # ------------------------------------------------------------ derivation
     def plans(self) -> Tuple[MultiCLPDesign, Dict[str, Tuple[int, Tuple[int, ...]]]]:
         """The (base design, tenant -> (depth, per-CLP cycles)) service plan."""
+        return self._plans
+
+    @cached_property
+    def _plans(self) -> Tuple[MultiCLPDesign, Dict[str, Tuple[int, Tuple[int, ...]]]]:
         return tenant_plans(self.design)
 
     @property
@@ -76,14 +81,8 @@ class DeviceSpec:
     def display_label(self) -> str:
         if self.label is not None:
             return self.label
-        base, _ = self.plans()
-        name = (
-            "+".join(net.name for net in self.design.networks)
-            if isinstance(self.design, JointDesign)
-            else base.network.name
-        )
         part = f"@{self.part}" if self.part else ""
-        return f"{name}{part}"
+        return f"{design_name(self.design)}{part}"
 
     def replicated(self, count: int) -> "DeviceSpec":
         """The same template at a different replica count."""

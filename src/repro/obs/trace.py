@@ -45,13 +45,20 @@ class TraceRecorder:
         self._ids = itertools.count(1)
         self._queued: Dict[_Key, Deque[int]] = {}
         self._pipeline: Dict[_Key, Deque[int]] = {}
+        self._tracks: Dict[_Key, str] = {}
 
     def __len__(self) -> int:
         return len(self.events)
 
     # ------------------------------------------------------------- low level
     def _track(self, tenant: str, replica: Optional[int]) -> str:
-        return tenant if replica is None else f"{tenant}@r{replica}"
+        # One string per track, shared by all of its events.
+        key = (tenant, replica)
+        track = self._tracks.get(key)
+        if track is None:
+            track = tenant if replica is None else f"{tenant}@r{replica}"
+            self._tracks[key] = track
+        return track
 
     def _emit(
         self,

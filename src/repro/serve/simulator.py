@@ -52,6 +52,7 @@ __all__ = [
     "TenantState",
     "DROP_POLICIES",
     "tenant_plans",
+    "design_name",
     "resolve_epoch",
     "service_capacity_rps",
     "pipeline_latency_cycles",
@@ -114,6 +115,15 @@ def tenant_plans(
     return base, {
         base.network.name: (base.pipeline_depth_images, per_clp)
     }
+
+
+def design_name(
+    design: Union[MultiCLPDesign, JointDesign], joiner: str = "+"
+) -> str:
+    """The network(s) a design serves, as one display name."""
+    if isinstance(design, JointDesign):
+        return joiner.join(net.name for net in design.networks)
+    return design.network.name
 
 
 def service_capacity_rps(
@@ -331,9 +341,12 @@ def simulate_traffic(
     from ..fleet.cluster import ClusterSimulator
     from ..fleet.device import DeviceSpec
 
-    base, _ = tenant_plans(design)
+    device = DeviceSpec(
+        design, bytes_per_cycle=bytes_per_cycle, calibrate=calibrate
+    )
+    base, _ = device.plans()
     fleet = ClusterSimulator(
-        DeviceSpec(design, bytes_per_cycle=bytes_per_cycle, calibrate=calibrate),
+        device,
         tenants,
         frequency_mhz=frequency_mhz,
         queue_depth=queue_depth,
@@ -347,14 +360,9 @@ def simulate_traffic(
         overload=overload,
     )
     board = fleet.replicas[0]
-    label = (
-        " + ".join(net.name for net in design.networks)
-        if isinstance(design, JointDesign)
-        else base.network.name
-    )
     return ServeResult(
-        design_label=f"{label} [{base.dtype.label}]",
-        num_clps=base.num_clps,
+        design_label=f"{design_name(design, ' + ')} [{base.dtype.label}]",
+        num_clps=len(board.clp_busy_fraction),
         epoch_cycles=board.epoch_cycles,
         pipeline_depths=board.pipeline_depths,
         frequency_mhz=frequency_mhz,

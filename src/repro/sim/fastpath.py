@@ -479,26 +479,18 @@ def fleet_fast_supported(balancer, eligible: Dict[str, Tuple[int, ...]]) -> bool
     """Can routing be computed from per-tenant arrival indexes alone?
 
     True for round-robin (per-tenant counters), tenant-affinity (pure
-    hash), and the known randomized/load-aware policies when every
-    tenant has a single eligible replica (their route degenerates to
-    that replica regardless of RNG or load).  Custom subclasses are
-    never assumed — ``type`` is compared exactly, since a subclass may
-    override ``route`` with arbitrary order-dependent behaviour.
+    hash), and any other built-in policy whose routes are forced
+    (:func:`~repro.fleet.balancer.routes_fixed`).
     """
     from ..fleet.balancer import (
-        LeastOutstandingBalancer,
-        PowerOfTwoBalancer,
-        RandomBalancer,
         RoundRobinBalancer,
         TenantAffinityBalancer,
+        routes_fixed,
     )
 
-    kind = type(balancer)
-    if kind in (RoundRobinBalancer, TenantAffinityBalancer):
+    if type(balancer) in (RoundRobinBalancer, TenantAffinityBalancer):
         return True
-    if kind in (LeastOutstandingBalancer, PowerOfTwoBalancer, RandomBalancer):
-        return all(len(targets) == 1 for targets in eligible.values())
-    return False
+    return routes_fixed(balancer, eligible)
 
 
 def _static_routes(
@@ -507,8 +499,6 @@ def _static_routes(
     """Replica index for each of a tenant's ``count`` arrivals."""
     from ..fleet.balancer import RoundRobinBalancer, TenantAffinityBalancer
 
-    if len(targets) == 1:
-        return np.full(count, targets[0], dtype=np.int64)
     if type(balancer) is RoundRobinBalancer:
         # The per-tenant counter advances once per arrival, and a
         # tenant's arrivals fire in index order, so the n-th arrival
@@ -554,7 +544,12 @@ def run_fleet_fast(
             spec.process, f"{seed}/{index}/{spec.name}", spec.limit, horizon
         )
         targets = eligible[spec.name]
-        routes = _static_routes(balancer, spec.name, targets, arrivals.size)
+        # A lone target takes the whole stream: no routes, no masks.
+        routes = (
+            None
+            if len(targets) == 1
+            else _static_routes(balancer, spec.name, targets, arrivals.size)
+        )
         # One eligibility pass per distinct epoch among serving replicas.
         by_epoch: Dict[float, np.ndarray] = {}
         for r in targets:
@@ -564,7 +559,7 @@ def run_fleet_fast(
         for r in targets:
             replica = replicas[r]
             state = replica.states[spec.name]
-            mask = routes == r
+            mask = slice(None) if routes is None else routes == r
             solved = _solve_stream(
                 arrivals[mask],
                 by_epoch[replica.epoch][mask],

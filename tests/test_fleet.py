@@ -196,6 +196,48 @@ class TestBalancers:
         routed = [replica.arrivals for replica in fleet.replicas]
         assert routed[2] > 0 and routed[0] == routed[1] == 0
 
+    def test_routes_fixed_needs_lone_targets_and_builtin_policy(self):
+        from repro.fleet.balancer import RandomBalancer, routes_fixed
+
+        class Subclassed(RandomBalancer):
+            pass
+
+        lone = {"a": (3,), "b": (0,)}
+        for name in BALANCER_NAMES:
+            assert routes_fixed(make_balancer(name), lone)
+        assert not routes_fixed(make_balancer("random"), {"a": (3,), "b": (0, 1)})
+        assert not routes_fixed(Subclassed(), lone)
+
+    def test_custom_balancer_routes_every_arrival_on_one_board(
+        self, toy_design
+    ):
+        # Arrivals skip the router only when every route is forced and
+        # the policy is built in; user code still sees each arrival.
+        from repro.fleet import Balancer
+
+        class Counting(Balancer):
+            name = "counting"
+
+            def __init__(self):
+                self.calls = 0
+
+            def reset(self):
+                self.calls = 0
+
+            def route(self, tenant, eligible, now):
+                self.calls += 1
+                return eligible[0]
+
+        policy = Counting()
+        fleet = simulate_fleet(
+            DeviceSpec(toy_design),
+            _tenants(toy_design, 1.0),
+            duration_cycles=15 * toy_design.epoch_cycles,
+            balancer=policy,
+            drain=True,
+        )
+        assert policy.calls == fleet.tenants[0].arrivals > 0
+
     def test_stateful_instance_resets_between_runs(self, toy_design):
         # One round-robin object reused for two runs must behave like a
         # fresh policy each time (counters cleared by reset()).

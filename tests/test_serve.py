@@ -12,7 +12,6 @@ Three layers of assurance:
 """
 
 import json
-import os
 import random
 from pathlib import Path
 
@@ -433,9 +432,9 @@ class TestSerialization:
 
 # ------------------------------------------------------------ pinned records
 #: Golden records of ``serve_result_to_dict`` (timeseries popped) for a
-#: fixed matrix of serve runs.  Regenerate with
-#: ``REPRO_RECORD_PINNED=1 pytest tests/test_serve.py -k pinned`` only
-#: when a change is *meant* to alter serve results.
+#: fixed matrix of serve runs.  Regenerate them by hand, with a one-off
+#: script over ``_pinned_runs``, only when a change is *meant* to alter
+#: serve results.
 PINNED_PATH = Path(__file__).parent / "data" / "serve_pinned_runs.json"
 
 
@@ -537,8 +536,6 @@ def _pinned_record(result):
 def test_pinned_runs_match_records(toy_design, joint_design_690t):
     runs = _pinned_runs(toy_design, joint_design_690t)
     records = {name: _pinned_record(run()) for name, run in runs.items()}
-    if os.environ.get("REPRO_RECORD_PINNED"):
-        PINNED_PATH.write_text(json.dumps(records, indent=1, sort_keys=True))
     pinned = json.loads(PINNED_PATH.read_text())
     assert sorted(pinned) == sorted(records)
     for name, record in records.items():
