@@ -4,7 +4,8 @@ The traffic simulator exists to be swept (``repro dse rank`` replays
 every stored design under load), so its own throughput matters.  This
 benchmark saturates a real AlexNet 485T design with constant-rate
 traffic for a fixed number of epochs and reports how many simulated
-requests the event loop processes per second of host time.
+requests the event loop processes per second of host time, timing a
+warm run (one untimed run first).
 
 Bands: the engine must stay comfortably above 10k simulated requests/s
 (each request is ~4 heap events), and a drained run must conserve
@@ -49,6 +50,9 @@ def _run_once(design, engine="event"):
 
 def test_serve_engine_speed(benchmark, record_artifact, record_bench_json):
     design = optimize_multi_clp(alexnet(), budget_for("485t"), FLOAT32)
+    # Warm-up, untimed: the first call in a process also pays one-off
+    # imports, which are not engine speed.
+    _run_once(design)
 
     started = time.perf_counter()
     result = benchmark.pedantic(lambda: _run_once(design), rounds=1, iterations=1)
@@ -96,6 +100,9 @@ def test_serve_fast_engine_speed(record_artifact, record_bench_json):
     otherwise masquerade as engine time.
     """
     design = optimize_multi_clp(alexnet(), budget_for("485t"), FLOAT32)
+    # Warm-up, untimed: the first call in a process also pays one-off
+    # imports, which are not engine speed.
+    _run_once(design)
 
     started = time.perf_counter()
     event_result = _run_once(design, engine="event")

@@ -17,11 +17,17 @@ The search is exact within the contiguous-segment restriction:
 3. For a given cycle target, the minimum DSP for a segment is a binary
    search on its frontier, and the best partition is a small dynamic
    program over (number of CLPs, prefix of the order).
+
+All frontiers live in one flat array: each row is stored reversed (so
+non-decreasing) and lifted by ``row * span``, with ``span`` above every
+entry, so the whole array is sorted and one ``searchsorted`` answers a
+cycle target for every segment at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import floor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -144,7 +150,12 @@ class SegmentSearch:
             cum[i + 1] = cum[i] + _layer_cycles_vector(layer, self._tn, self._tm)
         num_segments = count * (count + 1) // 2
         num_classes = len(self.dsp_values)
-        self._frontier = np.empty((num_segments, num_classes), dtype=np.int64)
+        # No entry exceeds a grid's whole-order cycles, so lifting row r
+        # by r * span keeps rows disjoint and the flat array sorted.
+        self._span = int(cum[-1].max()) + 1
+        if num_segments * self._span > _INFEASIBLE:
+            raise OverflowError("lifted segment frontiers overflow int64")
+        frontier = np.empty((num_segments, num_classes), dtype=np.int64)
         self._segment_index: Dict[Tuple[int, int], int] = {}
         row = 0
         for i in range(count):
@@ -152,33 +163,39 @@ class SegmentSearch:
                 seg = cum[j] - cum[i]
                 per_class = np.minimum.reduceat(seg, self._group_starts)
                 np.minimum.accumulate(per_class, out=per_class)
-                self._frontier[row] = per_class
+                frontier[row] = per_class[::-1] + row * self._span
                 self._segment_index[(i, j)] = row
                 row += 1
+        self._frontier = frontier.reshape(-1)
         self._cum = cum
 
     # -------------------------------------------------------------- queries
     def min_segment_cycles(self, i: int, j: int) -> int:
         """Best cycles for layers[i:j] with the whole DSP budget."""
-        return int(self._frontier[self._segment_index[(i, j)], -1])
+        row = self._segment_index[(i, j)]
+        lifted = int(self._frontier[row * len(self.dsp_values)])
+        return lifted - row * self._span
 
     def min_dsp_for(self, i: int, j: int, cycle_target: float) -> Optional[int]:
         """Smallest DSP cost letting layers[i:j] meet ``cycle_target``."""
-        row = self._frontier[self._segment_index[(i, j)]]
-        idx = self._first_meeting_index(row, cycle_target)
-        if idx is None:
-            return None
-        return int(self.dsp_values[idx])
-
-    @staticmethod
-    def _first_meeting_index(row: np.ndarray, cycle_target: float) -> Optional[int]:
-        # ``row`` is non-increasing; entries meeting the target form a
-        # suffix.  Search the reversed (non-decreasing) view.
-        reversed_view = row[::-1]
-        count = int(np.searchsorted(reversed_view, cycle_target, side="right"))
+        row = self._segment_index[(i, j)]
+        count = int(self._meeting_counts(row, cycle_target))
         if count == 0:
             return None
-        return len(row) - count
+        return int(self.dsp_values[-count])
+
+    def _meeting_counts(self, rows, cycle_target: float):
+        """How many DSP classes of each frontier row meet ``cycle_target``.
+
+        Cycles are integers, so ``c <= t`` iff ``c <= floor(t)``; clamped
+        to [-1, span - 1], the bound stays inside each row's band of the
+        lifted array and one search answers every row at once.
+        """
+        bound = max(-1, floor(min(cycle_target, self._span - 1)))
+        found = np.searchsorted(
+            self._frontier, rows * self._span + bound, side="right"
+        )
+        return found - rows * len(self.dsp_values)
 
     def best_grid(self, i: int, j: int, dsp_cap: int) -> Tuple[int, int, int, int]:
         """(Tn, Tm, cycles, dsp) minimizing cycles for layers[i:j] within
@@ -252,10 +269,15 @@ class SegmentSearch:
         matrix: List[List[Optional[int]]] = [
             [None] * (count + 1) for _ in range(count + 1)
         ]
+        counts = self._meeting_counts(
+            np.arange(len(self._segment_index), dtype=np.int64), cycle_target
+        )
+        # A count of 0 indexes class 0 here; those rows stay None below.
+        costs = self.dsp_values[-counts].tolist()
+        counts = counts.tolist()
         for (i, j), row in self._segment_index.items():
-            idx = self._first_meeting_index(self._frontier[row], cycle_target)
-            if idx is not None:
-                matrix[i][j] = int(self.dsp_values[idx])
+            if counts[row]:
+                matrix[i][j] = costs[row]
         return matrix
 
     def _assemble(

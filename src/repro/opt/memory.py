@@ -5,12 +5,15 @@ For each partition candidate from OptimizeCompute, choose every layer's
 has no Tr/Tc term); they trade on-chip buffer capacity against off-chip
 bandwidth: bigger tiles mean fewer weight re-fetches but larger banks.
 
-Per CLP the search builds a Pareto frontier of (BRAM, transfer) points;
-the frontiers are merged across CLPs to allocate the BRAM budget, which
-also yields the system-level tradeoff curve of Figure 6.  Structures that
-do not depend on the cycle target are memoized, mirroring the paper's
-note that both optimization steps "use memoization to avoid redundant
-work".
+Per CLP the search builds a Pareto frontier of (BRAM, transfer) points
+by sweeping pairs of input/output bank caps.  Each layer's tile options
+are listed cheapest-transfer first, so under a pair of caps the layer's
+plan is simply the *first* option fitting both banks (first-fit); cap
+pairs that pick the same plans share one point.  The frontiers are
+merged across CLPs to allocate the BRAM budget, which also yields the
+system-level tradeoff curve of Figure 6.  Structures that do not depend
+on the cycle target are memoized, mirroring the paper's note that both
+optimization steps "use memoization to avoid redundant work".
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.bandwidth import LayerTransfer, layer_transfer, min_bandwidth_for_cycles
 from ..core.cost_model import bram_count, buffer_spec
@@ -147,63 +150,57 @@ def _clp_curve_structure(
     """The (BRAM, transfer-volume) frontier of one CLP.
 
     Independent of the cycle target; reused across relaxation steps.
+    Each layer's options come cheapest-transfer first, so under a pair
+    of bank caps the first option fitting both is the best one.
     """
-    per_layer = [
-        tile_candidates(layer, candidate.tn, candidate.tm)
-        for layer in candidate.layers
-    ]
-    in_caps = sorted(
-        {
-            input_extent(tr, layer.s, layer.k)
-            * input_extent(tc, layer.s, layer.k)
-            for layer, options in zip(candidate.layers, per_layer)
-            for tr, tc, _ in options
-        }
+    # Per layer and option: (input-bank words, output-bank words, plan, transfer).
+    per_layer = []
+    for layer in candidate.layers:
+        s, k = layer.s, layer.k
+        options = tile_candidates(layer, candidate.tn, candidate.tm)
+        per_layer.append([
+            (input_extent(tr, s, k) * input_extent(tc, s, k), tr * tc,
+             (tr, tc), transfer)
+            for tr, tc, transfer in options
+        ])
+    in_caps = _sample(
+        sorted({fit[0] for options in per_layer for fit in options}), MAX_CAPS
     )
-    out_caps = sorted(
-        {tr * tc for options in per_layer for tr, tc, _ in options}
+    out_caps = _sample(
+        sorted({fit[1] for options in per_layer for fit in options}), MAX_CAPS
     )
-    in_caps = _sample(in_caps, MAX_CAPS)
-    out_caps = _sample(out_caps, MAX_CAPS)
 
-    points: List[_CurvePoint] = []
+    # Plan tuple -> point; cap pairs that pick the same plans share one.
+    points: Dict[Tuple[Tuple[int, int], ...], _CurvePoint] = {}
     for in_cap in in_caps:
         for out_cap in out_caps:
-            plans: List[Tuple[int, int]] = []
-            transfers: List[LayerTransfer] = []
-            feasible = True
-            for layer, options in zip(candidate.layers, per_layer):
-                best: Optional[Tuple[int, int, LayerTransfer]] = None
-                for tr, tc, transfer in options:
-                    in_words = input_extent(tr, layer.s, layer.k) * input_extent(
-                        tc, layer.s, layer.k
-                    )
-                    if in_words > in_cap or tr * tc > out_cap:
-                        continue
-                    if best is None or transfer.total_words < best[2].total_words:
-                        best = (tr, tc, transfer)
-                if best is None:
-                    feasible = False
-                    break
-                plans.append((best[0], best[1]))
-                transfers.append(best[2])
-            if not feasible:
-                continue
-            spec = buffer_spec(candidate.layers, plans)
-            bram = bram_count(candidate.tn, candidate.tm, spec, dtype)
-            points.append(
-                _CurvePoint(
-                    bram=bram,
-                    total_words=sum(t.total_words for t in transfers),
-                    tile_plans=tuple(plans),
-                    transfers=tuple(transfers),
+            chosen = []
+            for options in per_layer:
+                fit = next(
+                    (fit for fit in options
+                     if fit[0] <= in_cap and fit[1] <= out_cap),
+                    None,
                 )
-            )
+                if fit is None:
+                    break
+                chosen.append(fit)
+            else:
+                plans = tuple(fit[2] for fit in chosen)
+                if plans in points:
+                    continue
+                spec = buffer_spec(candidate.layers, plans)
+                points[plans] = _CurvePoint(
+                    bram=bram_count(candidate.tn, candidate.tm, spec, dtype),
+                    total_words=sum(fit[3].total_words for fit in chosen),
+                    tile_plans=plans,
+                    transfers=tuple(fit[3] for fit in chosen),
+                )
     # Pareto prune on (bram, total transfer volume).
-    points.sort(key=lambda p: (p.bram, p.total_words))
     pruned: List[_CurvePoint] = []
     best_words = None
-    for point in points:
+    for point in sorted(
+        points.values(), key=lambda p: (p.bram, p.total_words)
+    ):
         if best_words is None or point.total_words < best_words:
             pruned.append(point)
             best_words = point.total_words

@@ -1,11 +1,12 @@
 """Tests for OptimizeCompute (SegmentSearch)."""
 
+import numpy as np
 import pytest
 
 from repro.core.cost_model import layer_cycles
 from repro.core.datatypes import FIXED16, FLOAT32
 from repro.core.layer import ConvLayer
-from repro.networks import alexnet
+from repro.networks import alexnet, squeezenet
 from repro.opt.compute import SegmentSearch
 from repro.opt.heuristics import order_by_nm_distance
 
@@ -132,3 +133,80 @@ class TestFixedPoint:
             SegmentSearch(layers, FLOAT32, dsp_budget=4)  # < 5 per unit
         search = SegmentSearch(layers, FLOAT32, dsp_budget=5)
         assert search.grid_count == 1
+
+
+# ------------------------------------------- batched-lookup differential
+def _frontier_rows(search):
+    """Oracle: segment (i, j) -> its non-increasing frontier row (min
+    cycles per DSP class), rebuilt from the cumulative cycle table."""
+    count = len(search.layers)
+    rows = {}
+    for i in range(count):
+        for j in range(i + 1, count + 1):
+            seg = search._cum[j] - search._cum[i]
+            per_class = np.minimum.reduceat(seg, search._group_starts)
+            rows[(i, j)] = np.minimum.accumulate(per_class)
+    return rows
+
+
+def _per_row_dsp(search, row, target):
+    """Oracle: one ``searchsorted`` on the reversed row per segment."""
+    count = int(np.searchsorted(row[::-1], target, side="right"))
+    return None if count == 0 else int(search.dsp_values[len(row) - count])
+
+
+def _probe_targets(search, rows):
+    """Targets below every entry, on entries, between integers, and at
+    or above ``span``, where the lifted bound must be clamped."""
+    entries = np.unique(np.concatenate(list(rows.values())))
+    picked = entries[:: max(1, len(entries) // 40)].tolist() + [
+        int(entries[0]), int(entries[-1])
+    ]
+    span = search._span
+    return sorted(
+        {-1.5, 0, 0.5, entries[0] - 1, entries[0] - 0.5}
+        | set(picked)
+        | {value + 0.5 for value in picked}
+        | {value - 0.25 for value in picked}
+        | {span - 1, span - 0.5, span, span + 0.5, 3 * span, float("inf")}
+    )
+
+
+@pytest.fixture(scope="module", params=["alexnet-float32", "squeezenet-fixed16"])
+def any_search(request):
+    if request.param == "alexnet-float32":
+        return SegmentSearch(
+            order_by_nm_distance(list(alexnet())), FLOAT32, dsp_budget=2240
+        )
+    return SegmentSearch(list(squeezenet()), FIXED16, dsp_budget=3600)
+
+
+def test_span_bounds_every_entry(any_search):
+    rows = _frontier_rows(any_search)
+    assert max(int(row.max()) for row in rows.values()) < any_search._span
+
+
+def test_batched_lookup_matches_per_row_search(any_search):
+    rows = _frontier_rows(any_search)
+    for target in _probe_targets(any_search, rows):
+        matrix = any_search._segment_dsp_matrix(target)
+        for (i, j), row in rows.items():
+            expected = _per_row_dsp(any_search, row, target)
+            assert matrix[i][j] == expected, (target, i, j)
+            assert any_search.min_dsp_for(i, j, target) == expected
+
+
+def test_min_segment_cycles_matches_row_minimum(any_search):
+    for (i, j), row in _frontier_rows(any_search).items():
+        assert any_search.min_segment_cycles(i, j) == int(row[-1])
+
+
+def test_lifted_frontier_refuses_int64_overflow():
+    # 13 layers of ~1e16 cycles each on a 1x1 grid: 91 segments lifted by
+    # a span of ~1.3e17 would wrap int64.
+    layers = [
+        ConvLayer(f"huge{i}", n=10_000, m=10_000, r=10_000, c=10_000, k=1)
+        for i in range(13)
+    ]
+    with pytest.raises(OverflowError, match="overflow int64"):
+        SegmentSearch(layers, FLOAT32, dsp_budget=50, tn_max=2, tm_max=2)

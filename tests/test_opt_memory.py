@@ -2,10 +2,18 @@
 
 import pytest
 
+from repro.core.cost_model import bram_count, buffer_spec
 from repro.core.datatypes import FIXED16, FLOAT32
 from repro.core.layer import ConvLayer, input_extent
+from repro.fpga.parts import budget_for
+from repro.networks import get_network
+from repro.opt import memory, optimize_multi_clp
 from repro.opt.compute import CLPCandidate, PartitionCandidate
 from repro.opt.memory import (
+    MAX_CAPS,
+    MAX_CURVE_POINTS,
+    _CurvePoint,
+    _sample,
     clp_pareto,
     optimize_memory,
     system_tradeoff_curve,
@@ -58,6 +66,20 @@ class TestTileCandidates:
         best = min(options, key=lambda o: o[2].total_words)
         # The whole-map tile removes all weight re-fetching.
         assert (best[0], best[1]) == (27, 27)
+
+    def test_ordered_by_transfer_volume(self, conv2_layer):
+        """Options come in non-decreasing ``total_words`` order.
+
+        ``_clp_curve_structure`` relies on this: under a pair of bank caps
+        it takes the *first* option that fits, which is the cheapest only
+        because of this order (and, on ties, the same one a strict-``<``
+        minimum would pick).
+        """
+        layers = [conv2_layer] + list(get_network("googlenet"))[:12]
+        for layer in layers:
+            for tn, tm in ((1, 1), (7, 64), (16, 32), (64, 512)):
+                words = [t.total_words for _, _, t in tile_candidates(layer, tn, tm)]
+                assert words == sorted(words), (layer.name, tn, tm)
 
     def test_memoized(self, conv2_layer):
         assert tile_candidates(conv2_layer, 7, 64) is tile_candidates(
@@ -193,3 +215,93 @@ class TestSystemTradeoffCurve:
         bws = [w for _, w in curve]
         assert brams == sorted(brams)
         assert bws == sorted(bws, reverse=True)
+
+
+# ---------------------------------------------------- first-fit differential
+def _min_scan_structure(candidate, dtype):
+    """Oracle: the per-cap-pair minimum scan over every tile option.
+
+    For each (input-cap, output-cap) pair it rescans all options of every
+    layer for the strict-``<`` minimum transfer volume and builds a point
+    per pair; ``_clp_curve_structure`` must produce the same frontier.
+    """
+    per_layer = [
+        tile_candidates(layer, candidate.tn, candidate.tm)
+        for layer in candidate.layers
+    ]
+
+    def in_words(layer, tr, tc):
+        return input_extent(tr, layer.s, layer.k) * input_extent(
+            tc, layer.s, layer.k
+        )
+
+    in_caps = _sample(sorted({
+        in_words(layer, tr, tc)
+        for layer, options in zip(candidate.layers, per_layer)
+        for tr, tc, _ in options
+    }), MAX_CAPS)
+    out_caps = _sample(sorted(
+        {tr * tc for options in per_layer for tr, tc, _ in options}
+    ), MAX_CAPS)
+    points = []
+    for in_cap in in_caps:
+        for out_cap in out_caps:
+            plans, transfers = [], []
+            for layer, options in zip(candidate.layers, per_layer):
+                best = None
+                for tr, tc, transfer in options:
+                    if in_words(layer, tr, tc) > in_cap or tr * tc > out_cap:
+                        continue
+                    if best is None or transfer.total_words < best[2].total_words:
+                        best = (tr, tc, transfer)
+                if best is None:
+                    break
+                plans.append((best[0], best[1]))
+                transfers.append(best[2])
+            else:
+                spec = buffer_spec(candidate.layers, plans)
+                points.append(_CurvePoint(
+                    bram=bram_count(candidate.tn, candidate.tm, spec, dtype),
+                    total_words=sum(t.total_words for t in transfers),
+                    tile_plans=tuple(plans),
+                    transfers=tuple(transfers),
+                ))
+    points.sort(key=lambda p: (p.bram, p.total_words))
+    pruned, best_words = [], None
+    for point in points:
+        if best_words is None or point.total_words < best_words:
+            pruned.append(point)
+            best_words = point.total_words
+    return tuple(pruned[:MAX_CURVE_POINTS])
+
+
+def _structured_candidates(network, part, dtype, monkeypatch):
+    """Every (CLP candidate, dtype) the optimizer builds a structure for
+    while solving ``network`` on ``part``, single- and multi-CLP."""
+    seen = []
+    build = memory._clp_curve_structure
+
+    def spy(candidate, dtype):
+        seen.append((candidate, dtype))
+        return build(candidate, dtype)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(memory, "_STRUCTURE_CACHE", {})
+        patch.setattr(memory, "_clp_curve_structure", spy)
+        for max_clps in (1, 6):
+            optimize_multi_clp(
+                get_network(network), budget_for(part), dtype, max_clps=max_clps
+            )
+    return seen
+
+
+@pytest.mark.parametrize("dtype", [FLOAT32, FIXED16], ids=lambda d: d.label)
+@pytest.mark.parametrize("part", ["485t", "690t"])
+@pytest.mark.parametrize("network", ["alexnet", "squeezenet", "googlenet"])
+def test_first_fit_structure_matches_min_scan(network, part, dtype, monkeypatch):
+    seen = _structured_candidates(network, part, dtype, monkeypatch)
+    assert seen
+    for candidate, dtype in seen:
+        assert memory._clp_curve_structure(candidate, dtype) == (
+            _min_scan_structure(candidate, dtype)
+        ), (candidate.tn, candidate.tm, [l.name for l in candidate.layers])
