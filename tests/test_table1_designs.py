@@ -16,8 +16,6 @@ with a one-off script over ``_design_records``, only when a change is
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.dse import SweepSpec, run_sweep
 
 PINNED_PATH = Path(__file__).parent / "data" / "table1_designs.json"
@@ -47,19 +45,11 @@ def _design_records():
     return records
 
 
-@pytest.fixture(scope="module")
-def design_records():
-    return _design_records()
-
-
-def test_grid_is_complete(design_records):
-    assert len(design_records) == 32
-
-
-def test_designs_match_records(design_records):
+def test_designs_match_records():
+    records = _design_records()
     pinned = json.loads(PINNED_PATH.read_text())
-    assert sorted(pinned) == sorted(design_records)
-    for name, record in design_records.items():
+    assert sorted(pinned) == sorted(records)
+    for name, record in records.items():
         # Compare through JSON text so float reprs must match exactly.
         assert json.dumps(record, sort_keys=True) == json.dumps(
             pinned[name], sort_keys=True
