@@ -13,6 +13,14 @@ simulator, :func:`repro.serve.simulator.simulate_traffic`, is a
 one-replica run of this class reshaped into a ``ServeResult``.  Fleet
 answers (how many boards?) therefore extrapolate exactly the device
 model a lone board is measured with.
+
+Every run follows one request lifecycle: each arrival, retry and hedge
+is a :class:`~repro.serve.simulator.Request` that lands, queues, is
+admitted at an epoch boundary and completes (or is lost, dropped, timed
+out or failed over).  Overload control is a hook on that lifecycle, not
+a second path: when active, an
+:class:`~repro.serve.overload.OverloadController` takes over admission,
+dispatch order, completion accounting and client retries.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -31,13 +40,17 @@ from typing import (
 
 if TYPE_CHECKING:
     from ..obs.telemetry import ObsSpec, TimeSeries
-    from ..serve.overload import OverloadController, OverloadSpec
 
 from ..scenario.faults import Degradation, Incident, Outage
 from ..scenario.library import ScenarioSpec, get_scenario
 from ..scenario.resilience import compute_resilience
 from ..serve.metrics import LatencySummary, TenantStats
-from ..serve.simulator import DROP_POLICIES, TenantSpec, TenantState
+from ..serve.overload import (
+    OverloadController,
+    OverloadSpec,
+    OverloadTenantState,
+)
+from ..serve.simulator import DROP_POLICIES, Request, TenantSpec, TenantState
 from .balancer import Balancer, make_balancer, routes_fixed
 from .detector import DetectorSpec, FailureDetector
 from .device import DeviceSpec
@@ -47,7 +60,11 @@ __all__ = ["Replica", "ClusterSimulator", "simulate_fleet"]
 
 
 class Replica:
-    """Runtime model of one board: per-tenant states + busy counters."""
+    """Runtime model of one board: per-tenant states + busy counters.
+
+    With ``overload`` its tenant queues follow the spec's discipline and
+    deadlines (converted at ``cycles_per_ms``, 100 MHz by default).
+    """
 
     def __init__(
         self,
@@ -56,8 +73,8 @@ class Replica:
         tenants: Sequence[TenantSpec],
         queue_depth: int,
         policy: str,
-        overload: Optional["OverloadSpec"] = None,
-        deadline_cycles: Optional[Dict[str, Optional[float]]] = None,
+        overload: Optional[OverloadSpec] = None,
+        cycles_per_ms: float = 1e5,
     ):
         self.spec = spec
         self.index = index
@@ -88,15 +105,13 @@ class Replica:
                 continue
             depth, clp_cycles = plans[tenant.name]
             if overload is not None:
-                from ..serve.overload import OverloadTenantState
-
                 self.states[tenant.name] = OverloadTenantState(
                     tenant, depth, clp_cycles, queue_depth, policy,
                     queue_policy=overload.queue_policy,
                     epoch=self.epoch,
-                    deadline_cycles=(
-                        deadline_cycles or {}
-                    ).get(tenant.name),
+                    deadline_cycles=overload.deadline_cycles(
+                        tenant, cycles_per_ms
+                    ),
                 )
             else:
                 self.states[tenant.name] = TenantState(
@@ -166,11 +181,8 @@ def _aggregate_tenant(
     spec: TenantSpec,
     states: Sequence[TenantState],
     stats: Sequence[TenantStats],
-    unroutable: int = 0,
-    gate_arrivals: int = 0,
-    gate_rejected: int = 0,
-    gate_retries: int = 0,
-    gate_hedges: int = 0,
+    unroutable: int,
+    gate: Mapping[str, int],
     timed_out: int = 0,
     failed_over: int = 0,
 ) -> TenantStats:
@@ -185,11 +197,12 @@ def _aggregate_tenant(
     on during an outage — they never reached a replica's state, so the
     fleet books them here, once as an arrival and once as lost, keeping
     the conservation invariant (arrivals = completions + drops + lost +
-    rejected + expired + timed_out + in-flight) intact.  The ``gate_*``
-    counters are
-    the overload controller's front-door ledger — token-bucket and
-    brownout rejections equally never landed on a replica, so they are
-    folded in here the same way (once as an arrival, once as rejected).
+    rejected + expired + timed_out + in-flight) intact.  ``gate`` is the
+    overload controller's front-door ledger for this tenant
+    (:attr:`~repro.serve.overload.OverloadController.gate`) — token-bucket
+    and brownout rejections equally never landed on a replica, so they
+    are folded in here the same way (once as an arrival, once as
+    rejected).
     ``timed_out``/``failed_over`` are the cluster's request-timeout
     ledger (requests reaped from queues after the detector's deadline,
     and logical requests that failed over at least once) — fleet-level
@@ -211,7 +224,11 @@ def _aggregate_tenant(
     return TenantStats(
         name=spec.name,
         offered_rate_per_cycle=spec.process.mean_rate,
-        arrivals=sum(s.arrivals for s in stats) + unroutable + gate_arrivals,
+        arrivals=(
+            sum(s.arrivals for s in stats)
+            + unroutable
+            + gate.get("arrivals", 0)
+        ),
         completions=completions,
         drops=sum(s.drops for s in stats),
         in_flight=sum(s.in_flight for s in stats),
@@ -220,10 +237,10 @@ def _aggregate_tenant(
         peak_queue_depth=max(s.peak_queue_depth for s in stats),
         steady_rate_per_cycle=steady,
         lost=sum(s.lost for s in stats) + unroutable,
-        rejected=sum(s.rejected for s in stats) + gate_rejected,
+        rejected=sum(s.rejected for s in stats) + gate.get("rejected", 0),
         expired=sum(s.expired for s in stats),
-        retries=sum(s.retries for s in stats) + gate_retries,
-        hedges=sum(s.hedges for s in stats) + gate_hedges,
+        retries=sum(s.retries for s in stats) + gate.get("retries", 0),
+        hedges=sum(s.hedges for s in stats) + gate.get("hedges", 0),
         late=sum(s.late for s in stats),
         priority=spec.priority,
         timed_out=timed_out,
@@ -312,7 +329,7 @@ class ClusterSimulator:
         scenario: Union[str, ScenarioSpec, None] = None,
         engine: str = "auto",
         obs: Optional["ObsSpec"] = None,
-        overload: Optional["OverloadSpec"] = None,
+        overload: Optional[OverloadSpec] = None,
         detector: Optional[DetectorSpec] = None,
     ) -> FleetResult:
         """One seeded traffic window over the whole fleet.
@@ -381,8 +398,6 @@ class ClusterSimulator:
             resolve_engine,
             run_fleet_fast,
         )
-        from ..serve.overload import OverloadController, OverloadSpec
-
         if duration_cycles <= 0:
             raise ValueError("duration_cycles must be positive")
         if isinstance(scenario, str):
@@ -415,20 +430,6 @@ class ClusterSimulator:
                 # trace; "auto" prefers observability over speed.
                 concrete = "event"
 
-        deadline_cycles: Optional[Dict[str, Optional[float]]] = None
-        if ospec is not None:
-            cycles_per_ms = self.frequency_mhz * 1e3
-            deadline_cycles = {}
-            for spec in self.tenants:
-                ms = (
-                    spec.deadline_ms
-                    if spec.deadline_ms is not None
-                    else ospec.deadline_ms
-                )
-                deadline_cycles[spec.name] = (
-                    None if ms is None else ms * cycles_per_ms
-                )
-
         replicas: List[Replica] = []
         for device in self.devices:
             for _ in range(device.count):
@@ -440,7 +441,7 @@ class ClusterSimulator:
                         self.queue_depth,
                         self.policy,
                         overload=ospec,
-                        deadline_cycles=deadline_cycles,
+                        cycles_per_ms=self.frequency_mhz * 1e3,
                     )
                 )
         eligible: Dict[str, Tuple[int, ...]] = {
@@ -463,7 +464,7 @@ class ClusterSimulator:
             )
             return self._finalize(
                 balancer, replicas, horizon, elapsed, seed, drain,
-                None, [], {spec.name: 0 for spec in self.tenants}, [],
+                None, [], {}, {}, {}, [],
             )
 
         recorder = obs.make_recorder(horizon) if obs_active else None
@@ -564,11 +565,10 @@ class ClusterSimulator:
                 views[name] = tuple(i for i in eligible[name] if routable(i))
             return views[name]
 
-        #: Per-request failover ledger, keyed by ``(tenant, arrival)``
-        #: for plain runs and by the live request object under overload:
+        #: Per-request failover ledger, keyed by the request object:
         #: (attempts so far, start of the current attempt).  Entries
         #: exist only for requests that have failed over at least once.
-        failover_state: Dict[object, Tuple[int, float]] = {}
+        failover_state: Dict[Request, Tuple[int, float]] = {}
         #: Fleet-level timeout/failover ledgers (per tenant name).
         timed_out: Dict[str, int] = {spec.name: 0 for spec in self.tenants}
         failed_over: Dict[str, int] = {spec.name: 0 for spec in self.tenants}
@@ -576,13 +576,12 @@ class ClusterSimulator:
         unroutable: Dict[str, int] = {spec.name: 0 for spec in self.tenants}
         #: (finish_cycles, latency_cycles) fleet-wide, for resilience.
         samples: List[Tuple[float, float]] = []
-        tenant_index = {
-            spec.name: index for index, spec in enumerate(self.tenants)
-        }
+        names = [spec.name for spec in self.tenants]
+        tenant_index = {name: index for index, name in enumerate(names)}
 
         #: Tenant -> (state, index) of its one board when routes are
         #: forced and no fault, gray window or probe ejection can change
-        #: them: arrivals skip the router, as in every serve run.
+        #: them: ``route`` skips the router, as in every serve run.
         fixed_landing: Dict[str, Tuple[TenantState, int]] = (
             {
                 name: (replicas[targets[0]].states[name], targets[0])
@@ -595,42 +594,61 @@ class ClusterSimulator:
             else {}
         )
 
-        def route_arrival(name: str) -> Optional[int]:
-            """Pick a replica for an arriving request, or book it
-            unroutable (arrived and lost at aggregation) when none is."""
+        def route(name: str) -> Optional[Tuple[TenantState, int]]:
+            """Pick the landing ``(state, replica)`` for an arriving
+            request, or book it unroutable (arrived and lost at
+            aggregation) when no replica is."""
+            landing = fixed_landing.get(name)
+            if landing is not None:
+                return landing
             targets = routable_targets(name)
             if not targets:
                 unroutable[name] += 1
                 if tracer is not None:
                     tracer.request_unroutable(name, sim.now)
                 return None
-            return balancer.route(name, targets, sim.now)
+            choice = balancer.route(name, targets, sim.now)
+            return (replicas[choice].states[name], choice)
+
+        def land(index: int, req: Request) -> None:
+            """One attempt (fresh, retry or hedge) reaches the front door.
+
+            Under overload control the controller owns the whole
+            admission path (gates, deadline admission, retries); it
+            routes through :func:`route` exactly as an ungated arrival.
+            """
+            if controller is not None:
+                controller.arrive(index, req)
+                return
+            name = names[index]
+            landing = route(name)
+            if landing is None:
+                return
+            state, choice = landing
+            state.book_arrival(req)
+            victim = state.push(req, sim.now)
+            if tracer is not None:
+                tracer.request_arrived(
+                    name,
+                    choice,
+                    sim.now,
+                    dropped=victim is not None,
+                    policy=self.policy,
+                )
+
+        def give_up(name: str, req: Request, reason: str) -> None:
+            """An attempt ended without a reply (lost, dropped on
+            requeue, timed out, errored).  Under overload control the
+            client notices and may retry; otherwise the outcome is
+            final."""
+            if controller is not None:
+                req.done = True
+                controller.client_retry(
+                    tenant_index[name], req, reason=reason
+                )
 
         controller: Optional[OverloadController] = None
         if ospec is not None:
-            # The controller is the fleet's front door: every attempt
-            # (fresh, retry, hedge) passes its gates, then routes
-            # through the balancer exactly as an ungated arrival would.
-            def route_request(
-                name: str,
-            ) -> Optional[Tuple[TenantState, Optional[int]]]:
-                landing = fixed_landing.get(name)
-                if landing is not None:
-                    return landing
-                choice = route_arrival(name)
-                if choice is None:
-                    return None
-                return (replicas[choice].states[name], choice)
-
-            def deliver(index: int, req) -> None:
-                controller.arrive(
-                    index,
-                    req,
-                    lambda index=index: route_request(
-                        self.tenants[index].name
-                    ),
-                )
-
             controller = OverloadController(
                 ospec,
                 self.tenants,
@@ -639,7 +657,8 @@ class ClusterSimulator:
                 seed=seed,
                 schedule_at=sim.schedule_at,
                 now=lambda: sim.now,
-                deliver=deliver,
+                route=route,
+                deliver=land,
                 tracer=tracer,
                 recorder=recorder,
             )
@@ -650,7 +669,6 @@ class ClusterSimulator:
             rng = random.Random(f"{seed}/{index}/{spec.name}")
             stream: Iterator[float] = processes[index].times(rng)
             limit = spec.limit
-            fixed = fixed_landing.get(spec.name)
 
             def pump(count: int = 0) -> None:
                 if limit is not None and count >= limit:
@@ -666,34 +684,7 @@ class ClusterSimulator:
                     return
 
                 def fire() -> None:
-                    if controller is not None:
-                        controller.arrive(
-                            index,
-                            controller.make_request(sim.now),
-                            lambda: route_request(spec.name),
-                        )
-                        pump(count + 1)
-                        return
-                    if fixed is not None:
-                        landing, choice = fixed
-                    else:
-                        choice = route_arrival(spec.name)
-                        if choice is None:
-                            pump(count + 1)
-                            return
-                        landing = replicas[choice].states[spec.name]
-                    if tracer is None:
-                        landing.on_arrival(sim.now)
-                    else:
-                        before = landing.drops
-                        landing.on_arrival(sim.now)
-                        tracer.request_arrived(
-                            spec.name,
-                            choice,
-                            sim.now,
-                            dropped=landing.drops > before,
-                            policy=self.policy,
-                        )
+                    land(index, Request(sim.now))
                     pump(count + 1)
 
                 sim.schedule_at(when, fire)
@@ -736,71 +727,36 @@ class ClusterSimulator:
                     continue
                 state._touch(sim.now)
                 state.queue.clear()
-                t_idx = tenant_index[state.spec.name]
-                for item in evacuated:
-                    # ``item`` is an arrival time (plain runs) or a
-                    # live request object (overload runs).
-                    if failure_policy == "lost":
-                        state.lost += 1
-                        if tracer is not None:
-                            tracer.request_evacuated(
-                                state.spec.name, replica.index, sim.now,
-                                outcome="lost",
-                            )
-                        if controller is not None:
-                            item.done = True
-                            controller.client_retry(
-                                t_idx, item, reason="lost"
-                            )
-                        continue
-                    rescue = routable_targets(state.spec.name)
+                name = state.spec.name
+                for req in evacuated:
+                    rescue = (
+                        ()
+                        if failure_policy == "lost"
+                        else routable_targets(name)
+                    )
                     if not rescue:
                         state.lost += 1
                         if tracer is not None:
                             tracer.request_evacuated(
-                                state.spec.name, replica.index, sim.now,
+                                name, replica.index, sim.now,
                                 outcome="lost",
                             )
-                        if controller is not None:
-                            item.done = True
-                            controller.client_retry(
-                                t_idx, item, reason="lost"
-                            )
+                        give_up(name, req, "lost")
                         continue
-                    choice = balancer.route(
-                        state.spec.name, rescue, sim.now
+                    choice = balancer.route(name, rescue, sim.now)
+                    victim = replicas[choice].states[name].requeue(
+                        req, sim.now
                     )
-                    target = replicas[choice].states[state.spec.name]
-                    if controller is not None:
-                        victim = target.requeue(item, sim.now)
-                        if tracer is not None:
-                            tracer.request_evacuated(
-                                state.spec.name, replica.index, sim.now,
-                                outcome=(
-                                    "dropped"
-                                    if victim is not None
-                                    else "requeued"
-                                ),
-                                target=choice,
-                            )
-                        if victim is not None:
-                            controller.client_retry(
-                                t_idx, victim, reason="dropped"
-                            )
-                    elif tracer is None:
-                        target.requeue(item, sim.now)
-                    else:
-                        before = target.drops
-                        target.requeue(item, sim.now)
+                    if tracer is not None:
                         tracer.request_evacuated(
-                            state.spec.name, replica.index, sim.now,
+                            name, replica.index, sim.now,
                             outcome=(
-                                "dropped"
-                                if target.drops > before
-                                else "requeued"
+                                "dropped" if victim is not None else "requeued"
                             ),
                             target=choice,
                         )
+                    if victim is not None:
+                        give_up(name, victim, "dropped")
 
         def recover(replica: Replica) -> None:
             nonlocal health_version
@@ -936,56 +892,40 @@ class ClusterSimulator:
         if rt_cycles is not None:
             sweep_step = rt_cycles / 2.0
 
-            def reap(replica: Replica, state: TenantState, item) -> None:
+            def reap(
+                replica: Replica, state: TenantState, req: Request
+            ) -> None:
                 name = state.spec.name
                 if fdet is not None:
                     fdet.record_error(replica.index)
-                if failover(replica, state, item):
+                if failover(replica, state, req):
                     return
                 timed_out[name] += 1
                 if recorder is not None:
                     recorder.count(f"timeouts/{name}", sim.now)
                 if tracer is not None:
                     tracer.request_timeout(name, replica.index, sim.now)
-                if controller is not None:
-                    item.done = True
-                    controller.client_retry(
-                        tenant_index[name], item, reason="timeout"
-                    )
+                give_up(name, req, "timeout")
 
             def sweep(k: int = 1) -> None:
                 for replica in replicas:
                     for state in replica.states.values():
                         if not state.queue:
                             continue
-                        name = state.spec.name
-                        if controller is None:
-                            stale = [
-                                item
-                                for item in state.queue
-                                if sim.now
-                                - failover_state.get(
-                                    (name, item), (0, item)
-                                )[1]
-                                >= rt_cycles
-                            ]
-                        else:
-                            stale = [
-                                item
-                                for item in state.queue
-                                if sim.now
-                                - failover_state.get(
-                                    item, (0, item.arrival)
-                                )[1]
-                                >= rt_cycles
-                            ]
+                        stale = [
+                            req
+                            for req in state.queue
+                            if sim.now
+                            - failover_state.get(req, (0, req.arrival))[1]
+                            >= rt_cycles
+                        ]
                         if not stale:
                             continue
                         state._touch(sim.now)
-                        for item in stale:
-                            state.queue.remove(item)
-                        for item in stale:
-                            reap(replica, state, item)
+                        for req in stale:
+                            state.queue.remove(req)
+                        for req in stale:
+                            reap(replica, state, req)
                 upcoming = (k + 1) * sweep_step
                 if upcoming <= horizon or (
                     drain
@@ -1005,7 +945,7 @@ class ClusterSimulator:
         def failover(
             replica: Replica,
             state: TenantState,
-            item,
+            req: Request,
             phase: str = "queue",
         ) -> bool:
             """Re-dispatch a failed/stale request onto another replica.
@@ -1016,29 +956,22 @@ class ClusterSimulator:
             caller must book the terminal outcome.
             """
             name = state.spec.name
-            key = (name, item) if controller is None else item
-            used, _ = failover_state.get(key, (0, 0.0))
+            used, _ = failover_state.get(req, (0, 0.0))
             candidates = tuple(
                 i for i in routable_targets(name) if i != replica.index
             )
             if used >= max_failovers or not candidates:
-                failover_state.pop(key, None)
+                failover_state.pop(req, None)
                 return False
             # The attempt clock restarts: timeouts measure the current
             # attempt, not the request's total age (latency still does).
-            failover_state[key] = (used + 1, sim.now)
+            failover_state[req] = (used + 1, sim.now)
             if used == 0:
                 failed_over[name] += 1
             choice = balancer.route(name, candidates, sim.now)
-            target = replicas[choice].states[name]
-            if controller is not None:
-                victim = target.requeue(item, sim.now)
-                if victim is not None:
-                    controller.client_retry(
-                        tenant_index[name], victim, reason="dropped"
-                    )
-            else:
-                target.requeue(item, sim.now)
+            victim = replicas[choice].states[name].requeue(req, sim.now)
+            if victim is not None:
+                give_up(name, victim, "dropped")
             if recorder is not None:
                 recorder.count(f"failovers/{name}", sim.now)
             if tracer is not None:
@@ -1049,7 +982,7 @@ class ClusterSimulator:
             return True
 
         def flaky_error(
-            replica: Replica, state: TenantState, item, t_idx: Optional[int]
+            replica: Replica, state: TenantState, req: Request
         ) -> None:
             """A dispatched request came back as an error (flaky board)."""
             name = state.spec.name
@@ -1057,60 +990,37 @@ class ClusterSimulator:
                 fdet.record_error(replica.index)
             if recorder is not None:
                 recorder.count(f"errors/{name}", sim.now)
-            if failover(replica, state, item, phase="pipeline"):
+            if failover(replica, state, req, phase="pipeline"):
                 return
             # Terminal: the error response is the final word.
             state.lost += 1
             if tracer is not None:
                 tracer.request_errored(name, replica.index, sim.now)
-            if controller is not None:
-                item.done = True
-                controller.client_retry(t_idx, item, reason="error")
+            give_up(name, req, "error")
 
         def finish(
             replica: Replica,
             state: TenantState,
-            arrival: float,
+            req: Request,
             gen: int,
-            errored: bool = False,
-        ) -> None:
-            if replica.generation != gen:
-                return  # the board died after admission; work already lost
-            if errored:
-                state.pipeline -= 1
-                flaky_error(replica, state, arrival, None)
-                return
-            state.on_completion(arrival, sim.now)
-            if fdet is not None:
-                fdet.record_success(replica.index, sim.now - arrival)
-            if failover_state:
-                failover_state.pop((state.spec.name, arrival), None)
-            if tracer is not None:
-                tracer.request_completed(
-                    state.spec.name, replica.index, sim.now, arrival
-                )
-            if record:
-                samples.append((sim.now, sim.now - arrival))
-
-        def finish_overload(
-            replica: Replica,
-            state: TenantState,
-            req,
-            gen: int,
-            t_idx: int,
             errored: bool = False,
         ) -> None:
             if replica.generation != gen:
                 # The board died after admission: the loss was booked at
                 # fail time; the client notices around when the reply
-                # was due and may retry.
-                controller.client_retry(t_idx, req, reason="lost")
+                # was due.
+                give_up(state.spec.name, req, "lost")
                 return
             if errored:
                 state.pipeline -= 1
-                flaky_error(replica, state, req, t_idx)
+                flaky_error(replica, state, req)
                 return
-            controller.complete(t_idx, state, req)
+            if controller is not None:
+                controller.complete(
+                    tenant_index[state.spec.name], state, req
+                )
+            else:
+                state.on_completion(req, sim.now)
             if fdet is not None:
                 fdet.record_success(replica.index, sim.now - req.arrival)
             if failover_state:
@@ -1155,35 +1065,16 @@ class ClusterSimulator:
                         else:
                             service = state.depth_epochs * epoch
                             flaky = 0.0
-                        if controller is not None:
-                            t_idx = tenant_index[state.spec.name]
-                            req = controller.dispatch(
-                                t_idx, state, replica.index
+                        req = (
+                            controller.dispatch(
+                                tenant_index[state.spec.name],
+                                state,
+                                replica.index,
                             )
-                            if req is None:
-                                continue
-                            errored = (
-                                flaky > 0.0
-                                and flaky_rng.random() < flaky
-                            )
-                            if tracer is not None:
-                                tracer.request_dispatched(
-                                    state.spec.name, replica.index,
-                                    sim.now, req.arrival,
-                                )
-                            for clp_index, cycles in enumerate(
-                                state.clp_cycles
-                            ):
-                                replica.clp_busy[clp_index] += cycles
-                            sim.schedule(
-                                service,
-                                lambda state=state, req=req, t_idx=t_idx, gen=replica.generation, errored=errored: finish_overload(
-                                    replica, state, req, gen, t_idx, errored
-                                ),
-                            )
-                            continue
-                        arrival = state.admit(sim.now)
-                        if arrival is None:
+                            if controller is not None
+                            else state.admit(sim.now)
+                        )
+                        if req is None:
                             continue
                         errored = (
                             flaky > 0.0 and flaky_rng.random() < flaky
@@ -1191,14 +1082,14 @@ class ClusterSimulator:
                         if tracer is not None:
                             tracer.request_dispatched(
                                 state.spec.name, replica.index, sim.now,
-                                arrival,
+                                req.arrival,
                             )
                         for clp_index, cycles in enumerate(state.clp_cycles):
                             replica.clp_busy[clp_index] += cycles
                         sim.schedule(
                             service,
-                            lambda state=state, arrival=arrival, gen=replica.generation, errored=errored: finish(
-                                replica, state, arrival, gen, errored
+                            lambda state=state, req=req, gen=replica.generation, errored=errored: finish(
+                                replica, state, req, gen, errored
                             ),
                         )
                 # Exact grid ``count * epoch``: chaining ``now + epoch``
@@ -1301,7 +1192,7 @@ class ClusterSimulator:
 
         return self._finalize(
             balancer, replicas, horizon, elapsed, seed, drain,
-            scenario, outages, unroutable, samples,
+            scenario, outages, unroutable, timed_out, failed_over, samples,
             timeseries=(
                 recorder.finalize() if recorder is not None else None
             ),
@@ -1314,8 +1205,6 @@ class ClusterSimulator:
                 else None
             ),
             fdet=fdet,
-            timed_out=timed_out,
-            failed_over=failed_over,
         )
 
     def _finalize(
@@ -1328,17 +1217,22 @@ class ClusterSimulator:
         drain: bool,
         scenario: Optional[ScenarioSpec],
         outages: List[Outage],
-        unroutable: Dict[str, int],
+        unroutable: Mapping[str, int],
+        timed_out: Mapping[str, int],
+        failed_over: Mapping[str, int],
         samples: List[Tuple[float, float]],
         timeseries: Optional["TimeSeries"] = None,
-        controller: Optional["OverloadController"] = None,
+        controller: Optional[OverloadController] = None,
         degradations: Optional[List[Degradation]] = None,
         detector_spec: Optional[DetectorSpec] = None,
         fdet: Optional[FailureDetector] = None,
-        timed_out: Optional[Dict[str, int]] = None,
-        failed_over: Optional[Dict[str, int]] = None,
     ) -> FleetResult:
-        """Reduce final replica state to a :class:`FleetResult` (engine-shared)."""
+        """Reduce final replica state to a :class:`FleetResult` (engine-shared).
+
+        The per-tenant ledgers (``unroutable``, ``timed_out``,
+        ``failed_over``) may omit tenants with nothing booked; the fast
+        path passes them empty.
+        """
         replica_stats = tuple(replica.stats(elapsed) for replica in replicas)
         #: Each replica's reduced tenant stats by name, reused below so
         #: no tenant's latencies are reduced twice.
@@ -1346,6 +1240,10 @@ class ClusterSimulator:
             {stats.name: stats for stats in rstats.tenants}
             for rstats in replica_stats
         ]
+        if controller is not None:
+            gates, overload = controller.gate, controller.report()
+        else:
+            gates, overload = {}, None
         aggregates = tuple(
             _aggregate_tenant(
                 spec,
@@ -1359,35 +1257,10 @@ class ClusterSimulator:
                     for replica in replicas
                     if replica.serves(spec.name)
                 ],
-                unroutable[spec.name],
-                gate_arrivals=(
-                    controller.gate_arrivals[spec.name]
-                    if controller is not None
-                    else 0
-                ),
-                gate_rejected=(
-                    controller.gate_rejected[spec.name]
-                    if controller is not None
-                    else 0
-                ),
-                gate_retries=(
-                    controller.gate_retries[spec.name]
-                    if controller is not None
-                    else 0
-                ),
-                gate_hedges=(
-                    controller.gate_hedges[spec.name]
-                    if controller is not None
-                    else 0
-                ),
-                timed_out=(
-                    timed_out[spec.name] if timed_out is not None else 0
-                ),
-                failed_over=(
-                    failed_over[spec.name]
-                    if failed_over is not None
-                    else 0
-                ),
+                unroutable.get(spec.name, 0),
+                gates.get(spec.name, {}),
+                timed_out=timed_out.get(spec.name, 0),
+                failed_over=failed_over.get(spec.name, 0),
             )
             for spec in self.tenants
         )
@@ -1456,9 +1329,7 @@ class ClusterSimulator:
             incidents=incidents,
             resilience=resilience,
             timeseries=timeseries,
-            overload=(
-                controller.report() if controller is not None else None
-            ),
+            overload=overload,
             detector=detector_spec,
         )
 
@@ -1477,7 +1348,7 @@ def simulate_fleet(
     scenario: Union[str, ScenarioSpec, None] = None,
     engine: str = "auto",
     obs: Optional["ObsSpec"] = None,
-    overload: Optional["OverloadSpec"] = None,
+    overload: Optional[OverloadSpec] = None,
     detector: Optional[DetectorSpec] = None,
 ) -> FleetResult:
     """One-shot convenience wrapper around :class:`ClusterSimulator`."""

@@ -48,6 +48,7 @@ the fast path (regression-tested).
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import (
@@ -60,6 +61,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+from .simulator import Request, TenantState
 
 if TYPE_CHECKING:
     from ..obs.telemetry import MetricsRecorder
@@ -216,6 +219,16 @@ class OverloadSpec:
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive when set")
 
+    def deadline_cycles(
+        self, tenant: "TenantSpec", cycles_per_ms: float
+    ) -> Optional[float]:
+        """``tenant``'s request deadline in cycles: its own
+        ``deadline_ms`` wins over this spec's default."""
+        ms = tenant.deadline_ms
+        if ms is None:
+            ms = self.deadline_ms
+        return None if ms is None else ms * cycles_per_ms
+
     @property
     def active(self) -> bool:
         """True when any feature changes run semantics (forces the event
@@ -229,47 +242,14 @@ class OverloadSpec:
         )
 
 
-# ----------------------------------------------------------------- requests
-class _Request:
-    """One attempt of one logical request, as it moves through a queue.
+# ------------------------------------------------------------ disciplines
+class OverloadTenantState(TenantState):
+    """Tenant state whose queue follows an overload queue discipline.
 
-    Mutable on purpose: ``done`` flips when the attempt leaves the queue
-    (dispatched, dropped, evicted, expired, or evacuated-lost), which is
-    what cancels a pending hedge.  ``backoff_cycles`` carries the last
-    delay for decorrelated jitter.
-    """
-
-    __slots__ = (
-        "arrival", "attempt", "hedge", "hedged", "done", "backoff_cycles",
-        "seq",
-    )
-
-    def __init__(
-        self,
-        arrival: float,
-        attempt: int = 1,
-        *,
-        hedge: bool = False,
-        backoff_cycles: float = 0.0,
-    ) -> None:
-        self.arrival = arrival
-        self.attempt = attempt
-        self.hedge = hedge
-        self.hedged = False
-        self.done = False
-        self.backoff_cycles = backoff_cycles
-        self.seq = 0  # stamped by the controller; global insertion order
-
-
-class OverloadTenantState:
-    """Tenant state with a pluggable queue discipline and new counters.
-
-    A drop-in replacement for :class:`repro.serve.simulator.TenantState`
-    used when the overload layer is active: the queue holds
-    :class:`_Request` entries (in discipline order) instead of bare
-    arrival times, and ``rejected``/``expired``/``retries``/``hedges``/
-    ``late`` extend the accounting.  The occupancy integral, peak
-    tracking, and stats reduction are inherited.
+    Used for every board when the overload layer is active.  The
+    request lifecycle and all counters are :class:`TenantState`'s; this
+    class owns only the discipline: :meth:`_insert` keeps the queue in
+    ``queue_policy`` order, and :meth:`pop_next` sheds expired heads.
     """
 
     def __init__(
@@ -284,34 +264,13 @@ class OverloadTenantState:
         epoch: float = 1.0,
         deadline_cycles: Optional[float] = None,
     ) -> None:
-        # Reuse the base-state constructor for the shared bookkeeping.
-        from .simulator import TenantState
-
-        TenantState.__init__(  # type: ignore[arg-type]
-            self, spec, depth_epochs, clp_cycles, queue_depth, policy
-        )
-        self.queue: List[_Request] = []  # discipline order, head at [0]
+        super().__init__(spec, depth_epochs, clp_cycles, queue_depth, policy)
         self.queue_policy = queue_policy
         self.epoch = epoch
         self.deadline_cycles = deadline_cycles
-        self.rejected = 0
-        self.expired = 0
-        self.retries = 0
-        self.hedges = 0
-        self.late = 0
-
-    # Shared helpers lifted from TenantState (single inheritance would
-    # drag the Deque queue type in; composition keeps the float-queue
-    # fast path untouched while this class redefines queue handling).
-    from .simulator import TenantState as _Base
-
-    _touch = _Base._touch
-    mean_queue_depth = _Base.mean_queue_depth
-    on_completion = _Base.on_completion
-    del _Base
 
     # ------------------------------------------------------------- discipline
-    def _key(self, req: _Request):
+    def _key(self, req: Request):
         if self.queue_policy == "edf":
             deadline = (
                 req.arrival + self.deadline_cycles
@@ -325,7 +284,14 @@ class OverloadTenantState:
             return (0 if (req.attempt == 1 and not req.hedge) else 1, req.seq)
         return (req.seq,)
 
-    def _insert(self, req: _Request) -> None:
+    def _insert(self, req: Request) -> None:
+        """Insert in discipline order.
+
+        This is also where a requeued request lands: re-sorted by
+        ``seq`` under ``fifo`` and by deadline under ``edf``, where the
+        plain queue appends it at the tail.  Benchmark references pin
+        both rules.
+        """
         key = self._key(req)
         position = len(self.queue)
         # Seq keys are monotone, so the common case appends; a linear
@@ -334,55 +300,7 @@ class OverloadTenantState:
             position -= 1
         self.queue.insert(position, req)
 
-    # ----------------------------------------------------------------- events
-    def book_arrival(self, req: _Request) -> None:
-        """Count one attempt arriving (before any admission decision)."""
-        self.arrivals += 1
-        if req.hedge:
-            self.hedges += 1
-        elif req.attempt > 1:
-            self.retries += 1
-
-    def push(self, req: _Request, now: float) -> Optional[_Request]:
-        """Queue an admitted request; returns the drop-policy victim.
-
-        ``None`` means the request was queued with room to spare.  Under
-        drop-tail a full queue returns ``req`` itself (never queued);
-        under drop-head it returns the evicted head — the entry the
-        discipline would have served next — and queues ``req``.
-        """
-        self._touch(now)
-        victim: Optional[_Request] = None
-        if len(self.queue) >= self.queue_depth:
-            self.drops += 1
-            if self.policy == "drop-tail":
-                req.done = True
-                return req
-            victim = self.queue.pop(0)
-            victim.done = True
-        self._insert(req)
-        self.peak_queue = max(self.peak_queue, len(self.queue))
-        return victim
-
-    def requeue(self, req: _Request, now: float) -> Optional[_Request]:
-        """Re-admit an evacuated request (not a new arrival).
-
-        Mirrors :meth:`TenantState.requeue` for the fleet's failure
-        evacuation: the request keeps its original arrival time; a full
-        queue sheds it as a drop here (returned so the host can hand it
-        to the retry layer).
-        """
-        self._touch(now)
-        if len(self.queue) >= self.queue_depth:
-            self.drops += 1
-            req.done = True
-            return req
-        req.done = False
-        self._insert(req)
-        self.peak_queue = max(self.peak_queue, len(self.queue))
-        return None
-
-    def pop_next(self, now: float) -> Optional[Tuple[str, _Request]]:
+    def pop_next(self, now: float) -> Optional[Tuple[str, Request]]:
         """Take the discipline head: ``("ok", req)`` or ``("expired", req)``.
 
         Expiry shedding belongs to the deadline-aware disciplines: under
@@ -393,7 +311,7 @@ class OverloadTenantState:
         if not self.queue:
             return None
         self._touch(now)
-        req = self.queue.pop(0)
+        req = self.queue.popleft()
         req.done = True
         if (
             self.queue_policy != "fifo"
@@ -404,22 +322,6 @@ class OverloadTenantState:
             return ("expired", req)
         self.pipeline += 1
         return ("ok", req)
-
-    # ----------------------------------------------------------------- final
-    def stats(self, elapsed: float):
-        from .simulator import TenantState
-
-        base = TenantState.stats(self, elapsed)  # type: ignore[arg-type]
-        from dataclasses import replace
-
-        return replace(
-            base,
-            rejected=self.rejected,
-            expired=self.expired,
-            retries=self.retries,
-            hedges=self.hedges,
-            late=self.late,
-        )
 
 
 # ------------------------------------------------------------------ reports
@@ -508,7 +410,8 @@ class OverloadController:
     The host simulator owns routing and the event loop; the controller
     owns every admission decision, retry/hedge scheduling, brownout
     stepping, and the per-class accounting that becomes the
-    :class:`OverloadReport`.  Hosts interact through three calls:
+    :class:`OverloadReport`.  It is a hook on the host's one request
+    lifecycle, called where overload control changes it:
 
     * :meth:`arrive` — full admission path for one attempt (gate →
       route → deadline admission → queue insert), used for fresh
@@ -517,11 +420,13 @@ class OverloadController:
       entries without burning the slot).
     * :meth:`complete` — completion accounting (lateness, windowed
       goodput).
+    * :meth:`client_retry` — an attempt ended without a reply.
 
-    ``route`` (passed per :meth:`arrive` call) returns the landing
-    ``(state, replica_index)`` or ``None`` for an unroutable arrival —
-    the host still books unroutable arrivals in its own ledger; the
-    controller only schedules the client's retry.
+    The host supplies ``route``, which returns the landing
+    ``(state, replica_index)`` for a tenant name or ``None`` for an
+    unroutable arrival (the host books those in its own ledger; the
+    controller only schedules the client's retry), and ``deliver``,
+    which lands a retry or hedge exactly as a fresh arrival.
     """
 
     def __init__(
@@ -534,7 +439,8 @@ class OverloadController:
         seed: int,
         schedule_at: Callable[[float, Callable[[], None]], None],
         now: Callable[[], float],
-        deliver: Callable[[int, _Request], None],
+        route: Callable[[str], Optional[Tuple[TenantState, int]]],
+        deliver: Callable[[int, Request], None],
         tracer: Optional["TraceRecorder"] = None,
         recorder: Optional["MetricsRecorder"] = None,
     ) -> None:
@@ -545,22 +451,19 @@ class OverloadController:
         self.seed = seed
         self._schedule_at = schedule_at
         self._now = now
+        self._route = route
         self._deliver = deliver
         self.tracer = tracer
         self.recorder = recorder
-        self._seq = 0
+        #: Creation order of every attempt: the discipline tie-breaker.
+        self._next_seq = itertools.count(1).__next__
         #: Scheduled retry/hedge deliveries not yet fired — the host's
         #: drain logic keeps epoch boundaries alive while any remain.
         self.pending_deliveries = 0
 
-        #: Per-tenant deadline in cycles (tenant spec wins over default).
+        #: Per-tenant deadline in cycles.
         self.deadline_cycles: List[Optional[float]] = [
-            self._ms(
-                t.deadline_ms
-                if t.deadline_ms is not None
-                else spec.deadline_ms
-            )
-            for t in self.tenants
+            spec.deadline_cycles(t, self.cycles_per_ms) for t in self.tenants
         ]
         self.priorities: Tuple[int, ...] = tuple(
             t.priority for t in self.tenants
@@ -580,12 +483,13 @@ class OverloadController:
         self._bucket_mark = [0.0] * len(self.tenants)
 
         self._retry_rngs: Dict[str, random.Random] = {}
-        #: Retry/hedge attempts the host fleet could not aggregate from
-        #: replica states because they never landed (gate rejections).
-        self.gate_arrivals: Dict[str, int] = {t.name: 0 for t in self.tenants}
-        self.gate_rejected: Dict[str, int] = {t.name: 0 for t in self.tenants}
-        self.gate_retries: Dict[str, int] = {t.name: 0 for t in self.tenants}
-        self.gate_hedges: Dict[str, int] = {t.name: 0 for t in self.tenants}
+        #: Per-tenant ledger of attempts the host fleet cannot aggregate
+        #: from replica states because they never landed (gate
+        #: rejections): ``arrivals``, ``rejected``, ``retries``, ``hedges``.
+        self.gate: Dict[str, Dict[str, int]] = {
+            t.name: {"arrivals": 0, "rejected": 0, "retries": 0, "hedges": 0}
+            for t in self.tenants
+        }
 
         # ---------------------------------------------------- window grid
         brownout = spec.brownout
@@ -638,24 +542,17 @@ class OverloadController:
             self._retry_rngs[name] = rng
         return rng
 
-    def make_request(self, arrival: float) -> _Request:
-        req = _Request(arrival)
-        self._seq += 1
-        req.seq = self._seq
-        return req
-
     @property
     def shed_set(self) -> Tuple[int, ...]:
         return self.priority_levels[: self.shed_level]
 
     # ---------------------------------------------------------------- arrive
-    def arrive(
-        self,
-        index: int,
-        req: _Request,
-        route: Callable[[], Optional[Tuple[Any, Optional[int]]]],
-    ) -> None:
+    def arrive(self, index: int, req: Request) -> None:
         """Full admission path for one attempt of one request."""
+        if not req.seq:
+            # A fresh arrival, created just now; retries and hedges
+            # were stamped when the controller created them.
+            req.seq = self._next_seq()
         now = self._now()
         spec = self.tenants[index]
         priority = self.priorities[index]
@@ -685,7 +582,7 @@ class OverloadController:
                 return
             self._tokens[index] = tokens - 1.0
 
-        landing = route()
+        landing = self._route(spec.name)
         if landing is None:
             # The host booked the unroutable arrival; the client retries.
             self._schedule_retry(index, req, now, reason="unroutable")
@@ -724,15 +621,16 @@ class OverloadController:
             self._maybe_hedge(index, req, now)
 
     def _gate_reject(
-        self, index: int, req: _Request, now: float, *, reason: str
+        self, index: int, req: Request, now: float, *, reason: str
     ) -> None:
         spec = self.tenants[index]
-        self.gate_arrivals[spec.name] += 1
-        self.gate_rejected[spec.name] += 1
+        gate = self.gate[spec.name]
+        gate["arrivals"] += 1
+        gate["rejected"] += 1
         if req.hedge:
-            self.gate_hedges[spec.name] += 1
+            gate["hedges"] += 1
         elif req.attempt > 1:
-            self.gate_retries[spec.name] += 1
+            gate["retries"] += 1
         self._class_totals[self.priorities[index]]["rejected"] += 1
         self._note_reject(spec.name, None, now, reason)
         self._schedule_retry(index, req, now, reason=reason)
@@ -746,13 +644,13 @@ class OverloadController:
             self.recorder.count(f"rejected/{name}", now)
 
     # --------------------------------------------------------------- retries
-    def client_retry(self, index: int, req: _Request, *, reason: str) -> None:
+    def client_retry(self, index: int, req: Request, *, reason: str) -> None:
         """Host hook: the client observed a failure (evacuation loss,
         killed in-flight work) and schedules a retry under the policy."""
         self._schedule_retry(index, req, self._now(), reason=reason)
 
     def _schedule_retry(
-        self, index: int, req: _Request, now: float, *, reason: str
+        self, index: int, req: Request, now: float, *, reason: str
     ) -> None:
         policy = self.spec.retry
         if policy is None:
@@ -776,11 +674,10 @@ class OverloadController:
         when = now + delay
         if when > self.horizon:
             return  # the client's patience ends with the run window
-        retry = _Request(
-            when, req.attempt + 1, backoff_cycles=delay
+        retry = Request(
+            when, req.attempt + 1, backoff_cycles=delay,
+            seq=self._next_seq(),
         )
-        self._seq += 1
-        retry.seq = self._seq
         if self.tracer is not None:
             self.tracer.request_retry(
                 spec.name, now, attempt=retry.attempt, delay_cycles=delay,
@@ -796,7 +693,7 @@ class OverloadController:
 
         self._schedule_at(when, fire_retry)
 
-    def _maybe_hedge(self, index: int, req: _Request, now: float) -> None:
+    def _maybe_hedge(self, index: int, req: Request, now: float) -> None:
         policy = self.spec.retry
         if (
             policy is None
@@ -817,9 +714,9 @@ class OverloadController:
             self.pending_deliveries -= 1
             if req.done:
                 return  # original dispatched or shed; hedge moot
-            hedge = _Request(self._now(), req.attempt, hedge=True)
-            self._seq += 1
-            hedge.seq = self._seq
+            hedge = Request(
+                self._now(), req.attempt, hedge=True, seq=self._next_seq()
+            )
             if self.tracer is not None:
                 self.tracer.request_hedged(spec.name, self._now())
             if self.recorder is not None:
@@ -831,7 +728,7 @@ class OverloadController:
     # -------------------------------------------------------------- dispatch
     def dispatch(
         self, index: int, state: OverloadTenantState, replica: Optional[int]
-    ) -> Optional[_Request]:
+    ) -> Optional[Request]:
         """Epoch-boundary admission under the queue discipline.
 
         Pops expired entries (counting and retrying them) until a live
@@ -857,10 +754,10 @@ class OverloadController:
 
     # -------------------------------------------------------------- complete
     def complete(
-        self, index: int, state: OverloadTenantState, req: _Request
+        self, index: int, state: OverloadTenantState, req: Request
     ) -> None:
         now = self._now()
-        state.on_completion(req.arrival, now)
+        state.on_completion(req, now)
         priority = self.priorities[index]
         totals = self._class_totals[priority]
         totals["completions"] += 1

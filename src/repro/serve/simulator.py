@@ -12,9 +12,9 @@ with its own admission slot.
 
 On top of that service process sits an open-loop traffic model: seeded
 arrival streams (:mod:`repro.serve.arrivals`) feed bounded per-tenant
-FIFO queues with a drop policy.  This module owns the device model —
-the tenant plan, the per-tenant queue state, the epoch calibration —
-while the event loop that runs it lives in one place,
+FIFO queues of :class:`Request` with a drop policy.  This module owns
+the device model — the tenant plan, the per-tenant queue state, the
+epoch calibration — while the event loop that runs it lives in one place,
 :class:`repro.fleet.cluster.ClusterSimulator`: :func:`simulate_traffic`
 is a one-board fleet run.  Epoch length can be taken from the analytic
 model (optionally bandwidth-capped through
@@ -49,6 +49,7 @@ from .metrics import LatencySummary, ServeResult, TenantStats
 
 __all__ = [
     "TenantSpec",
+    "Request",
     "TenantState",
     "DROP_POLICIES",
     "tenant_plans",
@@ -148,8 +149,52 @@ def pipeline_latency_cycles(
     return max(depth for depth, _ in plans.values()) * epoch
 
 
+class Request:
+    """One attempt of one logical request, as it moves through a queue.
+
+    Every tenant queue holds these, in every run.  Mutable on purpose:
+    ``done`` flips when the attempt leaves the queue (dispatched under a
+    discipline, dropped, evicted, expired, or given up), which is what
+    cancels a pending hedge.  ``seq`` (creation order, stamped by the
+    overload controller; 0 when unstamped), ``attempt``,
+    ``hedge``/``hedged`` and ``backoff_cycles`` are the overload
+    layer's discipline and client-retry state
+    (:mod:`repro.serve.overload`).  The object is also the request's
+    identity: the fleet's failover ledger keys on it.
+    """
+
+    __slots__ = (
+        "arrival", "attempt", "hedge", "hedged", "done", "backoff_cycles",
+        "seq",
+    )
+
+    def __init__(
+        self,
+        arrival: float,
+        attempt: int = 1,
+        *,
+        hedge: bool = False,
+        backoff_cycles: float = 0.0,
+        seq: int = 0,
+    ) -> None:
+        self.arrival = arrival
+        self.attempt = attempt
+        self.hedge = hedge
+        self.hedged = False
+        self.done = False
+        self.backoff_cycles = backoff_cycles
+        self.seq = seq
+
+
 class TenantState:
-    """Mutable bookkeeping for one tenant during a run."""
+    """Mutable bookkeeping for one tenant on one board during a run.
+
+    The queue is a bounded FIFO of :class:`Request`: arrivals and
+    requeues join the tail, :meth:`admit` takes the head.  The overload
+    layer's :class:`~repro.serve.overload.OverloadTenantState` swaps in
+    a queue discipline by overriding :meth:`_insert`; the lifecycle and
+    every counter live here, so one :meth:`stats` serves both.
+    """
 
     def __init__(
         self,
@@ -164,12 +209,18 @@ class TenantState:
         self.clp_cycles = clp_cycles
         self.queue_depth = queue_depth
         self.policy = policy
-        self.queue: Deque[float] = deque()
+        self.queue: Deque[Request] = deque()
         self.arrivals = 0
         self.drops = 0
         self.lost = 0
         self.completions = 0
         self.pipeline = 0
+        #: Overload-layer outcomes; they stay 0 in runs without it.
+        self.rejected = 0
+        self.expired = 0
+        self.retries = 0
+        self.hedges = 0
+        self.late = 0
         self.latencies: List[float] = []
         self.first_completion: Optional[float] = None
         self.last_completion: Optional[float] = None
@@ -192,46 +243,71 @@ class TenantState:
         return area / elapsed
 
     # ---------------------------------------------------------------- events
-    def on_arrival(self, now: float) -> None:
-        self.arrivals += 1
-        self._touch(now)
-        if len(self.queue) >= self.queue_depth:
-            if self.policy == "drop-tail":
-                self.drops += 1
-                return
-            # drop-head: evict the stalest waiter to admit fresh work.
-            self.queue.popleft()
-            self.drops += 1
-        self.queue.append(now)
-        self.peak_queue = max(self.peak_queue, len(self.queue))
+    def _insert(self, req: Request) -> None:
+        self.queue.append(req)
 
-    def requeue(self, arrival: float, now: float) -> None:
-        """Re-admit a request evacuated from a failed replica's queue.
+    def book_arrival(self, req: Request) -> None:
+        """Count one attempt arriving (before any admission decision)."""
+        self.arrivals += 1
+        if req.hedge:
+            self.hedges += 1
+        elif req.attempt > 1:
+            self.retries += 1
+
+    def push(self, req: Request, now: float) -> Optional[Request]:
+        """Queue an arrived request; returns the drop-policy victim.
+
+        ``None`` means the request was queued with room to spare.  Under
+        drop-tail a full queue returns ``req`` itself (never queued);
+        under drop-head it returns the evicted head — the entry that
+        would have been served next — and queues ``req``.
+        """
+        self._touch(now)
+        victim: Optional[Request] = None
+        if len(self.queue) >= self.queue_depth:
+            self.drops += 1
+            if self.policy == "drop-tail":
+                req.done = True
+                return req
+            # drop-head: evict the stalest waiter to admit fresh work.
+            victim = self.queue.popleft()
+            victim.done = True
+        self._insert(req)
+        self.peak_queue = max(self.peak_queue, len(self.queue))
+        return victim
+
+    def requeue(self, req: Request, now: float) -> Optional[Request]:
+        """Re-admit a request evacuated or failed over from another board.
 
         Not a new arrival — the request was already counted where it
-        first landed; it joins the tail here (a client retry would).  A
-        full queue sheds it as an ordinary drop on this replica.
+        first landed and keeps its arrival time.  Here it joins the
+        tail, as a client retry would; a discipline queue re-sorts it
+        instead (:class:`~repro.serve.overload.OverloadTenantState`).
+        Benchmark references pin both rules.  A full queue sheds the
+        request as an ordinary drop on this board and returns it.
         """
         self._touch(now)
         if len(self.queue) >= self.queue_depth:
             self.drops += 1
-            return
-        self.queue.append(arrival)
+            req.done = True
+            return req
+        req.done = False
+        self._insert(req)
         self.peak_queue = max(self.peak_queue, len(self.queue))
+        return None
 
-    def admit(self, now: float) -> Optional[float]:
-        """Pop the head of the queue into the pipeline; returns arrival time."""
+    def admit(self, now: float) -> Optional[Request]:
+        """Pop the head of the queue into the pipeline."""
         if not self.queue:
             return None
         self._touch(now)
-        arrival = self.queue.popleft()
         self.pipeline += 1
-        return arrival
+        return self.queue.popleft()
 
-    def on_completion(self, arrival: float, now: float) -> None:
+    def on_completion(self, req: Request, now: float) -> None:
         self.pipeline -= 1
         self.completions += 1
-        self.latencies.append(now - arrival)
+        self.latencies.append(now - req.arrival)
         if self.first_completion is None:
             self.first_completion = now
         self.last_completion = now
@@ -259,6 +335,11 @@ class TenantState:
             peak_queue_depth=self.peak_queue,
             steady_rate_per_cycle=steady,
             lost=self.lost,
+            rejected=self.rejected,
+            expired=self.expired,
+            retries=self.retries,
+            hedges=self.hedges,
+            late=self.late,
             priority=self.spec.priority,
         )
 

@@ -18,10 +18,13 @@ __all__ = ["Simulator"]
 class Simulator:
     """Deterministic event loop with a monotonically advancing clock.
 
-    ``on_event``, when given, is called with the event's timestamp just
-    before each callback runs — a read-only observation hook used by the
-    telemetry layer (:mod:`repro.obs`) to count event-loop activity per
-    window.  It must not schedule or mutate simulation state.
+    ``now`` is the current simulation time in cycles: a plain attribute
+    (hosts read it on every arrival and dispatch) that only :meth:`run`
+    writes.  ``on_event``, when given, is called with the event's
+    timestamp just before each callback runs — a read-only observation
+    hook used by the telemetry layer (:mod:`repro.obs`) to count
+    event-loop activity per window.  It must not schedule or mutate
+    simulation state.
     """
 
     def __init__(
@@ -29,14 +32,9 @@ class Simulator:
     ) -> None:
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
-        self._now = 0.0
+        self.now = 0.0
         self._processed = 0
         self._on_event = on_event
-
-    @property
-    def now(self) -> float:
-        """Current simulation time (cycles)."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -47,7 +45,7 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(
-            self._queue, (self._now + delay, next(self._counter), callback)
+            self._queue, (self.now + delay, next(self._counter), callback)
         )
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
@@ -59,9 +57,9 @@ class Simulator:
         arithmetic grid (``index * epoch`` boundary chains, materialized
         arrival timestamps).
         """
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"cannot schedule into the past (time={time}, now={self.now})"
             )
         heapq.heappush(self._queue, (time, next(self._counter), callback))
 
@@ -73,15 +71,15 @@ class Simulator:
         while self._queue:
             time, _, callback = self._queue[0]
             if until is not None and time > until:
-                self._now = until
-                return self._now
+                self.now = until
+                return self.now
             heapq.heappop(self._queue)
-            self._now = time
+            self.now = time
             self._processed += 1
             if self._on_event is not None:
                 self._on_event(time)
             callback()
-        return self._now
+        return self.now
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, if any."""

@@ -53,6 +53,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..serve.arrivals import ArrivalProcess, ConstantRate
+from ..serve.simulator import Request
 
 __all__ = [
     "ENGINES",
@@ -408,7 +409,7 @@ def _fill_state(
     if fired:
         state.first_completion = float(finish[0])
         state.last_completion = float(finish[fired - 1])
-    state.queue = deque(float(t) for t in solved.queue_times)
+    state.queue = deque(Request(float(t)) for t in solved.queue_times)
     state.peak_queue = solved.peak
     state._occupancy_area = solved.area
     state._occupancy_mark = solved.mark

@@ -43,6 +43,7 @@ from repro.fleet.detector import (
 from repro.obs import ObsSpec
 from repro.scenario import DegradedReplica, FlakyReplica, get_scenario
 from repro.serve import SLOSpec, TenantSpec, make_arrival_process
+from repro.serve.arrivals import TraceArrivals
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -320,6 +321,38 @@ class TestTimeoutFailover:
             assert 0 <= tenant.failed_over <= tenant.arrivals
         text = result.format()
         assert "timed-out" in text
+
+    def test_equal_timestamps_keep_separate_failover_budgets(
+        self, toy_design
+    ):
+        """Requests that share an arrival time are still distinct
+        requests: each has its own failover budget and attempt clock,
+        so a burst at one timestamp fares exactly like the same burst
+        spread a hair apart (no sweep falls between the two)."""
+        epoch = toy_design.epoch_cycles
+        timeout = 1.5 * epoch
+        detector = DetectorSpec(
+            request_timeout_ms=1.5 * _epoch_ms(toy_design), max_failovers=2
+        )
+        t0 = 0.25 * timeout + 0.5 * epoch
+
+        def run(times):
+            return simulate_fleet(
+                DeviceSpec(toy_design).replicated(2),
+                [TenantSpec(toy_design.network.name, TraceArrivals(times))],
+                duration_cycles=20 * epoch,
+                balancer="round-robin",
+                queue_depth=10**6,
+                drain=True,
+                detector=detector,
+            ).tenants[0]
+
+        same = run([t0] * 12)
+        spread = run([t0 + i * 1e-3 for i in range(12)])
+        assert spread.completions == 12
+        assert (same.failed_over, same.timed_out, same.completions) == (
+            spread.failed_over, spread.timed_out, spread.completions
+        )
 
     def test_plain_format_has_no_timeout_columns(self, toy_design):
         text = _fleet(toy_design, 2, 1.0).format()

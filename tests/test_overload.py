@@ -67,11 +67,12 @@ from repro.serve.overload import (
     AdmissionPolicy,
     BrownoutPolicy,
     OverloadSpec,
+    OverloadTenantState,
     RetryPolicy,
     overload_spec_from_dict,
     overload_spec_to_dict,
 )
-from repro.serve.simulator import simulate_traffic
+from repro.serve.simulator import Request, TenantState, simulate_traffic
 from repro.sim.fastpath import resolve_engine
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -309,6 +310,33 @@ class TestQueueDisciplines:
         assert tenant.expired > 0
         assert tenant.in_flight == 0  # drained
         _assert_conserved(result)
+
+    def test_requeue_position_per_queue_class(self):
+        """A requeued request (evacuated or failed over) joins a plain
+        queue at the tail but is re-sorted by a discipline queue: by
+        creation order under ``fifo``, by deadline under ``edf``.  The
+        benchmark references pin both rules.  ``seq`` is the creation
+        order the overload controller stamps."""
+        spec = TenantSpec("net", make_arrival_process("poisson", 1.0))
+        first = Request(4.0, seq=1)
+        requeued = Request(9.0, seq=2)
+        last = Request(1.0, seq=3)
+
+        def order(state):
+            for req in (first, last):
+                assert state.push(req, 10.0) is None
+            assert state.requeue(requeued, 10.0) is None
+            return [state.queue.popleft() for _ in range(3)]
+
+        plain = TenantState(spec, 1, (1,), 8, "drop-tail")
+        assert order(plain) == [first, last, requeued]
+        fifo = OverloadTenantState(spec, 1, (1,), 8, "drop-tail")
+        assert order(fifo) == [first, requeued, last]
+        edf = OverloadTenantState(
+            spec, 1, (1,), 8, "drop-tail",
+            queue_policy="edf", deadline_cycles=5.0,
+        )
+        assert order(edf) == [last, first, requeued]
 
 
 # ---------------------------------------------------------------- admission
