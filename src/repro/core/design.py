@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..fpga.parts import ResourceBudget
+from .bandwidth import min_bandwidths_for_cycles, transfer_arrays
 from .clp import CLPConfig
 from .datatypes import DataType
 from .network import Network
@@ -162,18 +163,19 @@ class MultiCLPDesign:
     def required_bandwidth_bytes_per_cycle(self, slack: float = 0.02) -> float:
         """Total bytes/cycle for all CLPs to stay within ``slack`` of the
         unconstrained epoch (Section 6.3's 2% margin)."""
-        target = self.epoch_cycles * (1 + slack)
-        return sum(clp.min_bandwidth_for(target) for clp in self.clps)
+        return sum(self._clp_bandwidths(self.epoch_cycles * (1 + slack)))
+
+    def _clp_bandwidths(self, cycle_budget: float) -> List[float]:
+        """Each CLP's smallest bytes/cycle to finish within ``cycle_budget``,
+        all CLPs solved in one lockstep bisection."""
+        arrays = transfer_arrays([clp.transfers for clp in self.clps], self.dtype)
+        return min_bandwidths_for_cycles(arrays, cycle_budget).tolist()
 
     def required_bandwidth_gbps(
         self, frequency_mhz: float, slack: float = 0.02
     ) -> float:
-        return (
-            self.required_bandwidth_bytes_per_cycle(slack)
-            * frequency_mhz
-            * 1e6
-            / 1e9
-        )
+        need = self.required_bandwidth_bytes_per_cycle(slack)
+        return need * frequency_mhz * 1e6 / 1e9
 
     def epoch_cycles_under_bandwidth(
         self, bytes_per_cycle: Optional[float], slack: float = 0.02
@@ -193,14 +195,9 @@ class MultiCLPDesign:
             raise ValueError("bytes_per_cycle must be positive when set")
 
         def feasible(epoch: float) -> bool:
-            total = 0.0
-            for clp in self.clps:
-                if clp.total_cycles > epoch:
-                    return False
-                total += clp.min_bandwidth_for(epoch)
-                if total > bytes_per_cycle:
-                    return False
-            return True
+            if any(clp.total_cycles > epoch for clp in self.clps):
+                return False
+            return sum(self._clp_bandwidths(epoch)) <= bytes_per_cycle
 
         low = float(self.epoch_cycles) * (1 + slack)
         if feasible(low):

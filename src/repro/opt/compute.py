@@ -16,7 +16,8 @@ The search is exact within the contiguous-segment restriction:
    steps "use memoization to avoid redundant work").
 3. For a given cycle target, the minimum DSP for a segment is a binary
    search on its frontier, and the best partition is a small dynamic
-   program over (number of CLPs, prefix of the order).
+   program over (number of CLPs, prefix of the order): one array step
+   per CLP count over the (split, end) matrix of segment costs.
 
 All frontiers live in one flat array: each row is stored reversed (so
 non-decreasing) and lifted by ``row * span``, with ``span`` above every
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import floor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,15 +119,12 @@ class SegmentSearch:
 
     # ------------------------------------------------------------- building
     def _enumerate_grids(self, units_budget: int, tn_max: int, tm_max: int) -> None:
-        tns: List[int] = []
-        tms: List[int] = []
-        for tn in range(1, min(tn_max, units_budget) + 1):
-            top = min(tm_max, units_budget // tn)
-            for tm in range(1, top + 1):
-                tns.append(tn)
-                tms.append(tm)
-        self._tn = np.array(tns, dtype=np.int64)
-        self._tm = np.array(tms, dtype=np.int64)
+        tn = np.arange(1, min(tn_max, units_budget) + 1)
+        tops = np.minimum(tm_max, units_budget // tn)
+        # Grids in (Tn, Tm) row-major order, Tm from 1 to its top per Tn.
+        self._tn = np.repeat(tn, tops)
+        starts = np.repeat(np.cumsum(tops) - tops, tops)
+        self._tm = np.arange(len(self._tn)) - starts + 1
         self._units = self._tn * self._tm
         spec = self.dtype.spec
         slices = spec.dsp_per_multiplier + spec.dsp_per_adder
@@ -155,17 +153,20 @@ class SegmentSearch:
         self._span = int(cum[-1].max()) + 1
         if num_segments * self._span > _INFEASIBLE:
             raise OverflowError("lifted segment frontiers overflow int64")
+        # Segment rows in (i, j) row-major order, built one at a time in
+        # two reused buffers: (segments x grids) temporaries ran to MBs
+        # and made the sweep's peak memory vary from run to run.
+        self._seg_i, self._seg_j = np.triu_indices(count + 1, k=1)
+        pairs = list(zip(self._seg_i.tolist(), self._seg_j.tolist()))
+        self._segment_index = {pair: row for row, pair in enumerate(pairs)}
         frontier = np.empty((num_segments, num_classes), dtype=np.int64)
-        self._segment_index: Dict[Tuple[int, int], int] = {}
-        row = 0
-        for i in range(count):
-            for j in range(i + 1, count + 1):
-                seg = cum[j] - cum[i]
-                per_class = np.minimum.reduceat(seg, self._group_starts)
-                np.minimum.accumulate(per_class, out=per_class)
-                frontier[row] = per_class[::-1] + row * self._span
-                self._segment_index[(i, j)] = row
-                row += 1
+        seg = np.empty(len(self._tn), dtype=np.int64)
+        per_class = np.empty(num_classes, dtype=np.int64)
+        for row, (i, j) in enumerate(pairs):
+            np.subtract(cum[j], cum[i], out=seg)
+            np.minimum.reduceat(seg, self._group_starts, out=per_class)
+            np.minimum.accumulate(per_class, out=per_class)
+            np.add(per_class[::-1], row * self._span, out=frontier[row])
         self._frontier = frontier.reshape(-1)
         self._cum = cum
 
@@ -231,58 +232,40 @@ class SegmentSearch:
             raise ValueError(f"max_clps must be >= 1, got {max_clps}")
         count = len(self.layers)
         seg_dsp = self._segment_dsp_matrix(cycle_target)
-        infinity = float("inf")
-        # dp[k][j]: min DSP covering layers[:j] with exactly k CLPs.
-        dp = [[infinity] * (count + 1) for _ in range(max_clps + 1)]
-        parent: List[List[int]] = [[-1] * (count + 1) for _ in range(max_clps + 1)]
-        dp[0][0] = 0.0
+        # dp[k, j]: min DSP covering layers[:j] with exactly k CLPs.  One
+        # array step per k: column j of ``totals`` is every split point i,
+        # and argmin takes the first minimum, as a strict-< scan would.
+        dp = np.full((max_clps + 1, count + 1), np.inf)
+        parent = np.full((max_clps + 1, count + 1), -1)
+        dp[0, 0] = 0.0
         for k in range(1, max_clps + 1):
-            for j in range(1, count + 1):
-                best = infinity
-                best_i = -1
-                for i in range(k - 1, j):
-                    if dp[k - 1][i] == infinity:
-                        continue
-                    cost = seg_dsp[i][j]
-                    if cost is None:
-                        continue
-                    total = dp[k - 1][i] + cost
-                    if total < best:
-                        best = total
-                        best_i = i
-                dp[k][j] = best
-                parent[k][j] = best_i
+            totals = dp[k - 1][:, None] + seg_dsp
+            parent[k] = totals.argmin(axis=0)
+            dp[k] = totals.min(axis=0)
 
-        results: List[PartitionCandidate] = []
-        for k in range(1, max_clps + 1):
-            if dp[k][count] <= self.dsp_budget:
-                results.append(
-                    self._assemble(parent, k, count, cycle_target)
-                )
-        results.sort(key=lambda cand: (cand.total_dsp, cand.num_clps))
-        return results
-
-    def _segment_dsp_matrix(
-        self, cycle_target: float
-    ) -> List[List[Optional[int]]]:
-        count = len(self.layers)
-        matrix: List[List[Optional[int]]] = [
-            [None] * (count + 1) for _ in range(count + 1)
-        ]
-        counts = self._meeting_counts(
-            np.arange(len(self._segment_index), dtype=np.int64), cycle_target
+        return sorted(
+            (
+                self._assemble(parent, k, count, cycle_target)
+                for k in range(1, max_clps + 1)
+                if dp[k, count] <= self.dsp_budget
+            ),
+            key=lambda cand: (cand.total_dsp, cand.num_clps),
         )
-        # A count of 0 indexes class 0 here; those rows stay None below.
-        costs = self.dsp_values[-counts].tolist()
-        counts = counts.tolist()
-        for (i, j), row in self._segment_index.items():
-            if counts[row]:
-                matrix[i][j] = costs[row]
+
+    def _segment_dsp_matrix(self, cycle_target: float) -> np.ndarray:
+        """[i, j]: the min DSP letting layers[i:j] meet ``cycle_target``;
+        ``inf`` where no grid does, and for i >= j."""
+        counts = self._meeting_counts(np.arange(len(self._seg_i)), cycle_target)
+        matrix = np.full((len(self.layers) + 1,) * 2, np.inf)
+        # A count of 0 indexes class 0 here; those segments stay inf.
+        matrix[self._seg_i, self._seg_j] = np.where(
+            counts > 0, self.dsp_values[-counts], np.inf
+        )
         return matrix
 
     def _assemble(
         self,
-        parent: List[List[int]],
+        parent: np.ndarray,
         num_clps: int,
         count: int,
         cycle_target: float,
@@ -291,12 +274,12 @@ class SegmentSearch:
         bounds = [count]
         j = count
         for k in range(num_clps, 0, -1):
-            j = parent[k][j]
+            j = int(parent[k, j])
             bounds.append(j)
         bounds.reverse()
+        spans = list(zip(bounds[:-1], bounds[1:]))
         clps: List[CLPCandidate] = []
-        spent = 0
-        for i, j in zip(bounds[:-1], bounds[1:]):
+        for i, j in spans:
             dsp_needed = self.min_dsp_for(i, j, cycle_target)
             assert dsp_needed is not None
             tn, tm, cycles, dsp = self.best_grid(i, j, dsp_needed)
@@ -309,11 +292,9 @@ class SegmentSearch:
                     dsp=dsp,
                 )
             )
-            spent += dsp
-        candidate = PartitionCandidate(clps=tuple(clps))
-        return self._rebalance(candidate)
+        return self._rebalance(clps, spans)
 
-    def _rebalance(self, candidate: PartitionCandidate) -> PartitionCandidate:
+    def _rebalance(self, clps: List[CLPCandidate], spans: list) -> PartitionCandidate:
         """Spend leftover DSP slices on the *bottleneck* CLPs only.
 
         The DP allocates each CLP its minimum DSP for the target; any
@@ -322,14 +303,9 @@ class SegmentSearch:
         a non-critical CLP would not raise throughput and would only
         dilute arithmetic-unit utilization (e.g. AlexNet's first layer
         floors the fixed-point epoch at R*C*K^2 cycles, so the paper's
-        fixed-point designs likewise leave slices idle).
+        fixed-point designs likewise leave slices idle).  ``spans`` are
+        the CLPs' (start, end) layer indices.
         """
-        clps = list(candidate.clps)
-        bounds: List[Tuple[int, int]] = []
-        cursor = 0
-        for clp in clps:
-            bounds.append((cursor, cursor + len(clp.layers)))
-            cursor += len(clp.layers)
         while True:
             epoch = max(clp.cycles for clp in clps)
             leftover = self.dsp_budget - sum(clp.dsp for clp in clps)
@@ -337,7 +313,7 @@ class SegmentSearch:
             for idx, clp in enumerate(clps):
                 if clp.cycles < epoch:
                     continue
-                i, j = bounds[idx]
+                i, j = spans[idx]
                 tn, tm, cycles, dsp = self.best_grid(i, j, clp.dsp + leftover)
                 if cycles < clp.cycles:
                     clps[idx] = CLPCandidate(

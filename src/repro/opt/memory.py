@@ -7,9 +7,12 @@ bandwidth: bigger tiles mean fewer weight re-fetches but larger banks.
 
 Per CLP the search builds a Pareto frontier of (BRAM, transfer) points
 by sweeping pairs of input/output bank caps.  Each layer's tile options
-are listed cheapest-transfer first, so under a pair of caps the layer's
-plan is simply the *first* option fitting both banks (first-fit); cap
-pairs that pick the same plans share one point.  The frontiers are
+(ranked from one array of every (Tr, Tc)'s transfer volume) are listed
+cheapest-transfer first, so under a pair of caps the layer's plan is the
+*first* option fitting both banks: one ``argmax`` over a boolean (option,
+in-cap, out-cap) array finds it for every pair.  Pairs that pick the same
+plans share one point, and one lockstep bisection prices every point's
+bandwidth for a cycle target.  The frontiers are
 merged across CLPs to allocate the BRAM budget, which also yields the
 system-level tradeoff curve of Figure 6.  Structures that do not depend
 on the cycle target are memoized, mirroring the paper's note that both
@@ -20,11 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..core.bandwidth import LayerTransfer, layer_transfer, min_bandwidth_for_cycles
-from ..core.cost_model import bram_count, buffer_spec
+import numpy as np
+
+from ..core.bandwidth import LayerTransfer, layer_transfer, transfer_words
+from ..core.bandwidth import min_bandwidths_for_cycles, transfer_arrays
+from ..core.cost_model import BufferSpec, bram_count
 from ..core.datatypes import DataType
 from ..core.layer import ConvLayer, input_extent
 from .compute import CLPCandidate, PartitionCandidate
@@ -85,53 +90,42 @@ def _tile_sizes(extent: int) -> List[int]:
     The values ``ceil(extent/i)`` are exactly the tile sizes that change
     the number of tile steps, which transfer volume depends on.
     """
-    sizes = {extent}
-    for steps in range(1, extent + 1):
-        size = ceil(extent / steps)
-        sizes.add(size)
-        if size == 1:
-            break
-    return sorted(sizes)
+    return sorted({-(-extent // steps) for steps in range(1, extent + 1)})
 
 
 @lru_cache(maxsize=None)
 def tile_candidates(
     layer: ConvLayer, tn: int, tm: int
 ) -> Tuple[Tuple[int, int, LayerTransfer], ...]:
-    """Pareto-relevant (Tr, Tc, transfer) tile options for a layer.
-
-    Options dominated in (input-bank words, output-bank words, transfer
-    volume) are dropped.  Results are memoized: the optimizer re-queries
+    """Pareto-relevant (Tr, Tc, transfer) tile options for a layer,
+    cheapest-transfer first; an option needing no less bank space than an
+    earlier one is dropped.  Results are memoized: the optimizer re-queries
     the same (layer, grid) pairs across target-relaxation iterations.
     """
-    raw: List[Tuple[int, int, LayerTransfer]] = []
-    for tr in _tile_sizes(layer.r):
-        for tc in _tile_sizes(layer.c):
-            raw.append((tr, tc, layer_transfer(layer, tn, tm, tr, tc)))
-    raw.sort(key=lambda opt: opt[2].total_words)
-    kept: List[Tuple[int, int, LayerTransfer]] = []
-    kept_banks: List[Tuple[int, int]] = []
-    for tr, tc, transfer in raw:
-        in_words = input_extent(tr, layer.s, layer.k) * input_extent(
-            tc, layer.s, layer.k
-        )
-        out_words = tr * tc
-        if any(
-            k_in <= in_words and k_out <= out_words
-            for k_in, k_out in kept_banks
-        ):
-            continue  # an earlier (cheaper-transfer) option needs no more BRAM
-        kept.append((tr, tc, transfer))
-        kept_banks.append((in_words, out_words))
-    return tuple(kept)
+    s, k = layer.s, layer.k
+    rows, cols = _tile_sizes(layer.r), _tile_sizes(layer.c)
+    tr, tc = (grid.ravel() for grid in np.meshgrid(rows, cols, indexing="ij"))
+    order = np.argsort(sum(transfer_words(layer, tm, tr, tc)), kind="stable")
+    in_words = np.outer(
+        [input_extent(t, s, k) for t in rows], [input_extent(t, s, k) for t in cols]
+    ).ravel()[order]
+    out_words = (tr * tc)[order]
+    # [i, j]: option i needs no bigger banks than option j.  Dropping j
+    # for any earlier such i drops the same set as checking kept options
+    # only, since a dropped option's dominator also dominates its victims.
+    covers = (in_words[:, None] <= in_words) & (out_words[:, None] <= out_words)
+    kept = order[~np.triu(covers, k=1).any(axis=0)]
+    return tuple(
+        (r, c, layer_transfer(layer, tn, tm, r, c))
+        for r, c in zip(tr[kept].tolist(), tc[kept].tolist())
+    )
 
 
 def _sample(values: List[int], limit: int) -> List[int]:
     if len(values) <= limit:
         return values
     stride = (len(values) - 1) / (limit - 1)
-    picked = sorted({values[round(i * stride)] for i in range(limit)})
-    return picked
+    return sorted({values[round(i * stride)] for i in range(limit)})
 
 
 @dataclass(frozen=True)
@@ -151,81 +145,78 @@ def _clp_curve_structure(
 
     Independent of the cycle target; reused across relaxation steps.
     Each layer's options come cheapest-transfer first, so under a pair
-    of bank caps the first option fitting both is the best one.
+    of bank caps the first option fitting both (an ``argmax``) is best.
     """
-    # Per layer and option: (input-bank words, output-bank words, plan, transfer).
-    per_layer = []
-    for layer in candidate.layers:
-        s, k = layer.s, layer.k
-        options = tile_candidates(layer, candidate.tn, candidate.tm)
-        per_layer.append([
-            (input_extent(tr, s, k) * input_extent(tc, s, k), tr * tc,
-             (tr, tc), transfer)
-            for tr, tc, transfer in options
-        ])
-    in_caps = _sample(
-        sorted({fit[0] for options in per_layer for fit in options}), MAX_CAPS
-    )
-    out_caps = _sample(
-        sorted({fit[1] for options in per_layer for fit in options}), MAX_CAPS
+    layers = candidate.layers
+    options = [tile_candidates(layer, candidate.tn, candidate.tm) for layer in layers]
+    # Per layer, (input-bank, output-bank, transfer) words of each option.
+    banks = [
+        np.array([
+            (input_extent(tr, layer.s, layer.k) * input_extent(tc, layer.s, layer.k),
+             tr * tc, transfer.total_words)
+            for tr, tc, transfer in layer_options
+        ]).T
+        for layer, layer_options in zip(layers, options)
+    ]
+    in_caps, out_caps = (
+        np.array(_sample(sorted(set(np.concatenate(words).tolist())), MAX_CAPS))
+        for words in zip(*(bank[:2] for bank in banks))
     )
 
-    # Plan tuple -> point; cap pairs that pick the same plans share one.
-    points: Dict[Tuple[Tuple[int, int], ...], _CurvePoint] = {}
-    for in_cap in in_caps:
-        for out_cap in out_caps:
-            chosen = []
-            for options in per_layer:
-                fit = next(
-                    (fit for fit in options
-                     if fit[0] <= in_cap and fit[1] <= out_cap),
-                    None,
-                )
-                if fit is None:
-                    break
-                chosen.append(fit)
-            else:
-                plans = tuple(fit[2] for fit in chosen)
-                if plans in points:
-                    continue
-                spec = buffer_spec(candidate.layers, plans)
-                points[plans] = _CurvePoint(
-                    bram=bram_count(candidate.tn, candidate.tm, spec, dtype),
-                    total_words=sum(fit[3].total_words for fit in chosen),
-                    tile_plans=plans,
-                    transfers=tuple(fit[3] for fit in chosen),
-                )
-    # Pareto prune on (bram, total transfer volume).
-    pruned: List[_CurvePoint] = []
-    best_words = None
-    for point in sorted(
-        points.values(), key=lambda p: (p.bram, p.total_words)
-    ):
-        if best_words is None or point.total_words < best_words:
-            pruned.append(point)
-            best_words = point.total_words
-    return tuple(pruned[:MAX_CURVE_POINTS])
+    # Per layer, the first fitting option under each (in, out) cap pair,
+    # flattened row-major; a pair is feasible if every layer fits.  The
+    # largest caps fit every option, so some pair always is.
+    firsts = []
+    feasible = True
+    for ins, outs, _ in banks:
+        fits = (ins[:, None, None] <= in_caps[:, None]) & (
+            outs[:, None, None] <= out_caps)
+        firsts.append(fits.argmax(axis=0).ravel())
+        feasible = feasible & fits.any(axis=0).ravel()
+    # One point per distinct plan (an option index per layer), in the
+    # order its first cap pair comes.
+    picks = zip(*(first[feasible].tolist() for first in firsts))
+    plans = np.array(list(dict.fromkeys(picks)))
+    # (3, layers, plans): the words of each plan's chosen options.
+    chosen = np.stack([bank[:, col] for bank, col in zip(banks, plans.T)], axis=1)
+    in_banks, out_banks = chosen[:2].max(axis=1).tolist()
+    totals = chosen[2].sum(axis=0)
+    weight_bank = max(layer.k * layer.k for layer in layers)
+    brams = np.array([
+        bram_count(candidate.tn, candidate.tm, BufferSpec(i, weight_bank, o), dtype)
+        for i, o in zip(in_banks, out_banks)
+    ])
+
+    # Pareto prune on (bram, total transfer volume): in (bram, words)
+    # order, keep points below every earlier point's volume.
+    order = np.lexsort((totals, brams))
+    ordered = totals[order]
+    below = np.r_[True, ordered[1:] < np.minimum.accumulate(ordered)[:-1]]
+    kept = order[below][:MAX_CURVE_POINTS]
+    return tuple(
+        _CurvePoint(
+            int(brams[index]),
+            int(totals[index]),
+            tuple(opts[o][:2] for opts, o in zip(options, plan)),
+            tuple(opts[o][2] for opts, o in zip(options, plan)),
+        )
+        for index, plan in zip(kept.tolist(), plans[kept].tolist())
+    )
 
 
 # The structure cache is keyed by the CLP's identity (grid + layers).
 _STRUCTURE_CACHE: dict = {}
 
 
-def _candidate_key(candidate: CLPCandidate) -> Tuple:
-    return (
-        candidate.tn,
-        candidate.tm,
-        tuple(layer.name for layer in candidate.layers),
-        tuple(layer.dims for layer in candidate.layers),
-    )
-
-
 def _structure_for(
     candidate: CLPCandidate, dtype: DataType
-) -> Tuple[_CurvePoint, ...]:
-    key = (_candidate_key(candidate), dtype)
+) -> Tuple[Tuple[_CurvePoint, ...], np.ndarray]:
+    """The CLP's frontier and its points' transfer arrays, memoized."""
+    key = (candidate.tn, candidate.tm, candidate.layers, dtype)
     if key not in _STRUCTURE_CACHE:
-        _STRUCTURE_CACHE[key] = _clp_curve_structure(candidate, dtype)
+        structure = _clp_curve_structure(candidate, dtype)
+        arrays = transfer_arrays([point.transfers for point in structure], dtype)
+        _STRUCTURE_CACHE[key] = structure, arrays
     return _STRUCTURE_CACHE[key]
 
 
@@ -240,26 +231,25 @@ def clp_pareto(
     point's bandwidth is the smallest transfer rate that lets the CLP
     finish its layers within the budget at that point's tile plans.
     """
-    structure = _structure_for(candidate, dtype)
+    structure, arrays = _structure_for(candidate, dtype)
+    bandwidths = min_bandwidths_for_cycles(arrays, cycle_budget).tolist()
     points = [
-        TilePoint(
-            bram=point.bram,
-            bandwidth_bytes_per_cycle=min_bandwidth_for_cycles(
-                point.transfers, dtype, cycle_budget
-            ),
-            tile_plans=point.tile_plans,
-        )
-        for point in structure
+        TilePoint(point.bram, bandwidth, point.tile_plans)
+        for point, bandwidth in zip(structure, bandwidths)
     ]
     # The bandwidth ordering can differ from the volume ordering; prune
     # again on the realised metric.
-    points.sort(key=lambda p: (p.bram, p.bandwidth_bytes_per_cycle))
-    pruned: List[TilePoint] = []
-    best = float("inf")
-    for point in points:
-        if point.bandwidth_bytes_per_cycle < best - 1e-12:
-            pruned.append(point)
-            best = point.bandwidth_bytes_per_cycle
+    return _pareto(points, key=lambda p: (p.bram, p.bandwidth_bytes_per_cycle))
+
+
+def _pareto(items: list, key) -> list:
+    """``items`` in (BRAM, bandwidth) ``key`` order, keeping each one
+    whose bandwidth is below every kept one's by more than 1e-12."""
+    pruned, best = [], float("inf")
+    for item in sorted(items, key=key):
+        if key(item)[1] < best - 1e-12:
+            pruned.append(item)
+            best = key(item)[1]
     return pruned
 
 
@@ -282,13 +272,7 @@ def _merge_curves(
             for bram, bandwidth, choice in merged
             for idx, point in enumerate(curve)
         ]
-        combined.sort(key=lambda item: (item[0], item[1]))
-        pruned: List[Tuple[int, float, Tuple[int, ...]]] = []
-        best_bw = float("inf")
-        for item in combined:
-            if item[1] < best_bw - 1e-12:
-                pruned.append(item)
-                best_bw = item[1]
+        pruned = _pareto(combined, key=lambda item: item[:2])
         if len(pruned) > MAX_CURVE_POINTS:
             stride = len(pruned) / MAX_CURVE_POINTS
             sampled = [pruned[int(i * stride)] for i in range(MAX_CURVE_POINTS)]
@@ -321,12 +305,9 @@ def optimize_memory(
     feasible = [item for item in merged if item[0] <= bram_budget]
     if not feasible:
         return None
-    if bandwidth_budget_bytes_per_cycle is not None:
-        feasible = [
-            item
-            for item in feasible
-            if item[1] <= bandwidth_budget_bytes_per_cycle
-        ]
+    bandwidth_cap = bandwidth_budget_bytes_per_cycle
+    if bandwidth_cap is not None:
+        feasible = [item for item in feasible if item[1] <= bandwidth_cap]
         if not feasible:
             return None
         chosen = feasible[0]  # bram-ascending: smallest BRAM that meets bw

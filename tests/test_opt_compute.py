@@ -6,7 +6,9 @@ import pytest
 from repro.core.cost_model import layer_cycles
 from repro.core.datatypes import FIXED16, FLOAT32
 from repro.core.layer import ConvLayer
-from repro.networks import alexnet, squeezenet
+from repro.fpga.parts import budget_for
+from repro.networks import alexnet, get_network, squeezenet
+from repro.opt import optimize_multi_clp
 from repro.opt.compute import SegmentSearch
 from repro.opt.heuristics import order_by_nm_distance
 
@@ -192,7 +194,8 @@ def test_batched_lookup_matches_per_row_search(any_search):
         matrix = any_search._segment_dsp_matrix(target)
         for (i, j), row in rows.items():
             expected = _per_row_dsp(any_search, row, target)
-            assert matrix[i][j] == expected, (target, i, j)
+            cost = np.inf if expected is None else expected
+            assert matrix[i, j] == cost, (target, i, j)
             assert any_search.min_dsp_for(i, j, target) == expected
 
 
@@ -210,3 +213,58 @@ def test_lifted_frontier_refuses_int64_overflow():
     ]
     with pytest.raises(OverflowError, match="overflow int64"):
         SegmentSearch(layers, FLOAT32, dsp_budget=50, tn_max=2, tm_max=2)
+
+
+# ---------------------------------------------- partition-DP differential
+def _scan_candidates(search, cycle_target, max_clps):
+    """Oracle: the DP as per-cell scans over nested lists, taking the
+    strict-``<`` first minimum over split points."""
+    count = len(search.layers)
+    seg_dsp = [
+        [search.min_dsp_for(i, j, cycle_target) if i < j else None
+         for j in range(count + 1)]
+        for i in range(count + 1)
+    ]
+    infinity = float("inf")
+    dp = [[infinity] * (count + 1) for _ in range(max_clps + 1)]
+    parent = [[-1] * (count + 1) for _ in range(max_clps + 1)]
+    dp[0][0] = 0.0
+    for k in range(1, max_clps + 1):
+        for j in range(1, count + 1):
+            for i in range(k - 1, j):
+                if dp[k - 1][i] == infinity or seg_dsp[i][j] is None:
+                    continue
+                total = dp[k - 1][i] + seg_dsp[i][j]
+                if total < dp[k][j]:
+                    dp[k][j] = total
+                    parent[k][j] = i
+    results = [
+        search._assemble(np.array(parent), k, count, cycle_target)
+        for k in range(1, max_clps + 1)
+        if dp[k][count] <= search.dsp_budget
+    ]
+    return sorted(results, key=lambda cand: (cand.total_dsp, cand.num_clps))
+
+
+@pytest.mark.parametrize("dtype", [FLOAT32, FIXED16], ids=lambda d: d.label)
+@pytest.mark.parametrize("part", ["485t", "690t"])
+@pytest.mark.parametrize(
+    "network", ["alexnet", "vggnet-e", "squeezenet", "googlenet"]
+)
+def test_candidates_match_scan_dp(network, part, dtype, monkeypatch):
+    """At every relaxation target `optimize_multi_clp` visits, single- and
+    multi-CLP, the array DP returns the scan's candidates in order."""
+    seen = []
+    candidates = SegmentSearch.candidates
+
+    def spy(search, cycle_target, max_clps):
+        found = candidates(search, cycle_target, max_clps)
+        seen.append(found == _scan_candidates(search, cycle_target, max_clps))
+        return found
+
+    monkeypatch.setattr(SegmentSearch, "candidates", spy)
+    for max_clps in (1, 6):
+        optimize_multi_clp(
+            get_network(network), budget_for(part), dtype, max_clps=max_clps
+        )
+    assert seen and all(seen)

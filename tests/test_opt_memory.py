@@ -1,7 +1,13 @@
 """Tests for OptimizeMemory: tile planning and BRAM allocation."""
 
-import pytest
+from collections import Counter
+from math import ceil
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.bandwidth import layer_transfer
 from repro.core.cost_model import bram_count, buffer_spec
 from repro.core.datatypes import FIXED16, FLOAT32
 from repro.core.layer import ConvLayer, input_extent
@@ -14,6 +20,7 @@ from repro.opt.memory import (
     MAX_CURVE_POINTS,
     _CurvePoint,
     _sample,
+    _tile_sizes,
     clp_pareto,
     optimize_memory,
     system_tradeoff_curve,
@@ -297,7 +304,9 @@ def _structured_candidates(network, part, dtype, monkeypatch):
 
 @pytest.mark.parametrize("dtype", [FLOAT32, FIXED16], ids=lambda d: d.label)
 @pytest.mark.parametrize("part", ["485t", "690t"])
-@pytest.mark.parametrize("network", ["alexnet", "squeezenet", "googlenet"])
+@pytest.mark.parametrize(
+    "network", ["alexnet", "squeezenet", "googlenet", "vggnet-e"]
+)
 def test_first_fit_structure_matches_min_scan(network, part, dtype, monkeypatch):
     seen = _structured_candidates(network, part, dtype, monkeypatch)
     assert seen
@@ -305,3 +314,131 @@ def test_first_fit_structure_matches_min_scan(network, part, dtype, monkeypatch)
         assert memory._clp_curve_structure(candidate, dtype) == (
             _min_scan_structure(candidate, dtype)
         ), (candidate.tn, candidate.tm, [l.name for l in candidate.layers])
+
+
+@st.composite
+def small_clps(draw):
+    """A CLP of 1-4 small random layers; distinct plans often tie on
+    (BRAM, transfer words), so the order points are found in matters."""
+    layers = tuple(
+        ConvLayer(
+            f"l{index}", n=draw(st.integers(1, 64)), m=draw(st.integers(1, 64)),
+            r=draw(st.integers(1, 30)), c=draw(st.integers(1, 30)),
+            k=draw(st.sampled_from([1, 3, 5])), s=draw(st.integers(1, 2)),
+        )
+        for index in range(draw(st.integers(1, 4)))
+    )
+    return make_candidate(draw(st.integers(1, 16)), draw(st.integers(1, 64)), layers)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_clps(), st.sampled_from([FLOAT32, FIXED16]))
+@example(
+    make_candidate(16, 31, [
+        ConvLayer("a", n=42, m=18, r=11, c=14, k=1),
+        ConvLayer("b", n=13, m=49, r=30, c=18, k=3, s=2),
+    ]),
+    FLOAT32,
+)
+def test_first_fit_structure_matches_min_scan_on_random_clps(candidate, dtype):
+    assert memory._clp_curve_structure(candidate, dtype) == (
+        _min_scan_structure(candidate, dtype)
+    )
+
+
+# ------------------------------------------------ tile-option differential
+def _scan_tile_candidates(layer, tn, tm):
+    """Oracle: every (Tr, Tc) through ``layer_transfer``, a stable sort on
+    transfer volume, then a scan that drops an option when some kept
+    option needs no bigger input and output banks."""
+    def sizes(extent):
+        return sorted({ceil(extent / steps) for steps in range(1, extent + 1)})
+
+    raw = [
+        (tr, tc, layer_transfer(layer, tn, tm, tr, tc))
+        for tr in sizes(layer.r)
+        for tc in sizes(layer.c)
+    ]
+    raw.sort(key=lambda option: option[2].total_words)
+    kept, kept_banks = [], []
+    for tr, tc, transfer in raw:
+        in_words = input_extent(tr, layer.s, layer.k) * input_extent(
+            tc, layer.s, layer.k
+        )
+        if any(k_in <= in_words and k_out <= tr * tc for k_in, k_out in kept_banks):
+            continue
+        kept.append((tr, tc, transfer))
+        kept_banks.append((in_words, tr * tc))
+    return tuple(kept)
+
+
+@st.composite
+def tile_problems(draw):
+    """A layer and grid; square maps and S == K force volume ties."""
+    r = draw(st.integers(1, 60))
+    c = r if draw(st.booleans()) else draw(st.integers(1, 60))
+    k = draw(st.integers(1, 11))
+    s = k if draw(st.booleans()) else draw(st.integers(1, 4))
+    layer = ConvLayer(
+        "prop", n=draw(st.integers(1, 512)), m=draw(st.integers(1, 512)),
+        r=r, c=c, k=k, s=s,
+    )
+    return layer, draw(st.integers(1, 64)), draw(st.integers(1, 512))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tile_problems())
+@example((ConvLayer("1x1", n=1, m=1, r=1, c=1, k=1), 1, 1))
+@example((ConvLayer("k1s2", n=64, m=128, r=28, c=28, k=1, s=2), 64, 512))
+@example((ConvLayer("vgg1", n=3, m=64, r=224, c=224, k=3), 64, 512))
+def test_tile_candidates_match_scan(problem):
+    layer, tn, tm = problem
+    options = tile_candidates.__wrapped__(layer, tn, tm)
+    assert options == _scan_tile_candidates(layer, tn, tm)
+    assert all(type(tr) is int and type(tc) is int for tr, tc, _ in options)
+
+
+def test_tied_volumes_keep_scan_order():
+    # R == C and S == K: (Tr, Tc) and (Tc, Tr) move the same words, so
+    # the order among ties decides which options survive.
+    layer = ConvLayer("tie", n=32, m=64, r=20, c=20, k=2, s=2)
+    words = [
+        layer_transfer(layer, 8, 16, tr, tc).total_words
+        for tr in _tile_sizes(20) for tc in _tile_sizes(20)
+    ]
+    assert len(set(words)) < len(words)
+    assert tile_candidates.__wrapped__(layer, 8, 16) == (
+        _scan_tile_candidates(layer, 8, 16)
+    )
+
+
+# ------------------------------------------------- cold-cache contract
+def test_cleared_caches_leave_a_cold_solve(monkeypatch):
+    """Emptying ``_STRUCTURE_CACHE`` and ``tile_candidates``' cache -- the
+    two memo tables perfbench's ``clear_optimizer_caches()`` empties --
+    makes a solve redo all of its tile and frontier work, so the
+    benchmark keeps timing a cold optimizer."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def spy(*args):
+            counts[name] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(
+        memory, "layer_transfer", counted("transfer", memory.layer_transfer)
+    )
+    monkeypatch.setattr(
+        memory, "_clp_curve_structure",
+        counted("structure", memory._clp_curve_structure),
+    )
+    solves = []
+    for _ in range(2):
+        memory._STRUCTURE_CACHE.clear()
+        memory.tile_candidates.cache_clear()
+        counts.clear()
+        optimize_multi_clp(get_network("alexnet"), budget_for("485t"), FLOAT32)
+        solves.append(dict(counts))
+    assert solves[0]["transfer"] > 0 and solves[0]["structure"] > 0
+    assert solves[1] == solves[0]
