@@ -1,31 +1,20 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-table benchmarks.
 
 Every ``bench_*`` module regenerates one table or figure of the paper,
 asserts the reproduction bands (who wins, by roughly what factor), and
 writes the formatted artifact to ``benchmarks/results/`` so the numbers
-recorded in EXPERIMENTS.md can be re-derived at any time.
+quoted in README.md can be re-derived at any time.  Engine speed and
+correctness gates live in ``tests/test_engine_gates.py``; throughput
+over time is measured by ``perfbench/``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: ``BENCH_SMOKE=1`` shrinks workloads so CI can run the perf harness on
-#: every push (trajectory tracking, not absolute numbers).  The emitted
-#: JSON records the mode so a smoke datapoint is never compared against
-#: a full one.
-SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
-
-
-def bench_scale(full: int, smoke: int) -> int:
-    """Workload size for the current mode (full run vs CI smoke)."""
-    return smoke if SMOKE else full
 
 
 @pytest.fixture(scope="session")
@@ -42,24 +31,5 @@ def record_artifact(results_dir):
         path = results_dir / f"{name}.txt"
         path.write_text(text + "\n")
         print(f"\n{text}\n[written to {path}]")
-
-    return _record
-
-
-@pytest.fixture
-def record_bench_json(results_dir):
-    """Write machine-readable benchmark numbers (``BENCH_<name>.json``).
-
-    The perf trajectory lives in these files: CI runs the benchmarks in
-    smoke mode and uploads the JSON as artifacts, so req/s and wall time
-    can be charted across commits instead of eyeballed in text logs.
-    """
-
-    def _record(name: str, payload: dict) -> None:
-        record = {"benchmark": name, "smoke": SMOKE}
-        record.update(payload)
-        path = results_dir / f"BENCH_{name}.json"
-        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        print(f"[bench json written to {path}]")
 
     return _record

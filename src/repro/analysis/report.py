@@ -6,8 +6,8 @@ Two layers:
   :func:`sparkline`) used by every ``format()`` method in the repo.
 * The Markdown report harness: :func:`render_run_report` reduces one or
   many serve/fleet run records to a one-page summary — run table,
-  cross-run/seed aggregates, SLO attainment, resilience, time-series
-  sparklines, and the benchmark history trajectory — and
+  cross-run/seed aggregates, SLO attainment, resilience, overload and
+  time-series sparklines — and
   :func:`render_report` dispatches ``repro report``'s argument (a run
   JSON, a directory of them, or a DSE result store).
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 __all__ = [
     "render_table",
@@ -474,55 +474,6 @@ def _timeseries_section(results: Sequence[Any]) -> Optional[str]:
     return f"## Time series\n\n{body}"
 
 
-def _bench_section(history_path: str) -> Optional[str]:
-    """Perf trajectory from the committed BENCH ``history.jsonl``."""
-    if not os.path.exists(history_path):
-        return None
-    trajectory: Dict[str, List[Tuple[str, float, bool]]] = {}
-    with open(history_path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # tolerate corrupt lines like the result store
-            commit = str(record.get("commit", "?"))
-            for name, entry in sorted(record.get("entries", {}).items()):
-                rps = entry.get("requests_per_s")
-                if rps is None:
-                    continue
-                trajectory.setdefault(name, []).append(
-                    (commit, float(rps), bool(entry.get("smoke", False)))
-                )
-    if not trajectory:
-        return None
-    rows = []
-    for name in sorted(trajectory):
-        points = trajectory[name]
-        values = [rps for _, rps, _ in points]
-        first, last = values[0], values[-1]
-        delta = (last - first) / first * 100.0 if first else 0.0
-        modes = {smoke for _, _, smoke in points}
-        rows.append(
-            (
-                name,
-                len(points),
-                sparkline(values),
-                f"{last:,.0f}",
-                f"{delta:+.1f}%",
-                "smoke" if modes == {True}
-                else "full" if modes == {False} else "mixed",
-            )
-        )
-    table = markdown_table(
-        ("benchmark", "points", "trend", "latest r/s", "since first", "mode"),
-        rows,
-    )
-    return f"## Benchmark trajectory\n\n{table}"
-
-
 # --------------------------------------------------------------------- report
 
 
@@ -532,7 +483,6 @@ def render_run_report(
     *,
     title: str = "Run report",
     slo: Optional["SLOSpec"] = None,
-    history_path: Optional[str] = None,
 ) -> str:
     """One-page Markdown summary of one or more serve/fleet runs."""
     if not results:
@@ -548,8 +498,6 @@ def render_run_report(
         _overload_section(results),
         _timeseries_section(results),
     ]
-    if history_path is not None:
-        sections.append(_bench_section(history_path))
     return "\n\n".join(s for s in sections if s is not None) + "\n"
 
 
@@ -588,12 +536,7 @@ def render_store_report(path: str, *, title: str = "Sweep report") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report(
-    path: str,
-    *,
-    slo: Optional["SLOSpec"] = None,
-    history_path: Optional[str] = None,
-) -> str:
+def render_report(path: str, *, slo: Optional["SLOSpec"] = None) -> str:
     """Render ``repro report``'s argument, whatever shape it is.
 
     A ``.jsonl`` file is a DSE result store; a ``.json`` file is one
@@ -610,16 +553,12 @@ def render_report(
         for candidate in candidates:
             try:
                 results.append(load_run(candidate))
-            except (ValueError, KeyError):
+            except ValueError:
                 continue  # designs, scenario specs — not run records
             sources.append(candidate)
         if not results:
             raise ValueError(f"no run records found under {path}")
-        return render_run_report(
-            results, sources, slo=slo, history_path=history_path
-        )
+        return render_run_report(results, sources, slo=slo)
     if path.endswith(".jsonl"):
         return render_store_report(path)
-    return render_run_report(
-        [load_run(path)], [path], slo=slo, history_path=history_path
-    )
+    return render_run_report([load_run(path)], [path], slo=slo)

@@ -471,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a Markdown report over saved runs",
         description="One-page Markdown summary of saved run records: "
         "run table, cross-run aggregates, SLO attainment, resilience, "
-        "time-series sparklines, and (with --bench-history) the "
-        "benchmark perf trajectory.",
+        "overload control and time-series sparklines.",
     )
     rep.add_argument("path", metavar="PATH",
                      help="a serve/fleet run JSON (from --save), a "
@@ -484,9 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--max-drop-rate", type=float, default=0.0)
     rep.add_argument("--min-throughput", type=float, default=None,
                      metavar="RPS")
-    rep.add_argument("--bench-history", metavar="FILE", default=None,
-                     help="BENCH history.jsonl for the perf-trajectory "
-                     "section")
 
     hls = sub.add_parser("hls", help="emit HLS C++ for an optimized design")
     hls.add_argument("--network", default="alexnet", choices=available_networks())
@@ -1126,9 +1122,7 @@ def _cmd_report(args: argparse.Namespace) -> str:
             min_throughput_rps=args.min_throughput,
         )
     try:
-        text = render_report(
-            args.path, slo=slo, history_path=args.bench_history
-        )
+        text = render_report(args.path, slo=slo)
     except (ValueError, OSError, KeyError) as exc:
         raise SystemExit(f"repro report: error: {exc}") from None
     if args.out:

@@ -307,6 +307,19 @@ def timeseries_from_dict(
     )
 
 
+def _malformed(kind: str, exc: Exception) -> ValueError:
+    """One clear error for a run record that lacks a key or has a bad value.
+
+    Names the record kind and, for a missing key, the key, so ``repro
+    report`` says which record failed instead of printing a bare key.
+    """
+    if isinstance(exc, KeyError):
+        return ValueError(
+            f"malformed {kind} run record: missing key {exc.args[0]!r}"
+        )
+    return ValueError(f"malformed {kind} run record: {exc}")
+
+
 def serve_result_from_dict(data: Dict[str, Any]) -> "ServeResult":
     from ..serve.metrics import ServeResult
 
@@ -316,24 +329,29 @@ def serve_result_from_dict(data: Dict[str, Any]) -> "ServeResult":
             f"unsupported serve-result schema {schema!r}; "
             f"expected {SERVE_SCHEMA_VERSION}"
         )
-    tenants = [_tenant_stats_from_dict(entry) for entry in data["tenants"]]
-    return ServeResult(
-        design_label=data["design_label"],
-        num_clps=int(data["num_clps"]),
-        epoch_cycles=float(data["epoch_cycles"]),
-        pipeline_depths=tuple(int(d) for d in data["pipeline_depths"]),
-        frequency_mhz=float(data["frequency_mhz"]),
-        horizon_cycles=float(data["horizon_cycles"]),
-        elapsed_cycles=float(data["elapsed_cycles"]),
-        seed=int(data["seed"]),
-        queue_depth=int(data["queue_depth"]),
-        policy=data["policy"],
-        drained=bool(data["drained"]),
-        tenants=tuple(tenants),
-        clp_busy_fraction=tuple(float(f) for f in data["clp_busy_fraction"]),
-        timeseries=timeseries_from_dict(data.get("timeseries")),
-        overload=_overload_from_dict(data.get("overload")),
-    )
+    try:
+        tenants = [_tenant_stats_from_dict(entry) for entry in data["tenants"]]
+        return ServeResult(
+            design_label=data["design_label"],
+            num_clps=int(data["num_clps"]),
+            epoch_cycles=float(data["epoch_cycles"]),
+            pipeline_depths=tuple(int(d) for d in data["pipeline_depths"]),
+            frequency_mhz=float(data["frequency_mhz"]),
+            horizon_cycles=float(data["horizon_cycles"]),
+            elapsed_cycles=float(data["elapsed_cycles"]),
+            seed=int(data["seed"]),
+            queue_depth=int(data["queue_depth"]),
+            policy=data["policy"],
+            drained=bool(data["drained"]),
+            tenants=tuple(tenants),
+            clp_busy_fraction=tuple(
+                float(f) for f in data["clp_busy_fraction"]
+            ),
+            timeseries=timeseries_from_dict(data.get("timeseries")),
+            overload=_overload_from_dict(data.get("overload")),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed("serve", exc) from exc
 
 
 def _overload_from_dict(
@@ -384,44 +402,50 @@ def fleet_result_from_dict(data: Dict[str, Any]) -> "FleetResult":
             f"unsupported fleet-result schema {schema!r}; "
             f"expected {FLEET_SCHEMA_VERSION}"
         )
-    replicas = [
-        ReplicaStats(
-            label=entry["label"],
-            part=entry.get("part"),
-            epoch_cycles=float(entry["epoch_cycles"]),
-            pipeline_depths=tuple(int(d) for d in entry["pipeline_depths"]),
+    try:
+        replicas = [
+            ReplicaStats(
+                label=entry["label"],
+                part=entry.get("part"),
+                epoch_cycles=float(entry["epoch_cycles"]),
+                pipeline_depths=tuple(
+                    int(d) for d in entry["pipeline_depths"]
+                ),
+                tenants=tuple(
+                    _tenant_stats_from_dict(t) for t in entry["tenants"]
+                ),
+                clp_busy_fraction=tuple(
+                    float(f) for f in entry["clp_busy_fraction"]
+                ),
+            )
+            for entry in data["replicas"]
+        ]
+        return FleetResult(
+            balancer=data["balancer"],
+            num_replicas=int(data["num_replicas"]),
+            frequency_mhz=float(data["frequency_mhz"]),
+            horizon_cycles=float(data["horizon_cycles"]),
+            elapsed_cycles=float(data["elapsed_cycles"]),
+            seed=int(data["seed"]),
+            queue_depth=int(data["queue_depth"]),
+            policy=data["policy"],
+            drained=bool(data["drained"]),
             tenants=tuple(
-                _tenant_stats_from_dict(t) for t in entry["tenants"]
+                _tenant_stats_from_dict(entry) for entry in data["tenants"]
             ),
-            clp_busy_fraction=tuple(
-                float(f) for f in entry["clp_busy_fraction"]
+            replicas=tuple(replicas),
+            scenario=data.get("scenario"),
+            incidents=tuple(
+                _incident_from_dict(entry)
+                for entry in data.get("incidents", ())
             ),
+            resilience=_resilience_from_dict(data.get("resilience")),
+            timeseries=timeseries_from_dict(data.get("timeseries")),
+            overload=_overload_from_dict(data.get("overload")),
+            detector=_detector_from_dict(data.get("detector")),
         )
-        for entry in data["replicas"]
-    ]
-    return FleetResult(
-        balancer=data["balancer"],
-        num_replicas=int(data["num_replicas"]),
-        frequency_mhz=float(data["frequency_mhz"]),
-        horizon_cycles=float(data["horizon_cycles"]),
-        elapsed_cycles=float(data["elapsed_cycles"]),
-        seed=int(data["seed"]),
-        queue_depth=int(data["queue_depth"]),
-        policy=data["policy"],
-        drained=bool(data["drained"]),
-        tenants=tuple(
-            _tenant_stats_from_dict(entry) for entry in data["tenants"]
-        ),
-        replicas=tuple(replicas),
-        scenario=data.get("scenario"),
-        incidents=tuple(
-            _incident_from_dict(entry) for entry in data.get("incidents", ())
-        ),
-        resilience=_resilience_from_dict(data.get("resilience")),
-        timeseries=timeseries_from_dict(data.get("timeseries")),
-        overload=_overload_from_dict(data.get("overload")),
-        detector=_detector_from_dict(data.get("detector")),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _malformed("fleet", exc) from exc
 
 
 def _detector_from_dict(

@@ -143,26 +143,6 @@ class TestRunReport:
         )
         assert "(no SLO given" not in text
 
-    def test_bench_history_section(self, sample_result, tmp_path):
-        import json
-
-        from repro.analysis.report import render_run_report
-
-        history = tmp_path / "history.jsonl"
-        rows = [
-            {"commit": "a", "entries": {"serve": {"requests_per_s": 100.0}}},
-            {"commit": "b", "entries": {"serve": {"requests_per_s": 150.0}}},
-        ]
-        history.write_text(
-            "\n".join(json.dumps(row) for row in rows) + "\nnot json\n"
-        )
-        path, result = sample_result
-        text = render_run_report(
-            [result], [path], history_path=str(history)
-        )
-        assert "## Benchmark trajectory" in text
-        assert "+50.0%" in text
-
     def test_render_report_dispatches_directory(self, sample_result, tmp_path):
         import shutil
 

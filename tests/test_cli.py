@@ -123,6 +123,19 @@ class TestReportCommand:
         with pytest.raises(SystemExit):
             main(["report", "/nonexistent/run.json"])
 
+    def test_report_on_malformed_record_names_the_key(self, tmp_path):
+        with open(SAMPLE_RUN) as handle:
+            record = json.load(handle)
+        del record["tenants"]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", str(path)])
+        assert str(excinfo.value) == (
+            "repro report: error: malformed fleet run record: "
+            "missing key 'tenants'"
+        )
+
 
 class TestServeObsFlags:
     @pytest.fixture(scope="class")

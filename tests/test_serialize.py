@@ -1,6 +1,7 @@
-"""Tests for design/network JSON serialization."""
+"""Tests for design/network/run-record JSON serialization."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -14,11 +15,13 @@ from repro.core.serialize import (
     design_from_dict,
     design_to_dict,
     dump_design,
+    fleet_result_from_dict,
     layer_from_dict,
     layer_to_dict,
     load_design,
     network_from_dict,
     network_to_dict,
+    serve_result_from_dict,
 )
 from repro.networks import alexnet
 
@@ -107,3 +110,60 @@ class TestDesignRoundTrip:
         assert restored.arithmetic_utilization == pytest.approx(
             design.arithmetic_utilization
         )
+
+
+# ----------------------------------------------------------- run records
+DATA_DIR = pathlib.Path(__file__).parent / "data"
+
+
+def _fleet_record():
+    return json.loads((DATA_DIR / "sample_fleet_run.json").read_text())
+
+
+def _serve_record():
+    runs = json.loads((DATA_DIR / "serve_pinned_runs.json").read_text())
+    return runs["event-joint"]
+
+
+_RECORDS = {
+    "fleet": (_fleet_record, fleet_result_from_dict),
+    "serve": (_serve_record, serve_result_from_dict),
+}
+
+#: Every top-level key of both records, plus one nested tenant key.
+_DELETIONS = [
+    (kind, (key,)) for kind, (make, _) in _RECORDS.items() for key in make()
+] + [
+    ("fleet", ("tenants", 0, "arrivals")),
+    ("serve", ("tenants", 0, "arrivals")),
+]
+
+
+class TestMalformedRunRecords:
+    @pytest.mark.parametrize(
+        "kind, path",
+        _DELETIONS,
+        ids=[f"{kind}-{'.'.join(map(str, p))}" for kind, p in _DELETIONS],
+    )
+    def test_missing_key_loads_or_names_the_key(self, kind, path):
+        make, load = _RECORDS[kind]
+        record = make()
+        parent = record
+        for step in path[:-1]:
+            parent = parent[step]
+        del parent[path[-1]]
+        # Optional keys load; required ones fail with a ValueError that
+        # names the key.  A bare KeyError or TypeError fails the test.
+        try:
+            load(record)
+        except ValueError as exc:
+            assert path[-1] in str(exc)
+
+    @pytest.mark.parametrize("arrivals", ["many", None])
+    @pytest.mark.parametrize("kind", sorted(_RECORDS))
+    def test_mistyped_count_names_the_record_kind(self, kind, arrivals):
+        make, load = _RECORDS[kind]
+        record = make()
+        record["tenants"][0]["arrivals"] = arrivals
+        with pytest.raises(ValueError, match=f"malformed {kind} run record"):
+            load(record)
