@@ -1,15 +1,49 @@
-"""JSON (de)serialization of networks, CLPs, and designs.
+"""JSON (de)serialization of designs, run records, and specs.
 
 Optimization runs are cheap but not free; a deployment flow wants to
 pin the chosen accelerator configuration in version control and reload
 it for HLS generation, simulation, or scheduling without re-searching.
 The format is plain JSON with a schema version for forward evolution.
+
+Designs (layer, network, CLP, budget, design) have hand-written
+loaders, because CLP records refer to the network's layers by name.
+Every other record — serve and fleet results with everything they
+embed, scenario, fault, surge, overload, detector and SLO specs — goes
+through one codec driven by the dataclass fields and their type hints
+(:func:`to_record` / :func:`from_record`).  The codec's contract:
+
+1. A field declared with :func:`omit_default` is left out of the record
+   when it equals its default, so a record written by a run that never
+   used a later feature is byte-identical to one written before it.
+2. An absent key loads as the field's default (``None`` for an
+   ``Optional`` field without one).
+3. Unknown keys are ignored (forward compatibility).
+4. A missing required key or a mistyped value raises
+   ``ValueError("malformed <kind> record: ...")`` naming the key.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+import reprlib
+from contextlib import contextmanager
+from dataclasses import MISSING, field, fields, is_dataclass
+from functools import lru_cache
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from .clp import CLPConfig
 from .datatypes import DataType
@@ -30,6 +64,9 @@ __all__ = [
     "design_from_dict",
     "dump_design",
     "load_design",
+    "omit_default",
+    "to_record",
+    "from_record",
     "serve_result_to_dict",
     "serve_result_from_dict",
     "dump_serve_result",
@@ -58,6 +95,29 @@ FLEET_SCHEMA_VERSION = 1
 
 SCENARIO_SCHEMA_VERSION = 1
 
+T = TypeVar("T")
+
+
+class _MalformedRecord(ValueError):
+    """The one error a bad record raises; a ``ValueError`` for callers."""
+
+
+# ------------------------------------------------------------------ designs
+@contextmanager
+def _design_record() -> Iterator[None]:
+    """Turn a design loader's bare lookup/conversion error into a
+    ``malformed design record`` error naming the missing key."""
+    try:
+        yield
+    except _MalformedRecord:
+        raise
+    except KeyError as exc:
+        raise _MalformedRecord(
+            f"malformed design record: missing key {exc.args[0]!r}"
+        ) from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise _MalformedRecord(f"malformed design record: {exc}") from None
+
 
 def layer_to_dict(layer: ConvLayer) -> Dict[str, Any]:
     return {
@@ -72,7 +132,7 @@ def layer_to_dict(layer: ConvLayer) -> Dict[str, Any]:
 
 
 def layer_from_dict(data: Dict[str, Any]) -> ConvLayer:
-    try:
+    with _design_record():
         return ConvLayer(
             name=data["name"],
             n=int(data["n"]),
@@ -82,8 +142,6 @@ def layer_from_dict(data: Dict[str, Any]) -> ConvLayer:
             k=int(data["k"]),
             s=int(data["s"]),
         )
-    except KeyError as missing:
-        raise ValueError(f"layer record missing field {missing}") from None
 
 
 def network_to_dict(network: Network) -> Dict[str, Any]:
@@ -94,9 +152,11 @@ def network_to_dict(network: Network) -> Dict[str, Any]:
 
 
 def network_from_dict(data: Dict[str, Any]) -> Network:
-    return Network(
-        data["name"], [layer_from_dict(entry) for entry in data["layers"]]
-    )
+    with _design_record():
+        return Network(
+            data["name"],
+            [layer_from_dict(entry) for entry in data["layers"]],
+        )
 
 
 def clp_to_dict(clp: CLPConfig) -> Dict[str, Any]:
@@ -113,14 +173,15 @@ def clp_from_dict(
     record: Dict[str, Any], network: Network, dtype: DataType
 ) -> CLPConfig:
     """Rebuild a CLP from its record, resolving layer names in ``network``."""
-    layers = [network.layer_by_name(name) for name in record["layers"]]
-    return CLPConfig(
-        tn=int(record["tn"]),
-        tm=int(record["tm"]),
-        layers=layers,
-        dtype=dtype,
-        tile_plans=[tuple(plan) for plan in record["tile_plans"]],
-    )
+    with _design_record():
+        layers = [network.layer_by_name(name) for name in record["layers"]]
+        return CLPConfig(
+            tn=int(record["tn"]),
+            tm=int(record["tm"]),
+            layers=layers,
+            dtype=dtype,
+            tile_plans=[tuple(plan) for plan in record["tile_plans"]],
+        )
 
 
 def budget_to_dict(budget: "ResourceBudget") -> Dict[str, Any]:
@@ -135,15 +196,16 @@ def budget_to_dict(budget: "ResourceBudget") -> Dict[str, Any]:
 def budget_from_dict(data: Dict[str, Any]) -> "ResourceBudget":
     from ..fpga.parts import ResourceBudget
 
-    return ResourceBudget(
-        dsp=int(data["dsp"]),
-        bram18k=int(data["bram18k"]),
-        bandwidth_gbps=(
-            None if data.get("bandwidth_gbps") is None
-            else float(data["bandwidth_gbps"])
-        ),
-        frequency_mhz=float(data.get("frequency_mhz", 100.0)),
-    )
+    with _design_record():
+        return ResourceBudget(
+            dsp=int(data["dsp"]),
+            bram18k=int(data["bram18k"]),
+            bandwidth_gbps=(
+                None if data.get("bandwidth_gbps") is None
+                else float(data["bandwidth_gbps"])
+            ),
+            frequency_mhz=float(data.get("frequency_mhz", 100.0)),
+        )
 
 
 def design_to_dict(design: MultiCLPDesign) -> Dict[str, Any]:
@@ -164,19 +226,262 @@ def design_to_dict(design: MultiCLPDesign) -> Dict[str, Any]:
 
 
 def design_from_dict(data: Dict[str, Any]) -> MultiCLPDesign:
-    schema = data.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported design schema {schema!r}; expected {SCHEMA_VERSION}"
+    _check_schema(data, SCHEMA_VERSION, "design")
+    with _design_record():
+        network = network_from_dict(data["network"])
+        dtype = DataType.from_name(data["dtype"])
+        clps: List[CLPConfig] = [
+            clp_from_dict(record, network, dtype) for record in data["clps"]
+        ]
+        return MultiCLPDesign(network=network, clps=clps, dtype=dtype)
+
+
+# ------------------------------------------------------------- record codec
+_OMIT = "omit_default"
+
+
+def omit_default(default: Any) -> Any:
+    """A dataclass field that records leave out while it equals ``default``."""
+    return field(default=default, metadata={_OMIT: True})
+
+
+class _Bad(Exception):
+    """A decoding failure; ``path`` collects the keys, innermost first."""
+
+    def __init__(self, detail: str) -> None:
+        super().__init__(detail)
+        self.detail = detail
+        self.path: List[Union[str, int]] = []
+
+
+def _expect(value: Any, name: str, *types: type) -> Any:
+    if type(value) in types:
+        return value
+    got = f"{type(value).__name__} {reprlib.repr(value)}"
+    raise _Bad(f"expected {name}, got {got}")
+
+
+def _scalar(name: str, *types: type) -> Callable[[Any], Any]:
+    def decode(value: Any) -> Any:
+        return value if type(value) in types else _expect(value, name, *types)
+
+    return decode
+
+
+#: The JSON types each scalar hint accepts.  Values load unchanged (an
+#: int fits a float field), so a loaded record re-dumps byte for byte.
+_JSON_TYPES = {int: (int,), float: (float, int), str: (str,), bool: (bool,)}
+
+_Encode = Optional[Callable[[Any], Any]]
+_Decode = Callable[[Any], Any]
+
+
+def _sequence(decode: _Decode) -> _Decode:
+    def load(value: Any) -> Tuple[Any, ...]:
+        items = []
+        for index, item in enumerate(_expect(value, "a list", list, tuple)):
+            try:
+                items.append(decode(item))
+            except _Bad as exc:
+                exc.path.append(index)
+                raise
+        return tuple(items)
+
+    return load
+
+
+def _mapping(decode: _Decode) -> _Decode:
+    def load(value: Any) -> Dict[str, Any]:
+        items = {}
+        for key, item in _expect(value, "an object", dict).items():
+            try:
+                items[key] = decode(item)
+            except _Bad as exc:
+                exc.path.append(key)
+                raise
+        return items
+
+    return load
+
+
+def _codec(hint: Any) -> Tuple[_Encode, _Decode]:
+    """``(encode, decode)`` for one field type; ``encode`` is ``None``
+    where the value is already JSON-ready."""
+    if hint in _JSON_TYPES:
+        return None, _scalar(hint.__name__, *_JSON_TYPES[hint])
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        if inner in _JSON_TYPES:
+            name = f"{inner.__name__} or null"
+            return None, _scalar(name, *_JSON_TYPES[inner], type(None))
+        encode, decode = _codec(inner)
+        return (
+            None if encode is None
+            else lambda value: None if value is None else encode(value),
+            lambda value: None if value is None else decode(value),
         )
-    network = network_from_dict(data["network"])
-    dtype = DataType.from_name(data["dtype"])
-    clps: List[CLPConfig] = [
-        clp_from_dict(record, network, dtype) for record in data["clps"]
-    ]
-    return MultiCLPDesign(network=network, clps=clps, dtype=dtype)
+    if origin is tuple:  # Tuple[X, ...]
+        encode, decode = _codec(args[0])
+        return (
+            list if encode is None
+            else lambda value: [encode(item) for item in value],
+            _sequence(decode),
+        )
+    if origin is dict:  # Dict[str, X]
+        encode, decode = _codec(args[1])
+        return (
+            dict if encode is None
+            else lambda value: {k: encode(v) for k, v in value.items()},
+            _mapping(decode),
+        )
+    if isinstance(hint, type) and (is_dataclass(hint) or hasattr(hint, "kind")):
+        schema = _schema(hint)
+        return schema.encode, schema.decode
+    return None, lambda value: value
 
 
+_REQUIRED = object()
+_DEFAULT = object()
+
+
+class _Record:
+    """The codec of one record dataclass, resolved once per class.
+
+    A dataclass with a string ``kind`` class attribute (a fault or a
+    surge shape) writes it as a leading ``kind`` key.
+    """
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+        hints = get_type_hints(cls, localns=_forward_refs())
+        self.tag = getattr(cls, "kind", None)
+        self.writes: List[Tuple[str, _Encode, bool, Any]] = []
+        self.reads: List[Tuple[str, _Decode, Any]] = []
+        for spec in fields(cls):
+            encode, decode = _codec(hints[spec.name])
+            if spec.default is not MISSING or spec.default_factory is not MISSING:
+                absent = _DEFAULT
+            else:  # ``Optional`` loads as None, anything else is required
+                optional = type(None) in get_args(hints[spec.name])
+                absent = None if optional else _REQUIRED
+            self.writes.append(
+                (spec.name, encode, spec.metadata.get(_OMIT, False), spec.default)
+            )
+            self.reads.append((spec.name, decode, absent))
+
+    def encode(self, value: Any) -> Dict[str, Any]:
+        record: Dict[str, Any] = {} if self.tag is None else {"kind": self.tag}
+        for name, encode, omit, default in self.writes:
+            item = getattr(value, name)
+            if omit and item == default:
+                continue
+            record[name] = item if encode is None else encode(item)
+        return record
+
+    def decode(self, data: Any) -> Any:
+        _expect(data, "an object", dict)
+        kwargs = {}
+        for name, decode, absent in self.reads:
+            if name in data:
+                try:
+                    kwargs[name] = decode(data[name])
+                except _Bad as exc:
+                    exc.path.append(name)
+                    raise
+            elif absent is _REQUIRED:
+                raise _Bad(f"missing key {name!r}")
+            elif absent is None:
+                kwargs[name] = None
+        try:
+            return self.cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise _Bad(str(exc)) from None
+
+
+class _Tagged:
+    """The codec of a kind-tagged base class: dispatch on ``kind``."""
+
+    def __init__(self, base: type) -> None:
+        self.kinds = {sub.kind: _schema(sub) for sub in _concrete(base)}
+
+    def encode(self, value: Any) -> Dict[str, Any]:
+        return _schema(type(value)).encode(value)
+
+    def decode(self, data: Any) -> Any:
+        if "kind" not in _expect(data, "an object", dict):
+            raise _Bad("missing key 'kind'")
+        schema = self.kinds.get(data["kind"])
+        if schema is None:
+            known = ", ".join(self.kinds)
+            raise _Bad(f"unknown kind {data['kind']!r}; known: {known}")
+        return schema.decode(data)
+
+
+def _concrete(base: type) -> Iterator[type]:
+    """``base``'s dataclass subclasses that set their own ``kind``."""
+    for sub in base.__subclasses__():
+        if is_dataclass(sub) and "kind" in vars(sub):
+            yield sub
+        yield from _concrete(sub)
+
+
+_SCHEMAS: Dict[type, Union[_Record, _Tagged]] = {}
+
+
+def _schema(cls: type) -> Union[_Record, _Tagged]:
+    schema = _SCHEMAS.get(cls)
+    if schema is None:
+        schema = _Record(cls) if is_dataclass(cls) else _Tagged(cls)
+        _SCHEMAS[cls] = schema
+    return schema
+
+
+@lru_cache(maxsize=None)
+def _forward_refs() -> Dict[str, type]:
+    """Record types that result modules import only for type checking."""
+    from ..fleet.detector import DetectorSpec
+    from ..obs.telemetry import TimeSeries
+    from ..serve.overload import OverloadReport
+
+    return {
+        "DetectorSpec": DetectorSpec,
+        "OverloadReport": OverloadReport,
+        "TimeSeries": TimeSeries,
+    }
+
+
+def to_record(value: Any) -> Dict[str, Any]:
+    """The JSON-ready record of a record dataclass (see module docs)."""
+    return _schema(type(value)).encode(value)
+
+
+def from_record(cls: Type[T], data: Any, kind: str) -> T:
+    """Rebuild a ``cls`` from its record; ``kind`` names it in errors."""
+    try:
+        return _schema(cls).decode(data)
+    except _Bad as exc:
+        where = "".join(
+            f"[{step}]" if isinstance(step, int) else f".{step}"
+            for step in reversed(exc.path)
+        ).lstrip(".")
+        at = f" at {where}" if where else ""
+        raise _MalformedRecord(
+            f"malformed {kind} record: {exc.detail}{at}"
+        ) from None
+
+
+def _check_schema(
+    data: Any, expected: int, label: str, default: Optional[int] = None
+) -> None:
+    schema = data.get("schema", default) if isinstance(data, dict) else None
+    if schema != expected:
+        raise ValueError(
+            f"unsupported {label} schema {schema!r}; expected {expected}"
+        )
+
+
+# --------------------------------------------------------- run records
 def serve_result_to_dict(result: "ServeResult") -> Dict[str, Any]:
     """A self-contained, JSON-ready record of a traffic simulation.
 
@@ -184,184 +489,16 @@ def serve_result_to_dict(result: "ServeResult") -> Dict[str, Any]:
     exercised lets a deployment diff serving behaviour across optimizer
     or model changes the same way it diffs designs.
     """
-    from dataclasses import asdict
-
-    record = asdict(result)
-    # Unobserved runs must serialize byte-identically to pre-obs
-    # records, so the optional telemetry key is dropped when empty.
-    if record.get("timeseries") is None:
-        record.pop("timeseries", None)
-    _prune_overload_keys(record)
+    record = to_record(result)
     record["schema"] = SERVE_SCHEMA_VERSION
     return record
-
-
-#: TenantStats fields introduced by overload control (and, later, by
-#: the failure detector's timeout/failover classes).  Every one is zero
-#: for a run with none of those features active, and every loader
-#: defaults an absent key to zero — so dropping zero-valued keys keeps
-#: plain records byte-identical to pre-overload records without losing
-#: information.
-_OVERLOAD_TENANT_KEYS = (
-    "rejected", "expired", "retries", "hedges", "late", "priority",
-    "timed_out", "failed_over",
-)
-
-
-def _prune_overload_keys(record: Dict[str, Any]) -> None:
-    """Strip overload-era keys that carry no information, in place.
-
-    Applies the same contract as the optional ``timeseries`` key to the
-    overload additions: a record written from an overload-free run must
-    be byte-identical to one written before overload control existed.
-    Mutates ``record`` (a serve- or fleet-result dict from ``asdict``).
-    """
-    if record.get("overload") is None:
-        record.pop("overload", None)
-    for tenant in record.get("tenants", ()):
-        for key in _OVERLOAD_TENANT_KEYS:
-            if tenant.get(key) == 0:
-                tenant.pop(key, None)
-    for replica in record.get("replicas", ()):
-        for tenant in replica.get("tenants", ()):
-            for key in _OVERLOAD_TENANT_KEYS:
-                if tenant.get(key) == 0:
-                    tenant.pop(key, None)
-
-
-def _tenant_stats_from_dict(entry: Dict[str, Any]) -> "TenantStats":
-    """Rebuild one per-tenant record (shared by serve and fleet loaders)."""
-    from ..serve.metrics import LatencySummary, TenantStats
-
-    latency = entry.get("latency")
-    return TenantStats(
-        name=entry["name"],
-        offered_rate_per_cycle=float(entry["offered_rate_per_cycle"]),
-        arrivals=int(entry["arrivals"]),
-        completions=int(entry["completions"]),
-        drops=int(entry["drops"]),
-        in_flight=int(entry["in_flight"]),
-        latency=None if latency is None else LatencySummary(**latency),
-        mean_queue_depth=float(entry["mean_queue_depth"]),
-        peak_queue_depth=int(entry["peak_queue_depth"]),
-        steady_rate_per_cycle=(
-            None
-            if entry.get("steady_rate_per_cycle") is None
-            else float(entry["steady_rate_per_cycle"])
-        ),
-        # Absent in pre-scenario records: those runs could not lose
-        # requests to failures, so 0 is the true historical value.
-        lost=int(entry.get("lost", 0)),
-        # Absent in pre-overload records (and in overload-free records,
-        # which prune zero-valued keys); 0 is the true historical value.
-        rejected=int(entry.get("rejected", 0)),
-        expired=int(entry.get("expired", 0)),
-        retries=int(entry.get("retries", 0)),
-        hedges=int(entry.get("hedges", 0)),
-        late=int(entry.get("late", 0)),
-        priority=int(entry.get("priority", 0)),
-        timed_out=int(entry.get("timed_out", 0)),
-        failed_over=int(entry.get("failed_over", 0)),
-    )
-
-
-def timeseries_to_dict(timeseries: "TimeSeries") -> Dict[str, Any]:
-    """JSON-ready record of run telemetry (standalone; results embed
-    the same shape via ``asdict``)."""
-    from dataclasses import asdict
-
-    return asdict(timeseries)
-
-
-def timeseries_from_dict(
-    data: Optional[Dict[str, Any]],
-) -> Optional["TimeSeries"]:
-    """Rebuild telemetry from a result record; tolerant of absence.
-
-    Pre-obs run records have no ``timeseries`` key at all — callers pass
-    ``data.get("timeseries")`` and get ``None`` back, the historical
-    truth for unobserved runs.
-    """
-    if data is None:
-        return None
-    from ..obs.telemetry import HistogramSummary, TimeSeries
-
-    series = {
-        name: tuple(
-            None if value is None else float(value) for value in values
-        )
-        for name, values in data["series"].items()
-    }
-    histograms = {
-        name: HistogramSummary(
-            edges=tuple(float(edge) for edge in entry["edges"]),
-            counts=tuple(int(count) for count in entry["counts"]),
-        )
-        for name, entry in data.get("histograms", {}).items()
-    }
-    return TimeSeries(
-        window_cycles=float(data["window_cycles"]),
-        times=tuple(float(t) for t in data["times"]),
-        series=series,
-        histograms=histograms,
-    )
-
-
-def _malformed(kind: str, exc: Exception) -> ValueError:
-    """One clear error for a run record that lacks a key or has a bad value.
-
-    Names the record kind and, for a missing key, the key, so ``repro
-    report`` says which record failed instead of printing a bare key.
-    """
-    if isinstance(exc, KeyError):
-        return ValueError(
-            f"malformed {kind} run record: missing key {exc.args[0]!r}"
-        )
-    return ValueError(f"malformed {kind} run record: {exc}")
 
 
 def serve_result_from_dict(data: Dict[str, Any]) -> "ServeResult":
     from ..serve.metrics import ServeResult
 
-    schema = data.get("schema")
-    if schema != SERVE_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported serve-result schema {schema!r}; "
-            f"expected {SERVE_SCHEMA_VERSION}"
-        )
-    try:
-        tenants = [_tenant_stats_from_dict(entry) for entry in data["tenants"]]
-        return ServeResult(
-            design_label=data["design_label"],
-            num_clps=int(data["num_clps"]),
-            epoch_cycles=float(data["epoch_cycles"]),
-            pipeline_depths=tuple(int(d) for d in data["pipeline_depths"]),
-            frequency_mhz=float(data["frequency_mhz"]),
-            horizon_cycles=float(data["horizon_cycles"]),
-            elapsed_cycles=float(data["elapsed_cycles"]),
-            seed=int(data["seed"]),
-            queue_depth=int(data["queue_depth"]),
-            policy=data["policy"],
-            drained=bool(data["drained"]),
-            tenants=tuple(tenants),
-            clp_busy_fraction=tuple(
-                float(f) for f in data["clp_busy_fraction"]
-            ),
-            timeseries=timeseries_from_dict(data.get("timeseries")),
-            overload=_overload_from_dict(data.get("overload")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _malformed("serve", exc) from exc
-
-
-def _overload_from_dict(
-    data: Optional[Dict[str, Any]],
-) -> Optional["OverloadReport"]:
-    if data is None:
-        return None
-    from ..serve.overload import overload_report_from_dict
-
-    return overload_report_from_dict(data)
+    _check_schema(data, SERVE_SCHEMA_VERSION, "serve-result")
+    return from_record(ServeResult, data, "serve run")
 
 
 def fleet_result_to_dict(result: "FleetResult") -> Dict[str, Any]:
@@ -371,233 +508,96 @@ def fleet_result_to_dict(result: "FleetResult") -> Dict[str, Any]:
     this design meet the SLO") is evidence worth pinning next to the
     design and traffic assumptions it was derived from.
     """
-    from dataclasses import asdict
-
-    record = asdict(result)
-    # Same contract as serve records: no telemetry key unless observed.
-    if record.get("timeseries") is None:
-        record.pop("timeseries", None)
-    _prune_overload_keys(record)
-    # Detector-era keys follow the same discipline: absent unless the
-    # run actually carried a detector / measured a detection lag, so
-    # legacy records re-serialize byte-identically.
-    if record.get("detector") is None:
-        record.pop("detector", None)
-    resilience = record.get("resilience")
-    if (
-        resilience is not None
-        and resilience.get("mean_time_to_detect_cycles") is None
-    ):
-        resilience.pop("mean_time_to_detect_cycles", None)
+    record = to_record(result)
     record["schema"] = FLEET_SCHEMA_VERSION
     return record
 
 
 def fleet_result_from_dict(data: Dict[str, Any]) -> "FleetResult":
-    from ..fleet.metrics import FleetResult, ReplicaStats
+    from ..fleet.metrics import FleetResult
 
-    schema = data.get("schema")
-    if schema != FLEET_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported fleet-result schema {schema!r}; "
-            f"expected {FLEET_SCHEMA_VERSION}"
-        )
-    try:
-        replicas = [
-            ReplicaStats(
-                label=entry["label"],
-                part=entry.get("part"),
-                epoch_cycles=float(entry["epoch_cycles"]),
-                pipeline_depths=tuple(
-                    int(d) for d in entry["pipeline_depths"]
-                ),
-                tenants=tuple(
-                    _tenant_stats_from_dict(t) for t in entry["tenants"]
-                ),
-                clp_busy_fraction=tuple(
-                    float(f) for f in entry["clp_busy_fraction"]
-                ),
-            )
-            for entry in data["replicas"]
-        ]
-        return FleetResult(
-            balancer=data["balancer"],
-            num_replicas=int(data["num_replicas"]),
-            frequency_mhz=float(data["frequency_mhz"]),
-            horizon_cycles=float(data["horizon_cycles"]),
-            elapsed_cycles=float(data["elapsed_cycles"]),
-            seed=int(data["seed"]),
-            queue_depth=int(data["queue_depth"]),
-            policy=data["policy"],
-            drained=bool(data["drained"]),
-            tenants=tuple(
-                _tenant_stats_from_dict(entry) for entry in data["tenants"]
-            ),
-            replicas=tuple(replicas),
-            scenario=data.get("scenario"),
-            incidents=tuple(
-                _incident_from_dict(entry)
-                for entry in data.get("incidents", ())
-            ),
-            resilience=_resilience_from_dict(data.get("resilience")),
-            timeseries=timeseries_from_dict(data.get("timeseries")),
-            overload=_overload_from_dict(data.get("overload")),
-            detector=_detector_from_dict(data.get("detector")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _malformed("fleet", exc) from exc
+    _check_schema(data, FLEET_SCHEMA_VERSION, "fleet-result")
+    return from_record(FleetResult, data, "fleet run")
 
 
-def _detector_from_dict(
+def timeseries_to_dict(timeseries: "TimeSeries") -> Dict[str, Any]:
+    """JSON-ready record of run telemetry (results embed the same shape)."""
+    return to_record(timeseries)
+
+
+def timeseries_from_dict(
     data: Optional[Dict[str, Any]],
-) -> Optional["DetectorSpec"]:
-    if data is None:
-        return None
-    from ..fleet.detector import detector_spec_from_dict
+) -> Optional["TimeSeries"]:
+    """Rebuild telemetry; ``None`` (an unobserved run) stays ``None``."""
+    from ..obs.telemetry import TimeSeries
 
-    return detector_spec_from_dict(data)
-
-
-def _incident_from_dict(entry: Dict[str, Any]) -> "Incident":
-    from ..scenario.faults import Incident
-
-    return Incident(
-        kind=entry["kind"],
-        target=entry["target"],
-        start_cycles=float(entry["start_cycles"]),
-        end_cycles=float(entry["end_cycles"]),
-        recovered=bool(entry["recovered"]),
-    )
-
-
-def _resilience_from_dict(
-    data: Optional[Dict[str, Any]],
-) -> Optional["ResilienceReport"]:
-    if data is None:
-        return None
-    from ..scenario.resilience import ResilienceReport, WindowMetrics
-
-    def window(entry: Dict[str, Any]) -> WindowMetrics:
-        return WindowMetrics(
-            cycles=float(entry["cycles"]),
-            completions=int(entry["completions"]),
-            goodput_per_cycle=float(entry["goodput_per_cycle"]),
-            p99_cycles=(
-                None if entry.get("p99_cycles") is None
-                else float(entry["p99_cycles"])
-            ),
-            p50_cycles=(
-                None if entry.get("p50_cycles") is None
-                else float(entry["p50_cycles"])
-            ),
-        )
-
-    ttr = data.get("mean_time_to_recover_cycles")
-    ttd = data.get("mean_time_to_detect_cycles")
-    return ResilienceReport(
-        availability=float(data["availability"]),
-        incident_cycles=float(data["incident_cycles"]),
-        lost_requests=int(data["lost_requests"]),
-        mean_time_to_recover_cycles=None if ttr is None else float(ttr),
-        during=window(data["during"]),
-        outside=window(data["outside"]),
-        mean_time_to_detect_cycles=None if ttd is None else float(ttd),
-    )
+    return None if data is None else from_record(TimeSeries, data, "telemetry")
 
 
 def scenario_spec_to_dict(spec: "ScenarioSpec") -> Dict[str, Any]:
     """JSON-ready record of a scenario spec (faults, surge, policy)."""
-    from ..scenario.library import scenario_to_dict
-
-    record = scenario_to_dict(spec)
+    record = to_record(spec)
     record["schema"] = SCENARIO_SCHEMA_VERSION
     return record
 
 
 def scenario_spec_from_dict(data: Dict[str, Any]) -> "ScenarioSpec":
     """Rebuild a scenario spec written by :func:`scenario_spec_to_dict`."""
-    from ..scenario.library import scenario_from_dict
+    from ..scenario.library import ScenarioSpec
 
-    schema = data.get("schema", SCENARIO_SCHEMA_VERSION)
-    if schema != SCENARIO_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported scenario schema {schema!r}; "
-            f"expected {SCENARIO_SCHEMA_VERSION}"
-        )
-    return scenario_from_dict(data)
+    _check_schema(data, SCENARIO_SCHEMA_VERSION, "scenario",
+                  default=SCENARIO_SCHEMA_VERSION)
+    return from_record(ScenarioSpec, data, "scenario")
 
 
 def slo_spec_to_dict(slo: "SLOSpec") -> Dict[str, Any]:
-    """JSON-ready record of an SLO contract.
-
-    The overload-era clauses (``deadline_ms``, ``min_goodput_rps``) are
-    emitted only when set, so a spec using none of them serializes to
-    exactly the record a pre-overload writer would have produced — and
-    a legacy record round-trips byte-identically.
-    """
-    record: Dict[str, Any] = {
-        "p99_ms": slo.p99_ms,
-        "max_drop_rate": slo.max_drop_rate,
-        "min_throughput_rps": slo.min_throughput_rps,
-    }
-    if slo.deadline_ms is not None:
-        record["deadline_ms"] = slo.deadline_ms
-    if slo.min_goodput_rps is not None:
-        record["min_goodput_rps"] = slo.min_goodput_rps
-    return record
+    """JSON-ready record of an SLO contract."""
+    return to_record(slo)
 
 
 def slo_spec_from_dict(data: Dict[str, Any]) -> "SLOSpec":
     """Rebuild an SLO spec; tolerant of records missing newer clauses."""
     from ..serve.slo import SLOSpec
 
-    def opt(key: str) -> Optional[float]:
-        value = data.get(key)
-        return None if value is None else float(value)
+    return from_record(SLOSpec, data, "SLO spec")
 
-    return SLOSpec(
-        p99_ms=opt("p99_ms"),
-        max_drop_rate=float(data.get("max_drop_rate", 0.0)),
-        min_throughput_rps=opt("min_throughput_rps"),
-        deadline_ms=opt("deadline_ms"),
-        min_goodput_rps=opt("min_goodput_rps"),
-    )
+
+def _dump(record: Dict[str, Any], path: str) -> None:
+    with open(path, "w") as handle:
+        json.dump(record, handle, indent=2)
+        handle.write("\n")
+
+
+def _load(path: str) -> Any:
+    with open(path) as handle:
+        return json.load(handle)
 
 
 def dump_fleet_result(result: "FleetResult", path: str) -> None:
     """Write a fleet-simulation result to a JSON file."""
-    with open(path, "w") as handle:
-        json.dump(fleet_result_to_dict(result), handle, indent=2)
-        handle.write("\n")
+    _dump(fleet_result_to_dict(result), path)
 
 
 def load_fleet_result(path: str) -> "FleetResult":
     """Load a result written by :func:`dump_fleet_result`."""
-    with open(path) as handle:
-        return fleet_result_from_dict(json.load(handle))
+    return fleet_result_from_dict(_load(path))
 
 
 def dump_serve_result(result: "ServeResult", path: str) -> None:
     """Write a traffic-simulation result to a JSON file."""
-    with open(path, "w") as handle:
-        json.dump(serve_result_to_dict(result), handle, indent=2)
-        handle.write("\n")
+    _dump(serve_result_to_dict(result), path)
 
 
 def load_serve_result(path: str) -> "ServeResult":
     """Load a result written by :func:`dump_serve_result`."""
-    with open(path) as handle:
-        return serve_result_from_dict(json.load(handle))
+    return serve_result_from_dict(_load(path))
 
 
 def dump_design(design: MultiCLPDesign, path: str) -> None:
     """Write a design to a JSON file."""
-    with open(path, "w") as handle:
-        json.dump(design_to_dict(design), handle, indent=2)
-        handle.write("\n")
+    _dump(design_to_dict(design), path)
 
 
 def load_design(path: str) -> MultiCLPDesign:
     """Load a design from a JSON file written by :func:`dump_design`."""
-    with open(path) as handle:
-        return design_from_dict(json.load(handle))
+    return design_from_dict(_load(path))

@@ -39,8 +39,10 @@ The module is deliberately a leaf — it imports nothing from
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
+
+from ..core.serialize import from_record, to_record
 
 __all__ = [
     "DETECTOR_MODES",
@@ -347,12 +349,8 @@ class FailureDetector:
 
 
 def detector_spec_to_dict(spec: DetectorSpec) -> Dict[str, Any]:
-    """JSON-ready record of a detector spec (all fields, explicit)."""
-    return asdict(spec)
+    return to_record(spec)
 
 
 def detector_spec_from_dict(data: Dict[str, Any]) -> DetectorSpec:
-    """Rebuild a detector spec; absent keys keep their defaults."""
-    known = {f for f in DetectorSpec.__dataclass_fields__}
-    params = {k: v for k, v in data.items() if k in known}
-    return DetectorSpec(**params)
+    return from_record(DetectorSpec, data, "detector spec")

@@ -21,6 +21,7 @@ if TYPE_CHECKING:  # annotation only; results never construct telemetry
     from ..serve.overload import OverloadReport
     from .detector import DetectorSpec
 
+from ..core.serialize import omit_default
 from ..scenario.faults import Incident
 from ..scenario.resilience import ResilienceReport, WindowMetrics
 from ..serve.metrics import TenantStats
@@ -101,17 +102,17 @@ class FleetResult:
     #: Windowed telemetry (:class:`repro.obs.TimeSeries`), present only
     #: when the run was observed; ``None`` keeps unobserved results
     #: byte-identical to pre-obs records (fast-path runs report ``None``).
-    timeseries: Optional["TimeSeries"] = None
+    timeseries: Optional["TimeSeries"] = omit_default(None)
     #: Overload-control report (per-priority windowed goodput, brownout
     #: shedding); ``None`` whenever no overload feature was active so
     #: plain runs stay byte-identical to pre-overload records.
-    overload: Optional["OverloadReport"] = None
+    overload: Optional["OverloadReport"] = omit_default(None)
     #: The failure-detection spec the run routed with
     #: (:class:`~repro.fleet.detector.DetectorSpec`); recorded only when
     #: it could have mattered (probe mode, request timeouts, or gray
     #: faults present), so detector-free runs stay byte-identical to
     #: pre-detector records.
-    detector: Optional["DetectorSpec"] = None
+    detector: Optional["DetectorSpec"] = omit_default(None)
 
     # ------------------------------------------------------------ conversions
     @property

@@ -36,8 +36,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
+
+from ..core.serialize import from_record, to_record
 
 __all__ = [
     "FAILURE_POLICIES",
@@ -519,31 +521,9 @@ class LinkDelay(_GraySpec):
         return self._windows(horizon, num_replicas, self.delay_epochs)
 
 
-_FAULT_KINDS = (
-    RandomFaults,
-    ScheduledOutage,
-    RackFailure,
-    RollingReboot,
-    RedundancyOutage,
-    DegradedReplica,
-    FlakyReplica,
-    LinkDelay,
-)
-
-
 def fault_to_dict(spec: FaultSpec) -> Dict[str, Any]:
-    """JSON-ready record of a fault spec (``kind`` + its parameters)."""
-    record: Dict[str, Any] = {"kind": spec.kind}
-    record.update(asdict(spec))
-    return record
+    return to_record(spec)
 
 
 def fault_from_dict(data: Dict[str, Any]) -> FaultSpec:
-    """Rebuild a fault spec from its :func:`fault_to_dict` record."""
-    kind = data.get("kind")
-    for cls in _FAULT_KINDS:
-        if cls.kind == kind:
-            params = {k: v for k, v in data.items() if k != "kind"}
-            return cls(**params)
-    known = ", ".join(cls.kind for cls in _FAULT_KINDS)
-    raise ValueError(f"unknown fault kind {kind!r}; known: {known}")
+    return from_record(FaultSpec, data, "fault")

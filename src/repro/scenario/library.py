@@ -22,17 +22,16 @@ inside them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.serialize import from_record, omit_default, to_record
 from ..serve.arrivals import ArrivalProcess
 from ..serve.overload import (
     AdmissionPolicy,
     BrownoutPolicy,
     OverloadSpec,
     RetryPolicy,
-    overload_spec_from_dict,
-    overload_spec_to_dict,
 )
 from .faults import (
     FAILURE_POLICIES,
@@ -44,8 +43,6 @@ from .faults import (
     RandomFaults,
     RedundancyOutage,
     RollingReboot,
-    fault_from_dict,
-    fault_to_dict,
 )
 from .surges import DiurnalArrivals, FlashCrowdArrivals, OnOffArrivals
 
@@ -205,46 +202,26 @@ class ChurnShape(SurgeShape):
         )
 
 
-_SHAPE_KINDS = (DiurnalShape, FlashCrowdShape, ChurnShape)
-
-
-def _shape_to_dict(shape: SurgeShape) -> Dict[str, Any]:
-    from dataclasses import asdict
-
-    record: Dict[str, Any] = {"kind": shape.kind}
-    record.update(asdict(shape))
-    return record
-
-
-def _shape_from_dict(data: Dict[str, Any]) -> SurgeShape:
-    kind = data.get("kind")
-    for cls in _SHAPE_KINDS:
-        if cls.kind == kind:
-            return cls(**{k: v for k, v in data.items() if k != "kind"})
-    known = ", ".join(cls.kind for cls in _SHAPE_KINDS)
-    raise ValueError(f"unknown surge kind {kind!r}; known: {known}")
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One named drill: faults + surge + failure policy, horizon-relative."""
 
     name: str
     description: str = ""
-    faults: Tuple[FaultSpec, ...] = ()
-    surge: Optional[SurgeShape] = None
     #: What happens to a dead replica's *queued* requests; in-pipeline
     #: work is always lost with the board.  See ``FAILURE_POLICIES``.
     failure_policy: str = "requeue"
+    faults: Tuple[FaultSpec, ...] = ()
+    surge: Optional[SurgeShape] = omit_default(None)
     #: Overload-control configuration the drill runs under (client
     #: retries, admission, discipline, brownout).  A run-level
     #: ``overload=`` argument wins over the scenario's.
-    overload: Optional[OverloadSpec] = None
+    overload: Optional[OverloadSpec] = omit_default(None)
     #: How the fleet learns replica health (:mod:`repro.fleet.detector`):
     #: oracle vs probe-based detection, plus request timeouts and
     #: failover budget.  A run-level ``detector=`` argument wins over
     #: the scenario's.
-    detector: Optional["DetectorSpec"] = None
+    detector: Optional["DetectorSpec"] = omit_default(None)
 
     def __post_init__(self) -> None:
         if self.failure_policy not in FAILURE_POLICIES:
@@ -300,11 +277,7 @@ def get_scenario(name: str) -> ScenarioSpec:
 # the (leaf) detector module any earlier would leave the cycle
 # unresolvable when ``repro.scenario`` loads first.  By this point every
 # name the fleet layer needs from us is bound.
-from ..fleet.detector import (  # noqa: E402
-    DetectorSpec,
-    detector_spec_from_dict,
-    detector_spec_to_dict,
-)
+from ..fleet.detector import DetectorSpec  # noqa: E402
 
 SCENARIOS: Dict[str, ScenarioSpec] = {
     spec.name: spec
@@ -475,38 +448,33 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
 SCENARIO_NAMES: Tuple[str, ...] = tuple(sorted(SCENARIOS))
 
 
+def _params(record: Dict[str, Any]) -> str:
+    """``k=v, ...`` over a spec record's parameters, sorted by key."""
+    return ", ".join(
+        f"{k}={v}" for k, v in sorted(record.items()) if k != "kind"
+    )
+
+
 def describe_scenario(spec: ScenarioSpec) -> str:
     """Multi-line human summary of one scenario (CLI ``describe``)."""
     lines = [f"{spec.name}: {spec.description}"]
     if spec.faults:
         lines.append("  faults:")
         for fault in spec.faults:
-            params = {
-                k: v for k, v in fault_to_dict(fault).items() if k != "kind"
-            }
-            detail = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
-            lines.append(f"    - {fault.kind}: {detail}")
+            lines.append(f"    - {fault.kind}: {_params(to_record(fault))}")
         lines.append(f"  queued requests on failure: {spec.failure_policy}")
     if spec.surge is not None:
-        params = {
-            k: v for k, v in _shape_to_dict(spec.surge).items() if k != "kind"
-        }
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
+        detail = _params(to_record(spec.surge))
         lines.append(f"  surge: {spec.surge.kind}: {detail}")
     if spec.overload is not None:
         lines.append("  overload:")
-        record = overload_spec_to_dict(spec.overload)
+        record = to_record(spec.overload)
         lines.append(f"    - discipline: {record.pop('queue_policy')}")
         for key, value in sorted(record.items()):
-            if isinstance(value, dict):
-                detail = ", ".join(
-                    f"{k}={v}" for k, v in sorted(value.items())
-                )
-                lines.append(f"    - {key}: {detail}")
-            else:
-                lines.append(f"    - {key}: {value}")
+            detail = _params(value) if isinstance(value, dict) else value
+            lines.append(f"    - {key}: {detail}")
     if spec.detector is not None:
-        record = detector_spec_to_dict(spec.detector)
+        record = to_record(spec.detector)
         lines.append(f"  detector: {record.pop('mode')}")
         for key, value in sorted(record.items()):
             if value is not None:
@@ -517,41 +485,8 @@ def describe_scenario(spec: ScenarioSpec) -> str:
 
 
 def scenario_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
-    """JSON-ready record of a scenario spec."""
-    record: Dict[str, Any] = {
-        "name": spec.name,
-        "description": spec.description,
-        "failure_policy": spec.failure_policy,
-        "faults": [fault_to_dict(f) for f in spec.faults],
-    }
-    if spec.surge is not None:
-        record["surge"] = _shape_to_dict(spec.surge)
-    if spec.overload is not None:
-        record["overload"] = overload_spec_to_dict(spec.overload)
-    if spec.detector is not None:
-        record["detector"] = detector_spec_to_dict(spec.detector)
-    return record
+    return to_record(spec)
 
 
 def scenario_from_dict(data: Dict[str, Any]) -> ScenarioSpec:
-    """Rebuild a scenario spec from its :func:`scenario_to_dict` record."""
-    surge = data.get("surge")
-    overload = data.get("overload")
-    detector = data.get("detector")
-    return ScenarioSpec(
-        name=str(data["name"]),
-        description=str(data.get("description", "")),
-        faults=tuple(fault_from_dict(f) for f in data.get("faults", ())),
-        surge=_shape_from_dict(surge) if surge is not None else None,
-        failure_policy=str(data.get("failure_policy", "requeue")),
-        overload=(
-            overload_spec_from_dict(overload)
-            if overload is not None
-            else None
-        ),
-        detector=(
-            detector_spec_from_dict(detector)
-            if detector is not None
-            else None
-        ),
-    )
+    return from_record(ScenarioSpec, data, "scenario")

@@ -22,6 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ..core.serialize import omit_default
 from ..serve.metrics import percentile
 from .faults import Incident
 
@@ -62,7 +63,7 @@ class ResilienceReport:
     #: Mean lag between a replica truly going bad (outage or gray
     #: onset) and the failure detector ejecting it; ``None`` for oracle
     #: detection (which has no lag) or when nothing was detected.
-    mean_time_to_detect_cycles: Optional[float] = None
+    mean_time_to_detect_cycles: Optional[float] = omit_default(None)
 
     @property
     def p99_degradation(self) -> Optional[float]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
+from ..core.serialize import omit_default
+
 if TYPE_CHECKING:  # annotation only; results never construct telemetry
     from ..obs.telemetry import TimeSeries
     from .overload import OverloadReport
@@ -96,32 +98,32 @@ class TenantStats:
     #: queue-deadline admission, or a brownout gate) before queueing.
     #: Distinct from ``drops`` (back-pressure) and ``lost`` (failures):
     #: rejections are deliberate, cheap, and happen at the front door.
-    rejected: int = 0
+    rejected: int = omit_default(0)
     #: Queued requests shed at dispatch because their deadline passed
     #: while waiting (``edf``/``priority`` disciplines only — FIFO
     #: serves them late instead).
-    expired: int = 0
+    expired: int = omit_default(0)
     #: Arrivals that were client retries (attempt > 1) of earlier
     #: rejected/dropped/expired/lost requests.  Subset of ``arrivals``.
-    retries: int = 0
+    retries: int = omit_default(0)
     #: Arrivals that were hedge duplicates of still-queued requests.
-    hedges: int = 0
+    hedges: int = omit_default(0)
     #: Completions whose latency exceeded the tenant's deadline — served,
     #: but not goodput.  Always 0 without a deadline.
-    late: int = 0
+    late: int = omit_default(0)
     #: The tenant's scheduling priority class (higher = more important);
     #: 0 unless overload control assigned one.
-    priority: int = 0
+    priority: int = omit_default(0)
     #: Requests whose timeout expired with the failover budget spent —
     #: the request was abandoned unserved.  Always 0 unless a
     #: :class:`~repro.fleet.detector.DetectorSpec` armed
     #: ``request_timeout_ms``.
-    timed_out: int = 0
+    timed_out: int = omit_default(0)
     #: Logical requests that failed over to another replica at least
     #: once (after a timeout or a flaky-replica error).  Counted once
     #: per request regardless of how many hops it took; informational —
     #: not a term of the conservation invariant.
-    failed_over: int = 0
+    failed_over: int = omit_default(0)
 
     @property
     def drop_rate(self) -> float:
@@ -186,12 +188,12 @@ class ServeResult:
     #: when the run was observed (``ObsSpec(timeseries=True)``).  ``None``
     #: by default so unobserved results stay byte-identical to pre-obs
     #: records; fast-engine runs legitimately report ``None`` too.
-    timeseries: Optional["TimeSeries"] = None
+    timeseries: Optional["TimeSeries"] = omit_default(None)
     #: Overload-control report (:class:`repro.serve.overload
     #: .OverloadReport`): per-priority windowed goodput and brownout
     #: shedding.  ``None`` whenever no overload feature was active, so
     #: plain runs stay byte-identical to pre-overload records.
-    overload: Optional["OverloadReport"] = None
+    overload: Optional["OverloadReport"] = omit_default(None)
 
     # ------------------------------------------------------------ conversions
     @property

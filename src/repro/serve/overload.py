@@ -62,6 +62,7 @@ from typing import (
     Tuple,
 )
 
+from ..core.serialize import from_record, omit_default, to_record
 from .simulator import Request, TenantState
 
 if TYPE_CHECKING:
@@ -83,8 +84,6 @@ __all__ = [
     "OverloadController",
     "overload_spec_to_dict",
     "overload_spec_from_dict",
-    "overload_report_to_dict",
-    "overload_report_from_dict",
 ]
 
 #: Queue disciplines: historical FIFO, earliest-deadline-first, and
@@ -205,10 +204,10 @@ class OverloadSpec:
     """
 
     queue_policy: str = "fifo"
-    admission: Optional[AdmissionPolicy] = None
-    retry: Optional[RetryPolicy] = None
-    brownout: Optional[BrownoutPolicy] = None
-    deadline_ms: Optional[float] = None
+    admission: Optional[AdmissionPolicy] = omit_default(None)
+    retry: Optional[RetryPolicy] = omit_default(None)
+    brownout: Optional[BrownoutPolicy] = omit_default(None)
+    deadline_ms: Optional[float] = omit_default(None)
 
     def __post_init__(self) -> None:
         if self.queue_policy not in QUEUE_POLICIES:
@@ -357,8 +356,8 @@ class OverloadReport:
     window_cycles: float
     times: Tuple[float, ...]
     goodput: Dict[str, Tuple[int, ...]]
-    shed: Dict[str, Tuple[int, ...]]
-    classes: Tuple[PriorityClassStats, ...]
+    shed: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
+    classes: Tuple[PriorityClassStats, ...] = ()
     brownout_steps: int = 0
 
     def class_stats(self, priority: int) -> PriorityClassStats:
@@ -859,79 +858,8 @@ class OverloadController:
 
 # ------------------------------------------------------------ serialization
 def overload_spec_to_dict(spec: OverloadSpec) -> Dict[str, Any]:
-    """JSON-ready record; optional sections omitted when disabled, so an
-    all-defaults spec round-trips to a minimal record."""
-    record: Dict[str, Any] = {"queue_policy": spec.queue_policy}
-    if spec.admission is not None:
-        from dataclasses import asdict
-
-        record["admission"] = asdict(spec.admission)
-    if spec.retry is not None:
-        from dataclasses import asdict
-
-        record["retry"] = asdict(spec.retry)
-    if spec.brownout is not None:
-        from dataclasses import asdict
-
-        record["brownout"] = asdict(spec.brownout)
-    if spec.deadline_ms is not None:
-        record["deadline_ms"] = spec.deadline_ms
-    return record
+    return to_record(spec)
 
 
 def overload_spec_from_dict(data: Dict[str, Any]) -> OverloadSpec:
-    admission = data.get("admission")
-    retry = data.get("retry")
-    brownout = data.get("brownout")
-    deadline = data.get("deadline_ms")
-    return OverloadSpec(
-        queue_policy=str(data.get("queue_policy", "fifo")),
-        admission=None if admission is None else AdmissionPolicy(**admission),
-        retry=None if retry is None else RetryPolicy(**retry),
-        brownout=None if brownout is None else BrownoutPolicy(**brownout),
-        deadline_ms=None if deadline is None else float(deadline),
-    )
-
-
-def overload_report_to_dict(report: OverloadReport) -> Dict[str, Any]:
-    from dataclasses import asdict
-
-    return asdict(report)
-
-
-def overload_report_from_dict(
-    data: Optional[Dict[str, Any]],
-) -> Optional[OverloadReport]:
-    """Rebuild a report from a result record; tolerant of absence —
-    pre-overload records have no ``overload`` key at all."""
-    if data is None:
-        return None
-    return OverloadReport(
-        queue_policy=str(data["queue_policy"]),
-        window_cycles=float(data["window_cycles"]),
-        times=tuple(float(t) for t in data["times"]),
-        goodput={
-            str(key): tuple(int(v) for v in values)
-            for key, values in data["goodput"].items()
-        },
-        shed={
-            str(key): tuple(int(v) for v in values)
-            for key, values in data.get("shed", {}).items()
-        },
-        classes=tuple(
-            PriorityClassStats(
-                priority=int(entry["priority"]),
-                tenants=tuple(str(t) for t in entry["tenants"]),
-                arrivals=int(entry.get("arrivals", 0)),
-                completions=int(entry.get("completions", 0)),
-                good=int(entry.get("good", 0)),
-                rejected=int(entry.get("rejected", 0)),
-                expired=int(entry.get("expired", 0)),
-                late=int(entry.get("late", 0)),
-                retries=int(entry.get("retries", 0)),
-                hedges=int(entry.get("hedges", 0)),
-            )
-            for entry in data.get("classes", ())
-        ),
-        brownout_steps=int(data.get("brownout_steps", 0)),
-    )
+    return from_record(OverloadSpec, data, "overload spec")

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..core.serialize import omit_default
 from .metrics import ServeResult
 
 __all__ = ["SLOSpec", "TenantVerdict", "SLOReport", "evaluate_slo"]
@@ -38,8 +39,8 @@ class SLOSpec:
     p99_ms: Optional[float] = None
     max_drop_rate: float = 0.0
     min_throughput_rps: Optional[float] = None
-    deadline_ms: Optional[float] = None
-    min_goodput_rps: Optional[float] = None
+    deadline_ms: Optional[float] = omit_default(None)
+    min_goodput_rps: Optional[float] = omit_default(None)
 
     def __post_init__(self) -> None:
         if self.p99_ms is not None and self.p99_ms <= 0:
