@@ -38,13 +38,15 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 if TYPE_CHECKING:
     from ..obs.telemetry import ObsSpec, TimeSeries
 
 from ..scenario.faults import Degradation, Incident, Outage
 from ..scenario.library import ScenarioSpec, get_scenario
 from ..scenario.resilience import compute_resilience
-from ..serve.metrics import LatencySummary, TenantStats
+from ..serve.metrics import LatencySummary, TenantStats, fold_sum
 from ..serve.overload import (
     OverloadController,
     OverloadSpec,
@@ -211,10 +213,9 @@ def _aggregate_tenant(
     if len(stats) == 1:
         latency = stats[0].latency
     else:
-        latencies: List[float] = []
-        for state in states:
-            latencies.extend(state.latencies)
-        latency = LatencySummary.of(latencies)
+        latency = LatencySummary.of(np.concatenate(
+            [np.asarray(state.latencies, dtype=np.float64) for state in states]
+        ))
     completions = sum(s.completions for s in stats)
     firsts = [s.first_completion for s in states if s.first_completion is not None]
     lasts = [s.last_completion for s in states if s.last_completion is not None]
@@ -233,7 +234,7 @@ def _aggregate_tenant(
         drops=sum(s.drops for s in stats),
         in_flight=sum(s.in_flight for s in stats),
         latency=latency,
-        mean_queue_depth=sum(s.mean_queue_depth for s in stats),
+        mean_queue_depth=fold_sum([s.mean_queue_depth for s in stats]),
         peak_queue_depth=max(s.peak_queue_depth for s in stats),
         steady_rate_per_cycle=steady,
         lost=sum(s.lost for s in stats) + unroutable,

@@ -16,13 +16,25 @@ Four shapes cover the scenarios Section 4 of the paper motivates:
   between, same long-run average rate.
 * :class:`TraceArrivals` — replay of an explicit timestamp list, for
   driving the simulator with recorded production traffic.
+
+The event engine pumps :meth:`ArrivalProcess.times` one arrival at a
+time.  The fast path asks for the whole stream up front through
+:meth:`ArrivalProcess.materialize`, which must return exactly the times
+that pump would have produced.  Its default replays ``times()``;
+:class:`ConstantRate` computes its grid directly, and
+:class:`PoissonArrivals` draws its uniforms in blocks from a numpy
+``MT19937`` started from the same ``random.Random`` state, which
+reproduces ``expovariate`` draw for draw.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "ARRIVAL_KINDS",
@@ -40,12 +52,41 @@ __all__ = [
 #: rate, so it is constructed directly.)
 ARRIVAL_KINDS = ("constant", "poisson", "bursty")
 
+#: Uniforms drawn per block by :meth:`PoissonArrivals.materialize`:
+#: large enough to amortize the per-block overhead, small enough that a
+#: block's temporaries stay around a megabyte.
+_BLOCK = 1 << 16
+
 
 class ArrivalProcess:
     """Base class: a seeded stream of absolute arrival times (cycles)."""
 
     def times(self, rng: random.Random) -> Iterator[float]:
         raise NotImplementedError
+
+    def materialize(
+        self, rng: random.Random, limit: Optional[int], horizon: float
+    ) -> np.ndarray:
+        """Every time ``times(rng)`` yields, as a float64 array.
+
+        Stops at ``limit`` arrivals, at stream exhaustion, or at the
+        first time beyond ``horizon`` — where the event loop's pump
+        stops.  This default pumps ``times()``; subclasses whose draws
+        do not depend on the values drawn override it with array code.
+        ``rng`` belongs to the stream: its state afterwards is
+        unspecified.
+        """
+        stream = self.times(rng)
+        out: List[float] = []
+        while limit is None or len(out) < limit:
+            try:
+                when = next(stream)
+            except StopIteration:
+                break
+            if when > horizon:
+                break
+            out.append(when)
+        return np.asarray(out, dtype=np.float64)
 
     @property
     def mean_rate(self) -> float:
@@ -83,6 +124,17 @@ class ConstantRate(ArrivalProcess):
             yield index * period
             index += 1
 
+    def materialize(
+        self, rng: random.Random, limit: Optional[int], horizon: float
+    ) -> np.ndarray:
+        # The same ``index * period`` products, without touching the RNG.
+        period = 1.0 / self.rate
+        count = int(horizon / period) + 2
+        if limit is not None:
+            count = min(count, limit)
+        times = np.arange(count, dtype=np.float64) * period
+        return times[times <= horizon]
+
 
 @dataclass(frozen=True)
 class PoissonArrivals(ArrivalProcess):
@@ -102,6 +154,49 @@ class PoissonArrivals(ArrivalProcess):
         while True:
             now += rng.expovariate(self.rate)
             yield now
+
+    def materialize(
+        self, rng: random.Random, limit: Optional[int], horizon: float
+    ) -> np.ndarray:
+        # ``Generator.random`` is CPython's ``genrand_res53`` over the
+        # same Mersenne Twister state, so block draws replay
+        # ``expovariate``'s uniforms exactly.  The gaps go through
+        # ``math.log`` because ``np.log`` can differ in the last bit.
+        state = rng.getstate()[1]
+        bits = np.random.MT19937()
+        bits.state = {
+            "bit_generator": "MT19937",
+            "state": {
+                "key": np.asarray(state[:-1], dtype=np.uint32),
+                "pos": state[-1],
+            },
+        }
+        draw = np.random.Generator(bits).random
+        blocks: List[np.ndarray] = []
+        now = 0.0
+        remaining = limit
+        while remaining is None or remaining > 0:
+            size = _BLOCK if remaining is None else min(_BLOCK, remaining)
+            logs = np.fromiter(
+                map(math.log, (1.0 - draw(size)).tolist()),
+                dtype=np.float64,
+                count=size,
+            )
+            gaps = -logs / self.rate
+            # ``cumsum`` is a sequential fold, the same one ``now +=``
+            # makes; seeding the first gap with ``now`` continues it.
+            gaps[0] += now
+            times = np.cumsum(gaps)
+            kept = int(np.searchsorted(times, horizon, side="right"))
+            blocks.append(times[:kept])
+            if kept < size:
+                break
+            now = float(times[-1])
+            if remaining is not None:
+                remaining -= size
+        if not blocks:
+            return np.empty(0, dtype=np.float64)
+        return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.serialize import omit_default
 
 if TYPE_CHECKING:  # annotation only; results never construct telemetry
     from ..obs.telemetry import TimeSeries
     from .overload import OverloadReport
 
-__all__ = ["percentile", "LatencySummary", "TenantStats", "ServeResult"]
+__all__ = [
+    "fold_sum",
+    "percentile",
+    "LatencySummary",
+    "TenantStats",
+    "ServeResult",
+]
+
+
+def fold_sum(values: Sequence[float]) -> float:
+    """Left-to-right float sum ``((x0 + x1) + x2) + ...``; 0.0 when empty.
+
+    Recorded means go through this rather than the builtin ``sum``,
+    which compensates its rounding error since Python 3.12 and so gives
+    different last bits on different interpreters.  ``numpy.cumsum`` is
+    a sequential fold (``numpy.sum`` is pairwise).
+    """
+    folded = np.cumsum(np.asarray(values, dtype=np.float64))
+    return float(folded[-1]) if folded.size else 0.0
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -52,22 +72,22 @@ class LatencySummary:
 
     @classmethod
     def of(cls, latencies: Sequence[float]) -> Optional["LatencySummary"]:
-        if not latencies:
+        """Summarize a list or float64 array of latencies (``None`` if empty)."""
+        values = np.asarray(latencies, dtype=np.float64)
+        n = int(values.size)
+        if n == 0:
             return None
-        # One sort serves every percentile: calling ``percentile`` per
-        # quantile re-sorted the full list three times, which dominated
-        # the reduction cost for large runs.  Nearest-rank selection on
-        # the shared sorted copy returns the exact same elements.
-        ordered = sorted(latencies)
-        n = len(ordered)
+        # One sort serves every percentile; nearest-rank selection on
+        # the sorted copy returns the exact elements ``percentile`` would.
+        ordered = np.sort(values)
         return cls(
             count=n,
-            mean=sum(latencies) / n,
-            p50=ordered[int(max(1, -(-n * 50 // 100))) - 1],
-            p95=ordered[int(max(1, -(-n * 95 // 100))) - 1],
-            p99=ordered[int(max(1, -(-n * 99 // 100))) - 1],
-            min=ordered[0],
-            max=ordered[-1],
+            mean=fold_sum(values) / n,
+            p50=float(ordered[max(1, -(-n * 50 // 100)) - 1]),
+            p95=float(ordered[max(1, -(-n * 95 // 100)) - 1]),
+            p99=float(ordered[max(1, -(-n * 99 // 100)) - 1]),
+            min=float(ordered[0]),
+            max=float(ordered[-1]),
         )
 
 

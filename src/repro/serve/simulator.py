@@ -221,6 +221,8 @@ class TenantState:
         self.retries = 0
         self.hedges = 0
         self.late = 0
+        #: Completion latencies in cycles (the fast path stores a float64
+        #: array; both reduce through ``LatencySummary.of``).
         self.latencies: List[float] = []
         self.first_completion: Optional[float] = None
         self.last_completion: Optional[float] = None

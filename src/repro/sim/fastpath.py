@@ -9,6 +9,19 @@ instead of a callback loop.  This module is that solver, used by
 :func:`repro.serve.simulator.simulate_traffic`, a one-board fleet run —
 when ``engine="fast"`` (or ``"auto"`` without a scenario).
 
+The run is numpy from the arrival draw to the latency summary:
+
+* **Arrivals** come whole from :meth:`ArrivalProcess.materialize`
+  (Poisson streams draw their uniforms in blocks; see
+  :mod:`repro.serve.arrivals`).
+* **Queues** are solved in closed form.  FIFO admission with one slot
+  per boundary is a running maximum; a queue that fills first solves
+  every arrival's queue length with a log-depth prefix scan, which
+  decides the drops, and the survivors take the same closed form
+  (``_solve_stream``).
+* **Latencies** stay float64 arrays through
+  :meth:`~repro.serve.metrics.LatencySummary.of`.
+
 The contract is *bit-for-bit* equality with the event engine, not
 statistical agreement: every float in the result is produced by the
 same IEEE-754 operations in the same fold order the event loop would
@@ -25,7 +38,9 @@ have used.  The three places this bites, and how they are replicated:
 * **Fold order.**  Occupancy integrals and latency means are fold-left
   float sums in event order.  ``numpy.cumsum`` is a sequential
   fold-left (unlike ``numpy.sum``, which is pairwise), so
-  ``cumsum(...)[-1]`` reproduces the event loop's accumulator exactly.
+  ``cumsum(...)[-1]`` reproduces the event loop's accumulator exactly;
+  both engines take latency means through the same fold
+  (:func:`~repro.serve.metrics.fold_sum`).
 * **Grid times.**  Boundaries live on the exact grid ``k * epoch`` in
   both engines (see the ``schedule_at`` chains), so admission and
   completion timestamps are single multiplications, identical on both
@@ -48,11 +63,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..serve.arrivals import ArrivalProcess, ConstantRate
+from ..serve.arrivals import ArrivalProcess
 from ..serve.simulator import Request
 
 __all__ = [
@@ -123,34 +138,12 @@ def materialize_arrivals(
 ) -> np.ndarray:
     """All arrival times one stream would fire, as a float64 array.
 
-    Replicates the event loop's pump exactly: stop at ``limit``
-    arrivals, at stream exhaustion, or at the first time beyond the
-    horizon.  Constant-rate streams (the common benchmark shape) are
-    generated without touching the RNG — their generator ignores it —
-    while stochastic processes replay ``random.Random(seed_key)``
-    draw-for-draw, which keeps the traffic identical to the event
-    engine's streams by construction.
+    The event loop draws stream ``seed_key`` from a fresh
+    ``random.Random(seed_key)``; :meth:`ArrivalProcess.materialize`
+    replays that generator exactly, stopping where the event loop's pump
+    stops (``limit`` arrivals, exhaustion, or the horizon).
     """
-    if isinstance(process, ConstantRate):
-        period = 1.0 / process.rate
-        count = int(horizon / period) + 2
-        times = np.arange(count, dtype=np.float64) * period
-        times = times[times <= horizon]
-        if limit is not None:
-            times = times[:limit]
-        return times
-    rng = random.Random(seed_key)
-    stream: Iterator[float] = process.times(rng)
-    out: List[float] = []
-    while limit is None or len(out) < limit:
-        try:
-            when = next(stream)
-        except StopIteration:
-            break
-        if when > horizon:
-            break
-        out.append(when)
-    return np.asarray(out, dtype=np.float64)
+    return process.materialize(random.Random(seed_key), limit, horizon)
 
 
 # ------------------------------------------------------------------- grid
@@ -219,7 +212,7 @@ class _StreamResult:
         s_adm: np.ndarray,
         adm_times: np.ndarray,
         drops: int,
-        queue_times: Sequence[float],
+        queue_times: np.ndarray,
         area: float,
         mark: float,
         peak: int,
@@ -238,6 +231,53 @@ class _StreamResult:
         self.stream_close = stream_close
 
 
+def _fifo_admissions(eligibility: np.ndarray) -> np.ndarray:
+    """Admission boundary of each queued arrival, one per boundary.
+
+    FIFO with one admission per boundary is ``s_i = max(s_{i-1} + 1,
+    e_i)``, whose closed form is ``i + max.accumulate(e - i)``.
+    """
+    index = np.arange(eligibility.size, dtype=np.int64)
+    return index + np.maximum.accumulate(eligibility - index)
+
+
+def _queue_lengths(steps: np.ndarray, depth: int) -> np.ndarray:
+    """Queue length each arrival finds before its push, at capacity ``depth``.
+
+    ``steps[i]`` boundaries fire between arrival ``i-1``'s push and
+    arrival ``i``'s, each serving one waiter, so the length after push
+    ``i`` is ``L_i = min(depth, max(0, L_{i-1} - steps[i]) + 1)`` from
+    ``L_{-1} = 0``: a full queue keeps its length whether it refuses the
+    newcomer or evicts its head.  Each step is a clamp map
+    ``x -> min(hi, max(lo, x + c))`` (``c = 1 - steps[i]``, ``lo = 1``,
+    ``hi = depth``), clamp maps compose to clamp maps, and a
+    log2(n)-round prefix scan composes every prefix at once.  Shifts
+    compose by addition, so their prefixes are one ``cumsum`` and only
+    the bounds go through the scan.
+    """
+    n = steps.size
+    shift = np.cumsum(1 - steps)
+    lo = np.ones(n, dtype=np.int64)
+    hi = np.full(n, depth, dtype=np.int64)
+    span = 1
+    while span < n:
+        # Entry i covers maps i-span+1..i; apply entry i-span first.
+        moved = shift[span:] - shift[:-span]
+        lo_next = np.minimum(
+            hi[span:], np.maximum(lo[span:], lo[:-span] + moved)
+        )
+        hi[span:] = np.minimum(
+            hi[span:], np.maximum(lo[span:], hi[:-span] + moved)
+        )
+        lo[span:] = lo_next
+        span *= 2
+    after = np.minimum(hi, np.maximum(lo, shift))
+    before = np.empty_like(after)
+    before[0] = 0
+    before[1:] = after[:-1]
+    return np.maximum(before - steps, 0)
+
+
 def _solve_stream(
     arrivals: np.ndarray,
     eligibility: np.ndarray,
@@ -247,134 +287,89 @@ def _solve_stream(
     policy: str,
     drain: bool,
 ) -> _StreamResult:
-    """Solve one FIFO admission queue against one boundary grid.
+    """Solve one bounded FIFO admission queue against one boundary grid.
 
     ``last_k`` is the last boundary that exists without draining; in
-    drain mode the chain extends as far as pending work requires.  The
-    vectorized branch handles the no-drop case (one closed-form
-    recurrence); any run that would drop falls back to a serial Python
-    replay of the exact event semantics, still O(arrivals).
+    drain mode the chain extends as far as pending work requires.
+    Arrivals never outlive the horizon, so no eligibility exceeds
+    ``last_k + 1`` and queue lengths need no cut at ``last_k``.
+
+    Without drops the FIFO closed form gives every admission at once.
+    A run that fills its queue first solves the queue lengths with
+    :func:`_queue_lengths`: an arrival that finds ``queue_depth``
+    waiters is refused under drop-tail, and under drop-head evicts the
+    head, which is arrival ``i - queue_depth`` (the queue always holds
+    a run of consecutive arrivals there).  Refused and evicted arrivals
+    leave the queue without an admission, so the survivors alone go
+    through the same closed form.
     """
     n = arrivals.size
     stream_close = int(eligibility[-1]) if n else 0
     if n == 0:
         empty = np.empty(0, dtype=np.float64)
         return _StreamResult(
-            np.empty(0, dtype=np.int64), empty, 0, (), 0.0, 0.0, 0, 0
+            np.empty(0, dtype=np.int64), empty, 0, empty, 0.0, 0.0, 0, 0
         )
 
     index = np.arange(n, dtype=np.int64)
-    # FIFO with one admission per boundary: s_i = max(s_{i-1}+1, e_i).
-    s = index + np.maximum.accumulate(eligibility - index)
+    s = _fifo_admissions(eligibility)
     # Queue length each arrival observes just before its push: arrivals
     # admitted strictly before its fire are exactly those with s < e.
-    length = index - np.searchsorted(s, eligibility, side="left")
-    if int(length.max()) >= queue_depth:
-        return _solve_stream_serial(
-            arrivals, eligibility, epoch, last_k, queue_depth, policy,
-            drain, stream_close,
-        )
-
-    cutoff = np.searchsorted(s, last_k, side="right") if not drain else n
-    s_adm = s[:cutoff]
-    adm_times = arrivals[:cutoff]
-    queue_times = arrivals[cutoff:].tolist()
-
-    # Occupancy integral in event order: pushes keyed by eligibility
-    # (an arrival fires just before boundary e), pops keyed by their
-    # admission boundary, pushes winning boundary-index ties (the
-    # arrival fired first — that is what eligibility encodes).
-    kind = np.concatenate(
-        (np.zeros(n, dtype=np.int64), np.ones(cutoff, dtype=np.int64))
-    )
-    key = np.concatenate((eligibility, s_adm))
-    times = np.concatenate((arrivals, s_adm * epoch))
-    delta = np.concatenate(
-        (np.ones(n, dtype=np.int64), -np.ones(cutoff, dtype=np.int64))
-    )
-    order = np.lexsort((kind, key))
-    times = times[order]
-    running = np.cumsum(delta[order])
-    before = running - delta[order]
-    prev_times = np.empty_like(times)
-    prev_times[1:] = times[:-1]
-    prev_times[0] = 0.0
-    steps = np.cumsum(before * (times - prev_times))
-    area = float(steps[-1])
-    mark = float(times[-1])
-    peak = int(length.max()) + 1
-    return _StreamResult(
-        s_adm, adm_times, 0, queue_times, area, mark, peak, stream_close
-    )
-
-
-def _solve_stream_serial(
-    arrivals: np.ndarray,
-    eligibility: np.ndarray,
-    epoch: float,
-    last_k: int,
-    queue_depth: int,
-    policy: str,
-    drain: bool,
-    stream_close: int,
-) -> _StreamResult:
-    """Reference replay for streams that drop: exact event semantics.
-
-    Walks arrivals and the boundaries interleaved between them in fire
-    order, touching the occupancy integral with plain Python float ops
-    exactly where ``TenantState`` would.  Boundaries with an empty
-    queue are skipped wholesale (they touch nothing), keeping the loop
-    O(arrivals) even over very long horizons.
-    """
-    queue: deque = deque()
-    area = 0.0
-    mark = 0.0
-    peak = 0
+    served = np.searchsorted(s, eligibility, side="left")
+    length = index - served
+    push = np.ones(n, dtype=np.int64)
     drops = 0
-    s_list: List[int] = []
-    adm_list: List[float] = []
-    next_k = 1
+    queued_times = arrivals
+    if int(length.max()) >= queue_depth:
+        steps = np.diff(eligibility, prepend=1)
+        length = _queue_lengths(steps, queue_depth)
+        full = length == queue_depth
+        drops = int(np.count_nonzero(full))
+        if policy == "drop-tail":
+            kept = ~full
+        else:
+            kept = np.ones(n, dtype=bool)
+            kept[np.flatnonzero(full) - queue_depth] = False
+        # A full queue keeps its length: the push is a touch, not a +1.
+        push[full] = 0
+        queued_times = arrivals[kept]
+        s = _fifo_admissions(eligibility[kept])
+        served = np.searchsorted(s, eligibility, side="left")
 
-    def pop_until(limit_k: int) -> None:
-        nonlocal area, mark, next_k
-        while queue and next_k <= limit_k:
-            t_k = next_k * epoch
-            area += len(queue) * (t_k - mark)
-            mark = t_k
-            adm_list.append(queue.popleft())
-            s_list.append(next_k)
-            next_k += 1
+    cutoff = s.size if drain else int(np.searchsorted(s, last_k, side="right"))
+    s_adm = s[:cutoff]
+    adm_times = queued_times[:cutoff]
+    queue_times = queued_times[cutoff:]
 
-    for i in range(arrivals.size):
-        when = float(arrivals[i])
-        fires_at = int(eligibility[i])
-        # Boundaries before this arrival's fire serve the queue first.
-        pop_until(min(fires_at - 1, last_k) if not drain else fires_at - 1)
-        if not queue:
-            next_k = max(next_k, fires_at)
-        area += len(queue) * (when - mark)
-        mark = when
-        if len(queue) >= queue_depth:
-            drops += 1
-            if policy == "drop-tail":
-                continue
-            queue.popleft()  # drop-head: evict the stalest waiter
-        queue.append(when)
-        if len(queue) > peak:
-            peak = len(queue)
-    if drain:
-        # Draining chains one boundary per remaining waiter until empty.
-        pop_until(next_k + len(queue))
-    else:
-        pop_until(last_k)
+    # Occupancy integral in event order.  Pushes (keyed by eligibility:
+    # an arrival fires just before boundary e) and pops (keyed by their
+    # admission boundary) are each already in order; a push wins a key
+    # tie, since the arrival fired first — that is what eligibility
+    # encodes.  Each event's slot in the merge counts the other kind
+    # ahead of it: pop j follows push i iff ``served[i] <= j``.
+    slot_push = index + np.minimum(served, cutoff)
+    slot_pop = np.arange(cutoff, dtype=np.int64) + np.cumsum(
+        np.bincount(served, minlength=cutoff)[:cutoff]
+    )
+    times = np.empty(n + cutoff, dtype=np.float64)
+    delta = np.empty(n + cutoff, dtype=np.int64)
+    times[slot_push] = arrivals
+    times[slot_pop] = s_adm * epoch
+    delta[slot_push] = push
+    delta[slot_pop] = -1
+    before = np.cumsum(delta) - delta
+    prev_times = np.empty_like(times)
+    prev_times[0] = 0.0
+    prev_times[1:] = times[:-1]
+    area = np.cumsum(before * (times - prev_times))
     return _StreamResult(
-        np.asarray(s_list, dtype=np.int64),
-        np.asarray(adm_list, dtype=np.float64),
+        s_adm,
+        adm_times,
         drops,
-        list(queue),
-        area,
-        mark,
-        peak,
+        queue_times,
+        float(area[-1]),
+        float(times[-1]),
+        min(queue_depth, int(length.max()) + 1),
         stream_close,
     )
 
@@ -405,11 +400,11 @@ def _fill_state(
     state.drops = solved.drops
     state.completions = fired
     state.pipeline = int(finish.size) - fired
-    state.latencies = latencies.tolist()
+    state.latencies = latencies
     if fired:
         state.first_completion = float(finish[0])
         state.last_completion = float(finish[fired - 1])
-    state.queue = deque(Request(float(t)) for t in solved.queue_times)
+    state.queue = deque(map(Request, solved.queue_times.tolist()))
     state.peak_queue = solved.peak
     state._occupancy_area = solved.area
     state._occupancy_mark = solved.mark
@@ -494,23 +489,30 @@ def fleet_fast_supported(balancer, eligible: Dict[str, Tuple[int, ...]]) -> bool
     return routes_fixed(balancer, eligible)
 
 
-def _static_routes(
-    balancer, name: str, targets: Tuple[int, ...], count: int
-) -> np.ndarray:
-    """Replica index for each of a tenant's ``count`` arrivals."""
+def _route_slices(
+    balancer, name: str, targets: Tuple[int, ...]
+) -> Dict[int, slice]:
+    """Each target replica's share of a tenant's stream, as a slice.
+
+    Round-robin's per-tenant counter advances once per arrival, and a
+    tenant's arrivals fire in index order, so the n-th arrival draws
+    turn n however tenants interleave: target ``j`` takes every
+    ``len(targets)``-th arrival from ``j``.  Tenant-affinity sends the
+    whole stream to one hashed target.
+    """
     from ..fleet.balancer import RoundRobinBalancer, TenantAffinityBalancer
 
+    if len(targets) == 1:
+        return {targets[0]: slice(None)}
     if type(balancer) is RoundRobinBalancer:
-        # The per-tenant counter advances once per arrival, and a
-        # tenant's arrivals fire in index order, so the n-th arrival
-        # draws turn n no matter how tenants interleave globally.
-        choice = np.asarray(targets, dtype=np.int64)
-        return choice[np.arange(count, dtype=np.int64) % len(targets)]
+        return {
+            r: slice(j, None, len(targets)) for j, r in enumerate(targets)
+        }
     if type(balancer) is TenantAffinityBalancer:
         import zlib
 
-        digest = zlib.crc32(name.encode("utf-8"))
-        return np.full(count, targets[digest % len(targets)], dtype=np.int64)
+        chosen = targets[zlib.crc32(name.encode("utf-8")) % len(targets)]
+        return {r: slice(None) if r == chosen else slice(0) for r in targets}
     raise AssertionError(f"unsupported balancer {balancer.name!r}")
 
 
@@ -545,12 +547,7 @@ def run_fleet_fast(
             spec.process, f"{seed}/{index}/{spec.name}", spec.limit, horizon
         )
         targets = eligible[spec.name]
-        # A lone target takes the whole stream: no routes, no masks.
-        routes = (
-            None
-            if len(targets) == 1
-            else _static_routes(balancer, spec.name, targets, arrivals.size)
-        )
+        shares = _route_slices(balancer, spec.name, targets)
         # One eligibility pass per distinct epoch among serving replicas.
         by_epoch: Dict[float, np.ndarray] = {}
         for r in targets:
@@ -560,10 +557,11 @@ def run_fleet_fast(
         for r in targets:
             replica = replicas[r]
             state = replica.states[spec.name]
-            mask = slice(None) if routes is None else routes == r
+            # Contiguous copies: a strided share slows every array pass.
+            mine = np.ascontiguousarray(arrivals[shares[r]])
             solved = _solve_stream(
-                arrivals[mask],
-                by_epoch[replica.epoch][mask],
+                mine,
+                np.ascontiguousarray(by_epoch[replica.epoch][shares[r]]),
                 replica.epoch,
                 last_ks[r],
                 state.queue_depth,
@@ -571,7 +569,7 @@ def run_fleet_fast(
                 drain,
             )
             finish = _fill_state(
-                state, arrivals[mask], solved, replica.epoch, drain, horizon
+                state, mine, solved, replica.epoch, drain, horizon
             )
             if finish is not None and (
                 last_finish is None or finish > last_finish

@@ -8,6 +8,8 @@ statistically similar ones.  The tests here hold it to that promise:
   engines and compare the fully-serialized results for exact equality —
   across arrival shapes, queue depths, drop policies, drain modes,
   balancers, and heterogeneous fleets;
+* arrival materialization replays each stream's generator bit for
+  bit, and the queue-length scan matches a plain Python loop;
 * engine-selection tests pin the ``auto``/``fast``/``event`` resolution
   rules, including the fast+scenario rejection and the silent event
   fallback for load-dependent balancers;
@@ -17,7 +19,9 @@ statistically similar ones.  The tests here hold it to that promise:
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,6 +30,9 @@ from repro.core.serialize import fleet_result_to_dict, serve_result_to_dict
 from repro.fleet import BALANCER_NAMES, DeviceSpec, simulate_fleet
 from repro.scenario import RedundancyOutage, ScenarioSpec
 from repro.serve import (
+    BurstyArrivals,
+    ConstantRate,
+    PoissonArrivals,
     SLOSpec,
     TenantSpec,
     TraceArrivals,
@@ -33,8 +40,10 @@ from repro.serve import (
     make_arrival_process,
     simulate_traffic,
 )
+from repro.serve.arrivals import _BLOCK
 from repro.serve.metrics import LatencySummary
 from repro.sim import ENGINES, Simulator, resolve_engine
+from repro.sim.fastpath import _queue_lengths, materialize_arrivals
 
 FAST = settings(
     max_examples=25,
@@ -85,6 +94,87 @@ def _fleet_both(design, *, replicas=2, rate_mult=1.0, balancer="round-robin",
     fast = simulate_fleet(devices, tenants, engine="fast", **kwargs)
     event = simulate_fleet(devices, tenants, engine="event", **kwargs)
     return fast, event
+
+
+# ------------------------------------------------- arrival materialization
+def _pump(process, seed_key, limit, horizon):
+    """The event loop's view of a stream: pull ``times()`` one by one."""
+    stream = process.times(random.Random(seed_key))
+    out = []
+    for when in stream:
+        if (limit is not None and len(out) >= limit) or when > horizon:
+            break
+        out.append(when)
+    return out
+
+
+class TestMaterializeArrivals:
+    """Whole-stream materialization equals the one-at-a-time pump."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed_key=st.text(max_size=12),
+        rate=st.floats(1e-7, 1.0),
+        blocks=st.sampled_from([0.0, 0.4, 2.6]),
+        limit=st.sampled_from([None, 0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
+    )
+    def test_poisson_replays_expovariate(self, seed_key, rate, blocks, limit):
+        # ``blocks`` sizes the horizon in expected blocks of arrivals.
+        horizon = blocks * _BLOCK / rate
+        process = PoissonArrivals(rate)
+        fast = materialize_arrivals(process, seed_key, limit, horizon)
+        assert fast.dtype == np.float64
+        assert fast.tolist() == _pump(process, seed_key, limit, horizon)
+
+    def test_poisson_first_gaps_exact(self):
+        """Each stream's first arrivals are bare gaps, so a last-bit
+        difference in the logarithm cannot round away as it does once
+        the running sum dwarfs the gap."""
+        process = PoissonArrivals(0.37)
+        for key in range(1000):
+            fast = materialize_arrivals(process, str(key), 3, math.inf)
+            assert fast.tolist() == _pump(process, str(key), 3, math.inf)
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_poisson_horizon_on_a_block_edge(self, blocks):
+        """The horizon lands exactly on the last arrival of a block."""
+        process = PoissonArrivals(0.01)
+        reference = _pump(process, "edge", blocks * _BLOCK, math.inf)
+        horizon = reference[-1]
+        fast = materialize_arrivals(process, "edge", None, horizon)
+        assert fast.size == blocks * _BLOCK
+        assert fast.tolist() == _pump(process, "edge", None, horizon)
+
+    @pytest.mark.parametrize("process", [
+        ConstantRate(0.003),
+        BurstyArrivals(0.002, burstiness=3.0, period_cycles=5_000.0),
+        TraceArrivals([0.0, 0.0, 5.0, 7.5, 1e4, 2e4]),
+    ], ids=["constant", "bursty", "trace"])
+    @pytest.mark.parametrize("limit", [None, 0, 1, 50])
+    def test_other_streams_unchanged(self, process, limit):
+        for horizon in (0.0, 1.5e4, 3e5):
+            fast = materialize_arrivals(process, "other", limit, horizon)
+            assert fast.tolist() == _pump(process, "other", limit, horizon)
+
+
+# ------------------------------------------------------ queue-length scan
+def _loop_lengths(steps, depth):
+    """Queue length before each push, one arrival at a time."""
+    before, after = [], 0
+    for served in steps:
+        before.append(max(0, after - served))
+        after = min(depth, before[-1] + 1)
+    return before
+
+
+@FAST
+@given(
+    steps=st.lists(st.integers(0, 4), min_size=1, max_size=300),
+    depth=st.integers(1, 8),
+)
+def test_queue_length_scan_matches_loop(steps, depth):
+    scanned = _queue_lengths(np.asarray(steps, dtype=np.int64), depth)
+    assert scanned.tolist() == _loop_lengths(steps, depth)
 
 
 # ------------------------------------------------------- serve differential
@@ -194,6 +284,30 @@ class TestFleetDifferential:
             drain=drain,
             seed=seed,
             queue_depth=queue_depth,
+        )
+        assert fleet_result_to_dict(fast) == fleet_result_to_dict(event)
+
+    @FAST
+    @given(
+        replicas=st.sampled_from([1, 3]),
+        load=st.floats(1.1, 4.0),
+        queue_depth=st.integers(1, 8),
+        policy=st.sampled_from(["drop-tail", "drop-head"]),
+        drain=st.booleans(),
+        seed=st.integers(0, 2**20),
+    )
+    def test_saturated_queues(self, toy_design, replicas, load, queue_depth,
+                              policy, drain, seed):
+        """Overloaded round-robin fleets: every queue fills and drops."""
+        fast, event = _fleet_both(
+            toy_design,
+            replicas=replicas,
+            rate_mult=load * replicas,
+            epochs=60,
+            seed=seed,
+            queue_depth=queue_depth,
+            policy=policy,
+            drain=drain,
         )
         assert fleet_result_to_dict(fast) == fleet_result_to_dict(event)
 
