@@ -320,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--engine", default="auto",
                        choices=list(ENGINES),
                        help="epoch-batched fast path or reference event loop "
-                       "(bit-identical results; auto picks fast)")
+                       "(bit-identical results; auto picks fast unless "
+                       "overload control or observation needs the event loop)")
     serve.add_argument("--load", metavar="FILE", default=None,
                        help="serve a saved design JSON instead of optimizing")
     serve.add_argument("--save", metavar="FILE", default=None,
@@ -368,8 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--engine", default="auto",
                        choices=list(ENGINES),
                        help="epoch-batched fast path or reference event loop "
-                       "(bit-identical results; auto picks fast for "
-                       "scenario-free runs)")
+                       "(bit-identical results; auto picks fast unless a "
+                       "scenario, overload control, an active detector or "
+                       "observation needs the event loop)")
         _add_overload_args(p)
         _add_detector_args(p)
 

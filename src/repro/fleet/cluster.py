@@ -14,18 +14,32 @@ one-replica run of this class reshaped into a ``ServeResult``.  Fleet
 answers (how many boards?) therefore extrapolate exactly the device
 model a lone board is measured with.
 
+Each :meth:`ClusterSimulator.run` builds one private run-state object,
+``_FleetRun``: the run's replicas, overlays and ledgers, with one
+method per event kind (arrival, boundary, completion, fault, gray
+window, probe, timeout sweep, telemetry sample) and one result builder
+both engines end in.  Events are scheduled as those methods plus their
+arguments (``sim.schedule_at(when, self.boundary, replica, count)``).
+
 Every run follows one request lifecycle: each arrival, retry and hedge
 is a :class:`~repro.serve.simulator.Request` that lands, queues, is
 admitted at an epoch boundary and completes (or is lost, dropped, timed
-out or failed over).  Overload control is a hook on that lifecycle, not
-a second path: when active, an
+out or failed over).  Overlays are hooks on that lifecycle, not second
+paths; one that is off is ``None``.  When active, an
 :class:`~repro.serve.overload.OverloadController` takes over admission,
-dispatch order, completion accounting and client retries.
+dispatch order, completion accounting and client retries; a
+:class:`~repro.fleet.detector.FailureDetector` decides which replicas
+are routable; gray failures set each replica's ``slow_factor``,
+``error_rate`` and ``link_delay_epochs``, which every dispatch reads.
+Scenarios, active overload control, active detectors and observation
+(``obs``) all need the event engine
+(:func:`repro.sim.fastpath.resolve_engine`).
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -41,7 +55,7 @@ from typing import (
 import numpy as np
 
 if TYPE_CHECKING:
-    from ..obs.telemetry import ObsSpec, TimeSeries
+    from ..obs.telemetry import ObsSpec
 
 from ..scenario.faults import Degradation, Incident, Outage
 from ..scenario.library import ScenarioSpec, get_scenario
@@ -96,6 +110,7 @@ class Replica:
             "slow": [], "flaky": [], "link-delay": []
         }
         self.slow_next = 0.0
+        self._regray()
         base, plans = spec.plans()
         self.epoch = spec.resolve_epoch()
         self.num_clps = base.num_clps
@@ -131,31 +146,30 @@ class Replica:
     def healthy(self) -> bool:
         return self.down_depth == 0
 
-    @property
-    def degraded(self) -> bool:
-        """True while any gray-failure window covers this replica."""
-        return any(self.gray.values())
-
-    @property
-    def slow_factor(self) -> float:
-        stack = self.gray["slow"]
-        return max(stack) if stack else 1.0
-
-    @property
-    def error_rate(self) -> float:
-        stack = self.gray["flaky"]
-        return min(1.0, max(stack)) if stack else 0.0
-
-    @property
-    def link_delay_epochs(self) -> float:
-        stack = self.gray["link-delay"]
-        return max(stack) if stack else 0.0
-
     def gray_begin(self, mode: str, severity: float) -> None:
         self.gray[mode].append(severity)
+        self._regray()
 
     def gray_end(self, mode: str, severity: float) -> None:
         self.gray[mode].remove(severity)
+        self._regray()
+
+    def _regray(self) -> None:
+        """Recompute the service model from the severity stacks.
+
+        A replica outside every gray window has ``slow_factor`` 1.0,
+        ``error_rate`` 0.0 and ``link_delay_epochs`` 0.0, so the one
+        service formula ``depth * epoch * slow_factor + link_delay *
+        epoch`` is bit-exact to ``depth * epoch`` there.
+        """
+        slow, flaky, link = (
+            self.gray["slow"], self.gray["flaky"], self.gray["link-delay"]
+        )
+        self.slow_factor = max(slow, default=1.0)
+        self.error_rate = min(1.0, max(flaky, default=0.0))
+        self.link_delay_epochs = max(link, default=0.0)
+        #: True while any gray-failure window covers this replica.
+        self.degraded = bool(slow or flaky or link)
 
     def serves(self, tenant: str) -> bool:
         return tenant in self.states
@@ -341,15 +355,20 @@ class ClusterSimulator:
         completions plus drops exactly.  Identical arguments produce an
         identical :class:`~repro.fleet.metrics.FleetResult`.
 
+        Each call builds one private run-state object (replicas,
+        overlays, ledgers and one method per event kind) and returns its
+        result; the simulator itself keeps no per-run state.
+
         ``engine`` selects the execution strategy: ``"auto"`` (default)
         uses the epoch-batched fast path (:mod:`repro.sim.fastpath`)
-        for scenario-free runs and the event engine otherwise;
-        ``"fast"``/``"event"`` force a choice (``"fast"`` with a
-        scenario raises).  Both engines produce bit-identical results;
-        routing policies whose choices depend on the global event
-        interleaving (least-outstanding, power-of-two, random across
-        multiple replicas) are executed on the event engine regardless,
-        since their behaviour *is* that interleaving.
+        unless a scenario, active overload control, an active detector
+        or observation needs the event engine; ``"fast"``/``"event"``
+        force a choice (``"fast"`` with any of those raises one
+        ``ValueError`` naming them all).  Both engines produce
+        bit-identical results; routing policies whose choices depend on
+        the global event interleaving (least-outstanding, power-of-two,
+        random across multiple replicas) are executed on the event
+        engine regardless, since their behaviour *is* that interleaving.
 
         ``scenario`` (a name from :data:`repro.scenario.SCENARIOS` or a
         :class:`~repro.scenario.ScenarioSpec`) overlays a failure/surge
@@ -366,11 +385,10 @@ class ClusterSimulator:
         windowed telemetry (the result's ``timeseries`` field: fleet
         per-tenant gauges and rates, per-replica duty factors and
         health, windowed p99) and/or request-lifecycle + incident
-        tracing.  Observation needs the event engine: ``engine="auto"``
-        falls back to it for observed runs (scalars stay bit-identical);
-        an explicit ``engine="fast"`` keeps the fast path where it
-        applies and reports ``timeseries=None``, and raises if a trace
-        was requested.  ``obs=None`` (default) changes nothing.
+        tracing.  Observation samples the event stream, so an active
+        spec is an engine blocker like a scenario: ``"auto"`` runs the
+        event engine (scalars stay bit-identical to an unobserved run)
+        and ``"fast"`` raises.  ``obs=None`` (default) changes nothing.
 
         ``overload`` (an :class:`~repro.serve.overload.OverloadSpec`)
         switches on admission control, queue disciplines, client
@@ -393,12 +411,57 @@ class ClusterSimulator:
         to ``detector=None``.  An *active* detector forces the event
         engine under ``auto`` (``"fast"`` raises).
         """
-        from ..sim.engine import Simulator
-        from ..sim.fastpath import (
-            fleet_fast_supported,
-            resolve_engine,
-            run_fleet_fast,
+        from ..sim import fastpath
+
+        fleet = _FleetRun(
+            self, duration_cycles, seed=seed, drain=drain, scenario=scenario,
+            engine=engine, obs=obs, overload=overload, detector=detector,
         )
+        if fleet.engine == "fast" and fastpath.fleet_fast_supported(
+            fleet.balancer, fleet.eligible
+        ):
+            elapsed = fastpath.run_fleet_fast(
+                fleet.replicas, self.tenants, fleet.eligible, fleet.balancer,
+                fleet.horizon, seed, drain,
+            )
+        else:
+            elapsed = fleet.simulate()
+        result = fleet.result(elapsed)
+        fleet.close()
+        return result
+
+
+class _FleetRun:
+    """The state of one :meth:`ClusterSimulator.run` call.
+
+    Construction resolves the overlays, builds fresh replicas and the
+    balancer, materializes the scenario, and sets up every ledger the
+    result reads.  The fast path then fills the replica states directly
+    (:func:`repro.sim.fastpath.run_fleet_fast`); :meth:`simulate`
+    instead schedules the event methods below on one event engine.
+    Either way :meth:`result` reduces the run's own fields.
+
+    An overlay that is off is ``None`` (``controller``, ``fdet``,
+    ``recorder``, ``tracer``, ``request_timeout``, ``samples``) or
+    empty (``outages``, ``degradations``), never a separate code path.
+    """
+
+    def __init__(
+        self,
+        cluster: ClusterSimulator,
+        duration_cycles: float,
+        *,
+        seed: int,
+        drain: bool,
+        scenario: Union[str, ScenarioSpec, None],
+        engine: str,
+        obs: Optional["ObsSpec"],
+        overload: Optional[OverloadSpec],
+        detector: Optional[DetectorSpec],
+    ):
+        from ..sim.engine import Simulator
+        from ..sim.fastpath import resolve_engine
+
         if duration_cycles <= 0:
             raise ValueError("duration_cycles must be positive")
         if isinstance(scenario, str):
@@ -407,833 +470,719 @@ class ClusterSimulator:
             overload = scenario.overload
         if detector is None and scenario is not None:
             detector = scenario.detector
-        detector_active = detector is not None and detector.active
-        overload_active = (overload is not None and overload.active) or any(
-            spec.deadline_ms is not None for spec in self.tenants
-        )
+        tenants = cluster.tenants
         ospec: Optional[OverloadSpec] = None
-        if overload_active:
+        if (overload is not None and overload.active) or any(
+            spec.deadline_ms is not None for spec in tenants
+        ):
             ospec = overload if overload is not None else OverloadSpec()
-        concrete = resolve_engine(
+        obs_active = obs is not None and obs.active
+        self.engine = resolve_engine(
             engine,
             has_scenario=scenario is not None,
-            has_overload=overload_active,
-            has_detector=detector_active,
+            has_overload=ospec is not None,
+            has_detector=detector is not None and detector.active,
+            has_obs=obs_active,
         )
-        obs_active = obs is not None and obs.active
-        if obs_active and concrete == "fast":
-            if engine == "fast" and obs.trace is not None:
-                raise ValueError(
-                    "engine='fast' cannot emit a trace; use 'auto' or 'event'"
-                )
-            if engine != "fast":
-                # The fast solver has no event stream to sample or
-                # trace; "auto" prefers observability over speed.
-                concrete = "event"
+        self.cluster = cluster
+        self.tenants = tenants
+        self.names = [spec.name for spec in tenants]
+        self.tenant_index = {name: i for i, name in enumerate(self.names)}
+        self.horizon = float(duration_cycles)
+        self.seed = seed
+        self.drain = drain
+        self.scenario = scenario
+        self.detector = detector
 
-        replicas: List[Replica] = []
-        for device in self.devices:
-            for _ in range(device.count):
-                replicas.append(
-                    Replica(
-                        device,
-                        len(replicas),
-                        self.tenants,
-                        self.queue_depth,
-                        self.policy,
-                        overload=ospec,
-                        cycles_per_ms=self.frequency_mhz * 1e3,
-                    )
-                )
-        eligible: Dict[str, Tuple[int, ...]] = {
-            spec.name: tuple(
-                replica.index
-                for replica in replicas
-                if replica.serves(spec.name)
+        boards = [d for d in cluster.devices for _ in range(d.count)]
+        self.replicas = [
+            Replica(
+                device, index, tenants, cluster.queue_depth, cluster.policy,
+                overload=ospec, cycles_per_ms=cluster.frequency_mhz * 1e3,
             )
-            for spec in self.tenants
+            for index, device in enumerate(boards)
+        ]
+        self.eligible: Dict[str, Tuple[int, ...]] = {
+            name: tuple(r.index for r in self.replicas if r.serves(name))
+            for name in self.names
         }
-        balancer = self._make_balancer()
-        balancer.bind(replicas, random.Random(f"{seed}/balancer"))
+        self.balancer = cluster._make_balancer()
+        self.balancer.bind(self.replicas, random.Random(f"{seed}/balancer"))
 
-        horizon = float(duration_cycles)
-
-        if concrete == "fast" and fleet_fast_supported(balancer, eligible):
-            elapsed = run_fleet_fast(
-                replicas, self.tenants, eligible, balancer,
-                horizon, seed, drain,
-            )
-            return self._finalize(
-                balancer, replicas, horizon, elapsed, seed, drain,
-                None, [], {}, {}, {}, [],
-            )
-
-        recorder = obs.make_recorder(horizon) if obs_active else None
-        tracer = obs.trace if obs_active else None
-
-        sim = Simulator(
-            on_event=(
-                None
-                if recorder is None
-                else lambda when: recorder.count("engine_events", when)
-            )
+        self.recorder = obs.make_recorder(self.horizon) if obs_active else None
+        self.tracer = obs.trace if obs_active else None
+        self.sim = Simulator(
+            on_event=partial(self.recorder.count, "engine_events")
+            if self.recorder is not None
+            else None
         )
         #: One open/closed flag per tenant *stream* (shared by replicas).
-        stream_open = [True] * len(self.tenants)
-
-        # ----------------------------------------------- scenario overlay
-        # Surge shapes swap each tenant's arrival process for a
-        # time-varying one; fault specs materialize into concrete outage
-        # windows against a *dedicated* RNG substream, so the arrival
-        # streams below draw exactly what they would without a scenario.
-        processes = [spec.process for spec in self.tenants]
-        outages: List[Outage] = []
-        degradations: List[Degradation] = []
-        failure_policy = "requeue"
-        if scenario is not None:
-            failure_policy = scenario.failure_policy
-            if scenario.surge is not None:
-                processes = [
-                    scenario.surge.reshape(
-                        spec.process, horizon, index, len(self.tenants)
-                    )
-                    for index, spec in enumerate(self.tenants)
-                ]
-            fault_rng = random.Random(f"{seed}/scenario/faults")
-            for fault in scenario.faults:
-                outages.extend(
-                    fault.materialize(horizon, len(replicas), fault_rng)
-                )
-                degradations.extend(
-                    fault.materialize_gray(horizon, len(replicas), fault_rng)
-                )
-            outages.sort(key=lambda o: (o.start, o.replica))
-            degradations.sort(key=lambda d: (d.start, d.replica))
-        have_faults = bool(outages)
-        have_gray = bool(degradations)
+        self.stream_open = [True] * len(tenants)
+        self._materialize(scenario)
         #: Flaky-replica error draws: a dedicated substream, consumed
         #: only while an error-rate window is active at dispatch time,
         #: so flaky faults never perturb arrivals or balancer draws.
-        flaky_rng = random.Random(f"{seed}/scenario/flaky")
-
-        # --------------------------------------------- failure detection
-        # ``fd`` resolves the spec's ms-denominated knobs into cycles;
-        # probing/ejection only runs in "probe" mode (oracle routing
-        # stays ground truth).  ``routable`` is the single health
-        # predicate the router, evacuation, and failover all consult —
-        # with no detector it is exactly ``Replica.healthy``, so
-        # detector-free runs stay bit-identical.
-        fd: Optional[FailureDetector] = None
-        fdet: Optional[FailureDetector] = None
-        rt_cycles: Optional[float] = None
-        max_failovers = 0
-        if detector is not None:
-            fd = FailureDetector(
-                detector,
-                len(replicas),
-                epoch=min(replica.epoch for replica in replicas),
-                cycles_per_ms=self.frequency_mhz * 1e3,
-            )
-            rt_cycles = fd.request_timeout
-            max_failovers = detector.max_failovers
-            if detector.mode == "probe":
-                fdet = fd
-        if fdet is not None:
-            routable = fdet.routable
-        elif detector is not None:
-            # Oracle detection is gray-aware: degraded replicas are
-            # known instantly and routed around.
-            def routable(i: int) -> bool:
-                replica = replicas[i]
-                return replica.healthy and not replica.degraded
-        else:
-            def routable(i: int) -> bool:
-                return replicas[i].healthy
-        #: Routing view: each tenant's routable targets in ``eligible``
-        #: order, rebuilt only when ``health_version`` (fail, recover,
-        #: degrade, undegrade) or the detector's ``version`` moves.
-        health_version = 0
-        view_key: Optional[Tuple[int, int]] = None
-        views: Dict[str, Tuple[int, ...]] = {}
-
-        def routable_targets(name: str) -> Tuple[int, ...]:
-            nonlocal view_key
-            key = (health_version, fdet.version if fdet is not None else 0)
-            if key != view_key:
-                views.clear()
-                view_key = key
-            if name not in views:
-                views[name] = tuple(i for i in eligible[name] if routable(i))
-            return views[name]
+        self.flaky_rng = random.Random(f"{seed}/scenario/flaky")
+        self._routing(detector)
 
         #: Per-request failover ledger, keyed by the request object:
         #: (attempts so far, start of the current attempt).  Entries
         #: exist only for requests that have failed over at least once.
-        failover_state: Dict[Request, Tuple[int, float]] = {}
+        self.failover_state: Dict[Request, Tuple[int, float]] = {}
         #: Fleet-level timeout/failover ledgers (per tenant name).
-        timed_out: Dict[str, int] = {spec.name: 0 for spec in self.tenants}
-        failed_over: Dict[str, int] = {spec.name: 0 for spec in self.tenants}
+        self.timed_out = {name: 0 for name in self.names}
+        self.failed_over = {name: 0 for name in self.names}
         #: Arrivals that found no healthy replica, per tenant name.
-        unroutable: Dict[str, int] = {spec.name: 0 for spec in self.tenants}
-        #: (finish_cycles, latency_cycles) fleet-wide, for resilience.
-        samples: List[Tuple[float, float]] = []
-        names = [spec.name for spec in self.tenants]
-        tenant_index = {name: index for index, name in enumerate(names)}
+        self.unroutable = {name: 0 for name in self.names}
+        #: (finish_cycles, latency_cycles) fleet-wide, for resilience;
+        #: kept only under a scenario.
+        self.samples: Optional[List[Tuple[float, float]]] = (
+            [] if scenario is not None else None
+        )
+        self.controller: Optional[OverloadController] = None
+        if ospec is not None:
+            self.controller = OverloadController(
+                ospec,
+                tenants,
+                horizon=self.horizon,
+                frequency_mhz=cluster.frequency_mhz,
+                seed=seed,
+                schedule_at=self.sim.schedule_at,
+                now=lambda: self.sim.now,
+                route=self.route,
+                deliver=self.land,
+                tracer=self.tracer,
+                recorder=self.recorder,
+            )
 
+    def _materialize(self, scenario: Optional[ScenarioSpec]) -> None:
+        """Apply the scenario's surge and fault specs.
+
+        Surge shapes swap each tenant's arrival process for a
+        time-varying one; fault specs materialize into concrete outage
+        and degradation windows against a *dedicated* RNG substream, so
+        the arrival streams draw exactly what they would without one.
+        """
+        self.processes = [spec.process for spec in self.tenants]
+        self.outages: List[Outage] = []
+        self.degradations: List[Degradation] = []
+        self.failure_policy = "requeue"
+        if scenario is None:
+            return
+        count = len(self.tenants)
+        self.failure_policy = scenario.failure_policy
+        if scenario.surge is not None:
+            self.processes = [
+                scenario.surge.reshape(spec.process, self.horizon, i, count)
+                for i, spec in enumerate(self.tenants)
+            ]
+        fault_rng = random.Random(f"{self.seed}/scenario/faults")
+        for fault in scenario.faults:
+            self.outages.extend(
+                fault.materialize(self.horizon, len(self.replicas), fault_rng)
+            )
+            self.degradations.extend(
+                fault.materialize_gray(
+                    self.horizon, len(self.replicas), fault_rng
+                )
+            )
+        self.outages.sort(key=lambda o: (o.start, o.replica))
+        self.degradations.sort(key=lambda d: (d.start, d.replica))
+
+    def _routing(self, detector: Optional[DetectorSpec]) -> None:
+        """Set up failure detection and the routing view.
+
+        ``fdet`` is the probing detector (``mode="probe"`` only; oracle
+        routing stays ground truth).  ``routable`` is the one health
+        predicate the router, evacuation and failover all consult: with
+        no detector it is exactly ``Replica.healthy``, so detector-free
+        runs stay bit-identical.  Oracle detection is gray-aware:
+        degraded replicas are known instantly and routed around.
+        """
+        #: Routing view: each tenant's routable targets in ``eligible``
+        #: order, rebuilt only when ``health_version`` (fail, recover,
+        #: degrade, undegrade) or the detector's ``version`` moves.
+        self.health_version = 0
+        self.view_key: Optional[Tuple[int, int]] = None
+        self.views: Dict[str, Tuple[int, ...]] = {}
+        self.fdet: Optional[FailureDetector] = None
+        self.request_timeout: Optional[float] = None
+        self.max_failovers = 0
+        self.routable = self._healthy
+        if detector is not None:
+            fd = FailureDetector(
+                detector,
+                len(self.replicas),
+                epoch=min(replica.epoch for replica in self.replicas),
+                cycles_per_ms=self.cluster.frequency_mhz * 1e3,
+            )
+            self.request_timeout = fd.request_timeout
+            self.max_failovers = detector.max_failovers
+            self.routable = self._healthy_and_clean
+            if detector.mode == "probe":
+                self.fdet = fd
+                self.routable = fd.routable
+                self.probe_rng = random.Random(f"{self.seed}/detector/probe")
         #: Tenant -> (state, index) of its one board when routes are
         #: forced and no fault, gray window or probe ejection can change
         #: them: ``route`` skips the router, as in every serve run.
-        fixed_landing: Dict[str, Tuple[TenantState, int]] = (
-            {
-                name: (replicas[targets[0]].states[name], targets[0])
-                for name, targets in eligible.items()
+        self.fixed_landing: Dict[str, Tuple[TenantState, int]] = {}
+        if (
+            not self.outages
+            and not self.degradations
+            and self.fdet is None
+            and routes_fixed(self.balancer, self.eligible)
+        ):
+            self.fixed_landing = {
+                name: (self.replicas[targets[0]].states[name], targets[0])
+                for name, targets in self.eligible.items()
             }
-            if not outages
-            and not degradations
-            and fdet is None
-            and routes_fixed(balancer, eligible)
-            else {}
-        )
 
-        def route(name: str) -> Optional[Tuple[TenantState, int]]:
-            """Pick the landing ``(state, replica)`` for an arriving
-            request, or book it unroutable (arrived and lost at
-            aggregation) when no replica is."""
-            landing = fixed_landing.get(name)
-            if landing is not None:
-                return landing
-            targets = routable_targets(name)
-            if not targets:
-                unroutable[name] += 1
-                if tracer is not None:
-                    tracer.request_unroutable(name, sim.now)
-                return None
-            choice = balancer.route(name, targets, sim.now)
-            return (replicas[choice].states[name], choice)
+    def _healthy(self, i: int) -> bool:
+        return self.replicas[i].healthy
 
-        def land(index: int, req: Request) -> None:
-            """One attempt (fresh, retry or hedge) reaches the front door.
+    def _healthy_and_clean(self, i: int) -> bool:
+        replica = self.replicas[i]
+        return replica.healthy and not replica.degraded
 
-            Under overload control the controller owns the whole
-            admission path (gates, deadline admission, retries); it
-            routes through :func:`route` exactly as an ungated arrival.
-            """
-            if controller is not None:
-                controller.arrive(index, req)
-                return
-            name = names[index]
-            landing = route(name)
-            if landing is None:
-                return
-            state, choice = landing
-            state.book_arrival(req)
-            victim = state.push(req, sim.now)
-            if tracer is not None:
-                tracer.request_arrived(
-                    name,
-                    choice,
-                    sim.now,
-                    dropped=victim is not None,
-                    policy=self.policy,
-                )
+    # ------------------------------------------------------------ routing
+    def routable_targets(self, name: str) -> Tuple[int, ...]:
+        fdet = self.fdet
+        key = (self.health_version, fdet.version if fdet is not None else 0)
+        if key != self.view_key:
+            self.views.clear()
+            self.view_key = key
+        targets = self.views.get(name)
+        if targets is None:
+            routable = self.routable
+            targets = tuple(i for i in self.eligible[name] if routable(i))
+            self.views[name] = targets
+        return targets
 
-        def give_up(name: str, req: Request, reason: str) -> None:
-            """An attempt ended without a reply (lost, dropped on
-            requeue, timed out, errored).  Under overload control the
-            client notices and may retry; otherwise the outcome is
-            final."""
-            if controller is not None:
-                req.done = True
-                controller.client_retry(
-                    tenant_index[name], req, reason=reason
-                )
+    def route(self, name: str) -> Optional[Tuple[TenantState, int]]:
+        """Pick the landing ``(state, replica)`` for an arriving request,
+        or book it unroutable (arrived and lost at aggregation) when no
+        replica is."""
+        landing = self.fixed_landing.get(name)
+        if landing is not None:
+            return landing
+        targets = self.routable_targets(name)
+        if not targets:
+            self.unroutable[name] += 1
+            if self.tracer is not None:
+                self.tracer.request_unroutable(name, self.sim.now)
+            return None
+        choice = self.balancer.route(name, targets, self.sim.now)
+        return (self.replicas[choice].states[name], choice)
 
-        controller: Optional[OverloadController] = None
-        if ospec is not None:
-            controller = OverloadController(
-                ospec,
-                self.tenants,
-                horizon=horizon,
-                frequency_mhz=self.frequency_mhz,
-                seed=seed,
-                schedule_at=sim.schedule_at,
-                now=lambda: sim.now,
-                route=route,
-                deliver=land,
-                tracer=tracer,
-                recorder=recorder,
+    # ----------------------------------------------------------- arrivals
+    def pump(self, index: int, count: int = 0) -> None:
+        """Schedule tenant ``index``'s next arrival or close its stream."""
+        limit = self.tenants[index].limit
+        if limit is not None and count >= limit:
+            self.stream_open[index] = False
+            return
+        when = next(self.streams[index], None)
+        if when is None or when > self.horizon:
+            self.stream_open[index] = False
+            return
+        self.sim.schedule_at(when, self.arrive, index, count + 1)
+
+    def arrive(self, index: int, count: int) -> None:
+        self.land(index, Request(self.sim.now))
+        self.pump(index, count)
+
+    def land(self, index: int, req: Request) -> None:
+        """One attempt (fresh, retry or hedge) reaches the front door.
+
+        Under overload control the controller owns the whole admission
+        path (gates, deadline admission, retries); it routes through
+        :meth:`route` exactly as an ungated arrival.
+        """
+        if self.controller is not None:
+            self.controller.arrive(index, req)
+            return
+        name = self.names[index]
+        landing = self.route(name)
+        if landing is None:
+            return
+        state, choice = landing
+        state.book_arrival(req)
+        victim = state.push(req, self.sim.now)
+        if self.tracer is not None:
+            self.tracer.request_arrived(
+                name, choice, self.sim.now,
+                dropped=victim is not None, policy=self.cluster.policy,
             )
 
-        def start_stream(spec: TenantSpec, index: int) -> None:
-            # Keyed by tenant, not replica: the fleet sees the *same*
-            # traffic a lone board would.
-            rng = random.Random(f"{seed}/{index}/{spec.name}")
-            stream: Iterator[float] = processes[index].times(rng)
-            limit = spec.limit
+    def give_up(self, name: str, req: Request, reason: str) -> None:
+        """An attempt ended without a reply (lost, dropped on requeue,
+        timed out, errored).  Under overload control the client notices
+        and may retry; otherwise the outcome is final."""
+        if self.controller is not None:
+            req.done = True
+            self.controller.client_retry(
+                self.tenant_index[name], req, reason=reason
+            )
 
-            def pump(count: int = 0) -> None:
-                if limit is not None and count >= limit:
-                    stream_open[index] = False
-                    return
-                try:
-                    when = next(stream)
-                except StopIteration:
-                    stream_open[index] = False
-                    return
-                if when > horizon:
-                    stream_open[index] = False
-                    return
-
-                def fire() -> None:
-                    land(index, Request(sim.now))
-                    pump(count + 1)
-
-                sim.schedule_at(when, fire)
-
-            pump()
-
-        for index, spec in enumerate(self.tenants):
-            start_stream(spec, index)
-
-        # ------------------------------------------------- fault events
-        def fail(replica: Replica) -> None:
-            nonlocal health_version
-            replica.down_depth += 1
-            if replica.down_depth > 1:
-                return  # already down (overlapping outage windows)
-            health_version += 1
-            if fdet is not None:
-                fdet.note_onset(replica.index, sim.now)
+    # ------------------------------------------------------------- faults
+    def fail(self, replica: Replica) -> None:
+        replica.down_depth += 1
+        if replica.down_depth > 1:
+            return  # already down (overlapping outage windows)
+        now, tracer = self.sim.now, self.tracer
+        self.health_version += 1
+        if self.fdet is not None:
+            self.fdet.note_onset(replica.index, now)
+        if tracer is not None:
+            tracer.incident_begin(replica.label, now)
+        # Work in the pipeline dies with the board; a new generation
+        # turns its already-scheduled completion events into no-ops.
+        replica.generation += 1
+        for state in replica.states.values():
+            # Refund the admission-time CLP charge of the destroyed
+            # in-flight images: the cycles were booked when each image
+            # entered the pipeline, but the board never finishes them,
+            # so leaving the charge overstates CLP utilization for the
+            # exact windows (incidents) where the number matters.
+            for clp_index, cycles in enumerate(state.clp_cycles):
+                replica.clp_busy[clp_index] -= state.pipeline * cycles
+            state.lost += state.pipeline
+            state.pipeline = 0
+            name = state.spec.name
             if tracer is not None:
-                tracer.incident_begin(replica.label, sim.now)
-            # Work in the pipeline dies with the board; a new generation
-            # turns its already-scheduled completion events into no-ops.
-            replica.generation += 1
-            for state in replica.states.values():
-                # Refund the admission-time CLP charge of the destroyed
-                # in-flight images: the cycles were booked when each image
-                # entered the pipeline, but the board never finishes them,
-                # so leaving the charge overstates CLP utilization for the
-                # exact windows (incidents) where the number matters.
-                for clp_index, cycles in enumerate(state.clp_cycles):
-                    replica.clp_busy[clp_index] -= state.pipeline * cycles
-                state.lost += state.pipeline
-                state.pipeline = 0
-                if tracer is not None:
-                    tracer.pipeline_killed(
-                        state.spec.name, replica.index, sim.now
-                    )
-                evacuated = list(state.queue)
-                if not evacuated:
-                    continue
-                state._touch(sim.now)
-                state.queue.clear()
-                name = state.spec.name
-                for req in evacuated:
-                    rescue = (
-                        ()
-                        if failure_policy == "lost"
-                        else routable_targets(name)
-                    )
-                    if not rescue:
-                        state.lost += 1
-                        if tracer is not None:
-                            tracer.request_evacuated(
-                                name, replica.index, sim.now,
-                                outcome="lost",
-                            )
-                        give_up(name, req, "lost")
-                        continue
-                    choice = balancer.route(name, rescue, sim.now)
-                    victim = replicas[choice].states[name].requeue(
-                        req, sim.now
-                    )
+                tracer.pipeline_killed(name, replica.index, now)
+            evacuated = list(state.queue)
+            if not evacuated:
+                continue
+            state._touch(now)
+            state.queue.clear()
+            for req in evacuated:
+                rescue = (
+                    ()
+                    if self.failure_policy == "lost"
+                    else self.routable_targets(name)
+                )
+                if not rescue:
+                    state.lost += 1
                     if tracer is not None:
                         tracer.request_evacuated(
-                            name, replica.index, sim.now,
-                            outcome=(
-                                "dropped" if victim is not None else "requeued"
-                            ),
-                            target=choice,
+                            name, replica.index, now, outcome="lost"
                         )
-                    if victim is not None:
-                        give_up(name, victim, "dropped")
-
-        def recover(replica: Replica) -> None:
-            nonlocal health_version
-            replica.down_depth -= 1
-            if replica.down_depth == 0:
-                health_version += 1
-                if fdet is not None and not replica.degraded:
-                    fdet.note_clear(replica.index, sim.now)
+                    self.give_up(name, req, "lost")
+                    continue
+                choice = self.balancer.route(name, rescue, now)
+                victim = self.replicas[choice].states[name].requeue(req, now)
                 if tracer is not None:
-                    tracer.incident_end(replica.label, sim.now)
+                    tracer.request_evacuated(
+                        name, replica.index, now,
+                        outcome=(
+                            "dropped" if victim is not None else "requeued"
+                        ),
+                        target=choice,
+                    )
+                if victim is not None:
+                    self.give_up(name, victim, "dropped")
 
-        for outage in outages:
-            target = replicas[outage.replica]
-            sim.schedule_at(
-                outage.start, lambda target=target: fail(target)
+    def recover(self, replica: Replica) -> None:
+        replica.down_depth -= 1
+        if replica.down_depth == 0:
+            self.health_version += 1
+            if self.fdet is not None and not replica.degraded:
+                self.fdet.note_clear(replica.index, self.sim.now)
+            if self.tracer is not None:
+                self.tracer.incident_end(replica.label, self.sim.now)
+
+    # ------------------------------------------------------- gray failures
+    # Degradations never kill in-flight work: the board keeps serving,
+    # just slower / flakier / farther away.  Onset and clearance feed
+    # the detector's ground-truth ledger so mean-time-to-detect measures
+    # probe latency, not luck.
+    def degrade(self, replica: Replica, deg: Degradation) -> None:
+        was_bad = not replica.healthy or replica.degraded
+        replica.gray_begin(deg.mode, deg.severity)
+        self.health_version += 1
+        if self.fdet is not None and not was_bad:
+            self.fdet.note_onset(replica.index, self.sim.now)
+        if self.tracer is not None:
+            self.tracer.degradation_begin(
+                replica.label, self.sim.now, mode=deg.mode,
+                severity=deg.severity,
             )
-            sim.schedule_at(
-                outage.end, lambda target=target: recover(target)
+
+    def undegrade(self, replica: Replica, deg: Degradation) -> None:
+        replica.gray_end(deg.mode, deg.severity)
+        self.health_version += 1
+        if (
+            self.fdet is not None
+            and replica.healthy
+            and not replica.degraded
+        ):
+            self.fdet.note_clear(replica.index, self.sim.now)
+        if self.tracer is not None:
+            self.tracer.degradation_end(
+                replica.label, self.sim.now, mode=deg.mode
             )
 
-        # ------------------------------------------- gray-failure events
-        # Degradations never kill in-flight work: the board keeps
-        # serving, just slower / flakier / farther away.  Onset and
-        # clearance feed the detector's ground-truth ledger so
-        # mean-time-to-detect measures probe latency, not luck.
-        def degrade(replica: Replica, deg: Degradation) -> None:
-            nonlocal health_version
-            was_bad = not replica.healthy or replica.degraded
-            replica.gray_begin(deg.mode, deg.severity)
-            health_version += 1
-            if fdet is not None and not was_bad:
-                fdet.note_onset(replica.index, sim.now)
-            if tracer is not None:
-                tracer.degradation_begin(
-                    replica.label, sim.now, mode=deg.mode,
-                    severity=deg.severity,
-                )
-
-        def undegrade(replica: Replica, deg: Degradation) -> None:
-            nonlocal health_version
-            replica.gray_end(deg.mode, deg.severity)
-            health_version += 1
-            if (
-                fdet is not None
-                and replica.healthy
-                and not replica.degraded
+    # ----------------------------------------------------------- detector
+    # Probes are out-of-band (they consume no replica capacity): a probe
+    # round-trips one epoch plus any link delay, so a dead board, a
+    # straggler, or a slow link misses the deadline, and a flaky board
+    # fails the probe with its error probability (its own substream —
+    # probe draws never perturb request draws).
+    def probe_all(self, k: int) -> None:
+        fdet, now, tracer = self.fdet, self.sim.now, self.tracer
+        for replica in self.replicas:
+            ok = replica.healthy
+            if ok and (
+                replica.slow_factor > 1.0 or replica.link_delay_epochs > 0.0
             ):
-                fdet.note_clear(replica.index, sim.now)
-            if tracer is not None:
-                tracer.degradation_end(
-                    replica.label, sim.now, mode=deg.mode
-                )
+                ok = (
+                    replica.epoch * replica.slow_factor
+                    + replica.link_delay_epochs * replica.epoch
+                ) <= fdet.probe_timeout
+            if ok and replica.error_rate > 0.0:
+                ok = self.probe_rng.random() >= replica.error_rate
+            event = fdet.record_probe(replica.index, now, ok)
+            if event is not None and tracer is not None:
+                if event == "ejected":
+                    tracer.replica_ejected(replica.label, now, reason="probes")
+                else:
+                    tracer.replica_readmitted(replica.label, now)
+        upcoming = (k + 1) * fdet.probe_interval
+        if upcoming <= self.horizon:
+            self.sim.schedule_at(upcoming, self.probe_all, k + 1)
 
-        for deg in degradations:
-            target = replicas[deg.replica]
-            sim.schedule_at(
-                deg.start,
-                lambda target=target, deg=deg: degrade(target, deg),
+    def outliers(self, k: int) -> None:
+        now = self.sim.now
+        for index, reason in self.fdet.evaluate_outliers(now):
+            if self.tracer is not None:
+                self.tracer.replica_ejected(
+                    self.replicas[index].label, now, reason=reason
+                )
+        upcoming = (k + 1) * self.fdet.ejection_window
+        if upcoming <= self.horizon:
+            self.sim.schedule_at(upcoming, self.outliers, k + 1)
+
+    # ---------------------------------------------------- request timeout
+    # A periodic sweep (twice per timeout) reaps queue entries whose
+    # *current attempt* has sat longer than the deadline: failover
+    # re-dispatches them (restarting the attempt clock, original arrival
+    # kept for latency), an exhausted budget books them as
+    # ``timed_out``.  In-pipeline work is past the point of no return —
+    # it completes late or dies with the board.
+    def sweep(self, k: int) -> None:
+        now, deadline = self.sim.now, self.request_timeout
+        for replica in self.replicas:
+            for state in replica.states.values():
+                if not state.queue:
+                    continue
+                stale = [
+                    req
+                    for req in state.queue
+                    if now - self.failover_state.get(req, (0, req.arrival))[1]
+                    >= deadline
+                ]
+                if not stale:
+                    continue
+                state._touch(now)
+                for req in stale:
+                    state.queue.remove(req)
+                for req in stale:
+                    self.reap(replica, state, req)
+        upcoming = (k + 1) * (deadline / 2.0)
+        if upcoming <= self.horizon or (
+            self.drain
+            and any(
+                state.queue
+                for replica in self.replicas
+                for state in replica.states.values()
             )
-            sim.schedule_at(
-                deg.end,
-                lambda target=target, deg=deg: undegrade(target, deg),
+        ):
+            self.sim.schedule_at(upcoming, self.sweep, k + 1)
+
+    def reap(self, replica: Replica, state: TenantState, req: Request) -> None:
+        name = state.spec.name
+        if self.fdet is not None:
+            self.fdet.record_error(replica.index)
+        if self.failover(replica, state, req):
+            return
+        self.timed_out[name] += 1
+        if self.recorder is not None:
+            self.recorder.count(f"timeouts/{name}", self.sim.now)
+        if self.tracer is not None:
+            self.tracer.request_timeout(name, replica.index, self.sim.now)
+        self.give_up(name, req, "timeout")
+
+    def failover(
+        self,
+        replica: Replica,
+        state: TenantState,
+        req: Request,
+        phase: str = "queue",
+    ) -> bool:
+        """Re-dispatch a failed/stale request onto another replica.
+
+        Returns True when the request found a new queue (or died as a
+        drop there — either way it was handed off); False when the
+        failover budget or candidate set is exhausted and the caller
+        must book the terminal outcome.
+        """
+        name, now = state.spec.name, self.sim.now
+        used, _ = self.failover_state.get(req, (0, 0.0))
+        candidates = tuple(
+            i for i in self.routable_targets(name) if i != replica.index
+        )
+        if used >= self.max_failovers or not candidates:
+            self.failover_state.pop(req, None)
+            return False
+        # The attempt clock restarts: timeouts measure the current
+        # attempt, not the request's total age (latency still does).
+        self.failover_state[req] = (used + 1, now)
+        if used == 0:
+            self.failed_over[name] += 1
+        choice = self.balancer.route(name, candidates, now)
+        victim = self.replicas[choice].states[name].requeue(req, now)
+        if victim is not None:
+            self.give_up(name, victim, "dropped")
+        if self.recorder is not None:
+            self.recorder.count(f"failovers/{name}", now)
+        if self.tracer is not None:
+            self.tracer.request_failover(
+                name, replica.index, now, target=choice, phase=phase
             )
+        return True
 
-        # ------------------------------------------------ detector events
-        # Probes are out-of-band (they consume no replica capacity): a
-        # probe round-trips one epoch plus any link delay, so a dead
-        # board, a straggler, or a slow link misses the deadline, and a
-        # flaky board fails the probe with its error probability (its
-        # own substream — probe draws never perturb request draws).
-        if fdet is not None:
-            probe_rng = random.Random(f"{seed}/detector/probe")
+    def flaky_error(
+        self, replica: Replica, state: TenantState, req: Request
+    ) -> None:
+        """A dispatched request came back as an error (flaky board)."""
+        name = state.spec.name
+        if self.fdet is not None:
+            self.fdet.record_error(replica.index)
+        if self.recorder is not None:
+            self.recorder.count(f"errors/{name}", self.sim.now)
+        if self.failover(replica, state, req, phase="pipeline"):
+            return
+        # Terminal: the error response is the final word.
+        state.lost += 1
+        if self.tracer is not None:
+            self.tracer.request_errored(name, replica.index, self.sim.now)
+        self.give_up(name, req, "error")
 
-            def probe_all(k: int = 1) -> None:
-                for replica in replicas:
-                    ok = replica.healthy
-                    if ok and (
-                        replica.slow_factor > 1.0
-                        or replica.link_delay_epochs > 0.0
-                    ):
-                        ok = (
-                            replica.epoch * replica.slow_factor
-                            + replica.link_delay_epochs * replica.epoch
-                        ) <= fdet.probe_timeout
-                    if ok and replica.error_rate > 0.0:
-                        ok = probe_rng.random() >= replica.error_rate
-                    event = fdet.record_probe(replica.index, sim.now, ok)
-                    if event is not None and tracer is not None:
-                        if event == "ejected":
-                            tracer.replica_ejected(
-                                replica.label, sim.now, reason="probes"
-                            )
-                        else:
-                            tracer.replica_readmitted(
-                                replica.label, sim.now
-                            )
-                upcoming = (k + 1) * fdet.probe_interval
-                if upcoming <= horizon:
-                    sim.schedule_at(upcoming, lambda: probe_all(k + 1))
-
-            if fdet.probe_interval <= horizon:
-                sim.schedule_at(
-                    fdet.probe_interval, lambda: probe_all(1)
-                )
-
-            if detector.outlier_error_rate is not None or (
-                detector.outlier_p99_factor is not None
-            ):
-
-                def outliers(k: int = 1) -> None:
-                    for index, reason in fdet.evaluate_outliers(sim.now):
-                        if tracer is not None:
-                            tracer.replica_ejected(
-                                replicas[index].label, sim.now,
-                                reason=reason,
-                            )
-                    upcoming = (k + 1) * fdet.ejection_window
-                    if upcoming <= horizon:
-                        sim.schedule_at(upcoming, lambda: outliers(k + 1))
-
-                if fdet.ejection_window <= horizon:
-                    sim.schedule_at(
-                        fdet.ejection_window, lambda: outliers(1)
-                    )
-
-        # ------------------------------------------------- request timeout
-        # A periodic sweep (twice per timeout) reaps queue entries whose
-        # *current attempt* has sat longer than the deadline: failover
-        # re-dispatches them (restarting the attempt clock, original
-        # arrival kept for latency), an exhausted budget books them as
-        # ``timed_out``.  In-pipeline work is past the point of no
-        # return — it completes late or dies with the board.
-        if rt_cycles is not None:
-            sweep_step = rt_cycles / 2.0
-
-            def reap(
-                replica: Replica, state: TenantState, req: Request
-            ) -> None:
-                name = state.spec.name
-                if fdet is not None:
-                    fdet.record_error(replica.index)
-                if failover(replica, state, req):
-                    return
-                timed_out[name] += 1
-                if recorder is not None:
-                    recorder.count(f"timeouts/{name}", sim.now)
-                if tracer is not None:
-                    tracer.request_timeout(name, replica.index, sim.now)
-                give_up(name, req, "timeout")
-
-            def sweep(k: int = 1) -> None:
-                for replica in replicas:
-                    for state in replica.states.values():
-                        if not state.queue:
-                            continue
-                        stale = [
-                            req
-                            for req in state.queue
-                            if sim.now
-                            - failover_state.get(req, (0, req.arrival))[1]
-                            >= rt_cycles
-                        ]
-                        if not stale:
-                            continue
-                        state._touch(sim.now)
-                        for req in stale:
-                            state.queue.remove(req)
-                        for req in stale:
-                            reap(replica, state, req)
-                upcoming = (k + 1) * sweep_step
-                if upcoming <= horizon or (
-                    drain
-                    and any(
-                        state.queue
-                        for replica in replicas
-                        for state in replica.states.values()
-                    )
-                ):
-                    sim.schedule_at(upcoming, lambda: sweep(k + 1))
-
-            if sweep_step <= horizon:
-                sim.schedule_at(sweep_step, lambda: sweep(1))
-
-        record = scenario is not None
-
-        def failover(
-            replica: Replica,
-            state: TenantState,
-            req: Request,
-            phase: str = "queue",
-        ) -> bool:
-            """Re-dispatch a failed/stale request onto another replica.
-
-            Returns True when the request found a new queue (or died as
-            a drop there — either way it was handed off); False when
-            the failover budget or candidate set is exhausted and the
-            caller must book the terminal outcome.
-            """
-            name = state.spec.name
-            used, _ = failover_state.get(req, (0, 0.0))
-            candidates = tuple(
-                i for i in routable_targets(name) if i != replica.index
-            )
-            if used >= max_failovers or not candidates:
-                failover_state.pop(req, None)
-                return False
-            # The attempt clock restarts: timeouts measure the current
-            # attempt, not the request's total age (latency still does).
-            failover_state[req] = (used + 1, sim.now)
-            if used == 0:
-                failed_over[name] += 1
-            choice = balancer.route(name, candidates, sim.now)
-            victim = replicas[choice].states[name].requeue(req, sim.now)
-            if victim is not None:
-                give_up(name, victim, "dropped")
-            if recorder is not None:
-                recorder.count(f"failovers/{name}", sim.now)
-            if tracer is not None:
-                tracer.request_failover(
-                    name, replica.index, sim.now, target=choice,
-                    phase=phase,
-                )
-            return True
-
-        def flaky_error(
-            replica: Replica, state: TenantState, req: Request
-        ) -> None:
-            """A dispatched request came back as an error (flaky board)."""
-            name = state.spec.name
-            if fdet is not None:
-                fdet.record_error(replica.index)
-            if recorder is not None:
-                recorder.count(f"errors/{name}", sim.now)
-            if failover(replica, state, req, phase="pipeline"):
-                return
-            # Terminal: the error response is the final word.
-            state.lost += 1
-            if tracer is not None:
-                tracer.request_errored(name, replica.index, sim.now)
-            give_up(name, req, "error")
-
-        def finish(
-            replica: Replica,
-            state: TenantState,
-            req: Request,
-            gen: int,
-            errored: bool = False,
-        ) -> None:
-            if replica.generation != gen:
-                # The board died after admission: the loss was booked at
-                # fail time; the client notices around when the reply
-                # was due.
-                give_up(state.spec.name, req, "lost")
-                return
-            if errored:
-                state.pipeline -= 1
-                flaky_error(replica, state, req)
-                return
-            if controller is not None:
-                controller.complete(
-                    tenant_index[state.spec.name], state, req
-                )
-            else:
-                state.on_completion(req, sim.now)
-            if fdet is not None:
-                fdet.record_success(replica.index, sim.now - req.arrival)
-            if failover_state:
-                failover_state.pop(req, None)
-            if tracer is not None:
-                tracer.request_completed(
-                    state.spec.name, replica.index, sim.now, req.arrival
-                )
-            if record:
-                samples.append((sim.now, sim.now - req.arrival))
-
-        def make_boundary(replica: Replica):
-            epoch = replica.epoch
-
-            def boundary(count: int = 0) -> None:
-                dispatching = replica.healthy
-                if dispatching and have_gray:
-                    sf = replica.slow_factor
-                    if sf > 1.0:
-                        # A straggler dispatches only every ``sf``-th
-                        # boundary — epoch slowdown without perturbing
-                        # the exact boundary grid.  The fractional
-                        # accumulator keeps non-integer factors honest;
-                        # the catch-up clamp resets a stale marker when
-                        # a new slow window opens.
-                        if count - replica.slow_next >= sf:
-                            replica.slow_next = float(count)
-                        if count < replica.slow_next:
-                            dispatching = False
-                        else:
-                            replica.slow_next += sf
-                if dispatching:
-                    for state in replica.states.values():
-                        if have_gray:
-                            service = (
-                                state.depth_epochs
-                                * epoch
-                                * replica.slow_factor
-                                + replica.link_delay_epochs * epoch
-                            )
-                            flaky = replica.error_rate
-                        else:
-                            service = state.depth_epochs * epoch
-                            flaky = 0.0
-                        req = (
-                            controller.dispatch(
-                                tenant_index[state.spec.name],
-                                state,
-                                replica.index,
-                            )
-                            if controller is not None
-                            else state.admit(sim.now)
-                        )
-                        if req is None:
-                            continue
-                        errored = (
-                            flaky > 0.0 and flaky_rng.random() < flaky
-                        )
-                        if tracer is not None:
-                            tracer.request_dispatched(
-                                state.spec.name, replica.index, sim.now,
-                                req.arrival,
-                            )
-                        for clp_index, cycles in enumerate(state.clp_cycles):
-                            replica.clp_busy[clp_index] += cycles
-                        sim.schedule(
-                            service,
-                            lambda state=state, req=req, gen=replica.generation, errored=errored: finish(
-                                replica, state, req, gen, errored
-                            ),
-                        )
-                # Exact grid ``count * epoch``: chaining ``now + epoch``
-                # would accumulate float error over long horizons and
-                # drift from the fast engine's batched grid.
-                upcoming = (count + 1) * epoch
-                if upcoming <= horizon or (
-                    drain
-                    and (
-                        any(state.queue for state in replica.states.values())
-                        or any(
-                            stream_open[index]
-                            for index, spec in enumerate(self.tenants)
-                            if replica.serves(spec.name)
-                        )
-                        or (
-                            controller is not None
-                            and controller.pending_deliveries > 0
-                        )
-                    )
-                ):
-                    sim.schedule_at(upcoming, lambda: boundary(count + 1))
-
-            return boundary
-
-        for replica in replicas:
-            make_boundary(replica)()  # first dispatch at cycle 0
-
-        if recorder is not None:
-            from ..obs.telemetry import BusySampler, TenantGroupSampler
-
-            tenant_samplers = [
-                TenantGroupSampler(
-                    recorder,
-                    spec.name,
-                    [
-                        replicas[i].states[spec.name]
-                        for i in eligible[spec.name]
-                    ],
-                    unroutable=lambda name=spec.name: unroutable[name],
-                )
-                for spec in self.tenants
-            ]
-            busy_samplers = [
-                BusySampler(
-                    recorder, f"util/{replica.label}", replica.clp_busy
-                )
-                for replica in replicas
-            ]
-
-            def sample(window: int, when: float) -> None:
-                for sampler in tenant_samplers:
-                    sampler.sample(window, when)
-                for sampler in busy_samplers:
-                    sampler.sample(window, when)
-                recorder.gauge(
-                    "healthy_replicas",
-                    window,
-                    sum(1 for replica in replicas if replica.healthy),
-                )
-                if fdet is not None:
-                    # The detector's view next to the oracle's: the two
-                    # diverge exactly during detection lag and false
-                    # positives — the gap *is* the gray-failure story.
-                    recorder.gauge(
-                        "detected_healthy_replicas",
-                        window,
-                        fdet.detected_healthy_count(),
-                    )
-                for replica in replicas:
-                    recorder.gauge(
-                        f"outstanding/{replica.label}",
-                        window,
-                        replica.outstanding,
-                    )
-                    if have_faults or have_gray:
-                        recorder.gauge(
-                            f"healthy/{replica.label}",
-                            window,
-                            (
-                                1.0
-                                if replica.healthy and not replica.degraded
-                                else 0.0
-                            ),
-                        )
-
-            # Read-only samplers on the shared grid; scheduled last so
-            # they never perturb the run they watch.
-            for window, when in enumerate(recorder.times):
-                sim.schedule_at(
-                    when,
-                    lambda window=window, when=when: sample(window, when),
-                )
-
-        if drain:
-            elapsed = max(sim.run(), horizon)
+    # ---------------------------------------------------- board dispatch
+    def finish(
+        self,
+        replica: Replica,
+        state: TenantState,
+        req: Request,
+        gen: int,
+        errored: bool,
+    ) -> None:
+        if replica.generation != gen:
+            # The board died after admission: the loss was booked at
+            # fail time; the client notices around when the reply was
+            # due.
+            self.give_up(state.spec.name, req, "lost")
+            return
+        if errored:
+            state.pipeline -= 1
+            self.flaky_error(replica, state, req)
+            return
+        now = self.sim.now
+        controller, fdet = self.controller, self.fdet
+        if controller is not None:
+            controller.complete(self.tenant_index[state.spec.name], state, req)
         else:
-            sim.run(until=horizon)
-            elapsed = horizon
+            state.on_completion(req, now)
+        if fdet is not None:
+            fdet.record_success(replica.index, now - req.arrival)
+        if self.failover_state:
+            self.failover_state.pop(req, None)
+        if self.tracer is not None:
+            self.tracer.request_completed(
+                state.spec.name, replica.index, now, req.arrival
+            )
+        if self.samples is not None:
+            self.samples.append((now, now - req.arrival))
 
-        return self._finalize(
-            balancer, replicas, horizon, elapsed, seed, drain,
-            scenario, outages, unroutable, timed_out, failed_over, samples,
-            timeseries=(
-                recorder.finalize() if recorder is not None else None
-            ),
-            controller=controller,
-            degradations=degradations,
-            detector_spec=(
-                detector
-                if detector is not None
-                and (detector.active or have_gray)
-                else None
-            ),
-            fdet=fdet,
+    def boundary(self, replica: Replica, count: int) -> None:
+        """Epoch boundary ``count`` of one board: dispatch one request
+        per tenant queue, then schedule the next boundary."""
+        epoch, slow = replica.epoch, replica.slow_factor
+        dispatching = replica.healthy
+        if dispatching and slow > 1.0:
+            # A straggler dispatches only every ``slow``-th boundary —
+            # epoch slowdown without perturbing the exact boundary grid.
+            # The fractional accumulator keeps non-integer factors
+            # honest; the catch-up clamp resets a stale marker when a
+            # new slow window opens.
+            if count - replica.slow_next >= slow:
+                replica.slow_next = float(count)
+            if count < replica.slow_next:
+                dispatching = False
+            else:
+                replica.slow_next += slow
+        sim = self.sim
+        if dispatching:
+            now, controller, tracer = sim.now, self.controller, self.tracer
+            delay = replica.link_delay_epochs * epoch
+            flaky = replica.error_rate
+            for state in replica.states.values():
+                req = (
+                    controller.dispatch(
+                        self.tenant_index[state.spec.name],
+                        state,
+                        replica.index,
+                    )
+                    if controller is not None
+                    else state.admit(now)
+                )
+                if req is None:
+                    continue
+                errored = flaky > 0.0 and self.flaky_rng.random() < flaky
+                if tracer is not None:
+                    tracer.request_dispatched(
+                        state.spec.name, replica.index, now, req.arrival
+                    )
+                for clp_index, cycles in enumerate(state.clp_cycles):
+                    replica.clp_busy[clp_index] += cycles
+                sim.schedule(
+                    state.depth_epochs * epoch * slow + delay,
+                    self.finish, replica, state, req,
+                    replica.generation, errored,
+                )
+        # Exact grid ``count * epoch``: chaining ``now + epoch`` would
+        # accumulate float error over long horizons and drift from the
+        # fast engine's batched grid.
+        upcoming = (count + 1) * epoch
+        if upcoming <= self.horizon or (self.drain and self._pending(replica)):
+            sim.schedule_at(upcoming, self.boundary, replica, count + 1)
+
+    def _pending(self, replica: Replica) -> bool:
+        """Does a draining board still have work coming: a queued
+        request, an open stream it serves, or a scheduled retry?"""
+        controller = self.controller
+        return (
+            any(state.queue for state in replica.states.values())
+            or any(
+                self.stream_open[self.tenant_index[name]]
+                for name in replica.states
+            )
+            or (controller is not None and controller.pending_deliveries > 0)
         )
 
-    def _finalize(
-        self,
-        balancer: Balancer,
-        replicas: List[Replica],
-        horizon: float,
-        elapsed: float,
-        seed: int,
-        drain: bool,
-        scenario: Optional[ScenarioSpec],
-        outages: List[Outage],
-        unroutable: Mapping[str, int],
-        timed_out: Mapping[str, int],
-        failed_over: Mapping[str, int],
-        samples: List[Tuple[float, float]],
-        timeseries: Optional["TimeSeries"] = None,
-        controller: Optional[OverloadController] = None,
-        degradations: Optional[List[Degradation]] = None,
-        detector_spec: Optional[DetectorSpec] = None,
-        fdet: Optional[FailureDetector] = None,
-    ) -> FleetResult:
-        """Reduce final replica state to a :class:`FleetResult` (engine-shared).
+    # ---------------------------------------------------------- telemetry
+    def sample(self, window: int, when: float) -> None:
+        """Read-only telemetry sample at the end of one window."""
+        recorder = self.recorder
+        for sampler in self.samplers:
+            sampler.sample(window, when)
+        recorder.gauge(
+            "healthy_replicas",
+            window,
+            sum(1 for replica in self.replicas if replica.healthy),
+        )
+        if self.fdet is not None:
+            # The detector's view next to the oracle's: the two diverge
+            # exactly during detection lag and false positives — the
+            # gap *is* the gray-failure story.
+            recorder.gauge(
+                "detected_healthy_replicas",
+                window,
+                self.fdet.detected_healthy_count(),
+            )
+        incidents = bool(self.outages or self.degradations)
+        for replica in self.replicas:
+            recorder.gauge(
+                f"outstanding/{replica.label}", window, replica.outstanding
+            )
+            if incidents:
+                recorder.gauge(
+                    f"healthy/{replica.label}",
+                    window,
+                    1.0 if replica.healthy and not replica.degraded else 0.0,
+                )
 
-        The per-tenant ledgers (``unroutable``, ``timed_out``,
-        ``failed_over``) may omit tenants with nothing booked; the fast
-        path passes them empty.
-        """
+    # --------------------------------------------------------------- run
+    def simulate(self) -> float:
+        """Schedule every event source, run the engine; the elapsed
+        cycles.  Scheduling order is the engine's tie-break order for
+        simultaneous events, so it is fixed: the overload controller's
+        brownout steps (scheduled when it is built), arrivals, outages,
+        degradations, probes, outlier checks, timeout sweeps,
+        boundaries (the first runs at once), telemetry samples."""
+        sim, horizon = self.sim, self.horizon
+        # Keyed by tenant, not replica: the fleet sees the *same*
+        # traffic a lone board would.
+        self.streams: List[Iterator[float]] = [
+            process.times(random.Random(f"{self.seed}/{i}/{spec.name}"))
+            for i, (spec, process) in enumerate(
+                zip(self.tenants, self.processes)
+            )
+        ]
+        for index in range(len(self.tenants)):
+            self.pump(index)
+        for outage in self.outages:
+            target = self.replicas[outage.replica]
+            sim.schedule_at(outage.start, self.fail, target)
+            sim.schedule_at(outage.end, self.recover, target)
+        for deg in self.degradations:
+            target = self.replicas[deg.replica]
+            sim.schedule_at(deg.start, self.degrade, target, deg)
+            sim.schedule_at(deg.end, self.undegrade, target, deg)
+        fdet, detector = self.fdet, self.detector
+        if fdet is not None and fdet.probe_interval <= horizon:
+            sim.schedule_at(fdet.probe_interval, self.probe_all, 1)
+        if (
+            fdet is not None
+            and (
+                detector.outlier_error_rate is not None
+                or detector.outlier_p99_factor is not None
+            )
+            and fdet.ejection_window <= horizon
+        ):
+            sim.schedule_at(fdet.ejection_window, self.outliers, 1)
+        if (
+            self.request_timeout is not None
+            and self.request_timeout / 2.0 <= horizon
+        ):
+            sim.schedule_at(self.request_timeout / 2.0, self.sweep, 1)
+        for replica in self.replicas:
+            self.boundary(replica, 0)
+        if self.recorder is not None:
+            self._start_telemetry()
+        if self.drain:
+            return max(sim.run(), horizon)
+        sim.run(until=horizon)
+        return horizon
+
+    def _start_telemetry(self) -> None:
+        """Build the samplers and schedule them on the shared window
+        grid, last, so they never perturb the run they watch."""
+        from ..obs.telemetry import BusySampler, TenantGroupSampler
+
+        recorder = self.recorder
+        self.samplers = [
+            TenantGroupSampler(
+                recorder,
+                name,
+                [self.replicas[i].states[name] for i in self.eligible[name]],
+                unroutable=partial(self.unroutable.__getitem__, name),
+            )
+            for name in self.names
+        ] + [
+            BusySampler(recorder, f"util/{replica.label}", replica.clp_busy)
+            for replica in self.replicas
+        ]
+        for window, when in enumerate(recorder.times):
+            self.sim.schedule_at(when, self.sample, window, when)
+
+    # ------------------------------------------------------------ result
+    def result(self, elapsed: float) -> FleetResult:
+        """Reduce the final run state to a :class:`FleetResult`
+        (shared by both engines)."""
+        cluster, replicas = self.cluster, self.replicas
         replica_stats = tuple(replica.stats(elapsed) for replica in replicas)
         #: Each replica's reduced tenant stats by name, reused below so
         #: no tenant's latencies are reduced twice.
@@ -1241,98 +1190,103 @@ class ClusterSimulator:
             {stats.name: stats for stats in rstats.tenants}
             for rstats in replica_stats
         ]
-        if controller is not None:
-            gates, overload = controller.gate, controller.report()
-        else:
-            gates, overload = {}, None
+        gates: Mapping[str, Mapping[str, int]] = {}
+        overload = None
+        if self.controller is not None:
+            gates, overload = self.controller.gate, self.controller.report()
         aggregates = tuple(
             _aggregate_tenant(
                 spec,
-                [
-                    replica.states[spec.name]
-                    for replica in replicas
-                    if replica.serves(spec.name)
-                ],
-                [
-                    by_name[replica.index][spec.name]
-                    for replica in replicas
-                    if replica.serves(spec.name)
-                ],
-                unroutable.get(spec.name, 0),
-                gates.get(spec.name, {}),
-                timed_out=timed_out.get(spec.name, 0),
-                failed_over=failed_over.get(spec.name, 0),
+                [replicas[i].states[name] for i in self.eligible[name]],
+                [by_name[i][name] for i in self.eligible[name]],
+                self.unroutable[name],
+                gates.get(name, {}),
+                timed_out=self.timed_out[name],
+                failed_over=self.failed_over[name],
             )
-            for spec in self.tenants
+            for spec, name in zip(self.tenants, self.names)
         )
-
+        scenario, detector = self.scenario, self.detector
         incidents: Tuple[Incident, ...] = ()
         resilience = None
         if scenario is not None:
-            log: List[Incident] = [
-                Incident(
-                    kind="fault",
-                    target=replicas[o.replica].label,
-                    start_cycles=o.start,
-                    end_cycles=min(o.end, elapsed),
-                    recovered=o.end <= elapsed,
-                )
-                for o in outages
-            ]
-            log.extend(
-                Incident(
-                    kind="gray",
-                    target=replicas[d.replica].label,
-                    start_cycles=d.start,
-                    end_cycles=min(d.end, elapsed),
-                    recovered=d.end <= elapsed,
-                )
-                for d in (degradations or [])
-            )
-            if scenario.surge is not None:
-                log.extend(
-                    Incident(
-                        kind="surge",
-                        target="fleet",
-                        start_cycles=start,
-                        end_cycles=end,
-                        recovered=True,
-                    )
-                    for start, end in scenario.surge.windows(horizon)
-                )
-            incidents = tuple(
-                sorted(log, key=lambda i: (i.start_cycles, i.target))
-            )
+            incidents = self._incidents(elapsed)
             resilience = compute_resilience(
-                completions=samples,
+                completions=self.samples,
                 incidents=incidents,
                 horizon_cycles=elapsed,
                 num_replicas=len(replicas),
                 lost_requests=sum(t.lost for t in aggregates),
                 mean_time_to_detect_cycles=(
-                    fdet.mean_time_to_detect() if fdet is not None else None
+                    self.fdet.mean_time_to_detect()
+                    if self.fdet is not None
+                    else None
                 ),
             )
-
         return FleetResult(
-            balancer=balancer.name,
+            balancer=self.balancer.name,
             num_replicas=len(replicas),
-            frequency_mhz=self.frequency_mhz,
-            horizon_cycles=horizon,
+            frequency_mhz=cluster.frequency_mhz,
+            horizon_cycles=self.horizon,
             elapsed_cycles=elapsed,
-            seed=seed,
-            queue_depth=self.queue_depth,
-            policy=self.policy,
-            drained=drain,
+            seed=self.seed,
+            queue_depth=cluster.queue_depth,
+            policy=cluster.policy,
+            drained=self.drain,
             tenants=aggregates,
             replicas=replica_stats,
             scenario=scenario.name if scenario is not None else None,
             incidents=incidents,
             resilience=resilience,
-            timeseries=timeseries,
+            timeseries=(
+                self.recorder.finalize() if self.recorder is not None else None
+            ),
             overload=overload,
-            detector=detector_spec,
+            detector=(
+                detector
+                if detector is not None
+                and (detector.active or bool(self.degradations))
+                else None
+            ),
         )
+
+    def close(self) -> None:
+        """Drop the references that lead back to this run: pending
+        events and the overload controller's callbacks hold its bound
+        methods, and so may ``routable``.  The run's state is then
+        freed as soon as the caller lets go of it, not at the next
+        cyclic garbage collection."""
+        self.sim = self.controller = self.routable = None
+
+    def _incidents(self, elapsed: float) -> Tuple[Incident, ...]:
+        """The run's incident log: outages, gray windows and surge
+        windows, ordered by start then target."""
+        log = [
+            Incident(
+                kind=kind,
+                target=self.replicas[window.replica].label,
+                start_cycles=window.start,
+                end_cycles=min(window.end, elapsed),
+                recovered=window.end <= elapsed,
+            )
+            for kind, windows in (
+                ("fault", self.outages),
+                ("gray", self.degradations),
+            )
+            for window in windows
+        ]
+        if self.scenario.surge is not None:
+            log.extend(
+                Incident(
+                    kind="surge",
+                    target="fleet",
+                    start_cycles=start,
+                    end_cycles=end,
+                    recovered=True,
+                )
+                for start, end in self.scenario.surge.windows(self.horizon)
+            )
+        return tuple(sorted(log, key=lambda i: (i.start_cycles, i.target)))
 
 
 def simulate_fleet(

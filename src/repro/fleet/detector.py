@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.serialize import from_record, to_record
+from ..serve.metrics import fold_sum
 
 __all__ = [
     "DETECTOR_MODES",
@@ -345,7 +346,7 @@ class FailureDetector:
     def mean_time_to_detect(self) -> Optional[float]:
         if not self.detection_lags:
             return None
-        return sum(self.detection_lags) / len(self.detection_lags)
+        return fold_sum(self.detection_lags) / len(self.detection_lags)
 
 
 def detector_spec_to_dict(spec: DetectorSpec) -> Dict[str, Any]:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.serialize import omit_default
-from ..serve.metrics import percentile
+from ..serve.metrics import fold_sum, percentile
 from .faults import Incident
 
 __all__ = ["WindowMetrics", "ResilienceReport", "compute_resilience"]
@@ -153,28 +153,27 @@ def compute_resilience(
     windows = _union(
         [(i.start_cycles, i.end_cycles) for i in incidents]
     )
-    incident_cycles = sum(end - start for start, end in windows)
+    incident_cycles = fold_sum([end - start for start, end in windows])
 
     during, outside = _split(completions, windows)
 
     faults = [i for i in incidents if i.kind == "fault"]
-    down_cycles = 0.0
-    for target in {i.target for i in faults}:
-        per_replica = _union(
-            [
-                (i.start_cycles, i.end_cycles)
-                for i in faults
-                if i.target == target
-            ]
-        )
-        down_cycles += sum(end - start for start, end in per_replica)
+    # Replicas fold in first-incident order: a fold over a set of names
+    # would follow the string hash, and so change with PYTHONHASHSEED.
+    spans: Dict[str, List[Tuple[float, float]]] = {}
+    for i in faults:
+        spans.setdefault(i.target, []).append((i.start_cycles, i.end_cycles))
+    down_cycles = fold_sum([
+        fold_sum([end - start for start, end in _union(windows_of)])
+        for windows_of in spans.values()
+    ])
     replica_cycles = num_replicas * horizon_cycles
     availability = (
         1.0 - down_cycles / replica_cycles if replica_cycles else 1.0
     )
 
     recovered = [i.duration_cycles for i in faults if i.recovered]
-    mean_ttr = sum(recovered) / len(recovered) if recovered else None
+    mean_ttr = fold_sum(recovered) / len(recovered) if recovered else None
 
     return ResilienceReport(
         availability=availability,

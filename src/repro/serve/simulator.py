@@ -403,11 +403,10 @@ def simulate_traffic(
     ``obs`` (an :class:`~repro.obs.ObsSpec`) opts the run into windowed
     telemetry (carried on the result's ``timeseries`` field, with the
     fleet's series for board ``#0``) and/or request-lifecycle tracing.
-    Observation runs on the event engine: under ``engine="auto"`` an
-    observed run falls back from the fast solver to the event loop
-    (scalar results are bit-identical either way); an explicit
-    ``engine="fast"`` keeps the fast solver and reports
-    ``timeseries=None``, and raises if a trace was requested.  With
+    Observation samples the event stream, so it needs the event engine:
+    under ``engine="auto"`` an observed run uses the event loop (its
+    scalar results are bit-identical to an unobserved run), and an
+    explicit ``engine="fast"`` with any active ``obs`` raises.  With
     ``obs=None`` (the default) no extra events are scheduled.
 
     ``overload`` (an :class:`~repro.serve.overload.OverloadSpec`) opts

@@ -2,15 +2,18 @@
 
 Used by the system-level Multi-CLP simulator to model CLPs contending
 for a shared off-chip memory channel.  Events are (time, sequence,
-callback) tuples on a heap; the sequence number keeps simultaneous
-events in scheduling order, making runs fully deterministic.
+callback, args) tuples on a heap; the sequence number keeps
+simultaneous events in scheduling order, making runs fully
+deterministic.  A callback's arguments ride in the event (as in
+asyncio's ``call_later(delay, callback, *args)``), so hosts schedule
+bound methods directly instead of building a closure per event.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["Simulator"]
 
@@ -30,7 +33,9 @@ class Simulator:
     def __init__(
         self, on_event: Optional[Callable[[float], None]] = None
     ) -> None:
-        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
+        self._queue: List[
+            Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
+        ] = []
         self._counter = itertools.count()
         self.now = 0.0
         self._processed = 0
@@ -40,16 +45,21 @@ class Simulator:
     def events_processed(self) -> int:
         return self._processed
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after ``delay`` cycles."""
+    def schedule(
+        self, delay: float, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Run ``callback(*args)`` after ``delay`` cycles."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(
-            self._queue, (self.now + delay, next(self._counter), callback)
+            self._queue,
+            (self.now + delay, next(self._counter), callback, args),
         )
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at absolute ``time`` (stored exactly).
+    def schedule_at(
+        self, time: float, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Run ``callback(*args)`` at absolute ``time`` (stored exactly).
 
         The event fires at the float ``time`` given, not at
         ``now + (time - now)`` — the round trip through a delay can lose
@@ -61,7 +71,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self.now})"
             )
-        heapq.heappush(self._queue, (time, next(self._counter), callback))
+        heapq.heappush(
+            self._queue, (time, next(self._counter), callback, args)
+        )
 
     def run(self, until: Optional[float] = None) -> float:
         """Process events until the queue drains (or ``until`` passes).
@@ -69,7 +81,7 @@ class Simulator:
         Returns the final simulation time.
         """
         while self._queue:
-            time, _, callback = self._queue[0]
+            time, _, callback, args = self._queue[0]
             if until is not None and time > until:
                 self.now = until
                 return self.now
@@ -78,7 +90,7 @@ class Simulator:
             self._processed += 1
             if self._on_event is not None:
                 self._on_event(time)
-            callback()
+            callback(*args)
         return self.now
 
     def peek(self) -> Optional[float]:

@@ -7,7 +7,9 @@ the epoch grid, so it can be solved with batched numpy array ops
 instead of a callback loop.  This module is that solver, used by
 :class:`repro.fleet.cluster.ClusterSimulator` — and so by
 :func:`repro.serve.simulator.simulate_traffic`, a one-board fleet run —
-when ``engine="fast"`` (or ``"auto"`` without a scenario).
+when ``engine="fast"``, or under ``"auto"`` when no scenario, active
+overload control, active failure detector or observation needs the
+event engine (:func:`resolve_engine`).
 
 The run is numpy from the arrival draw to the latency summary:
 
@@ -89,15 +91,18 @@ def resolve_engine(
     has_scenario: bool = False,
     has_overload: bool = False,
     has_detector: bool = False,
+    has_obs: bool = False,
 ) -> str:
     """Pick the concrete engine for a run.
 
     ``auto`` selects the fast path unless the run needs something only
     the event engine can run: a fault/surge scenario, an active overload
     feature (admission, non-FIFO discipline, retries, brownout,
-    deadlines), or an *active* failure detector (probe mode or request
-    timeouts) — failure events, retry feedback loops, and probe/timeout
-    events genuinely interleave with traffic.  Requesting ``fast``
+    deadlines), an *active* failure detector (probe mode or request
+    timeouts), or observation (telemetry or tracing) — failure events,
+    retry feedback loops, and probe/timeout events genuinely interleave
+    with traffic, and observation samples the event stream the fast
+    solver never builds.  Requesting ``fast``
     together with any of them is one error naming every blocker, rather
     than a silent downgrade.
     """
@@ -116,6 +121,7 @@ def resolve_engine(
                 has_detector,
                 "an active failure detector (probe mode or request timeouts)",
             ),
+            (has_obs, "observation (telemetry or tracing)"),
         )
         if needed
     ]

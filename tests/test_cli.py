@@ -172,7 +172,7 @@ class TestServeObsFlags:
         assert report.read_text().startswith("# Run report")
 
     def test_serve_fast_engine_rejects_trace(self, design_file, tmp_path):
-        with pytest.raises(SystemExit, match="cannot emit a trace"):
+        with pytest.raises(SystemExit, match="cannot run observation"):
             main(["serve", "--load", design_file, "--engine", "fast",
                   "--trace-out", str(tmp_path / "t.json")])
 

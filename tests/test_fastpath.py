@@ -407,6 +407,18 @@ class TestBoundaryGridRegression:
         sim.run()
         assert fired == [0.9]
 
+    def test_callback_arguments_ride_in_the_event(self):
+        # Arguments are bound at scheduling time; simultaneous events
+        # fire in scheduling order whichever call scheduled them.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, "first")
+        sim.schedule(1.0, fired.append, "second")
+        sim.schedule_at(1.0, lambda: fired.append("third"))
+        sim.schedule_at(0.5, divmod, 7, 2)
+        sim.run()
+        assert fired == ["first", "second", "third"]
+
     def test_boundary_chain_exact_over_1e7_cycles(self):
         """A serve-style boundary chain spanning >= 1e7 cycles with a
 

@@ -387,6 +387,47 @@ class TestFleetProperties:
             )
 
 
+    @pytest.mark.parametrize("drain", [False, True])
+    def test_run_state_freed_without_cycle_collection(self, toy_design, drain):
+        """A finished run leaves no cyclic garbage behind: its event
+        queue, controller and routing predicate point back at the run
+        state, so ``run`` drops them and reference counting frees it.
+        Otherwise a benchmark's peak RSS depends on when the cycle
+        collector happens to run."""
+        import gc
+
+        from repro.fleet.cluster import _FleetRun
+        from repro.fleet.detector import DetectorSpec
+        from repro.obs import ObsSpec, TraceRecorder
+        from repro.serve.overload import OverloadSpec, RetryPolicy
+
+        epoch_ms = toy_design.epoch_cycles / 1e5
+        gc.collect()
+        gc.disable()
+        try:
+            simulate_fleet(
+                DeviceSpec(toy_design).replicated(3),
+                _tenants(toy_design, 3.0),
+                duration_cycles=60 * toy_design.epoch_cycles,
+                balancer="power-of-two",
+                drain=drain,
+                scenario="chaos",
+                detector=DetectorSpec(
+                    mode="probe", request_timeout_ms=4 * epoch_ms
+                ),
+                overload=OverloadSpec(
+                    queue_policy="edf",
+                    retry=RetryPolicy(max_attempts=2, base_ms=epoch_ms),
+                    deadline_ms=16 * epoch_ms,
+                ),
+                obs=ObsSpec(timeseries=True, trace=TraceRecorder()),
+            )
+            left = [o for o in gc.get_objects() if isinstance(o, _FleetRun)]
+        finally:
+            gc.enable()
+        assert left == []
+
+
 # ------------------------------------------------------------ heterogeneous
 class TestHeterogeneousFleet:
     def test_dedicated_boards_per_tenant(self, toy_design, toy2_design):

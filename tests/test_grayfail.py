@@ -30,10 +30,13 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.serialize import fleet_result_from_dict, fleet_result_to_dict
 from repro.fleet import DeviceSpec, plan_capacity, simulate_fleet
 from repro.fleet.balancer import PowerOfTwoBalancer
+from repro.fleet.cluster import Replica
 from repro.fleet.detector import (
     DetectorSpec,
     FailureDetector,
@@ -303,6 +306,64 @@ class TestGrayBehavior:
         result = _fleet(toy_design, 3, 2.0, seed=0, scenario="rack-loss")
         assert result.resilience is not None
         assert result.resilience.mean_time_to_detect_cycles is None
+
+
+# ------------------------------------------------------- gray cache
+_GRAY_MODES = ("slow", "flaky", "link-delay")
+_GRAY_SEVERITY = {
+    # Flaky severities above 1.0 check the error-rate cap.
+    "slow": st.floats(1.0, 16.0),
+    "flaky": st.floats(0.01, 2.0),
+    "link-delay": st.floats(0.01, 8.0),
+}
+_gray_begin = st.sampled_from(_GRAY_MODES).flatmap(
+    lambda mode: st.tuples(
+        st.just("begin"), st.just(mode), _GRAY_SEVERITY[mode]
+    )
+)
+_gray_end = st.tuples(st.just("end"), st.integers(0, 63))
+
+
+class TestGrayCache:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(steps=st.lists(st.one_of(_gray_begin, _gray_end), max_size=40))
+    def test_cached_service_model_matches_severity_stacks(
+        self, toy_design, steps
+    ):
+        """Overlapping gray windows in any order: after every begin/end
+        the replica's cached ``slow_factor``, ``error_rate``,
+        ``link_delay_epochs`` and ``degraded`` equal the worst active
+        severity per mode (error rate capped at 1.0), computed here
+        from a separate model of the open windows."""
+        replica = Replica(
+            DeviceSpec(toy_design), 0, _tenants(toy_design, 1.0),
+            queue_depth=4, policy="drop-tail",
+        )
+        open_windows = []
+        for step in steps:
+            if step[0] == "begin":
+                _, mode, severity = step
+                replica.gray_begin(mode, severity)
+                open_windows.append((mode, severity))
+            elif open_windows:
+                mode, severity = open_windows.pop(step[1] % len(open_windows))
+                replica.gray_end(mode, severity)
+            stacks = {
+                mode: [sev for m, sev in open_windows if m == mode]
+                for mode in _GRAY_MODES
+            }
+            assert replica.slow_factor == (
+                max(stacks["slow"]) if stacks["slow"] else 1.0
+            )
+            assert replica.error_rate == (
+                min(1.0, max(stacks["flaky"])) if stacks["flaky"] else 0.0
+            )
+            assert replica.link_delay_epochs == (
+                max(stacks["link-delay"]) if stacks["link-delay"] else 0.0
+            )
+            assert replica.degraded == bool(open_windows)
+            assert replica.healthy
 
 
 # --------------------------------------------------- timeout failover

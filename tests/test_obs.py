@@ -184,13 +184,13 @@ class TestBitNeutrality:
     def test_fast_and_event_scalars_equal_with_obs(
         self, toy_design, toy_tenants
     ):
-        # Explicit fast engine with timeseries requested: runs fast,
-        # reports no timeseries, but every scalar matches the event run.
+        # Observation is an engine blocker, so the fast run is the
+        # unobserved one: every scalar of the observed event run must
+        # match it.
         fast = simulate_traffic(
             toy_design,
             toy_tenants,
             engine="fast",
-            obs=ObsSpec(timeseries=True, windows=8),
             **serve_kwargs(toy_design),
         )
         event = simulate_traffic(
@@ -217,14 +217,22 @@ class TestBitNeutrality:
         assert result.timeseries is not None
 
     def test_explicit_fast_with_trace_raises(self, toy_design, toy_tenants):
-        with pytest.raises(ValueError, match="cannot emit a trace"):
-            simulate_traffic(
-                toy_design,
-                toy_tenants,
-                engine="fast",
-                obs=ObsSpec(trace=TraceRecorder()),
-                **serve_kwargs(toy_design),
-            )
+        # A trace, and telemetry alone, are engine blockers like a
+        # scenario: one error, not a silently unobserved fast run.
+        for obs in (
+            ObsSpec(trace=TraceRecorder()),
+            ObsSpec(timeseries=True, windows=8),
+        ):
+            with pytest.raises(
+                ValueError, match=r"engine='fast' cannot run observation"
+            ):
+                simulate_traffic(
+                    toy_design,
+                    toy_tenants,
+                    engine="fast",
+                    obs=obs,
+                    **serve_kwargs(toy_design),
+                )
 
     def test_timeseries_deterministic(self, toy_design, toy_tenants):
         runs = [

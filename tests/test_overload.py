@@ -221,11 +221,17 @@ class TestSpecs:
 class TestEngineRules:
     def test_auto_resolves_event_under_overload(self):
         assert resolve_engine("auto", has_overload=True) == "event"
+        assert resolve_engine("auto", has_obs=True) == "event"
         assert resolve_engine("auto") == "fast"
+        assert resolve_engine("event", has_obs=True) == "event"
 
     def test_fast_with_overload_rejected(self):
         with pytest.raises(ValueError, match="overload"):
             resolve_engine("fast", has_overload=True)
+
+    def test_fast_with_obs_rejected(self):
+        with pytest.raises(ValueError, match="observation"):
+            resolve_engine("fast", has_obs=True)
 
     def test_simulate_fast_with_overload_rejected(self, toy_design):
         with pytest.raises(ValueError, match="overload"):

@@ -18,11 +18,16 @@ The load-bearing guarantees, in test order:
 * the N+k planner is monotone: surviving one forced failure never takes
   *fewer* replicas than surviving zero;
 * the autoscaler sees in-incident p99 — reproducing the late-scale-up
-  miss a window-wide percentile causes on a short flash crowd.
+  miss a window-wide percentile causes on a short flash crowd;
+* resilience floats are the same in every process, whatever the
+  string-hash seed.
 """
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -476,6 +481,39 @@ class TestResilienceMetrics:
             horizon_cycles=1000.0, num_replicas=1, lost_requests=0,
         )
         assert report.incident_cycles == pytest.approx(300.0)  # union
+
+    def test_report_independent_of_hash_seed(self):
+        """Per-replica downtime folds in first-incident order, so the
+        report's floats do not follow the string hash of target names.
+
+        One huge outage absorbs each 1-cycle outage folded after it
+        (2**53 + 1.0 rounds back to 2**53), so every fold order gives a
+        different ``availability``; a fold over a set of names differs
+        between hash seeds."""
+        import repro
+
+        script = (
+            "from repro.scenario import Incident, compute_resilience\n"
+            "big = float(2 ** 53)\n"
+            "incidents = (Incident('fault', 'board-big', 0.0, big, True),)"
+            " + tuple(Incident('fault', f'board-{k}', 0.0, 1.0, True)"
+            " for k in range(16))\n"
+            "print(repr(compute_resilience(completions=[(1.0, 1.0)],"
+            " incidents=incidents, horizon_cycles=big + 64.0,"
+            " num_replicas=1, lost_requests=0)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        reports = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, check=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("0", "1", "2", "3")
+        }
+        assert len(reports) == 1
+        # Folded big-first, every 1-cycle outage is absorbed.
+        assert "availability=7.105427357601002e-15" in reports.pop()
 
 
 # ------------------------------------------------------------ serialization
