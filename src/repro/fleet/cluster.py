@@ -26,10 +26,10 @@ is a :class:`~repro.serve.simulator.Request` that lands, queues, is
 admitted at an epoch boundary and completes (or is lost, dropped, timed
 out or failed over).  Overlays are hooks on that lifecycle, not second
 paths; one that is off is ``None``.  When active, an
-:class:`~repro.serve.overload.OverloadController` takes over admission,
-dispatch order, completion accounting and client retries; a
-:class:`~repro.fleet.detector.FailureDetector` decides which replicas
-are routable; gray failures set each replica's ``slow_factor``,
+:class:`~repro.serve.overload.OverloadController` makes the admission
+decisions, orders dispatch, books lateness and schedules client retries
+and hedges; a :class:`~repro.fleet.detector.FailureDetector` decides
+which replicas are routable; gray failures set each replica's ``slow_factor``,
 ``error_rate`` and ``link_delay_epochs``, which every dispatch reads.
 Scenarios, active overload control, active detectors and observation
 (``obs``) all need the event engine
@@ -45,7 +45,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -197,35 +196,19 @@ def _aggregate_tenant(
     spec: TenantSpec,
     states: Sequence[TenantState],
     stats: Sequence[TenantStats],
-    unroutable: int,
-    gate: Mapping[str, int],
-    timed_out: int = 0,
-    failed_over: int = 0,
 ) -> TenantStats:
-    """Fleet-wide view of one tenant: merge per-replica stats and samples.
+    """Fleet-wide view of one tenant: merge per-board stats and samples.
 
-    ``stats`` are the replicas' already-reduced views of ``states`` (same
-    order); counters sum from them, and latency percentiles merge the raw
-    samples — except for a tenant served by one state, whose summary is
-    reused rather than sorting the same latencies a second time.
-
-    ``unroutable`` counts arrivals that found no healthy replica to land
-    on during an outage — they never reached a replica's state, so the
-    fleet books them here, once as an arrival and once as lost, keeping
-    the conservation invariant (arrivals = completions + drops + lost +
-    rejected + expired + timed_out + in-flight) intact.  ``gate`` is the
-    overload controller's front-door ledger for this tenant
-    (:attr:`~repro.serve.overload.OverloadController.gate`) — token-bucket
-    and brownout rejections equally never landed on a replica, so they
-    are folded in here the same way (once as an arrival, once as
-    rejected).
-    ``timed_out``/``failed_over`` are the cluster's request-timeout
-    ledger (requests reaped from queues after the detector's deadline,
-    and logical requests that failed over at least once) — fleet-level
-    concepts, tracked outside the per-replica tenant states.
+    ``states`` are the tenant's state on every replica that serves it,
+    then its front door (:meth:`_FleetRun.tenant_states`), summed like
+    one more board; ``stats`` are their reduced views, in the same
+    order.  Counters sum from ``stats``, and latency percentiles merge
+    the raw samples — except when one state holds them all, whose
+    summary is reused rather than sorting the same latencies twice.
     """
-    if len(stats) == 1:
-        latency = stats[0].latency
+    served = [s.latency for s in stats if s.latency is not None]
+    if len(served) <= 1:
+        latency = served[0] if served else None
     else:
         latency = LatencySummary.of(np.concatenate(
             [np.asarray(state.latencies, dtype=np.float64) for state in states]
@@ -239,11 +222,7 @@ def _aggregate_tenant(
     return TenantStats(
         name=spec.name,
         offered_rate_per_cycle=spec.process.mean_rate,
-        arrivals=(
-            sum(s.arrivals for s in stats)
-            + unroutable
-            + gate.get("arrivals", 0)
-        ),
+        arrivals=sum(s.arrivals for s in stats),
         completions=completions,
         drops=sum(s.drops for s in stats),
         in_flight=sum(s.in_flight for s in stats),
@@ -251,15 +230,15 @@ def _aggregate_tenant(
         mean_queue_depth=fold_sum([s.mean_queue_depth for s in stats]),
         peak_queue_depth=max(s.peak_queue_depth for s in stats),
         steady_rate_per_cycle=steady,
-        lost=sum(s.lost for s in stats) + unroutable,
-        rejected=sum(s.rejected for s in stats) + gate.get("rejected", 0),
+        lost=sum(s.lost for s in stats),
+        rejected=sum(s.rejected for s in stats),
         expired=sum(s.expired for s in stats),
-        retries=sum(s.retries for s in stats) + gate.get("retries", 0),
-        hedges=sum(s.hedges for s in stats) + gate.get("hedges", 0),
+        retries=sum(s.retries for s in stats),
+        hedges=sum(s.hedges for s in stats),
         late=sum(s.late for s in stats),
         priority=spec.priority,
-        timed_out=timed_out,
-        failed_over=failed_over,
+        timed_out=sum(s.timed_out for s in stats),
+        failed_over=sum(s.failed_over for s in stats),
     )
 
 
@@ -529,11 +508,11 @@ class _FleetRun:
         #: (attempts so far, start of the current attempt).  Entries
         #: exist only for requests that have failed over at least once.
         self.failover_state: Dict[Request, Tuple[int, float]] = {}
-        #: Fleet-level timeout/failover ledgers (per tenant name).
-        self.timed_out = {name: 0 for name in self.names}
-        self.failed_over = {name: 0 for name in self.names}
-        #: Arrivals that found no healthy replica, per tenant name.
-        self.unroutable = {name: 0 for name in self.names}
+        #: Each tenant's front door (see ``TenantState``).
+        self.doors = {
+            spec.name: TenantState(spec, 0, (), 0, cluster.policy)
+            for spec in tenants
+        }
         #: (finish_cycles, latency_cycles) fleet-wide, for resilience;
         #: kept only under a scenario.
         self.samples: Optional[List[Tuple[float, float]]] = (
@@ -549,7 +528,6 @@ class _FleetRun:
                 seed=seed,
                 schedule_at=self.sim.schedule_at,
                 now=lambda: self.sim.now,
-                route=self.route,
                 deliver=self.land,
                 tracer=self.tracer,
                 recorder=self.recorder,
@@ -659,16 +637,20 @@ class _FleetRun:
             self.views[name] = targets
         return targets
 
-    def route(self, name: str) -> Optional[Tuple[TenantState, int]]:
+    def route(
+        self, name: str, req: Request
+    ) -> Optional[Tuple[TenantState, int]]:
         """Pick the landing ``(state, replica)`` for an arriving request,
-        or book it unroutable (arrived and lost at aggregation) when no
-        replica is."""
+        or book it unroutable at the tenant's door (arrived and lost)
+        when no replica is."""
         landing = self.fixed_landing.get(name)
         if landing is not None:
             return landing
         targets = self.routable_targets(name)
         if not targets:
-            self.unroutable[name] += 1
+            door = self.doors[name]
+            door.book_arrival(req)
+            door.lost += 1
             if self.tracer is not None:
                 self.tracer.request_unroutable(name, self.sim.now)
             return None
@@ -693,27 +675,40 @@ class _FleetRun:
         self.pump(index, count)
 
     def land(self, index: int, req: Request) -> None:
-        """One attempt (fresh, retry or hedge) reaches the front door.
-
-        Under overload control the controller owns the whole admission
-        path (gates, deadline admission, retries); it routes through
-        :meth:`route` exactly as an ungated arrival.
-        """
-        if self.controller is not None:
-            self.controller.arrive(index, req)
+        """One attempt (fresh, retry or hedge) reaches the front door:
+        the one admission path (gate, route, book, deadline admission,
+        push, trace, drop victim, hedge).  The overload controller only
+        decides; an attempt that reaches no replica queue is booked at
+        the tenant's door."""
+        name, now = self.names[index], self.sim.now
+        controller = self.controller
+        if controller is not None and not controller.admit(index, req, now):
+            door = self.doors[name]
+            door.book_arrival(req)
+            door.rejected += 1
             return
-        name = self.names[index]
-        landing = self.route(name)
+        landing = self.route(name, req)
         if landing is None:
+            self.give_up(name, req, "unroutable")
             return
         state, choice = landing
         state.book_arrival(req)
-        victim = state.push(req, self.sim.now)
+        if controller is not None and controller.refuse(
+            index, state, choice, req, now
+        ):
+            state.rejected += 1
+            return
+        victim = state.push(req, now)
         if self.tracer is not None:
             self.tracer.request_arrived(
-                name, choice, self.sim.now,
-                dropped=victim is not None, policy=self.cluster.policy,
+                name, choice, now,
+                dropped=victim is not None, policy=state.policy,
             )
+        if controller is not None:
+            if victim is not None:
+                controller.client_retry(index, victim, reason="dropped")
+            if victim is not req:
+                controller.hedge(index, req, now)
 
     def give_up(self, name: str, req: Request, reason: str) -> None:
         """An attempt ended without a reply (lost, dropped on requeue,
@@ -907,7 +902,7 @@ class _FleetRun:
             self.fdet.record_error(replica.index)
         if self.failover(replica, state, req):
             return
-        self.timed_out[name] += 1
+        self.doors[name].timed_out += 1
         if self.recorder is not None:
             self.recorder.count(f"timeouts/{name}", self.sim.now)
         if self.tracer is not None:
@@ -940,7 +935,7 @@ class _FleetRun:
         # attempt, not the request's total age (latency still does).
         self.failover_state[req] = (used + 1, now)
         if used == 0:
-            self.failed_over[name] += 1
+            self.doors[name].failed_over += 1
         choice = self.balancer.route(name, candidates, now)
         victim = self.replicas[choice].states[name].requeue(req, now)
         if victim is not None:
@@ -1167,8 +1162,7 @@ class _FleetRun:
             TenantGroupSampler(
                 recorder,
                 name,
-                [self.replicas[i].states[name] for i in self.eligible[name]],
-                unroutable=partial(self.unroutable.__getitem__, name),
+                self.tenant_states(name),
             )
             for name in self.names
         ] + [
@@ -1179,6 +1173,12 @@ class _FleetRun:
             self.sim.schedule_at(when, self.sample, window, when)
 
     # ------------------------------------------------------------ result
+    def tenant_states(self, name: str) -> List[TenantState]:
+        """What every fleet-wide tenant total sums over: ``name``'s
+        state on each replica that serves it, then its door."""
+        states = [self.replicas[i].states[name] for i in self.eligible[name]]
+        return states + [self.doors[name]]
+
     def result(self, elapsed: float) -> FleetResult:
         """Reduce the final run state to a :class:`FleetResult`
         (shared by both engines)."""
@@ -1190,21 +1190,19 @@ class _FleetRun:
             {stats.name: stats for stats in rstats.tenants}
             for rstats in replica_stats
         ]
-        gates: Mapping[str, Mapping[str, int]] = {}
-        overload = None
-        if self.controller is not None:
-            gates, overload = self.controller.gate, self.controller.report()
         aggregates = tuple(
             _aggregate_tenant(
                 spec,
-                [replicas[i].states[name] for i in self.eligible[name]],
-                [by_name[i][name] for i in self.eligible[name]],
-                self.unroutable[name],
-                gates.get(name, {}),
-                timed_out=self.timed_out[name],
-                failed_over=self.failed_over[name],
+                self.tenant_states(name),
+                [by_name[i][name] for i in self.eligible[name]]
+                + [self.doors[name].stats(elapsed)],
             )
             for spec, name in zip(self.tenants, self.names)
+        )
+        overload = (
+            self.controller.report(aggregates)
+            if self.controller is not None
+            else None
         )
         scenario, detector = self.scenario, self.detector
         incidents: Tuple[Incident, ...] = ()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .trace import TraceRecorder
 
@@ -187,7 +187,13 @@ class MetricsRecorder:
 
     # -------------------------------------------------------------- finalize
     def finalize(self) -> TimeSeries:
-        """Reduce everything collected into an immutable :class:`TimeSeries`."""
+        """Reduce everything collected into an immutable :class:`TimeSeries`
+        (``ValueError`` if a name is both a count and a cumulative)."""
+        clash = self._counts.keys() & self._cumulative.keys()
+        if clash:
+            raise ValueError(
+                f"series both counted and cumulative: {sorted(clash)}"
+            )
         series: Dict[str, Tuple[Optional[float], ...]] = {}
         for name, values in self._gauges.items():
             series[name] = tuple(values)
@@ -225,21 +231,17 @@ class TenantGroupSampler:
     ``states`` are ``TenantState``-shaped objects (duck-typed: ``queue``,
     ``pipeline``, ``arrivals``, ``completions``, ``drops``, ``lost``,
     ``latencies``); the fleet passes the state of every replica that
-    serves the tenant.  Gauges fire on every grid window regardless of
-    traffic, so idle windows record explicit zeros.
+    serves the tenant, then its front door (attempts that reached no
+    queue), so the series sum to the tenant's totals.  Gauges fire on every grid window regardless of traffic, so idle
+    windows record explicit zeros.
     """
 
     def __init__(
-        self,
-        recorder: MetricsRecorder,
-        name: str,
-        states: "List[Any]",
-        unroutable: "Optional[Callable[[], int]]" = None,
+        self, recorder: MetricsRecorder, name: str, states: "List[Any]"
     ):
         self.recorder = recorder
         self.name = name
         self.states = list(states)
-        self.unroutable = unroutable
         self._latency_marks = [0] * len(self.states)
 
     def sample(self, window: int, when: float) -> None:
@@ -248,11 +250,8 @@ class TenantGroupSampler:
         in_flight = queued + sum(s.pipeline for s in self.states)
         rec.gauge(f"queue_depth/{name}", window, queued)
         rec.gauge(f"in_flight/{name}", window, in_flight)
-        extra = self.unroutable() if self.unroutable is not None else 0
         rec.cumulative(
-            f"arrivals/{name}",
-            window,
-            sum(s.arrivals for s in self.states) + extra,
+            f"arrivals/{name}", window, sum(s.arrivals for s in self.states)
         )
         rec.cumulative(
             f"admissions/{name}",
@@ -268,9 +267,7 @@ class TenantGroupSampler:
             f"drops/{name}", window, sum(s.drops for s in self.states)
         )
         rec.cumulative(
-            f"lost/{name}",
-            window,
-            sum(s.lost for s in self.states) + extra,
+            f"lost/{name}", window, sum(s.lost for s in self.states)
         )
         fresh: List[float] = []
         for index, state in enumerate(self.states):

@@ -56,6 +56,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -68,6 +69,7 @@ from .simulator import Request, TenantState
 if TYPE_CHECKING:
     from ..obs.telemetry import MetricsRecorder
     from ..obs.trace import TraceRecorder
+    from .metrics import TenantStats
     from .simulator import TenantSpec
 
 __all__ = [
@@ -403,29 +405,32 @@ class OverloadReport:
 
 
 # --------------------------------------------------------------- controller
+#: :class:`TenantStats` counters a priority class sums over its members.
+_CLASS_COUNTERS = (
+    "arrivals", "completions", "rejected", "expired", "late", "retries",
+    "hedges",
+)
+
+
 class OverloadController:
-    """Run-scoped overload logic, hosted by the cluster simulator.
+    """Run-scoped overload decisions, hosted by the cluster simulator.
 
-    The host simulator owns routing and the event loop; the controller
-    owns every admission decision, retry/hedge scheduling, brownout
-    stepping, and the per-class accounting that becomes the
-    :class:`OverloadReport`.  It is a hook on the host's one request
-    lifecycle, called where overload control changes it:
+    The host owns the event loop, every ledger, and the one admission
+    path each attempt takes (gate → route → book → deadline admission →
+    push → trace → drop victim → hedge).  The controller makes the
+    decisions overload control adds to it, schedules retries and hedges
+    (landed through the host's ``deliver``, exactly as fresh arrivals)
+    and steps brownout.  Its hooks:
 
-    * :meth:`arrive` — full admission path for one attempt (gate →
-      route → deadline admission → queue insert), used for fresh
-      arrivals, retries, and hedges alike.
+    * :meth:`admit` — the front-door gate (brownout, token bucket).
+    * :meth:`refuse` — queue-deadline admission for a routed attempt.
+    * :meth:`hedge` — arm the hedge of a request that was queued.
     * :meth:`dispatch` — discipline-ordered epoch dispatch (pops expired
       entries without burning the slot).
-    * :meth:`complete` — completion accounting (lateness, windowed
-      goodput).
+    * :meth:`complete` — lateness and windowed goodput.
     * :meth:`client_retry` — an attempt ended without a reply.
-
-    The host supplies ``route``, which returns the landing
-    ``(state, replica_index)`` for a tenant name or ``None`` for an
-    unroutable arrival (the host books those in its own ledger; the
-    controller only schedules the client's retry), and ``deliver``,
-    which lands a retry or hedge exactly as a fresh arrival.
+    * :meth:`report` — the :class:`OverloadReport`; class totals are a
+      group-by of the host's final per-tenant stats.
     """
 
     def __init__(
@@ -436,9 +441,8 @@ class OverloadController:
         horizon: float,
         frequency_mhz: float,
         seed: int,
-        schedule_at: Callable[[float, Callable[[], None]], None],
+        schedule_at: Callable[..., None],
         now: Callable[[], float],
-        route: Callable[[str], Optional[Tuple[TenantState, int]]],
         deliver: Callable[[int, Request], None],
         tracer: Optional["TraceRecorder"] = None,
         recorder: Optional["MetricsRecorder"] = None,
@@ -447,10 +451,8 @@ class OverloadController:
         self.tenants = tuple(tenants)
         self.horizon = horizon
         self.cycles_per_ms = frequency_mhz * 1e3
-        self.seed = seed
         self._schedule_at = schedule_at
         self._now = now
-        self._route = route
         self._deliver = deliver
         self.tracer = tracer
         self.recorder = recorder
@@ -471,6 +473,12 @@ class OverloadController:
         self.priority_levels: Tuple[int, ...] = tuple(
             sorted(set(self.priorities))
         )
+        #: Retry delays draw from one dedicated substream per tenant:
+        #: enabling retries must not perturb the arrival streams
+        #: ({seed}/{index}/{name}) or fault draws.
+        self._retry_rngs = [
+            random.Random(f"{seed}/{t.name}/retry") for t in self.tenants
+        ]
 
         # Token buckets start full — a burst at t=0 is admitted.
         admission = spec.admission
@@ -480,15 +488,9 @@ class OverloadController:
         self._bucket_burst = admission.burst if admission is not None else 0.0
         self._tokens = [self._bucket_burst] * len(self.tenants)
         self._bucket_mark = [0.0] * len(self.tenants)
-
-        self._retry_rngs: Dict[str, random.Random] = {}
-        #: Per-tenant ledger of attempts the host fleet cannot aggregate
-        #: from replica states because they never landed (gate
-        #: rejections): ``arrivals``, ``rejected``, ``retries``, ``hedges``.
-        self.gate: Dict[str, Dict[str, int]] = {
-            t.name: {"arrivals": 0, "rejected": 0, "retries": 0, "hedges": 0}
-            for t in self.tenants
-        }
+        self._deadline_admission = (
+            admission is not None and admission.deadline_admission
+        )
 
         # ---------------------------------------------------- window grid
         brownout = spec.brownout
@@ -507,22 +509,15 @@ class OverloadController:
         self._window_arrivals: Dict[int, int] = {
             level: 0 for level in self.priority_levels
         }
-        self._class_totals: Dict[int, Dict[str, int]] = {
-            level: {
-                "arrivals": 0, "completions": 0, "good": 0, "rejected": 0,
-                "expired": 0, "late": 0, "retries": 0, "hedges": 0,
-            }
-            for level in self.priority_levels
-        }
         self.shed_level = 0
+        #: Priority classes the gate currently sheds (rebuilt per step).
+        self.shed: FrozenSet[int] = frozenset()
         self.brownout_steps = 0
         if brownout is not None and len(self.priority_levels) > 1:
             self._brownout_slo_cycles = self._ms(brownout.p99_ms)
             for index in range(1, self.num_windows + 1):
                 when = min(index * self.window_cycles, horizon)
-                self._schedule_at(
-                    when, lambda index=index: self._brownout_step(index)
-                )
+                self._schedule_at(when, self._brownout_step, index)
 
     # ------------------------------------------------------------- utilities
     def _ms(self, value_ms: Optional[float]) -> Optional[float]:
@@ -532,120 +527,69 @@ class OverloadController:
         index = int(when / self.window_cycles)
         return min(index, self.num_windows - 1)
 
-    def _retry_rng(self, name: str) -> random.Random:
-        rng = self._retry_rngs.get(name)
-        if rng is None:
-            # Dedicated substream: enabling retries must not perturb the
-            # arrival streams ({seed}/{index}/{name}) or fault draws.
-            rng = random.Random(f"{self.seed}/{name}/retry")
-            self._retry_rngs[name] = rng
-        return rng
-
-    @property
-    def shed_set(self) -> Tuple[int, ...]:
-        return self.priority_levels[: self.shed_level]
-
-    # ---------------------------------------------------------------- arrive
-    def arrive(self, index: int, req: Request) -> None:
-        """Full admission path for one attempt of one request."""
+    # ------------------------------------------------------------- admission
+    def admit(self, index: int, req: Request, now: float) -> bool:
+        """Gate one attempt before routing: False when brownout sheds its
+        class or its tenant's token bucket is empty (the client may
+        retry; the host books the attempt at the tenant's door)."""
         if not req.seq:
             # A fresh arrival, created just now; retries and hedges
             # were stamped when the controller created them.
             req.seq = self._next_seq()
-        now = self._now()
-        spec = self.tenants[index]
         priority = self.priorities[index]
-        totals = self._class_totals[priority]
-        totals["arrivals"] += 1
         self._window_arrivals[priority] += 1
-        if req.hedge:
-            totals["hedges"] += 1
-        elif req.attempt > 1:
-            totals["retries"] += 1
-
-        # Brownout gate: shed classes are rejected before routing.
-        if priority in self.shed_set:
-            self._gate_reject(index, req, now, reason="brownout")
-            return
-        # Token bucket (per tenant, fleet-wide: the front door).
-        if self._bucket_rate is not None:
+        if priority in self.shed:
+            reason = "brownout"
+        else:
+            if self._bucket_rate is None:
+                return True
             tokens = min(
                 self._bucket_burst,
                 self._tokens[index]
                 + (now - self._bucket_mark[index]) * self._bucket_rate,
             )
             self._bucket_mark[index] = now
-            if tokens < 1.0:
-                self._tokens[index] = tokens
-                self._gate_reject(index, req, now, reason="admission")
-                return
-            self._tokens[index] = tokens - 1.0
+            if tokens >= 1.0:
+                self._tokens[index] = tokens - 1.0
+                return True
+            self._tokens[index] = tokens
+            reason = "admission"
+        self._reject(index, None, req, now, reason)
+        return False
 
-        landing = self._route(spec.name)
-        if landing is None:
-            # The host booked the unroutable arrival; the client retries.
-            self._schedule_retry(index, req, now, reason="unroutable")
-            return
-        state, replica = landing
-        state.book_arrival(req)
-
-        admission = self.spec.admission
+    def refuse(
+        self, index: int, state: TenantState, replica: int, req: Request,
+        now: float,
+    ) -> bool:
+        """Queue-deadline admission: True when the estimated queue wait,
+        ``(queued + 1) * epoch``, already exceeds the tenant's deadline
+        (the client may retry; the host books it on that board)."""
         deadline = self.deadline_cycles[index]
         if (
-            admission is not None
-            and admission.deadline_admission
-            and deadline is not None
-            and (len(state.queue) + 1) * state.epoch > deadline
+            not self._deadline_admission
+            or deadline is None
+            or (len(state.queue) + 1) * state.epoch <= deadline
         ):
-            state.rejected += 1
-            totals["rejected"] += 1
-            self._note_reject(spec.name, replica, now, "deadline")
-            self._schedule_retry(index, req, now, reason="deadline")
-            return
+            return False
+        self._reject(index, replica, req, now, "deadline")
+        return True
 
-        victim = state.push(req, now)
-        if self.tracer is not None:
-            self.tracer.request_arrived(
-                spec.name,
-                replica,
-                now,
-                dropped=victim is not None,
-                policy=state.policy,
-            )
-        if victim is not None:
-            if self.recorder is not None:
-                self.recorder.count(f"drops/{spec.name}", now)
-            self._schedule_retry(index, victim, now, reason="dropped")
-        if victim is not req:
-            self._maybe_hedge(index, req, now)
-
-    def _gate_reject(
-        self, index: int, req: Request, now: float, *, reason: str
+    def _reject(
+        self, index: int, replica: Optional[int], req: Request, now: float,
+        reason: str,
     ) -> None:
-        spec = self.tenants[index]
-        gate = self.gate[spec.name]
-        gate["arrivals"] += 1
-        gate["rejected"] += 1
-        if req.hedge:
-            gate["hedges"] += 1
-        elif req.attempt > 1:
-            gate["retries"] += 1
-        self._class_totals[self.priorities[index]]["rejected"] += 1
-        self._note_reject(spec.name, None, now, reason)
-        self._schedule_retry(index, req, now, reason=reason)
-
-    def _note_reject(
-        self, name: str, replica: Optional[int], now: float, reason: str
-    ) -> None:
+        name = self.tenants[index].name
         if self.tracer is not None:
             self.tracer.request_rejected(name, replica, now, reason=reason)
         if self.recorder is not None:
             self.recorder.count(f"rejected/{name}", now)
+        self._schedule_retry(index, req, now, reason=reason)
 
     # --------------------------------------------------------------- retries
     def client_retry(self, index: int, req: Request, *, reason: str) -> None:
-        """Host hook: the client observed a failure (evacuation loss,
-        killed in-flight work) and schedules a retry under the policy."""
+        """Host hook: the client observed a failure (unroutable, dropped,
+        evacuation loss, killed in-flight work) and schedules a retry
+        under the policy."""
         self._schedule_retry(index, req, self._now(), reason=reason)
 
     def _schedule_retry(
@@ -656,8 +600,7 @@ class OverloadController:
             return
         if policy.max_attempts and req.attempt >= policy.max_attempts:
             return
-        spec = self.tenants[index]
-        rng = self._retry_rng(spec.name)
+        rng = self._retry_rngs[index]
         base = self._ms(policy.base_ms) or 1.0
         cap = self._ms(policy.effective_cap_ms) or base
         if policy.jitter == "decorrelated":
@@ -677,22 +620,25 @@ class OverloadController:
             when, req.attempt + 1, backoff_cycles=delay,
             seq=self._next_seq(),
         )
+        name = self.tenants[index].name
         if self.tracer is not None:
             self.tracer.request_retry(
-                spec.name, now, attempt=retry.attempt, delay_cycles=delay,
+                name, now, attempt=retry.attempt, delay_cycles=delay,
                 reason=reason,
             )
         if self.recorder is not None:
-            self.recorder.count(f"retries/{spec.name}", now)
+            self.recorder.count(f"retries/{name}", now)
         self.pending_deliveries += 1
+        self._schedule_at(when, self._fire_retry, index, retry)
 
-        def fire_retry() -> None:
-            self.pending_deliveries -= 1
-            self._deliver(index, retry)
+    def _fire_retry(self, index: int, retry: Request) -> None:
+        self.pending_deliveries -= 1
+        self._deliver(index, retry)
 
-        self._schedule_at(when, fire_retry)
-
-    def _maybe_hedge(self, index: int, req: Request, now: float) -> None:
+    def hedge(self, index: int, req: Request, now: float) -> None:
+        """Arm the hedge of a request that was just queued: a duplicate
+        attempt lands after ``hedge_ms`` unless the original has been
+        dispatched or shed by then (at most one hedge per request)."""
         policy = self.spec.retry
         if (
             policy is None
@@ -702,27 +648,24 @@ class OverloadController:
         ):
             return
         req.hedged = True
-        delay = self._ms(policy.hedge_ms) or 0.0
-        when = now + delay
+        when = now + (self._ms(policy.hedge_ms) or 0.0)
         if when > self.horizon:
             return
-        spec = self.tenants[index]
         self.pending_deliveries += 1
+        self._schedule_at(when, self._fire_hedge, index, req)
 
-        def fire_hedge() -> None:
-            self.pending_deliveries -= 1
-            if req.done:
-                return  # original dispatched or shed; hedge moot
-            hedge = Request(
-                self._now(), req.attempt, hedge=True, seq=self._next_seq()
-            )
-            if self.tracer is not None:
-                self.tracer.request_hedged(spec.name, self._now())
-            if self.recorder is not None:
-                self.recorder.count(f"hedges/{spec.name}", self._now())
-            self._deliver(index, hedge)
-
-        self._schedule_at(when, fire_hedge)
+    def _fire_hedge(self, index: int, req: Request) -> None:
+        self.pending_deliveries -= 1
+        if req.done:
+            return  # original dispatched or shed; hedge moot
+        now = self._now()
+        name = self.tenants[index].name
+        hedge = Request(now, req.attempt, hedge=True, seq=self._next_seq())
+        if self.tracer is not None:
+            self.tracer.request_hedged(name, now)
+        if self.recorder is not None:
+            self.recorder.count(f"hedges/{name}", now)
+        self._deliver(index, hedge)
 
     # -------------------------------------------------------------- dispatch
     def dispatch(
@@ -730,13 +673,12 @@ class OverloadController:
     ) -> Optional[Request]:
         """Epoch-boundary admission under the queue discipline.
 
-        Pops expired entries (counting and retrying them) until a live
-        head is admitted into the pipeline or the queue runs dry —
-        expired work never burns the epoch's admission slot.
+        Pops expired entries (retrying them) until a live head is
+        admitted into the pipeline or the queue runs dry — expired work
+        never burns the epoch's admission slot.
         """
         now = self._now()
-        spec = self.tenants[index]
-        totals = self._class_totals[self.priorities[index]]
+        name = self.tenants[index].name
         while True:
             popped = state.pop_next(now)
             if popped is None:
@@ -744,11 +686,10 @@ class OverloadController:
             outcome, req = popped
             if outcome == "ok":
                 return req
-            totals["expired"] += 1
             if self.tracer is not None:
-                self.tracer.request_expired(spec.name, replica, now)
+                self.tracer.request_expired(name, replica, now)
             if self.recorder is not None:
-                self.recorder.count(f"expired/{spec.name}", now)
+                self.recorder.count(f"expired/{name}", now)
             self._schedule_retry(index, req, now, reason="expired")
 
     # -------------------------------------------------------------- complete
@@ -758,17 +699,13 @@ class OverloadController:
         now = self._now()
         state.on_completion(req, now)
         priority = self.priorities[index]
-        totals = self._class_totals[priority]
-        totals["completions"] += 1
         latency = now - req.arrival
         deadline = self.deadline_cycles[index]
         if deadline is not None and latency > deadline:
             state.late += 1
-            totals["late"] += 1
             if self.recorder is not None:
                 self.recorder.count(f"late/{self.tenants[index].name}", now)
         else:
-            totals["good"] += 1
             self._good[priority][self._window_of(now)] += 1
         if (
             self.spec.brownout is not None
@@ -795,50 +732,56 @@ class OverloadController:
             recovered = not breach
         ceiling = len(self.priority_levels) - 1  # never shed the top class
         if breach and self.shed_level < ceiling:
-            self.shed_level += 1
-            self.brownout_steps += 1
-            self._trace_brownout("shed")
+            self._step_shed(+1, "shed")
         elif recovered and self.shed_level > 0:
-            self.shed_level -= 1
-            self.brownout_steps += 1
-            self._trace_brownout("restore")
+            self._step_shed(-1, "restore")
         # Stamp the level onto the *next* window's flags (it governs
         # admission from this boundary until the next step).
         if window_index < self.num_windows:
-            for level in self.shed_set:
+            for level in self.shed:
                 self._shed_flags[level][window_index] = 1
         self._window_latencies = []
         for level in self.priority_levels:
             self._window_arrivals[level] = 0
 
-    def _trace_brownout(self, action: str) -> None:
+    def _step_shed(self, delta: int, action: str) -> None:
+        self.shed_level += delta
+        self.shed = frozenset(self.priority_levels[: self.shed_level])
+        self.brownout_steps += 1
         if self.tracer is not None:
             self.tracer.brownout_step(
                 self._now(),
                 action=action,
-                shed=[int(p) for p in self.shed_set],
+                shed=[int(p) for p in sorted(self.shed)],
             )
         if self.recorder is not None:
             self.recorder.count("brownout_steps", self._now())
 
     # ---------------------------------------------------------------- report
-    def report(self) -> OverloadReport:
+    def report(self, tenants: Sequence["TenantStats"]) -> OverloadReport:
+        """Reduce the run to an :class:`OverloadReport`.
+
+        ``tenants`` are the host's final fleet-wide stats; each priority
+        class's totals are the sums over its member tenants, with
+        ``good = completions - late``.
+        """
         times = tuple(
             min((index + 1) * self.window_cycles, self.horizon)
             for index in range(self.num_windows)
         )
-        classes = tuple(
-            PriorityClassStats(
+        classes = []
+        for level in self.priority_levels:
+            members = [t for t in tenants if t.priority == level]
+            totals = {
+                key: sum(getattr(t, key) for t in members)
+                for key in _CLASS_COUNTERS
+            }
+            classes.append(PriorityClassStats(
                 priority=level,
-                tenants=tuple(
-                    t.name
-                    for t, p in zip(self.tenants, self.priorities)
-                    if p == level
-                ),
-                **self._class_totals[level],
-            )
-            for level in self.priority_levels
-        )
+                tenants=tuple(t.name for t in members),
+                good=totals["completions"] - totals["late"],
+                **totals,
+            ))
         return OverloadReport(
             queue_policy=self.spec.queue_policy,
             window_cycles=self.window_cycles,
@@ -851,7 +794,7 @@ class OverloadController:
                 str(level): tuple(flags)
                 for level, flags in self._shed_flags.items()
             },
-            classes=classes,
+            classes=tuple(classes),
             brownout_steps=self.brownout_steps,
         )
 

@@ -193,7 +193,9 @@ class TenantState:
     requeues join the tail, :meth:`admit` takes the head.  The overload
     layer's :class:`~repro.serve.overload.OverloadTenantState` swaps in
     a queue discipline by overriding :meth:`_insert`; the lifecycle and
-    every counter live here, so one :meth:`stats` serves both.
+    every counter live here, so one :meth:`stats` serves both.  The
+    cluster keeps one more per tenant as its *front door*, booking the
+    attempts that reach no board queue (unroutable, gate-rejected).
     """
 
     def __init__(
@@ -221,6 +223,9 @@ class TenantState:
         self.retries = 0
         self.hedges = 0
         self.late = 0
+        #: Fleet outcomes, booked only at the door; 0 on every board.
+        self.timed_out = 0
+        self.failed_over = 0
         #: Completion latencies in cycles (the fast path stores a float64
         #: array; both reduce through ``LatencySummary.of``).
         self.latencies: List[float] = []
@@ -343,6 +348,8 @@ class TenantState:
             hedges=self.hedges,
             late=self.late,
             priority=self.spec.priority,
+            timed_out=self.timed_out,
+            failed_over=self.failed_over,
         )
 
 

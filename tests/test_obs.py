@@ -36,6 +36,7 @@ from repro.obs import (
 )
 from repro.obs.telemetry import window_grid
 from repro.serve import PoissonArrivals, TenantSpec, simulate_traffic
+from repro.serve.overload import AdmissionPolicy, OverloadSpec
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -95,6 +96,16 @@ class TestMetricsRecorder:
         ts = rec.finalize()
         assert len(ts.get("arrivals")) == 10
         assert ts.get("arrivals")[1:] == (0.0,) * 9
+
+    def test_count_and_cumulative_name_clash_is_an_error(self):
+        # Finalize writes both kinds into one series map: a name used
+        # for both would silently keep only the cumulative.
+        rec = MetricsRecorder(100.0, 25.0)
+        rec.count("drops/a", 10.0)
+        rec.cumulative("drops/a", 0, 1.0)
+        rec.cumulative("lost/a", 0, 1.0)
+        with pytest.raises(ValueError, match="drops/a"):
+            rec.finalize()
 
     def test_cumulative_diffs_per_window(self):
         rec = MetricsRecorder(100.0, 25.0)
@@ -247,15 +258,36 @@ class TestBitNeutrality:
         assert runs[0].timeseries == runs[1].timeseries
 
     def test_arrival_windows_sum_to_totals(self, toy_design, toy_tenants):
-        result = simulate_traffic(
-            toy_design,
-            toy_tenants,
-            obs=ObsSpec(timeseries=True, windows=8),
-            **serve_kwargs(toy_design),
-        )
-        ts = result.timeseries
-        assert sum(ts.get("arrivals/toy")) == result.tenants[0].arrivals
-        assert sum(ts.get("drops/toy")) == result.tenants[0].drops
+        # A plain run, a token bucket far below the offered rate (gate
+        # rejections never reach a board) and a one-board rack loss
+        # (arrivals with no routable replica) on a short queue.
+        obs = ObsSpec(timeseries=True, windows=8)
+        rate_rps = 1e8 / toy_design.epoch_cycles / 10
+        results = [
+            simulate_traffic(
+                toy_design, toy_tenants, obs=obs, **serve_kwargs(toy_design)
+            ),
+            simulate_traffic(
+                toy_design, toy_tenants, obs=obs,
+                overload=OverloadSpec(
+                    admission=AdmissionPolicy(rate_rps=rate_rps, burst=1)
+                ),
+                **serve_kwargs(toy_design),
+            ),
+            simulate_fleet(
+                DeviceSpec(toy_design), toy_tenants, obs=obs,
+                scenario="rack-loss", queue_depth=1,
+                **serve_kwargs(toy_design),
+            ),
+        ]
+        assert results[1].tenants[0].rejected > 0
+        assert results[2].tenants[0].lost > 0
+        assert results[2].tenants[0].drops > 0
+        for result in results:
+            ts, tenant = result.timeseries, result.tenants[0]
+            assert sum(ts.get("arrivals/toy")) == tenant.arrivals
+            assert sum(ts.get("drops/toy")) == tenant.drops
+            assert sum(ts.get("lost/toy")) == tenant.lost
 
 
 # -------------------------------------------------------------------- tracing

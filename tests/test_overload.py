@@ -56,6 +56,7 @@ from repro.core.serialize import (
     slo_spec_to_dict,
 )
 from repro.fleet import DeviceSpec, simulate_fleet
+from repro.fleet.detector import DetectorSpec
 from repro.opt.joint import JointDesign, combine_networks
 from repro.scenario import RackFailure, ScenarioSpec, get_scenario
 from repro.scenario.library import SCENARIO_NAMES, scenario_from_dict, scenario_to_dict
@@ -443,6 +444,37 @@ class TestRetries:
         )
         stats = result.overload.class_stats(0)
         assert stats.retries == result.tenants[0].retries > 0
+
+    def test_class_totals_sum_member_tenants(self, toy_joint):
+        # Gray failures under an oracle detector and request timeouts
+        # leave a tenant with no routable replica at times: its retries
+        # and hedges that arrive then never reach a board, yet count.
+        epoch, epoch_ms = toy_joint.epoch_cycles, _epoch_ms(toy_joint)
+        tenants = [
+            TenantSpec(name, make_arrival_process("poisson", 1.0 / epoch),
+                       priority=priority)
+            for priority, name in enumerate(("cold", "hot"))
+        ]
+        result = simulate_fleet(
+            DeviceSpec(toy_joint).replicated(3), tenants,
+            duration_cycles=200 * epoch, seed=0, scenario="gray-failure",
+            detector=DetectorSpec(request_timeout_ms=4 * epoch_ms),
+            overload=OverloadSpec(
+                retry=RetryPolicy(max_attempts=3, hedge_ms=3 * epoch_ms),
+                deadline_ms=20 * epoch_ms,
+            ),
+        )
+        _assert_conserved(result)
+        assert sum(t.retries for t in result.tenants) > 0
+        assert sum(t.hedges for t in result.tenants) > 0
+        for entry in result.overload.classes:
+            members = [t for t in result.tenants if t.name in entry.tenants]
+            for key in ("arrivals", "completions", "rejected", "expired",
+                        "late", "retries", "hedges"):
+                assert getattr(entry, key) == sum(
+                    getattr(t, key) for t in members
+                ), (entry.priority, key)
+            assert entry.good == entry.completions - entry.late
 
 
 # ----------------------------------------------------------------- brownout
