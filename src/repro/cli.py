@@ -17,6 +17,11 @@ Examples::
     python -m repro dse cost --store dse_results.jsonl --rate 20000 --p99-ms 80
     python -m repro serve --network alexnet --emit-timeseries --trace-out t.json
     python -m repro report runs/fleet.json --out report.md
+
+Shared flags are defined once (:func:`_flag_table`) and composed by
+name groups (``DESIGN``, ``RUN``, ...).  :func:`main` dispatches through
+``_COMMANDS`` and owns the one error boundary: bad input on any command
+exits with ``repro <command> [<sub>]: error: <message>``.
 """
 
 from __future__ import annotations
@@ -28,76 +33,202 @@ from typing import List, Optional
 from .core.datatypes import DataType
 from .fpga.parts import budget_for
 from .networks import available_networks, get_network
-from .opt import optimize_multi_clp, optimize_single_clp
+from .opt import OptimizationError, optimize_multi_clp, optimize_single_clp
 
 __all__ = ["main", "build_parser"]
 
+DESIGN = ("--networks", "--part", "--dtype", "--max-clps", "--frequency-mhz",
+          "--bandwidth-gbps", "--calibrate", "--load")
+RUN = ("--queue-depth", "--policy", "--seed", "--engine")
+TRAFFIC = ("--rate", "--rates", "--priorities", "--process", "--burstiness",
+           "--burst-period-ms", "--duration-ms", "--drain", "--save")
+SLO = ("--p99-ms", "--max-drop-rate", "--min-throughput")
+RANKING = ("--store", "--rate", "--duration-ms", "--seed", "--queue-depth",
+           "--policy")
+OBS = ("--emit-timeseries", "--timeseries-window-ms", "--trace-out",
+       "--report")
+OVERLOAD = ("--queue-policy", "--admission", "--admission-burst",
+            "--deadline-admission", "--deadline-ms", "--retries",
+            "--retry-backoff-ms", "--retry-cap-ms", "--retry-jitter",
+            "--hedge-ms", "--brownout-p99-ms", "--brownout-window-ms")
+DETECTOR = ("--detector", "--probe-interval-ms", "--probe-timeout-ms",
+            "--outlier-error-rate", "--outlier-p99-factor",
+            "--ejection-window-ms", "--request-timeout-ms", "--max-failovers")
 
-def _add_obs_args(p) -> None:
-    """Observability flags shared by ``serve`` and ``fleet simulate``.
 
-    All of them default off, leaving the run bit-identical to a plain
-    invocation; turning any on forces the reference event engine under
-    ``--engine auto`` (the fast path cannot observe per-event state).
+def _flag_table() -> dict:
+    """Every shared flag, once: ``{flag: add_argument keywords}``.
+
+    ``flags`` lists extra option strings.  The overload, detector and
+    observability flags all default off, leaving a run bit-identical to
+    a plain invocation; turning any on forces the reference event engine
+    under ``--engine auto``.
     """
-    p.add_argument("--emit-timeseries", action="store_true",
-                   help="sample windowed telemetry (queue depth, "
-                   "utilization, p99, drops, ...) onto the result")
-    p.add_argument("--timeseries-window-ms", type=float, default=None,
-                   metavar="MS",
-                   help="telemetry window width (implies --emit-timeseries; "
-                   "default: horizon split into 60 windows)")
-    p.add_argument("--trace-out", metavar="FILE", default=None,
-                   help="write the request-lifecycle trace: Chrome "
-                   "trace_event JSON, or JSONL if FILE ends in .jsonl")
-    p.add_argument("--report", metavar="FILE", default=None,
-                   help="render a one-page Markdown report of the run")
+    from .fleet import DETECTOR_MODES
+    from .fleet.balancer import BALANCER_NAMES
+    from .fleet.device import CALIBRATION_MODES
+    from .scenario import SCENARIO_NAMES
+    from .serve import ARRIVAL_KINDS, DROP_POLICIES, JITTER_MODES, QUEUE_POLICIES
+    from .sim.fastpath import ENGINES
+
+    def ms(help: str, default: Optional[float] = None) -> dict:
+        return dict(type=float, default=default, metavar="MS", help=help)
+
+    return {
+        # design
+        "--networks": dict(
+            flags=("--networks", "--network"), nargs="+", default=["alexnet"],
+            metavar="NET", help="tenant networks (space- or comma-separated; "
+            "several networks build one joint design)"),
+        "--network": dict(default="alexnet", choices=available_networks()),
+        "--part": dict(default="485t", help="FPGA part (e.g. 485t, 690t)"),
+        "--dtype": dict(default="float32", help="datatype (float32, fixed16)"),
+        "--max-clps": dict(type=int, default=6),
+        "--frequency-mhz": dict(type=float, default=100.0),
+        "--bandwidth-gbps": dict(type=float, default=None),
+        "--calibrate": dict(
+            default="model", choices=CALIBRATION_MODES,
+            help="epoch length from the analytic model or from the "
+            "cycle-level system simulator"),
+        "--load": dict(metavar="FILE", default=None,
+                       help="use a saved design JSON instead of optimizing"),
+        "--single": dict(action="store_true",
+                         help="Single-CLP baseline instead of Multi-CLP"),
+        # run
+        "--queue-depth": dict(type=int, default=64),
+        "--policy": dict(default="drop-tail", choices=DROP_POLICIES),
+        "--seed": dict(type=int, default=0),
+        "--engine": dict(
+            default="auto", choices=ENGINES,
+            help="epoch-batched fast path or reference event loop "
+            "(bit-identical results; auto picks fast unless a scenario, "
+            "overload control, an active detector or observation needs the "
+            "event loop)"),
+        "--balancer": dict(default="round-robin", choices=BALANCER_NAMES),
+        "--scenario": dict(
+            default=None, metavar="NAME", choices=SCENARIO_NAMES,
+            help="failure/surge drill from the scenario library "
+            "(see `repro scenario list`)"),
+        "--replicas": dict(type=int, default=2),
+        "--max-replicas": dict(type=int, default=64),
+        # traffic
+        "--rate": dict(type=float, default=1000.0,
+                       help="request rate per tenant, req/s"),
+        "--rates": dict(nargs="+", type=float, default=None, metavar="RPS",
+                        help="per-tenant rates (overrides --rate; one per "
+                        "network)"),
+        "--priorities": dict(
+            nargs="+", type=int, default=None, metavar="P",
+            help="per-tenant priority classes (one per network; higher is "
+            "more important — brownout sheds lowest first)"),
+        "--process": dict(default="poisson", choices=ARRIVAL_KINDS),
+        "--burstiness": dict(type=float, default=4.0,
+                             help="burst rate multiplier for --process bursty"),
+        "--burst-period-ms": dict(
+            type=float, default=5.0,
+            help="mean on+off burst cycle for --process bursty"),
+        "--duration-ms": dict(
+            type=float, default=100.0,
+            help="traffic window; floored at 3 pipeline latencies unless "
+            "--drain is given"),
+        "--drain": dict(action="store_true", help="stop arrivals at the "
+                        "horizon but serve out the queues"),
+        "--save": dict(metavar="FILE", default=None,
+                       help="write the design or run record to a JSON file"),
+        "--json": dict(action="store_true",
+                       help="emit JSON on stdout (a fleet run's timeseries "
+                       "only with --emit-timeseries)"),
+        # SLO
+        "--p99-ms": dict(type=float, default=None,
+                         help="tail-latency SLO; unset disables the clause"),
+        "--max-drop-rate": dict(type=float, default=0.0,
+                                help="shed budget (drops, losses, late)"),
+        "--min-throughput": dict(type=float, default=None, metavar="RPS"),
+        # DSE ranking
+        "--store": dict(default="dse_results.jsonl",
+                        help="JSONL result store (resumable cache)"),
+        # observability
+        "--emit-timeseries": dict(
+            action="store_true", help="sample windowed telemetry (queue "
+            "depth, utilization, p99, drops, ...) onto the result"),
+        "--timeseries-window-ms": ms(
+            "telemetry window width (implies --emit-timeseries; default: "
+            "horizon split into 60 windows)"),
+        "--trace-out": dict(
+            metavar="FILE", default=None, help="write the request-lifecycle "
+            "or scaling trace: Chrome trace_event JSON, or JSONL if FILE "
+            "ends in .jsonl"),
+        "--report": dict(metavar="FILE", default=None,
+                         help="render a one-page Markdown report of the run"),
+        # overload control (--retries 0 means unlimited attempts)
+        "--queue-policy": dict(
+            default="fifo", choices=QUEUE_POLICIES,
+            help="queue discipline: fifo, edf (earliest deadline first), or "
+            "priority (fresh work before retries)"),
+        "--admission": dict(
+            type=float, default=None, metavar="RPS",
+            help="per-tenant token-bucket admission rate (req/s); arrivals "
+            "beyond the bucket are rejected at enqueue"),
+        "--admission-burst": dict(
+            type=float, default=8.0, metavar="TOKENS",
+            help="token-bucket burst size for --admission"),
+        "--deadline-admission": dict(
+            action="store_true", help="reject at enqueue when the estimated "
+            "queue wait already exceeds the tenant's deadline"),
+        "--deadline-ms": ms("request deadline; enables expiry shedding under "
+                            "edf/priority queues and deadline admission"),
+        "--retries": dict(
+            type=int, default=None, metavar="N",
+            help="closed-loop clients: retry rejected/dropped/lost requests "
+            "up to N attempts (0 = unlimited)"),
+        "--retry-backoff-ms": ms("base backoff between attempts", 0.1),
+        "--retry-cap-ms": ms("backoff ceiling (default: 32x base)"),
+        "--retry-jitter": dict(default="decorrelated", choices=JITTER_MODES,
+                               help="backoff jitter mode"),
+        "--hedge-ms": ms("send a hedged duplicate if no response within MS"),
+        "--brownout-p99-ms": ms(
+            "brownout controller: shed lowest-priority traffic to keep the "
+            "protected class's windowed p99 under MS"),
+        "--brownout-window-ms": ms("brownout control-loop window", 2.0),
+        # failure detection
+        "--detector": dict(
+            default=None, choices=DETECTOR_MODES,
+            help="how the fleet learns replica health: oracle (instant, "
+            "perfect) or probe (health checks + outlier ejection, with real "
+            "detection latency)"),
+        "--probe-interval-ms": ms("health-probe period (default: 4 epochs)"),
+        "--probe-timeout-ms": ms("probe deadline; slow/delayed boards fail "
+                                 "probes (default: 2 epochs)"),
+        "--outlier-error-rate": dict(
+            type=float, default=None, metavar="RATE",
+            help="eject replicas whose windowed error rate reaches RATE "
+            "(probe mode; default 0.5)"),
+        "--outlier-p99-factor": dict(
+            type=float, default=None, metavar="X",
+            help="eject replicas whose windowed p99 exceeds X times the "
+            "fleet median (probe mode; default 3.0)"),
+        "--ejection-window-ms": ms("outlier-evaluation window (default: 8 "
+                                   "epochs)"),
+        "--request-timeout-ms": ms("pull back requests older than MS and "
+                                   "fail them over to another replica"),
+        "--max-failovers": dict(
+            type=int, default=None, metavar="N",
+            help="failover attempts per request before it counts timed-out "
+            "(default 1)"),
+    }
 
 
-def _add_overload_args(p) -> None:
-    """Overload-control flags shared by ``serve`` and the fleet commands.
+def _add(parser, title: str, names, **defaults):
+    """Add the named shared flags as one ``--help`` group, and return it.
 
-    All default off; any active flag forces the reference event engine
-    under ``--engine auto`` (the fast path has no per-request client
-    state).  ``--retries 0`` means *unlimited* attempts — the naive
-    client that powers retry-storm demonstrations.
+    ``defaults`` overrides a flag's shared default for this subcommand.
     """
-    from .serve import JITTER_MODES, QUEUE_POLICIES
-
-    p.add_argument("--queue-policy", default="fifo",
-                   choices=list(QUEUE_POLICIES),
-                   help="queue discipline: fifo, edf (earliest deadline "
-                   "first), or priority (fresh work before retries)")
-    p.add_argument("--admission", type=float, default=None, metavar="RPS",
-                   help="per-tenant token-bucket admission rate (req/s); "
-                   "arrivals beyond the bucket are rejected at enqueue")
-    p.add_argument("--admission-burst", type=float, default=8.0,
-                   metavar="TOKENS",
-                   help="token-bucket burst size for --admission")
-    p.add_argument("--deadline-admission", action="store_true",
-                   help="reject at enqueue when the estimated queue wait "
-                   "already exceeds the tenant's deadline")
-    p.add_argument("--deadline-ms", type=float, default=None, metavar="MS",
-                   help="request deadline; enables expiry shedding under "
-                   "edf/priority queues and deadline admission")
-    p.add_argument("--retries", type=int, default=None, metavar="N",
-                   help="closed-loop clients: retry rejected/dropped/lost "
-                   "requests up to N attempts (0 = unlimited)")
-    p.add_argument("--retry-backoff-ms", type=float, default=0.1,
-                   metavar="MS", help="base backoff between attempts")
-    p.add_argument("--retry-cap-ms", type=float, default=None, metavar="MS",
-                   help="backoff ceiling (default: 32x base)")
-    p.add_argument("--retry-jitter", default="decorrelated",
-                   choices=list(JITTER_MODES),
-                   help="backoff jitter mode")
-    p.add_argument("--hedge-ms", type=float, default=None, metavar="MS",
-                   help="send a hedged duplicate if no response within MS")
-    p.add_argument("--brownout-p99-ms", type=float, default=None,
-                   metavar="MS",
-                   help="brownout controller: shed lowest-priority traffic "
-                   "to keep the protected class's windowed p99 under MS")
-    p.add_argument("--brownout-window-ms", type=float, default=2.0,
-                   metavar="MS", help="brownout control-loop window")
+    group = parser.add_argument_group(title)
+    for name in names:
+        kwargs = dict(_flag_table()[name])
+        group.add_argument(*kwargs.pop("flags", (name,)), **kwargs)
+    parser.set_defaults(**defaults)
+    return group
 
 
 def _overload_spec(args: argparse.Namespace):
@@ -140,46 +271,6 @@ def _overload_spec(args: argparse.Namespace):
     return spec if spec.active else None
 
 
-def _add_detector_args(p) -> None:
-    """Failure-detection flags shared by the fleet commands.
-
-    All default off (oracle health, no timeouts) — bit-exact with the
-    pre-detector engine.  ``--detector probe`` or ``--request-timeout-ms``
-    forces the reference event engine under ``--engine auto``.
-    """
-    from .fleet import DETECTOR_MODES
-
-    p.add_argument("--detector", default=None, choices=list(DETECTOR_MODES),
-                   help="how the fleet learns replica health: oracle "
-                   "(instant, perfect) or probe (health checks + outlier "
-                   "ejection, with real detection latency)")
-    p.add_argument("--probe-interval-ms", type=float, default=None,
-                   metavar="MS",
-                   help="health-probe period (default: 4 epochs)")
-    p.add_argument("--probe-timeout-ms", type=float, default=None,
-                   metavar="MS",
-                   help="probe deadline; slow/delayed boards fail probes "
-                   "(default: 2 epochs)")
-    p.add_argument("--outlier-error-rate", type=float, default=None,
-                   metavar="RATE",
-                   help="eject replicas whose windowed error rate reaches "
-                   "RATE (probe mode; default 0.5)")
-    p.add_argument("--outlier-p99-factor", type=float, default=None,
-                   metavar="X",
-                   help="eject replicas whose windowed p99 exceeds X times "
-                   "the fleet median (probe mode; default 3.0)")
-    p.add_argument("--ejection-window-ms", type=float, default=None,
-                   metavar="MS",
-                   help="outlier-evaluation window (default: 8 epochs)")
-    p.add_argument("--request-timeout-ms", type=float, default=None,
-                   metavar="MS",
-                   help="pull back requests older than MS and fail them "
-                   "over to another replica")
-    p.add_argument("--max-failovers", type=int, default=None, metavar="N",
-                   help="failover attempts per request before it counts "
-                   "timed-out (default 1)")
-
-
 def _detector_spec(args: argparse.Namespace):
     """Build a :class:`DetectorSpec` from the shared flags, or ``None``.
 
@@ -209,11 +300,21 @@ def _detector_spec(args: argparse.Namespace):
     return DetectorSpec(mode=mode, **provided)
 
 
+def _slo_spec(args: argparse.Namespace, **clauses):
+    """The :class:`SLOSpec` of the ``--p99-ms``/drop/throughput flags."""
+    from .serve import SLOSpec
+
+    return SLOSpec(
+        p99_ms=args.p99_ms,
+        max_drop_rate=args.max_drop_rate,
+        min_throughput_rps=args.min_throughput,
+        **clauses,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     from . import __version__
-    from .scenario import SCENARIO_NAMES
-    from .serve import ARRIVAL_KINDS, DROP_POLICIES
-    from .sim.fastpath import ENGINES
+    from .dse.point import METRIC_NAMES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -236,39 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
     p7.add_argument("--max-dsp", type=int, default=10000)
 
     opt = sub.add_parser("optimize", help="optimize a custom scenario")
-    opt.add_argument("--network", default="alexnet", choices=available_networks())
-    opt.add_argument("--part", default="485t")
-    opt.add_argument("--dtype", default="float32")
-    opt.add_argument("--single", action="store_true")
-    opt.add_argument("--max-clps", type=int, default=6)
-    opt.add_argument("--bandwidth-gbps", type=float, default=None)
-    opt.add_argument("--frequency-mhz", type=float, default=100.0)
+    _add(opt, "design", ("--network", "--part", "--dtype", "--single",
+                         "--max-clps", "--bandwidth-gbps", "--frequency-mhz",
+                         "--save"))
     opt.add_argument("--ordering", default="auto")
-    opt.add_argument("--save", metavar="FILE", default=None,
-                     help="write the design to a JSON file")
 
     gantt = sub.add_parser("gantt", help="epoch schedule of a design")
-    gantt.add_argument("--network", default="alexnet", choices=available_networks())
-    gantt.add_argument("--part", default="485t")
-    gantt.add_argument("--dtype", default="float32")
-    gantt.add_argument("--load", metavar="FILE", default=None,
-                       help="render a saved design instead of optimizing")
+    _add(gantt, "design", ("--network", "--part", "--dtype", "--load"))
 
     joint = sub.add_parser(
         "joint", help="jointly optimize one accelerator for several CNNs"
     )
     joint.add_argument("networks", nargs="+", choices=available_networks())
-    joint.add_argument("--part", default="690t")
-    joint.add_argument("--dtype", default="fixed16")
+    _add(joint, "design", ("--part", "--dtype"), part="690t", dtype="fixed16")
 
     latency = sub.add_parser(
         "latency", help="latency/throughput frontier (adjacent assignment)"
     )
-    latency.add_argument("--network", default="alexnet",
-                         choices=available_networks())
-    latency.add_argument("--part", default="485t")
-    latency.add_argument("--dtype", default="float32")
-    latency.add_argument("--max-clps", type=int, default=6)
+    _add(latency, "design", ("--network", "--part", "--dtype", "--max-clps"))
 
     sub.add_parser("validate", help="simulators vs analytic models")
 
@@ -280,54 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
         "With several networks, one joint accelerator serves them all; each "
         "network is a tenant with its own arrival stream and FIFO queue.",
     )
-    serve.add_argument("--networks", "--network", dest="networks", nargs="+",
-                       default=["alexnet"], metavar="NET",
-                       help="tenant networks (space- or comma-separated)")
-    serve.add_argument("--part", default="485t")
-    serve.add_argument("--dtype", default="float32")
-    serve.add_argument("--rate", type=float, default=1000.0,
-                       help="request rate per tenant, req/s")
-    serve.add_argument("--rates", nargs="+", type=float, default=None,
-                       metavar="RPS",
-                       help="per-tenant rates (overrides --rate; one per network)")
-    serve.add_argument("--priorities", nargs="+", type=int, default=None,
-                       metavar="P",
-                       help="per-tenant priority classes (one per network; "
-                       "higher is more important — brownout sheds lowest "
-                       "first)")
-    serve.add_argument("--process", default="poisson",
-                       choices=list(ARRIVAL_KINDS))
-    serve.add_argument("--burstiness", type=float, default=4.0,
-                       help="burst rate multiplier for --process bursty")
-    serve.add_argument("--burst-period-ms", type=float, default=5.0,
-                       help="mean on+off burst cycle for --process bursty")
-    serve.add_argument("--duration-ms", type=float, default=100.0,
-                       help="traffic window; floored at 3 pipeline latencies "
-                       "unless --drain is given")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--queue-depth", type=int, default=64)
-    serve.add_argument("--policy", default="drop-tail",
-                       choices=list(DROP_POLICIES))
-    serve.add_argument("--frequency-mhz", type=float, default=100.0)
-    serve.add_argument("--bandwidth-gbps", type=float, default=None)
-    serve.add_argument("--max-clps", type=int, default=6)
-    serve.add_argument("--calibrate", default="model",
-                       choices=["model", "simulate"],
-                       help="epoch length from the analytic model or from the "
-                       "cycle-level system simulator")
-    serve.add_argument("--drain", action="store_true",
-                       help="stop arrivals at the horizon but serve out the queues")
-    serve.add_argument("--engine", default="auto",
-                       choices=list(ENGINES),
-                       help="epoch-batched fast path or reference event loop "
-                       "(bit-identical results; auto picks fast unless "
-                       "overload control or observation needs the event loop)")
-    serve.add_argument("--load", metavar="FILE", default=None,
-                       help="serve a saved design JSON instead of optimizing")
-    serve.add_argument("--save", metavar="FILE", default=None,
-                       help="write the ServeResult to a JSON file")
-    _add_obs_args(serve)
-    _add_overload_args(serve)
+    _add(serve, "design", DESIGN)
+    _add(serve, "run", RUN)
+    _add(serve, "traffic", TRAFFIC)
+    _add(serve, "observability", OBS)
+    _add(serve, "overload control", OVERLOAD)
 
     fleet = sub.add_parser(
         "fleet",
@@ -339,118 +382,49 @@ def build_parser() -> argparse.ArgumentParser:
         "traffic windows.",
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-    from .fleet.balancer import BALANCER_NAMES
 
-    def add_fleet_design_args(p) -> None:
-        p.add_argument("--networks", "--network", dest="networks", nargs="+",
-                       default=["alexnet"], metavar="NET",
-                       help="tenant networks (space- or comma-separated; "
-                       "several networks build one joint design per replica)")
-        p.add_argument("--part", default="485t")
-        p.add_argument("--dtype", default="float32")
-        p.add_argument("--max-clps", type=int, default=6)
-        p.add_argument("--frequency-mhz", type=float, default=100.0)
-        p.add_argument("--bandwidth-gbps", type=float, default=None)
-        p.add_argument("--calibrate", default="model",
-                       choices=["model", "simulate"])
-        p.add_argument("--load", metavar="FILE", default=None,
-                       help="replicate a saved design JSON instead of "
-                       "optimizing")
-        p.add_argument("--balancer", default="round-robin",
-                       choices=list(BALANCER_NAMES))
-        p.add_argument("--queue-depth", type=int, default=64)
-        p.add_argument("--policy", default="drop-tail",
-                       choices=list(DROP_POLICIES))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--scenario", default=None, metavar="NAME",
-                       choices=list(SCENARIO_NAMES),
-                       help="failure/surge drill from the scenario library "
-                       "(see `repro scenario list`)")
-        p.add_argument("--engine", default="auto",
-                       choices=list(ENGINES),
-                       help="epoch-batched fast path or reference event loop "
-                       "(bit-identical results; auto picks fast unless a "
-                       "scenario, overload control, an active detector or "
-                       "observation needs the event loop)")
-        _add_overload_args(p)
-        _add_detector_args(p)
+    def fleet_parser(name: str, help: str) -> argparse.ArgumentParser:
+        p = fleet_sub.add_parser(name, help=help)
+        _add(p, "design", DESIGN)
+        _add(p, "run", RUN + ("--balancer", "--scenario"))
+        _add(p, "overload control", OVERLOAD)
+        _add(p, "failure detection", DETECTOR)
+        return p
 
-    fsim = fleet_sub.add_parser(
-        "simulate", help="simulate traffic over a replicated fleet"
+    fsim = fleet_parser("simulate", "simulate traffic over a replicated fleet")
+    _add(fsim, "traffic", ("--replicas",) + TRAFFIC + ("--json",))
+    _add(fsim, "observability", OBS)
+
+    fplan = fleet_parser("plan", "minimum replicas meeting an SLO at a target rate")
+    planning = _add(fplan, "planning", ("--rate", "--duration-ms", "--max-replicas"))
+    planning.add_argument("--redundancy", type=int, default=0, metavar="N",
+                          help="plan N+k: force this many extra replicas down "
+                          "over the worst window of every probe")
+    _add(fplan, "SLO", SLO).add_argument(
+        "--min-goodput", type=float, default=None, metavar="RPS",
+        help="floor on deadline-aware goodput (completions minus late ones), "
+        "req/s")
+
+    fauto = fleet_parser(
+        "autoscale", "step a reactive autoscaler across traffic windows"
     )
-    add_fleet_design_args(fsim)
-    fsim.add_argument("--replicas", type=int, default=2)
-    fsim.add_argument("--rate", type=float, default=1000.0,
-                      help="request rate per tenant, req/s")
-    fsim.add_argument("--rates", nargs="+", type=float, default=None,
-                      metavar="RPS",
-                      help="per-tenant rates (overrides --rate)")
-    fsim.add_argument("--priorities", nargs="+", type=int, default=None,
-                      metavar="P",
-                      help="per-tenant priority classes (one per network; "
-                      "higher is more important — brownout sheds lowest "
-                      "first)")
-    fsim.add_argument("--process", default="poisson",
-                      choices=list(ARRIVAL_KINDS))
-    fsim.add_argument("--burstiness", type=float, default=4.0)
-    fsim.add_argument("--burst-period-ms", type=float, default=5.0)
-    fsim.add_argument("--duration-ms", type=float, default=100.0,
-                      help="traffic window; floored at 3 pipeline latencies "
-                      "unless --drain is given")
-    fsim.add_argument("--drain", action="store_true",
-                      help="stop arrivals at the horizon but serve out queues")
-    fsim.add_argument("--save", metavar="FILE", default=None,
-                      help="write the FleetResult to a JSON file")
-    fsim.add_argument("--json", action="store_true",
-                      help="emit the FleetResult record as JSON on stdout "
-                      "(timeseries included only with --emit-timeseries)")
-    _add_obs_args(fsim)
-
-    fplan = fleet_sub.add_parser(
-        "plan", help="minimum replicas meeting an SLO at a target rate"
-    )
-    add_fleet_design_args(fplan)
-    fplan.add_argument("--rate", type=float, default=1000.0,
-                       help="offered rate per tenant, req/s")
-    fplan.add_argument("--p99-ms", type=float, default=None,
-                       help="tail-latency SLO; unset disables the clause")
-    fplan.add_argument("--max-drop-rate", type=float, default=0.0)
-    fplan.add_argument("--min-throughput", type=float, default=None,
-                       metavar="RPS")
-    fplan.add_argument("--min-goodput", type=float, default=None,
-                       metavar="RPS",
-                       help="floor on deadline-aware goodput (completions "
-                       "minus late ones), req/s")
-    fplan.add_argument("--max-replicas", type=int, default=64)
-    fplan.add_argument("--duration-ms", type=float, default=100.0)
-    fplan.add_argument("--redundancy", type=int, default=0, metavar="N",
-                       help="plan N+k: force this many extra replicas down "
-                       "over the worst window of every probe")
-
-    fauto = fleet_sub.add_parser(
-        "autoscale", help="step a reactive autoscaler across traffic windows"
-    )
-    add_fleet_design_args(fauto)
-    fauto.add_argument("--rates", nargs="+", type=float, required=True,
-                       metavar="RPS",
-                       help="per-window offered rate schedule, req/s per tenant")
-    fauto.add_argument("--window-ms", type=float, default=50.0)
-    fauto.add_argument("--min-replicas", type=int, default=1)
-    fauto.add_argument("--max-replicas", type=int, default=16)
-    fauto.add_argument("--step", type=int, default=1)
-    fauto.add_argument("--p99-high-ms", type=float, default=None,
-                       help="scale up when observed p99 exceeds this")
-    fauto.add_argument("--queue-high", type=float, default=8.0,
-                       help="scale up when mean queue/replica exceeds this")
-    fauto.add_argument("--p99-low-ms", type=float, default=None)
-    fauto.add_argument("--queue-low", type=float, default=1.0,
-                       help="scale down when mean queue/replica is below this")
-    fauto.add_argument("--initial-replicas", type=int, default=None)
-    fauto.add_argument("--trace-out", metavar="FILE", default=None,
-                       help="write the scaling decisions as a Chrome "
-                       "trace_event JSON (or JSONL if FILE ends in .jsonl)")
-    fauto.add_argument("--report", metavar="FILE", default=None,
-                       help="render a Markdown report of the autoscale trace")
+    scaling = _add(fauto, "scaling", ("--max-replicas",), max_replicas=16)
+    scaling.add_argument("--rates", nargs="+", type=float, required=True,
+                         metavar="RPS", help="per-window offered rate "
+                         "schedule, req/s per tenant")
+    scaling.add_argument("--window-ms", type=float, default=50.0)
+    scaling.add_argument("--min-replicas", type=int, default=1)
+    scaling.add_argument("--step", type=int, default=1)
+    scaling.add_argument("--p99-high-ms", type=float, default=None,
+                         help="scale up when observed p99 exceeds this")
+    scaling.add_argument("--queue-high", type=float, default=8.0,
+                         help="scale up when mean queue/replica exceeds this")
+    scaling.add_argument("--p99-low-ms", type=float, default=None)
+    scaling.add_argument("--queue-low", type=float, default=1.0,
+                         help="scale down when mean queue/replica is below "
+                         "this")
+    scaling.add_argument("--initial-replicas", type=int, default=None)
+    _add(fauto, "observability", ("--trace-out", "--report"))
 
     scen = sub.add_parser(
         "scenario",
@@ -460,13 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
         "`repro fleet simulate|plan|autoscale` and `repro dse resilience`.",
     )
     scen_sub = scen.add_subparsers(dest="scenario_command", required=True)
-    slist = scen_sub.add_parser("list", help="list the named scenarios")
-    slist.add_argument("--json", action="store_true",
-                       help="machine-readable output")
+    _add(scen_sub.add_parser("list", help="list the named scenarios"),
+         "output", ("--json",))
     sdesc = scen_sub.add_parser("describe", help="describe one scenario")
     sdesc.add_argument("name", metavar="NAME")
-    sdesc.add_argument("--json", action="store_true",
-                       help="emit the scenario spec as JSON")
+    _add(sdesc, "output", ("--json",))
 
     rep = sub.add_parser(
         "report",
@@ -480,17 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
                      "directory of them, or a DSE store .jsonl")
     rep.add_argument("--out", metavar="FILE", default=None,
                      help="write the report to FILE instead of stdout")
-    rep.add_argument("--p99-ms", type=float, default=None,
-                     help="score SLO attainment against this tail SLO")
-    rep.add_argument("--max-drop-rate", type=float, default=0.0)
-    rep.add_argument("--min-throughput", type=float, default=None,
-                     metavar="RPS")
+    _add(rep, "SLO", SLO)
 
     hls = sub.add_parser("hls", help="emit HLS C++ for an optimized design")
-    hls.add_argument("--network", default="alexnet", choices=available_networks())
-    hls.add_argument("--part", default="485t")
-    hls.add_argument("--dtype", default="float32")
-    hls.add_argument("--single", action="store_true")
+    _add(hls, "design", ("--network", "--part", "--dtype", "--single"))
 
     nets = sub.add_parser("networks", help="describe the network zoo")
     nets.add_argument("--network", default=None)
@@ -513,50 +478,33 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--bandwidths", nargs="+", type=float, default=[],
                        metavar="GBPS",
                        help="bandwidth caps; unconstrained if omitted")
-    sweep.add_argument("--frequency-mhz", type=float, default=100.0)
     sweep.add_argument("--modes", nargs="+", default=["multi"],
                        choices=["single", "multi"])
     sweep.add_argument("--max-clps", nargs="+", type=int, default=[6])
     sweep.add_argument("--orderings", nargs="+", default=["auto"])
-    sweep.add_argument("--store", default="dse_results.jsonl",
-                       help="JSONL result store (resumable cache)")
     sweep.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: CPU count)")
     sweep.add_argument("--quiet", action="store_true",
                        help="summary line only, no result table")
+    _add(sweep, "store", ("--store", "--frequency-mhz"))
 
     frontier = dse_sub.add_parser(
         "frontier", help="Pareto frontier of a result store"
     )
-    from .dse.point import METRIC_NAMES
-
-    frontier.add_argument("--store", default="dse_results.jsonl")
+    _add(frontier, "store", ("--store",))
     frontier.add_argument("--maximize", nargs="+", default=["throughput"],
                           choices=METRIC_NAMES)
     frontier.add_argument("--minimize", nargs="+", default=["dsp"],
                           choices=METRIC_NAMES)
 
-    status = dse_sub.add_parser("status", help="describe a result store")
-    status.add_argument("--store", default="dse_results.jsonl")
+    _add(dse_sub.add_parser("status", help="describe a result store"),
+         "store", ("--store",))
 
     rank = dse_sub.add_parser(
         "rank", help="rank stored designs by SLO attainment under traffic"
     )
-    rank.add_argument("--store", default="dse_results.jsonl")
-    rank.add_argument("--rate", type=float, default=1000.0,
-                      help="request rate, req/s")
-    rank.add_argument("--p99-ms", type=float, default=None,
-                      help="tail-latency SLO; unset disables the clause")
-    rank.add_argument("--max-drop-rate", type=float, default=0.0)
-    rank.add_argument("--min-throughput", type=float, default=None,
-                      metavar="RPS")
-    rank.add_argument("--duration-ms", type=float, default=200.0)
-    rank.add_argument("--seed", type=int, default=0)
-    rank.add_argument("--process", default="poisson",
-                      choices=list(ARRIVAL_KINDS))
-    rank.add_argument("--queue-depth", type=int, default=64)
-    rank.add_argument("--policy", default="drop-tail",
-                      choices=list(DROP_POLICIES))
+    _add(rank, "ranking", RANKING + ("--process",), duration_ms=200.0)
+    _add(rank, "SLO", SLO)
 
     cost = dse_sub.add_parser(
         "cost",
@@ -566,21 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
         "boards-needed x relative board cost — the provisioning view of "
         "a sweep, as opposed to `rank`'s per-board SLO attainment.",
     )
-    cost.add_argument("--store", default="dse_results.jsonl")
-    cost.add_argument("--rate", type=float, default=1000.0,
-                      help="offered rate per tenant, req/s")
-    cost.add_argument("--p99-ms", type=float, default=None)
-    cost.add_argument("--max-drop-rate", type=float, default=0.0)
-    cost.add_argument("--min-throughput", type=float, default=None,
-                      metavar="RPS")
-    cost.add_argument("--max-replicas", type=int, default=32)
-    cost.add_argument("--duration-ms", type=float, default=100.0)
-    cost.add_argument("--seed", type=int, default=0)
-    cost.add_argument("--balancer", default="least-outstanding",
-                      choices=list(BALANCER_NAMES))
-    cost.add_argument("--queue-depth", type=int, default=64)
-    cost.add_argument("--policy", default="drop-tail",
-                      choices=list(DROP_POLICIES))
+    _add(cost, "ranking", RANKING + ("--balancer", "--max-replicas"),
+         balancer="least-outstanding", max_replicas=32)
+    _add(cost, "SLO", SLO)
 
     resil = dse_sub.add_parser(
         "resilience",
@@ -588,28 +524,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run every solved sweep point as a fixed-size fleet "
         "under a named scenario and rank by in-incident tail latency and "
         "lost requests — which design degrades least when boards die or "
-        "traffic spikes.",
+        "traffic spikes.  Keep --max-drop-rate above the scenario's "
+        "intrinsic loss floor (in-flight work on failed boards is always "
+        "lost).",
     )
-    resil.add_argument("--store", default="dse_results.jsonl")
-    resil.add_argument("--rate", type=float, default=1000.0,
-                       help="offered rate per tenant, req/s")
-    resil.add_argument("--scenario", default="rack-loss", metavar="NAME",
-                       help="drill from the scenario library")
-    resil.add_argument("--replicas", type=int, default=4)
-    resil.add_argument("--p99-ms", type=float, default=None)
-    resil.add_argument("--max-drop-rate", type=float, default=0.1,
-                       help="shed budget; keep above the scenario's "
-                       "intrinsic loss floor (in-flight work on failed "
-                       "boards is always lost)")
-    resil.add_argument("--min-throughput", type=float, default=None,
-                       metavar="RPS")
-    resil.add_argument("--duration-ms", type=float, default=100.0)
-    resil.add_argument("--seed", type=int, default=0)
-    resil.add_argument("--balancer", default="least-outstanding",
-                       choices=list(BALANCER_NAMES))
-    resil.add_argument("--queue-depth", type=int, default=64)
-    resil.add_argument("--policy", default="drop-tail",
-                       choices=list(DROP_POLICIES))
+    ranking = _add(resil, "ranking", RANKING + ("--balancer", "--replicas"),
+                   balancer="least-outstanding", replicas=4)
+    ranking.add_argument("--scenario", default="rack-loss", metavar="NAME",
+                         help="drill from the scenario library")
+    _add(resil, "SLO", SLO, max_drop_rate=0.1)
     return parser
 
 
@@ -642,14 +565,18 @@ def _cmd_fig7(args: argparse.Namespace) -> str:
     return figure7(dsp_sweep=sweep).format()
 
 
-def _cmd_optimize(args: argparse.Namespace) -> str:
-    network = get_network(args.network)
-    dtype = DataType.from_name(args.dtype)
-    budget = budget_for(
+def _budget(args: argparse.Namespace):
+    return budget_for(
         args.part,
         bandwidth_gbps=args.bandwidth_gbps,
         frequency_mhz=args.frequency_mhz,
     )
+
+
+def _cmd_optimize(args: argparse.Namespace) -> str:
+    network = get_network(args.network)
+    dtype = DataType.from_name(args.dtype)
+    budget = _budget(args)
     if args.single:
         design, report = optimize_single_clp(
             network, budget, dtype, ordering=args.ordering, return_report=True
@@ -756,53 +683,52 @@ def _cmd_validate(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _split_network_names(entries: List[str]) -> List[str]:
-    names = [name for entry in entries for name in entry.split(",") if name]
-    if not names:
-        raise ValueError("no networks given")
-    return names
-
-
-def _serving_design(args: argparse.Namespace, names: List[str], budget, dtype):
-    """(design, tenant names) from ``--load`` or by optimizing ``names``.
+def _serving_design(args: argparse.Namespace):
+    """(budget, design, tenant names) from the design flags.
 
     Shared by ``repro serve`` and the ``repro fleet`` subcommands: one
     network optimizes a Multi-CLP design, several build a joint
     accelerator serving them all, and ``--load`` replays a pinned JSON.
     """
+    names = [name for entry in args.networks for name in entry.split(",")
+             if name]
+    if not names:
+        raise ValueError("no networks given")
+    budget = _budget(args)
+    dtype = DataType.from_name(args.dtype)
     if args.load:
         from .core.serialize import load_design
 
         design = load_design(args.load)
-        return design, [design.network.name]
+        return budget, design, [design.network.name]
     if len(names) > 1:
         from .opt import optimize_joint
 
         networks = [get_network(name) for name in names]
         design = optimize_joint(networks, budget, dtype, max_clps=args.max_clps)
-        return design, [network.name for network in networks]
+        return budget, design, [network.name for network in networks]
     network = get_network(names[0])
     design = optimize_multi_clp(network, budget, dtype, max_clps=args.max_clps)
-    return design, [network.name]
+    return budget, design, [network.name]
 
 
-def _tenant_specs(args: argparse.Namespace, tenant_names, cycles_per_second):
-    """Per-tenant arrival streams from the shared traffic arguments."""
-    from .serve import TenantSpec, make_arrival_process
+def _traffic(args: argparse.Namespace, budget, design, tenant_names):
+    """(tenants, window cycles, ObsSpec, TraceRecorder) from the traffic flags.
 
-    rates = args.rates if args.rates is not None else [args.rate] * len(
-        tenant_names
-    )
-    if len(rates) != len(tenant_names):
-        raise ValueError(f"{len(tenant_names)} tenants but {len(rates)} rates")
-    priorities = getattr(args, "priorities", None)
-    if priorities is None:
-        priorities = [0] * len(tenant_names)
-    if len(priorities) != len(tenant_names):
-        raise ValueError(
-            f"{len(tenant_names)} tenants but {len(priorities)} priorities"
-        )
-    return [
+    The window is ``--duration-ms``, floored at 3 pipeline latencies
+    unless ``--drain`` serves the queues out anyway.
+    """
+    from .serve import TenantSpec, floor_window_cycles, make_arrival_process
+
+    cycles_per_second = budget.cycles_per_second
+    count = len(tenant_names)
+    rates = args.rates if args.rates is not None else [args.rate] * count
+    if len(rates) != count:
+        raise ValueError(f"{count} tenants but {len(rates)} rates")
+    priorities = args.priorities if args.priorities is not None else [0] * count
+    if len(priorities) != count:
+        raise ValueError(f"{count} tenants but {len(priorities)} priorities")
+    tenants = [
         TenantSpec(
             name=name,
             process=make_arrival_process(
@@ -815,33 +741,16 @@ def _tenant_specs(args: argparse.Namespace, tenant_names, cycles_per_second):
         )
         for name, rate, priority in zip(tenant_names, rates, priorities)
     ]
-
-
-def _traffic_window_cycles(args: argparse.Namespace, design, budget) -> float:
-    """``--duration-ms`` in cycles, floored for non-drained windows.
-
-    A window shorter than the pipeline can never complete a request
-    (every latency is >= depth * epoch); floor it at a few pipeline
-    latencies so the default invocation reports real percentiles.
-    """
-    from .serve import pipeline_latency_cycles
-
-    duration_cycles = args.duration_ms * 1e-3 * budget.cycles_per_second
+    duration_cycles = args.duration_ms * 1e-3 * cycles_per_second
     if not args.drain:
-        duration_cycles = max(
-            duration_cycles,
-            3.0 * pipeline_latency_cycles(design, budget.bytes_per_cycle()),
+        duration_cycles = floor_window_cycles(
+            duration_cycles, design, budget.bytes_per_cycle()
         )
-    return duration_cycles
-
-
-def _obs_spec(args: argparse.Namespace, cycles_per_second: float):
-    """(ObsSpec, TraceRecorder) from the shared obs flags, or (None, None)."""
     want_timeseries = (
         args.emit_timeseries or args.timeseries_window_ms is not None
     )
     if not want_timeseries and args.trace_out is None:
-        return None, None
+        return tenants, duration_cycles, None, None
     from .obs import ObsSpec, TraceRecorder
 
     trace = TraceRecorder() if args.trace_out else None
@@ -850,10 +759,10 @@ def _obs_spec(args: argparse.Namespace, cycles_per_second: float):
         if args.timeseries_window_ms is not None
         else None
     )
-    spec = ObsSpec(
+    obs = ObsSpec(
         timeseries=want_timeseries, window_cycles=window_cycles, trace=trace
     )
-    return spec, trace
+    return tenants, duration_cycles, obs, trace
 
 
 def _write_trace(trace, path: str, frequency_mhz: float) -> None:
@@ -863,218 +772,169 @@ def _write_trace(trace, path: str, frequency_mhz: float) -> None:
         trace.write_chrome(path, frequency_mhz=frequency_mhz)
 
 
-def _write_run_report(result, source: str, path: str) -> None:
-    from .analysis.report import render_run_report
+def _save_outputs(args: argparse.Namespace, result, trace, dump, label, source):
+    """Write the ``--save``/``--trace-out``/``--report`` files of a run.
 
-    with open(path, "w") as handle:
-        handle.write(render_run_report([result], [source]))
-
-
-def _cmd_serve(args: argparse.Namespace) -> str:
-    from .serve import simulate_traffic
-
-    from .opt import OptimizationError
-
-    try:
-        names = _split_network_names(args.networks)
-        budget = budget_for(
-            args.part,
-            bandwidth_gbps=args.bandwidth_gbps,
-            frequency_mhz=args.frequency_mhz,
-        )
-        dtype = DataType.from_name(args.dtype)
-        design, tenant_names = _serving_design(args, names, budget, dtype)
-        tenants = _tenant_specs(args, tenant_names, budget.cycles_per_second)
-        duration_cycles = _traffic_window_cycles(args, design, budget)
-        obs, trace = _obs_spec(args, budget.cycles_per_second)
-        result = simulate_traffic(
-            design,
-            tenants,
-            duration_cycles=duration_cycles,
-            frequency_mhz=args.frequency_mhz,
-            seed=args.seed,
-            queue_depth=args.queue_depth,
-            policy=args.policy,
-            bytes_per_cycle=budget.bytes_per_cycle(),
-            calibrate=args.calibrate,
-            drain=args.drain,
-            engine=args.engine,
-            obs=obs,
-            overload=_overload_spec(args),
-        )
-    except (ValueError, OptimizationError) as exc:
-        raise SystemExit(f"repro serve: error: {exc}") from None
-    lines = [result.format()]
+    Returns one "... written to FILE" line per file, in that order.
+    """
+    lines = []
     if args.save:
-        from .core.serialize import dump_serve_result
-
-        dump_serve_result(result, args.save)
-        lines.append(f"serve result written to {args.save}")
+        dump(result, args.save)
+        lines.append(f"{label} result written to {args.save}")
     if trace is not None:
         _write_trace(trace, args.trace_out, args.frequency_mhz)
         lines.append(f"trace written to {args.trace_out}")
     if args.report:
-        _write_run_report(result, f"serve:{result.design_label}", args.report)
+        from .analysis.report import render_run_report
+
+        with open(args.report, "w") as handle:
+            handle.write(render_run_report([result], [source]))
         lines.append(f"report written to {args.report}")
+    return lines
+
+
+def _cmd_serve(args: argparse.Namespace) -> str:
+    from .core.serialize import dump_serve_result
+    from .serve import simulate_traffic
+
+    budget, design, tenant_names = _serving_design(args)
+    tenants, duration_cycles, obs, trace = _traffic(
+        args, budget, design, tenant_names
+    )
+    result = simulate_traffic(
+        design,
+        tenants,
+        duration_cycles=duration_cycles,
+        frequency_mhz=args.frequency_mhz,
+        seed=args.seed,
+        queue_depth=args.queue_depth,
+        policy=args.policy,
+        bytes_per_cycle=budget.bytes_per_cycle(),
+        calibrate=args.calibrate,
+        drain=args.drain,
+        engine=args.engine,
+        obs=obs,
+        overload=_overload_spec(args),
+    )
+    source = f"serve:{result.design_label}"
+    written = _save_outputs(args, result, trace, dump_serve_result, "serve", source)
+    return "\n".join([result.format()] + written)
+
+
+def _fleet_device(args: argparse.Namespace):
+    """(budget, one-board DeviceSpec, tenant names) for the fleet commands."""
+    from .fleet import DeviceSpec
+
+    budget, design, tenant_names = _serving_design(args)
+    device = DeviceSpec(
+        design=design,
+        part=args.part,
+        bytes_per_cycle=budget.bytes_per_cycle(),
+        calibrate=args.calibrate,
+    )
+    return budget, device, tenant_names
+
+
+def _fleet_run(args: argparse.Namespace) -> dict:
+    """Keywords every fleet entry point takes from the run flags."""
+    return dict(
+        seed=args.seed,
+        balancer=args.balancer,
+        queue_depth=args.queue_depth,
+        frequency_mhz=args.frequency_mhz,
+        scenario=args.scenario,
+        engine=args.engine,
+        overload=_overload_spec(args),
+        detector=_detector_spec(args),
+    )
+
+
+def _cmd_fleet_simulate(args: argparse.Namespace) -> str:
+    from .core.serialize import dump_fleet_result, fleet_result_to_dict
+    from .fleet import simulate_fleet
+
+    budget, device, tenant_names = _fleet_device(args)
+    if args.replicas < 1:
+        raise ValueError("--replicas must be at least 1")
+    tenants, duration_cycles, obs, trace = _traffic(
+        args, budget, device.design, tenant_names
+    )
+    result = simulate_fleet(
+        device.replicated(args.replicas),
+        tenants,
+        duration_cycles=duration_cycles,
+        policy=args.policy,
+        drain=args.drain,
+        obs=obs,
+        **_fleet_run(args),
+    )
+    source = f"fleet:{args.balancer}x{args.replicas}"
+    written = _save_outputs(args, result, trace, dump_fleet_result, "fleet", source)
+    if args.json:
+        # Pure JSON on stdout; the files above are still written, silently.
+        import json
+
+        return json.dumps(fleet_result_to_dict(result), indent=2)
+    return "\n".join([result.format()] + written)
+
+
+def _cmd_fleet_plan(args: argparse.Namespace) -> str:
+    from .fleet import plan_capacity
+
+    _, device, _ = _fleet_device(args)
+    plan = plan_capacity(
+        device,
+        args.rate,
+        _slo_spec(
+            args, deadline_ms=args.deadline_ms, min_goodput_rps=args.min_goodput
+        ),
+        max_replicas=args.max_replicas,
+        duration_ms=args.duration_ms,
+        policy=args.policy,
+        redundancy=args.redundancy,
+        **_fleet_run(args),
+    )
+    lines = [plan.format()]
+    if plan.meets and plan.result is not None:
+        lines += ["", plan.result.format()]
     return "\n".join(lines)
 
 
-def _cmd_fleet(args: argparse.Namespace) -> str:
-    from .opt import OptimizationError
-    from .serve import SLOSpec
-    from .fleet import (
-        AutoscalerPolicy,
-        DeviceSpec,
-        autoscale,
-        plan_capacity,
-        simulate_fleet,
+def _cmd_fleet_autoscale(args: argparse.Namespace) -> str:
+    from .fleet import AutoscalerPolicy, autoscale
+
+    _, device, _ = _fleet_device(args)
+    policy = AutoscalerPolicy(
+        min_replicas=args.min_replicas,
+        max_replicas=args.max_replicas,
+        step=args.step,
+        p99_high_ms=args.p99_high_ms,
+        queue_high=args.queue_high,
+        p99_low_ms=args.p99_low_ms,
+        queue_low=args.queue_low,
     )
+    from .obs import TraceRecorder
 
-    try:
-        names = _split_network_names(args.networks)
-        budget = budget_for(
-            args.part,
-            bandwidth_gbps=args.bandwidth_gbps,
-            frequency_mhz=args.frequency_mhz,
-        )
-        dtype = DataType.from_name(args.dtype)
-        design, tenant_names = _serving_design(args, names, budget, dtype)
-        device = DeviceSpec(
-            design=design,
-            part=args.part,
-            bytes_per_cycle=budget.bytes_per_cycle(),
-            calibrate=args.calibrate,
-        )
-
-        if args.fleet_command == "simulate":
-            if args.replicas < 1:
-                raise ValueError("--replicas must be at least 1")
-            tenants = _tenant_specs(
-                args, tenant_names, budget.cycles_per_second
-            )
-            duration_cycles = _traffic_window_cycles(args, design, budget)
-            obs, trace = _obs_spec(args, budget.cycles_per_second)
-            result = simulate_fleet(
-                device.replicated(args.replicas),
-                tenants,
-                duration_cycles=duration_cycles,
-                balancer=args.balancer,
-                frequency_mhz=args.frequency_mhz,
-                seed=args.seed,
-                queue_depth=args.queue_depth,
-                policy=args.policy,
-                drain=args.drain,
-                scenario=args.scenario,
-                engine=args.engine,
-                obs=obs,
-                overload=_overload_spec(args),
-                detector=_detector_spec(args),
-            )
-            if args.save:
-                from .core.serialize import dump_fleet_result
-
-                dump_fleet_result(result, args.save)
-            if trace is not None:
-                _write_trace(trace, args.trace_out, args.frequency_mhz)
-            if args.report:
-                _write_run_report(
-                    result,
-                    f"fleet:{args.balancer}x{args.replicas}",
-                    args.report,
-                )
-            if args.json:
-                # Pure JSON on stdout; --save/--trace-out/--report still
-                # write their files, silently.
-                import json as _json
-
-                from .core.serialize import fleet_result_to_dict
-
-                return _json.dumps(fleet_result_to_dict(result), indent=2)
-            lines = [result.format()]
-            if args.save:
-                lines.append(f"fleet result written to {args.save}")
-            if trace is not None:
-                lines.append(f"trace written to {args.trace_out}")
-            if args.report:
-                lines.append(f"report written to {args.report}")
-            return "\n".join(lines)
-
-        if args.fleet_command == "plan":
-            slo = SLOSpec(
-                p99_ms=args.p99_ms,
-                max_drop_rate=args.max_drop_rate,
-                min_throughput_rps=args.min_throughput,
-                deadline_ms=args.deadline_ms,
-                min_goodput_rps=args.min_goodput,
-            )
-            plan = plan_capacity(
-                device,
-                args.rate,
-                slo,
-                max_replicas=args.max_replicas,
-                duration_ms=args.duration_ms,
-                seed=args.seed,
-                balancer=args.balancer,
-                queue_depth=args.queue_depth,
-                policy=args.policy,
-                frequency_mhz=args.frequency_mhz,
-                scenario=args.scenario,
-                redundancy=args.redundancy,
-                engine=args.engine,
-                overload=_overload_spec(args),
-                detector=_detector_spec(args),
-            )
-            lines = [plan.format()]
-            if plan.meets and plan.result is not None:
-                lines.append("")
-                lines.append(plan.result.format())
-            return "\n".join(lines)
-
-        # autoscale
-        policy = AutoscalerPolicy(
-            min_replicas=args.min_replicas,
-            max_replicas=args.max_replicas,
-            step=args.step,
-            p99_high_ms=args.p99_high_ms,
-            queue_high=args.queue_high,
-            p99_low_ms=args.p99_low_ms,
-            queue_low=args.queue_low,
-        )
-        recorder = None
-        if args.trace_out:
-            from .obs import TraceRecorder
-
-            recorder = TraceRecorder()
-        trace = autoscale(
-            device,
-            args.rates,
-            policy,
-            window_ms=args.window_ms,
-            initial_replicas=args.initial_replicas,
-            seed=args.seed,
-            balancer=args.balancer,
-            queue_depth=args.queue_depth,
-            drop_policy=args.policy,
-            frequency_mhz=args.frequency_mhz,
-            scenario=args.scenario,
-            engine=args.engine,
-            trace=recorder,
-            overload=_overload_spec(args),
-            detector=_detector_spec(args),
-        )
-        lines = [trace.format()]
-        if recorder is not None:
-            _write_trace(recorder, args.trace_out, args.frequency_mhz)
-            lines.append(f"trace written to {args.trace_out}")
-        if args.report:
-            with open(args.report, "w") as handle:
-                handle.write(_autoscale_report(trace))
-            lines.append(f"report written to {args.report}")
-        return "\n".join(lines)
-    except (ValueError, OptimizationError) as exc:
-        raise SystemExit(
-            f"repro fleet {args.fleet_command}: error: {exc}"
-        ) from None
+    recorder = TraceRecorder() if args.trace_out else None
+    trace = autoscale(
+        device,
+        args.rates,
+        policy,
+        window_ms=args.window_ms,
+        initial_replicas=args.initial_replicas,
+        drop_policy=args.policy,
+        trace=recorder,
+        **_fleet_run(args),
+    )
+    lines = [trace.format()]
+    if recorder is not None:
+        _write_trace(recorder, args.trace_out, args.frequency_mhz)
+        lines.append(f"trace written to {args.trace_out}")
+    if args.report:
+        with open(args.report, "w") as handle:
+            handle.write(_autoscale_report(trace))
+        lines.append(f"report written to {args.report}")
+    return "\n".join(lines)
 
 
 def _autoscale_report(trace) -> str:
@@ -1110,23 +970,11 @@ def _autoscale_report(trace) -> str:
 
 def _cmd_report(args: argparse.Namespace) -> str:
     from .analysis.report import render_report
+
     from .serve import SLOSpec
 
-    slo = None
-    if (
-        args.p99_ms is not None
-        or args.max_drop_rate
-        or args.min_throughput is not None
-    ):
-        slo = SLOSpec(
-            p99_ms=args.p99_ms,
-            max_drop_rate=args.max_drop_rate,
-            min_throughput_rps=args.min_throughput,
-        )
-    try:
-        text = render_report(args.path, slo=slo)
-    except (ValueError, OSError, KeyError) as exc:
-        raise SystemExit(f"repro report: error: {exc}") from None
+    slo = _slo_spec(args)
+    text = render_report(args.path, slo=None if slo == SLOSpec() else slo)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)
@@ -1134,29 +982,30 @@ def _cmd_report(args: argparse.Namespace) -> str:
     return text
 
 
-def _cmd_scenario(args: argparse.Namespace) -> str:
-    import json as _json
+def _cmd_scenario_list(args: argparse.Namespace) -> str:
+    from .scenario import SCENARIO_NAMES, get_scenario
 
-    from .core.serialize import scenario_spec_to_dict
-    from .scenario import SCENARIO_NAMES, describe_scenario, get_scenario
-
-    if args.scenario_command == "list":
-        if args.json:
-            return _json.dumps(list(SCENARIO_NAMES))
-        width = max(len(name) for name in SCENARIO_NAMES)
-        lines = ["Scenario library (use with --scenario NAME):", ""]
-        for name in SCENARIO_NAMES:
-            spec = get_scenario(name)
-            lines.append(f"  {name:<{width}}  {spec.description}")
-        return "\n".join(lines)
-
-    # describe
-    try:
-        spec = get_scenario(args.name)
-    except KeyError as exc:
-        raise SystemExit(f"repro scenario describe: error: {exc}") from None
     if args.json:
-        return _json.dumps(scenario_spec_to_dict(spec), indent=2)
+        import json
+
+        return json.dumps(list(SCENARIO_NAMES))
+    width = max(len(name) for name in SCENARIO_NAMES)
+    lines = ["Scenario library (use with --scenario NAME):", ""]
+    for name in SCENARIO_NAMES:
+        lines.append(f"  {name:<{width}}  {get_scenario(name).description}")
+    return "\n".join(lines)
+
+
+def _cmd_scenario_describe(args: argparse.Namespace) -> str:
+    from .scenario import describe_scenario, get_scenario
+
+    spec = get_scenario(args.name)
+    if args.json:
+        import json
+
+        from .core.serialize import scenario_spec_to_dict
+
+        return json.dumps(scenario_spec_to_dict(spec), indent=2)
     return describe_scenario(spec)
 
 
@@ -1181,116 +1030,26 @@ def _parse_budget(text: str) -> tuple:
         ) from None
 
 
-def _cmd_dse(args: argparse.Namespace) -> str:
-    from .dse import ResultStore, SweepSpec, frontier_table, run_sweep, summary_table
-
-    if args.dse_command == "status":
-        return ResultStore(args.store).describe()
-    if args.dse_command == "frontier":
-        results = ResultStore(args.store).results()
-        if not results:
-            return f"store {args.store} is empty; run `repro dse sweep` first"
-        return frontier_table(
-            results, maximize=args.maximize, minimize=args.minimize
-        )
-    if args.dse_command == "rank":
-        from .dse import rank_by_traffic, traffic_rank_table
-        from .serve import SLOSpec
-
-        results = ResultStore(args.store).results()
-        if not results:
-            return f"store {args.store} is empty; run `repro dse sweep` first"
-        slo = SLOSpec(
-            p99_ms=args.p99_ms,
-            max_drop_rate=args.max_drop_rate,
-            min_throughput_rps=args.min_throughput,
-        )
-        rankings = rank_by_traffic(
-            results,
-            rate_rps=args.rate,
-            slo=slo,
-            duration_ms=args.duration_ms,
-            seed=args.seed,
-            process=args.process,
-            queue_depth=args.queue_depth,
-            policy=args.policy,
-        )
-        return traffic_rank_table(rankings, rate_rps=args.rate, slo=slo)
-    if args.dse_command == "cost":
-        from .dse import cost_to_serve_table, rank_by_cost_to_serve
-        from .serve import SLOSpec
-
-        results = ResultStore(args.store).results()
-        if not results:
-            return f"store {args.store} is empty; run `repro dse sweep` first"
-        slo = SLOSpec(
-            p99_ms=args.p99_ms,
-            max_drop_rate=args.max_drop_rate,
-            min_throughput_rps=args.min_throughput,
-        )
-        rankings = rank_by_cost_to_serve(
-            results,
-            rate_rps=args.rate,
-            slo=slo,
-            max_replicas=args.max_replicas,
-            duration_ms=args.duration_ms,
-            seed=args.seed,
-            balancer=args.balancer,
-            queue_depth=args.queue_depth,
-            policy=args.policy,
-        )
-        return cost_to_serve_table(rankings, rate_rps=args.rate, slo=slo)
-    if args.dse_command == "resilience":
-        from .dse import rank_by_resilience, resilience_rank_table
-        from .serve import SLOSpec
-
-        results = ResultStore(args.store).results()
-        if not results:
-            return f"store {args.store} is empty; run `repro dse sweep` first"
-        slo = SLOSpec(
-            p99_ms=args.p99_ms,
-            max_drop_rate=args.max_drop_rate,
-            min_throughput_rps=args.min_throughput,
-        )
-        try:
-            rankings = rank_by_resilience(
-                results,
-                rate_rps=args.rate,
-                slo=slo,
-                scenario=args.scenario,
-                replicas=args.replicas,
-                duration_ms=args.duration_ms,
-                seed=args.seed,
-                balancer=args.balancer,
-                queue_depth=args.queue_depth,
-                policy=args.policy,
-            )
-        except KeyError as exc:
-            raise SystemExit(f"repro dse resilience: error: {exc}") from None
-        return resilience_rank_table(
-            rankings, rate_rps=args.rate, slo=slo, scenario=args.scenario
-        )
+def _cmd_dse_sweep(args: argparse.Namespace) -> str:
+    from .dse import ResultStore, SweepSpec, run_sweep, summary_table
 
     if args.parts is not None:
         parts = tuple(args.parts)
     else:
         parts = () if args.budgets else ("485t", "690t")
-    try:
-        spec = SweepSpec(
-            networks=tuple(args.networks),
-            parts=parts,
-            budgets=tuple(_parse_budget(b) for b in args.budgets),
-            dtypes=tuple(args.dtypes),
-            bandwidths_gbps=tuple(args.bandwidths) or (None,),
-            frequencies_mhz=(args.frequency_mhz,),
-            modes=tuple(args.modes),
-            max_clps=tuple(args.max_clps),
-            orderings=tuple(args.orderings),
-        )
-        store = ResultStore(args.store)
-        outcome = run_sweep(spec, store=store, workers=args.workers)
-    except ValueError as exc:
-        raise SystemExit(f"repro dse sweep: error: {exc}") from None
+    spec = SweepSpec(
+        networks=tuple(args.networks),
+        parts=parts,
+        budgets=tuple(_parse_budget(b) for b in args.budgets),
+        dtypes=tuple(args.dtypes),
+        bandwidths_gbps=tuple(args.bandwidths) or (None,),
+        frequencies_mhz=(args.frequency_mhz,),
+        modes=tuple(args.modes),
+        max_clps=tuple(args.max_clps),
+        orderings=tuple(args.orderings),
+    )
+    store = ResultStore(args.store)
+    outcome = run_sweep(spec, store=store, workers=args.workers)
     lines = []
     if not args.quiet:
         lines.append(summary_table(outcome.results))
@@ -1298,6 +1057,91 @@ def _cmd_dse(args: argparse.Namespace) -> str:
     lines.append(f"sweep: {outcome.format()}")
     lines.append(f"store: {args.store} ({len(store)} points on disk)")
     return "\n".join(lines)
+
+
+def _cmd_dse_status(args: argparse.Namespace) -> str:
+    from .dse import ResultStore
+
+    return ResultStore(args.store).describe()
+
+
+def _over_store(command):
+    """Run a DSE read command on the solved points of ``--store``."""
+
+    def run(args: argparse.Namespace) -> str:
+        from .dse import ResultStore
+
+        results = ResultStore(args.store).results()
+        if not results:
+            return f"store {args.store} is empty; run `repro dse sweep` first"
+        return command(args, results)
+
+    return run
+
+
+def _ranking(args: argparse.Namespace) -> dict:
+    """Keywords every DSE ranking takes from the ranking flags."""
+    return dict(
+        duration_ms=args.duration_ms,
+        seed=args.seed,
+        queue_depth=args.queue_depth,
+        policy=args.policy,
+    )
+
+
+@_over_store
+def _cmd_dse_frontier(args: argparse.Namespace, results) -> str:
+    from .dse import frontier_table
+
+    return frontier_table(
+        results, maximize=args.maximize, minimize=args.minimize
+    )
+
+
+@_over_store
+def _cmd_dse_rank(args: argparse.Namespace, results) -> str:
+    from .dse import rank_by_traffic, traffic_rank_table
+
+    slo = _slo_spec(args)
+    rankings = rank_by_traffic(
+        results, args.rate, slo, process=args.process, **_ranking(args)
+    )
+    return traffic_rank_table(rankings, rate_rps=args.rate, slo=slo)
+
+
+@_over_store
+def _cmd_dse_cost(args: argparse.Namespace, results) -> str:
+    from .dse import cost_to_serve_table, rank_by_cost_to_serve
+
+    slo = _slo_spec(args)
+    rankings = rank_by_cost_to_serve(
+        results,
+        args.rate,
+        slo,
+        max_replicas=args.max_replicas,
+        balancer=args.balancer,
+        **_ranking(args),
+    )
+    return cost_to_serve_table(rankings, rate_rps=args.rate, slo=slo)
+
+
+@_over_store
+def _cmd_dse_resilience(args: argparse.Namespace, results) -> str:
+    from .dse import rank_by_resilience, resilience_rank_table
+
+    slo = _slo_spec(args)
+    rankings = rank_by_resilience(
+        results,
+        args.rate,
+        slo,
+        scenario=args.scenario,
+        replicas=args.replicas,
+        balancer=args.balancer,
+        **_ranking(args),
+    )
+    return resilience_rank_table(
+        rankings, rate_rps=args.rate, slo=slo, scenario=args.scenario
+    )
 
 
 def _cmd_networks(args: argparse.Namespace) -> str:
@@ -1308,41 +1152,42 @@ def _cmd_networks(args: argparse.Namespace) -> str:
     )
 
 
+#: Command path (``"serve"``, ``"fleet plan"``, ...) -> its handler.
+_COMMANDS = {
+    **{f"table{n}": _cmd_tables for n in range(1, 10)},
+    "fig6": _cmd_fig6,
+    "fig7": _cmd_fig7,
+    "optimize": _cmd_optimize,
+    "gantt": _cmd_gantt,
+    "joint": _cmd_joint,
+    "latency": _cmd_latency,
+    "validate": _cmd_validate,
+    "serve": _cmd_serve,
+    "fleet simulate": _cmd_fleet_simulate,
+    "fleet plan": _cmd_fleet_plan,
+    "fleet autoscale": _cmd_fleet_autoscale,
+    "scenario list": _cmd_scenario_list,
+    "scenario describe": _cmd_scenario_describe,
+    "report": _cmd_report,
+    "hls": _cmd_hls,
+    "networks": _cmd_networks,
+    "dse sweep": _cmd_dse_sweep,
+    "dse frontier": _cmd_dse_frontier,
+    "dse status": _cmd_dse_status,
+    "dse rank": _cmd_dse_rank,
+    "dse cost": _cmd_dse_cost,
+    "dse resilience": _cmd_dse_resilience,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    command = args.command
-    if command.startswith("table"):
-        output = _cmd_tables(args)
-    elif command == "fig6":
-        output = _cmd_fig6(args)
-    elif command == "fig7":
-        output = _cmd_fig7(args)
-    elif command == "optimize":
-        output = _cmd_optimize(args)
-    elif command == "gantt":
-        output = _cmd_gantt(args)
-    elif command == "joint":
-        output = _cmd_joint(args)
-    elif command == "latency":
-        output = _cmd_latency(args)
-    elif command == "validate":
-        output = _cmd_validate(args)
-    elif command == "serve":
-        output = _cmd_serve(args)
-    elif command == "scenario":
-        output = _cmd_scenario(args)
-    elif command == "report":
-        output = _cmd_report(args)
-    elif command == "fleet":
-        output = _cmd_fleet(args)
-    elif command == "hls":
-        output = _cmd_hls(args)
-    elif command == "networks":
-        output = _cmd_networks(args)
-    elif command == "dse":
-        output = _cmd_dse(args)
-    else:  # pragma: no cover - argparse guards this
-        raise SystemExit(f"unknown command {command}")
+    sub = getattr(args, f"{args.command}_command", None)
+    path = f"{args.command} {sub}" if sub else args.command
+    try:
+        output = _COMMANDS[path](args)
+    except (ValueError, KeyError, OSError, OptimizationError) as exc:
+        raise SystemExit(f"repro {path}: error: {exc}") from None
     print(output)
     return 0
 

@@ -219,8 +219,8 @@ def rank_by_traffic(
     from ..serve import (
         TenantSpec,
         evaluate_slo,
+        floor_window_cycles,
         make_arrival_process,
-        pipeline_latency_cycles,
         simulate_traffic,
     )
 
@@ -237,9 +237,8 @@ def rank_by_traffic(
             process=make_arrival_process(process, rate_rps / cycles_per_second),
         )
         bytes_per_cycle = point.budget().bytes_per_cycle()
-        duration_cycles = max(
-            duration_ms * 1e-3 * cycles_per_second,
-            3.0 * pipeline_latency_cycles(design, bytes_per_cycle),
+        duration_cycles = floor_window_cycles(
+            duration_ms * 1e-3 * cycles_per_second, design, bytes_per_cycle
         )
         serve = simulate_traffic(
             design,
@@ -259,6 +258,17 @@ def rank_by_traffic(
         )
     rankings.sort(key=lambda ranking: ranking.sort_key)
     return rankings
+
+
+def _slo_clauses(slo: "SLOSpec") -> str:
+    """The SLO's active clauses as a ranking title reads them."""
+    clauses = []
+    if slo.p99_ms is not None:
+        clauses.append(f"p99<={slo.p99_ms:g}ms")
+    clauses.append(f"drops<={slo.max_drop_rate:.0%}")
+    if slo.min_throughput_rps is not None:
+        clauses.append(f"goodput>={slo.min_throughput_rps:g}r/s")
+    return ", ".join(clauses)
 
 
 def traffic_rank_table(
@@ -283,12 +293,6 @@ def traffic_rank_table(
                 "yes" if entry.report.meets else "NO",
             )
         )
-    clauses = []
-    if slo.p99_ms is not None:
-        clauses.append(f"p99<={slo.p99_ms:g}ms")
-    clauses.append(f"drops<={slo.max_drop_rate:.0%}")
-    if slo.min_throughput_rps is not None:
-        clauses.append(f"goodput>={slo.min_throughput_rps:g}r/s")
     return render_table(
         (
             "#", "network", "budget", "dtype", "mode", "CLPs",
@@ -296,7 +300,7 @@ def traffic_rank_table(
         ),
         rows,
         title=(
-            f"SLO ranking @ {rate_rps:g} r/s ({', '.join(clauses)}) "
+            f"SLO ranking @ {rate_rps:g} r/s ({_slo_clauses(slo)}) "
             f"-- {len(rankings)} designs"
         ),
     )
@@ -439,12 +443,6 @@ def cost_to_serve_table(
                 "yes" if entry.plan.meets else "NO",
             )
         )
-    clauses = []
-    if slo.p99_ms is not None:
-        clauses.append(f"p99<={slo.p99_ms:g}ms")
-    clauses.append(f"drops<={slo.max_drop_rate:.0%}")
-    if slo.min_throughput_rps is not None:
-        clauses.append(f"goodput>={slo.min_throughput_rps:g}r/s")
     return render_table(
         (
             "#", "network", "budget", "dtype", "mode", "boards",
@@ -452,7 +450,7 @@ def cost_to_serve_table(
         ),
         rows,
         title=(
-            f"cost-to-serve @ {rate_rps:g} r/s ({', '.join(clauses)}) "
+            f"cost-to-serve @ {rate_rps:g} r/s ({_slo_clauses(slo)}) "
             f"-- {len(rankings)} designs"
         ),
     )
@@ -524,7 +522,7 @@ def rank_by_resilience(
     from ..fleet import DeviceSpec, simulate_fleet
     from ..networks import get_network
     from ..serve import TenantSpec, evaluate_slo, make_arrival_process
-    from ..serve.simulator import pipeline_latency_cycles
+    from ..serve.simulator import floor_window_cycles
 
     rankings: List[ResilienceRanking] = []
     for result in results:
@@ -532,10 +530,11 @@ def rank_by_resilience(
             continue
         point = result.point
         network = get_network(point.network)
+        bytes_per_cycle = point.budget().bytes_per_cycle()
         device = DeviceSpec(
             design=result.design(network),
             part=point.part,
-            bytes_per_cycle=point.budget().bytes_per_cycle(),
+            bytes_per_cycle=bytes_per_cycle,
         )
         cycles_per_second = point.frequency_mhz * 1e6
         spec = TenantSpec(
@@ -544,11 +543,8 @@ def rank_by_resilience(
                 "poisson", rate_rps / cycles_per_second
             ),
         )
-        duration_cycles = max(
-            duration_ms * 1e-3 * cycles_per_second,
-            3.0 * pipeline_latency_cycles(
-                device.design, device.bytes_per_cycle
-            ),
+        duration_cycles = floor_window_cycles(
+            duration_ms * 1e-3 * cycles_per_second, device.design, bytes_per_cycle
         )
         fleet = simulate_fleet(
             device.replicated(replicas),

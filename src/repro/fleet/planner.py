@@ -26,7 +26,7 @@ if TYPE_CHECKING:
     from ..serve.overload import OverloadSpec
 
 from ..scenario.library import ScenarioSpec, get_scenario
-from ..serve.simulator import TenantSpec, pipeline_latency_cycles
+from ..serve.simulator import TenantSpec, floor_window_cycles
 from ..serve.slo import SLOReport, SLOSpec, evaluate_slo
 from .balancer import Balancer
 from .cluster import ClusterSimulator
@@ -60,16 +60,6 @@ def _fleet_tenants(
         )
         for name in device.networks
     ]
-
-
-def _window_cycles(
-    device: DeviceSpec, duration_cycles: float
-) -> float:
-    """Floor the window at 3 pipeline latencies so percentiles exist."""
-    return max(
-        float(duration_cycles),
-        3.0 * pipeline_latency_cycles(device.design, device.bytes_per_cycle),
-    )
 
 
 @dataclass(frozen=True)
@@ -222,8 +212,8 @@ def plan_capacity(
         tenants = _fleet_tenants(
             device, rate_rps / cycles_per_second, deadline_ms=slo.deadline_ms
         )
-    duration_cycles = _window_cycles(
-        device, duration_ms * 1e-3 * cycles_per_second
+    duration_cycles = floor_window_cycles(
+        duration_ms * 1e-3 * cycles_per_second, device.design, device.bytes_per_cycle
     )
 
     evaluations: dict = {}
@@ -526,8 +516,8 @@ def autoscale(
             f"[{policy.min_replicas}, {policy.max_replicas}]"
         )
     cycles_per_second = frequency_mhz * 1e6
-    duration_cycles = _window_cycles(
-        device, window_ms * 1e-3 * cycles_per_second
+    duration_cycles = floor_window_cycles(
+        window_ms * 1e-3 * cycles_per_second, device.design, device.bytes_per_cycle
     )
     windows: List[AutoscaleWindow] = []
     for index, rate_rps in enumerate(rate_schedule):

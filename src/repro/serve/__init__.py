@@ -33,6 +33,7 @@ from .overload import (
 from .simulator import (
     DROP_POLICIES,
     TenantSpec,
+    floor_window_cycles,
     pipeline_latency_cycles,
     service_capacity_rps,
     simulate_traffic,
@@ -65,6 +66,7 @@ __all__ = [
     "simulate_traffic",
     "service_capacity_rps",
     "pipeline_latency_cycles",
+    "floor_window_cycles",
     "SLOSpec",
     "SLOReport",
     "TenantVerdict",

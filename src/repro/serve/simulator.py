@@ -57,6 +57,7 @@ __all__ = [
     "resolve_epoch",
     "service_capacity_rps",
     "pipeline_latency_cycles",
+    "floor_window_cycles",
     "simulate_traffic",
 ]
 
@@ -147,6 +148,17 @@ def pipeline_latency_cycles(
     base, plans = tenant_plans(design)
     epoch = resolve_epoch(base, bytes_per_cycle, "model")
     return max(depth for depth, _ in plans.values()) * epoch
+
+
+def floor_window_cycles(
+    duration_cycles: float,
+    design: Union[MultiCLPDesign, JointDesign],
+    bytes_per_cycle: Optional[float] = None,
+) -> float:
+    """``duration_cycles`` floored at 3 pipeline latencies, so a traffic
+    window completes requests and reports real percentiles."""
+    latency = pipeline_latency_cycles(design, bytes_per_cycle)
+    return max(float(duration_cycles), 3.0 * latency)
 
 
 class Request:

@@ -1,10 +1,44 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
+
+FLAG_PIN = os.path.join(os.path.dirname(__file__), "data", "cli_flags.json")
+
+
+def parser_flags(parser, path="repro"):
+    """``{subcommand path: {flag: settings}}`` for a parser and its subparsers.
+
+    Records each action's option strings, dest, default, type, choices,
+    nargs, required and metavar (help text excluded), keyed by its option
+    strings (or dest for positionals), so the pin is independent of the
+    order the flags are added in.
+    """
+    flags = {}
+    entries = {}
+    for action in parser._actions:
+        choices = action.choices
+        entries[" ".join(action.option_strings) or action.dest] = {
+            "action": type(action).__name__,
+            "option_strings": list(action.option_strings),
+            "dest": action.dest,
+            "default": action.default,
+            "type": getattr(action.type, "__name__", action.type),
+            "choices": None if choices is None else list(choices),
+            "nargs": action.nargs,
+            "required": action.required,
+            "metavar": action.metavar,
+        }
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                flags.update(parser_flags(sub, f"{path} {name}"))
+    flags[path] = entries
+    return flags
 
 
 def run(capsys, *argv):
@@ -36,6 +70,29 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_flags_match_pin(self):
+        """Every subcommand keeps its flags: names, defaults, types, choices.
+
+        ``tests/data/cli_flags.json`` is read-only; regenerate it (a
+        one-off ``json.dump(parser_flags(build_parser()), ...)``) only for
+        an intended change to the command line.
+        """
+        with open(FLAG_PIN) as handle:
+            pinned = json.load(handle)
+        flags = json.loads(json.dumps(parser_flags(build_parser())))
+        assert sorted(flags) == sorted(pinned)
+        for path in pinned:
+            assert flags[path] == pinned[path], path
+
+    @pytest.mark.parametrize(
+        "path", sorted(parser_flags(build_parser())), ids=str
+    )
+    def test_help_renders_for_every_subcommand(self, capsys, path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(path.split()[1:] + ["--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: {path}")
 
     def test_optimize_defaults(self):
         args = build_parser().parse_args(["optimize"])
@@ -188,3 +245,39 @@ class TestServeObsFlags:
         text = report.read_text()
         assert text.startswith("# Autoscale report")
         assert "## Window series" in text
+
+
+class TestErrorBoundary:
+    """Bad input on any command exits with ``repro <command> [<sub>]: error:``."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("dse") / "one-point.jsonl"
+        main(["dse", "sweep", "--networks", "alexnet", "--budgets", "500:400",
+              "--modes", "single", "--store", str(path), "--quiet"])
+        return str(path)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dse", "rank", "--rate", "-5"],
+         "repro dse rank: error: arrival rate must be positive"),
+        (["dse", "cost", "--max-replicas", "0"],
+         "repro dse cost: error: max_replicas must be at least 1"),
+        (["dse", "resilience", "--replicas", "0"],
+         "repro dse resilience: error: count must be at least 1"),
+        (["dse", "resilience", "--scenario", "no-such-drill"],
+         "repro dse resilience: error: \"unknown scenario 'no-such-drill'"),
+    ], ids=["rank-rate", "cost-max-replicas", "resilience-replicas",
+            "resilience-scenario"])
+    def test_dse_ranking_errors(self, store, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--store", store])
+        assert str(excinfo.value).startswith(message)
+
+    def test_missing_design_file(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--load", missing])
+        assert str(excinfo.value) == (
+            f"repro serve: error: [Errno 2] No such file or directory: "
+            f"{missing!r}"
+        )
