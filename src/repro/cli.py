@@ -719,6 +719,7 @@ def _traffic(args: argparse.Namespace, budget, design, tenant_names):
     unless ``--drain`` serves the queues out anyway.
     """
     from .serve import TenantSpec, floor_window_cycles, make_arrival_process
+    from .serve.arrivals import rate_per_cycle
 
     cycles_per_second = budget.cycles_per_second
     count = len(tenant_names)
@@ -733,7 +734,7 @@ def _traffic(args: argparse.Namespace, budget, design, tenant_names):
             name=name,
             process=make_arrival_process(
                 args.process,
-                rate / cycles_per_second,
+                rate_per_cycle(rate, cycles_per_second),
                 burstiness=args.burstiness,
                 period_cycles=args.burst_period_ms * 1e-3 * cycles_per_second,
             ),
@@ -1025,7 +1026,7 @@ def _parse_budget(text: str) -> tuple:
         dsp, bram = text.split(":")
         return (int(dsp), int(bram))
     except ValueError:
-        raise SystemExit(
+        raise ValueError(
             f"bad synthetic budget {text!r}; expected DSP:BRAM, e.g. 1000:800"
         ) from None
 

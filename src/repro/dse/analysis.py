@@ -223,6 +223,7 @@ def rank_by_traffic(
         make_arrival_process,
         simulate_traffic,
     )
+    from ..serve.arrivals import rate_per_cycle
 
     rankings: List[TrafficRanking] = []
     for result in results:
@@ -234,7 +235,9 @@ def rank_by_traffic(
         cycles_per_second = point.frequency_mhz * 1e6
         spec = TenantSpec(
             name=network.name,
-            process=make_arrival_process(process, rate_rps / cycles_per_second),
+            process=make_arrival_process(
+                process, rate_per_cycle(rate_rps, cycles_per_second)
+            ),
         )
         bytes_per_cycle = point.budget().bytes_per_cycle()
         duration_cycles = floor_window_cycles(
@@ -522,6 +525,7 @@ def rank_by_resilience(
     from ..fleet import DeviceSpec, simulate_fleet
     from ..networks import get_network
     from ..serve import TenantSpec, evaluate_slo, make_arrival_process
+    from ..serve.arrivals import rate_per_cycle
     from ..serve.simulator import floor_window_cycles
 
     rankings: List[ResilienceRanking] = []
@@ -540,7 +544,7 @@ def rank_by_resilience(
         spec = TenantSpec(
             name=network.name,
             process=make_arrival_process(
-                "poisson", rate_rps / cycles_per_second
+                "poisson", rate_per_cycle(rate_rps, cycles_per_second)
             ),
         )
         duration_cycles = floor_window_cycles(

@@ -16,20 +16,22 @@ model a lone board is measured with.
 
 Each :meth:`ClusterSimulator.run` builds one private run-state object,
 ``_FleetRun``: the run's replicas, overlays and ledgers, with one
-method per event kind (arrival, boundary, completion, fault, gray
-window, probe, timeout sweep, telemetry sample) and one result builder
-both engines end in.  Events are scheduled as those methods plus their
+method per event kind (arrival, retry or hedge delivery, brownout step,
+boundary, completion, fault, gray window, probe, timeout sweep,
+telemetry sample) and one result builder both engines end in.  Events are scheduled as those methods plus their
 arguments (``sim.schedule_at(when, self.boundary, replica, count)``).
 
-Every run follows one request lifecycle: each arrival, retry and hedge
-is a :class:`~repro.serve.simulator.Request` that lands, queues, is
-admitted at an epoch boundary and completes (or is lost, dropped, timed
-out or failed over).  Overlays are hooks on that lifecycle, not second
-paths; one that is off is ``None``.  When active, an
-:class:`~repro.serve.overload.OverloadController` makes the admission
-decisions, orders dispatch, books lateness and schedules client retries
-and hedges; a :class:`~repro.fleet.detector.FailureDetector` decides
-which replicas are routable; gray failures set each replica's ``slow_factor``,
+Every run follows one request lifecycle, owned by the run: each
+arrival, retry and hedge is a :class:`~repro.serve.simulator.Request`
+that lands, queues, is admitted at an epoch boundary and completes (or
+is lost, dropped, rejected, expired, timed out or failed over).
+Overlays answer questions on that lifecycle, not second paths; one
+that is off is ``None``.  When active, an
+:class:`~repro.serve.overload.OverloadController` answers the overload
+questions (gate, retry, hedge, brownout step) and the run schedules,
+books and observes what follows; a
+:class:`~repro.fleet.detector.FailureDetector` decides which replicas
+are routable; gray failures set each replica's ``slow_factor``,
 ``error_rate`` and ``link_delay_epochs``, which every dispatch reads.
 Scenarios, active overload control, active detectors and observation
 (``obs``) all need the event engine
@@ -420,7 +422,9 @@ class _FleetRun:
     instead schedules the event methods below on one event engine.
     Either way :meth:`result` reduces the run's own fields.
 
-    An overlay that is off is ``None`` (``controller``, ``fdet``,
+    The run makes every trace and count call, and schedules the
+    retries, hedges and brownout steps the overload controller asks
+    for.  An overlay that is off is ``None`` (``controller``, ``fdet``,
     ``recorder``, ``tracer``, ``request_timeout``, ``samples``) or
     empty (``outages``, ``degradations``), never a separate code path.
     """
@@ -518,6 +522,9 @@ class _FleetRun:
         self.samples: Optional[List[Tuple[float, float]]] = (
             [] if scenario is not None else None
         )
+        #: Scheduled retry and hedge deliveries not yet fired: a
+        #: draining board keeps its boundaries alive while any remain.
+        self.pending_deliveries = 0
         self.controller: Optional[OverloadController] = None
         if ospec is not None:
             self.controller = OverloadController(
@@ -526,12 +533,10 @@ class _FleetRun:
                 horizon=self.horizon,
                 frequency_mhz=cluster.frequency_mhz,
                 seed=seed,
-                schedule_at=self.sim.schedule_at,
-                now=lambda: self.sim.now,
-                deliver=self.land,
-                tracer=self.tracer,
-                recorder=self.recorder,
             )
+            # Scheduled first, so brownout steps win the engine's ties.
+            for window, when in enumerate(self.controller.step_times(), 1):
+                self.sim.schedule_at(when, self.brownout, window)
 
     def _materialize(self, scenario: Optional[ScenarioSpec]) -> None:
         """Apply the scenario's surge and fault specs.
@@ -682,21 +687,21 @@ class _FleetRun:
         the tenant's door."""
         name, now = self.names[index], self.sim.now
         controller = self.controller
-        if controller is not None and not controller.admit(index, req, now):
-            door = self.doors[name]
-            door.book_arrival(req)
-            door.rejected += 1
-            return
+        if controller is not None:
+            reason = controller.admit(index, req, now)
+            if reason is not None:
+                door = self.doors[name]
+                door.book_arrival(req)
+                self.reject(door, None, req, reason)
+                return
         landing = self.route(name, req)
         if landing is None:
             self.give_up(name, req, "unroutable")
             return
         state, choice = landing
         state.book_arrival(req)
-        if controller is not None and controller.refuse(
-            index, state, choice, req, now
-        ):
-            state.rejected += 1
+        if controller is not None and controller.refuse(index, state):
+            self.reject(state, choice, req, "deadline")
             return
         victim = state.push(req, now)
         if self.tracer is not None:
@@ -704,21 +709,82 @@ class _FleetRun:
                 name, choice, now,
                 dropped=victim is not None, policy=state.policy,
             )
-        if controller is not None:
-            if victim is not None:
-                controller.client_retry(index, victim, reason="dropped")
-            if victim is not req:
-                controller.hedge(index, req, now)
+        if victim is not None:
+            self.give_up(name, victim, "dropped")
+        if controller is not None and victim is not req:
+            when = controller.hedge(req, now)
+            if when is not None:
+                self.pending_deliveries += 1
+                self.sim.schedule_at(when, self.fire_hedge, index, req)
+
+    def reject(
+        self, state: TenantState, replica: Optional[int], req: Request,
+        reason: str,
+    ) -> None:
+        """The controller turned an attempt away at the door
+        (``replica`` None) or at a board's queue: book and observe it,
+        then let the client retry."""
+        name, now = state.spec.name, self.sim.now
+        state.rejected += 1
+        if self.tracer is not None:
+            self.tracer.request_rejected(name, replica, now, reason=reason)
+        if self.recorder is not None:
+            self.recorder.count(f"rejected/{name}", now)
+        self.give_up(name, req, reason)
 
     def give_up(self, name: str, req: Request, reason: str) -> None:
-        """An attempt ended without a reply (lost, dropped on requeue,
-        timed out, errored).  Under overload control the client notices
-        and may retry; otherwise the outcome is final."""
-        if self.controller is not None:
-            req.done = True
-            self.controller.client_retry(
-                self.tenant_index[name], req, reason=reason
+        """An attempt ended without a reply (rejected, unroutable, lost,
+        dropped, expired, timed out, errored).  Under overload control
+        the client notices and may retry, else the outcome is final."""
+        controller = self.controller
+        if controller is None:
+            return
+        req.done = True
+        index, now = self.tenant_index[name], self.sim.now
+        retry = controller.retry(index, req, now)
+        if retry is None:
+            return
+        if self.tracer is not None:
+            self.tracer.request_retry(
+                name, now, attempt=retry.attempt,
+                delay_cycles=retry.backoff_cycles, reason=reason,
             )
+        if self.recorder is not None:
+            self.recorder.count(f"retries/{name}", now)
+        self.pending_deliveries += 1
+        self.sim.schedule_at(retry.arrival, self.deliver, index, retry)
+
+    def deliver(self, index: int, req: Request) -> None:
+        """A scheduled retry or hedge reaches the front door."""
+        self.pending_deliveries -= 1
+        self.land(index, req)
+
+    def fire_hedge(self, index: int, req: Request) -> None:
+        """Duplicate ``req`` unless it was dispatched or shed meanwhile;
+        the controller stamps the hedge's ``seq`` when it lands."""
+        if req.done:
+            self.pending_deliveries -= 1
+            return
+        name, now = self.names[index], self.sim.now
+        if self.tracer is not None:
+            self.tracer.request_hedged(name, now)
+        if self.recorder is not None:
+            self.recorder.count(f"hedges/{name}", now)
+        self.deliver(index, Request(now, req.attempt, hedge=True))
+
+    def brownout(self, window: int) -> None:
+        """One brownout step at the end of ``window`` (1-based)."""
+        action = self.controller.step(window)
+        if action is None:
+            return
+        now = self.sim.now
+        if self.tracer is not None:
+            self.tracer.brownout_step(
+                now, action=action,
+                shed=[int(p) for p in sorted(self.controller.shed)],
+            )
+        if self.recorder is not None:
+            self.recorder.count("brownout_steps", now)
 
     # ------------------------------------------------------------- faults
     def fail(self, replica: Replica) -> None:
@@ -984,20 +1050,21 @@ class _FleetRun:
             state.pipeline -= 1
             self.flaky_error(replica, state, req)
             return
-        now = self.sim.now
+        name, now = state.spec.name, self.sim.now
+        state.on_completion(req, now)
         controller, fdet = self.controller, self.fdet
-        if controller is not None:
-            controller.complete(self.tenant_index[state.spec.name], state, req)
-        else:
-            state.on_completion(req, now)
+        if controller is not None and controller.completed(
+            self.tenant_index[name], req, now
+        ):
+            state.late += 1
+            if self.recorder is not None:
+                self.recorder.count(f"late/{name}", now)
         if fdet is not None:
             fdet.record_success(replica.index, now - req.arrival)
         if self.failover_state:
             self.failover_state.pop(req, None)
         if self.tracer is not None:
-            self.tracer.request_completed(
-                state.spec.name, replica.index, now, req.arrival
-            )
+            self.tracer.request_completed(name, replica.index, now, req.arrival)
         if self.samples is not None:
             self.samples.append((now, now - req.arrival))
 
@@ -1024,15 +1091,9 @@ class _FleetRun:
             delay = replica.link_delay_epochs * epoch
             flaky = replica.error_rate
             for state in replica.states.values():
-                req = (
-                    controller.dispatch(
-                        self.tenant_index[state.spec.name],
-                        state,
-                        replica.index,
-                    )
-                    if controller is not None
-                    else state.admit(now)
-                )
+                if controller is not None:
+                    self.expire(replica, state, now)
+                req = state.admit(now)
                 if req is None:
                     continue
                 errored = flaky > 0.0 and self.flaky_rng.random() < flaky
@@ -1054,17 +1115,32 @@ class _FleetRun:
         if upcoming <= self.horizon or (self.drain and self._pending(replica)):
             sim.schedule_at(upcoming, self.boundary, replica, count + 1)
 
+    def expire(self, replica: Replica, state: TenantState, now: float) -> None:
+        """Shed the expired heads of a discipline queue before its
+        boundary admits the next one: expired work never burns the
+        epoch's admission slot, and the client may retry it."""
+        name = state.spec.name
+        while True:
+            req = state.pop_expired(now)
+            if req is None:
+                return
+            if self.tracer is not None:
+                self.tracer.request_expired(name, replica.index, now)
+            if self.recorder is not None:
+                self.recorder.count(f"expired/{name}", now)
+            self.give_up(name, req, "expired")
+
     def _pending(self, replica: Replica) -> bool:
         """Does a draining board still have work coming: a queued
-        request, an open stream it serves, or a scheduled retry?"""
-        controller = self.controller
+        request, an open stream it serves, or a scheduled retry or
+        hedge?"""
         return (
             any(state.queue for state in replica.states.values())
             or any(
                 self.stream_open[self.tenant_index[name]]
                 for name in replica.states
             )
-            or (controller is not None and controller.pending_deliveries > 0)
+            or self.pending_deliveries > 0
         )
 
     # ---------------------------------------------------------- telemetry
@@ -1103,8 +1179,8 @@ class _FleetRun:
     def simulate(self) -> float:
         """Schedule every event source, run the engine; the elapsed
         cycles.  Scheduling order is the engine's tie-break order for
-        simultaneous events, so it is fixed: the overload controller's
-        brownout steps (scheduled when it is built), arrivals, outages,
+        simultaneous events, so it is fixed: brownout steps (scheduled
+        when the overload controller is built), arrivals, outages,
         degradations, probes, outlier checks, timeout sweeps,
         boundaries (the first runs at once), telemetry samples."""
         sim, horizon = self.sim, self.horizon
@@ -1250,11 +1326,10 @@ class _FleetRun:
 
     def close(self) -> None:
         """Drop the references that lead back to this run: pending
-        events and the overload controller's callbacks hold its bound
-        methods, and so may ``routable``.  The run's state is then
-        freed as soon as the caller lets go of it, not at the next
-        cyclic garbage collection."""
-        self.sim = self.controller = self.routable = None
+        events hold its bound methods, and so may ``routable``.  The
+        run's state is then freed as soon as the caller lets go of it,
+        not at the next cyclic garbage collection."""
+        self.sim = self.routable = None
 
     def _incidents(self, elapsed: float) -> Tuple[Incident, ...]:
         """The run's incident log: outages, gray windows and surge

@@ -26,6 +26,7 @@ if TYPE_CHECKING:
     from ..serve.overload import OverloadSpec
 
 from ..scenario.library import ScenarioSpec, get_scenario
+from ..serve.arrivals import make_arrival_process, rate_per_cycle
 from ..serve.simulator import TenantSpec, floor_window_cycles
 from ..serve.slo import SLOReport, SLOSpec, evaluate_slo
 from .balancer import Balancer
@@ -47,15 +48,15 @@ __all__ = [
 
 def _fleet_tenants(
     device: DeviceSpec,
-    rate_per_cycle: float,
+    rate_rps: float,
+    cycles_per_second: float,
     deadline_ms: Optional[float] = None,
 ) -> List[TenantSpec]:
-    from ..serve.arrivals import make_arrival_process
-
+    rate = rate_per_cycle(rate_rps, cycles_per_second)
     return [
         TenantSpec(
             name,
-            make_arrival_process("poisson", rate_per_cycle),
+            make_arrival_process("poisson", rate),
             deadline_ms=deadline_ms,
         )
         for name in device.networks
@@ -210,7 +211,7 @@ def plan_capacity(
     cycles_per_second = frequency_mhz * 1e6
     if tenants is None:
         tenants = _fleet_tenants(
-            device, rate_rps / cycles_per_second, deadline_ms=slo.deadline_ms
+            device, rate_rps, cycles_per_second, deadline_ms=slo.deadline_ms
         )
     duration_cycles = floor_window_cycles(
         duration_ms * 1e-3 * cycles_per_second, device.design, device.bytes_per_cycle
@@ -523,7 +524,7 @@ def autoscale(
     for index, rate_rps in enumerate(rate_schedule):
         if rate_rps <= 0:
             raise ValueError(f"window {index} rate must be positive")
-        tenants = _fleet_tenants(device, rate_rps / cycles_per_second)
+        tenants = _fleet_tenants(device, rate_rps, cycles_per_second)
         cluster = ClusterSimulator(
             device.replicated(replicas),
             tenants,

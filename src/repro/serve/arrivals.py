@@ -3,8 +3,8 @@
 Every process is a frozen value object that, given a
 :class:`random.Random`, yields absolute arrival times in *cycles* in
 strictly non-decreasing order.  Rates are expressed in requests per
-cycle so the simulator stays clock-agnostic; the CLI converts from
-requests/second using the design's clock (``rate_rps / (MHz * 1e6)``).
+cycle so the simulator stays clock-agnostic; callers holding a rate in
+requests/second convert it with :func:`rate_per_cycle`.
 
 Four shapes cover the scenarios Section 4 of the paper motivates:
 
@@ -97,6 +97,16 @@ class ArrivalProcess:
 def _check_rate(rate: float) -> None:
     if rate <= 0:
         raise ValueError(f"arrival rate must be positive, got {rate}")
+
+
+def rate_per_cycle(rate_rps: float, cycles_per_second: float) -> float:
+    """``rate_rps`` requests/second as requests per cycle; a
+    non-positive rate is rejected in the req/s it was given in."""
+    if rate_rps <= 0:
+        raise ValueError(
+            f"arrival rate must be positive, got {rate_rps:g} req/s"
+        )
+    return rate_rps / cycles_per_second
 
 
 @dataclass(frozen=True)

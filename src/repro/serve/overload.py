@@ -54,7 +54,6 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     FrozenSet,
     List,
@@ -67,8 +66,6 @@ from ..core.serialize import from_record, omit_default, to_record
 from .simulator import Request, TenantState
 
 if TYPE_CHECKING:
-    from ..obs.telemetry import MetricsRecorder
-    from ..obs.trace import TraceRecorder
     from .metrics import TenantStats
     from .simulator import TenantSpec
 
@@ -250,7 +247,8 @@ class OverloadTenantState(TenantState):
     Used for every board when the overload layer is active.  The
     request lifecycle and all counters are :class:`TenantState`'s; this
     class owns only the discipline: :meth:`_insert` keeps the queue in
-    ``queue_policy`` order, and :meth:`pop_next` sheds expired heads.
+    ``queue_policy`` order, and :meth:`pop_expired` sheds expired heads
+    before the host admits the next one.
     """
 
     def __init__(
@@ -301,28 +299,27 @@ class OverloadTenantState(TenantState):
             position -= 1
         self.queue.insert(position, req)
 
-    def pop_next(self, now: float) -> Optional[Tuple[str, Request]]:
-        """Take the discipline head: ``("ok", req)`` or ``("expired", req)``.
+    def pop_expired(self, now: float) -> Optional[Request]:
+        """Shed the queue head if its deadline passed while it waited:
+        the head, booked ``expired``, or ``None`` when it is live.
 
         Expiry shedding belongs to the deadline-aware disciplines: under
         ``fifo`` a stale request is still served (and completes late),
         which is exactly the epoch-burning naive behaviour the
         retry-storm drill demonstrates.
         """
-        if not self.queue:
+        if (
+            not self.queue
+            or self.queue_policy == "fifo"
+            or self.deadline_cycles is None
+            or now <= self.queue[0].arrival + self.deadline_cycles
+        ):
             return None
         self._touch(now)
         req = self.queue.popleft()
         req.done = True
-        if (
-            self.queue_policy != "fifo"
-            and self.deadline_cycles is not None
-            and now > req.arrival + self.deadline_cycles
-        ):
-            self.expired += 1
-            return ("expired", req)
-        self.pipeline += 1
-        return ("ok", req)
+        self.expired += 1
+        return req
 
 
 # ------------------------------------------------------------------ reports
@@ -413,22 +410,25 @@ _CLASS_COUNTERS = (
 
 
 class OverloadController:
-    """Run-scoped overload decisions, hosted by the cluster simulator.
+    """Run-scoped overload policy: it answers, the host acts.
 
-    The host owns the event loop, every ledger, and the one admission
-    path each attempt takes (gate → route → book → deadline admission →
-    push → trace → drop victim → hedge).  The controller makes the
-    decisions overload control adds to it, schedules retries and hedges
-    (landed through the host's ``deliver``, exactly as fresh arrivals)
-    and steps brownout.  Its hooks:
+    The host owns the event loop, every ledger, every trace and count
+    call and the whole request lifecycle, including shedding expired
+    heads (:meth:`OverloadTenantState.pop_expired`) and scheduling what
+    the controller asks for.  The controller keeps only its policy
+    state (token buckets, retry RNGs, the brownout level, the goodput
+    grid) and answers:
 
-    * :meth:`admit` — the front-door gate (brownout, token bucket).
+    * :meth:`admit` — the front-door gate: the rejection reason
+      (``"brownout"``, ``"admission"``) or ``None``.
     * :meth:`refuse` — queue-deadline admission for a routed attempt.
-    * :meth:`hedge` — arm the hedge of a request that was queued.
-    * :meth:`dispatch` — discipline-ordered epoch dispatch (pops expired
-      entries without burning the slot).
-    * :meth:`complete` — lateness and windowed goodput.
-    * :meth:`client_retry` — an attempt ended without a reply.
+    * :meth:`retry` — the client's next attempt after one ended without
+      a reply, or ``None``.
+    * :meth:`hedge` — when to hedge a request that was just queued, or
+      ``None``.
+    * :meth:`completed` — books goodput; True when the reply was late.
+    * :meth:`step` — one brownout step at a time :meth:`step_times`
+      lists: ``"shed"``, ``"restore"`` or ``None``.
     * :meth:`report` — the :class:`OverloadReport`; class totals are a
       group-by of the host's final per-tenant stats.
     """
@@ -441,26 +441,13 @@ class OverloadController:
         horizon: float,
         frequency_mhz: float,
         seed: int,
-        schedule_at: Callable[..., None],
-        now: Callable[[], float],
-        deliver: Callable[[int, Request], None],
-        tracer: Optional["TraceRecorder"] = None,
-        recorder: Optional["MetricsRecorder"] = None,
     ) -> None:
         self.spec = spec
         self.tenants = tuple(tenants)
         self.horizon = horizon
         self.cycles_per_ms = frequency_mhz * 1e3
-        self._schedule_at = schedule_at
-        self._now = now
-        self._deliver = deliver
-        self.tracer = tracer
-        self.recorder = recorder
         #: Creation order of every attempt: the discipline tie-breaker.
         self._next_seq = itertools.count(1).__next__
-        #: Scheduled retry/hedge deliveries not yet fired — the host's
-        #: drain logic keeps epoch boundaries alive while any remain.
-        self.pending_deliveries = 0
 
         #: Per-tenant deadline in cycles.
         self.deadline_cycles: List[Optional[float]] = [
@@ -513,11 +500,6 @@ class OverloadController:
         #: Priority classes the gate currently sheds (rebuilt per step).
         self.shed: FrozenSet[int] = frozenset()
         self.brownout_steps = 0
-        if brownout is not None and len(self.priority_levels) > 1:
-            self._brownout_slo_cycles = self._ms(brownout.p99_ms)
-            for index in range(1, self.num_windows + 1):
-                when = min(index * self.window_cycles, horizon)
-                self._schedule_at(when, self._brownout_step, index)
 
     # ------------------------------------------------------------- utilities
     def _ms(self, value_ms: Optional[float]) -> Optional[float]:
@@ -528,78 +510,54 @@ class OverloadController:
         return min(index, self.num_windows - 1)
 
     # ------------------------------------------------------------- admission
-    def admit(self, index: int, req: Request, now: float) -> bool:
-        """Gate one attempt before routing: False when brownout sheds its
-        class or its tenant's token bucket is empty (the client may
-        retry; the host books the attempt at the tenant's door)."""
+    def admit(self, index: int, req: Request, now: float) -> Optional[str]:
+        """Gate one attempt before routing: ``"brownout"`` when brownout
+        sheds its class, ``"admission"`` when its tenant's token bucket
+        is empty, else ``None`` (admitted)."""
         if not req.seq:
-            # A fresh arrival, created just now; retries and hedges
-            # were stamped when the controller created them.
+            # A fresh arrival or hedge, created just now; retries were
+            # stamped when :meth:`retry` created them.
             req.seq = self._next_seq()
         priority = self.priorities[index]
         self._window_arrivals[priority] += 1
         if priority in self.shed:
-            reason = "brownout"
-        else:
-            if self._bucket_rate is None:
-                return True
-            tokens = min(
-                self._bucket_burst,
-                self._tokens[index]
-                + (now - self._bucket_mark[index]) * self._bucket_rate,
-            )
-            self._bucket_mark[index] = now
-            if tokens >= 1.0:
-                self._tokens[index] = tokens - 1.0
-                return True
-            self._tokens[index] = tokens
-            reason = "admission"
-        self._reject(index, None, req, now, reason)
-        return False
+            return "brownout"
+        if self._bucket_rate is None:
+            return None
+        tokens = min(
+            self._bucket_burst,
+            self._tokens[index]
+            + (now - self._bucket_mark[index]) * self._bucket_rate,
+        )
+        self._bucket_mark[index] = now
+        if tokens >= 1.0:
+            self._tokens[index] = tokens - 1.0
+            return None
+        self._tokens[index] = tokens
+        return "admission"
 
-    def refuse(
-        self, index: int, state: TenantState, replica: int, req: Request,
-        now: float,
-    ) -> bool:
-        """Queue-deadline admission: True when the estimated queue wait,
-        ``(queued + 1) * epoch``, already exceeds the tenant's deadline
-        (the client may retry; the host books it on that board)."""
+    def refuse(self, index: int, state: OverloadTenantState) -> bool:
+        """Queue-deadline admission: True when the estimated queue wait
+        on ``state``'s board, ``(queued + 1) * epoch``, already exceeds
+        the tenant's deadline."""
         deadline = self.deadline_cycles[index]
-        if (
-            not self._deadline_admission
-            or deadline is None
-            or (len(state.queue) + 1) * state.epoch <= deadline
-        ):
-            return False
-        self._reject(index, replica, req, now, "deadline")
-        return True
-
-    def _reject(
-        self, index: int, replica: Optional[int], req: Request, now: float,
-        reason: str,
-    ) -> None:
-        name = self.tenants[index].name
-        if self.tracer is not None:
-            self.tracer.request_rejected(name, replica, now, reason=reason)
-        if self.recorder is not None:
-            self.recorder.count(f"rejected/{name}", now)
-        self._schedule_retry(index, req, now, reason=reason)
+        return (
+            self._deadline_admission
+            and deadline is not None
+            and (len(state.queue) + 1) * state.epoch > deadline
+        )
 
     # --------------------------------------------------------------- retries
-    def client_retry(self, index: int, req: Request, *, reason: str) -> None:
-        """Host hook: the client observed a failure (unroutable, dropped,
-        evacuation loss, killed in-flight work) and schedules a retry
-        under the policy."""
-        self._schedule_retry(index, req, self._now(), reason=reason)
-
-    def _schedule_retry(
-        self, index: int, req: Request, now: float, *, reason: str
-    ) -> None:
+    def retry(self, index: int, req: Request, now: float) -> Optional[Request]:
+        """The client's next attempt after ``req`` ended without a reply
+        (rejected, dropped, expired, lost, timed out, errored), due at
+        its ``arrival``; ``None`` when the policy gives up or the
+        backoff ends past the run window."""
         policy = self.spec.retry
         if policy is None:
-            return
+            return None
         if policy.max_attempts and req.attempt >= policy.max_attempts:
-            return
+            return None
         rng = self._retry_rngs[index]
         base = self._ms(policy.base_ms) or 1.0
         cap = self._ms(policy.effective_cap_ms) or base
@@ -615,30 +573,16 @@ class OverloadController:
                 delay = rng.uniform(0.0, delay)
         when = now + delay
         if when > self.horizon:
-            return  # the client's patience ends with the run window
-        retry = Request(
-            when, req.attempt + 1, backoff_cycles=delay,
-            seq=self._next_seq(),
+            return None  # the client's patience ends with the run window
+        return Request(
+            when, req.attempt + 1, backoff_cycles=delay, seq=self._next_seq()
         )
-        name = self.tenants[index].name
-        if self.tracer is not None:
-            self.tracer.request_retry(
-                name, now, attempt=retry.attempt, delay_cycles=delay,
-                reason=reason,
-            )
-        if self.recorder is not None:
-            self.recorder.count(f"retries/{name}", now)
-        self.pending_deliveries += 1
-        self._schedule_at(when, self._fire_retry, index, retry)
 
-    def _fire_retry(self, index: int, retry: Request) -> None:
-        self.pending_deliveries -= 1
-        self._deliver(index, retry)
-
-    def hedge(self, index: int, req: Request, now: float) -> None:
-        """Arm the hedge of a request that was just queued: a duplicate
-        attempt lands after ``hedge_ms`` unless the original has been
-        dispatched or shed by then (at most one hedge per request)."""
+    def hedge(self, req: Request, now: float) -> Optional[float]:
+        """When to hedge a request that was just queued: a duplicate
+        attempt lands then unless the original has been dispatched or
+        shed by that time (at most one hedge per request).  ``None``
+        when hedging is off, already armed, or past the run window."""
         policy = self.spec.retry
         if (
             policy is None
@@ -646,81 +590,47 @@ class OverloadController:
             or req.hedge
             or req.hedged
         ):
-            return
+            return None
         req.hedged = True
         when = now + (self._ms(policy.hedge_ms) or 0.0)
-        if when > self.horizon:
-            return
-        self.pending_deliveries += 1
-        self._schedule_at(when, self._fire_hedge, index, req)
-
-    def _fire_hedge(self, index: int, req: Request) -> None:
-        self.pending_deliveries -= 1
-        if req.done:
-            return  # original dispatched or shed; hedge moot
-        now = self._now()
-        name = self.tenants[index].name
-        hedge = Request(now, req.attempt, hedge=True, seq=self._next_seq())
-        if self.tracer is not None:
-            self.tracer.request_hedged(name, now)
-        if self.recorder is not None:
-            self.recorder.count(f"hedges/{name}", now)
-        self._deliver(index, hedge)
-
-    # -------------------------------------------------------------- dispatch
-    def dispatch(
-        self, index: int, state: OverloadTenantState, replica: Optional[int]
-    ) -> Optional[Request]:
-        """Epoch-boundary admission under the queue discipline.
-
-        Pops expired entries (retrying them) until a live head is
-        admitted into the pipeline or the queue runs dry — expired work
-        never burns the epoch's admission slot.
-        """
-        now = self._now()
-        name = self.tenants[index].name
-        while True:
-            popped = state.pop_next(now)
-            if popped is None:
-                return None
-            outcome, req = popped
-            if outcome == "ok":
-                return req
-            if self.tracer is not None:
-                self.tracer.request_expired(name, replica, now)
-            if self.recorder is not None:
-                self.recorder.count(f"expired/{name}", now)
-            self._schedule_retry(index, req, now, reason="expired")
+        return None if when > self.horizon else when
 
     # -------------------------------------------------------------- complete
-    def complete(
-        self, index: int, state: OverloadTenantState, req: Request
-    ) -> None:
-        now = self._now()
-        state.on_completion(req, now)
+    def completed(self, index: int, req: Request, now: float) -> bool:
+        """Book one completion on the goodput grid (and the brownout
+        window); True when it missed the tenant's deadline."""
         priority = self.priorities[index]
         latency = now - req.arrival
         deadline = self.deadline_cycles[index]
-        if deadline is not None and latency > deadline:
-            state.late += 1
-            if self.recorder is not None:
-                self.recorder.count(f"late/{self.tenants[index].name}", now)
-        else:
+        late = deadline is not None and latency > deadline
+        if not late:
             self._good[priority][self._window_of(now)] += 1
         if (
             self.spec.brownout is not None
             and priority == self.priority_levels[-1]
         ):
             self._window_latencies.append(latency)
+        return late
 
     # -------------------------------------------------------------- brownout
-    def _brownout_step(self, window_index: int) -> None:
-        """One controller step at a window boundary (windows 1-based)."""
+    def step_times(self) -> List[float]:
+        """When the host calls :meth:`step`: every window boundary, when
+        brownout has a class below the top one to shed."""
+        if self.spec.brownout is None or len(self.priority_levels) < 2:
+            return []
+        return [
+            min(index * self.window_cycles, self.horizon)
+            for index in range(1, self.num_windows + 1)
+        ]
+
+    def step(self, window_index: int) -> Optional[str]:
+        """One brownout step at a window boundary (windows 1-based):
+        ``"shed"`` or ``"restore"`` when the shed level moved."""
         from .metrics import percentile
 
         brownout = self.spec.brownout
         assert brownout is not None
-        slo = self._brownout_slo_cycles or 1.0
+        slo = self._ms(brownout.p99_ms) or 1.0
         protected = self.priority_levels[-1]
         samples = self._window_latencies
         if samples:
@@ -731,10 +641,14 @@ class OverloadController:
             breach = self._window_arrivals[protected] > 0
             recovered = not breach
         ceiling = len(self.priority_levels) - 1  # never shed the top class
+        action = None
         if breach and self.shed_level < ceiling:
-            self._step_shed(+1, "shed")
+            action, self.shed_level = "shed", self.shed_level + 1
         elif recovered and self.shed_level > 0:
-            self._step_shed(-1, "restore")
+            action, self.shed_level = "restore", self.shed_level - 1
+        if action is not None:
+            self.shed = frozenset(self.priority_levels[: self.shed_level])
+            self.brownout_steps += 1
         # Stamp the level onto the *next* window's flags (it governs
         # admission from this boundary until the next step).
         if window_index < self.num_windows:
@@ -743,19 +657,7 @@ class OverloadController:
         self._window_latencies = []
         for level in self.priority_levels:
             self._window_arrivals[level] = 0
-
-    def _step_shed(self, delta: int, action: str) -> None:
-        self.shed_level += delta
-        self.shed = frozenset(self.priority_levels[: self.shed_level])
-        self.brownout_steps += 1
-        if self.tracer is not None:
-            self.tracer.brownout_step(
-                self._now(),
-                action=action,
-                shed=[int(p) for p in sorted(self.shed)],
-            )
-        if self.recorder is not None:
-            self.recorder.count("brownout_steps", self._now())
+        return action
 
     # ---------------------------------------------------------------- report
     def report(self, tenants: Sequence["TenantStats"]) -> OverloadReport:

@@ -165,9 +165,9 @@ class Request:
     """One attempt of one logical request, as it moves through a queue.
 
     Every tenant queue holds these, in every run.  Mutable on purpose:
-    ``done`` flips when the attempt leaves the queue (dispatched under a
-    discipline, dropped, evicted, expired, or given up), which is what
-    cancels a pending hedge.  ``seq`` (creation order, stamped by the
+    ``done`` flips when the attempt leaves the queue (dispatched,
+    dropped, evicted, expired, or given up), which is what cancels a
+    pending hedge.  ``seq`` (creation order, stamped by the
     overload controller; 0 when unstamped), ``attempt``,
     ``hedge``/``hedged`` and ``backoff_cycles`` are the overload
     layer's discipline and client-retry state
@@ -204,10 +204,11 @@ class TenantState:
     The queue is a bounded FIFO of :class:`Request`: arrivals and
     requeues join the tail, :meth:`admit` takes the head.  The overload
     layer's :class:`~repro.serve.overload.OverloadTenantState` swaps in
-    a queue discipline by overriding :meth:`_insert`; the lifecycle and
-    every counter live here, so one :meth:`stats` serves both.  The
-    cluster keeps one more per tenant as its *front door*, booking the
-    attempts that reach no board queue (unroutable, gate-rejected).
+    a queue discipline by overriding :meth:`_insert` and sheds expired
+    heads before each admission; the lifecycle and every counter live
+    here, so one :meth:`stats` serves both.  The cluster keeps one more
+    per tenant as its *front door*, booking the attempts that reach no
+    board queue (unroutable, gate-rejected).
     """
 
     def __init__(
@@ -321,7 +322,9 @@ class TenantState:
             return None
         self._touch(now)
         self.pipeline += 1
-        return self.queue.popleft()
+        req = self.queue.popleft()
+        req.done = True
+        return req
 
     def on_completion(self, req: Request, now: float) -> None:
         self.pipeline -= 1

@@ -259,7 +259,8 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("argv, message", [
         (["dse", "rank", "--rate", "-5"],
-         "repro dse rank: error: arrival rate must be positive"),
+         "repro dse rank: error: arrival rate must be positive, "
+         "got -5 req/s"),
         (["dse", "cost", "--max-replicas", "0"],
          "repro dse cost: error: max_replicas must be at least 1"),
         (["dse", "resilience", "--replicas", "0"],
@@ -281,3 +282,15 @@ class TestErrorBoundary:
             f"repro serve: error: [Errno 2] No such file or directory: "
             f"{missing!r}"
         )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["serve", "--rate", "-5"],
+         "repro serve: error: arrival rate must be positive, got -5 req/s"),
+        (["dse", "sweep", "--budgets", "12x", "--store", "unused.jsonl"],
+         "repro dse sweep: error: bad synthetic budget '12x'; expected "
+         "DSP:BRAM, e.g. 1000:800"),
+    ], ids=["serve-rate", "sweep-budget"])
+    def test_input_errors(self, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert str(excinfo.value) == message

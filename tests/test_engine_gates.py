@@ -11,6 +11,7 @@ fast lane).
 """
 
 import dataclasses
+import statistics
 import time
 
 import pytest
@@ -41,6 +42,8 @@ REPLICAS = 4
 SPEEDUP_FLOOR = 10.0
 #: Telemetry plus tracing may not quadruple event-loop time.
 OBS_OVERHEAD_CEILING = 4.0
+#: Alternating bare/observed timing pairs behind the obs gate's median.
+OBS_PAIRS = 9
 #: A failure drill may not double the plain run's time.
 SCENARIO_OVERHEAD_CEILING = 2.0
 RETENTION_FLOOR = 0.9
@@ -206,22 +209,37 @@ def _scalars(result):
 
 
 def test_obs_overhead(device):
-    def run(obs=None):
-        return _saturated_serve(device, engine="event", obs=obs)
+    def bare():
+        return _saturated_serve(device, engine="event")
 
-    bare_s, bare = _timed(run, runs=3)
-    _, telem = _timed(lambda: run(ObsSpec(timeseries=True)), runs=3)
-    full_s, full = _timed(
-        lambda: run(ObsSpec(timeseries=True, trace=TraceRecorder())), runs=3
-    )
+    def observed():
+        return _saturated_serve(
+            device, engine="event",
+            obs=ObsSpec(timeseries=True, trace=TraceRecorder()),
+        )
 
-    assert _scalars(telem) == _scalars(bare), "telemetry changed the run"
-    assert _scalars(full) == _scalars(bare), "tracing changed the run"
+    # Untimed first calls double as warm-up.
+    plain = bare()
+    telem = _saturated_serve(device, engine="event", obs=ObsSpec(timeseries=True))
+    assert _scalars(telem) == _scalars(plain), "telemetry changed the run"
+    assert _scalars(observed()) == _scalars(plain), "tracing changed the run"
     assert telem.timeseries is not None and len(telem.timeseries.times) > 0
-    overhead = full_s / bare_s
+
+    # Pairs alternate which side runs first, and the gate reads the
+    # median of their ratios: a slow spell on a shared host then slows
+    # both sides of one pair instead of one side of the comparison.
+    ratios = []
+    for pair in range(OBS_PAIRS):
+        if pair % 2:
+            full_s, bare_s = _timed(observed)[0], _timed(bare)[0]
+        else:
+            bare_s, full_s = _timed(bare)[0], _timed(observed)[0]
+        ratios.append(full_s / bare_s)
+    overhead = statistics.median(ratios)
     assert overhead < OBS_OVERHEAD_CEILING, (
         f"observability costs {overhead:.2f}x "
-        f"(ceiling {OBS_OVERHEAD_CEILING:.0f}x)"
+        f"(ceiling {OBS_OVERHEAD_CEILING:.0f}x; pair ratios "
+        f"{', '.join(f'{r:.2f}' for r in ratios)})"
     )
 
 

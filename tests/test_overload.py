@@ -30,10 +30,15 @@ The load-bearing guarantees, in test order:
   pre-overload records (pruned keys), active records round-trip
   through JSON, and the new SLO clauses (de)serialize tolerantly;
 * reporting: rejected/expired columns appear only when non-zero, and
-  ``repro report`` renders the checked-in overload run.
+  ``repro report`` renders the checked-in overload run;
+* **observed pin**: observed fleet runs with every overload feature,
+  gray failures or chaos, a probe detector and request timeouts
+  reproduce their pinned record (time series included) and Chrome
+  trace bit for bit.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -57,10 +62,12 @@ from repro.core.serialize import (
 )
 from repro.fleet import DeviceSpec, simulate_fleet
 from repro.fleet.detector import DetectorSpec
+from repro.obs import ObsSpec, TraceRecorder
 from repro.opt.joint import JointDesign, combine_networks
 from repro.scenario import RackFailure, ScenarioSpec, get_scenario
 from repro.scenario.library import SCENARIO_NAMES, scenario_from_dict, scenario_to_dict
 from repro.serve import SLOSpec, TenantSpec, evaluate_slo, make_arrival_process
+from repro.serve.arrivals import PoissonArrivals
 from repro.serve.overload import (
     BACKOFF_MODES,
     JITTER_MODES,
@@ -77,6 +84,7 @@ from repro.serve.simulator import Request, TenantState, simulate_traffic
 from repro.sim.fastpath import resolve_engine
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+OBSERVED_PIN_PATH = os.path.join(DATA_DIR, "observed_overload_runs.json")
 
 FAST = settings(
     max_examples=15,
@@ -869,3 +877,91 @@ class TestCLI:
         parser = self._parse(["fleet", "simulate",
                               "--scenario", "retry-storm"])
         assert parser.scenario == "retry-storm"
+
+
+# ------------------------------------------------------------ observed pin
+def _observed_runs(toy_joint):
+    """Case id -> zero-argument observed run on three ``toy_joint``
+    boards: two priority classes at 4 requests per epoch each (above
+    the fleet's 3), a token bucket, retries with hedging, brownout,
+    request deadlines, a probe detector with request timeouts, and
+    either discipline with deadline admission on or off."""
+    epoch, epoch_ms = toy_joint.epoch_cycles, _epoch_ms(toy_joint)
+    tenants = [
+        TenantSpec(network.name, PoissonArrivals(4.0 / epoch), priority=p)
+        for network, p in zip(toy_joint.networks, (1, 0))
+    ]
+
+    def run(queue_policy, scenario, deadline_admission, drain=False):
+        overload = OverloadSpec(
+            queue_policy=queue_policy,
+            admission=AdmissionPolicy(
+                rate_rps=3.5e3 / epoch_ms, burst=4.0,
+                deadline_admission=deadline_admission,
+            ),
+            retry=RetryPolicy(
+                max_attempts=3, base_ms=epoch_ms, hedge_ms=2 * epoch_ms
+            ),
+            brownout=BrownoutPolicy(p99_ms=6 * epoch_ms, window_ms=20 * epoch_ms),
+            deadline_ms=3 * epoch_ms,
+        )
+
+        def observed():
+            trace = TraceRecorder()
+            result = simulate_fleet(
+                DeviceSpec(toy_joint).replicated(3), tenants,
+                duration_cycles=300 * epoch, queue_depth=6, drain=drain,
+                scenario=scenario, overload=overload,
+                detector=DetectorSpec(
+                    mode="probe", request_timeout_ms=4 * epoch_ms
+                ),
+                obs=ObsSpec(timeseries=True, trace=trace),
+            )
+            chrome = json.dumps(trace.to_chrome(), sort_keys=True)
+            return {
+                "record": fleet_result_to_dict(result),
+                "trace_sha256": hashlib.sha256(chrome.encode()).hexdigest(),
+            }
+
+        return observed
+
+    return {
+        "edf-admission-gray-failure": run("edf", "gray-failure", True),
+        "priority-chaos": run("priority", "chaos", False),
+        "edf-admission-drained": run("edf", None, True, drain=True),
+    }
+
+
+class TestObservedPin:
+    """Observed overload runs against ``observed_overload_runs.json``.
+
+    The file is read-only: regenerate it by hand from
+    :func:`_observed_runs` only for an intended behaviour change.
+    """
+
+    def test_runs_match_pin(self, toy_joint):
+        runs = {name: run() for name, run in _observed_runs(toy_joint).items()}
+        with open(OBSERVED_PIN_PATH) as handle:
+            pinned = json.load(handle)
+        assert sorted(pinned) == sorted(runs)
+        for name, observed in runs.items():
+            # Compare through JSON text so float reprs must match exactly.
+            assert json.dumps(observed, sort_keys=True) == json.dumps(
+                pinned[name], sort_keys=True
+            ), name
+
+    def test_pin_exercises_every_overload_path(self):
+        """Guard against a vacuous pin: every overload and detector
+        outcome the run observes is non-zero in some pinned run."""
+        with open(OBSERVED_PIN_PATH) as handle:
+            pinned = json.load(handle)
+        totals = dict.fromkeys(
+            ("rejected/", "retries/", "hedges/", "expired/", "late/",
+             "timeouts/", "failovers/", "errors/", "brownout_steps"), 0
+        )
+        for observed in pinned.values():
+            for name, values in observed["record"]["timeseries"]["series"].items():
+                for prefix in totals:
+                    if name.startswith(prefix):
+                        totals[prefix] += sum(v or 0 for v in values)
+        assert all(totals.values()), totals
