@@ -148,10 +148,6 @@ class CLPConfig:
     def total_transfer_words(self) -> int:
         return sum(t.total_words for t in self.transfers)
 
-    def peak_bandwidth_bytes_per_cycle(self) -> float:
-        """Worst per-layer average transfer rate at full compute speed."""
-        return max(t.average_bytes_per_cycle(self.dtype) for t in self.transfers)
-
     def cycles_under_bandwidth(self, bytes_per_cycle: Optional[float]) -> float:
         return bandwidth_bound_cycles(self.transfers, self.dtype, bytes_per_cycle)
 

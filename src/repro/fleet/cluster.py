@@ -17,9 +17,10 @@ model a lone board is measured with.
 Each :meth:`ClusterSimulator.run` builds one private run-state object,
 ``_FleetRun``: the run's replicas, overlays and ledgers, with one
 method per event kind (arrival, retry or hedge delivery, brownout step,
-boundary, completion, fault, gray window, probe, timeout sweep,
-telemetry sample) and one result builder both engines end in.  Events are scheduled as those methods plus their
-arguments (``sim.schedule_at(when, self.boundary, replica, count)``).
+boundary, completion, fault, gray window, probe, timeout sweep) and
+one result builder both engines end in.  Events are scheduled as those
+methods plus their arguments
+(``sim.schedule_at(when, self.boundary, replica, count)``).
 
 Every run follows one request lifecycle, owned by the run: each
 arrival, retry and hedge is a :class:`~repro.serve.simulator.Request`
@@ -28,11 +29,15 @@ is lost, dropped, rejected, expired, timed out or failed over).
 Overlays answer questions on that lifecycle, not second paths; one
 that is off is ``None``.  When active, an
 :class:`~repro.serve.overload.OverloadController` answers the overload
-questions (gate, retry, hedge, brownout step) and the run schedules,
-books and observes what follows; a
+questions (gate, retry, hedge, brownout step) and the run schedules
+and books what follows; a
 :class:`~repro.fleet.detector.FailureDetector` decides which replicas
 are routable; gray failures set each replica's ``slow_factor``,
 ``error_rate`` and ``link_delay_epochs``, which every dispatch reads.
+Every lifecycle, incident and detector event is reported once, to the
+run's observer (:mod:`repro.obs.observer`), whether or not the run is
+observed: an unobserved run's observer does nothing, and what an
+observed run counts, traces and samples is defined there, not here.
 Scenarios, active overload control, active detectors and observation
 (``obs``) all need the event engine
 (:func:`repro.sim.fastpath.resolve_engine`).
@@ -41,7 +46,6 @@ Scenarios, active overload control, active detectors and observation
 from __future__ import annotations
 
 import random
-from functools import partial
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -58,6 +62,7 @@ import numpy as np
 if TYPE_CHECKING:
     from ..obs.telemetry import ObsSpec
 
+from ..obs.observer import make_observer
 from ..scenario.faults import Degradation, Incident, Outage
 from ..scenario.library import ScenarioSpec, get_scenario
 from ..scenario.resilience import compute_resilience
@@ -422,11 +427,12 @@ class _FleetRun:
     instead schedules the event methods below on one event engine.
     Either way :meth:`result` reduces the run's own fields.
 
-    The run makes every trace and count call, and schedules the
+    The run reports each event to ``observer`` exactly once (see
+    :func:`repro.obs.observer.make_observer`), and schedules the
     retries, hedges and brownout steps the overload controller asks
     for.  An overlay that is off is ``None`` (``controller``, ``fdet``,
-    ``recorder``, ``tracer``, ``request_timeout``, ``samples``) or
-    empty (``outages``, ``degradations``), never a separate code path.
+    ``request_timeout``, ``samples``) or empty (``outages``,
+    ``degradations``), never a separate code path.
     """
 
     def __init__(
@@ -459,13 +465,12 @@ class _FleetRun:
             spec.deadline_ms is not None for spec in tenants
         ):
             ospec = overload if overload is not None else OverloadSpec()
-        obs_active = obs is not None and obs.active
         self.engine = resolve_engine(
             engine,
             has_scenario=scenario is not None,
             has_overload=ospec is not None,
             has_detector=detector is not None and detector.active,
-            has_obs=obs_active,
+            has_obs=obs is not None and obs.active,
         )
         self.cluster = cluster
         self.tenants = tenants
@@ -492,13 +497,8 @@ class _FleetRun:
         self.balancer = cluster._make_balancer()
         self.balancer.bind(self.replicas, random.Random(f"{seed}/balancer"))
 
-        self.recorder = obs.make_recorder(self.horizon) if obs_active else None
-        self.tracer = obs.trace if obs_active else None
-        self.sim = Simulator(
-            on_event=partial(self.recorder.count, "engine_events")
-            if self.recorder is not None
-            else None
-        )
+        self.observer = make_observer(obs, self.horizon)
+        self.sim = Simulator(on_event=self.observer.on_event)
         #: One open/closed flag per tenant *stream* (shared by replicas).
         self.stream_open = [True] * len(tenants)
         self._materialize(scenario)
@@ -656,8 +656,7 @@ class _FleetRun:
             door = self.doors[name]
             door.book_arrival(req)
             door.lost += 1
-            if self.tracer is not None:
-                self.tracer.request_unroutable(name, self.sim.now)
+            self.observer.unroutable(name, self.sim.now)
             return None
         choice = self.balancer.route(name, targets, self.sim.now)
         return (self.replicas[choice].states[name], choice)
@@ -704,11 +703,9 @@ class _FleetRun:
             self.reject(state, choice, req, "deadline")
             return
         victim = state.push(req, now)
-        if self.tracer is not None:
-            self.tracer.request_arrived(
-                name, choice, now,
-                dropped=victim is not None, policy=state.policy,
-            )
+        self.observer.arrived(
+            name, choice, now, victim is not None, state.policy
+        )
         if victim is not None:
             self.give_up(name, victim, "dropped")
         if controller is not None and victim is not req:
@@ -726,10 +723,7 @@ class _FleetRun:
         then let the client retry."""
         name, now = state.spec.name, self.sim.now
         state.rejected += 1
-        if self.tracer is not None:
-            self.tracer.request_rejected(name, replica, now, reason=reason)
-        if self.recorder is not None:
-            self.recorder.count(f"rejected/{name}", now)
+        self.observer.rejected(name, replica, now, reason)
         self.give_up(name, req, reason)
 
     def give_up(self, name: str, req: Request, reason: str) -> None:
@@ -744,13 +738,9 @@ class _FleetRun:
         retry = controller.retry(index, req, now)
         if retry is None:
             return
-        if self.tracer is not None:
-            self.tracer.request_retry(
-                name, now, attempt=retry.attempt,
-                delay_cycles=retry.backoff_cycles, reason=reason,
-            )
-        if self.recorder is not None:
-            self.recorder.count(f"retries/{name}", now)
+        self.observer.retried(
+            name, now, retry.attempt, retry.backoff_cycles, reason
+        )
         self.pending_deliveries += 1
         self.sim.schedule_at(retry.arrival, self.deliver, index, retry)
 
@@ -766,10 +756,7 @@ class _FleetRun:
             self.pending_deliveries -= 1
             return
         name, now = self.names[index], self.sim.now
-        if self.tracer is not None:
-            self.tracer.request_hedged(name, now)
-        if self.recorder is not None:
-            self.recorder.count(f"hedges/{name}", now)
+        self.observer.hedged(name, now)
         self.deliver(index, Request(now, req.attempt, hedge=True))
 
     def brownout(self, window: int) -> None:
@@ -777,26 +764,18 @@ class _FleetRun:
         action = self.controller.step(window)
         if action is None:
             return
-        now = self.sim.now
-        if self.tracer is not None:
-            self.tracer.brownout_step(
-                now, action=action,
-                shed=[int(p) for p in sorted(self.controller.shed)],
-            )
-        if self.recorder is not None:
-            self.recorder.count("brownout_steps", now)
+        self.observer.brownout(self.sim.now, action, self.controller.shed)
 
     # ------------------------------------------------------------- faults
     def fail(self, replica: Replica) -> None:
         replica.down_depth += 1
         if replica.down_depth > 1:
             return  # already down (overlapping outage windows)
-        now, tracer = self.sim.now, self.tracer
+        now, observer = self.sim.now, self.observer
         self.health_version += 1
         if self.fdet is not None:
             self.fdet.note_onset(replica.index, now)
-        if tracer is not None:
-            tracer.incident_begin(replica.label, now)
+        observer.fault_begin(replica.label, now)
         # Work in the pipeline dies with the board; a new generation
         # turns its already-scheduled completion events into no-ops.
         replica.generation += 1
@@ -811,8 +790,7 @@ class _FleetRun:
             state.lost += state.pipeline
             state.pipeline = 0
             name = state.spec.name
-            if tracer is not None:
-                tracer.pipeline_killed(name, replica.index, now)
+            observer.killed(name, replica.index, now)
             evacuated = list(state.queue)
             if not evacuated:
                 continue
@@ -826,22 +804,15 @@ class _FleetRun:
                 )
                 if not rescue:
                     state.lost += 1
-                    if tracer is not None:
-                        tracer.request_evacuated(
-                            name, replica.index, now, outcome="lost"
-                        )
+                    observer.evacuated(name, replica.index, now, "lost", None)
                     self.give_up(name, req, "lost")
                     continue
                 choice = self.balancer.route(name, rescue, now)
                 victim = self.replicas[choice].states[name].requeue(req, now)
-                if tracer is not None:
-                    tracer.request_evacuated(
-                        name, replica.index, now,
-                        outcome=(
-                            "dropped" if victim is not None else "requeued"
-                        ),
-                        target=choice,
-                    )
+                observer.evacuated(
+                    name, replica.index, now,
+                    "dropped" if victim is not None else "requeued", choice,
+                )
                 if victim is not None:
                     self.give_up(name, victim, "dropped")
 
@@ -851,8 +822,7 @@ class _FleetRun:
             self.health_version += 1
             if self.fdet is not None and not replica.degraded:
                 self.fdet.note_clear(replica.index, self.sim.now)
-            if self.tracer is not None:
-                self.tracer.incident_end(replica.label, self.sim.now)
+            self.observer.fault_end(replica.label, self.sim.now)
 
     # ------------------------------------------------------- gray failures
     # Degradations never kill in-flight work: the board keeps serving,
@@ -865,11 +835,9 @@ class _FleetRun:
         self.health_version += 1
         if self.fdet is not None and not was_bad:
             self.fdet.note_onset(replica.index, self.sim.now)
-        if self.tracer is not None:
-            self.tracer.degradation_begin(
-                replica.label, self.sim.now, mode=deg.mode,
-                severity=deg.severity,
-            )
+        self.observer.gray_begin(
+            replica.label, self.sim.now, deg.mode, deg.severity
+        )
 
     def undegrade(self, replica: Replica, deg: Degradation) -> None:
         replica.gray_end(deg.mode, deg.severity)
@@ -880,10 +848,7 @@ class _FleetRun:
             and not replica.degraded
         ):
             self.fdet.note_clear(replica.index, self.sim.now)
-        if self.tracer is not None:
-            self.tracer.degradation_end(
-                replica.label, self.sim.now, mode=deg.mode
-            )
+        self.observer.gray_end(replica.label, self.sim.now, deg.mode)
 
     # ----------------------------------------------------------- detector
     # Probes are out-of-band (they consume no replica capacity): a probe
@@ -892,7 +857,7 @@ class _FleetRun:
     # fails the probe with its error probability (its own substream —
     # probe draws never perturb request draws).
     def probe_all(self, k: int) -> None:
-        fdet, now, tracer = self.fdet, self.sim.now, self.tracer
+        fdet, now = self.fdet, self.sim.now
         for replica in self.replicas:
             ok = replica.healthy
             if ok and (
@@ -905,11 +870,10 @@ class _FleetRun:
             if ok and replica.error_rate > 0.0:
                 ok = self.probe_rng.random() >= replica.error_rate
             event = fdet.record_probe(replica.index, now, ok)
-            if event is not None and tracer is not None:
-                if event == "ejected":
-                    tracer.replica_ejected(replica.label, now, reason="probes")
-                else:
-                    tracer.replica_readmitted(replica.label, now)
+            if event == "ejected":
+                self.observer.ejected(replica.label, now, "probes")
+            elif event is not None:
+                self.observer.readmitted(replica.label, now)
         upcoming = (k + 1) * fdet.probe_interval
         if upcoming <= self.horizon:
             self.sim.schedule_at(upcoming, self.probe_all, k + 1)
@@ -917,10 +881,7 @@ class _FleetRun:
     def outliers(self, k: int) -> None:
         now = self.sim.now
         for index, reason in self.fdet.evaluate_outliers(now):
-            if self.tracer is not None:
-                self.tracer.replica_ejected(
-                    self.replicas[index].label, now, reason=reason
-                )
+            self.observer.ejected(self.replicas[index].label, now, reason)
         upcoming = (k + 1) * self.fdet.ejection_window
         if upcoming <= self.horizon:
             self.sim.schedule_at(upcoming, self.outliers, k + 1)
@@ -969,10 +930,7 @@ class _FleetRun:
         if self.failover(replica, state, req):
             return
         self.doors[name].timed_out += 1
-        if self.recorder is not None:
-            self.recorder.count(f"timeouts/{name}", self.sim.now)
-        if self.tracer is not None:
-            self.tracer.request_timeout(name, replica.index, self.sim.now)
+        self.observer.timed_out(name, replica.index, self.sim.now)
         self.give_up(name, req, "timeout")
 
     def failover(
@@ -1006,12 +964,7 @@ class _FleetRun:
         victim = self.replicas[choice].states[name].requeue(req, now)
         if victim is not None:
             self.give_up(name, victim, "dropped")
-        if self.recorder is not None:
-            self.recorder.count(f"failovers/{name}", now)
-        if self.tracer is not None:
-            self.tracer.request_failover(
-                name, replica.index, now, target=choice, phase=phase
-            )
+        self.observer.failed_over(name, replica.index, now, choice, phase)
         return True
 
     def flaky_error(
@@ -1021,14 +974,12 @@ class _FleetRun:
         name = state.spec.name
         if self.fdet is not None:
             self.fdet.record_error(replica.index)
-        if self.recorder is not None:
-            self.recorder.count(f"errors/{name}", self.sim.now)
+        self.observer.flaky_error(name, self.sim.now)
         if self.failover(replica, state, req, phase="pipeline"):
             return
         # Terminal: the error response is the final word.
         state.lost += 1
-        if self.tracer is not None:
-            self.tracer.request_errored(name, replica.index, self.sim.now)
+        self.observer.errored(name, replica.index, self.sim.now)
         self.give_up(name, req, "error")
 
     # ---------------------------------------------------- board dispatch
@@ -1053,18 +1004,16 @@ class _FleetRun:
         name, now = state.spec.name, self.sim.now
         state.on_completion(req, now)
         controller, fdet = self.controller, self.fdet
-        if controller is not None and controller.completed(
+        late = controller is not None and controller.completed(
             self.tenant_index[name], req, now
-        ):
+        )
+        if late:
             state.late += 1
-            if self.recorder is not None:
-                self.recorder.count(f"late/{name}", now)
         if fdet is not None:
             fdet.record_success(replica.index, now - req.arrival)
         if self.failover_state:
             self.failover_state.pop(req, None)
-        if self.tracer is not None:
-            self.tracer.request_completed(name, replica.index, now, req.arrival)
+        self.observer.completed(name, replica.index, now, req.arrival, late)
         if self.samples is not None:
             self.samples.append((now, now - req.arrival))
 
@@ -1087,7 +1036,7 @@ class _FleetRun:
                 replica.slow_next += slow
         sim = self.sim
         if dispatching:
-            now, controller, tracer = sim.now, self.controller, self.tracer
+            now, controller, observer = sim.now, self.controller, self.observer
             delay = replica.link_delay_epochs * epoch
             flaky = replica.error_rate
             for state in replica.states.values():
@@ -1097,10 +1046,9 @@ class _FleetRun:
                 if req is None:
                     continue
                 errored = flaky > 0.0 and self.flaky_rng.random() < flaky
-                if tracer is not None:
-                    tracer.request_dispatched(
-                        state.spec.name, replica.index, now, req.arrival
-                    )
+                observer.dispatched(
+                    state.spec.name, replica.index, now, req.arrival
+                )
                 for clp_index, cycles in enumerate(state.clp_cycles):
                     replica.clp_busy[clp_index] += cycles
                 sim.schedule(
@@ -1124,10 +1072,7 @@ class _FleetRun:
             req = state.pop_expired(now)
             if req is None:
                 return
-            if self.tracer is not None:
-                self.tracer.request_expired(name, replica.index, now)
-            if self.recorder is not None:
-                self.recorder.count(f"expired/{name}", now)
+            self.observer.expired(name, replica.index, now)
             self.give_up(name, req, "expired")
 
     def _pending(self, replica: Replica) -> bool:
@@ -1143,38 +1088,6 @@ class _FleetRun:
             or self.pending_deliveries > 0
         )
 
-    # ---------------------------------------------------------- telemetry
-    def sample(self, window: int, when: float) -> None:
-        """Read-only telemetry sample at the end of one window."""
-        recorder = self.recorder
-        for sampler in self.samplers:
-            sampler.sample(window, when)
-        recorder.gauge(
-            "healthy_replicas",
-            window,
-            sum(1 for replica in self.replicas if replica.healthy),
-        )
-        if self.fdet is not None:
-            # The detector's view next to the oracle's: the two diverge
-            # exactly during detection lag and false positives — the
-            # gap *is* the gray-failure story.
-            recorder.gauge(
-                "detected_healthy_replicas",
-                window,
-                self.fdet.detected_healthy_count(),
-            )
-        incidents = bool(self.outages or self.degradations)
-        for replica in self.replicas:
-            recorder.gauge(
-                f"outstanding/{replica.label}", window, replica.outstanding
-            )
-            if incidents:
-                recorder.gauge(
-                    f"healthy/{replica.label}",
-                    window,
-                    1.0 if replica.healthy and not replica.degraded else 0.0,
-                )
-
     # --------------------------------------------------------------- run
     def simulate(self) -> float:
         """Schedule every event source, run the engine; the elapsed
@@ -1182,7 +1095,8 @@ class _FleetRun:
         simultaneous events, so it is fixed: brownout steps (scheduled
         when the overload controller is built), arrivals, outages,
         degradations, probes, outlier checks, timeout sweeps,
-        boundaries (the first runs at once), telemetry samples."""
+        boundaries (the first runs at once), then whatever the observer
+        schedules (telemetry samples)."""
         sim, horizon = self.sim, self.horizon
         # Keyed by tenant, not replica: the fleet sees the *same*
         # traffic a lone board would.
@@ -1221,32 +1135,11 @@ class _FleetRun:
             sim.schedule_at(self.request_timeout / 2.0, self.sweep, 1)
         for replica in self.replicas:
             self.boundary(replica, 0)
-        if self.recorder is not None:
-            self._start_telemetry()
+        self.observer.start(self)
         if self.drain:
             return max(sim.run(), horizon)
         sim.run(until=horizon)
         return horizon
-
-    def _start_telemetry(self) -> None:
-        """Build the samplers and schedule them on the shared window
-        grid, last, so they never perturb the run they watch."""
-        from ..obs.telemetry import BusySampler, TenantGroupSampler
-
-        recorder = self.recorder
-        self.samplers = [
-            TenantGroupSampler(
-                recorder,
-                name,
-                self.tenant_states(name),
-            )
-            for name in self.names
-        ] + [
-            BusySampler(recorder, f"util/{replica.label}", replica.clp_busy)
-            for replica in self.replicas
-        ]
-        for window, when in enumerate(recorder.times):
-            self.sim.schedule_at(when, self.sample, window, when)
 
     # ------------------------------------------------------------ result
     def tenant_states(self, name: str) -> List[TenantState]:
@@ -1312,9 +1205,7 @@ class _FleetRun:
             scenario=scenario.name if scenario is not None else None,
             incidents=incidents,
             resilience=resilience,
-            timeseries=(
-                self.recorder.finalize() if self.recorder is not None else None
-            ),
+            timeseries=self.observer.timeseries(),
             overload=overload,
             detector=(
                 detector

@@ -7,18 +7,20 @@ package adds the time dimension back, opt-in and zero-cost when off:
   (counters, gauges, fixed-bucket histograms) sampled on a configurable
   window grid, reduced to an immutable :class:`TimeSeries` carried on
   ``ServeResult``/``FleetResult``.
-- :mod:`repro.obs.trace` — structured span/event emission for the
-  request lifecycle and incident windows, exportable as Chrome
-  ``trace_event`` JSON (load it in ``chrome://tracing`` / Perfetto) or
-  JSONL.
+- :mod:`repro.obs.trace` — request spans and incident windows,
+  exportable as Chrome ``trace_event`` JSON (load it in
+  ``chrome://tracing`` / Perfetto) or JSONL.
+- :mod:`repro.obs.observer` — the one place each fleet event's
+  observation is defined: its per-window count, its span or instant,
+  and the window-end samples.
 
 Both are driven through one :class:`ObsSpec` handed to
 ``ClusterSimulator.run`` (directly, or through ``simulate_traffic``,
-which is a one-board fleet run).  With the default
-``ObsSpec()`` (or ``obs=None``) the simulators schedule no extra events
-and take no extra branches that alter event ordering, so results stay
-bit-identical to pre-observability runs — the differential tests pin
-this.
+which is a one-board fleet run), which reports every lifecycle event to
+the observer :func:`~repro.obs.observer.make_observer` builds from it.
+With the default ``ObsSpec()`` (or ``obs=None``) that observer does
+nothing and schedules no event, so results stay bit-identical to
+pre-observability runs — the differential tests pin this.
 """
 
 from .telemetry import (

@@ -1,14 +1,15 @@
 """Structured span/event tracing for simulation runs.
 
-The recorder mirrors the simulators' FIFO bookkeeping: each admitted
-request opens an async span on arrival, moves from the recorder's
-queued deque to its pipeline deque on dispatch, and closes on
-completion (or on a drop/evacuation/board death).  Because the
-per-(tenant, replica) deques evolve in lockstep with the simulator's
-own queues, span identity never needs to be threaded through the event
-loop — the oldest open span *is* the request being served.
-
-Exports:
+The recorder mirrors the simulators' FIFO bookkeeping: each request
+opens an async span when it reaches a replica's queue, moves from the
+recorder's queued deque to its pipeline deque on dispatch, and closes
+on completion (or on a drop, evacuation, timeout or board death).
+Because the per-(tenant, replica) deques evolve in lockstep with the
+simulator's own queues, span identity never needs to be threaded
+through the event loop: the oldest open span *is* the request being
+served.  A close that finds no open span raises ``LookupError``.  What
+each fleet event emits is defined in
+:class:`repro.obs.observer.TracingObserver`.  Exports:
 
 - Chrome ``trace_event`` JSON (:meth:`TraceRecorder.to_chrome`) —
   async ``b``/``e`` spans per request (async, because a tenant's
@@ -43,15 +44,17 @@ class TraceRecorder:
         #: Raw events: ph/name/cat/ts(cycles)/track/id/args.
         self.events: List[Dict[str, Any]] = []
         self._ids = itertools.count(1)
-        self._queued: Dict[_Key, Deque[int]] = {}
-        self._pipeline: Dict[_Key, Deque[int]] = {}
+        #: Open span ids per key, oldest first, by phase.
+        self._spans: Dict[str, Dict[_Key, Deque[int]]] = {
+            "queue": {}, "pipeline": {}
+        }
         self._tracks: Dict[_Key, str] = {}
 
     def __len__(self) -> int:
         return len(self.events)
 
-    # ------------------------------------------------------------- low level
-    def _track(self, tenant: str, replica: Optional[int]) -> str:
+    def track(self, tenant: str, replica: Optional[int]) -> str:
+        """The track of a tenant on a replica (or at its front door)."""
         # One string per track, shared by all of its events.
         key = (tenant, replica)
         track = self._tracks.get(key)
@@ -60,7 +63,7 @@ class TraceRecorder:
             self._tracks[key] = track
         return track
 
-    def _emit(
+    def emit(
         self,
         ph: str,
         name: str,
@@ -84,269 +87,42 @@ class TraceRecorder:
             event["args"] = args
         self.events.append(event)
 
-    def _open(self, key: _Key, ts: float, args: Dict[str, Any]) -> int:
-        span_id = next(self._ids)
-        self._queued.setdefault(key, deque()).append(span_id)
-        self._emit(
-            "b", "request", ts, self._track(*key), span_id=span_id, args=args
-        )
-        return span_id
-
-    def _close_queued(self, key: _Key, ts: float, args: Dict[str, Any]) -> None:
-        span_id = self._queued[key].popleft()
-        self._emit(
-            "e", "request", ts, self._track(*key), span_id=span_id, args=args
-        )
-
-    # ------------------------------------------------------ request lifecycle
-    def request_arrived(
-        self,
-        tenant: str,
-        replica: Optional[int],
-        now: float,
-        *,
-        dropped: bool = False,
-        policy: str = "drop-tail",
-    ) -> None:
-        """An arrival landed on a replica's queue (or was shed).
-
-        ``dropped`` mirrors the simulator's queue-full outcome: under
-        drop-tail the newcomer never opens a span; under drop-head the
-        *oldest waiter's* span closes and the newcomer opens one.
-        """
-        key = (tenant, replica)
-        if dropped and policy == "drop-tail":
-            self._emit(
-                "i", "drop", now, self._track(*key),
-                cat="queue", args={"policy": policy},
-            )
-            return
-        if dropped:
-            self._close_queued(key, now, {"outcome": "dropped", "policy": policy})
-        self._open(key, now, {"tenant": tenant})
-
-    def request_dispatched(
-        self, tenant: str, replica: Optional[int], now: float, arrival: float
-    ) -> None:
-        """The epoch boundary admitted the queue head into the pipeline."""
-        key = (tenant, replica)
-        span_id = self._queued[key].popleft()
-        self._pipeline.setdefault(key, deque()).append(span_id)
-        self._emit(
-            "i", "dispatch", now, self._track(*key),
-            cat="pipeline", args={"queue_wait_cycles": now - arrival},
-        )
-
-    def request_completed(
-        self, tenant: str, replica: Optional[int], now: float, arrival: float
-    ) -> None:
-        key = (tenant, replica)
-        span_id = self._pipeline[key].popleft()
-        self._emit(
-            "e", "request", now, self._track(*key),
-            span_id=span_id, args={"latency_cycles": now - arrival},
-        )
-
-    def request_unroutable(self, tenant: str, now: float) -> None:
-        """An arrival found no healthy replica anywhere in the fleet."""
-        self._emit(
-            "i", "unroutable", now, self._track(tenant, None),
-            cat="fault",
-        )
-
-    # ------------------------------------------------------ overload control
-    def request_rejected(
-        self,
-        tenant: str,
-        replica: Optional[int],
-        now: float,
-        *,
-        reason: str = "admission",
-    ) -> None:
-        """An arrival was turned away at admission (never queued).
-
-        ``reason`` is ``"admission"`` (token bucket), ``"deadline"``
-        (queue-deadline admission), or ``"brownout"`` (a shed class).
-        """
-        self._emit(
-            "i", "reject", now, self._track(tenant, replica),
-            cat="overload", args={"reason": reason},
-        )
-
-    def request_expired(
-        self, tenant: str, replica: Optional[int], now: float
-    ) -> None:
-        """A queued request's deadline passed; it was shed at dispatch.
-
-        Under non-FIFO disciplines span identity is approximate: the
-        *oldest* open queued span is closed, which is exact for the
-        expiry-prone head-of-line work EDF sheds.
-        """
-        self._close_queued(
-            (tenant, replica), now, {"outcome": "expired"}
-        )
-
-    def request_retry(
-        self,
-        tenant: str,
-        now: float,
-        *,
-        attempt: int,
-        delay_cycles: float,
-        reason: str = "",
-    ) -> None:
-        """A client scheduled a retry attempt after a backoff delay."""
-        args: Dict[str, Any] = {
-            "attempt": attempt, "delay_cycles": delay_cycles,
-        }
-        if reason:
-            args["reason"] = reason
-        self._emit(
-            "i", "retry", now, self._track(tenant, None),
-            cat="overload", args=args,
-        )
-
-    def request_hedged(self, tenant: str, now: float) -> None:
-        """A hedge duplicate fired for a still-queued request."""
-        self._emit(
-            "i", "hedge", now, self._track(tenant, None), cat="overload"
-        )
-
-    def brownout_step(
-        self, now: float, *, action: str, shed: List[int]
-    ) -> None:
-        """The brownout controller shed or restored a priority class."""
-        self._emit(
-            "i", "brownout", now, "brownout",
-            cat="overload", args={"action": action, "shed": shed},
-        )
-
-    # ------------------------------------------------------ failure handling
-    def pipeline_killed(
-        self, tenant: str, replica: Optional[int], now: float
-    ) -> None:
-        """Close every in-flight span on a replica that just died."""
-        key = (tenant, replica)
-        for span_id in self._pipeline.get(key, ()):
-            self._emit(
-                "e", "request", now, self._track(*key),
-                span_id=span_id, args={"outcome": "killed"},
-            )
-        self._pipeline.pop(key, None)
-
-    def request_evacuated(
-        self,
-        tenant: str,
-        replica: Optional[int],
-        now: float,
-        *,
-        outcome: str,
-        target: Optional[int] = None,
-    ) -> None:
-        """Close the oldest queued span on a dead replica.
-
-        ``outcome`` is ``"requeued"`` (a span reopens on ``target``),
-        ``"dropped"`` (the target's queue was full), or ``"lost"``.
-        """
-        key = (tenant, replica)
-        self._close_queued(key, now, {"outcome": outcome, "target": target})
-        if outcome == "requeued":
-            self._open(
-                (tenant, target), now, {"tenant": tenant, "requeued": True}
-            )
-
-    # ------------------------------------------------- timeouts & failover
-    def _close_any(
-        self, key: _Key, now: float, args: Dict[str, Any], *, phase: str
-    ) -> None:
-        """Close the oldest open span in ``phase`` (queue or pipeline).
-
-        Span identity is approximate for mid-queue removals (the
-        timeout sweep reaps by age, not position) — the oldest open
-        span is the closest stand-in, same convention as
-        :meth:`request_expired`.  Defensive: a missing span is skipped
-        rather than corrupting the deque bookkeeping.
-        """
-        book = self._pipeline if phase == "pipeline" else self._queued
-        spans = book.get(key)
+    # ----------------------------------------------------------------- spans
+    def _take(self, key: _Key, phase: str, now: float) -> int:
+        """Pop the oldest open span of ``key`` in ``phase``."""
+        spans = self._spans[phase].get(key)
         if not spans:
-            return
-        span_id = spans.popleft()
-        self._emit(
-            "e", "request", now, self._track(*key),
-            span_id=span_id, args=args,
-        )
+            raise LookupError(
+                f"no open {phase} span for tenant {key[0]!r} on replica "
+                f"{key[1]} at cycle {now}"
+            )
+        return spans.popleft()
 
-    def request_timeout(
-        self, tenant: str, replica: Optional[int], now: float
-    ) -> None:
-        """A queued request outlived its timeout with no failover left."""
-        self._close_any(
-            (tenant, replica), now, {"outcome": "timed_out"}, phase="queue"
-        )
+    def open(self, key: _Key, now: float, args: Dict[str, Any]) -> None:
+        """Open a request span queued on ``key``'s replica."""
+        span_id = next(self._ids)
+        self._spans["queue"].setdefault(key, deque()).append(span_id)
+        self.emit("b", "request", now, self.track(*key), span_id=span_id,
+                  args=args)
 
-    def request_errored(
-        self, tenant: str, replica: Optional[int], now: float
-    ) -> None:
-        """A flaky replica returned an error and the budget was spent."""
-        self._close_any(
-            (tenant, replica), now, {"outcome": "errored"}, phase="pipeline"
-        )
+    def to_pipeline(self, key: _Key, now: float) -> None:
+        """Move the oldest queued span into the pipeline."""
+        span_id = self._take(key, "queue", now)
+        self._spans["pipeline"].setdefault(key, deque()).append(span_id)
 
-    def request_failover(
-        self,
-        tenant: str,
-        replica: Optional[int],
-        now: float,
-        *,
-        target: Optional[int] = None,
-        phase: str = "queue",
-    ) -> None:
-        """A timed-out/errored request re-dispatched to another replica."""
-        self._close_any(
-            (tenant, replica), now,
-            {"outcome": "failed_over", "target": target}, phase=phase,
-        )
-        self._open(
-            (tenant, target), now, {"tenant": tenant, "failover": True}
-        )
+    def close(self, key: _Key, now: float, args: Dict[str, Any],
+              phase: str = "queue") -> None:
+        """Close the oldest open span in ``phase`` (queue or pipeline)."""
+        span_id = self._take(key, phase, now)
+        self.emit("e", "request", now, self.track(*key), span_id=span_id,
+                  args=args)
 
-    # ------------------------------------------------------ failure detection
-    def replica_ejected(
-        self, target: str, now: float, *, reason: str = ""
-    ) -> None:
-        """The failure detector pulled a replica out of routing."""
-        args: Dict[str, Any] = {}
-        if reason:
-            args["reason"] = reason
-        self._emit(
-            "i", "ejected", now, target, cat="detector", args=args or None
-        )
-
-    def replica_readmitted(self, target: str, now: float) -> None:
-        """An ejected replica passed probation and rejoined routing."""
-        self._emit("i", "readmitted", now, target, cat="detector")
-
-    def degradation_begin(
-        self, target: str, now: float, *, mode: str, severity: float
-    ) -> None:
-        """A gray-failure window opened on a replica."""
-        self._emit(
-            "B", "gray", now, target, cat="incident",
-            args={"mode": mode, "severity": severity},
-        )
-
-    def degradation_end(self, target: str, now: float, *, mode: str) -> None:
-        self._emit(
-            "E", "gray", now, target, cat="incident", args={"mode": mode}
-        )
-
-    # -------------------------------------------------------------- incidents
-    def incident_begin(self, target: str, now: float, kind: str = "fault") -> None:
-        self._emit("B", kind, now, target, cat="incident")
-
-    def incident_end(self, target: str, now: float, kind: str = "fault") -> None:
-        self._emit("E", kind, now, target, cat="incident")
+    def close_pipeline(self, key: _Key, now: float,
+                       args: Dict[str, Any]) -> None:
+        """Close every in-flight span (a board died)."""
+        for span_id in self._spans["pipeline"].pop(key, ()):
+            self.emit("e", "request", now, self.track(*key),
+                      span_id=span_id, args=args)
 
     # ------------------------------------------------------------ scale steps
     def scale_step(
@@ -355,7 +131,7 @@ class TraceRecorder:
         args: Dict[str, Any] = {"replicas": replicas, "action": action}
         if reason:
             args["reason"] = reason
-        self._emit("i", "scale", now, "autoscaler", cat="scale", args=args)
+        self.emit("i", "scale", now, "autoscaler", cat="scale", args=args)
 
     # ---------------------------------------------------------------- exports
     def to_chrome(self, frequency_mhz: float = 100.0) -> Dict[str, Any]:

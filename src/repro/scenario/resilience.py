@@ -65,24 +65,6 @@ class ResilienceReport:
     #: detection (which has no lag) or when nothing was detected.
     mean_time_to_detect_cycles: Optional[float] = omit_default(None)
 
-    @property
-    def p99_degradation(self) -> Optional[float]:
-        """In-incident p99 as a multiple of the calm-period p99."""
-        if (
-            self.during.p99_cycles is None
-            or self.outside.p99_cycles is None
-            or self.outside.p99_cycles == 0
-        ):
-            return None
-        return self.during.p99_cycles / self.outside.p99_cycles
-
-    @property
-    def goodput_retention(self) -> Optional[float]:
-        """In-incident goodput as a fraction of calm-period goodput."""
-        if self.outside.goodput_per_cycle == 0:
-            return None
-        return self.during.goodput_per_cycle / self.outside.goodput_per_cycle
-
 
 def _union(intervals: Sequence[Tuple[float, float]]) -> List[Tuple[float, float]]:
     """Merge possibly-overlapping [start, end) intervals."""

@@ -637,9 +637,10 @@ class OverloadController:
             breach = percentile(samples, 99) > slo
             recovered = percentile(samples, 99) < brownout.recover_factor * slo
         else:
-            # No completions: a breach if the protected class even tried.
+            # No completions: a breach if the protected class even
+            # tried; a window it sat out says nothing, so the level holds.
             breach = self._window_arrivals[protected] > 0
-            recovered = not breach
+            recovered = False
         ceiling = len(self.priority_levels) - 1  # never shed the top class
         action = None
         if breach and self.shed_level < ceiling:

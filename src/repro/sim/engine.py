@@ -92,7 +92,3 @@ class Simulator:
                 self._on_event(time)
             callback(*args)
         return self.now
-
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, if any."""
-        return self._queue[0][0] if self._queue else None

@@ -12,6 +12,8 @@ Three invariants matter most:
   duration events properly alternating per track.
 """
 
+import collections
+import hashlib
 import json
 import math
 import os
@@ -27,6 +29,7 @@ from repro.core.serialize import (
     timeseries_to_dict,
 )
 from repro.fleet import DeviceSpec, simulate_fleet
+from repro.fleet.detector import DetectorSpec
 from repro.obs import (
     DEFAULT_WINDOWS,
     MetricsRecorder,
@@ -35,6 +38,12 @@ from repro.obs import (
     TraceRecorder,
 )
 from repro.obs.telemetry import window_grid
+from repro.scenario import (
+    DegradedReplica,
+    FlakyReplica,
+    RackFailure,
+    ScenarioSpec,
+)
 from repro.serve import PoissonArrivals, TenantSpec, simulate_traffic
 from repro.serve.overload import AdmissionPolicy, OverloadSpec
 
@@ -358,6 +367,22 @@ class TestTrace:
             event = json.loads(line)
             assert event["ph"] != "M"  # metadata is chrome-only
 
+    def test_closing_a_missing_span_raises(self):
+        trace = TraceRecorder()
+        trace.open(("toy", 0), 5.0, {"tenant": "toy"})
+        trace.to_pipeline(("toy", 0), 6.0)
+        with pytest.raises(
+            LookupError,
+            match=r"no open queue span for tenant 'toy' on replica 0 at cycle 7",
+        ):
+            trace.close(("toy", 0), 7.0, {"outcome": "expired"})
+        with pytest.raises(LookupError, match=r"pipeline span .* replica 1 "):
+            trace.close(("toy", 1), 8.0, {"outcome": "errored"}, "pipeline")
+        with pytest.raises(LookupError, match=r"queue span .* at cycle 9"):
+            trace.to_pipeline(("toy", 0), 9.0)
+        trace.close(("toy", 0), 10.0, {"latency_cycles": 5.0}, "pipeline")
+        assert [e["ph"] for e in trace.events] == ["b", "e"]
+
     def test_chrome_file_loads(self, fleet_trace, tmp_path):
         trace, _ = fleet_trace
         path = tmp_path / "trace.json"
@@ -417,3 +442,146 @@ class TestSerialization:
         assert result.timeseries is not None
         assert len(result.timeseries.times) == 16
         assert result.scenario == "rolling-reboot"
+
+
+# ------------------------------------------------------- observed-path pin
+
+PATHS_PIN_PATH = os.path.join(DATA_DIR, "observed_paths_runs.json")
+
+#: Trace event kinds (:func:`trace_kind`) the pinned runs must reach:
+#: the lifecycle paths ``observed_overload_runs.json`` never takes.
+PINNED_PATHS = (
+    "e request dropped",  # drop-head evicts the oldest waiter
+    "e request lost evacuated",
+    "e request dropped evacuated",
+    "e request errored",
+    "i unroutable",
+    "i ejected error-rate",
+    "i ejected p99-outlier",
+)
+
+
+def trace_kind(event):
+    """``ph name`` plus the outcome or reason that tells a path apart;
+    closes of evacuated spans (which carry a ``target``) are marked."""
+    args = event.get("args", {})
+    parts = [event["ph"], event["name"]]
+    parts += [str(args[key]) for key in ("outcome", "reason") if key in args]
+    if "target" in args and args.get("outcome") != "failed_over":
+        parts.append("evacuated")
+    return " ".join(parts)
+
+
+def _path_runs(toy_design):
+    """Case id -> ``observe(timeseries, traced)``: one small observed
+    run on ``toy_design`` boards, returning its record, the sha256 of
+    its Chrome trace and the trace's per-kind event counts (``None``
+    for an untraced run)."""
+    epoch = toy_design.epoch_cycles
+    epoch_ms = epoch / 1e5
+
+    def case(replicas, rate, scenario, **kwargs):
+        def observe(timeseries=True, traced=True):
+            trace = TraceRecorder() if traced else None
+            result = simulate_fleet(
+                DeviceSpec(toy_design).replicated(replicas),
+                [TenantSpec("toy", PoissonArrivals(rate / epoch))],
+                duration_cycles=60 * epoch, seed=3, scenario=scenario,
+                obs=ObsSpec(timeseries=timeseries, windows=12, trace=trace),
+                **kwargs,
+            )
+            observed = {"record": fleet_result_to_dict(result)}
+            if trace is not None:
+                chrome = json.dumps(trace.to_chrome(), sort_keys=True)
+                observed["trace_sha256"] = hashlib.sha256(
+                    chrome.encode()
+                ).hexdigest()
+                kinds = collections.Counter(map(trace_kind, trace.events))
+                observed["trace_kinds"] = dict(sorted(kinds.items()))
+            return observed
+
+        return observe
+
+    return {
+        "drop-head-lost-rack": case(
+            2, 4.0,
+            ScenarioSpec(
+                "lost-rack", failure_policy="lost",
+                faults=(RackFailure(fraction=0.5, start=0.4, duration=0.25),),
+            ),
+            queue_depth=3, policy="drop-head",
+        ),
+        "full-requeue-blackout": case(
+            3, 5.0,
+            ScenarioSpec(
+                "rack-then-blackout",
+                faults=(
+                    RackFailure(fraction=0.34, start=0.3, duration=0.2),
+                    RackFailure(fraction=1.0, start=0.7, duration=0.1),
+                ),
+            ),
+            queue_depth=2,
+        ),
+        "flaky-slow-outliers": case(
+            4, 3.5,
+            ScenarioSpec(
+                "flaky-and-slow",
+                faults=(
+                    FlakyReplica(
+                        replica=0, error_rate=0.5, start=0.2, duration=0.6
+                    ),
+                    DegradedReplica(
+                        replica=1, slowdown=3.0, start=0.2, duration=0.6
+                    ),
+                ),
+            ),
+            detector=DetectorSpec(
+                mode="probe", probe_interval_ms=100 * epoch_ms,
+                outlier_error_rate=0.25, outlier_p99_factor=1.5,
+                ejection_window_ms=10 * epoch_ms, min_requests=3,
+                max_failovers=0,
+            ),
+            queue_depth=4,
+        ),
+    }
+
+
+class TestObservedPathsPin:
+    """Observed runs against ``observed_paths_runs.json``.
+
+    Compared as JSON text without sorting keys, so the order in which
+    series first appear in ``timeseries`` is pinned too.  The file is
+    read-only: regenerate it by hand from :func:`_path_runs` only for
+    an intended behaviour change.
+    """
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        with open(PATHS_PIN_PATH) as handle:
+            return json.load(handle)
+
+    def test_runs_match_pin(self, toy_design, pinned):
+        runs = _path_runs(toy_design)
+        assert sorted(pinned) == sorted(runs)
+        for name, observe in runs.items():
+            assert json.dumps(observe()) == json.dumps(pinned[name]), name
+
+    def test_pin_reaches_every_path(self, pinned):
+        """Guard against a vacuous pin."""
+        totals = collections.Counter()
+        for observed in pinned.values():
+            totals.update(observed["trace_kinds"])
+        assert all(totals[kind] for kind in PINNED_PATHS), totals
+
+    def test_trace_only_run_traces_the_same(self, toy_design, pinned):
+        for name, observe in _path_runs(toy_design).items():
+            observed = observe(timeseries=False)
+            assert "timeseries" not in observed["record"]
+            assert observed["trace_sha256"] == pinned[name]["trace_sha256"]
+
+    def test_timeseries_only_run_records_the_same(self, toy_design, pinned):
+        for name, observe in _path_runs(toy_design).items():
+            observed = observe(traced=False)
+            assert json.dumps(observed["record"]) == json.dumps(
+                pinned[name]["record"]
+            ), name

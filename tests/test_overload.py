@@ -74,6 +74,7 @@ from repro.serve.overload import (
     QUEUE_POLICIES,
     AdmissionPolicy,
     BrownoutPolicy,
+    OverloadController,
     OverloadSpec,
     OverloadTenantState,
     RetryPolicy,
@@ -524,6 +525,24 @@ class TestBrownout:
             for priority in shed:
                 lower = [q for q in levels if q < priority]
                 assert all(q in shed for q in lower), (window, shed)
+
+    def test_quiet_window_holds_the_level(self, toy_joint):
+        """A window with no protected completion and no protected
+        arrival says nothing about recovery: the shed level holds
+        instead of flapping back."""
+        epoch = toy_joint.epoch_cycles
+        tenants = [
+            TenantSpec(name, PoissonArrivals(1.0 / epoch), priority=priority)
+            for name, priority in (("cold", 0), ("hot", 1))
+        ]
+        controller = OverloadController(
+            OverloadSpec(brownout=BrownoutPolicy(p99_ms=1.0, window_ms=1.0)),
+            tenants, horizon=4e5, frequency_mhz=100.0, seed=0,
+        )
+        assert controller.admit(1, Request(0.0), 0.0) is None
+        assert controller.step(1) == "shed"  # tried, nothing completed
+        assert controller.step(2) is None
+        assert controller.shed == frozenset({0})
 
     def test_protects_high_priority_goodput(self, toy_joint):
         result = self._run(toy_joint)
