@@ -21,6 +21,14 @@ The classic menu:
   against.
 * ``tenant-affinity`` — pin each tenant to one replica by a stable
   hash, trading balance for per-tenant locality (weight reuse).
+
+Each route is O(1) in the run's queue state: a replica's load is one
+attribute read of the counter the cluster maintains
+(:attr:`ReplicaView.outstanding`), so least-outstanding reads one
+counter per eligible replica and power-of-two reads two.  Power-of-two
+draws its pair inline with two ``getrandbits`` rejection draws, draw
+for draw what ``random.sample(eligible, 2)`` would take, without that
+call's per-call ``Sequence`` check.
 """
 
 from __future__ import annotations
@@ -51,7 +59,10 @@ class ReplicaView:
     beyond this attribute.
     """
 
-    #: Requests queued or in the pipeline on this replica.
+    #: Requests queued or in the pipeline on this replica: a plain
+    #: counter the replica's tenant states keep current as requests
+    #: queue, complete, expire, fail over or die with the board, so
+    #: reading it costs one attribute load.
     outstanding: int
 
 
@@ -80,9 +91,6 @@ class Balancer:
         """Pick a replica index from ``eligible`` for one arrival."""
         raise NotImplementedError
 
-    def _load(self, index: int) -> int:
-        return self._replicas[index].outstanding
-
 
 class RoundRobinBalancer(Balancer):
     """Rotate each tenant over its eligible replicas independently."""
@@ -107,7 +115,10 @@ class LeastOutstandingBalancer(Balancer):
     name = "least-outstanding"
 
     def route(self, tenant: str, eligible: Sequence[int], now: float) -> int:
-        return min(eligible, key=lambda index: (self._load(index), index))
+        replicas = self._replicas
+        return min(
+            eligible, key=lambda index: (replicas[index].outstanding, index)
+        )
 
 
 class PowerOfTwoBalancer(Balancer):
@@ -116,10 +127,45 @@ class PowerOfTwoBalancer(Balancer):
     name = "power-of-two"
 
     def route(self, tenant: str, eligible: Sequence[int], now: float) -> int:
-        if len(eligible) == 1:
+        """Draw two distinct replicas exactly as ``random.sample(eligible,
+        2)`` does, then keep the less loaded (ties to the lower index).
+
+        Each index is ``_randbelow``'s rejection draw spelled out: take
+        ``getrandbits(m.bit_length())`` until it is below ``m``.
+        ``sample`` draws the second index from the ``n - 1`` survivors
+        of a pool whose vacancy the last element fills while ``n`` is at
+        most 21 (a list is smaller than a set there), and redraws over
+        all ``n`` until distinct above that.
+        """
+        n = len(eligible)
+        if n == 1:
             return eligible[0]
-        first, second = self._rng.sample(eligible, 2)
-        if (self._load(first), first) <= (self._load(second), second):
+        bits = self._rng.getrandbits
+        width = n.bit_length()
+        j = bits(width)
+        while j >= n:
+            j = bits(width)
+        if n <= 21:
+            last = n - 1
+            width = last.bit_length()
+            i = bits(width)
+            while i >= last:
+                i = bits(width)
+            if i == j:
+                i = last
+        else:
+            i = j
+            while i == j:
+                i = bits(width)
+                while i >= n:
+                    i = bits(width)
+        first, second = eligible[j], eligible[i]
+        replicas = self._replicas
+        first_load = replicas[first].outstanding
+        second_load = replicas[second].outstanding
+        if first_load < second_load or (
+            first_load == second_load and first < second
+        ):
             return first
         return second
 

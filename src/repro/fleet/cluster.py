@@ -121,6 +121,12 @@ class Replica:
         self.epoch = spec.resolve_epoch()
         self.num_clps = base.num_clps
         self.clp_busy = [0.0] * base.num_clps
+        #: Requests queued or in the pipeline (the balancer's load
+        #: signal): a maintained counter, not a sum.  The tenant states
+        #: below keep it equal to the sum of their ``len(queue) +
+        #: pipeline`` wherever a queue or pipeline changes, so a route
+        #: reads it in O(1).
+        self.outstanding = 0
         #: Tenant states in fleet tenant order, only for served tenants.
         self.states: Dict[str, TenantState] = {}
         for tenant in tenants:
@@ -135,18 +141,12 @@ class Replica:
                     deadline_cycles=overload.deadline_cycles(
                         tenant, cycles_per_ms
                     ),
+                    board=self,
                 )
             else:
                 self.states[tenant.name] = TenantState(
-                    tenant, depth, clp_cycles, queue_depth, policy
+                    tenant, depth, clp_cycles, queue_depth, policy, self
                 )
-
-    @property
-    def outstanding(self) -> int:
-        """Requests queued or in the pipeline (the balancer's load signal)."""
-        return sum(
-            len(state.queue) + state.pipeline for state in self.states.values()
-        )
 
     @property
     def healthy(self) -> bool:
@@ -780,23 +780,17 @@ class _FleetRun:
         # turns its already-scheduled completion events into no-ops.
         replica.generation += 1
         for state in replica.states.values():
+            killed = state.kill()
             # Refund the admission-time CLP charge of the destroyed
             # in-flight images: the cycles were booked when each image
             # entered the pipeline, but the board never finishes them,
             # so leaving the charge overstates CLP utilization for the
             # exact windows (incidents) where the number matters.
             for clp_index, cycles in enumerate(state.clp_cycles):
-                replica.clp_busy[clp_index] -= state.pipeline * cycles
-            state.lost += state.pipeline
-            state.pipeline = 0
+                replica.clp_busy[clp_index] -= killed * cycles
             name = state.spec.name
             observer.killed(name, replica.index, now)
-            evacuated = list(state.queue)
-            if not evacuated:
-                continue
-            state._touch(now)
-            state.queue.clear()
-            for req in evacuated:
+            for req in state.evacuate(now):
                 rescue = (
                     ()
                     if self.failure_policy == "lost"
@@ -907,9 +901,7 @@ class _FleetRun:
                 ]
                 if not stale:
                     continue
-                state._touch(now)
-                for req in stale:
-                    state.queue.remove(req)
+                state.withdraw(stale, now)
                 for req in stale:
                     self.reap(replica, state, req)
         upcoming = (k + 1) * (deadline / 2.0)
@@ -964,7 +956,9 @@ class _FleetRun:
         victim = self.replicas[choice].states[name].requeue(req, now)
         if victim is not None:
             self.give_up(name, victim, "dropped")
-        self.observer.failed_over(name, replica.index, now, choice, phase)
+        self.observer.failed_over(
+            name, replica.index, now, choice, phase, victim is not None
+        )
         return True
 
     def flaky_error(
@@ -998,7 +992,7 @@ class _FleetRun:
             self.give_up(state.spec.name, req, "lost")
             return
         if errored:
-            state.pipeline -= 1
+            state.on_error()
             self.flaky_error(replica, state, req)
             return
         name, now = state.spec.name, self.sim.now
@@ -1217,10 +1211,14 @@ class _FleetRun:
 
     def close(self) -> None:
         """Drop the references that lead back to this run: pending
-        events hold its bound methods, and so may ``routable``.  The
+        events hold its bound methods, and so may ``routable``, and
+        each tenant state holds its board (for the load counter).  The
         run's state is then freed as soon as the caller lets go of it,
         not at the next cyclic garbage collection."""
         self.sim = self.routable = None
+        for replica in self.replicas:
+            for state in replica.states.values():
+                state.board = None
 
     def _incidents(self, elapsed: float) -> Tuple[Incident, ...]:
         """The run's incident log: outages, gray windows and surge

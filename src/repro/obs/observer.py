@@ -68,8 +68,11 @@ class RunObserver:
     def timed_out(self, tenant, replica, now) -> None:
         """A queued request outlived its timeout with no failover left."""
 
-    def failed_over(self, tenant, replica, now, target, phase) -> None:
-        """A request left ``phase`` (queue or pipeline) for ``target``."""
+    def failed_over(
+        self, tenant, replica, now, target, phase, dropped
+    ) -> None:
+        """A request left ``phase`` (queue or pipeline) for ``target``,
+        ``dropped`` there if that queue was full."""
 
     def flaky_error(self, tenant, now) -> None:
         """A dispatched attempt came back as an error (flaky board)."""
@@ -132,7 +135,7 @@ class CountingObserver(RunObserver):
     def timed_out(self, tenant, replica, now):
         self.recorder.count(f"timeouts/{tenant}", now)
 
-    def failed_over(self, tenant, replica, now, target, phase):
+    def failed_over(self, tenant, replica, now, target, phase, dropped):
         self.recorder.count(f"failovers/{tenant}", now)
 
     def flaky_error(self, tenant, now):
@@ -257,12 +260,14 @@ class TracingObserver(RunObserver):
         self.trace.close((tenant, replica), now, {"outcome": "timed_out"})
         super().timed_out(tenant, replica, now)
 
-    def failed_over(self, tenant, replica, now, target, phase):
-        trace = self.trace
+    def failed_over(self, tenant, replica, now, target, phase, dropped):
+        trace, outcome = self.trace, "dropped" if dropped else "failed_over"
         trace.close((tenant, replica), now,
-                    {"outcome": "failed_over", "target": target}, phase)
-        trace.open((tenant, target), now, {"tenant": tenant, "failover": True})
-        super().failed_over(tenant, replica, now, target, phase)
+                    {"outcome": outcome, "target": target}, phase)
+        if not dropped:
+            trace.open((tenant, target), now,
+                       {"tenant": tenant, "failover": True})
+        super().failed_over(tenant, replica, now, target, phase, dropped)
 
     def errored(self, tenant, replica, now):
         self.trace.close((tenant, replica), now, {"outcome": "errored"},

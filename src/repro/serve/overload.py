@@ -262,8 +262,11 @@ class OverloadTenantState(TenantState):
         queue_policy: str = "fifo",
         epoch: float = 1.0,
         deadline_cycles: Optional[float] = None,
+        board=None,
     ) -> None:
-        super().__init__(spec, depth_epochs, clp_cycles, queue_depth, policy)
+        super().__init__(
+            spec, depth_epochs, clp_cycles, queue_depth, policy, board
+        )
         self.queue_policy = queue_policy
         self.epoch = epoch
         self.deadline_cycles = deadline_cycles
@@ -318,6 +321,7 @@ class OverloadTenantState(TenantState):
         self._touch(now)
         req = self.queue.popleft()
         req.done = True
+        self.board.outstanding -= 1
         self.expired += 1
         return req
 

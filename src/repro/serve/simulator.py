@@ -198,6 +198,12 @@ class Request:
         self.seq = seq
 
 
+class _UnreadLoad:
+    """A load counter no balancer reads: a front door's."""
+
+    outstanding = 0
+
+
 class TenantState:
     """Mutable bookkeeping for one tenant on one board during a run.
 
@@ -209,6 +215,12 @@ class TenantState:
     here, so one :meth:`stats` serves both.  The cluster keeps one more
     per tenant as its *front door*, booking the attempts that reach no
     board queue (unroutable, gate-rejected).
+
+    ``board`` is the replica whose ``outstanding`` counter (the
+    balancer's load signal) this state keeps equal to its share,
+    ``len(queue) + pipeline``: every method that changes the queue or
+    the pipeline adjusts it, and nothing else writes it during a run.
+    A front door has no board and counts into a private sink.
     """
 
     def __init__(
@@ -218,8 +230,10 @@ class TenantState:
         clp_cycles: Tuple[int, ...],
         queue_depth: int,
         policy: str,
+        board=None,
     ):
         self.spec = spec
+        self.board = board if board is not None else _UnreadLoad()
         self.depth_epochs = depth_epochs
         self.clp_cycles = clp_cycles
         self.queue_depth = queue_depth
@@ -292,6 +306,8 @@ class TenantState:
             # drop-head: evict the stalest waiter to admit fresh work.
             victim = self.queue.popleft()
             victim.done = True
+        else:
+            self.board.outstanding += 1
         self._insert(req)
         self.peak_queue = max(self.peak_queue, len(self.queue))
         return victim
@@ -312,6 +328,7 @@ class TenantState:
             req.done = True
             return req
         req.done = False
+        self.board.outstanding += 1
         self._insert(req)
         self.peak_queue = max(self.peak_queue, len(self.queue))
         return None
@@ -328,11 +345,45 @@ class TenantState:
 
     def on_completion(self, req: Request, now: float) -> None:
         self.pipeline -= 1
+        self.board.outstanding -= 1
         self.completions += 1
         self.latencies.append(now - req.arrival)
         if self.first_completion is None:
             self.first_completion = now
         self.last_completion = now
+
+    def on_error(self) -> None:
+        """A dispatched request came back as an error: it leaves the
+        pipeline without completing (the caller books its outcome)."""
+        self.pipeline -= 1
+        self.board.outstanding -= 1
+
+    def kill(self) -> int:
+        """The board died: every image in the pipeline is lost.  Returns
+        how many were."""
+        killed = self.pipeline
+        self.lost += killed
+        self.pipeline = 0
+        self.board.outstanding -= killed
+        return killed
+
+    def evacuate(self, now: float) -> List[Request]:
+        """Empty the queue of a board that died; the waiters, oldest
+        first (the caller requeues or books each)."""
+        evacuated = list(self.queue)
+        if evacuated:
+            self._touch(now)
+            self.queue.clear()
+            self.board.outstanding -= len(evacuated)
+        return evacuated
+
+    def withdraw(self, stale: Sequence[Request], now: float) -> None:
+        """Take ``stale`` (queued requests past their timeout) out of
+        the queue; the caller fails each over or books it."""
+        self._touch(now)
+        for req in stale:
+            self.queue.remove(req)
+        self.board.outstanding -= len(stale)
 
     # ----------------------------------------------------------------- final
     def stats(self, elapsed: float) -> TenantStats:

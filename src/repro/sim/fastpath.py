@@ -411,6 +411,8 @@ def _fill_state(
         state.first_completion = float(finish[0])
         state.last_completion = float(finish[fired - 1])
     state.queue = deque(map(Request, solved.queue_times.tolist()))
+    # The board's load counter, as the event engine would leave it.
+    state.board.outstanding += len(state.queue) + state.pipeline
     state.peak_queue = solved.peak
     state._occupancy_area = solved.area
     state._occupancy_mark = solved.mark

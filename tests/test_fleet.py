@@ -16,6 +16,7 @@ Four layers of assurance:
 
 import dataclasses
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -171,6 +172,35 @@ class TestBalancers:
         policy = make_balancer("power-of-two")
         policy.bind([], None)  # no RNG bound: must not be consulted
         assert policy.route("a", (7,), 0.0) == 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**64),
+        routes=st.integers(min_value=1, max_value=6),
+    )
+    def test_power_of_two_draws_like_random_sample(self, n, seed, routes):
+        """The inline draw is ``random.sample(eligible, 2)`` draw for
+        draw: the same pair and the same RNG state afterwards.  Equal
+        loads keep the lower index of the pair and loads falling with
+        the index keep the higher, so the two routes name the pair."""
+
+        class Fake:
+            def __init__(self, outstanding):
+                self.outstanding = outstanding
+
+        lower = make_balancer("power-of-two")
+        lower.bind([Fake(0)] * n, random.Random(seed))
+        higher = make_balancer("power-of-two")
+        higher.bind([Fake(n - i) for i in range(n)], random.Random(seed))
+        reference = random.Random(seed)
+        eligible = tuple(range(n))
+        for _ in range(routes):
+            first, second = reference.sample(eligible, 2)
+            assert lower.route("a", eligible, 0.0) == min(first, second)
+            assert higher.route("a", eligible, 0.0) == max(first, second)
+        assert lower._rng.getstate() == reference.getstate()
+        assert higher._rng.getstate() == reference.getstate()
 
     def test_custom_configured_balancer_instance_survives(self, toy_design):
         # A user policy with constructor configuration must be reused
@@ -392,12 +422,13 @@ class TestFleetProperties:
     def test_run_state_freed_without_cycle_collection(self, toy_design, drain):
         """A finished run leaves no cyclic garbage behind: its event
         queue, controller and routing predicate point back at the run
-        state, so ``run`` drops them and reference counting frees it.
+        state, and each tenant state at its board, so ``run`` drops
+        them and reference counting frees it, on either engine.
         Otherwise a benchmark's peak RSS depends on when the cycle
         collector happens to run."""
         import gc
 
-        from repro.fleet.cluster import _FleetRun
+        from repro.fleet.cluster import Replica, _FleetRun
         from repro.fleet.detector import DetectorSpec
         from repro.obs import ObsSpec, TraceRecorder
         from repro.serve.overload import OverloadSpec, RetryPolicy
@@ -423,7 +454,17 @@ class TestFleetProperties:
                 ),
                 obs=ObsSpec(timeseries=True, trace=TraceRecorder()),
             )
-            left = [o for o in gc.get_objects() if isinstance(o, _FleetRun)]
+            simulate_fleet(
+                DeviceSpec(toy_design).replicated(3),
+                _tenants(toy_design, 3.0),
+                duration_cycles=60 * toy_design.epoch_cycles,
+                drain=drain,
+                engine="fast",
+            )
+            left = [
+                o for o in gc.get_objects()
+                if isinstance(o, (_FleetRun, Replica))
+            ]
         finally:
             gc.enable()
         assert left == []

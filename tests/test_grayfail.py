@@ -22,6 +22,10 @@ The load-bearing guarantees, in test order:
 * routing runs on a cached view of the routable replicas that equals a
   fresh health filter at every route, and a probe-detected drill stays
   pinned to a record made before the view was cached;
+* each board's load counter equals a fresh sum over its queues and
+  pipelines at every route, on every path that changes one, and a
+  least-outstanding drill stays pinned to a record made while the load
+  was still that sum;
 * results carry the detector spec and MTTD through serialization, and
   legacy records (no detector keys) round-trip byte-identically.
 """
@@ -34,8 +38,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.serialize import fleet_result_from_dict, fleet_result_to_dict
-from repro.fleet import DeviceSpec, plan_capacity, simulate_fleet
-from repro.fleet.balancer import PowerOfTwoBalancer
+from repro.fleet import (
+    DeviceSpec,
+    make_balancer,
+    plan_capacity,
+    simulate_fleet,
+)
+from repro.fleet.balancer import LeastOutstandingBalancer, PowerOfTwoBalancer
 from repro.fleet.cluster import Replica
 from repro.fleet.detector import (
     DetectorSpec,
@@ -44,9 +53,16 @@ from repro.fleet.detector import (
     detector_spec_to_dict,
 )
 from repro.obs import ObsSpec
-from repro.scenario import DegradedReplica, FlakyReplica, get_scenario
+from repro.scenario import (
+    DegradedReplica,
+    FlakyReplica,
+    RackFailure,
+    ScenarioSpec,
+    get_scenario,
+)
 from repro.serve import SLOSpec, TenantSpec, make_arrival_process
 from repro.serve.arrivals import TraceArrivals
+from repro.serve.overload import OverloadSpec
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -443,9 +459,39 @@ class TestTimeoutFailover:
 
 
 # ------------------------------------------------------- routing view
-class _SpyBalancer(PowerOfTwoBalancer):
+def _assert_load_counters(replicas):
+    """Each board's ``outstanding`` counter equals a fresh sum over its
+    tenant queues and pipelines."""
+    for replica in replicas:
+        assert replica.outstanding == sum(
+            len(state.queue) + state.pipeline
+            for state in replica.states.values()
+        ), replica.label
+
+
+class _CounterCheck:
+    """Routing mixin: check every board's load counter at every route."""
+
+    routes = 0
+
+    def route(self, tenant, eligible, now):
+        _assert_load_counters(self._replicas)
+        self.routes += 1
+        return super().route(tenant, eligible, now)
+
+
+class _LeastOutstandingSpy(_CounterCheck, LeastOutstandingBalancer):
+    name = "least-outstanding-spy"
+
+
+class _PowerOfTwoSpy(_CounterCheck, PowerOfTwoBalancer):
+    name = "power-of-two-spy"
+
+
+class _SpyBalancer(_CounterCheck, PowerOfTwoBalancer):
     """Power-of-two routing that checks every target set it is handed
-    against a brute-force health filter over the replicas."""
+    against a brute-force health filter over the replicas (and every
+    board's load counter)."""
 
     name = "spy"
 
@@ -473,6 +519,107 @@ class _SpyBalancer(PowerOfTwoBalancer):
             )
             self.failovers += 1
         return super().route(tenant, eligible, now)
+
+
+def _least_outstanding_drill(design, balancer="least-outstanding"):
+    """Four boards, a rack loss, EDF with deadlines, short queues and
+    timeout failover: every load change a board's counter follows."""
+    epoch_ms = _epoch_ms(design)
+    tenant = TenantSpec(
+        design.network.name,
+        make_arrival_process("poisson", 4.5 / design.epoch_cycles),
+        deadline_ms=6.0 * epoch_ms,
+    )
+    return simulate_fleet(
+        DeviceSpec(design).replicated(4),
+        [tenant],
+        duration_cycles=80 * design.epoch_cycles,
+        balancer=balancer,
+        seed=3,
+        queue_depth=8,
+        drain=True,
+        scenario="rack-loss",
+        overload=OverloadSpec(queue_policy="edf"),
+        detector=DetectorSpec(
+            request_timeout_ms=3.0 * epoch_ms, max_failovers=2
+        ),
+    )
+
+
+class TestLoadCounters:
+    """``Replica.outstanding`` is a counter kept by the tenant states;
+    each case drives one way a board's load changes (queue, evict, drop,
+    admit, complete, expire, fail over, error, die, evacuate) and checks
+    the counter against a fresh sum at every route and after the run."""
+
+    @pytest.mark.parametrize("spy", [_LeastOutstandingSpy, _PowerOfTwoSpy])
+    @pytest.mark.parametrize(
+        "case, booked",
+        [
+            ("drop-head", "drops"),
+            ("drop-tail", "drops"),
+            ("rack-requeue", "lost"),
+            ("rack-lost", "lost"),
+            ("probe-timeout", "failed_over"),
+            ("flaky", "failed_over"),
+            ("edf-deadlines", "expired"),
+        ],
+    )
+    def test_counter_matches_the_queues_at_every_route(
+        self, toy_design, spy, case, booked
+    ):
+        epoch = toy_design.epoch_cycles
+        epoch_ms = _epoch_ms(toy_design)
+        balancer = spy()
+        if case == "edf-deadlines":
+            result = _least_outstanding_drill(toy_design, balancer)
+        else:
+            kwargs = {
+                "drop-head": dict(policy="drop-head", queue_depth=2),
+                "drop-tail": dict(queue_depth=2),
+                "rack-requeue": dict(scenario="rack-loss", queue_depth=4),
+                "rack-lost": dict(
+                    scenario=ScenarioSpec(
+                        "lost-rack", failure_policy="lost",
+                        faults=(RackFailure(fraction=0.5, start=0.4,
+                                            duration=0.25),),
+                    ),
+                ),
+                "probe-timeout": dict(
+                    scenario="chaos",
+                    detector=DetectorSpec(
+                        mode="probe", request_timeout_ms=3.0 * epoch_ms,
+                        max_failovers=2,
+                    ),
+                ),
+                "flaky": dict(scenario="flaky-replica", queue_depth=6),
+            }[case]
+            result = simulate_fleet(
+                DeviceSpec(toy_design).replicated(4),
+                _tenants(toy_design, 4.2),
+                duration_cycles=80 * epoch,
+                balancer=balancer,
+                seed=5,
+                drain=True,
+                **kwargs,
+            )
+        assert balancer.routes > 0
+        assert sum(getattr(t, booked) for t in result.tenants) > 0
+        _assert_load_counters(balancer._replicas)
+
+    def test_fast_path_sets_the_counter(self, toy_design):
+        """A fast-path run fills the tenant states directly; the
+        counters it leaves agree with them."""
+        balancer = make_balancer("round-robin")
+        simulate_fleet(
+            DeviceSpec(toy_design).replicated(3),
+            _tenants(toy_design, 3.6),
+            duration_cycles=40 * toy_design.epoch_cycles,
+            balancer=balancer,
+            engine="fast",
+        )
+        _assert_load_counters(balancer._replicas)
+        assert all(replica.outstanding for replica in balancer._replicas)
 
 
 class TestRoutingView:
@@ -539,6 +686,20 @@ class TestRoutingView:
         assert json.loads(json.dumps(fleet_result_to_dict(result))) == pinned
         assert result.total_failed_over > 0
         assert result.resilience.mean_time_to_detect_cycles is not None
+
+    def test_least_outstanding_drill_is_pinned(self, toy_design):
+        """Least-outstanding routing through a rack loss, EDF with
+        deadlines and timeout failover, pinned dict-for-dict to a record
+        made while the load signal was still a sum over the queues."""
+        result = _least_outstanding_drill(toy_design)
+        path = os.path.join(DATA_DIR, "least_outstanding_drill_run.json")
+        with open(path) as handle:
+            pinned = json.load(handle)
+        assert json.loads(json.dumps(fleet_result_to_dict(result))) == pinned
+        assert result.total_failed_over > 0
+        tenant = result.tenants[0]
+        assert tenant.drops and tenant.lost and tenant.expired
+        assert tenant.timed_out and tenant.late
 
     def test_detector_version_tracks_ejections(self):
         fd = _detector()

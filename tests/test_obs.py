@@ -383,6 +383,44 @@ class TestTrace:
         trace.close(("toy", 0), 10.0, {"latency_cycles": 5.0}, "pipeline")
         assert [e["ph"] for e in trace.events] == ["b", "e"]
 
+    def test_failover_into_a_full_queue_leaves_no_span_open(self, toy_design):
+        """A failover that the target's full queue drops closes its span
+        as ``dropped`` and opens none on the target, so a drained run
+        closes every span it opened."""
+        epoch = toy_design.epoch_cycles
+        trace = TraceRecorder()
+        result = simulate_fleet(
+            DeviceSpec(toy_design).replicated(3),
+            [TenantSpec("toy", PoissonArrivals(2.5 / epoch))],
+            duration_cycles=60 * epoch, seed=3, queue_depth=2, drain=True,
+            scenario=ScenarioSpec(
+                "flaky-and-slow",
+                faults=(
+                    FlakyReplica(
+                        replica=0, error_rate=0.5, start=0.2, duration=0.6
+                    ),
+                    DegradedReplica(
+                        replica=1, slowdown=3.0, start=0.2, duration=0.6
+                    ),
+                ),
+            ),
+            detector=DetectorSpec(
+                mode="probe", request_timeout_ms=2 * epoch / 1e5,
+                max_failovers=2,
+            ),
+            obs=ObsSpec(trace=trace),
+        )
+        assert sum(t.in_flight for t in result.tenants) == 0
+        phases = collections.Counter(e["ph"] for e in trace.events)
+        assert phases["b"] == phases["e"]
+        dropped = [
+            e for e in trace.events
+            if e["ph"] == "e"
+            and e.get("args", {}).get("outcome") == "dropped"
+            and "target" in e["args"]
+        ]
+        assert dropped  # the run really fails over into full queues
+
     def test_chrome_file_loads(self, fleet_trace, tmp_path):
         trace, _ = fleet_trace
         path = tmp_path / "trace.json"
