@@ -163,6 +163,77 @@ def summary_table(
     )
 
 
+def _candidates(
+    results: Iterable[SweepResult],
+    rate_rps: float,
+    slo: "SLOSpec",
+    duration_ms: float,
+    process: str = "poisson",
+):
+    """Every solved point rebuilt once for a ranking run.
+
+    Yields ``(result, device, tenants, window_cycles)``: a one-board
+    :class:`~repro.fleet.DeviceSpec` at the point's own bandwidth, its
+    ``process`` tenants at ``rate_rps`` and the point's own clock with
+    ``slo.deadline_ms`` stamped on them (as
+    :func:`~repro.fleet.plan_capacity` does), and the ``duration_ms``
+    window floored at a few pipeline latencies.
+    """
+    from ..fleet import DeviceSpec
+    from ..fleet.planner import _fleet_tenants
+    from ..networks import get_network
+    from ..serve import floor_window_cycles
+
+    for result in results:
+        if not result.ok:
+            continue
+        point = result.point
+        design = result.design(get_network(point.network))
+        bytes_per_cycle = point.budget().bytes_per_cycle()
+        device = DeviceSpec(
+            design=design, part=point.part, bytes_per_cycle=bytes_per_cycle
+        )
+        cycles_per_second = point.frequency_mhz * 1e6
+        tenants = _fleet_tenants(
+            device, rate_rps, cycles_per_second, slo.deadline_ms, process
+        )
+        window_cycles = floor_window_cycles(
+            duration_ms * 1e-3 * cycles_per_second, design, bytes_per_cycle
+        )
+        yield result, device, tenants, window_cycles
+
+
+def _ranked(rankings: List) -> List:
+    """Rankings best first, by each ranking's own ``sort_key``."""
+    return sorted(rankings, key=lambda ranking: ranking.sort_key)
+
+
+def _ms(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.2f}"
+
+
+def _ranking_table(rankings: Sequence, columns: Sequence, title: str) -> str:
+    """A ranking as a table: rank and point, ``columns``, SLO verdict.
+
+    ``columns`` are ``(header, cell)`` pairs, ``cell`` mapping one
+    ranking entry to its rendered value.
+    """
+    headers = ("#", "network", "budget", "dtype", "mode")
+    rows = []
+    for rank, entry in enumerate(rankings, start=1):
+        point = entry.result.point
+        rows.append(
+            (rank, point.network, point.budget_label, point.dtype, point.mode)
+            + tuple(cell(entry) for _, cell in columns)
+            + ("yes" if entry.meets else "NO",)
+        )
+    return render_table(
+        headers + tuple(header for header, _ in columns) + ("meets SLO",),
+        rows,
+        title=f"{title} -- {len(rankings)} designs",
+    )
+
+
 @dataclass(frozen=True)
 class TrafficRanking:
     """One stored design scored under a concrete traffic scenario."""
@@ -170,6 +241,10 @@ class TrafficRanking:
     result: SweepResult
     serve: "ServeResult"
     report: "SLOReport"
+
+    @property
+    def meets(self) -> bool:
+        return self.report.meets
 
     @property
     def sort_key(self) -> Tuple:
@@ -215,52 +290,25 @@ def rank_by_traffic(
     then report zero completions for every candidate, collapsing the
     ranking.
     """
-    from ..networks import get_network
-    from ..serve import (
-        TenantSpec,
-        evaluate_slo,
-        floor_window_cycles,
-        make_arrival_process,
-        simulate_traffic,
-    )
-    from ..serve.arrivals import rate_per_cycle
+    from ..serve import evaluate_slo, simulate_traffic
 
-    rankings: List[TrafficRanking] = []
-    for result in results:
-        if not result.ok:
-            continue
-        point = result.point
-        network = get_network(point.network)
-        design = result.design(network)
-        cycles_per_second = point.frequency_mhz * 1e6
-        spec = TenantSpec(
-            name=network.name,
-            process=make_arrival_process(
-                process, rate_per_cycle(rate_rps, cycles_per_second)
-            ),
-        )
-        bytes_per_cycle = point.budget().bytes_per_cycle()
-        duration_cycles = floor_window_cycles(
-            duration_ms * 1e-3 * cycles_per_second, design, bytes_per_cycle
-        )
+    rankings = []
+    for result, device, tenants, window_cycles in _candidates(
+        results, rate_rps, slo, duration_ms, process
+    ):
         serve = simulate_traffic(
-            design,
-            [spec],
-            duration_cycles=duration_cycles,
-            frequency_mhz=point.frequency_mhz,
+            device.design,
+            tenants,
+            duration_cycles=window_cycles,
+            frequency_mhz=result.point.frequency_mhz,
             seed=seed,
             queue_depth=queue_depth,
             policy=policy,
-            bytes_per_cycle=bytes_per_cycle,
+            bytes_per_cycle=device.bytes_per_cycle,
             drain=True,
         )
-        rankings.append(
-            TrafficRanking(
-                result=result, serve=serve, report=evaluate_slo(serve, slo)
-            )
-        )
-    rankings.sort(key=lambda ranking: ranking.sort_key)
-    return rankings
+        rankings.append(TrafficRanking(result, serve, evaluate_slo(serve, slo)))
+    return _ranked(rankings)
 
 
 def _slo_clauses(slo: "SLOSpec") -> str:
@@ -278,34 +326,15 @@ def traffic_rank_table(
     rankings: Sequence[TrafficRanking], rate_rps: float, slo: "SLOSpec"
 ) -> str:
     """SLO ranking rendered as a table (best design first)."""
-    rows = []
-    for rank, entry in enumerate(rankings, start=1):
-        point = entry.result.point
-        p99 = entry.report.worst_p99_ms
-        rows.append(
-            (
-                rank,
-                point.network,
-                point.budget_label,
-                point.dtype,
-                point.mode,
-                entry.serve.num_clps,
-                f"{entry.report.total_goodput_rps:.1f}",
-                "-" if p99 is None else f"{p99:.2f}",
-                f"{entry.report.worst_shed_rate:.1%}",
-                "yes" if entry.report.meets else "NO",
-            )
-        )
-    return render_table(
+    return _ranking_table(
+        rankings,
         (
-            "#", "network", "budget", "dtype", "mode", "CLPs",
-            "goodput r/s", "p99 ms", "shed", "meets SLO",
+            ("CLPs", lambda entry: entry.serve.num_clps),
+            ("goodput r/s", lambda entry: f"{entry.report.total_goodput_rps:.1f}"),
+            ("p99 ms", lambda entry: _ms(entry.report.worst_p99_ms)),
+            ("shed", lambda entry: f"{entry.report.worst_shed_rate:.1%}"),
         ),
-        rows,
-        title=(
-            f"SLO ranking @ {rate_rps:g} r/s ({_slo_clauses(slo)}) "
-            f"-- {len(rankings)} designs"
-        ),
+        f"SLO ranking @ {rate_rps:g} r/s ({_slo_clauses(slo)})",
     )
 
 
@@ -333,6 +362,10 @@ class CostToServeRanking:
     board_cost: float
 
     @property
+    def meets(self) -> bool:
+        return self.plan.meets
+
+    @property
     def boards(self) -> Optional[int]:
         return self.plan.replicas
 
@@ -344,6 +377,11 @@ class CostToServeRanking:
         return self.plan.replicas * self.board_cost
 
     @property
+    def p99_ms(self) -> Optional[float]:
+        """Tail latency of the planned fleet; None when SLO unmet."""
+        return self.plan.report.worst_p99_ms if self.plan.report else None
+
+    @property
     def sort_key(self) -> Tuple:
         """Feasible fleets first, then cheapest, then smallest, then p99.
 
@@ -353,7 +391,7 @@ class CostToServeRanking:
         expensive one that needs one.
         """
         cost = self.total_cost
-        p99 = self.plan.report.worst_p99_ms if self.plan.report else None
+        p99 = self.p99_ms
         return (
             0 if cost is not None else 1,
             cost if cost is not None else float("inf"),
@@ -385,77 +423,50 @@ def rank_by_cost_to_serve(
     scale".  Designs that cannot meet the SLO within ``max_replicas``
     boards sort last (by tail latency).
     """
-    from ..fleet import DeviceSpec, plan_capacity
-    from ..networks import get_network
+    from ..fleet import plan_capacity
 
-    rankings: List[CostToServeRanking] = []
-    for result in results:
-        if not result.ok:
-            continue
-        point = result.point
-        network = get_network(point.network)
-        device = DeviceSpec(
-            design=result.design(network),
-            part=point.part,
-            bytes_per_cycle=point.budget().bytes_per_cycle(),
-        )
+    rankings = []
+    for result, device, tenants, _ in _candidates(
+        results, rate_rps, slo, duration_ms
+    ):
         plan = plan_capacity(
             device,
             rate_rps,
             slo,
+            tenants=tenants,
             max_replicas=max_replicas,
             duration_ms=duration_ms,
             seed=seed,
             balancer=balancer,
             queue_depth=queue_depth,
             policy=policy,
-            frequency_mhz=point.frequency_mhz,
+            frequency_mhz=result.point.frequency_mhz,
         )
         rankings.append(
-            CostToServeRanking(
-                result=result, plan=plan, board_cost=_board_cost(point)
-            )
+            CostToServeRanking(result, plan, _board_cost(result.point))
         )
-    rankings.sort(key=lambda ranking: ranking.sort_key)
-    return rankings
+    return _ranked(rankings)
+
+
+def _fleet_cost(entry: CostToServeRanking) -> str:
+    if entry.total_cost is not None:
+        return f"{entry.total_cost:.2f}"
+    return f">{entry.plan.max_replicas * entry.board_cost:.2f}"
 
 
 def cost_to_serve_table(
     rankings: Sequence["CostToServeRanking"], rate_rps: float, slo: "SLOSpec"
 ) -> str:
     """Cost-to-serve ranking rendered as a table (cheapest fleet first)."""
-    rows = []
-    for rank, entry in enumerate(rankings, start=1):
-        point = entry.result.point
-        p99 = entry.plan.report.worst_p99_ms if entry.plan.report else None
-        rows.append(
-            (
-                rank,
-                point.network,
-                point.budget_label,
-                point.dtype,
-                point.mode,
-                "-" if entry.boards is None else entry.boards,
-                f"{entry.board_cost:.2f}",
-                (
-                    f"{entry.total_cost:.2f}"
-                    if entry.total_cost is not None
-                    else f">{entry.plan.max_replicas * entry.board_cost:.2f}"
-                ),
-                "-" if p99 is None else f"{p99:.2f}",
-                "yes" if entry.plan.meets else "NO",
-            )
-        )
-    return render_table(
+    return _ranking_table(
+        rankings,
         (
-            "#", "network", "budget", "dtype", "mode", "boards",
-            "board cost", "fleet cost", "p99 ms", "meets SLO",
+            ("boards", lambda entry: "-" if entry.boards is None else entry.boards),
+            ("board cost", lambda entry: f"{entry.board_cost:.2f}"),
+            ("fleet cost", _fleet_cost),
+            ("p99 ms", lambda entry: _ms(entry.p99_ms)),
         ),
-        rows,
-        title=(
-            f"cost-to-serve @ {rate_rps:g} r/s ({_slo_clauses(slo)}) "
-            f"-- {len(rankings)} designs"
-        ),
+        f"cost-to-serve @ {rate_rps:g} r/s ({_slo_clauses(slo)})",
     )
 
 
@@ -466,6 +477,10 @@ class ResilienceRanking:
     result: SweepResult
     fleet: "FleetResult"
     report: "SLOReport"
+
+    @property
+    def meets(self) -> bool:
+        return self.report.meets
 
     @property
     def during_p99_ms(self) -> Optional[float]:
@@ -522,55 +537,32 @@ def rank_by_resilience(
     rank with ``slo.max_drop_rate`` above that floor (see
     :func:`repro.fleet.plan_capacity`'s note).
     """
-    from ..fleet import DeviceSpec, simulate_fleet
-    from ..networks import get_network
-    from ..serve import TenantSpec, evaluate_slo, make_arrival_process
-    from ..serve.arrivals import rate_per_cycle
-    from ..serve.simulator import floor_window_cycles
+    from ..fleet import simulate_fleet
+    from ..serve import evaluate_slo
 
-    rankings: List[ResilienceRanking] = []
-    for result in results:
-        if not result.ok:
-            continue
-        point = result.point
-        network = get_network(point.network)
-        bytes_per_cycle = point.budget().bytes_per_cycle()
-        device = DeviceSpec(
-            design=result.design(network),
-            part=point.part,
-            bytes_per_cycle=bytes_per_cycle,
-        )
-        cycles_per_second = point.frequency_mhz * 1e6
-        spec = TenantSpec(
-            name=network.name,
-            process=make_arrival_process(
-                "poisson", rate_per_cycle(rate_rps, cycles_per_second)
-            ),
-        )
-        duration_cycles = floor_window_cycles(
-            duration_ms * 1e-3 * cycles_per_second, device.design, bytes_per_cycle
-        )
+    rankings = []
+    for result, device, tenants, window_cycles in _candidates(
+        results, rate_rps, slo, duration_ms
+    ):
         fleet = simulate_fleet(
             device.replicated(replicas),
-            [spec],
-            duration_cycles=duration_cycles,
+            tenants,
+            duration_cycles=window_cycles,
             balancer=balancer,
-            frequency_mhz=point.frequency_mhz,
+            frequency_mhz=result.point.frequency_mhz,
             seed=seed,
             queue_depth=queue_depth,
             policy=policy,
             drain=True,
             scenario=scenario,
         )
-        rankings.append(
-            ResilienceRanking(
-                result=result,
-                fleet=fleet,
-                report=evaluate_slo(fleet, slo),
-            )
-        )
-    rankings.sort(key=lambda ranking: ranking.sort_key)
-    return rankings
+        rankings.append(ResilienceRanking(result, fleet, evaluate_slo(fleet, slo)))
+    return _ranked(rankings)
+
+
+def _availability(entry: ResilienceRanking) -> str:
+    resilience = entry.fleet.resilience
+    return f"{resilience.availability:.1%}" if resilience else "-"
 
 
 def resilience_rank_table(
@@ -580,38 +572,15 @@ def resilience_rank_table(
     scenario: str,
 ) -> str:
     """Resilience ranking rendered as a table (most resilient first)."""
-    rows = []
-    for rank, entry in enumerate(rankings, start=1):
-        point = entry.result.point
-        resilience = entry.fleet.resilience
-        availability = (
-            f"{resilience.availability:.1%}" if resilience else "-"
-        )
-        p99 = entry.during_p99_ms
-        rows.append(
-            (
-                rank,
-                point.network,
-                point.budget_label,
-                point.dtype,
-                point.mode,
-                availability,
-                "-" if p99 is None else f"{p99:.2f}",
-                entry.fleet.total_lost,
-                f"{entry.report.worst_shed_rate:.1%}",
-                "yes" if entry.report.meets else "NO",
-            )
-        )
-    return render_table(
+    return _ranking_table(
+        rankings,
         (
-            "#", "network", "budget", "dtype", "mode", "avail",
-            "incident p99 ms", "lost", "shed", "meets SLO",
+            ("avail", _availability),
+            ("incident p99 ms", lambda entry: _ms(entry.during_p99_ms)),
+            ("lost", lambda entry: entry.fleet.total_lost),
+            ("shed", lambda entry: f"{entry.report.worst_shed_rate:.1%}"),
         ),
-        rows,
-        title=(
-            f"resilience ranking under {scenario} @ {rate_rps:g} r/s "
-            f"-- {len(rankings)} designs"
-        ),
+        f"resilience ranking under {scenario} @ {rate_rps:g} r/s",
     )
 
 

@@ -51,12 +51,14 @@ def _fleet_tenants(
     rate_rps: float,
     cycles_per_second: float,
     deadline_ms: Optional[float] = None,
+    process: str = "poisson",
 ) -> List[TenantSpec]:
+    """One ``process`` tenant per network of ``device`` at ``rate_rps``."""
     rate = rate_per_cycle(rate_rps, cycles_per_second)
     return [
         TenantSpec(
             name,
-            make_arrival_process("poisson", rate),
+            make_arrival_process(process, rate),
             deadline_ms=deadline_ms,
         )
         for name in device.networks

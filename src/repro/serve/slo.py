@@ -29,8 +29,9 @@ class SLOSpec:
     ``deadline_ms`` makes the contract deadline-aware: completions later
     than the deadline are charged against the drop budget alongside
     drops and losses (a response past its deadline is as good as no
-    response), and the capacity planner stamps the deadline onto the
-    tenants it synthesises so overload runs can shed expired work.
+    response), and the capacity planner and every DSE ranking stamp the
+    deadline onto the tenants they synthesise, so late completions are
+    counted and overload runs can shed expired work.
     ``min_goodput_rps`` floors the *good* completion rate — completions
     minus late ones — which is the honest throughput clause under
     overload.  Both default off, so existing specs behave identically.
@@ -105,7 +106,8 @@ class SLOReport:
 
     @property
     def total_goodput_rps(self) -> float:
-        return sum(t.throughput_rps for t in self.tenants)
+        """Summed deadline-aware goodput (r/s): late completions excluded."""
+        return sum(t.goodput_rps for t in self.tenants)
 
     @property
     def goodput_by_priority(self) -> Tuple[Tuple[int, float], ...]:

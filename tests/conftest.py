@@ -55,3 +55,15 @@ def alexnet_485t_design() -> MultiCLPDesign:
 def joint_design_690t():
     """Two-network joint accelerator: AlexNet + SqueezeNet on a VX690T."""
     return optimize_joint([alexnet(), squeezenet()], budget_for("690t"), FIXED16)
+
+
+@pytest.fixture(scope="session")
+def sweep_results():
+    """Two solved AlexNet points: small single-CLP, 485T-sized Multi-CLP."""
+    from repro.dse import DesignPoint, run_sweep
+
+    points = [
+        DesignPoint(network="alexnet", dsp=800, bram18k=700, single=True),
+        DesignPoint(network="alexnet", dsp=2240, bram18k=1648),
+    ]
+    return run_sweep(points).results

@@ -720,16 +720,6 @@ class TestFleetSerialization:
 
 # --------------------------------------------------------- cost-to-serve
 class TestCostToServe:
-    @pytest.fixture(scope="class")
-    def sweep_results(self):
-        from repro.dse import DesignPoint, run_sweep
-
-        points = [
-            DesignPoint(network="alexnet", dsp=800, bram18k=700, single=True),
-            DesignPoint(network="alexnet", dsp=2240, bram18k=1648),
-        ]
-        return run_sweep(points).results
-
     def test_cheap_sufficient_design_wins(self, sweep_results):
         from repro.dse import cost_to_serve_table, rank_by_cost_to_serve
 

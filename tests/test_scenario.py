@@ -542,17 +542,6 @@ class TestScenarioSerialization:
 
 # ------------------------------------------------------- resilience rank
 class TestResilienceRanking:
-    @pytest.fixture(scope="class")
-    def sweep_results(self):
-        from repro.dse import DesignPoint, run_sweep
-
-        points = [
-            DesignPoint(network="alexnet", dsp=800, bram18k=700,
-                        single=True),
-            DesignPoint(network="alexnet", dsp=2240, bram18k=1648),
-        ]
-        return run_sweep(points).results
-
     def test_rank_through_a_drill(self, sweep_results):
         from repro.dse import rank_by_resilience, resilience_rank_table
 

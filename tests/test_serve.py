@@ -588,16 +588,6 @@ class TestSLO:
 
 # ------------------------------------------------------------- dse ranking
 class TestRankByTraffic:
-    @pytest.fixture(scope="class")
-    def sweep_results(self):
-        from repro.dse import DesignPoint, run_sweep
-
-        points = [
-            DesignPoint(network="alexnet", dsp=800, bram18k=700, single=True),
-            DesignPoint(network="alexnet", dsp=2240, bram18k=1648),
-        ]
-        return run_sweep(points).results
-
     def test_bigger_budget_ranks_first_under_load(self, sweep_results):
         from repro.dse import rank_by_traffic, traffic_rank_table
 
