@@ -219,7 +219,7 @@ def _worst_p99_ms(result: Any) -> Optional[float]:
 
 def _goodput_rps(result: Any) -> float:
     return sum(
-        result.rate_to_rps(t.completed_rate_per_cycle(result.horizon_cycles))
+        result.rate_to_rps(t.good_rate_per_cycle(result.horizon_cycles))
         for t in result.tenants
     )
 

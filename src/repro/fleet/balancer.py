@@ -29,13 +29,19 @@ counter per eligible replica and power-of-two reads two.  Power-of-two
 draws its pair inline with two ``getrandbits`` rejection draws, draw
 for draw what ``random.sample(eligible, 2)`` would take, without that
 call's per-call ``Sequence`` check.
+
+Routes are *static* when each tenant's arrival index alone decides
+them (:meth:`Balancer.split`): round-robin and tenant-affinity over any
+targets, every built-in over one.  Static runs are solved in closed form
+(:func:`repro.sim.fastpath.run_fleet_fast`); the other policies' routing
+*is* the event interleaving, so they run the event engine.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Optional, Sequence
 
 __all__ = [
     "ReplicaView",
@@ -47,7 +53,6 @@ __all__ = [
     "TenantAffinityBalancer",
     "BALANCER_NAMES",
     "make_balancer",
-    "routes_fixed",
 ]
 
 
@@ -91,6 +96,26 @@ class Balancer:
         """Pick a replica index from ``eligible`` for one arrival."""
         raise NotImplementedError
 
+    def split(
+        self, tenant: str, targets: Sequence[int]
+    ) -> Optional[Dict[int, slice]]:
+        """Every target's share of ``tenant``'s arrivals as a slice of
+        arrival indexes, matching successive :meth:`route` calls on a
+        freshly bound policy; ``None`` when routes depend on load or RNG
+        state.  Only the built-in types answer, since a subclass may
+        override ``route`` arbitrarily."""
+        if type(self) not in _POLICIES:
+            return None
+        if len(targets) == 1:
+            return {targets[0]: slice(None)}
+        return self._static_split(tenant, targets)
+
+    def _static_split(
+        self, tenant: str, targets: Sequence[int]
+    ) -> Optional[Dict[int, slice]]:
+        """:meth:`split` over several targets; load-dependent by default."""
+        return None
+
 
 class RoundRobinBalancer(Balancer):
     """Rotate each tenant over its eligible replicas independently."""
@@ -107,6 +132,13 @@ class RoundRobinBalancer(Balancer):
         turn = self._counters.get(tenant, 0)
         self._counters[tenant] = turn + 1
         return eligible[turn % len(eligible)]
+
+    def _static_split(
+        self, tenant: str, targets: Sequence[int]
+    ) -> Dict[int, slice]:
+        """Turn ``n`` is the tenant's ``n``-th arrival however tenants
+        interleave, so target ``j`` takes every ``len(targets)``-th."""
+        return {r: slice(j, None, len(targets)) for j, r in enumerate(targets)}
 
 
 class LeastOutstandingBalancer(Balancer):
@@ -194,6 +226,13 @@ class TenantAffinityBalancer(Balancer):
         digest = zlib.crc32(tenant.encode("utf-8"))
         return eligible[digest % len(eligible)]
 
+    def _static_split(
+        self, tenant: str, targets: Sequence[int]
+    ) -> Dict[int, slice]:
+        """The whole stream to the pinned target, none to the rest."""
+        chosen = self.route(tenant, targets, 0.0)
+        return {r: slice(None) if r == chosen else slice(0) for r in targets}
+
 
 _POLICIES = (
     RoundRobinBalancer,
@@ -217,14 +256,3 @@ def make_balancer(name: str) -> Balancer:
         f"unknown balancer {name!r}; known: {', '.join(BALANCER_NAMES)}"
     )
 
-
-def routes_fixed(
-    balancer: Balancer, eligible: Mapping[str, Sequence[int]]
-) -> bool:
-    """True when every route is forced: each tenant has one eligible
-    replica and the policy is built in, so that replica is its answer
-    whatever the RNG or load.  ``type`` is compared exactly, since a
-    subclass may override ``route`` with arbitrary behaviour."""
-    return type(balancer) in _POLICIES and all(
-        len(targets) == 1 for targets in eligible.values()
-    )

@@ -38,9 +38,10 @@ Every lifecycle, incident and detector event is reported once, to the
 run's observer (:mod:`repro.obs.observer`), whether or not the run is
 observed: an unobserved run's observer does nothing, and what an
 observed run counts, traces and samples is defined there, not here.
-Scenarios, active overload control, active detectors and observation
-(``obs``) all need the event engine
-(:func:`repro.sim.fastpath.resolve_engine`).
+Scenarios, active overload control, active detectors, observation
+(``obs``) and balancers without a static split
+(:meth:`~repro.fleet.balancer.Balancer.split`) all need the event
+engine; :func:`repro.sim.fastpath.resolve_engine` decides once per run.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from ..serve.overload import (
     OverloadTenantState,
 )
 from ..serve.simulator import DROP_POLICIES, Request, TenantSpec, TenantState
-from .balancer import Balancer, make_balancer, routes_fixed
+from .balancer import Balancer, make_balancer
 from .detector import DetectorSpec, FailureDetector
 from .device import DeviceSpec
 from .metrics import FleetResult, ReplicaStats
@@ -351,10 +352,9 @@ class ClusterSimulator:
         or observation needs the event engine; ``"fast"``/``"event"``
         force a choice (``"fast"`` with any of those raises one
         ``ValueError`` naming them all).  Both engines produce
-        bit-identical results; routing policies whose choices depend on
-        the global event interleaving (least-outstanding, power-of-two,
-        random across multiple replicas) are executed on the event
-        engine regardless, since their behaviour *is* that interleaving.
+        bit-identical results; a balancer without a static split
+        (:meth:`~repro.fleet.balancer.Balancer.split`) runs the event
+        engine under ``"fast"`` too.
 
         ``scenario`` (a name from :data:`repro.scenario.SCENARIOS` or a
         :class:`~repro.scenario.ScenarioSpec`) overlays a failure/surge
@@ -403,12 +403,10 @@ class ClusterSimulator:
             self, duration_cycles, seed=seed, drain=drain, scenario=scenario,
             engine=engine, obs=obs, overload=overload, detector=detector,
         )
-        if fleet.engine == "fast" and fastpath.fleet_fast_supported(
-            fleet.balancer, fleet.eligible
-        ):
+        if fleet.engine == "fast":
             elapsed = fastpath.run_fleet_fast(
-                fleet.replicas, self.tenants, fleet.eligible, fleet.balancer,
-                fleet.horizon, seed, drain,
+                fleet.replicas, self.tenants, fleet.splits, fleet.horizon,
+                seed, drain,
             )
         else:
             elapsed = fleet.simulate()
@@ -465,13 +463,6 @@ class _FleetRun:
             spec.deadline_ms is not None for spec in tenants
         ):
             ospec = overload if overload is not None else OverloadSpec()
-        self.engine = resolve_engine(
-            engine,
-            has_scenario=scenario is not None,
-            has_overload=ospec is not None,
-            has_detector=detector is not None and detector.active,
-            has_obs=obs is not None and obs.active,
-        )
         self.cluster = cluster
         self.tenants = tenants
         self.names = [spec.name for spec in tenants]
@@ -496,6 +487,20 @@ class _FleetRun:
         }
         self.balancer = cluster._make_balancer()
         self.balancer.bind(self.replicas, random.Random(f"{seed}/balancer"))
+        #: Each tenant's static split over its targets, or ``None`` where
+        #: its routes depend on load (:meth:`Balancer.split`).
+        self.splits = {
+            name: self.balancer.split(name, targets)
+            for name, targets in self.eligible.items()
+        }
+        self.engine = resolve_engine(
+            engine,
+            has_scenario=scenario is not None,
+            has_overload=ospec is not None,
+            has_detector=detector is not None and detector.active,
+            has_obs=obs is not None and obs.active,
+            static_routes=None not in self.splits.values(),
+        )
 
         self.observer = make_observer(obs, self.horizon)
         self.sim = Simulator(on_event=self.observer.on_event)
@@ -606,19 +611,24 @@ class _FleetRun:
                 self.fdet = fd
                 self.routable = fd.routable
                 self.probe_rng = random.Random(f"{self.seed}/detector/probe")
-        #: Tenant -> (state, index) of its one board when routes are
-        #: forced and no fault, gray window or probe ejection can change
-        #: them: ``route`` skips the router, as in every serve run.
+        #: Tenant -> (state, index) of its one board when every tenant
+        #: has one target (all or nothing: random draws even over one)
+        #: and no fault, gray window or probe ejection can change it:
+        #: ``route`` skips the router, as in every serve run.
         self.fixed_landing: Dict[str, Tuple[TenantState, int]] = {}
         if (
             not self.outages
             and not self.degradations
             and self.fdet is None
-            and routes_fixed(self.balancer, self.eligible)
+            and all(
+                split is not None and len(split) == 1
+                for split in self.splits.values()
+            )
         ):
             self.fixed_landing = {
-                name: (self.replicas[targets[0]].states[name], targets[0])
-                for name, targets in self.eligible.items()
+                name: (self.replicas[r].states[name], r)
+                for name, split in self.splits.items()
+                for r in split
             }
 
     def _healthy(self, i: int) -> bool:

@@ -230,7 +230,7 @@ class FleetResult:
                 f"{self.rate_to_rps(t.offered_rate_per_cycle):.0f}",
                 t.arrivals,
                 t.completions,
-                f"{self.rate_to_rps(t.completed_rate_per_cycle(self.horizon_cycles)):.1f}",
+                f"{self.rate_to_rps(t.good_rate_per_cycle(self.horizon_cycles)):.1f}",
                 p50,
                 p95,
                 p99,

@@ -309,9 +309,16 @@ class RollingReboot(FaultSpec):
 
     def __post_init__(self) -> None:
         _check_window(self.window_start, self.duration, self.relative)
-        if not self.window_start < self.window_end <= 1.0 if self.relative else False:
-            if self.window_end <= self.window_start:
-                raise ValueError("window_end must exceed window_start")
+        if self.window_end <= self.window_start:
+            raise ValueError(
+                f"rolling window_end={self.window_end} must exceed "
+                f"window_start={self.window_start}"
+            )
+        if self.relative and self.window_end > 1.0:
+            raise ValueError(
+                f"relative rolling window_end {self.window_end} must lie "
+                "inside the horizon (at most 1)"
+            )
 
     def materialize(
         self, horizon: float, num_replicas: int, rng: random.Random

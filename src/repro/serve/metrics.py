@@ -180,6 +180,10 @@ class TenantStats:
         by it would under-report designs with deep pipelines."""
         return self.completions / window_cycles if window_cycles else 0.0
 
+    def good_rate_per_cycle(self, window_cycles: float) -> float:
+        """:meth:`completed_rate_per_cycle` without late completions."""
+        return self.good_completions / window_cycles if window_cycles else 0.0
+
 
 @dataclass(frozen=True)
 class ServeResult:
@@ -269,7 +273,7 @@ class ServeResult:
                 f"{self.rate_to_rps(t.offered_rate_per_cycle):.0f}",
                 t.arrivals,
                 t.completions,
-                f"{self.rate_to_rps(t.completed_rate_per_cycle(self.horizon_cycles)):.1f}",
+                f"{self.rate_to_rps(t.good_rate_per_cycle(self.horizon_cycles)):.1f}",
                 p50,
                 p95,
                 p99,

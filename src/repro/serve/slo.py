@@ -128,7 +128,10 @@ def evaluate_slo(result: ServeResult, slo: SLOSpec) -> SLOReport:
 
     A tenant with arrivals but no completions fails any latency or
     throughput clause outright (its tail latency is effectively
-    unbounded); a tenant that saw no traffic at all trivially passes.
+    unbounded).  A tenant that saw no traffic at all fails the rate
+    floors (``min_throughput_rps``, ``min_goodput_rps``) with "no
+    traffic", since serving nothing meets no floor, and passes the p99,
+    drop and deadline clauses vacuously.
 
     ``result`` may equally be a :class:`~repro.fleet.metrics.FleetResult`
     — it exposes the same per-tenant stats and clock conversions, with
@@ -148,9 +151,9 @@ def evaluate_slo(result: ServeResult, slo: SLOSpec) -> SLOReport:
         throughput = result.rate_to_rps(
             tenant.completed_rate_per_cycle(result.horizon_cycles)
         )
-        late = getattr(tenant, "late", 0)
+        late = tenant.late
         goodput = result.rate_to_rps(
-            max(tenant.completions - late, 0) / result.horizon_cycles
+            tenant.good_rate_per_cycle(result.horizon_cycles)
         )
         saw_traffic = tenant.arrivals > 0
         if slo.p99_ms is not None and saw_traffic:
@@ -173,6 +176,11 @@ def evaluate_slo(result: ServeResult, slo: SLOSpec) -> SLOReport:
             violations.append(
                 f"drops {charged:.1%} > {slo.max_drop_rate:.1%}"
             )
+        if not saw_traffic and (
+            slo.min_throughput_rps is not None
+            or slo.min_goodput_rps is not None
+        ):
+            violations.append("no traffic")
         if slo.min_throughput_rps is not None and saw_traffic:
             if throughput < slo.min_throughput_rps:
                 violations.append(

@@ -51,21 +51,16 @@ have used.  The three places this bites, and how they are replicated:
 CLP busy cycles are integer-valued and far below 2**53, so their float
 accumulation is exact in any order and needs no special care.
 
-The fleet solver covers balancers whose routing is a function of the
-per-tenant arrival index alone — round-robin (per-tenant counters),
-tenant-affinity (a pure hash), and any policy when a tenant has exactly
-one eligible replica.  Load-dependent policies over multiple replicas
-(least-outstanding, power-of-two, random's shared RNG stream) depend on
-the global event interleaving; for those the cluster falls back to the
-reference event engine, which is what ``engine="fast"`` documents: a
-promise about results, not mechanism.
+The fleet solver takes each tenant's static split of its stream over
+its targets (:meth:`repro.fleet.balancer.Balancer.split`); a run whose
+balancer has none runs the event engine (:func:`resolve_engine`).
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -77,7 +72,6 @@ __all__ = [
     "resolve_engine",
     "materialize_arrivals",
     "run_serve_fast",
-    "fleet_fast_supported",
     "run_fleet_fast",
 ]
 
@@ -92,6 +86,7 @@ def resolve_engine(
     has_overload: bool = False,
     has_detector: bool = False,
     has_obs: bool = False,
+    static_routes: bool = True,
 ) -> str:
     """Pick the concrete engine for a run.
 
@@ -102,9 +97,11 @@ def resolve_engine(
     timeouts), or observation (telemetry or tracing) — failure events,
     retry feedback loops, and probe/timeout events genuinely interleave
     with traffic, and observation samples the event stream the fast
-    solver never builds.  Requesting ``fast``
-    together with any of them is one error naming every blocker, rather
-    than a silent downgrade.
+    solver never builds.  Requesting ``fast`` together with any of them
+    is one error naming every blocker, rather than a silent downgrade.
+    Routes that are not static (:meth:`repro.fleet.balancer.Balancer.split`)
+    run the event engine under ``fast`` too: it promises results, not
+    mechanism.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
@@ -125,14 +122,14 @@ def resolve_engine(
         )
         if needed
     ]
-    if engine == "auto":
-        return "event" if blockers else "fast"
     if engine == "fast" and blockers:
         raise ValueError(
             f"engine='fast' cannot run {' and '.join(blockers)}; "
             "use engine='event' (or 'auto')"
         )
-    return engine
+    if engine == "event" or blockers or not static_routes:
+        return "event"
+    return "fast"
 
 
 # --------------------------------------------------------------- arrivals
@@ -479,65 +476,21 @@ def run_serve_fast(
 
 
 # ------------------------------------------------------------------ fleet
-def fleet_fast_supported(balancer, eligible: Dict[str, Tuple[int, ...]]) -> bool:
-    """Can routing be computed from per-tenant arrival indexes alone?
-
-    True for round-robin (per-tenant counters), tenant-affinity (pure
-    hash), and any other built-in policy whose routes are forced
-    (:func:`~repro.fleet.balancer.routes_fixed`).
-    """
-    from ..fleet.balancer import (
-        RoundRobinBalancer,
-        TenantAffinityBalancer,
-        routes_fixed,
-    )
-
-    if type(balancer) in (RoundRobinBalancer, TenantAffinityBalancer):
-        return True
-    return routes_fixed(balancer, eligible)
-
-
-def _route_slices(
-    balancer, name: str, targets: Tuple[int, ...]
-) -> Dict[int, slice]:
-    """Each target replica's share of a tenant's stream, as a slice.
-
-    Round-robin's per-tenant counter advances once per arrival, and a
-    tenant's arrivals fire in index order, so the n-th arrival draws
-    turn n however tenants interleave: target ``j`` takes every
-    ``len(targets)``-th arrival from ``j``.  Tenant-affinity sends the
-    whole stream to one hashed target.
-    """
-    from ..fleet.balancer import RoundRobinBalancer, TenantAffinityBalancer
-
-    if len(targets) == 1:
-        return {targets[0]: slice(None)}
-    if type(balancer) is RoundRobinBalancer:
-        return {
-            r: slice(j, None, len(targets)) for j, r in enumerate(targets)
-        }
-    if type(balancer) is TenantAffinityBalancer:
-        import zlib
-
-        chosen = targets[zlib.crc32(name.encode("utf-8")) % len(targets)]
-        return {r: slice(None) if r == chosen else slice(0) for r in targets}
-    raise AssertionError(f"unsupported balancer {balancer.name!r}")
-
-
 def run_fleet_fast(
     replicas: Sequence,
     tenants: Sequence,
-    eligible: Dict[str, Tuple[int, ...]],
-    balancer,
+    splits: Dict[str, Dict[int, slice]],
     horizon: float,
     seed: int,
     drain: bool,
 ) -> float:
     """Solve a fleet run in place; returns the elapsed cycles.
 
-    Each (replica, tenant) pair is an independent FIFO once routing is
-    fixed, so the fleet reduces to per-replica instances of the serve
-    solver — with one cross-cutting wrinkle: heap tie-breaks chain
+    ``splits`` holds each tenant's static split
+    (:meth:`~repro.fleet.balancer.Balancer.split`), so each (replica,
+    tenant) pair is an independent FIFO and the fleet reduces to
+    per-replica instances of the serve solver — with one cross-cutting
+    wrinkle: heap tie-breaks chain
     through the *tenant's* full arrival stream (arrival ``i`` is always
     scheduled by arrival ``i-1``, wherever that one routed), so
     eligibility is computed on the full stream per epoch grid and only
@@ -554,22 +507,21 @@ def run_fleet_fast(
         arrivals = materialize_arrivals(
             spec.process, f"{seed}/{index}/{spec.name}", spec.limit, horizon
         )
-        targets = eligible[spec.name]
-        shares = _route_slices(balancer, spec.name, targets)
+        shares = splits[spec.name]
         # One eligibility pass per distinct epoch among serving replicas.
         by_epoch: Dict[float, np.ndarray] = {}
-        for r in targets:
+        for r in shares:
             epoch = replicas[r].epoch
             if epoch not in by_epoch:
                 by_epoch[epoch] = _eligibility(arrivals, epoch)
-        for r in targets:
+        for r, share in shares.items():
             replica = replicas[r]
             state = replica.states[spec.name]
             # Contiguous copies: a strided share slows every array pass.
-            mine = np.ascontiguousarray(arrivals[shares[r]])
+            mine = np.ascontiguousarray(arrivals[share])
             solved = _solve_stream(
                 mine,
-                np.ascontiguousarray(by_epoch[replica.epoch][shares[r]]),
+                np.ascontiguousarray(by_epoch[replica.epoch][share]),
                 replica.epoch,
                 last_ks[r],
                 state.queue_depth,

@@ -27,7 +27,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.serialize import fleet_result_to_dict, serve_result_to_dict
-from repro.fleet import BALANCER_NAMES, DeviceSpec, simulate_fleet
+from repro.fleet import (
+    BALANCER_NAMES,
+    DeviceSpec,
+    make_balancer,
+    simulate_fleet,
+)
 from repro.scenario import RedundancyOutage, ScenarioSpec
 from repro.serve import (
     BurstyArrivals,
@@ -360,6 +365,38 @@ class TestEngineSelection:
         message = str(raised.value)
         assert "scenario" in message and "detector" in message
         assert "overload" not in message
+
+    def test_routes_on_load_resolve_to_event(self):
+        assert resolve_engine("fast", static_routes=False) == "event"
+        assert resolve_engine("auto", static_routes=False) == "event"
+        with pytest.raises(ValueError):
+            resolve_engine("fast", has_scenario=True, static_routes=False)
+
+    def test_power_of_two_fast_resolves_to_event(
+        self, toy_design, monkeypatch
+    ):
+        """power-of-two over 3 boards routes on load, so ``fast``
+        resolves to the event engine and the fast solver never runs."""
+        from repro.sim import fastpath
+
+        assert make_balancer("power-of-two").split("toy", (0, 1, 2)) is None
+        resolved = []
+        resolve = fastpath.resolve_engine
+
+        def spy(engine, **kwargs):
+            resolved.append(resolve(engine, **kwargs))
+            return resolved[-1]
+
+        def refuse(*args):
+            raise AssertionError("the fast solver ran")
+
+        monkeypatch.setattr(fastpath, "resolve_engine", spy)
+        monkeypatch.setattr(fastpath, "run_fleet_fast", refuse)
+        fast, event = _fleet_both(
+            toy_design, replicas=3, balancer="power-of-two"
+        )
+        assert resolved == ["event", "event"]
+        assert fleet_result_to_dict(fast) == fleet_result_to_dict(event)
 
     def test_fleet_fast_with_scenario_rejected(self, toy_design):
         epoch = toy_design.epoch_cycles

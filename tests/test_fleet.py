@@ -227,17 +227,63 @@ class TestBalancers:
         routed = [replica.arrivals for replica in fleet.replicas]
         assert routed[2] > 0 and routed[0] == routed[1] == 0
 
-    def test_routes_fixed_needs_lone_targets_and_builtin_policy(self):
-        from repro.fleet.balancer import RandomBalancer, routes_fixed
+    def test_split_of_lone_targets_needs_builtin_policy(self):
+        from repro.fleet.balancer import RandomBalancer
 
         class Subclassed(RandomBalancer):
             pass
 
-        lone = {"a": (3,), "b": (0,)}
         for name in BALANCER_NAMES:
-            assert routes_fixed(make_balancer(name), lone)
-        assert not routes_fixed(make_balancer("random"), {"a": (3,), "b": (0, 1)})
-        assert not routes_fixed(Subclassed(), lone)
+            policy = make_balancer(name)
+            assert policy.split("a", (3,)) == {3: slice(None)}
+            assert policy.split("b", (0,)) == {0: slice(None)}
+        assert make_balancer("random").split("b", (0, 1)) is None
+        assert Subclassed().split("a", (3,)) is None
+
+    @FAST
+    @given(
+        tenant=st.text(max_size=12),
+        targets=st.lists(
+            st.integers(min_value=0, max_value=63),
+            min_size=1, max_size=6, unique=True,
+        ).map(tuple),
+        arrivals=st.integers(min_value=0, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_split_assigns_arrivals_as_route_does(
+        self, tenant, targets, arrivals, seed
+    ):
+        """A static split assigns arrival ``n`` to the replica the
+        ``n``-th route call of a freshly bound policy picks; policies
+        that route on load or shared RNG state over several targets,
+        and subclasses of built-ins, have no split."""
+        from repro.fleet.balancer import RandomBalancer
+
+        class Fake:
+            outstanding = 0
+
+        class Subclassed(RandomBalancer):
+            pass
+
+        load_dependent = ("least-outstanding", "power-of-two", "random")
+        for name in BALANCER_NAMES:
+            split = make_balancer(name).split(tenant, targets)
+            if name in load_dependent and len(targets) > 1:
+                assert split is None
+                continue
+            assert split is not None and set(split) == set(targets)
+            owner = {}
+            for r, share in split.items():
+                for n in range(arrivals)[share]:
+                    assert n not in owner
+                    owner[n] = r
+            policy = make_balancer(name)
+            policy.bind([Fake()] * 64, random.Random(seed))
+            routed = [
+                policy.route(tenant, targets, 0.0) for _ in range(arrivals)
+            ]
+            assert routed == [owner[n] for n in range(arrivals)]
+        assert Subclassed().split(tenant, targets) is None
 
     def test_custom_balancer_routes_every_arrival_on_one_board(
         self, toy_design

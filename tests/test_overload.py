@@ -307,6 +307,40 @@ class TestQueueDisciplines:
         assert tenant.good_completions == tenant.completions - tenant.late
         _assert_conserved(result)
 
+    def test_goodput_columns_exclude_late_completions(self, toy_design):
+        """Every printed "goodput r/s" counts good completions only, as
+        the SLO report does: the serve and fleet tables and the report's
+        runs section."""
+        overload = OverloadSpec(
+            queue_policy="fifo", deadline_ms=3 * _epoch_ms(toy_design)
+        )
+        serve = _serve(toy_design, 2.0, epochs=80, overload=overload)
+        fleet = _fleet(toy_design, 2, 4.0, epochs=80, overload=overload)
+        for result in (serve, fleet):
+            tenant = result.tenants[0]
+            assert tenant.late > 0
+            good = result.rate_to_rps(
+                tenant.good_completions / result.horizon_cycles
+            )
+            lines = result.format().splitlines()
+            at = next(i for i, line in enumerate(lines) if "goodput r/s" in line)
+            header = lines[at]
+            row = next(
+                line for line in lines[at:] if line.split()[0] == tenant.name
+            )
+            column = header.index("goodput r/s")
+            assert row[column:].split()[0] == f"{good:.1f}"
+            report = render_run_report([result], ["run.json"])
+            lines = report.splitlines()
+            header = next(line for line in lines if "goodput r/s" in line)
+            row = next(line for line in lines if "run.json" in line)
+            column = header.split("|").index(" goodput r/s ")
+            total = sum(
+                result.rate_to_rps(t.good_completions / result.horizon_cycles)
+                for t in result.tenants
+            )
+            assert row.split("|")[column].strip() == f"{total:.1f}"
+
     def test_priority_discipline_runs_conserved(self, toy_design):
         result = _serve(
             toy_design, 2.0, epochs=80, queue_depth=4,

@@ -144,6 +144,22 @@ class TestFaultSpecs:
         for (_, prev_end), (next_start, _) in zip(spans, spans[1:]):
             assert next_start >= prev_end  # never two down at once
 
+    @pytest.mark.parametrize("window", [
+        dict(window_start=0.1, window_end=1.5),
+        dict(window_start=0.5, window_end=0.5),
+        dict(relative=False, window_start=100.0, window_end=50.0,
+             duration=10.0),
+    ])
+    def test_rolling_reboot_rejects_bad_windows(self, window):
+        with pytest.raises(ValueError, match="window_end"):
+            RollingReboot(**window)
+
+    def test_rolling_reboot_absolute_window_may_pass_one(self):
+        spec = RollingReboot(relative=False, window_start=100.0,
+                             window_end=500.0, duration=10.0)
+        outages = spec.materialize(1000.0, 3, random.Random(0))
+        assert [o.start for o in outages] == [100.0, 295.0, 490.0]
+
     def test_redundancy_outage_fails_last_replicas(self):
         spec = RedundancyOutage(count=2, start=0.35, duration=0.3)
         outages = spec.materialize(HORIZON, 5, random.Random(0))

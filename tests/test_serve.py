@@ -577,6 +577,23 @@ class TestSLO:
         report = evaluate_slo(result, SLOSpec(p99_ms=1.0))
         assert report.meets
 
+    def test_no_traffic_fails_rate_floors(self, toy_design):
+        result = simulate_traffic(
+            toy_design,
+            [TenantSpec("toy", TraceArrivals(()))],
+            duration_cycles=5 * toy_design.epoch_cycles,
+        )
+        for slo in (
+            SLOSpec(min_throughput_rps=1.0),
+            SLOSpec(min_goodput_rps=1.0),
+            SLOSpec(p99_ms=1.0, min_throughput_rps=1.0, min_goodput_rps=1.0),
+        ):
+            report = evaluate_slo(result, slo)
+            assert not report.meets
+            assert report.tenants[0].violations == ("no traffic",)
+        vacuous = SLOSpec(p99_ms=1.0, max_drop_rate=0.0, deadline_ms=1.0)
+        assert evaluate_slo(result, vacuous).meets
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SLOSpec(p99_ms=0.0)
