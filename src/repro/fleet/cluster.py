@@ -20,7 +20,13 @@ method per event kind (arrival, retry or hedge delivery, brownout step,
 boundary, completion, fault, gray window, probe, timeout sweep) and
 one result builder both engines end in.  Events are scheduled as those
 methods plus their arguments
-(``sim.schedule_at(when, self.boundary, replica, count)``).
+(``sim.schedule_at(when, self.boundary, replica, count, lane=...)``).
+The three streams that come in time order ride the engine's FIFO lanes
+(:mod:`repro.sim.engine`) instead of its heap: each tenant's arrivals,
+the exact ``count * epoch`` boundary grid of each epoch length, and
+completions a fixed ``depth * epoch`` after dispatch (a slow or
+link-delayed completion takes the heap).  Lanes change what an event
+costs, never when it runs.
 
 Every run follows one request lifecycle, owned by the run: each
 arrival, retry and hedge is a :class:`~repro.serve.simulator.Request`
@@ -49,6 +55,7 @@ from __future__ import annotations
 import random
 from typing import (
     TYPE_CHECKING,
+    Deque,
     Dict,
     Iterator,
     List,
@@ -80,6 +87,10 @@ from .device import DeviceSpec
 from .metrics import FleetResult, ReplicaStats
 
 __all__ = ["Replica", "ClusterSimulator", "simulate_fleet"]
+
+#: Engine lanes one run opens at most: the engine scans every lane head
+#: to pick an event, so each lane must carry a busy stream.
+_MAX_LANES = 8
 
 
 class Replica:
@@ -682,7 +693,10 @@ class _FleetRun:
         if when is None or when > self.horizon:
             self.stream_open[index] = False
             return
-        self.sim.schedule_at(when, self.arrive, index, count + 1)
+        self.sim.schedule_at(
+            when, self.arrive, index, count + 1,
+            lane=self.arrival_lanes[index],
+        )
 
     def arrive(self, index: int, count: int) -> None:
         self.land(index, Request(self.sim.now))
@@ -1043,7 +1057,11 @@ class _FleetRun:
             now, controller, observer = sim.now, self.controller, self.observer
             delay = replica.link_delay_epochs * epoch
             flaky = replica.error_rate
-            for state in replica.states.values():
+            # Off the grid (slow or link-delayed), a completion would
+            # land behind its lane's later entries: it takes the heap.
+            on_grid = slow == 1.0 and delay == 0.0
+            lanes = self.finish_lanes[replica.index]
+            for state, lane in zip(replica.states.values(), lanes):
                 if controller is not None:
                     self.expire(replica, state, now)
                 req = state.admit(now)
@@ -1059,13 +1077,17 @@ class _FleetRun:
                     state.depth_epochs * epoch * slow + delay,
                     self.finish, replica, state, req,
                     replica.generation, errored,
+                    lane=lane if on_grid else None,
                 )
         # Exact grid ``count * epoch``: chaining ``now + epoch`` would
         # accumulate float error over long horizons and drift from the
         # fast engine's batched grid.
         upcoming = (count + 1) * epoch
         if upcoming <= self.horizon or (self.drain and self._pending(replica)):
-            sim.schedule_at(upcoming, self.boundary, replica, count + 1)
+            sim.schedule_at(
+                upcoming, self.boundary, replica, count + 1,
+                lane=self.boundary_lanes[replica.index],
+            )
 
     def expire(self, replica: Replica, state: TenantState, now: float) -> None:
         """Shed the expired heads of a discipline queue before its
@@ -1096,11 +1118,11 @@ class _FleetRun:
     def simulate(self) -> float:
         """Schedule every event source, run the engine; the elapsed
         cycles.  Scheduling order is the engine's tie-break order for
-        simultaneous events, so it is fixed: brownout steps (scheduled
-        when the overload controller is built), arrivals, outages,
-        degradations, probes, outlier checks, timeout sweeps,
-        boundaries (the first runs at once), then whatever the observer
-        schedules (telemetry samples)."""
+        simultaneous events, on its heap and lanes alike, so it is
+        fixed: brownout steps (scheduled when the overload controller
+        is built), arrivals, outages, degradations, probes, outlier
+        checks, timeout sweeps, boundaries (the first runs at once),
+        then whatever the observer schedules (telemetry samples)."""
         sim, horizon = self.sim, self.horizon
         # Keyed by tenant, not replica: the fleet sees the *same*
         # traffic a lone board would.
@@ -1110,6 +1132,7 @@ class _FleetRun:
                 zip(self.tenants, self.processes)
             )
         ]
+        self._open_lanes()
         for index in range(len(self.tenants)):
             self.pump(index)
         for outage in self.outages:
@@ -1144,6 +1167,37 @@ class _FleetRun:
             return max(sim.run(), horizon)
         sim.run(until=horizon)
         return horizon
+
+    def _open_lanes(self) -> None:
+        """Give the run's three time-ordered streams engine lanes (see
+        :mod:`repro.sim.engine`): boundaries, one lane per distinct
+        epoch (each board's grid ``count * epoch`` advances in step with
+        every other board's of that epoch); arrivals, one per tenant
+        stream; completions, one per ``(epoch, depth)``, a fixed delay
+        after a dispatch.  Up to ``_MAX_LANES``, in that order; a stream
+        without a lane (``None``) is scheduled on the heap."""
+        sim = self.sim
+        lanes: Dict[Tuple[object, ...], Optional[Deque]] = {}
+
+        def lane(*key: object) -> Optional[Deque]:
+            if key not in lanes:
+                lanes[key] = sim.lane() if len(lanes) < _MAX_LANES else None
+            return lanes[key]
+
+        # Indexed by replica, by tenant, and by replica then ``states``.
+        self.boundary_lanes = [
+            lane("boundary", replica.epoch) for replica in self.replicas
+        ]
+        self.arrival_lanes = [
+            lane("arrival", index) for index in range(len(self.tenants))
+        ]
+        self.finish_lanes = [
+            [
+                lane("finish", replica.epoch, state.depth_epochs)
+                for state in replica.states.values()
+            ]
+            for replica in self.replicas
+        ]
 
     # ------------------------------------------------------------ result
     def tenant_states(self, name: str) -> List[TenantState]:
@@ -1221,11 +1275,13 @@ class _FleetRun:
 
     def close(self) -> None:
         """Drop the references that lead back to this run: pending
-        events hold its bound methods, and so may ``routable``, and
-        each tenant state holds its board (for the load counter).  The
-        run's state is then freed as soon as the caller lets go of it,
-        not at the next cyclic garbage collection."""
+        events (on the engine's heap and on the run's lanes) hold its
+        bound methods, and so may ``routable``, and each tenant state
+        holds its board (for the load counter).  The run's state is then
+        freed as soon as the caller lets go of it, not at the next
+        cyclic garbage collection."""
         self.sim = self.routable = None
+        self.boundary_lanes = self.arrival_lanes = self.finish_lanes = None
         for replica in self.replicas:
             for state in replica.states.values():
                 state.board = None

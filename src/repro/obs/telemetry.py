@@ -21,6 +21,7 @@ for latency distributions.  Everything reduces to an immutable
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -161,7 +162,9 @@ class MetricsRecorder:
 
     def count(self, name: str, time: float, amount: float = 1.0) -> None:
         """Bump a per-window counter at an event's timestamp."""
-        slot = self._counts.setdefault(name, [0.0] * self.num_windows)
+        slot = self._counts.get(name)
+        if slot is None:
+            slot = self._counts[name] = [0.0] * self.num_windows
         slot[self.window_index(time)] += amount
 
     def cumulative(self, name: str, window: int, total: float) -> None:
@@ -175,15 +178,14 @@ class MetricsRecorder:
         value: float,
         edges: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
-        """Add one sample to a run-wide fixed-bucket histogram."""
-        if name not in self._histograms:
-            self._histograms[name] = (edges, [0] * (len(edges) + 1))
-        bucket_edges, counts = self._histograms[name]
-        for index, edge in enumerate(bucket_edges):
-            if value <= edge:
-                counts[index] += 1
-                return
-        counts[-1] += 1
+        """Add one sample to a run-wide fixed-bucket histogram: the
+        bucket of the first (ascending) edge at least ``value``, else
+        the +inf bucket."""
+        entry = self._histograms.get(name)
+        if entry is None:
+            entry = self._histograms[name] = (edges, [0] * (len(edges) + 1))
+        bucket_edges, counts = entry
+        counts[bisect.bisect_left(bucket_edges, value)] += 1
 
     # -------------------------------------------------------------- finalize
     def finalize(self) -> TimeSeries:

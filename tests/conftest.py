@@ -46,6 +46,27 @@ def toy_design(toy_network) -> MultiCLPDesign:
 
 
 @pytest.fixture(scope="session")
+def toy2_design() -> MultiCLPDesign:
+    """A second toy network/design, for heterogeneous-fleet tests."""
+    network = Network(
+        "toy2",
+        [
+            ConvLayer("x", n=8, m=16, r=13, c=13, k=3),
+            ConvLayer("y", n=16, m=16, r=13, c=13, k=3),
+        ],
+    )
+    layer_x, layer_y = network.layers
+    return MultiCLPDesign(
+        network,
+        [
+            CLPConfig(4, 8, [layer_x], FLOAT32, [(13, 13)]),
+            CLPConfig(4, 16, [layer_y], FLOAT32, [(13, 13)]),
+        ],
+        FLOAT32,
+    )
+
+
+@pytest.fixture(scope="session")
 def alexnet_485t_design() -> MultiCLPDesign:
     """The paper's canonical scenario: AlexNet float32 on a VX485T."""
     return optimize_multi_clp(alexnet(), budget_for("485t"), FLOAT32)

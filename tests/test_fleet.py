@@ -22,11 +22,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.clp import CLPConfig
-from repro.core.datatypes import FLOAT32
-from repro.core.design import MultiCLPDesign
-from repro.core.layer import ConvLayer
-from repro.core.network import Network
 from repro.core.serialize import (
     fleet_result_from_dict,
     fleet_result_to_dict,
@@ -56,27 +51,6 @@ FAST = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-@pytest.fixture(scope="session")
-def toy2_design():
-    """A second toy network/design, for heterogeneous-fleet tests."""
-    network = Network(
-        "toy2",
-        [
-            ConvLayer("x", n=8, m=16, r=13, c=13, k=3),
-            ConvLayer("y", n=16, m=16, r=13, c=13, k=3),
-        ],
-    )
-    layer_x, layer_y = network.layers
-    return MultiCLPDesign(
-        network,
-        [
-            CLPConfig(4, 8, [layer_x], FLOAT32, [(13, 13)]),
-            CLPConfig(4, 16, [layer_y], FLOAT32, [(13, 13)]),
-        ],
-        FLOAT32,
-    )
 
 
 def _tenants(design, rate_mult, process="poisson"):

@@ -37,7 +37,7 @@ from repro.obs import (
     TimeSeries,
     TraceRecorder,
 )
-from repro.obs.telemetry import window_grid
+from repro.obs.telemetry import DEFAULT_LATENCY_BUCKETS, window_grid
 from repro.scenario import (
     DegradedReplica,
     FlakyReplica,
@@ -144,6 +144,22 @@ class TestMetricsRecorder:
         ts = rec.finalize()
         hist = ts.histograms["lat"]
         assert hist.counts == (1, 1, 1)
+
+    def test_histogram_bucket_is_first_edge_at_least_value(self):
+        """Edge values land in their own bucket, as "first edge >=
+        value" says; past the last edge is the +inf bucket."""
+        edges = DEFAULT_LATENCY_BUCKETS
+        values = [0.0, *edges, *(edge * 1.5 for edge in edges)]
+        rec = MetricsRecorder(100.0, 50.0)
+        expected = [0] * (len(edges) + 1)
+        for value in values:
+            rec.observe("lat", value)
+            first = next(
+                (i for i, edge in enumerate(edges) if value <= edge),
+                len(edges),
+            )
+            expected[first] += 1
+        assert rec.finalize().histograms["lat"].counts == tuple(expected)
 
     def test_obs_spec_window_resolution(self):
         spec = ObsSpec(timeseries=True)
