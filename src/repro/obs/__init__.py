@@ -3,10 +3,11 @@
 Every simulation in this repo reduces a run to end-of-run scalars; this
 package adds the time dimension back, opt-in and zero-cost when off:
 
-- :mod:`repro.obs.telemetry` — a zero-dependency :class:`MetricsRecorder`
-  (counters, gauges, fixed-bucket histograms) sampled on a configurable
-  window grid, reduced to an immutable :class:`TimeSeries` carried on
-  ``ServeResult``/``FleetResult``.
+- :mod:`repro.obs.telemetry` — a :class:`MetricsRecorder` (counters,
+  gauges, fixed-bucket histograms) sampled on a configurable window
+  grid, reduced to an immutable :class:`TimeSeries` carried on
+  ``ServeResult``/``FleetResult``.  Counters log event times and bin
+  them with numpy once per window.
 - :mod:`repro.obs.trace` — request spans and incident windows,
   exportable as Chrome ``trace_event`` JSON (load it in
   ``chrome://tracing`` / Perfetto) or JSONL.

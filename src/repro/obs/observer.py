@@ -10,7 +10,6 @@ for telemetry, a :class:`TracingObserver` for a trace, or both at once.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Iterable, Optional
 
 from .telemetry import BusySampler, MetricsRecorder, ObsSpec, TenantGroupSampler
@@ -106,40 +105,64 @@ class RunObserver:
         return None
 
 
+class _Sinks(dict):
+    """Tenant name -> the ``add`` of counter ``{kind}/{tenant}``,
+    resolved on the tenant's first count of ``kind`` (so series keep
+    their first-count order)."""
+
+    def __init__(self, recorder: MetricsRecorder, kind: str):
+        super().__init__()
+        self.recorder, self.kind = recorder, kind
+
+    def __missing__(self, tenant):
+        add = self[tenant] = self.recorder.counter(f"{self.kind}/{tenant}").add
+        return add
+
+
 class CountingObserver(RunObserver):
     """Telemetry: per-window event counts and window-end samples."""
 
     def __init__(self, recorder: MetricsRecorder):
         self.recorder = recorder
-        self.on_event = partial(recorder.count, "engine_events")
+        # The engine calls its hook before every event, so this is
+        # always the first counter, as if created at the first event.
+        self.on_event = recorder.counter("engine_events").add
+        self._late, self._rejected, self._retries, self._hedges = (
+            _Sinks(recorder, kind)
+            for kind in ("late", "rejected", "retries", "hedges")
+        )
+        self._expired, self._timeouts, self._failovers, self._errors = (
+            _Sinks(recorder, kind)
+            for kind in ("expired", "timeouts", "failovers", "errors")
+        )
 
     def completed(self, tenant, replica, now, arrival, late):
         if late:
-            self.recorder.count(f"late/{tenant}", now)
+            self._late[tenant](now)
 
     def rejected(self, tenant, replica, now, reason):
-        self.recorder.count(f"rejected/{tenant}", now)
+        self._rejected[tenant](now)
 
     def retried(self, tenant, now, attempt, delay_cycles, reason):
-        self.recorder.count(f"retries/{tenant}", now)
+        self._retries[tenant](now)
 
     def hedged(self, tenant, now):
-        self.recorder.count(f"hedges/{tenant}", now)
+        self._hedges[tenant](now)
 
     def expired(self, tenant, replica, now):
-        self.recorder.count(f"expired/{tenant}", now)
+        self._expired[tenant](now)
 
     def brownout(self, now, action, shed):
         self.recorder.count("brownout_steps", now)
 
     def timed_out(self, tenant, replica, now):
-        self.recorder.count(f"timeouts/{tenant}", now)
+        self._timeouts[tenant](now)
 
     def failed_over(self, tenant, replica, now, target, phase, dropped):
-        self.recorder.count(f"failovers/{tenant}", now)
+        self._failovers[tenant](now)
 
     def flaky_error(self, tenant, now):
-        self.recorder.count(f"errors/{tenant}", now)
+        self._errors[tenant](now)
 
     def start(self, run):
         """Build the samplers over the run's tenant states and boards,
@@ -158,7 +181,9 @@ class CountingObserver(RunObserver):
             run.sim.schedule_at(when, self.sample, window, when)
 
     def sample(self, window: int, when: float) -> None:
-        """Read-only telemetry sample at the end of one window."""
+        """Read-only telemetry sample at the end of one window; bins
+        the counters' logged event times."""
+        self.recorder.fold()
         gauge = self.recorder.gauge
         for sampler in self.samplers:
             sampler.sample(window, when)

@@ -1,4 +1,4 @@
-"""Zero-dependency run telemetry on a fixed window grid.
+"""Run telemetry on a fixed window grid.
 
 The recorder divides a run's horizon into ``ceil(horizon / window)``
 windows and collects three kinds of signals against that grid:
@@ -9,23 +9,27 @@ windows and collects three kinds of signals against that grid:
   zeros rather than gaps.
 - **counters** — monotone totals either sampled cumulatively at window
   ends (:meth:`MetricsRecorder.cumulative`, diffed into per-window
-  increments at finalize) or bumped per event
-  (:meth:`MetricsRecorder.count`).
+  increments at finalize) or counted per event: each event's time is
+  logged (:meth:`MetricsRecorder.count`) and the log is binned onto
+  the grid in one pass per window (:meth:`MetricsRecorder.fold`).
 - **windowed values** — quantities that only exist per window, like the
   windowed p99; ``None`` marks windows with no samples.
 
-Plus run-wide **fixed-bucket histograms** (:meth:`MetricsRecorder.observe`)
-for latency distributions.  Everything reduces to an immutable
-:class:`TimeSeries` that serializes to plain JSON.
+Plus run-wide **fixed-bucket histograms** (:meth:`MetricsRecorder.observe`,
+one batch of samples per call) for latency distributions.  Everything
+reduces to an immutable :class:`TimeSeries` that serializes to plain
+JSON.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..serve.metrics import WindowCounts
 from .trace import TraceRecorder
 
 __all__ = [
@@ -130,9 +134,9 @@ class MetricsRecorder:
         self.num_windows = len(self.times)
         self._gauges: Dict[str, List[Optional[float]]] = {}
         self._windowed: Dict[str, List[Optional[float]]] = {}
-        self._counts: Dict[str, List[float]] = {}
+        self._counts: Dict[str, WindowCounts] = {}
         self._cumulative: Dict[str, List[Optional[float]]] = {}
-        self._histograms: Dict[str, Tuple[Tuple[float, ...], List[int]]] = {}
+        self._histograms: Dict[str, Tuple[Tuple[float, ...], np.ndarray]] = {}
 
     # ------------------------------------------------------------------ grid
     def window_index(self, time: float) -> int:
@@ -140,7 +144,8 @@ class MetricsRecorder:
 
         Windows are start-inclusive: an event at exactly ``k * window``
         lands in window ``k``.  Times past the horizon (drain tails)
-        clamp to the last window.
+        clamp to the last window.  This is the scalar reference for
+        the batched binning behind :meth:`count`.
         """
         if time <= 0:
             return 0
@@ -160,12 +165,26 @@ class MetricsRecorder:
         slot = self._windowed.setdefault(name, self._blank())
         slot[window] = None if value is None else float(value)
 
-    def count(self, name: str, time: float, amount: float = 1.0) -> None:
-        """Bump a per-window counter at an event's timestamp."""
-        slot = self._counts.get(name)
-        if slot is None:
-            slot = self._counts[name] = [0.0] * self.num_windows
-        slot[self.window_index(time)] += amount
+    def counter(self, name: str) -> WindowCounts:
+        """The per-window counter ``name``, created on first use (series
+        keep their first-use order); its ``add`` logs one event time."""
+        counts = self._counts.get(name)
+        if counts is None:
+            counts = self._counts[name] = WindowCounts(
+                self.window_cycles, self.num_windows
+            )
+        return counts
+
+    def count(self, name: str, time: float) -> None:
+        """Count one event of ``name`` at its timestamp."""
+        self.counter(name).add(time)
+
+    def fold(self) -> None:
+        """Bin every counter's logged times onto the grid (see
+        :class:`~repro.serve.metrics.WindowCounts`); a sampler calls it
+        at window ends so the logs stay short."""
+        for counts in self._counts.values():
+            counts.fold()
 
     def cumulative(self, name: str, window: int, total: float) -> None:
         """Sample a monotone running total; finalize diffs consecutive
@@ -175,17 +194,20 @@ class MetricsRecorder:
     def observe(
         self,
         name: str,
-        value: float,
+        values: Sequence[float],
         edges: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
     ) -> None:
-        """Add one sample to a run-wide fixed-bucket histogram: the
-        bucket of the first (ascending) edge at least ``value``, else
-        the +inf bucket."""
+        """Add samples to a run-wide fixed-bucket histogram: each goes
+        to the bucket of the first (ascending) edge at least its value,
+        else to the +inf bucket."""
         entry = self._histograms.get(name)
         if entry is None:
-            entry = self._histograms[name] = (edges, [0] * (len(edges) + 1))
+            entry = self._histograms[name] = (
+                edges, np.zeros(len(edges) + 1, dtype=np.int64)
+            )
         bucket_edges, counts = entry
-        counts[bisect.bisect_left(bucket_edges, value)] += 1
+        buckets = np.searchsorted(bucket_edges, values, side="left")
+        counts += np.bincount(buckets, minlength=len(counts))
 
     # -------------------------------------------------------------- finalize
     def finalize(self) -> TimeSeries:
@@ -201,8 +223,8 @@ class MetricsRecorder:
             series[name] = tuple(values)
         for name, values in self._windowed.items():
             series[name] = tuple(values)
-        for name, values in self._counts.items():
-            series[name] = tuple(values)
+        for name, counts in self._counts.items():
+            series[name] = tuple(map(float, counts.totals()))
         for name, totals in self._cumulative.items():
             deltas: List[Optional[float]] = []
             previous = 0.0
@@ -216,7 +238,7 @@ class MetricsRecorder:
                 previous = total
             series[name] = tuple(deltas)
         histograms = {
-            name: HistogramSummary(edges=edges, counts=tuple(counts))
+            name: HistogramSummary(edges=edges, counts=tuple(counts.tolist()))
             for name, (edges, counts) in self._histograms.items()
         }
         return TimeSeries(
@@ -279,8 +301,7 @@ class TenantGroupSampler:
             ordered = sorted(fresh)
             rank = max(1, -(-len(ordered) * 99 // 100))  # nearest-rank p99
             rec.windowed(f"p99_cycles/{name}", window, ordered[rank - 1])
-            for value in fresh:
-                rec.observe(f"latency_cycles/{name}", value)
+            rec.observe(f"latency_cycles/{name}", fresh)
         else:
             rec.windowed(f"p99_cycles/{name}", window, None)
 

@@ -9,8 +9,9 @@ the repo — with millisecond conversions derived from the run's clock.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ if TYPE_CHECKING:  # annotation only; results never construct telemetry
 
 __all__ = [
     "fold_sum",
+    "WindowCounts",
     "percentile",
     "LatencySummary",
     "TenantStats",
@@ -39,6 +41,50 @@ def fold_sum(values: Sequence[float]) -> float:
     """
     folded = np.cumsum(np.asarray(values, dtype=np.float64))
     return float(folded[-1]) if folded.size else 0.0
+
+
+class WindowCounts:
+    """Per-window event counts on a grid of ``num_windows`` windows of
+    ``window_cycles`` each, logged as times and binned in batches.
+
+    ``add`` (a bound ``array.append``) logs one event time.
+    :meth:`fold` bins the logged times into the totals and clears the
+    log: an event at ``t`` counts in window ``min(int(t / window),
+    num_windows - 1)``, or window 0 when ``t <= 0``.  Windows include
+    their start, and drain tails past the grid clamp to the last
+    window.  Counts are sums, so any fold schedule gives the totals
+    per-event binning would.
+    """
+
+    __slots__ = ("window_cycles", "num_windows", "pending", "add", "_totals")
+
+    def __init__(self, window_cycles: float, num_windows: int) -> None:
+        self.window_cycles = float(window_cycles)
+        self.num_windows = num_windows
+        #: Event times not yet binned.
+        self.pending = array("d")
+        self.add = self.pending.append
+        self._totals = np.zeros(num_windows, dtype=np.int64)
+
+    def fold(self) -> None:
+        """Bin the logged times into the totals and clear the log."""
+        if not self.pending:
+            return
+        times = np.frombuffer(self.pending, dtype=np.float64)
+        # Clamped before the cast, so no time overflows the int64.
+        index = np.minimum(
+            times / self.window_cycles, self.num_windows - 1
+        ).astype(np.int64)
+        # The view pins the log's buffer; drop it before clearing.
+        del times
+        np.maximum(index, 0, out=index)
+        self._totals += np.bincount(index, minlength=self.num_windows)
+        del self.pending[:]
+
+    def totals(self) -> List[int]:
+        """Events per window, everything logged so far included."""
+        self.fold()
+        return self._totals.tolist()
 
 
 def percentile(values: Sequence[float], q: float) -> float:

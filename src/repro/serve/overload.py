@@ -63,6 +63,7 @@ from typing import (
 )
 
 from ..core.serialize import from_record, omit_default, to_record
+from .metrics import WindowCounts, percentile
 from .simulator import Request, TenantState
 
 if TYPE_CHECKING:
@@ -490,8 +491,9 @@ class OverloadController:
         else:
             self.window_cycles = horizon / 60.0
         self.num_windows = max(1, -int(-horizon // self.window_cycles))
-        self._good: Dict[int, List[int]] = {
-            level: [0] * self.num_windows for level in self.priority_levels
+        self._good: Dict[int, WindowCounts] = {
+            level: WindowCounts(self.window_cycles, self.num_windows)
+            for level in self.priority_levels
         }
         self._shed_flags: Dict[int, List[int]] = {
             level: [0] * self.num_windows for level in self.priority_levels
@@ -508,10 +510,6 @@ class OverloadController:
     # ------------------------------------------------------------- utilities
     def _ms(self, value_ms: Optional[float]) -> Optional[float]:
         return None if value_ms is None else value_ms * self.cycles_per_ms
-
-    def _window_of(self, when: float) -> int:
-        index = int(when / self.window_cycles)
-        return min(index, self.num_windows - 1)
 
     # ------------------------------------------------------------- admission
     def admit(self, index: int, req: Request, now: float) -> Optional[str]:
@@ -608,7 +606,7 @@ class OverloadController:
         deadline = self.deadline_cycles[index]
         late = deadline is not None and latency > deadline
         if not late:
-            self._good[priority][self._window_of(now)] += 1
+            self._good[priority].add(now)
         if (
             self.spec.brownout is not None
             and priority == self.priority_levels[-1]
@@ -630,8 +628,6 @@ class OverloadController:
     def step(self, window_index: int) -> Optional[str]:
         """One brownout step at a window boundary (windows 1-based):
         ``"shed"`` or ``"restore"`` when the shed level moved."""
-        from .metrics import percentile
-
         brownout = self.spec.brownout
         assert brownout is not None
         slo = self._ms(brownout.p99_ms) or 1.0
@@ -662,6 +658,7 @@ class OverloadController:
         self._window_latencies = []
         for level in self.priority_levels:
             self._window_arrivals[level] = 0
+            self._good[level].fold()
         return action
 
     # ---------------------------------------------------------------- report
@@ -694,7 +691,7 @@ class OverloadController:
             window_cycles=self.window_cycles,
             times=times,
             goodput={
-                str(level): tuple(counts)
+                str(level): tuple(counts.totals())
                 for level, counts in self._good.items()
             },
             shed={

@@ -12,6 +12,7 @@ Three invariants matter most:
   duration events properly alternating per track.
 """
 
+import bisect
 import collections
 import hashlib
 import json
@@ -19,6 +20,8 @@ import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.serialize import (
     fleet_result_from_dict,
@@ -37,6 +40,7 @@ from repro.obs import (
     TimeSeries,
     TraceRecorder,
 )
+from repro.obs.observer import CountingObserver
 from repro.obs.telemetry import DEFAULT_LATENCY_BUCKETS, window_grid
 from repro.scenario import (
     DegradedReplica,
@@ -45,7 +49,13 @@ from repro.scenario import (
     ScenarioSpec,
 )
 from repro.serve import PoissonArrivals, TenantSpec, simulate_traffic
-from repro.serve.overload import AdmissionPolicy, OverloadSpec
+from repro.serve.overload import (
+    AdmissionPolicy,
+    BrownoutPolicy,
+    OverloadController,
+    OverloadSpec,
+)
+from repro.serve.simulator import Request
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -138,9 +148,8 @@ class TestMetricsRecorder:
 
     def test_histogram(self):
         rec = MetricsRecorder(100.0, 50.0)
-        rec.observe("lat", 5.0, edges=(10.0, 100.0))
-        rec.observe("lat", 50.0, edges=(10.0, 100.0))
-        rec.observe("lat", 5000.0, edges=(10.0, 100.0))
+        rec.observe("lat", [5.0, 50.0], edges=(10.0, 100.0))
+        rec.observe("lat", [5000.0], edges=(10.0, 100.0))
         ts = rec.finalize()
         hist = ts.histograms["lat"]
         assert hist.counts == (1, 1, 1)
@@ -153,7 +162,7 @@ class TestMetricsRecorder:
         rec = MetricsRecorder(100.0, 50.0)
         expected = [0] * (len(edges) + 1)
         for value in values:
-            rec.observe("lat", value)
+            rec.observe("lat", [value])
             first = next(
                 (i for i, edge in enumerate(edges) if value <= edge),
                 len(edges),
@@ -170,6 +179,142 @@ class TestMetricsRecorder:
     def test_inactive_spec_makes_no_recorder(self):
         assert ObsSpec().make_recorder(100.0) is None
         assert not ObsSpec().active
+
+
+# -------------------------------------------------------- batched binning
+
+_HYPOTHESIS = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def _logged_times(draw, windows_max=40):
+    """``(window, windows, times, folds)``: a grid of ``windows``
+    windows, event times on it (zero, negative, exact window starts,
+    interior points and drain tails past the grid) and the indices
+    before which the log is folded."""
+    window = draw(st.floats(min_value=0.5, max_value=1e4))
+    windows = draw(st.integers(min_value=1, max_value=windows_max))
+    span = window * windows
+    times = draw(st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=-3.0 * span, max_value=0.0),
+            st.integers(0, windows + 3).map(lambda k: k * window),
+            st.floats(min_value=0.0, max_value=span),
+            st.floats(min_value=span, max_value=3.0 * span),
+        ),
+        min_size=1,
+        max_size=120,
+    ))
+    folds = draw(st.sets(st.integers(0, len(times))))
+    return window, windows, times, folds
+
+
+class TestBatchedBinning:
+    """The logged-and-binned counters equal per-event scalar binning."""
+
+    @_HYPOTHESIS
+    @given(case=_logged_times(), last=st.floats(0.01, 1.0))
+    def test_counts_equal_scalar_window_index(self, case, last):
+        window, windows, times, folds = case
+        # The horizon ends inside the last window: a partial window.
+        rec = MetricsRecorder(window * (windows - 1 + last), window)
+        expected = [0.0] * rec.num_windows
+        for index, time in enumerate(times):
+            if index in folds:
+                rec.fold()
+            rec.count("events", time)
+            expected[rec.window_index(time)] += 1.0
+        assert rec.finalize().get("events") == tuple(expected)
+
+    @_HYPOTHESIS
+    @given(
+        case=_logged_times(windows_max=20),
+        priorities=st.lists(st.sampled_from((0, 1)), min_size=120,
+                            max_size=120),
+    )
+    def test_goodput_grid_equals_scalar_windows(self, case, priorities):
+        window, windows, times, folds = case
+        tenants = [
+            TenantSpec(name, PoissonArrivals(1.0), priority=priority)
+            for name, priority in (("cold", 0), ("hot", 1))
+        ]
+        # One cycle per millisecond, so the grid's window is ``window``.
+        controller = OverloadController(
+            OverloadSpec(brownout=BrownoutPolicy(p99_ms=1.0, window_ms=window)),
+            tenants, horizon=window * windows, frequency_mhz=1e-3, seed=0,
+        )
+        cycles, grid = controller.window_cycles, controller.num_windows
+        assert cycles == window
+        expected = {0: [0] * grid, 1: [0] * grid}
+        step = 1
+        for index, time in enumerate(times):
+            if index in folds:
+                controller.step(step)
+                step += 1
+            now = max(time, 0.0)  # completions never precede the run
+            priority = priorities[index]  # also the tenant's index
+            assert not controller.completed(priority, Request(now), now)
+            expected[priority][min(int(now / cycles), grid - 1)] += 1
+        goodput = controller.report([]).goodput
+        assert goodput == {
+            str(level): tuple(counts) for level, counts in expected.items()
+        }
+
+    @_HYPOTHESIS
+    @given(
+        edges=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1,
+                       max_size=12, unique=True).map(sorted),
+        data=st.data(),
+    )
+    def test_batched_histogram_equals_bisect(self, edges, data):
+        batches = data.draw(st.lists(st.lists(st.one_of(
+            st.sampled_from(edges),  # on an edge: its own bucket
+            st.floats(min_value=-1.0, max_value=2e6),  # past the last edge
+        ), max_size=30), min_size=1, max_size=6))
+        rec = MetricsRecorder(100.0, 50.0)
+        expected = [0] * (len(edges) + 1)
+        for batch in batches:
+            rec.observe("lat", batch, edges=tuple(edges))
+            for value in batch:
+                expected[bisect.bisect_left(edges, value)] += 1
+        assert rec.finalize().histograms["lat"].counts == tuple(expected)
+
+    def test_engine_events_sum_to_events_processed(
+        self, toy_design, toy_tenants, monkeypatch
+    ):
+        """A drained run counts every engine event once, its drain tail
+        in the last window, and each window-end sample leaves every
+        counter's log empty."""
+        engines, logs_empty = [], []
+        start, sample = CountingObserver.start, CountingObserver.sample
+
+        def spy_start(self, run):
+            engines.append(run.sim)
+            start(self, run)
+
+        def spy_sample(self, window, when):
+            sample(self, window, when)
+            logs_empty.append(not any(
+                counts.pending for counts in self.recorder._counts.values()
+            ))
+
+        monkeypatch.setattr(CountingObserver, "start", spy_start)
+        monkeypatch.setattr(CountingObserver, "sample", spy_sample)
+        result = simulate_fleet(
+            DeviceSpec(toy_design).replicated(3), toy_tenants,
+            duration_cycles=30.0 * toy_design.epoch_cycles, seed=5,
+            scenario="rolling-reboot", drain=True,
+            obs=ObsSpec(timeseries=True, windows=8),
+        )
+        assert result.elapsed_cycles > result.horizon_cycles  # a tail
+        assert logs_empty == [True] * 8
+        events = result.timeseries.get("engine_events")
+        assert sum(events) == engines[0].events_processed
 
 
 # -------------------------------------------------------------- bit-neutrality
