@@ -69,7 +69,7 @@ def main() -> None:
                 name,
                 len(result.incidents),
                 f"{resilience.availability:.1%}",
-                result.total_lost,
+                result.total("lost"),
                 f"{result.cycles_to_ms(during):.0f}" if during else "-",
                 f"{result.cycles_to_ms(outside):.0f}" if outside else "-",
             )
@@ -98,7 +98,7 @@ def main() -> None:
             max_replicas=16, seed=7, duration_ms=1500.0,
             scenario="rack-loss", redundancy=redundancy,
         )
-        lost = plan.result.total_lost if plan.result else "-"
+        lost = plan.result.total("lost") if plan.result else "-"
         rows.append(
             (
                 f"N+{redundancy}",

@@ -54,7 +54,7 @@ def main() -> None:
     timeseries = observed.timeseries
     print(
         f"rolling reboot over 3 boards: {len(observed.incidents)} "
-        f"incidents, {observed.total_lost} requests lost"
+        f"incidents, {observed.total('lost')} requests lost"
     )
     print(f"{len(timeseries.times)} telemetry windows:")
     for name in ("queue_depth/AlexNet", "healthy_replicas", "lost/AlexNet"):

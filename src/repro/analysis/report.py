@@ -19,12 +19,15 @@ import math
 import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
+from ..serve.metrics import REPORT_COUNTERS
+
 __all__ = [
     "render_table",
     "format_ratio",
     "format_sig",
     "ascii_plot",
     "sparkline",
+    "series_line",
     "markdown_table",
     "load_run",
     "render_run_report",
@@ -164,6 +167,21 @@ def sparkline(
     return "".join(chars)
 
 
+def series_line(
+    label: str, values: Sequence[Optional[float]], width: int
+) -> str:
+    """``label`` padded to ``width``, a sparkline of ``values``, and
+    their range (``None`` values are gaps)."""
+    present = [v for v in values if v is not None]
+    if not present:
+        stats = "(no samples)"
+    elif min(present) == max(present):
+        stats = f"= {format_sig(min(present))} (constant)"
+    else:
+        stats = f"{format_sig(min(present))} .. {format_sig(max(present))}"
+    return f"{label.ljust(width)}  {sparkline(values)}  {stats}"
+
+
 def markdown_table(
     headers: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> str:
@@ -207,75 +225,36 @@ def _run_label(result: Any) -> str:
     return result.design_label
 
 
-def _worst_p99_ms(result: Any) -> Optional[float]:
-    worst = None
-    for tenant in result.tenants:
-        if tenant.latency is None:
-            continue
-        p99 = result.cycles_to_ms(tenant.latency.p99)
-        worst = p99 if worst is None else max(worst, p99)
-    return worst
-
-
-def _goodput_rps(result: Any) -> float:
-    return sum(
-        result.rate_to_rps(t.good_rate_per_cycle(result.horizon_cycles))
-        for t in result.tenants
-    )
-
-
-def _shed_rate(result: Any) -> float:
-    arrivals = sum(t.arrivals for t in result.tenants)
-    shed = sum(
-        t.drops + t.lost + t.rejected + t.expired + t.timed_out
-        for t in result.tenants
-    )
-    return shed / arrivals if arrivals else 0.0
-
-
 # ------------------------------------------------------------------- sections
 
 
 def _runs_section(results: Sequence[Any], sources: Sequence[str]) -> str:
-    # Overload columns appear only when some run produced the class —
-    # the same conditional-column rule the fleet table uses for `lost`,
+    # Overload columns appear only when some run produced the class,
     # keeping overload-free reports byte-identical to older ones.
-    show_rejected = any(
-        sum(t.rejected for t in r.tenants) > 0 for r in results
-    )
-    show_expired = any(
-        sum(t.expired for t in r.tenants) > 0 for r in results
-    )
+    counters = [
+        name for name in REPORT_COUNTERS if any(r.total(name) for r in results)
+    ]
     rows = []
     for result, source in zip(results, sources):
-        p99 = _worst_p99_ms(result)
-        row = [
+        p99 = result.worst_p99_ms
+        rows.append((
             os.path.basename(source),
             _run_kind(result),
             _run_label(result),
             result.seed,
             f"{result.cycles_to_ms(result.horizon_cycles):.1f}",
-            sum(t.arrivals for t in result.tenants),
-            sum(t.completions for t in result.tenants),
-            f"{_goodput_rps(result):.1f}",
+            result.total_arrivals,
+            result.total_completions,
+            f"{result.goodput_rps:.1f}",
             "-" if p99 is None else f"{p99:.2f}",
-            f"{_shed_rate(result):.2%}",
-        ]
-        if show_rejected:
-            row.append(sum(t.rejected for t in result.tenants))
-        if show_expired:
-            row.append(sum(t.expired for t in result.tenants))
-        rows.append(tuple(row))
-    headers = [
+            f"{result.shed_rate:.2%}",
+            *(result.total(name) for name in counters),
+        ))
+    headers = (
         "run", "kind", "label", "seed", "horizon ms", "arrivals",
-        "done", "goodput r/s", "worst p99 ms", "shed",
-    ]
-    if show_rejected:
-        headers.append("rejected")
-    if show_expired:
-        headers.append("expired")
-    table = markdown_table(tuple(headers), rows)
-    return f"## Runs\n\n{table}"
+        "done", "goodput r/s", "worst p99 ms", "shed", *counters,
+    )
+    return f"## Runs\n\n{markdown_table(headers, rows)}"
 
 
 def _aggregate_section(results: Sequence[Any]) -> Optional[str]:
@@ -288,9 +267,9 @@ def _aggregate_section(results: Sequence[Any]) -> Optional[str]:
     rows = []
     for label in sorted(groups):
         members = groups[label]
-        goodputs = [_goodput_rps(r) for r in members]
-        p99s = [p for p in (_worst_p99_ms(r) for r in members) if p is not None]
-        sheds = [_shed_rate(r) for r in members]
+        goodputs = [r.goodput_rps for r in members]
+        p99s = [p for p in (r.worst_p99_ms for r in members) if p is not None]
+        sheds = [r.shed_rate for r in members]
         seeds = sorted({r.seed for r in members})
         rows.append(
             (
@@ -454,19 +433,7 @@ def _timeseries_section(results: Sequence[Any]) -> Optional[str]:
                         for v in values
                     ]
                     label = name.replace("p99_cycles/", "p99_ms/")
-                present = [v for v in values if v is not None]
-                if not present:
-                    stats = "(no samples)"
-                elif min(present) == max(present):
-                    stats = f"= {format_sig(min(present))} (constant)"
-                else:
-                    stats = (
-                        f"{format_sig(min(present))} .. "
-                        f"{format_sig(max(present))}"
-                    )
-                lines.append(
-                    f"  {label.ljust(name_width)}  {sparkline(values)}  {stats}"
-                )
+                lines.append(f"  {series_line(label, values, name_width)}")
         blocks.append("\n".join(lines))
     if not blocks:
         return None

@@ -940,7 +940,7 @@ def _cmd_fleet_autoscale(args: argparse.Namespace) -> str:
 
 def _autoscale_report(trace) -> str:
     """Markdown view of an autoscale trace: text summary + sparklines."""
-    from .analysis.report import format_sig, sparkline
+    from .analysis.report import series_line
 
     timeseries = trace.to_timeseries()
     lines = [
@@ -956,15 +956,7 @@ def _autoscale_report(trace) -> str:
     ]
     width = max(len(name) for name in timeseries.names())
     for name in timeseries.names():
-        values = list(timeseries.get(name))
-        present = [v for v in values if v is not None]
-        if not present:
-            stats = "(no samples)"
-        elif min(present) == max(present):
-            stats = f"= {format_sig(min(present))} (constant)"
-        else:
-            stats = f"{format_sig(min(present))} .. {format_sig(max(present))}"
-        lines.append(f"{name.ljust(width)}  {sparkline(values)}  {stats}")
+        lines.append(series_line(name, list(timeseries.get(name)), width))
     lines += ["```", ""]
     return "\n".join(lines)
 

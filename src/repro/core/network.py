@@ -66,10 +66,6 @@ class Network:
     def total_flops(self) -> int:
         return sum(layer.flops for layer in self.layers)
 
-    @property
-    def total_weight_words(self) -> int:
-        return sum(layer.weight_words for layer in self.layers)
-
     def describe(self) -> str:
         """Multi-line summary of the network."""
         lines = [

@@ -10,7 +10,7 @@ and 76.4% overall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .cost_model import layer_cycles
 from .layer import ConvLayer
@@ -52,9 +52,6 @@ class UtilizationReport:
     tm: int
     per_layer: Tuple[Tuple[str, float], ...]
     overall: float
-
-    def worst_layers(self, count: int = 3) -> List[Tuple[str, float]]:
-        return sorted(self.per_layer, key=lambda item: item[1])[:count]
 
     def describe(self) -> str:
         lines = [

@@ -505,7 +505,7 @@ class ResilienceRanking:
             0 if self.report.meets else 1,
             -self.report.attainment,
             p99 if p99 is not None else float("inf"),
-            self.fleet.total_lost,
+            self.fleet.total("lost"),
             -self.report.total_goodput_rps,
         )
 
@@ -577,7 +577,7 @@ def resilience_rank_table(
         (
             ("avail", _availability),
             ("incident p99 ms", lambda entry: _ms(entry.during_p99_ms)),
-            ("lost", lambda entry: entry.fleet.total_lost),
+            ("lost", lambda entry: entry.fleet.total("lost")),
             ("shed", lambda entry: f"{entry.report.worst_shed_rate:.1%}"),
         ),
         f"resilience ranking under {scenario} @ {rate_rps:g} r/s",

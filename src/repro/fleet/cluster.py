@@ -74,7 +74,7 @@ from ..obs.observer import make_observer
 from ..scenario.faults import Degradation, Incident, Outage
 from ..scenario.library import ScenarioSpec, get_scenario
 from ..scenario.resilience import compute_resilience
-from ..serve.metrics import LatencySummary, TenantStats, fold_sum
+from ..serve.metrics import COUNTERS, LatencySummary, TenantStats, fold_sum
 from ..serve.overload import (
     OverloadController,
     OverloadSpec,
@@ -232,7 +232,8 @@ def _aggregate_tenant(
         latency = LatencySummary.of(np.concatenate(
             [np.asarray(state.latencies, dtype=np.float64) for state in states]
         ))
-    completions = sum(s.completions for s in stats)
+    counts = {name: sum(getattr(s, name) for s in stats) for name in COUNTERS}
+    completions = counts["completions"]
     firsts = [s.first_completion for s in states if s.first_completion is not None]
     lasts = [s.last_completion for s in states if s.last_completion is not None]
     steady = None
@@ -241,23 +242,13 @@ def _aggregate_tenant(
     return TenantStats(
         name=spec.name,
         offered_rate_per_cycle=spec.process.mean_rate,
-        arrivals=sum(s.arrivals for s in stats),
-        completions=completions,
-        drops=sum(s.drops for s in stats),
         in_flight=sum(s.in_flight for s in stats),
         latency=latency,
         mean_queue_depth=fold_sum([s.mean_queue_depth for s in stats]),
         peak_queue_depth=max(s.peak_queue_depth for s in stats),
         steady_rate_per_cycle=steady,
-        lost=sum(s.lost for s in stats),
-        rejected=sum(s.rejected for s in stats),
-        expired=sum(s.expired for s in stats),
-        retries=sum(s.retries for s in stats),
-        hedges=sum(s.hedges for s in stats),
-        late=sum(s.late for s in stats),
         priority=spec.priority,
-        timed_out=sum(s.timed_out for s in stats),
-        failed_over=sum(s.failed_over for s in stats),
+        **counts,
     )
 
 

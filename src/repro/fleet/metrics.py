@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # annotation only; results never construct telemetry
 from ..core.serialize import omit_default
 from ..scenario.faults import Incident
 from ..scenario.resilience import ResilienceReport, WindowMetrics
-from ..serve.metrics import TenantStats
+from ..serve.metrics import RunSummary, TenantStats
 
 __all__ = ["ReplicaStats", "FleetResult"]
 
@@ -69,15 +69,16 @@ class ReplicaStats:
 
 
 @dataclass(frozen=True)
-class FleetResult:
+class FleetResult(RunSummary):
     """Everything one seeded cluster simulation produced.
 
     ``tenants`` are the fleet-wide aggregates (latency percentiles over
     the merged per-replica samples; arrivals/completions/drops summed;
     queue depth summed — the expected number of requests waiting
     anywhere in the fleet); ``replicas`` keep the per-board breakdown
-    the imbalance metrics come from.  The conversion helpers mirror
-    :class:`~repro.serve.metrics.ServeResult` exactly, so
+    the imbalance metrics come from.  The conversions, totals and
+    headline numbers are :class:`~repro.serve.metrics.RunSummary`'s,
+    shared with :class:`~repro.serve.metrics.ServeResult`, so
     :func:`repro.serve.slo.evaluate_slo` scores either shape.
     """
 
@@ -114,63 +115,6 @@ class FleetResult:
     #: pre-detector records.
     detector: Optional["DetectorSpec"] = omit_default(None)
 
-    # ------------------------------------------------------------ conversions
-    @property
-    def cycles_per_second(self) -> float:
-        return self.frequency_mhz * 1e6
-
-    def cycles_to_ms(self, cycles: float) -> float:
-        return cycles / self.cycles_per_second * 1e3
-
-    def rate_to_rps(self, rate_per_cycle: float) -> float:
-        return rate_per_cycle * self.cycles_per_second
-
-    # ----------------------------------------------------------------- access
-    def tenant(self, name: str) -> TenantStats:
-        for stats in self.tenants:
-            if stats.name == name:
-                return stats
-        raise KeyError(
-            f"no tenant {name!r}; tenants: {[t.name for t in self.tenants]}"
-        )
-
-    @property
-    def total_arrivals(self) -> int:
-        return sum(t.arrivals for t in self.tenants)
-
-    @property
-    def total_completions(self) -> int:
-        return sum(t.completions for t in self.tenants)
-
-    @property
-    def total_drops(self) -> int:
-        return sum(t.drops for t in self.tenants)
-
-    @property
-    def total_lost(self) -> int:
-        """Requests destroyed by failures, fleet-wide (see ``TenantStats.lost``)."""
-        return sum(t.lost for t in self.tenants)
-
-    @property
-    def total_rejected(self) -> int:
-        """Arrivals turned away by admission control, fleet-wide."""
-        return sum(t.rejected for t in self.tenants)
-
-    @property
-    def total_expired(self) -> int:
-        """Queued requests shed past-deadline at dispatch, fleet-wide."""
-        return sum(t.expired for t in self.tenants)
-
-    @property
-    def total_timed_out(self) -> int:
-        """Requests abandoned after exhausting timeout failovers, fleet-wide."""
-        return sum(t.timed_out for t in self.tenants)
-
-    @property
-    def total_failed_over(self) -> int:
-        """Logical requests that failed over at least once, fleet-wide."""
-        return sum(t.failed_over for t in self.tenants)
-
     # --------------------------------------------------------------- capacity
     def tenant_capacity_rps(self, name: str) -> float:
         """Admission slots per second the fleet offers one tenant."""
@@ -206,69 +150,14 @@ class FleetResult:
         from ..analysis.report import render_table
 
         # The unserved column must show what the SLO layer charges: the
-        # *shed* rate (queue drops plus fault losses).  Printing bare
-        # ``drop_rate`` let a rack-loss drill report 0.0% while the fleet
-        # was losing traffic to dead boards.  A separate ``lost`` column
-        # appears whenever failures actually destroyed requests.
-        show_lost = self.total_lost > 0
-        # Overload columns follow the same rule: present only when the
-        # run actually produced the class, so plain reports are stable.
-        show_rejected = self.total_rejected > 0
-        show_expired = self.total_expired > 0
-        show_timed_out = self.total_timed_out > 0
-        show_failed_over = self.total_failed_over > 0
-        tenant_rows = []
-        for t in self.tenants:
-            if t.latency is None:
-                p50 = p95 = p99 = "-"
-            else:
-                p50 = f"{self.cycles_to_ms(t.latency.p50):.2f}"
-                p95 = f"{self.cycles_to_ms(t.latency.p95):.2f}"
-                p99 = f"{self.cycles_to_ms(t.latency.p99):.2f}"
-            row = [
-                t.name,
-                f"{self.rate_to_rps(t.offered_rate_per_cycle):.0f}",
-                t.arrivals,
-                t.completions,
-                f"{self.rate_to_rps(t.good_rate_per_cycle(self.horizon_cycles)):.1f}",
-                p50,
-                p95,
-                p99,
-                f"{t.shed_rate:.1%}",
-            ]
-            if show_lost:
-                row.append(t.lost)
-            if show_rejected:
-                row.append(t.rejected)
-            if show_expired:
-                row.append(t.expired)
-            if show_timed_out:
-                row.append(t.timed_out)
-            if show_failed_over:
-                row.append(t.failed_over)
-            tenant_rows.append(tuple(row))
-        headers = [
-            "tenant", "offered r/s", "arrivals", "done", "goodput r/s",
-            "p50 ms", "p95 ms", "p99 ms", "shed",
-        ]
-        if show_lost:
-            headers.append("lost")
-        if show_rejected:
-            headers.append("rejected")
-        if show_expired:
-            headers.append("expired")
-        if show_timed_out:
-            headers.append("timed-out")
-        if show_failed_over:
-            headers.append("failed-over")
-        tenant_table = render_table(
-            tuple(headers),
-            tenant_rows,
-            title=(
+        # *shed* rate, fault losses and overload shedding included.
+        tenant_table = self.tenant_table(
+            (
                 f"fleet of {self.num_replicas} replicas, "
                 f"balancer={self.balancer}, @{self.frequency_mhz:.0f}MHz, "
                 f"capacity={self.capacity_rps:.1f} img/s, seed={self.seed}"
             ),
+            (("shed", lambda t: f"{t.shed_rate:.1%}"),),
         )
         replica_rows = []
         for index, replica in enumerate(self.replicas):
@@ -300,12 +189,7 @@ class FleetResult:
                 f"(imbalance={self.utilization_imbalance:.1%})"
             ),
         )
-        window = (
-            f"simulated {self.cycles_to_ms(self.elapsed_cycles):.1f} ms "
-            f"({self.elapsed_cycles:.0f} cycles)"
-            + (", drained" if self.drained else "")
-        )
-        report = f"{tenant_table}\n\n{replica_table}\n{window}"
+        report = f"{tenant_table}\n\n{replica_table}\n{self.window_line()}"
         if self.scenario is not None:
             report += f"\n{self._format_resilience()}"
         if self.overload is not None:
@@ -327,7 +211,7 @@ class FleetResult:
     def _format_resilience(self) -> str:
         lines = [
             f"scenario: {self.scenario} "
-            f"({len(self.incidents)} incidents, {self.total_lost} requests lost)"
+            f"({len(self.incidents)} incidents, {self.total('lost')} requests lost)"
         ]
         r = self.resilience
         if r is not None:

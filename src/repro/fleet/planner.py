@@ -361,14 +361,9 @@ class AutoscalerPolicy:
     @staticmethod
     def _observed_p99_ms(result: FleetResult) -> Optional[float]:
         """Worst aggregate tenant p99 in ms; None = unbounded (no samples)."""
-        worst = None
-        for tenant in result.tenants:
-            if tenant.latency is None:
-                if tenant.arrivals > 0:
-                    return None  # saw traffic, completed nothing
-                continue
-            p99 = result.cycles_to_ms(tenant.latency.p99)
-            worst = p99 if worst is None else max(worst, p99)
+        if any(t.latency is None and t.arrivals for t in result.tenants):
+            return None  # saw traffic, completed nothing
+        worst = result.worst_p99_ms
         return 0.0 if worst is None else worst
 
     @staticmethod
@@ -559,7 +554,7 @@ def autoscale(
                 rate_rps=rate_rps,
                 p99_ms=AutoscalerPolicy._observed_p99_ms(result),
                 queue_per_replica=AutoscalerPolicy._queue_per_replica(result),
-                drops=result.total_drops,
+                drops=result.total("drops"),
                 completions=result.total_completions,
                 action=action,
             )

@@ -71,10 +71,6 @@ class ClpImplementation:
     def dsp_overhead(self) -> int:
         return self.dsp_impl - self.dsp_model
 
-    @property
-    def bram_overhead(self) -> int:
-        return self.bram_impl - self.bram_model
-
 
 def implement_clp(clp: CLPConfig, name: str = "clp0") -> ClpImplementation:
     """Estimate the post-place-and-route resources of one CLP."""

@@ -45,8 +45,6 @@ from .library import (
     SurgeShape,
     describe_scenario,
     get_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
 )
 from .resilience import ResilienceReport, WindowMetrics, compute_resilience
 from .surges import (
@@ -81,8 +79,6 @@ __all__ = [
     "ChurnShape",
     "get_scenario",
     "describe_scenario",
-    "scenario_to_dict",
-    "scenario_from_dict",
     "ResilienceReport",
     "WindowMetrics",
     "compute_resilience",

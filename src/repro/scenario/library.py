@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.serialize import from_record, omit_default, to_record
+from ..core.serialize import omit_default, to_record
 from ..serve.arrivals import ArrivalProcess
 from ..serve.overload import (
     AdmissionPolicy,
@@ -56,8 +56,6 @@ __all__ = [
     "SCENARIO_NAMES",
     "get_scenario",
     "describe_scenario",
-    "scenario_to_dict",
-    "scenario_from_dict",
 ]
 
 
@@ -482,11 +480,3 @@ def describe_scenario(spec: ScenarioSpec) -> str:
     if spec.is_noop:
         lines.append("  (no-op: bit-exact to running without a scenario)")
     return "\n".join(lines)
-
-
-def scenario_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
-    return to_record(spec)
-
-
-def scenario_from_dict(data: Dict[str, Any]) -> ScenarioSpec:
-    return from_record(ScenarioSpec, data, "scenario")

@@ -5,13 +5,15 @@ load-test can be pinned in version control next to the design it
 exercised (see ``serve_result_to_dict`` in :mod:`repro.core.serialize`).
 Latencies are kept in cycles — the design-space currency of the rest of
 the repo — with millisecond conversions derived from the run's clock.
+A tenant's outcome counters are named once, in :data:`COUNTERS`, and
+:class:`RunSummary` holds what serve and fleet results share.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,13 +24,31 @@ if TYPE_CHECKING:  # annotation only; results never construct telemetry
     from .overload import OverloadReport
 
 __all__ = [
+    "COUNTERS",
+    "SHED",
+    "TABLE_COUNTERS",
+    "REPORT_COUNTERS",
     "fold_sum",
     "WindowCounts",
     "percentile",
     "LatencySummary",
     "TenantStats",
+    "RunSummary",
     "ServeResult",
 ]
+
+#: A tenant's outcome counters, in :class:`TenantStats` record order:
+#: what a fleet sums across its boards and a result totals.
+COUNTERS = (
+    "arrivals", "completions", "drops", "lost", "rejected", "expired",
+    "retries", "hedges", "late", "timed_out", "failed_over",
+)
+#: The counters of arrivals that were not served: a shed rate's numerator.
+SHED = ("drops", "lost", "rejected", "expired", "timed_out")
+#: Counters a tenant table shows as a column once any tenant counted one.
+TABLE_COUNTERS = ("lost", "rejected", "expired", "timed_out", "failed_over")
+#: Counters the cross-run report shows as a column once any run counted one.
+REPORT_COUNTERS = ("rejected", "expired")
 
 
 def fold_sum(values: Sequence[float]) -> float:
@@ -207,11 +227,7 @@ class TenantStats:
         ``max_drop_rate``."""
         if not self.arrivals:
             return 0.0
-        shed = (
-            self.drops + self.lost + self.rejected + self.expired
-            + self.timed_out
-        )
-        return shed / self.arrivals
+        return sum(getattr(self, name) for name in SHED) / self.arrivals
 
     @property
     def good_completions(self) -> int:
@@ -231,8 +247,130 @@ class TenantStats:
         return self.good_completions / window_cycles if window_cycles else 0.0
 
 
+class RunSummary:
+    """What a serve and a fleet run result share: clock conversions,
+    the tenant ledger's totals, the headline numbers and the tenant
+    table.
+
+    Field-less: a subclass is a frozen dataclass with ``frequency_mhz``,
+    ``horizon_cycles``, ``elapsed_cycles``, ``drained`` and ``tenants``
+    (a tuple of :class:`TenantStats`).
+    """
+
+    # ------------------------------------------------------------ conversions
+    @property
+    def cycles_per_second(self) -> float:
+        return self.frequency_mhz * 1e6
+
+    def cycles_to_ms(self, cycles: float) -> float:
+        return cycles / self.cycles_per_second * 1e3
+
+    def rate_to_rps(self, rate_per_cycle: float) -> float:
+        return rate_per_cycle * self.cycles_per_second
+
+    # ----------------------------------------------------------------- access
+    def tenant(self, name: str) -> TenantStats:
+        for stats in self.tenants:
+            if stats.name == name:
+                return stats
+        raise KeyError(
+            f"no tenant {name!r}; tenants: {[t.name for t in self.tenants]}"
+        )
+
+    def total(self, counter: str) -> int:
+        """One of :data:`COUNTERS` summed over the tenants."""
+        if counter not in COUNTERS:
+            raise ValueError(
+                f"unknown counter {counter!r}; expected one of {COUNTERS}"
+            )
+        return sum(getattr(t, counter) for t in self.tenants)
+
+    @property
+    def total_arrivals(self) -> int:
+        return self.total("arrivals")
+
+    @property
+    def total_completions(self) -> int:
+        return self.total("completions")
+
+    # -------------------------------------------------------------- headlines
+    @property
+    def worst_p99_ms(self) -> Optional[float]:
+        """The highest tenant p99; ``None`` when nothing completed."""
+        p99s = [
+            self.cycles_to_ms(t.latency.p99)
+            for t in self.tenants
+            if t.latency is not None
+        ]
+        return max(p99s) if p99s else None
+
+    @property
+    def goodput_rps(self) -> float:
+        """Completions within deadline per second of horizon, all tenants."""
+        return sum(
+            self.rate_to_rps(t.good_rate_per_cycle(self.horizon_cycles))
+            for t in self.tenants
+        )
+
+    @property
+    def shed_rate(self) -> float:
+        """Share of all arrivals not served (see ``TenantStats.shed_rate``)."""
+        arrivals = self.total_arrivals
+        if not arrivals:
+            return 0.0
+        return sum(self.total(name) for name in SHED) / arrivals
+
+    # ----------------------------------------------------------------- report
+    def tenant_table(
+        self,
+        title: str,
+        columns: Sequence[Tuple[str, Callable[[TenantStats], object]]],
+    ) -> str:
+        """One row per tenant: rates, counts and latency percentiles,
+        then ``columns`` (a header and the cell of a tenant each), then
+        each of :data:`TABLE_COUNTERS` that some tenant counted."""
+        from ..analysis.report import render_table
+
+        counters = [name for name in TABLE_COUNTERS if self.total(name)]
+        headers = [
+            "tenant", "offered r/s", "arrivals", "done", "goodput r/s",
+            "p50 ms", "p95 ms", "p99 ms",
+            *(header for header, _ in columns),
+            *(name.replace("_", "-") for name in counters),
+        ]
+        rows = []
+        for t in self.tenants:
+            if t.latency is None:
+                percentiles = ["-"] * 3
+            else:
+                percentiles = [
+                    f"{self.cycles_to_ms(cycles):.2f}"
+                    for cycles in (t.latency.p50, t.latency.p95, t.latency.p99)
+                ]
+            good = t.good_rate_per_cycle(self.horizon_cycles)
+            rows.append((
+                t.name,
+                f"{self.rate_to_rps(t.offered_rate_per_cycle):.0f}",
+                t.arrivals,
+                t.completions,
+                f"{self.rate_to_rps(good):.1f}",
+                *percentiles,
+                *(cell(t) for _, cell in columns),
+                *(getattr(t, name) for name in counters),
+            ))
+        return render_table(headers, rows, title=title)
+
+    def window_line(self) -> str:
+        """How long the run simulated, and whether it drained."""
+        return (
+            f"simulated {self.cycles_to_ms(self.elapsed_cycles):.1f} ms "
+            f"({self.elapsed_cycles:.0f} cycles)"
+            + (", drained" if self.drained else "")
+        )
+
+
 @dataclass(frozen=True)
-class ServeResult:
+class ServeResult(RunSummary):
     """Everything one seeded multi-tenant traffic simulation produced.
 
     ``clp_busy_fraction`` is each CLP's busy time share: admitted images
@@ -265,96 +403,26 @@ class ServeResult:
     #: plain runs stay byte-identical to pre-overload records.
     overload: Optional["OverloadReport"] = omit_default(None)
 
-    # ------------------------------------------------------------ conversions
-    @property
-    def cycles_per_second(self) -> float:
-        return self.frequency_mhz * 1e6
-
-    def cycles_to_ms(self, cycles: float) -> float:
-        return cycles / self.cycles_per_second * 1e3
-
-    def rate_to_rps(self, rate_per_cycle: float) -> float:
-        return rate_per_cycle * self.cycles_per_second
-
     @property
     def capacity_rps(self) -> float:
         """One image per tenant per epoch: the analytic service ceiling."""
         return self.cycles_per_second / self.epoch_cycles
 
-    # ----------------------------------------------------------------- access
-    def tenant(self, name: str) -> TenantStats:
-        for stats in self.tenants:
-            if stats.name == name:
-                return stats
-        raise KeyError(
-            f"no tenant {name!r}; tenants: {[t.name for t in self.tenants]}"
-        )
-
-    @property
-    def total_arrivals(self) -> int:
-        return sum(t.arrivals for t in self.tenants)
-
-    @property
-    def total_completions(self) -> int:
-        return sum(t.completions for t in self.tenants)
-
     # ----------------------------------------------------------------- report
     def format(self) -> str:
-        from ..analysis.report import render_table
-
-        # Overload columns appear only when the run produced the class
-        # (mirrors the fleet table's conditional ``lost`` column).
-        show_rejected = any(t.rejected for t in self.tenants)
-        show_expired = any(t.expired for t in self.tenants)
-        rows = []
-        for t in self.tenants:
-            if t.latency is None:
-                p50 = p95 = p99 = "-"
-            else:
-                p50 = f"{self.cycles_to_ms(t.latency.p50):.2f}"
-                p95 = f"{self.cycles_to_ms(t.latency.p95):.2f}"
-                p99 = f"{self.cycles_to_ms(t.latency.p99):.2f}"
-            row = [
-                t.name,
-                f"{self.rate_to_rps(t.offered_rate_per_cycle):.0f}",
-                t.arrivals,
-                t.completions,
-                f"{self.rate_to_rps(t.good_rate_per_cycle(self.horizon_cycles)):.1f}",
-                p50,
-                p95,
-                p99,
-                f"{t.drop_rate:.1%}",
-                f"{t.mean_queue_depth:.1f}",
-            ]
-            if show_rejected:
-                row.append(t.rejected)
-            if show_expired:
-                row.append(t.expired)
-            rows.append(tuple(row))
-        headers = [
-            "tenant", "offered r/s", "arrivals", "done", "goodput r/s",
-            "p50 ms", "p95 ms", "p99 ms", "drop", "avg queue",
-        ]
-        if show_rejected:
-            headers.append("rejected")
-        if show_expired:
-            headers.append("expired")
-        table = render_table(
-            tuple(headers),
-            rows,
-            title=(
+        table = self.tenant_table(
+            (
                 f"{self.design_label}: {self.num_clps} CLPs @ "
                 f"{self.frequency_mhz:.0f}MHz, epoch={self.epoch_cycles:.0f} "
                 f"cycles, capacity={self.capacity_rps:.1f} img/s/tenant, "
                 f"seed={self.seed}"
             ),
+            (
+                ("drop", lambda t: f"{t.drop_rate:.1%}"),
+                ("avg queue", lambda t: f"{t.mean_queue_depth:.1f}"),
+            ),
         )
         busy = ", ".join(
             f"CLP{i}={share:.1%}" for i, share in enumerate(self.clp_busy_fraction)
         )
-        window = (
-            f"simulated {self.cycles_to_ms(self.elapsed_cycles):.1f} ms "
-            f"({self.elapsed_cycles:.0f} cycles)"
-            + (", drained" if self.drained else "")
-        )
-        return f"{table}\nCLP utilization: {busy}\n{window}"
+        return f"{table}\nCLP utilization: {busy}\n{self.window_line()}"

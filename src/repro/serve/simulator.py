@@ -45,7 +45,7 @@ if TYPE_CHECKING:
 from ..core.design import MultiCLPDesign
 from ..opt.joint import _JOINT_SEPARATOR, JointDesign
 from .arrivals import ArrivalProcess
-from .metrics import LatencySummary, ServeResult, TenantStats
+from .metrics import COUNTERS, LatencySummary, ServeResult, TenantStats
 
 __all__ = [
     "TenantSpec",
@@ -399,23 +399,13 @@ class TenantState:
         return TenantStats(
             name=self.spec.name,
             offered_rate_per_cycle=self.spec.process.mean_rate,
-            arrivals=self.arrivals,
-            completions=self.completions,
-            drops=self.drops,
             in_flight=len(self.queue) + self.pipeline,
             latency=LatencySummary.of(self.latencies),
             mean_queue_depth=self.mean_queue_depth(elapsed),
             peak_queue_depth=self.peak_queue,
             steady_rate_per_cycle=steady,
-            lost=self.lost,
-            rejected=self.rejected,
-            expired=self.expired,
-            retries=self.retries,
-            hedges=self.hedges,
-            late=self.late,
             priority=self.spec.priority,
-            timed_out=self.timed_out,
-            failed_over=self.failed_over,
+            **{name: getattr(self, name) for name in COUNTERS},
         )
 
 

@@ -18,8 +18,9 @@ lane's tail goes to the heap instead, so every lane stays sorted by
 ``(time, sequence)``, and :meth:`Simulator.run` pops the least
 ``(time, sequence)`` among the heap top and the lane heads, the order a
 heap holding every event would pop.  A lane's entries for one instant
-(every board's boundary of one epoch) run back to back, without a
-rescan, while they beat every other head.
+(every board's boundary of one epoch) that were queued when the heads
+were scanned run back to back, without a rescan, while they beat every
+other head.
 """
 
 from __future__ import annotations
@@ -152,9 +153,14 @@ class Simulator:
                 source.popleft()
             self.now = time
             # A lane's next entry at this same time that beats every
-            # other head runs next without a rescan: whatever the
-            # callback pushes has a later seq and no earlier time.
-            following = source[0] if source else None
+            # other head runs next without a rescan, while it was queued
+            # before the scan: a callback's push has a later seq and no
+            # earlier time, so it cannot beat such an entry, but it can
+            # beat the lane's own later pushes (a same-time heap push).
+            if source:
+                following, tail_seq = source[0], source[-1][1]
+            else:
+                following = None
             while True:
                 self._processed += 1
                 if on_event is not None:
@@ -163,6 +169,7 @@ class Simulator:
                 if (
                     following is None
                     or following[0] != time
+                    or following[1] > tail_seq
                     or not following < runner_up
                 ):
                     break

@@ -238,9 +238,6 @@ class SystemSimResult:
     channel_busy_cycles: float
     bytes_moved: float
 
-    def achieved_bandwidth_bytes_per_cycle(self) -> float:
-        return self.bytes_moved / self.epoch_cycles
-
     def channel_utilization(self) -> float:
         return self.channel_busy_cycles / self.epoch_cycles
 

@@ -18,7 +18,7 @@ import json
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.serialize import fleet_result_to_dict
@@ -100,6 +100,9 @@ class TestLanes:
         schedule=_schedule,
         until=st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
     )
+    # A chained lane callback pushes a same-time heap entry, then a
+    # same-time entry on its own lane: the heap entry runs first.
+    @example(schedule=[((0, 0), [(0, None), (0, 0)]), ((0, 0), [])], until=None)
     def test_lanes_pop_in_heap_order(self, schedule, until):
         laned = _replay(schedule, until, laned=True)
         heap = _replay(schedule, until, laned=False)

@@ -520,7 +520,7 @@ class TestShedReportingRegression:
         )
 
     def test_lost_column_appears_with_losses(self, drill):
-        assert drill.total_lost > 0
+        assert drill.total("lost") > 0
         text = drill.format()
         header = next(line for line in text.splitlines() if "tenant" in line)
         assert "shed" in header
@@ -537,7 +537,7 @@ class TestShedReportingRegression:
             duration_cycles=40 * epoch,
             seed=5,
         )
-        assert clean.total_lost == 0
+        assert clean.total("lost") == 0
         header = next(
             line for line in clean.format().splitlines() if "tenant" in line
         )

@@ -733,7 +733,7 @@ class TestFleetSerialization:
         assert result.capacity_rps == pytest.approx(3 * per_board)
         assert result.tenant_capacity_rps("toy") == result.capacity_rps
         assert result.total_arrivals == result.tenants[0].arrivals
-        assert result.total_completions + result.total_drops == (
+        assert result.total_completions + result.total("drops") == (
             result.total_arrivals
         )
 

@@ -286,13 +286,13 @@ class TestGrayBehavior:
         )
         result = _fleet(toy_design, 2, 2.0, seed=1, drain=True,
                         scenario=scenario)
-        assert result.total_lost > 0
-        assert result.total_failed_over == 0  # no detector, no budget
+        assert result.total("lost") > 0
+        assert result.total("failed_over") == 0  # no detector, no budget
 
     def test_flaky_with_detector_fails_over(self, toy_design):
         result = _fleet(toy_design, 3, 2.0, seed=1, drain=True,
                         scenario="flaky-replica")
-        assert result.total_failed_over > 0
+        assert result.total("failed_over") > 0
         # Failover rescues attempts a bare flaky board would lose.
         assert any(i.kind == "gray" for i in result.incidents)
 
@@ -390,7 +390,7 @@ class TestTimeoutFailover:
                                 max_failovers=1)
         result = _fleet(toy_design, 2, 4.0, seed=2, drain=True,
                         detector=detector)
-        assert result.total_timed_out > 0
+        assert result.total("timed_out") > 0
         for tenant in result.tenants:
             out = (tenant.completions + tenant.drops + tenant.lost
                    + tenant.timed_out + tenant.in_flight)
@@ -443,7 +443,7 @@ class TestTimeoutFailover:
                         detector=DetectorSpec(mode="oracle"))
         assert result.detector is not None
         assert result.detector.mode == "oracle"
-        assert result.total_timed_out == 0
+        assert result.total("timed_out") == 0
 
     def test_plan_capacity_accepts_detector(self, toy_design):
         plan = plan_capacity(
@@ -658,9 +658,9 @@ class TestRoutingView:
         )
         assert spy.filtered > 0
         # With one failover allowed, each failover is one route.
-        assert spy.failovers <= result.total_failed_over
+        assert spy.failovers <= result.total("failed_over")
         if oracle:
-            assert result.total_failed_over > 0
+            assert result.total("failed_over") > 0
 
     def test_probe_run_is_pinned(self, toy_design):
         """Power-of-two + chaos + probe detection with timeout failover,
@@ -684,7 +684,7 @@ class TestRoutingView:
         with open(path) as handle:
             pinned = json.load(handle)
         assert json.loads(json.dumps(fleet_result_to_dict(result))) == pinned
-        assert result.total_failed_over > 0
+        assert result.total("failed_over") > 0
         assert result.resilience.mean_time_to_detect_cycles is not None
 
     def test_least_outstanding_drill_is_pinned(self, toy_design):
@@ -696,7 +696,7 @@ class TestRoutingView:
         with open(path) as handle:
             pinned = json.load(handle)
         assert json.loads(json.dumps(fleet_result_to_dict(result))) == pinned
-        assert result.total_failed_over > 0
+        assert result.total("failed_over") > 0
         tenant = result.tenants[0]
         assert tenant.drops and tenant.lost and tenant.expired
         assert tenant.timed_out and tenant.late

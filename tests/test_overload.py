@@ -41,6 +41,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import typing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -55,6 +56,8 @@ from repro.core.network import Network
 from repro.core.serialize import (
     fleet_result_from_dict,
     fleet_result_to_dict,
+    scenario_spec_from_dict,
+    scenario_spec_to_dict,
     serve_result_from_dict,
     serve_result_to_dict,
     slo_spec_from_dict,
@@ -65,9 +68,16 @@ from repro.fleet.detector import DetectorSpec
 from repro.obs import ObsSpec, TraceRecorder
 from repro.opt.joint import JointDesign, combine_networks
 from repro.scenario import RackFailure, ScenarioSpec, get_scenario
-from repro.scenario.library import SCENARIO_NAMES, scenario_from_dict, scenario_to_dict
+from repro.scenario.library import SCENARIO_NAMES
 from repro.serve import SLOSpec, TenantSpec, evaluate_slo, make_arrival_process
 from repro.serve.arrivals import PoissonArrivals
+from repro.serve.metrics import (
+    COUNTERS,
+    REPORT_COUNTERS,
+    SHED,
+    TABLE_COUNTERS,
+    TenantStats,
+)
 from repro.serve.overload import (
     BACKOFF_MODES,
     JITTER_MODES,
@@ -142,9 +152,8 @@ def _epoch_ms(design, frequency_mhz=100.0):
 
 def _assert_conserved(result):
     for tenant in result.tenants:
-        out = (tenant.completions + tenant.drops + tenant.lost
-               + tenant.rejected + tenant.expired + tenant.timed_out
-               + tenant.in_flight)
+        shed = sum(getattr(tenant, name) for name in SHED)
+        out = tenant.completions + shed + tenant.in_flight
         assert tenant.arrivals == out, tenant
         assert 0 <= tenant.failed_over <= tenant.arrivals
 
@@ -764,7 +773,7 @@ class TestSerialization:
         loaded = fleet_result_from_dict(json.loads(first))
         second = json.dumps(fleet_result_to_dict(loaded), sort_keys=True)
         assert first == second
-        assert loaded.total_rejected == result.total_rejected
+        assert loaded.total("rejected") == result.total("rejected")
 
     def test_overload_spec_round_trip(self):
         spec = OverloadSpec(
@@ -798,10 +807,11 @@ class TestSerialization:
             assert scenario.overload is not None
             assert scenario.overload.active
             assert not scenario.is_noop
-            assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+            record = scenario_spec_to_dict(scenario)
+            assert scenario_spec_from_dict(record) == scenario
 
     def test_plain_scenario_record_has_no_overload_key(self):
-        assert "overload" not in scenario_to_dict(get_scenario("steady"))
+        assert "overload" not in scenario_spec_to_dict(get_scenario("steady"))
 
 
 # ---------------------------------------------------------------------- SLO
@@ -847,6 +857,63 @@ class TestSLO:
         assert by_priority[0] == pytest.approx(report.total_goodput_rps)
 
 
+# ------------------------------------------------------------------- ledger
+class TestLedger:
+    """``COUNTERS`` is the one list of a tenant's outcome counters: a
+    counter added to ``TenantStats`` without an entry there would drop
+    out of fleet aggregates and totals."""
+
+    #: Int fields of ``TenantStats`` that are not outcome counters: the
+    #: end-of-run backlog, the queue high-water mark and the class.
+    NOT_COUNTERS = {"in_flight", "peak_queue_depth", "priority"}
+
+    def test_counters_are_the_int_outcome_fields(self):
+        hints = typing.get_type_hints(TenantStats)
+        ints = [
+            field.name
+            for field in dataclasses.fields(TenantStats)
+            if hints[field.name] is int
+            and field.name not in self.NOT_COUNTERS
+        ]
+        assert list(COUNTERS) == ints
+
+    def test_counter_subsets(self):
+        assert set(SHED) <= set(COUNTERS)
+        assert set(TABLE_COUNTERS) <= set(COUNTERS)
+        assert set(REPORT_COUNTERS) <= set(TABLE_COUNTERS)
+
+    @pytest.fixture(scope="class")
+    def drill(self, toy_design):
+        """Gray failures, oracle timeouts with failover, EDF with
+        deadline admission, retries and hedges on three boards."""
+        ms = _epoch_ms(toy_design)
+        spec = OverloadSpec(
+            queue_policy="edf",
+            admission=AdmissionPolicy(deadline_admission=True),
+            retry=RetryPolicy(max_attempts=3, hedge_ms=3 * ms),
+            deadline_ms=6 * ms,
+        )
+        return _fleet(
+            toy_design, 3, 3.0, epochs=200, queue_depth=8,
+            scenario="gray-failure", overload=spec,
+            detector=DetectorSpec(request_timeout_ms=4 * ms),
+        )
+
+    def test_fleet_totals_sum_the_tenants(self, drill):
+        for name in COUNTERS:
+            assert drill.total(name) > 0, name
+            assert drill.total(name) == sum(
+                getattr(t, name) for t in drill.tenants
+            ), name
+        assert drill.total_arrivals == drill.total("arrivals")
+        assert drill.total_completions == drill.total("completions")
+        _assert_conserved(drill)
+
+    def test_total_names_a_counter(self, drill):
+        with pytest.raises(ValueError, match="unknown counter"):
+            drill.total("in_flight")
+
+
 # ------------------------------------------------------------------ reports
 class TestReporting:
     def test_serve_columns_conditional(self, toy_design):
@@ -872,8 +939,8 @@ class TestReporting:
     def test_sample_overload_run_renders(self):
         path = os.path.join(DATA_DIR, "sample_overload_run.json")
         result = load_run(path)
-        assert result.total_rejected > 0
-        assert result.total_expired > 0
+        assert result.total("rejected") > 0
+        assert result.total("expired") > 0
         assert result.overload is not None
         report = render_run_report([result], [path])
         assert "## Overload control" in report

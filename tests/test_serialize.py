@@ -55,8 +55,6 @@ from repro.scenario.library import (
     DiurnalShape,
     FlashCrowdShape,
     ScenarioSpec,
-    scenario_from_dict,
-    scenario_to_dict,
 )
 from repro.serve.overload import (
     AdmissionPolicy,
@@ -426,8 +424,8 @@ _SLOS = st.builds(
 _SPECS = st.one_of(
     _FAULTS.map(lambda x: (x, fault_to_dict, fault_from_dict)),
     _SURGES.map(lambda x: (
-        ScenarioSpec(name="surge", surge=x), scenario_to_dict,
-        scenario_from_dict)),
+        ScenarioSpec(name="surge", surge=x), scenario_spec_to_dict,
+        scenario_spec_from_dict)),
     _OVERLOADS.map(lambda x: (x, overload_spec_to_dict,
                               overload_spec_from_dict)),
     _DETECTORS.map(lambda x: (x, detector_spec_to_dict,
