@@ -30,8 +30,10 @@ The load-bearing guarantees, in test order:
   legacy records (no detector keys) round-trip byte-identically.
 """
 
+import collections
 import json
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -45,7 +47,7 @@ from repro.fleet import (
     simulate_fleet,
 )
 from repro.fleet.balancer import LeastOutstandingBalancer, PowerOfTwoBalancer
-from repro.fleet.cluster import Replica
+from repro.fleet.cluster import Replica, _FleetRun
 from repro.fleet.detector import (
     DetectorSpec,
     FailureDetector,
@@ -57,6 +59,7 @@ from repro.scenario import (
     DegradedReplica,
     FlakyReplica,
     RackFailure,
+    RandomFaults,
     ScenarioSpec,
     get_scenario,
 )
@@ -712,6 +715,143 @@ class TestRoutingView:
         fd.record_probe(0, 160.0, ok=True)  # readmitted
         assert fd.version == 2
         assert fd.detected_healthy_count() == 4
+
+
+# ------------------------------------------------------ detector ledger
+#: Ground-truth paths the ledger pin must reach (see ``_spied_ledger``).
+LEDGER_PATHS = (
+    "fail-while-degraded",
+    "fail-while-ejected",
+    "recover-while-degraded",
+    "gray-end-while-gray",
+    "gray-end-while-down",
+    "error-rate-ejection",
+)
+
+
+def _ledger_runs(design):
+    """Case id -> one probe-detected run on six ``design`` boards that
+    mixes random outages with straggler and flaky windows on the same
+    boards; the last also ejects error-rate outliers."""
+    epoch = design.epoch_cycles
+    faults = (
+        RandomFaults(mttf=0.3, mttr=0.1),
+        DegradedReplica(fraction=0.5),
+        FlakyReplica(replica=1),
+    )
+    quiet = dict(outlier_error_rate=None, outlier_p99_factor=None)
+
+    def case(seed, **detector):
+        def run():
+            return simulate_fleet(
+                DeviceSpec(design).replicated(6),
+                _tenants(design, 3.0),
+                duration_cycles=120 * epoch,
+                balancer="power-of-two",
+                seed=seed,
+                queue_depth=10**6,
+                scenario=ScenarioSpec(name="ledger-mix", faults=faults),
+                detector=DetectorSpec(mode="probe", **detector),
+            )
+
+        return run
+
+    return {
+        "probes-seed-0": case(0, **quiet),
+        "probes-seed-1": case(1, **quiet),
+        "error-rate-seed-2": case(
+            2, outlier_error_rate=0.1, outlier_p99_factor=None,
+            min_requests=2,
+        ),
+    }
+
+
+def _spied_ledger(run):
+    """Run ``run()`` with spies on the detector's ground-truth feed.
+
+    Returns the ledger (every ``note_onset``/``note_clear`` call as
+    ``[kind, replica, time]`` in call order, then the detector's final
+    lags and error counts) and a count of the :data:`LEDGER_PATHS` the
+    run's fault handlers took."""
+    calls, paths, detectors = [], collections.Counter(), []
+    note_onset, note_clear = FailureDetector.note_onset, FailureDetector.note_clear
+    init, outliers = FailureDetector.__init__, FailureDetector.evaluate_outliers
+    fail, recover, undegrade = _FleetRun.fail, _FleetRun.recover, _FleetRun.undegrade
+
+    def spy_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        detectors.append(self)
+
+    def spy_onset(self, index, now):
+        calls.append(["onset", index, now])
+        note_onset(self, index, now)
+
+    def spy_clear(self, index, now):
+        calls.append(["clear", index, now])
+        note_clear(self, index, now)
+
+    def spy_outliers(self, now):
+        ejected = outliers(self, now)
+        paths["error-rate-ejection"] += len(ejected)
+        return ejected
+
+    def spy_fail(self, replica):
+        if replica.healthy and replica.degraded:
+            paths["fail-while-degraded"] += 1
+        if replica.healthy and not self.fdet.routable(replica.index):
+            paths["fail-while-ejected"] += 1
+        fail(self, replica)
+
+    def spy_recover(self, replica):
+        if replica.down_depth == 1 and replica.degraded:
+            paths["recover-while-degraded"] += 1
+        recover(self, replica)
+
+    def spy_undegrade(self, replica, deg):
+        if sum(map(len, replica.gray.values())) > 1:
+            paths["gray-end-while-gray"] += 1
+        if not replica.healthy:
+            paths["gray-end-while-down"] += 1
+        undegrade(self, replica, deg)
+
+    with mock.patch.multiple(
+        FailureDetector, __init__=spy_init, note_onset=spy_onset,
+        note_clear=spy_clear, evaluate_outliers=spy_outliers,
+    ), mock.patch.multiple(
+        _FleetRun, fail=spy_fail, recover=spy_recover, undegrade=spy_undegrade,
+    ):
+        run()
+    (fdet,) = detectors
+    ledger = {
+        "calls": calls,
+        "detection_lags": fdet.detection_lags,
+        "false_positives": fdet.false_positives,
+        "missed_detections": fdet.missed_detections,
+    }
+    return json.loads(json.dumps(ledger)), paths
+
+
+class TestDetectorLedgerPin:
+    """The detector's ground-truth ledger against
+    ``detector_ledger_runs.json``: every onset and clear the cluster
+    feeds it, in order and with its time, and the lags, false positives
+    and misses they end in.  Run results pin MTTD only as a mean.  The
+    file is read-only: regenerate it by hand from :func:`_ledger_runs`
+    and :func:`_spied_ledger` only for an intended behaviour change."""
+
+    def test_runs_match_pin(self, toy_design):
+        with open(os.path.join(DATA_DIR, "detector_ledger_runs.json")) as handle:
+            pinned = json.load(handle)
+        runs = _ledger_runs(toy_design)
+        assert sorted(pinned) == sorted(runs)
+        totals = collections.Counter()
+        for name, run in runs.items():
+            ledger, paths = _spied_ledger(run)
+            assert ledger == pinned[name], name
+            totals.update(paths)
+        # Guard against a vacuous pin.
+        assert all(totals[path] for path in LEDGER_PATHS), totals
+        assert all(pinned[name]["calls"] for name in pinned)
 
 
 # ------------------------------------------------------ serialization
