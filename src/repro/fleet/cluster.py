@@ -94,7 +94,7 @@ _MAX_LANES = 8
 
 
 class Replica:
-    """Runtime model of one board: per-tenant states + busy counters.
+    """Runtime model of one board: per-tenant states + derived busy time.
 
     With ``overload`` its tenant queues follow the spec's discipline and
     deadlines (converted at ``cycles_per_ms``, 100 MHz by default).
@@ -132,7 +132,6 @@ class Replica:
         base, plans = spec.plans()
         self.epoch = spec.resolve_epoch()
         self.num_clps = base.num_clps
-        self.clp_busy = [0.0] * base.num_clps
         #: Requests queued or in the pipeline (the balancer's load
         #: signal): a maintained counter, not a sum.  The tenant states
         #: below keep it equal to the sum of their ``len(queue) +
@@ -163,6 +162,16 @@ class Replica:
     @property
     def healthy(self) -> bool:
         return self.down_depth == 0
+
+    @property
+    def clp_busy(self) -> List[float]:
+        """Busy cycles per CLP: each tenant's ``charged`` images times
+        its cycles per image there (integer sums, exact below 2**53)."""
+        states = self.states.values()
+        return [
+            float(sum(s.charged * s.clp_cycles[clp] for s in states))
+            for clp in range(self.num_clps)
+        ]
 
     def gray_begin(self, mode: str, severity: float) -> None:
         self.gray[mode].append(severity)
@@ -590,10 +599,9 @@ class _FleetRun:
         degraded replicas are known instantly and routed around.
         """
         #: Routing view: each tenant's routable targets in ``eligible``
-        #: order, rebuilt only when ``health_version`` (fail, recover,
-        #: degrade, undegrade) or the detector's ``version`` moves.
+        #: order, rebuilt only when ``health_version`` (``_moved``) moves.
         self.health_version = 0
-        self.view_key: Optional[Tuple[int, int]] = None
+        self.view_version = 0
         self.views: Dict[str, Tuple[int, ...]] = {}
         self.fdet: Optional[FailureDetector] = None
         self.request_timeout: Optional[float] = None
@@ -642,11 +650,9 @@ class _FleetRun:
 
     # ------------------------------------------------------------ routing
     def routable_targets(self, name: str) -> Tuple[int, ...]:
-        fdet = self.fdet
-        key = (self.health_version, fdet.version if fdet is not None else 0)
-        if key != self.view_key:
+        if self.health_version != self.view_version:
             self.views.clear()
-            self.view_key = key
+            self.view_version = self.health_version
         targets = self.views.get(name)
         if targets is None:
             routable = self.routable
@@ -781,28 +787,38 @@ class _FleetRun:
             return
         self.observer.brownout(self.sim.now, action, self.controller.shed)
 
+    # ------------------------------------------------------------- health
+    def _moved(
+        self, replica: Replica, was_bad: Optional[bool] = None,
+        went_down: bool = False,
+    ) -> None:
+        """Every routability change passes here: it moves the routing
+        views' version and feeds the detector's ground truth (none for
+        a detector event, ``was_bad=None``): an onset when the board is
+        now down or degraded and was not or just went down, a clear
+        when it was and is now clean."""
+        self.health_version += 1
+        if self.fdet is None or was_bad is None:
+            return
+        bad = not replica.healthy or replica.degraded
+        if bad and (went_down or not was_bad):
+            self.fdet.note_onset(replica.index, self.sim.now)
+        elif was_bad and not bad:
+            self.fdet.note_clear(replica.index, self.sim.now)
+
     # ------------------------------------------------------------- faults
     def fail(self, replica: Replica) -> None:
         replica.down_depth += 1
         if replica.down_depth > 1:
             return  # already down (overlapping outage windows)
         now, observer = self.sim.now, self.observer
-        self.health_version += 1
-        if self.fdet is not None:
-            self.fdet.note_onset(replica.index, now)
+        self._moved(replica, replica.degraded, went_down=True)
         observer.fault_begin(replica.label, now)
         # Work in the pipeline dies with the board; a new generation
         # turns its already-scheduled completion events into no-ops.
         replica.generation += 1
         for state in replica.states.values():
-            killed = state.kill()
-            # Refund the admission-time CLP charge of the destroyed
-            # in-flight images: the cycles were booked when each image
-            # entered the pipeline, but the board never finishes them,
-            # so leaving the charge overstates CLP utilization for the
-            # exact windows (incidents) where the number matters.
-            for clp_index, cycles in enumerate(state.clp_cycles):
-                replica.clp_busy[clp_index] -= killed * cycles
+            state.kill()
             name = state.spec.name
             observer.killed(name, replica.index, now)
             for req in state.evacuate(now):
@@ -828,9 +844,7 @@ class _FleetRun:
     def recover(self, replica: Replica) -> None:
         replica.down_depth -= 1
         if replica.down_depth == 0:
-            self.health_version += 1
-            if self.fdet is not None and not replica.degraded:
-                self.fdet.note_clear(replica.index, self.sim.now)
+            self._moved(replica, True)
             self.observer.fault_end(replica.label, self.sim.now)
 
     # ------------------------------------------------------- gray failures
@@ -841,22 +855,14 @@ class _FleetRun:
     def degrade(self, replica: Replica, deg: Degradation) -> None:
         was_bad = not replica.healthy or replica.degraded
         replica.gray_begin(deg.mode, deg.severity)
-        self.health_version += 1
-        if self.fdet is not None and not was_bad:
-            self.fdet.note_onset(replica.index, self.sim.now)
+        self._moved(replica, was_bad)
         self.observer.gray_begin(
             replica.label, self.sim.now, deg.mode, deg.severity
         )
 
     def undegrade(self, replica: Replica, deg: Degradation) -> None:
         replica.gray_end(deg.mode, deg.severity)
-        self.health_version += 1
-        if (
-            self.fdet is not None
-            and replica.healthy
-            and not replica.degraded
-        ):
-            self.fdet.note_clear(replica.index, self.sim.now)
+        self._moved(replica, True)  # degraded until this window closed
         self.observer.gray_end(replica.label, self.sim.now, deg.mode)
 
     # ----------------------------------------------------------- detector
@@ -879,9 +885,12 @@ class _FleetRun:
             if ok and replica.error_rate > 0.0:
                 ok = self.probe_rng.random() >= replica.error_rate
             event = fdet.record_probe(replica.index, now, ok)
+            if event is None:
+                continue
+            self._moved(replica)
             if event == "ejected":
                 self.observer.ejected(replica.label, now, "probes")
-            elif event is not None:
+            else:
                 self.observer.readmitted(replica.label, now)
         upcoming = (k + 1) * fdet.probe_interval
         if upcoming <= self.horizon:
@@ -890,6 +899,7 @@ class _FleetRun:
     def outliers(self, k: int) -> None:
         now = self.sim.now
         for index, reason in self.fdet.evaluate_outliers(now):
+            self._moved(self.replicas[index])
             self.observer.ejected(self.replicas[index].label, now, reason)
         upcoming = (k + 1) * self.fdet.ejection_window
         if upcoming <= self.horizon:
@@ -1062,8 +1072,6 @@ class _FleetRun:
                 observer.dispatched(
                     state.spec.name, replica.index, now, req.arrival
                 )
-                for clp_index, cycles in enumerate(state.clp_cycles):
-                    replica.clp_busy[clp_index] += cycles
                 sim.schedule(
                     state.depth_epochs * epoch * slow + delay,
                     self.finish, replica, state, req,

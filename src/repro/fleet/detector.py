@@ -167,7 +167,9 @@ class FailureDetector:
     truth about when replicas actually started/stopped misbehaving
     (:meth:`note_onset` / :meth:`note_clear`, used only for the
     detection-latency ledger).  It answers :meth:`routable` and keeps
-    the false-positive / missed-detection counts honest.
+    the false-positive / missed-detection counts honest.  Every change
+    to :meth:`routable` is returned as an event by :meth:`record_probe`
+    or :meth:`evaluate_outliers`, for callers that cache views of it.
     """
 
     def __init__(
@@ -196,9 +198,6 @@ class FailureDetector:
         )
         self._replicas = [_ReplicaView() for _ in range(num_replicas)]
         self._ejected = 0
-        #: Bumped on every ejection and readmission, so callers can cache
-        #: views derived from :meth:`routable` until it changes.
-        self.version = 0
         #: Detection latencies (cycles) for true onsets the detector
         #: caught, and the two ways it can be wrong.
         self.detection_lags: List[float] = []
@@ -224,7 +223,6 @@ class FailureDetector:
         view.ejected = True
         view.ejected_at = now
         self._ejected += 1
-        self.version += 1
         view.ok_streak = 0
         if view.onset_at is not None:
             self.detection_lags.append(now - view.onset_at)
@@ -237,7 +235,6 @@ class FailureDetector:
         view = self._replicas[index]
         if view.ejected:
             self._ejected -= 1
-            self.version += 1
         view.ejected = False
         view.fail_streak = 0
         view.ok_streak = 0

@@ -174,7 +174,7 @@ class CountingObserver(RunObserver):
             TenantGroupSampler(recorder, name, run.tenant_states(name))
             for name in run.names
         ] + [
-            BusySampler(recorder, f"util/{replica.label}", replica.clp_busy)
+            BusySampler(recorder, f"util/{replica.label}", replica)
             for replica in run.replicas
         ]
         for window, when in enumerate(recorder.times):

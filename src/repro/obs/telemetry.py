@@ -307,31 +307,26 @@ class TenantGroupSampler:
 
 
 class BusySampler:
-    """Windowed duty factor from a live list of busy-cycle counters.
+    """Windowed duty factor from a board's busy-cycle counters.
 
-    ``busy`` is the simulator's mutable per-CLP accumulator; each sample
-    diffs it against the previous window and records the epoch-limiting
-    CLP's share (a replica's duty factor) as the ``name`` series.
-    Fractions clamp at 0 — a failure's admission-charge refund can pull
-    a window's delta negative, which reads as an idle window.
+    Each sample reads ``board.clp_busy`` (busy cycles per CLP), diffs it
+    against the previous window and records the epoch-limiting CLP's
+    share (a replica's duty factor) as the ``name`` series.  Fractions
+    clamp at 0 — a failure un-charges the images it kills, which can
+    pull a window's delta negative, and that reads as an idle window.
     """
 
-    def __init__(
-        self,
-        recorder: MetricsRecorder,
-        name: str,
-        busy: "List[float]",
-    ):
+    def __init__(self, recorder: MetricsRecorder, name: str, board):
         self.recorder = recorder
         self.name = name
-        self.busy = busy
-        self._marks = [0.0] * len(busy)
+        self.board = board
+        self._marks = [0.0] * board.num_clps
         self._when = 0.0
 
     def sample(self, window: int, when: float) -> None:
         span = when - self._when
         fractions = []
-        for index, total in enumerate(self.busy):
+        for index, total in enumerate(self.board.clp_busy):
             delta = total - self._marks[index]
             self._marks[index] = total
             fractions.append(max(0.0, delta / span) if span > 0 else 0.0)

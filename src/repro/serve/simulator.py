@@ -244,6 +244,9 @@ class TenantState:
         self.lost = 0
         self.completions = 0
         self.pipeline = 0
+        #: Images admitted and not killed: the CLP charge.  The board's
+        #: busy cycles are each state's count times its ``clp_cycles``.
+        self.charged = 0
         #: Overload-layer outcomes; they stay 0 in runs without it.
         self.rejected = 0
         self.expired = 0
@@ -339,6 +342,7 @@ class TenantState:
             return None
         self._touch(now)
         self.pipeline += 1
+        self.charged += 1
         req = self.queue.popleft()
         req.done = True
         return req
@@ -358,14 +362,14 @@ class TenantState:
         self.pipeline -= 1
         self.board.outstanding -= 1
 
-    def kill(self) -> int:
-        """The board died: every image in the pipeline is lost.  Returns
-        how many were."""
+    def kill(self) -> None:
+        """The board died: every image in the pipeline is lost, and so
+        is its CLP charge, since the board never finishes them."""
         killed = self.pipeline
         self.lost += killed
+        self.charged -= killed
         self.pipeline = 0
         self.board.outstanding -= killed
-        return killed
 
     def evacuate(self, now: float) -> List[Request]:
         """Empty the queue of a board that died; the waiters, oldest

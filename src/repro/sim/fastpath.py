@@ -48,8 +48,8 @@ have used.  The three places this bites, and how they are replicated:
   completion timestamps are single multiplications, identical on both
   paths.
 
-CLP busy cycles are integer-valued and far below 2**53, so their float
-accumulation is exact in any order and needs no special care.
+CLP busy cycles are not accumulated: a board derives them from each
+tenant state's admission count (``charged``), which both engines set.
 
 The fleet solver takes each tenant's static split of its stream over
 its targets (:meth:`repro.fleet.balancer.Balancer.split`); a run whose
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -403,6 +403,7 @@ def _fill_state(
     state.drops = solved.drops
     state.completions = fired
     state.pipeline = int(finish.size) - fired
+    state.charged = int(finish.size)
     state.latencies = latencies
     if fired:
         state.first_completion = float(finish[0])
@@ -416,12 +417,6 @@ def _fill_state(
     return float(finish[fired - 1]) if fired else None
 
 
-def _charge_clps(clp_busy: List[float], state, admissions: int) -> None:
-    """Admission-time CLP charges: exact integers, so one multiply."""
-    for clp_index, cycles in enumerate(state.clp_cycles):
-        clp_busy[clp_index] += admissions * cycles
-
-
 # ------------------------------------------------------------------ serve
 # Unused by the simulators: serve runs solve through ``run_fleet_fast``
 # with one replica.  Kept because the per-layer tracer in
@@ -429,7 +424,6 @@ def _charge_clps(clp_busy: List[float], state, admissions: int) -> None:
 # every traced benchmark run; delete it together with that patch.
 def run_serve_fast(
     states: Sequence,
-    clp_busy: List[float],
     epoch: float,
     horizon: float,
     seed: int,
@@ -440,8 +434,9 @@ def run_serve_fast(
     ``states`` are the run's fresh ``TenantState`` objects in tenant
     order; each is filled with exactly the counters and float
     accumulators the event loop would have left behind, so the caller's
-    result assembly is shared between engines.  CLP busy cycles are charged through each state's
-    ``clp_cycles`` just as boundary admissions would.
+    result assembly is shared between engines.  A state's ``charged``
+    count is its admissions, as in the event loop; the board derives
+    its CLP busy cycles from it.
     """
     last_k = _last_boundary(horizon, epoch)
     chain_end = last_k
@@ -465,7 +460,6 @@ def run_serve_fast(
         finish = _fill_state(state, arrivals, solved, epoch, drain, horizon)
         if finish is not None and (last_finish is None or finish > last_finish):
             last_finish = finish
-        _charge_clps(clp_busy, state, int(solved.s_adm.size))
         chain_end = max(chain_end, solved.last_boundary, solved.stream_close)
     if not drain:
         return horizon
@@ -535,7 +529,6 @@ def run_fleet_fast(
                 last_finish is None or finish > last_finish
             ):
                 last_finish = finish
-            _charge_clps(replica.clp_busy, state, int(solved.s_adm.size))
             stream_close = (
                 int(by_epoch[replica.epoch][-1]) if arrivals.size else 0
             )

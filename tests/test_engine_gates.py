@@ -42,8 +42,8 @@ REPLICAS = 4
 SPEEDUP_FLOOR = 10.0
 #: Telemetry plus tracing may not quadruple event-loop time.
 OBS_OVERHEAD_CEILING = 4.0
-#: Alternating bare/observed timing pairs behind the obs gate's median.
-OBS_PAIRS = 9
+#: Alternating timing pairs behind each wall-clock gate's median ratio.
+TIMING_PAIRS = 9
 #: A failure drill may not double the plain run's time.
 SCENARIO_OVERHEAD_CEILING = 2.0
 RETENTION_FLOOR = 0.9
@@ -62,6 +62,25 @@ def _timed(fn, runs=1):
         result = fn()
         best = min(best, time.perf_counter() - started)
     return best, result
+
+
+def _paired_ratio(first, second):
+    """Median of ``first() / second()`` over :data:`TIMING_PAIRS`
+    pairs, each side a ``() -> seconds`` timing, and the pair ratios
+    as text for a failure message.  Pairs alternate which side runs
+    first: a slow spell on a shared host then slows both sides of one
+    pair instead of one side of the comparison."""
+    ratios = []
+    for pair in range(TIMING_PAIRS):
+        if pair % 2:
+            second_s = second()
+            first_s = first()
+        else:
+            first_s = first()
+            second_s = second()
+        ratios.append(first_s / second_s)
+    listed = ", ".join(f"{ratio:.2f}" for ratio in ratios)
+    return statistics.median(ratios), f"pair ratios {listed}"
 
 
 def _saturated_serve(device, **kwargs):
@@ -108,18 +127,18 @@ def test_serve_event_engine(device):
 
 def _check_fast_path(run, to_dict):
     """``run(engine)``: fast must equal event exactly, and beat it."""
-    event_s, event = _timed(lambda: run("event"))
-    # Best of three: the fast path is setup-dominated, so one cold
-    # numpy call would otherwise masquerade as engine time.
-    fast_s, fast = _timed(lambda: run("fast"), runs=3)
-
-    assert to_dict(fast) == to_dict(event), (
+    assert to_dict(run("fast")) == to_dict(run("event")), (
         "fast engine diverged from the event engine"
     )
-    speedup = event_s / fast_s
+    speedup, ratios = _paired_ratio(
+        lambda: _timed(lambda: run("event"))[0],
+        # Best of three: the fast path is setup-dominated, so one cold
+        # numpy call would otherwise masquerade as engine time.
+        lambda: _timed(lambda: run("fast"), runs=3)[0],
+    )
     assert speedup >= SPEEDUP_FLOOR, (
         f"fast path only {speedup:.1f}x over the event engine "
-        f"(floor {SPEEDUP_FLOOR:.0f}x)"
+        f"(floor {SPEEDUP_FLOOR:.0f}x; {ratios})"
     )
 
 
@@ -168,10 +187,14 @@ def test_fleet_fast_engine_matches_event(device):
 
 
 def test_rack_loss_drill(device):
-    elapsed, drilled = _timed(
-        lambda: _saturated_fleet(device, scenario="rack-loss")
-    )
-    plain_s, plain = _timed(lambda: _saturated_fleet(device))
+    def drill():
+        return _saturated_fleet(device, scenario="rack-loss")
+
+    def bare():
+        return _saturated_fleet(device)
+
+    elapsed, drilled = _timed(drill)
+    plain = bare()
 
     # Conservation through the drill (drained, so nothing in flight).
     tenant = drilled.tenants[0]
@@ -192,13 +215,15 @@ def test_rack_loss_drill(device):
     ) == plain
 
     requests_per_s = tenant.arrivals / elapsed
-    overhead = elapsed / plain_s if plain_s > 0 else 1.0
     assert requests_per_s > 10_000, (
         f"scenario engine too slow: {requests_per_s:,.0f} simulated req/s"
     )
+    overhead, ratios = _paired_ratio(
+        lambda: _timed(drill)[0], lambda: _timed(bare)[0]
+    )
     assert overhead < SCENARIO_OVERHEAD_CEILING, (
-        f"failure drill costs {overhead:.2f}x the plain run; fault events "
-        "should be cheap against the epoch event chains"
+        f"failure drill costs {overhead:.2f}x the plain run ({ratios}); "
+        "fault events should be cheap against the epoch event chains"
     )
 
 
@@ -225,21 +250,12 @@ def test_obs_overhead(device):
     assert _scalars(observed()) == _scalars(plain), "tracing changed the run"
     assert telem.timeseries is not None and len(telem.timeseries.times) > 0
 
-    # Pairs alternate which side runs first, and the gate reads the
-    # median of their ratios: a slow spell on a shared host then slows
-    # both sides of one pair instead of one side of the comparison.
-    ratios = []
-    for pair in range(OBS_PAIRS):
-        if pair % 2:
-            full_s, bare_s = _timed(observed)[0], _timed(bare)[0]
-        else:
-            bare_s, full_s = _timed(bare)[0], _timed(observed)[0]
-        ratios.append(full_s / bare_s)
-    overhead = statistics.median(ratios)
+    overhead, ratios = _paired_ratio(
+        lambda: _timed(observed)[0], lambda: _timed(bare)[0]
+    )
     assert overhead < OBS_OVERHEAD_CEILING, (
         f"observability costs {overhead:.2f}x "
-        f"(ceiling {OBS_OVERHEAD_CEILING:.0f}x; pair ratios "
-        f"{', '.join(f'{r:.2f}' for r in ratios)})"
+        f"(ceiling {OBS_OVERHEAD_CEILING:.0f}x; {ratios})"
     )
 
 

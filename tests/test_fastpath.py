@@ -604,11 +604,13 @@ class TestLatencySummaryRegression:
 class TestFailRefundRegression:
     """A board that dies mid-epoch must refund the in-flight busy charge.
 
-    ``ReplicaState.fail`` used to leave the killed epoch's cycles in
-    ``clp_busy``, so a drill could report *higher* utilization than the
+    A failure used to leave the killed epoch's cycles in the board's
+    busy counters, so a drill could report *higher* utilization than the
     fault-free run of the same workload — work that never finished was
-    still billed.  With the refund, a replica that loses a down-window
-    can only do less work than its fault-free twin.
+    still billed.  ``TenantState.kill`` now takes the killed images out
+    of the ``charged`` count the busy cycles derive from, so a replica
+    that loses a down-window can only do less work than its fault-free
+    twin.
     """
 
     def test_drill_utilization_not_above_fault_free(self, toy_design):

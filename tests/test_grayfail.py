@@ -20,8 +20,12 @@ The load-bearing guarantees, in test order:
   conservation intact, and a run-level detector overrides the
   scenario's;
 * routing runs on a cached view of the routable replicas that equals a
-  fresh health filter at every route, and a probe-detected drill stays
-  pinned to a record made before the view was cached;
+  fresh health filter (or the probe detector's ``routable``) at every
+  route, and a probe-detected drill stays pinned to a record made
+  before the view was cached;
+* the detector's ground-truth ledger (every onset and clear it is fed,
+  and the lags, false positives and misses they end in) stays pinned
+  on runs that overlap outages, gray windows and ejections;
 * each board's load counter equals a fresh sum over its queues and
   pipelines at every route, on every path that changes one, and a
   least-outstanding drill stays pinned to a record made while the load
@@ -31,6 +35,7 @@ The load-bearing guarantees, in test order:
 """
 
 import collections
+import contextlib
 import json
 import os
 from unittest import mock
@@ -491,25 +496,44 @@ class _PowerOfTwoSpy(_CounterCheck, PowerOfTwoBalancer):
     name = "power-of-two-spy"
 
 
+@contextlib.contextmanager
+def _built_detectors():
+    """Collect every :class:`FailureDetector` built inside the block."""
+    built, init = [], FailureDetector.__init__
+
+    def spy_init(fdet, *args, **kwargs):
+        init(fdet, *args, **kwargs)
+        built.append(fdet)
+
+    with mock.patch.object(FailureDetector, "__init__", spy_init):
+        yield built
+
+
 class _SpyBalancer(_CounterCheck, PowerOfTwoBalancer):
     """Power-of-two routing that checks every target set it is handed
-    against a brute-force health filter over the replicas (and every
-    board's load counter)."""
+    against a brute-force filter over the replicas (and every board's
+    load counter): oracle health, or with ``detectors`` (filled with the
+    run's probe detector as it is built) that detector's ``routable``."""
 
     name = "spy"
 
-    def __init__(self, gray_aware):
+    def __init__(self, gray_aware, detectors=None):
         self.gray_aware = gray_aware
+        self.detectors = detectors
         self.filtered = 0
         self.failovers = 0
+
+    def _fresh(self, replica):
+        if self.detectors is not None:
+            (fdet,) = self.detectors
+            return fdet.routable(replica.index)
+        return replica.healthy and not (self.gray_aware and replica.degraded)
 
     def route(self, tenant, eligible, now):
         expected = tuple(
             replica.index
             for replica in self._replicas
-            if replica.serves(tenant)
-            and replica.healthy
-            and not (self.gray_aware and replica.degraded)
+            if replica.serves(tenant) and self._fresh(replica)
         )
         if len(expected) < len(self._replicas):
             self.filtered += 1
@@ -628,41 +652,48 @@ class TestLoadCounters:
 class TestRoutingView:
     @pytest.mark.parametrize("replicas", [3, 7, 16])
     @pytest.mark.parametrize(
-        "scenario, oracle",
+        "scenario, mode",
         [
-            ("chaos", False),
-            ("chaos", True),
-            ("rack-loss", False),
-            ("rack-loss", True),
-            ("gray-failure", True),
+            ("chaos", None),
+            ("chaos", "oracle"),
+            ("chaos", "probe"),
+            ("rack-loss", None),
+            ("rack-loss", "oracle"),
+            ("gray-failure", "oracle"),
+            ("gray-failure", "probe"),
         ],
     )
     def test_every_route_sees_exactly_the_routable_replicas(
-        self, toy_design, replicas, scenario, oracle
+        self, toy_design, replicas, scenario, mode
     ):
         """Fresh arrivals, evacuation and failover all route on the
         cached view; it must equal a fresh filter at every call."""
         detector = None
-        if oracle:
+        if mode is not None:
             detector = DetectorSpec(
+                mode=mode,
                 request_timeout_ms=3.0 * _epoch_ms(toy_design),
                 max_failovers=1,
             )
-        spy = _SpyBalancer(gray_aware=oracle)
-        result = simulate_fleet(
-            DeviceSpec(toy_design).replicated(replicas),
-            _tenants(toy_design, 1.2 * replicas),
-            duration_cycles=60 * toy_design.epoch_cycles,
-            balancer=spy,
-            seed=replicas,
-            queue_depth=10**6,
-            scenario=scenario,
-            detector=detector,
-        )
+        with _built_detectors() as built:
+            spy = _SpyBalancer(
+                gray_aware=mode == "oracle",
+                detectors=built if mode == "probe" else None,
+            )
+            result = simulate_fleet(
+                DeviceSpec(toy_design).replicated(replicas),
+                _tenants(toy_design, 1.2 * replicas),
+                duration_cycles=60 * toy_design.epoch_cycles,
+                balancer=spy,
+                seed=replicas,
+                queue_depth=10**6,
+                scenario=scenario,
+                detector=detector,
+            )
         assert spy.filtered > 0
         # With one failover allowed, each failover is one route.
         assert spy.failovers <= result.total("failed_over")
-        if oracle:
+        if mode is not None:
             assert result.total("failed_over") > 0
 
     def test_probe_run_is_pinned(self, toy_design):
@@ -704,16 +735,20 @@ class TestRoutingView:
         assert tenant.drops and tenant.lost and tenant.expired
         assert tenant.timed_out and tenant.late
 
-    def test_detector_version_tracks_ejections(self):
+    def test_detector_routability_tracks_ejections(self):
+        """The cluster rebuilds its routing views on the detector's
+        events, so ``routable`` changes exactly when one comes back."""
         fd = _detector()
-        assert fd.version == 0
-        fd.record_probe(0, 40.0, ok=False)
-        assert fd.version == 0  # one failure is not an ejection
-        fd.record_probe(0, 80.0, ok=False)
-        assert fd.version == 1
-        fd.record_probe(0, 120.0, ok=True)
-        fd.record_probe(0, 160.0, ok=True)  # readmitted
-        assert fd.version == 2
+        assert fd.record_probe(0, 40.0, ok=False) is None
+        assert fd.routable(0)  # one failure is not an ejection
+        assert fd.detected_healthy_count() == 4
+        assert fd.record_probe(0, 80.0, ok=False) == "ejected"
+        assert not fd.routable(0)
+        assert fd.detected_healthy_count() == 3
+        assert fd.record_probe(0, 120.0, ok=True) is None  # on probation
+        assert not fd.routable(0)
+        assert fd.record_probe(0, 160.0, ok=True) == "readmitted"
+        assert fd.routable(0)
         assert fd.detected_healthy_count() == 4
 
 
@@ -773,14 +808,12 @@ def _spied_ledger(run):
     ``[kind, replica, time]`` in call order, then the detector's final
     lags and error counts) and a count of the :data:`LEDGER_PATHS` the
     run's fault handlers took."""
-    calls, paths, detectors = [], collections.Counter(), []
-    note_onset, note_clear = FailureDetector.note_onset, FailureDetector.note_clear
-    init, outliers = FailureDetector.__init__, FailureDetector.evaluate_outliers
-    fail, recover, undegrade = _FleetRun.fail, _FleetRun.recover, _FleetRun.undegrade
-
-    def spy_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        detectors.append(self)
+    calls, paths = [], collections.Counter()
+    note_onset = FailureDetector.note_onset
+    note_clear = FailureDetector.note_clear
+    outliers = FailureDetector.evaluate_outliers
+    fail, recover = _FleetRun.fail, _FleetRun.recover
+    undegrade = _FleetRun.undegrade
 
     def spy_onset(self, index, now):
         calls.append(["onset", index, now])
@@ -814,9 +847,9 @@ def _spied_ledger(run):
             paths["gray-end-while-down"] += 1
         undegrade(self, replica, deg)
 
-    with mock.patch.multiple(
-        FailureDetector, __init__=spy_init, note_onset=spy_onset,
-        note_clear=spy_clear, evaluate_outliers=spy_outliers,
+    with _built_detectors() as detectors, mock.patch.multiple(
+        FailureDetector, note_onset=spy_onset, note_clear=spy_clear,
+        evaluate_outliers=spy_outliers,
     ), mock.patch.multiple(
         _FleetRun, fail=spy_fail, recover=spy_recover, undegrade=spy_undegrade,
     ):
@@ -840,7 +873,8 @@ class TestDetectorLedgerPin:
     and :func:`_spied_ledger` only for an intended behaviour change."""
 
     def test_runs_match_pin(self, toy_design):
-        with open(os.path.join(DATA_DIR, "detector_ledger_runs.json")) as handle:
+        path = os.path.join(DATA_DIR, "detector_ledger_runs.json")
+        with open(path) as handle:
             pinned = json.load(handle)
         runs = _ledger_runs(toy_design)
         assert sorted(pinned) == sorted(runs)
