@@ -21,7 +21,7 @@ Run:  python examples/observability.py
 
 from repro import FLOAT32, budget_for, get_network, optimize_multi_clp
 from repro.analysis.report import render_run_report, sparkline
-from repro.core.serialize import fleet_result_to_dict
+from repro.core.serialize import to_record
 from repro.fleet import DeviceSpec, simulate_fleet
 from repro.obs import ObsSpec, TraceRecorder
 from repro.serve import PoissonArrivals, TenantSpec
@@ -72,8 +72,8 @@ def main() -> None:
     # 3. The bit-neutrality contract: instrumentation observed the run
     # without changing a single scalar of it.
     bare = simulate_fleet(fleet, tenants, **kwargs)
-    bare_record = fleet_result_to_dict(bare)
-    observed_record = fleet_result_to_dict(observed)
+    bare_record = to_record(bare)
+    observed_record = to_record(observed)
     observed_record.pop("timeseries")
     assert observed_record == bare_record
     print("bit-neutrality: instrumented scalars == bare scalars")

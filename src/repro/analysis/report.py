@@ -199,16 +199,18 @@ def markdown_table(
 
 def load_run(path: str) -> Union["ServeResult", "FleetResult"]:
     """Load a run JSON, sniffing serve vs fleet records by shape."""
-    from ..core.serialize import fleet_result_from_dict, serve_result_from_dict
+    from ..core.serialize import from_record
+    from ..fleet.metrics import FleetResult
+    from ..serve.metrics import ServeResult
 
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError(f"{path} does not hold a run record")
     if "balancer" in data and "replicas" in data:
-        return fleet_result_from_dict(data)
+        return from_record(FleetResult, data)
     if "design_label" in data:
-        return serve_result_from_dict(data)
+        return from_record(ServeResult, data)
     raise ValueError(
         f"{path} is neither a serve nor a fleet run record "
         "(missing 'design_label' / 'balancer')"

@@ -601,9 +601,9 @@ def _cmd_optimize(args: argparse.Namespace) -> str:
         f"{report.candidates_evaluated} candidates"
     )
     if args.save:
-        from .core.serialize import dump_design
+        from .core.serialize import dump
 
-        dump_design(design, args.save)
+        dump(design, args.save)
         lines.append(f"design written to {args.save}")
     return "\n".join(lines)
 
@@ -612,9 +612,10 @@ def _cmd_gantt(args: argparse.Namespace) -> str:
     from .analysis.visualize import schedule_gantt
 
     if args.load:
-        from .core.serialize import load_design
+        from .core.design import MultiCLPDesign
+        from .core.serialize import load
 
-        design = load_design(args.load)
+        design = load(MultiCLPDesign, args.load)
     else:
         network = get_network(args.network)
         dtype = DataType.from_name(args.dtype)
@@ -697,9 +698,10 @@ def _serving_design(args: argparse.Namespace):
     budget = _budget(args)
     dtype = DataType.from_name(args.dtype)
     if args.load:
-        from .core.serialize import load_design
+        from .core.design import MultiCLPDesign
+        from .core.serialize import load
 
-        design = load_design(args.load)
+        design = load(MultiCLPDesign, args.load)
         return budget, design, [design.network.name]
     if len(names) > 1:
         from .opt import optimize_joint
@@ -773,13 +775,15 @@ def _write_trace(trace, path: str, frequency_mhz: float) -> None:
         trace.write_chrome(path, frequency_mhz=frequency_mhz)
 
 
-def _save_outputs(args: argparse.Namespace, result, trace, dump, label, source):
+def _save_outputs(args: argparse.Namespace, result, trace, label, source):
     """Write the ``--save``/``--trace-out``/``--report`` files of a run.
 
     Returns one "... written to FILE" line per file, in that order.
     """
     lines = []
     if args.save:
+        from .core.serialize import dump
+
         dump(result, args.save)
         lines.append(f"{label} result written to {args.save}")
     if trace is not None:
@@ -795,7 +799,6 @@ def _save_outputs(args: argparse.Namespace, result, trace, dump, label, source):
 
 
 def _cmd_serve(args: argparse.Namespace) -> str:
-    from .core.serialize import dump_serve_result
     from .serve import simulate_traffic
 
     budget, design, tenant_names = _serving_design(args)
@@ -818,7 +821,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         overload=_overload_spec(args),
     )
     source = f"serve:{result.design_label}"
-    written = _save_outputs(args, result, trace, dump_serve_result, "serve", source)
+    written = _save_outputs(args, result, trace, "serve", source)
     return "\n".join([result.format()] + written)
 
 
@@ -851,7 +854,7 @@ def _fleet_run(args: argparse.Namespace) -> dict:
 
 
 def _cmd_fleet_simulate(args: argparse.Namespace) -> str:
-    from .core.serialize import dump_fleet_result, fleet_result_to_dict
+    from .core.serialize import to_record
     from .fleet import simulate_fleet
 
     budget, device, tenant_names = _fleet_device(args)
@@ -870,12 +873,12 @@ def _cmd_fleet_simulate(args: argparse.Namespace) -> str:
         **_fleet_run(args),
     )
     source = f"fleet:{args.balancer}x{args.replicas}"
-    written = _save_outputs(args, result, trace, dump_fleet_result, "fleet", source)
+    written = _save_outputs(args, result, trace, "fleet", source)
     if args.json:
         # Pure JSON on stdout; the files above are still written, silently.
         import json
 
-        return json.dumps(fleet_result_to_dict(result), indent=2)
+        return json.dumps(to_record(result), indent=2)
     return "\n".join([result.format()] + written)
 
 
@@ -996,9 +999,9 @@ def _cmd_scenario_describe(args: argparse.Namespace) -> str:
     if args.json:
         import json
 
-        from .core.serialize import scenario_spec_to_dict
+        from .core.serialize import to_record
 
-        return json.dumps(scenario_spec_to_dict(spec), indent=2)
+        return json.dumps(to_record(spec), indent=2)
     return describe_scenario(spec)
 
 

@@ -16,14 +16,6 @@ from .design import DesignMetrics, MultiCLPDesign
 from .layer import ConvLayer, input_extent
 from .network import Network
 from .schedule import EpochSchedule, ScheduleEntry, build_schedule
-from .serialize import (
-    design_from_dict,
-    design_to_dict,
-    dump_design,
-    load_design,
-    network_from_dict,
-    network_to_dict,
-)
 from .utilization import (
     UtilizationReport,
     clp_utilization,
@@ -59,10 +51,4 @@ __all__ = [
     "layer_utilization",
     "clp_utilization",
     "utilization_report",
-    "design_to_dict",
-    "design_from_dict",
-    "dump_design",
-    "load_design",
-    "network_to_dict",
-    "network_from_dict",
 ]

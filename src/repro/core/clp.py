@@ -8,7 +8,7 @@ This module combines the cost models into a single queryable object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .bandwidth import (
     LayerTransfer,
@@ -26,6 +26,7 @@ from .cost_model import (
 )
 from .datatypes import DataType
 from .layer import ConvLayer
+from .network import Network
 
 __all__ = ["CLPConfig"]
 
@@ -73,6 +74,30 @@ class CLPConfig:
     @property
     def layer_names(self) -> Tuple[str, ...]:
         return tuple(layer.name for layer in self.layers)
+
+    def encode_record(self) -> Dict[str, Any]:
+        """This CLP's record: its layers by name, its dtype left to the
+        design that holds it."""
+        return {
+            "tn": self.tn,
+            "tm": self.tm,
+            "layers": list(self.layer_names),
+            "tile_plans": [list(plan) for plan in self.tile_plans],
+        }
+
+    @classmethod
+    def decode_record(
+        cls, data: Dict[str, Any], network: Network, dtype: DataType
+    ) -> "CLPConfig":
+        """Rebuild a CLP from its record, resolving layer names in
+        ``network``."""
+        return cls(
+            tn=int(data["tn"]),
+            tm=int(data["tm"]),
+            layers=[network.layer_by_name(name) for name in data["layers"]],
+            dtype=dtype,
+            tile_plans=[tuple(plan) for plan in data["tile_plans"]],
+        )
 
     def with_tile_plans(
         self, tile_plans: Sequence[Tuple[int, int]]

@@ -9,13 +9,14 @@ epoch (Figure 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..fpga.parts import ResourceBudget
 from .bandwidth import min_bandwidths_for_cycles, transfer_arrays
 from .clp import CLPConfig
 from .datatypes import DataType
 from .network import Network
+from .serialize import from_record, to_record
 
 __all__ = ["MultiCLPDesign", "DesignMetrics"]
 
@@ -36,6 +37,9 @@ class DesignMetrics:
 @dataclass(frozen=True)
 class MultiCLPDesign:
     """A complete accelerator: one or more CLPs covering a network."""
+
+    record_kind = "design"
+    record_schema = 1
 
     network: Network
     clps: Tuple[CLPConfig, ...]
@@ -64,6 +68,33 @@ class MultiCLPDesign:
         object.__setattr__(self, "network", network)
         object.__setattr__(self, "clps", tuple(clps))
         object.__setattr__(self, "dtype", dtype)
+
+    def encode_record(self) -> Dict[str, Any]:
+        """A self-contained record: schema first, CLPs naming the
+        network's layers."""
+        return {
+            "schema": self.record_schema,
+            "dtype": self.dtype.label,
+            "network": to_record(self.network),
+            "clps": [clp.encode_record() for clp in self.clps],
+            # Redundant summary fields for human diffing; ignored on load.
+            "summary": {
+                "epoch_cycles": self.epoch_cycles,
+                "dsp": self.dsp,
+                "bram": self.bram,
+                "utilization": self.arithmetic_utilization,
+            },
+        }
+
+    @classmethod
+    def decode_record(cls, data: Dict[str, Any]) -> "MultiCLPDesign":
+        network = from_record(Network, data["network"])
+        dtype = DataType.from_name(data["dtype"])
+        clps = [
+            CLPConfig.decode_record(record, network, dtype)
+            for record in data["clps"]
+        ]
+        return cls(network=network, clps=clps, dtype=dtype)
 
     # ------------------------------------------------------------- structure
     @property

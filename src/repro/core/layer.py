@@ -39,6 +39,8 @@ class ConvLayer:
     tables inside the optimizer.
     """
 
+    record_kind = "design"
+
     name: str
     n: int  # input feature maps (N)
     m: int  # output feature maps (M)

@@ -19,6 +19,8 @@ __all__ = ["Network"]
 class Network:
     """An ordered, immutable sequence of convolutional layers."""
 
+    record_kind = "design"
+
     name: str
     layers: Tuple[ConvLayer, ...]
 

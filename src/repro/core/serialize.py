@@ -5,12 +5,24 @@ pin the chosen accelerator configuration in version control and reload
 it for HLS generation, simulation, or scheduling without re-searching.
 The format is plain JSON with a schema version for forward evolution.
 
-Designs (layer, network, CLP, budget, design) have hand-written
-loaders, because CLP records refer to the network's layers by name.
-Every other record — serve and fleet results with everything they
-embed, scenario, fault, surge, overload, detector and SLO specs — goes
-through one codec driven by the dataclass fields and their type hints
-(:func:`to_record` / :func:`from_record`).  The codec's contract:
+Every record — designs and their networks, layers and budgets; serve
+and fleet results with everything they embed; scenario, fault, surge,
+overload, detector and SLO specs — is written by :func:`to_record` and
+read by :func:`from_record`; :func:`dump` and :func:`load` do the same
+through a file.  Each record class names itself once, as class
+attributes: ``record_kind`` is the word its errors use, and
+``record_schema`` (where a record carries one) the ``schema`` key that
+:func:`to_record` writes last and :func:`from_record` checks.  A record
+without that key is rejected unless its class sets
+``record_schema_optional``.
+
+Most records are walks over the dataclass fields and their type hints.
+A class whose record is shaped otherwise (a design writes its schema
+first and a summary block; a CLP names its layers and takes its dtype
+from the design) defines ``encode_record``/``decode_record`` next to
+itself; a bare lookup or conversion error in the hook is reported as a
+malformed record, through :func:`malformed` where a caller hands a hook
+its context directly.  The field walk's contract:
 
 1. A field declared with :func:`omit_default` is left out of the record
    when it equals its default, so a record written by a run that never
@@ -45,195 +57,22 @@ from typing import (
     get_type_hints,
 )
 
-from .clp import CLPConfig
-from .datatypes import DataType
-from .design import MultiCLPDesign
-from .layer import ConvLayer
-from .network import Network
-
 __all__ = [
-    "layer_to_dict",
-    "layer_from_dict",
-    "network_to_dict",
-    "network_from_dict",
-    "clp_to_dict",
-    "clp_from_dict",
-    "budget_to_dict",
-    "budget_from_dict",
-    "design_to_dict",
-    "design_from_dict",
-    "dump_design",
-    "load_design",
     "omit_default",
     "to_record",
     "from_record",
-    "serve_result_to_dict",
-    "serve_result_from_dict",
-    "dump_serve_result",
-    "load_serve_result",
+    "dump",
+    "load",
+    "malformed",
     "fleet_result_to_dict",
     "fleet_result_from_dict",
-    "dump_fleet_result",
-    "load_fleet_result",
-    "timeseries_to_dict",
-    "timeseries_from_dict",
-    "scenario_spec_to_dict",
-    "scenario_spec_from_dict",
-    "slo_spec_to_dict",
-    "slo_spec_from_dict",
-    "SCHEMA_VERSION",
-    "SERVE_SCHEMA_VERSION",
-    "FLEET_SCHEMA_VERSION",
-    "SCENARIO_SCHEMA_VERSION",
 ]
-
-SCHEMA_VERSION = 1
-
-SERVE_SCHEMA_VERSION = 1
-
-FLEET_SCHEMA_VERSION = 1
-
-SCENARIO_SCHEMA_VERSION = 1
 
 T = TypeVar("T")
 
 
 class _MalformedRecord(ValueError):
     """The one error a bad record raises; a ``ValueError`` for callers."""
-
-
-# ------------------------------------------------------------------ designs
-@contextmanager
-def _design_record() -> Iterator[None]:
-    """Turn a design loader's bare lookup/conversion error into a
-    ``malformed design record`` error naming the missing key."""
-    try:
-        yield
-    except _MalformedRecord:
-        raise
-    except KeyError as exc:
-        raise _MalformedRecord(
-            f"malformed design record: missing key {exc.args[0]!r}"
-        ) from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise _MalformedRecord(f"malformed design record: {exc}") from None
-
-
-def layer_to_dict(layer: ConvLayer) -> Dict[str, Any]:
-    return {
-        "name": layer.name,
-        "n": layer.n,
-        "m": layer.m,
-        "r": layer.r,
-        "c": layer.c,
-        "k": layer.k,
-        "s": layer.s,
-    }
-
-
-def layer_from_dict(data: Dict[str, Any]) -> ConvLayer:
-    with _design_record():
-        return ConvLayer(
-            name=data["name"],
-            n=int(data["n"]),
-            m=int(data["m"]),
-            r=int(data["r"]),
-            c=int(data["c"]),
-            k=int(data["k"]),
-            s=int(data["s"]),
-        )
-
-
-def network_to_dict(network: Network) -> Dict[str, Any]:
-    return {
-        "name": network.name,
-        "layers": [layer_to_dict(layer) for layer in network],
-    }
-
-
-def network_from_dict(data: Dict[str, Any]) -> Network:
-    with _design_record():
-        return Network(
-            data["name"],
-            [layer_from_dict(entry) for entry in data["layers"]],
-        )
-
-
-def clp_to_dict(clp: CLPConfig) -> Dict[str, Any]:
-    """A JSON-ready CLP record; layers are referenced by name."""
-    return {
-        "tn": clp.tn,
-        "tm": clp.tm,
-        "layers": list(clp.layer_names),
-        "tile_plans": [list(plan) for plan in clp.tile_plans],
-    }
-
-
-def clp_from_dict(
-    record: Dict[str, Any], network: Network, dtype: DataType
-) -> CLPConfig:
-    """Rebuild a CLP from its record, resolving layer names in ``network``."""
-    with _design_record():
-        layers = [network.layer_by_name(name) for name in record["layers"]]
-        return CLPConfig(
-            tn=int(record["tn"]),
-            tm=int(record["tm"]),
-            layers=layers,
-            dtype=dtype,
-            tile_plans=[tuple(plan) for plan in record["tile_plans"]],
-        )
-
-
-def budget_to_dict(budget: "ResourceBudget") -> Dict[str, Any]:
-    return {
-        "dsp": budget.dsp,
-        "bram18k": budget.bram18k,
-        "bandwidth_gbps": budget.bandwidth_gbps,
-        "frequency_mhz": budget.frequency_mhz,
-    }
-
-
-def budget_from_dict(data: Dict[str, Any]) -> "ResourceBudget":
-    from ..fpga.parts import ResourceBudget
-
-    with _design_record():
-        return ResourceBudget(
-            dsp=int(data["dsp"]),
-            bram18k=int(data["bram18k"]),
-            bandwidth_gbps=(
-                None if data.get("bandwidth_gbps") is None
-                else float(data["bandwidth_gbps"])
-            ),
-            frequency_mhz=float(data.get("frequency_mhz", 100.0)),
-        )
-
-
-def design_to_dict(design: MultiCLPDesign) -> Dict[str, Any]:
-    """A self-contained, JSON-ready record of a design."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "dtype": design.dtype.label,
-        "network": network_to_dict(design.network),
-        "clps": [clp_to_dict(clp) for clp in design.clps],
-        # Redundant summary fields for human diffing; ignored on load.
-        "summary": {
-            "epoch_cycles": design.epoch_cycles,
-            "dsp": design.dsp,
-            "bram": design.bram,
-            "utilization": design.arithmetic_utilization,
-        },
-    }
-
-
-def design_from_dict(data: Dict[str, Any]) -> MultiCLPDesign:
-    _check_schema(data, SCHEMA_VERSION, "design")
-    with _design_record():
-        network = network_from_dict(data["network"])
-        dtype = DataType.from_name(data["dtype"])
-        clps: List[CLPConfig] = [
-            clp_from_dict(record, network, dtype) for record in data["clps"]
-        ]
-        return MultiCLPDesign(network=network, clps=clps, dtype=dtype)
 
 
 # ------------------------------------------------------------- record codec
@@ -354,7 +193,10 @@ class _Record:
 
     def __init__(self, cls: type) -> None:
         self.cls = cls
-        hints = get_type_hints(cls, localns=_forward_refs())
+        try:  # design records resolve without importing the simulator
+            hints = get_type_hints(cls)
+        except NameError:
+            hints = get_type_hints(cls, localns=_forward_refs())
         self.tag = getattr(cls, "kind", None)
         self.writes: List[Tuple[str, _Encode, bool, Any]] = []
         self.reads: List[Tuple[str, _Decode, Any]] = []
@@ -418,6 +260,37 @@ class _Tagged:
         return schema.decode(data)
 
 
+@contextmanager
+def malformed(kind: str) -> Iterator[None]:
+    """Report a bare lookup or conversion error while a ``decode_record``
+    hook reads a record as ``malformed <kind> record``."""
+    try:
+        yield
+    except _MalformedRecord:
+        raise
+    except KeyError as exc:
+        raise _MalformedRecord(
+            f"malformed {kind} record: missing key {exc.args[0]!r}"
+        ) from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise _MalformedRecord(f"malformed {kind} record: {exc}") from None
+
+
+class _Hooked:
+    """The codec of a class with its own ``encode_record`` and
+    ``decode_record``."""
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+
+    def encode(self, value: Any) -> Dict[str, Any]:
+        return value.encode_record()
+
+    def decode(self, data: Any) -> Any:
+        with malformed(self.cls.record_kind):
+            return self.cls.decode_record(data)
+
+
 def _concrete(base: type) -> Iterator[type]:
     """``base``'s dataclass subclasses that set their own ``kind``."""
     for sub in base.__subclasses__():
@@ -426,13 +299,18 @@ def _concrete(base: type) -> Iterator[type]:
         yield from _concrete(sub)
 
 
-_SCHEMAS: Dict[type, Union[_Record, _Tagged]] = {}
+_SCHEMAS: Dict[type, Union[_Record, _Tagged, _Hooked]] = {}
 
 
-def _schema(cls: type) -> Union[_Record, _Tagged]:
+def _schema(cls: type) -> Union[_Record, _Tagged, _Hooked]:
     schema = _SCHEMAS.get(cls)
     if schema is None:
-        schema = _Record(cls) if is_dataclass(cls) else _Tagged(cls)
+        if hasattr(cls, "decode_record"):
+            schema = _Hooked(cls)
+        elif is_dataclass(cls):
+            schema = _Record(cls)
+        else:
+            schema = _Tagged(cls)
         _SCHEMAS[cls] = schema
     return schema
 
@@ -452,13 +330,29 @@ def _forward_refs() -> Dict[str, type]:
 
 
 def to_record(value: Any) -> Dict[str, Any]:
-    """The JSON-ready record of a record dataclass (see module docs)."""
-    return _schema(type(value)).encode(value)
+    """The JSON-ready record of a record object (see module docs)."""
+    cls = type(value)
+    record = _schema(cls).encode(value)
+    schema = getattr(cls, "record_schema", None)
+    if schema is not None:
+        # Last, unless ``encode_record`` already placed it.
+        record["schema"] = schema
+    return record
 
 
-def from_record(cls: Type[T], data: Any, kind: str) -> T:
-    """Rebuild a ``cls`` from its record; ``kind`` names it in errors."""
+def from_record(cls: Type[T], data: Any) -> T:
+    """Rebuild a ``cls`` from its record; errors name ``cls.record_kind``."""
     try:
+        _expect(data, "an object", dict)
+        expected = getattr(cls, "record_schema", None)
+        if expected is not None:
+            optional = getattr(cls, "record_schema_optional", False)
+            schema = data.get("schema", expected if optional else None)
+            if schema != expected:
+                raise ValueError(
+                    f"unsupported {cls.record_kind} schema {schema!r}; "
+                    f"expected {expected}"
+                )
         return _schema(cls).decode(data)
     except _Bad as exc:
         where = "".join(
@@ -467,137 +361,30 @@ def from_record(cls: Type[T], data: Any, kind: str) -> T:
         ).lstrip(".")
         at = f" at {where}" if where else ""
         raise _MalformedRecord(
-            f"malformed {kind} record: {exc.detail}{at}"
+            f"malformed {cls.record_kind} record: {exc.detail}{at}"
         ) from None
 
 
-def _check_schema(
-    data: Any, expected: int, label: str, default: Optional[int] = None
-) -> None:
-    schema = data.get("schema", default) if isinstance(data, dict) else None
-    if schema != expected:
-        raise ValueError(
-            f"unsupported {label} schema {schema!r}; expected {expected}"
-        )
-
-
-# --------------------------------------------------------- run records
-def serve_result_to_dict(result: "ServeResult") -> Dict[str, Any]:
-    """A self-contained, JSON-ready record of a traffic simulation.
-
-    Load-test results are evidence: pinning them next to the design they
-    exercised lets a deployment diff serving behaviour across optimizer
-    or model changes the same way it diffs designs.
-    """
-    record = to_record(result)
-    record["schema"] = SERVE_SCHEMA_VERSION
-    return record
-
-
-def serve_result_from_dict(data: Dict[str, Any]) -> "ServeResult":
-    from ..serve.metrics import ServeResult
-
-    _check_schema(data, SERVE_SCHEMA_VERSION, "serve-result")
-    return from_record(ServeResult, data, "serve run")
-
-
-def fleet_result_to_dict(result: "FleetResult") -> Dict[str, Any]:
-    """A self-contained, JSON-ready record of a fleet simulation.
-
-    Same rationale as serve results: a capacity decision ("4 boards of
-    this design meet the SLO") is evidence worth pinning next to the
-    design and traffic assumptions it was derived from.
-    """
-    record = to_record(result)
-    record["schema"] = FLEET_SCHEMA_VERSION
-    return record
-
-
-def fleet_result_from_dict(data: Dict[str, Any]) -> "FleetResult":
-    from ..fleet.metrics import FleetResult
-
-    _check_schema(data, FLEET_SCHEMA_VERSION, "fleet-result")
-    return from_record(FleetResult, data, "fleet run")
-
-
-def timeseries_to_dict(timeseries: "TimeSeries") -> Dict[str, Any]:
-    """JSON-ready record of run telemetry (results embed the same shape)."""
-    return to_record(timeseries)
-
-
-def timeseries_from_dict(
-    data: Optional[Dict[str, Any]],
-) -> Optional["TimeSeries"]:
-    """Rebuild telemetry; ``None`` (an unobserved run) stays ``None``."""
-    from ..obs.telemetry import TimeSeries
-
-    return None if data is None else from_record(TimeSeries, data, "telemetry")
-
-
-def scenario_spec_to_dict(spec: "ScenarioSpec") -> Dict[str, Any]:
-    """JSON-ready record of a scenario spec (faults, surge, policy)."""
-    record = to_record(spec)
-    record["schema"] = SCENARIO_SCHEMA_VERSION
-    return record
-
-
-def scenario_spec_from_dict(data: Dict[str, Any]) -> "ScenarioSpec":
-    """Rebuild a scenario spec written by :func:`scenario_spec_to_dict`."""
-    from ..scenario.library import ScenarioSpec
-
-    _check_schema(data, SCENARIO_SCHEMA_VERSION, "scenario",
-                  default=SCENARIO_SCHEMA_VERSION)
-    return from_record(ScenarioSpec, data, "scenario")
-
-
-def slo_spec_to_dict(slo: "SLOSpec") -> Dict[str, Any]:
-    """JSON-ready record of an SLO contract."""
-    return to_record(slo)
-
-
-def slo_spec_from_dict(data: Dict[str, Any]) -> "SLOSpec":
-    """Rebuild an SLO spec; tolerant of records missing newer clauses."""
-    from ..serve.slo import SLOSpec
-
-    return from_record(SLOSpec, data, "SLO spec")
-
-
-def _dump(record: Dict[str, Any], path: str) -> None:
+def dump(value: Any, path: str) -> None:
+    """Write ``value``'s record to a JSON file."""
     with open(path, "w") as handle:
-        json.dump(record, handle, indent=2)
+        json.dump(to_record(value), handle, indent=2)
         handle.write("\n")
 
 
-def _load(path: str) -> Any:
+def load(cls: Type[T], path: str) -> T:
+    """Load a ``cls`` from a JSON file written by :func:`dump`."""
     with open(path) as handle:
-        return json.load(handle)
+        return from_record(cls, json.load(handle))
 
 
-def dump_fleet_result(result: "FleetResult", path: str) -> None:
-    """Write a fleet-simulation result to a JSON file."""
-    _dump(fleet_result_to_dict(result), path)
+# perfbench's tracer patches these two by name and its fleet workloads
+# call them; everything else uses to_record / from_record directly.
+def fleet_result_to_dict(result: "FleetResult") -> Dict[str, Any]:
+    return to_record(result)
 
 
-def load_fleet_result(path: str) -> "FleetResult":
-    """Load a result written by :func:`dump_fleet_result`."""
-    return fleet_result_from_dict(_load(path))
+def fleet_result_from_dict(data: Any) -> "FleetResult":
+    from ..fleet.metrics import FleetResult
 
-
-def dump_serve_result(result: "ServeResult", path: str) -> None:
-    """Write a traffic-simulation result to a JSON file."""
-    _dump(serve_result_to_dict(result), path)
-
-
-def load_serve_result(path: str) -> "ServeResult":
-    """Load a result written by :func:`dump_serve_result`."""
-    return serve_result_from_dict(_load(path))
-
-
-def dump_design(design: MultiCLPDesign, path: str) -> None:
-    """Write a design to a JSON file."""
-    _dump(design_to_dict(design), path)
-
-
-def load_design(path: str) -> MultiCLPDesign:
-    """Load a design from a JSON file written by :func:`dump_design`."""
-    return design_from_dict(_load(path))
+    return from_record(FleetResult, data)

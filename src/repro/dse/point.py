@@ -20,10 +20,11 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from ..core.clp import CLPConfig
 from ..core.datatypes import DataType
 from ..core.design import MultiCLPDesign
 from ..core.network import Network
-from ..core.serialize import budget_from_dict, budget_to_dict, clp_from_dict
+from ..core.serialize import from_record, malformed, to_record
 from ..fpga.parts import ResourceBudget, budget_for
 from ..opt.driver import DEFAULT_MAX_CLPS, DEFAULT_SLACK, DEFAULT_STEP
 from ..opt.heuristics import get_ordering
@@ -151,7 +152,7 @@ class DesignPoint:
         return {
             "network": self.network,
             "part": self.part,
-            "budget": budget_to_dict(self.budget()),
+            "budget": to_record(self.budget()),
             "dtype": self.dtype,
             "single": self.single,
             "max_clps": self.max_clps,
@@ -162,7 +163,7 @@ class DesignPoint:
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "DesignPoint":
-        budget = budget_from_dict(record["budget"])
+        budget = from_record(ResourceBudget, record["budget"])
         return cls(
             network=record["network"],
             part=record.get("part"),
@@ -215,11 +216,12 @@ class SweepResult:
                 f"{self.error_type}: {self.error_message}"
             )
         dtype = DataType.from_name(self.point.dtype)
-        return MultiCLPDesign(
-            network=network,
-            clps=[clp_from_dict(record, network, dtype) for record in self.clps],
-            dtype=dtype,
-        )
+        with malformed(MultiCLPDesign.record_kind):
+            clps = [
+                CLPConfig.decode_record(record, network, dtype)
+                for record in self.clps
+            ]
+        return MultiCLPDesign(network=network, clps=clps, dtype=dtype)
 
     def to_dict(self) -> Dict[str, Any]:
         record: Dict[str, Any] = {
@@ -266,8 +268,3 @@ class SweepResult:
             error_message=error.get("message"),
             elapsed_s=float(record.get("elapsed_s", 0.0)),
         )
-
-    @classmethod
-    def from_worker_record(cls, record: Dict[str, Any]) -> "SweepResult":
-        """Adapt :func:`repro.opt.worker.evaluate_point_payload` output."""
-        return cls.from_dict(record)

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.serialize import network_to_dict
+from ..core.serialize import to_record
 from ..networks import get_network
 from ..opt.worker import evaluate_point_payload
 from .point import DesignPoint, SweepResult
@@ -111,9 +111,7 @@ class SweepRunner:
         networks: Dict[str, Dict[str, Any]] = {}
         for point in missing:
             if point.network not in networks:
-                networks[point.network] = network_to_dict(
-                    get_network(point.network)
-                )
+                networks[point.network] = to_record(get_network(point.network))
         payloads = [
             {"point": p.to_dict(), "network": networks[p.network]}
             for p in missing
@@ -153,7 +151,7 @@ class SweepRunner:
         progress: Optional[Callable[[SweepResult], None]],
     ) -> None:
         for record in records:
-            result = SweepResult.from_worker_record(record)
+            result = SweepResult.from_dict(record)
             self.store.put(result)
             if progress is not None:
                 progress(result)

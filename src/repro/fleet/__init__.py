@@ -31,8 +31,6 @@ from .detector import (
     DETECTOR_MODES,
     DetectorSpec,
     FailureDetector,
-    detector_spec_from_dict,
-    detector_spec_to_dict,
 )
 from .device import CALIBRATION_MODES, DeviceSpec
 from .metrics import FleetResult, ReplicaStats
@@ -64,8 +62,6 @@ __all__ = [
     "DETECTOR_MODES",
     "DetectorSpec",
     "FailureDetector",
-    "detector_spec_to_dict",
-    "detector_spec_from_dict",
     "ReplicaStats",
     "FleetResult",
     "PlanProbe",

@@ -599,7 +599,8 @@ class _FleetRun:
         degraded replicas are known instantly and routed around.
         """
         #: Routing view: each tenant's routable targets in ``eligible``
-        #: order, rebuilt only when ``health_version`` (``_moved``) moves.
+        #: order, rebuilt only when ``health_version`` (``_moved``) moves,
+        #: which it does when a board's ``routable`` answer flips.
         self.health_version = 0
         self.view_version = 0
         self.views: Dict[str, Tuple[int, ...]] = {}
@@ -621,6 +622,8 @@ class _FleetRun:
                 self.fdet = fd
                 self.routable = fd.routable
                 self.probe_rng = random.Random(f"{self.seed}/detector/probe")
+        routable = self.routable
+        self.was_routable = [routable(i) for i in range(len(self.replicas))]
         #: Tenant -> (state, index) of its one board when every tenant
         #: has one target (all or nothing: random draws even over one)
         #: and no fault, gray window or probe ejection can change it:
@@ -792,12 +795,18 @@ class _FleetRun:
         self, replica: Replica, was_bad: Optional[bool] = None,
         went_down: bool = False,
     ) -> None:
-        """Every routability change passes here: it moves the routing
-        views' version and feeds the detector's ground truth (none for
-        a detector event, ``was_bad=None``): an onset when the board is
-        now down or degraded and was not or just went down, a clear
-        when it was and is now clean."""
-        self.health_version += 1
+        """Every health change passes here.  It moves the routing views'
+        version only if the board's ``routable`` answer flipped (with no
+        detector that reads outages alone, under oracle detection gray
+        windows too, under probing only ejections), and feeds the
+        detector's ground truth (none for a detector event,
+        ``was_bad=None``): an onset when the board is now down or
+        degraded and was not or just went down, a clear when it was and
+        is now clean."""
+        routable = self.routable(replica.index)
+        if routable != self.was_routable[replica.index]:
+            self.was_routable[replica.index] = routable
+            self.health_version += 1
         if self.fdet is None or was_bad is None:
             return
         bad = not replica.healthy or replica.degraded

@@ -40,17 +40,14 @@ The module is deliberately a leaf — it imports nothing from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.serialize import from_record, to_record
 from ..serve.metrics import fold_sum
 
 __all__ = [
     "DETECTOR_MODES",
     "DetectorSpec",
     "FailureDetector",
-    "detector_spec_to_dict",
-    "detector_spec_from_dict",
 ]
 
 #: How health is known: ``oracle`` = instant perfect knowledge (the
@@ -76,6 +73,8 @@ class DetectorSpec:
     ``timed_out``.  It composes with either mode; an ``oracle`` spec
     without it changes nothing at all.
     """
+
+    record_kind = "detector spec"
 
     mode: str = "oracle"
     probe_interval_ms: Optional[float] = None
@@ -344,11 +343,3 @@ class FailureDetector:
         if not self.detection_lags:
             return None
         return fold_sum(self.detection_lags) / len(self.detection_lags)
-
-
-def detector_spec_to_dict(spec: DetectorSpec) -> Dict[str, Any]:
-    return to_record(spec)
-
-
-def detector_spec_from_dict(data: Dict[str, Any]) -> DetectorSpec:
-    return from_record(DetectorSpec, data, "detector spec")

@@ -82,6 +82,9 @@ class FleetResult(RunSummary):
     :func:`repro.serve.slo.evaluate_slo` scores either shape.
     """
 
+    record_kind = "fleet run"
+    record_schema = 1
+
     balancer: str
     num_replicas: int
     frequency_mhz: float

@@ -37,6 +37,8 @@ LUTRAM_CUTOFF_WORDS = 10
 class ResourceBudget:
     """Resources available to the accelerator on a given platform."""
 
+    record_kind = "design"
+
     dsp: int
     bram18k: int
     bandwidth_gbps: Optional[float] = None  # None = unconstrained

@@ -79,6 +79,8 @@ class TimeSeries:
     without samples.
     """
 
+    record_kind = "telemetry"
+
     window_cycles: float
     times: Tuple[float, ...]
     series: Dict[str, Tuple[Optional[float], ...]]

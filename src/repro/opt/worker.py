@@ -21,7 +21,9 @@ import time
 from typing import Any, Dict
 
 from ..core.datatypes import DataType
-from ..core.serialize import budget_from_dict, clp_to_dict, network_from_dict
+from ..core.network import Network
+from ..core.serialize import from_record, to_record
+from ..fpga.parts import ResourceBudget
 from .driver import OptimizationError, optimize_multi_clp
 
 __all__ = ["evaluate_point_payload", "RESULT_SCHEMA_VERSION"]
@@ -38,8 +40,8 @@ def evaluate_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     returned record is self-contained and JSON-serializable.
     """
     point = payload["point"]
-    network = network_from_dict(payload["network"])
-    budget = budget_from_dict(point["budget"])
+    network = from_record(Network, payload["network"])
+    budget = from_record(ResourceBudget, point["budget"])
     dtype = DataType.from_name(point["dtype"])
     max_clps = 1 if point["single"] else int(point["max_clps"])
 
@@ -90,6 +92,6 @@ def evaluate_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
             "iterations": report.iterations,
             "candidates_evaluated": report.candidates_evaluated,
         },
-        "clps": [clp_to_dict(clp) for clp in design.clps],
+        "clps": [to_record(clp) for clp in design.clps],
         "elapsed_s": round(time.perf_counter() - started, 6),
     }

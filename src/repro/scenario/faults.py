@@ -37,9 +37,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
-
-from ..core.serialize import from_record, to_record
+from typing import List, Optional
 
 __all__ = [
     "FAILURE_POLICIES",
@@ -56,8 +54,6 @@ __all__ = [
     "DegradedReplica",
     "FlakyReplica",
     "LinkDelay",
-    "fault_to_dict",
-    "fault_from_dict",
 ]
 
 #: What happens to a failed replica's queued requests: re-routed through
@@ -152,6 +148,8 @@ class FaultSpec:
     the horizon).  Deterministic specs must not touch the RNG, so mixing
     scheduled and random faults keeps the scheduled part bit-stable.
     """
+
+    record_kind = "fault"
 
     #: Registry key for (de)serialization; set on each concrete spec.
     kind = "abstract"
@@ -526,11 +524,3 @@ class LinkDelay(_GraySpec):
         self, horizon: float, num_replicas: int, rng: random.Random
     ) -> List[Degradation]:
         return self._windows(horizon, num_replicas, self.delay_epochs)
-
-
-def fault_to_dict(spec: FaultSpec) -> Dict[str, Any]:
-    return to_record(spec)
-
-
-def fault_from_dict(data: Dict[str, Any]) -> FaultSpec:
-    return from_record(FaultSpec, data, "fault")

@@ -204,6 +204,11 @@ class ChurnShape(SurgeShape):
 class ScenarioSpec:
     """One named drill: faults + surge + failure policy, horizon-relative."""
 
+    record_kind = "scenario"
+    record_schema = 1
+    #: Hand-written scenario records may leave the schema out.
+    record_schema_optional = True
+
     name: str
     description: str = ""
     #: What happens to a dead replica's *queued* requests; in-pipeline

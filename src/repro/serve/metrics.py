@@ -2,7 +2,7 @@
 
 The simulator reduces each run to plain, JSON-friendly dataclasses so a
 load-test can be pinned in version control next to the design it
-exercised (see ``serve_result_to_dict`` in :mod:`repro.core.serialize`).
+exercised (see ``to_record`` in :mod:`repro.core.serialize`).
 Latencies are kept in cycles — the design-space currency of the rest of
 the repo — with millisecond conversions derived from the run's clock.
 A tenant's outcome counters are named once, in :data:`COUNTERS`, and
@@ -378,6 +378,9 @@ class ServeResult(RunSummary):
     epoch-limiting CLP approaches 1.0 and the others approach their
     Section 4.1 duty factor (``clp.total_cycles / epoch_cycles``).
     """
+
+    record_kind = "serve run"
+    record_schema = 1
 
     design_label: str
     num_clps: int

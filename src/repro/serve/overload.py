@@ -53,7 +53,6 @@ import random
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Any,
     Dict,
     FrozenSet,
     List,
@@ -62,7 +61,7 @@ from typing import (
     Tuple,
 )
 
-from ..core.serialize import from_record, omit_default, to_record
+from ..core.serialize import omit_default
 from .metrics import WindowCounts, percentile
 from .simulator import Request, TenantState
 
@@ -82,8 +81,6 @@ __all__ = [
     "OverloadReport",
     "OverloadTenantState",
     "OverloadController",
-    "overload_spec_to_dict",
-    "overload_spec_from_dict",
 ]
 
 #: Queue disciplines: historical FIFO, earliest-deadline-first, and
@@ -202,6 +199,8 @@ class OverloadSpec:
     default request deadline to tenants that do not set their own
     (:attr:`repro.serve.simulator.TenantSpec.deadline_ms` wins).
     """
+
+    record_kind = "overload spec"
 
     queue_policy: str = "fifo"
     admission: Optional[AdmissionPolicy] = omit_default(None)
@@ -701,12 +700,3 @@ class OverloadController:
             classes=tuple(classes),
             brownout_steps=self.brownout_steps,
         )
-
-
-# ------------------------------------------------------------ serialization
-def overload_spec_to_dict(spec: OverloadSpec) -> Dict[str, Any]:
-    return to_record(spec)
-
-
-def overload_spec_from_dict(data: Dict[str, Any]) -> OverloadSpec:
-    return from_record(OverloadSpec, data, "overload spec")

@@ -37,6 +37,8 @@ class SLOSpec:
     overload.  Both default off, so existing specs behave identically.
     """
 
+    record_kind = "SLO spec"
+
     p99_ms: Optional[float] = None
     max_drop_rate: float = 0.0
     min_throughput_rps: Optional[float] = None

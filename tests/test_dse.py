@@ -364,6 +364,16 @@ class TestSweepRunner:
         assert design.bram == direct.bram
         assert result.metrics["epoch_cycles"] == direct.epoch_cycles
 
+    def test_malformed_stored_clp_names_the_design_record(self, small_outcome):
+        result = next(r for r in small_outcome.results if r.ok)
+        broken = dict(result.clps[0])
+        del broken["tm"]
+        corrupt = SweepResult.from_dict(
+            {**result.to_dict(), "clps": [broken, *result.clps[1:]]}
+        )
+        with pytest.raises(ValueError, match="malformed design record.*'tm'"):
+            corrupt.design(repro.networks.get_network("alexnet"))
+
 
 # ===================================================================== analysis
 def _fake_result(network="alexnet", throughput=1.0, dsp=100, **point_kwargs):

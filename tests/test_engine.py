@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.serialize import fleet_result_to_dict
+from repro.core.serialize import to_record
 from repro.fleet import DeviceSpec, cluster, simulate_fleet
 from repro.fleet.detector import DetectorSpec
 from repro.serve import TenantSpec, make_arrival_process
@@ -188,7 +188,7 @@ def _pinned():
 
 def _records(runs):
     return {
-        case: json.loads(json.dumps(fleet_result_to_dict(result)))
+        case: json.loads(json.dumps(to_record(result)))
         for case, result in runs.items()
     }
 

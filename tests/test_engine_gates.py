@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.core.serialize import fleet_result_to_dict, serve_result_to_dict
+from repro.core.serialize import to_record
 from repro.fleet import DetectorSpec, DeviceSpec, plan_capacity, simulate_fleet
 from repro.obs import ObsSpec, TraceRecorder
 from repro.scenario import DegradedReplica, RackFailure, ScenarioSpec
@@ -125,9 +125,9 @@ def test_serve_event_engine(device):
     )
 
 
-def _check_fast_path(run, to_dict):
+def _check_fast_path(run):
     """``run(engine)``: fast must equal event exactly, and beat it."""
-    assert to_dict(run("fast")) == to_dict(run("event")), (
+    assert to_record(run("fast")) == to_record(run("event")), (
         "fast engine diverged from the event engine"
     )
     speedup, ratios = _paired_ratio(
@@ -146,7 +146,6 @@ def test_serve_fast_engine_matches_event(device):
     _saturated_serve(device, engine="event")  # untimed warm-up
     _check_fast_path(
         lambda engine: _saturated_serve(device, engine=engine),
-        serve_result_to_dict,
     )
 
 
@@ -182,7 +181,6 @@ def test_fleet_fast_engine_matches_event(device):
     # than one replica is load-dependent and runs the event engine.
     _check_fast_path(
         lambda engine: _saturated_fleet(device, "round-robin", engine=engine),
-        fleet_result_to_dict,
     )
 
 
@@ -228,7 +226,7 @@ def test_rack_loss_drill(device):
 
 
 def _scalars(result):
-    record = serve_result_to_dict(result)
+    record = to_record(result)
     record.pop("timeseries", None)
     return record
 

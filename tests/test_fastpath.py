@@ -26,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.serialize import fleet_result_to_dict, serve_result_to_dict
+from repro.core.serialize import to_record
 from repro.fleet import (
     BALANCER_NAMES,
     DeviceSpec,
@@ -206,7 +206,7 @@ class TestServeDifferential:
             drain=drain,
             seed=seed,
         )
-        assert serve_result_to_dict(fast) == serve_result_to_dict(event)
+        assert to_record(fast) == to_record(event)
 
     @FAST
     @given(
@@ -234,7 +234,7 @@ class TestServeDifferential:
             policy=policy,
             drain=drain,
         )
-        assert serve_result_to_dict(fast) == serve_result_to_dict(event)
+        assert to_record(fast) == to_record(event)
 
     def test_joint_design_multi_tenant(self, joint_design_690t):
         epoch = joint_design_690t.epoch_cycles
@@ -248,7 +248,7 @@ class TestServeDifferential:
                                 **kwargs)
         event = simulate_traffic(joint_design_690t, tenants, engine="event",
                                  **kwargs)
-        assert serve_result_to_dict(fast) == serve_result_to_dict(event)
+        assert to_record(fast) == to_record(event)
 
     @FAST
     @given(seed=st.integers(0, 2**20), rate_mult=st.floats(0.5, 4.0))
@@ -290,7 +290,7 @@ class TestFleetDifferential:
             seed=seed,
             queue_depth=queue_depth,
         )
-        assert fleet_result_to_dict(fast) == fleet_result_to_dict(event)
+        assert to_record(fast) == to_record(event)
 
     @FAST
     @given(
@@ -314,7 +314,7 @@ class TestFleetDifferential:
             policy=policy,
             drain=drain,
         )
-        assert fleet_result_to_dict(fast) == fleet_result_to_dict(event)
+        assert to_record(fast) == to_record(event)
 
     @pytest.mark.parametrize("balancer", sorted(BALANCER_NAMES))
     def test_single_replica_every_balancer(self, toy_design, balancer):
@@ -326,7 +326,7 @@ class TestFleetDifferential:
             toy_design, replicas=1, balancer=balancer, rate_mult=2.0,
             drain=True, queue_depth=5,
         )
-        assert fleet_result_to_dict(fast) == fleet_result_to_dict(event)
+        assert to_record(fast) == to_record(event)
 
     def test_load_dependent_balancer_falls_back(self, toy_design):
         """least-outstanding on >1 replica is load-dependent: ``fast``
@@ -338,7 +338,7 @@ class TestFleetDifferential:
             toy_design, replicas=3, balancer="least-outstanding",
             rate_mult=2.0,
         )
-        assert fleet_result_to_dict(fast) == fleet_result_to_dict(event)
+        assert to_record(fast) == to_record(event)
 
 
 # --------------------------------------------------------- engine selection
@@ -396,7 +396,7 @@ class TestEngineSelection:
             toy_design, replicas=3, balancer="power-of-two"
         )
         assert resolved == ["event", "event"]
-        assert fleet_result_to_dict(fast) == fleet_result_to_dict(event)
+        assert to_record(fast) == to_record(event)
 
     def test_fleet_fast_with_scenario_rejected(self, toy_design):
         epoch = toy_design.epoch_cycles
@@ -421,7 +421,7 @@ class TestEngineSelection:
         devices = DeviceSpec(toy_design).replicated(3)
         auto = simulate_fleet(devices, tenants, engine="auto", **kwargs)
         event = simulate_fleet(devices, tenants, engine="event", **kwargs)
-        assert fleet_result_to_dict(auto) == fleet_result_to_dict(event)
+        assert to_record(auto) == to_record(event)
 
 
 # ------------------------------------------- regression: exact boundary grid
@@ -486,7 +486,7 @@ class TestBoundaryGridRegression:
             toy_design, rate_mult=1.5, process="poisson", epochs=epochs,
             seed=11, queue_depth=16, drain=True,
         )
-        assert serve_result_to_dict(fast) == serve_result_to_dict(event)
+        assert to_record(fast) == to_record(event)
 
 
 # --------------------------------------------- regression: shed vs. dropped

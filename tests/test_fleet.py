@@ -22,15 +22,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.serialize import (
-    fleet_result_from_dict,
-    fleet_result_to_dict,
-)
+from repro.core.serialize import dump, from_record, load, to_record
 from repro.fleet import (
     AutoscalerPolicy,
     BALANCER_NAMES,
     ClusterSimulator,
     DeviceSpec,
+    FleetResult,
     autoscale,
     make_balancer,
     plan_capacity,
@@ -695,24 +693,22 @@ class TestFleetSerialization:
                       queue_depth=8, drain=True, epochs=25)
 
     def test_round_trip(self, result):
-        assert fleet_result_from_dict(fleet_result_to_dict(result)) == result
+        assert from_record(FleetResult, to_record(result)) == result
 
     def test_json_round_trip_through_text(self, result):
-        text = json.dumps(fleet_result_to_dict(result))
-        assert fleet_result_from_dict(json.loads(text)) == result
+        text = json.dumps(to_record(result))
+        assert from_record(FleetResult, json.loads(text)) == result
 
     def test_rejects_unknown_schema(self, result):
-        record = fleet_result_to_dict(result)
+        record = to_record(result)
         record["schema"] = 999
         with pytest.raises(ValueError, match="schema"):
-            fleet_result_from_dict(record)
+            from_record(FleetResult, record)
 
     def test_dump_load_file(self, result, tmp_path):
-        from repro.core.serialize import dump_fleet_result, load_fleet_result
-
         path = tmp_path / "fleet.json"
-        dump_fleet_result(result, str(path))
-        assert load_fleet_result(str(path)) == result
+        dump(result, str(path))
+        assert load(FleetResult, str(path)) == result
 
     def test_format_mentions_fleet_shape(self, result):
         text = result.format()
@@ -789,14 +785,12 @@ class TestFleetCLI:
 
     def test_simulate_save_round_trips(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.core.serialize import load_fleet_result
-
         path = tmp_path / "fleet.json"
         assert main([
             "fleet", "simulate", "--network", "alexnet", "--replicas", "2",
             "--rate", "60", "--duration-ms", "50", "--save", str(path),
         ]) == 0
-        result = load_fleet_result(str(path))
+        result = load(FleetResult, str(path))
         assert result.num_replicas == 2
         assert "written to" in capsys.readouterr().out
 

@@ -44,7 +44,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.serialize import fleet_result_from_dict, fleet_result_to_dict
+from repro.core.serialize import from_record, to_record
 from repro.fleet import (
     DeviceSpec,
     make_balancer,
@@ -53,12 +53,8 @@ from repro.fleet import (
 )
 from repro.fleet.balancer import LeastOutstandingBalancer, PowerOfTwoBalancer
 from repro.fleet.cluster import Replica, _FleetRun
-from repro.fleet.detector import (
-    DetectorSpec,
-    FailureDetector,
-    detector_spec_from_dict,
-    detector_spec_to_dict,
-)
+from repro.fleet.detector import DetectorSpec, FailureDetector
+from repro.fleet.metrics import FleetResult
 from repro.obs import ObsSpec
 from repro.scenario import (
     DegradedReplica,
@@ -135,12 +131,12 @@ class TestDetectorSpec:
         spec = DetectorSpec(mode="probe", probe_interval_ms=0.5,
                             outlier_error_rate=0.25,
                             request_timeout_ms=2.0, max_failovers=3)
-        assert detector_spec_from_dict(detector_spec_to_dict(spec)) == spec
+        assert from_record(DetectorSpec, to_record(spec)) == spec
 
     def test_from_dict_ignores_unknown_keys(self):
-        record = detector_spec_to_dict(DetectorSpec(mode="probe"))
+        record = to_record(DetectorSpec(mode="probe"))
         record["future_knob"] = 7
-        assert detector_spec_from_dict(record) == DetectorSpec(mode="probe")
+        assert from_record(DetectorSpec, record) == DetectorSpec(mode="probe")
 
 
 # ----------------------------------------------------- state machine
@@ -246,7 +242,7 @@ class TestBitExactness:
             oracle = _fleet(toy_design, 3, 2.5, seed=11, engine=engine,
                             detector=DetectorSpec(mode="oracle"))
             assert oracle.detector is None  # inert spec leaves no trace
-            assert fleet_result_to_dict(oracle) == fleet_result_to_dict(plain)
+            assert to_record(oracle) == to_record(plain)
 
     def test_fast_engine_refuses_active_detector(self, toy_design):
         with pytest.raises(ValueError, match="detector"):
@@ -262,7 +258,7 @@ class TestBitExactness:
     def test_gray_runs_reproduce(self, toy_design):
         a = _fleet(toy_design, 4, 2.5, seed=9, scenario="gray-failure")
         b = _fleet(toy_design, 4, 2.5, seed=9, scenario="gray-failure")
-        assert fleet_result_to_dict(a) == fleet_result_to_dict(b)
+        assert to_record(a) == to_record(b)
 
 
 # ------------------------------------------------------ gray behavior
@@ -509,6 +505,18 @@ def _built_detectors():
         yield built
 
 
+class _CountingViews(dict):
+    """A routing-view cache that counts how often a view is rebuilt."""
+
+    def __init__(self, counts):
+        super().__init__()
+        self.counts = counts
+
+    def __setitem__(self, name, targets):
+        self.counts["rebuilds"] += 1
+        super().__setitem__(name, targets)
+
+
 class _SpyBalancer(_CounterCheck, PowerOfTwoBalancer):
     """Power-of-two routing that checks every target set it is handed
     against a brute-force filter over the replicas (and every board's
@@ -696,6 +704,38 @@ class TestRoutingView:
         if mode is not None:
             assert result.total("failed_over") > 0
 
+    @pytest.mark.parametrize("scenario", ["chaos", "gray-failure"])
+    def test_probe_views_rebuild_only_on_detector_flips(
+        self, toy_design, scenario
+    ):
+        """Under probing ``routable`` reads only ejections, so outages and
+        gray windows keep the views: each tenant builds its view once,
+        then at most once more per ejection or readmission."""
+        counts = collections.Counter()
+        routing = _FleetRun._routing
+        eject, readmit = FailureDetector._eject, FailureDetector._readmit
+
+        def spy_routing(run, detector):
+            routing(run, detector)
+            run.views = _CountingViews(counts)
+
+        def spy_eject(fdet, index, now):
+            flipped = eject(fdet, index, now)
+            counts["flips"] += flipped
+            return flipped
+
+        def spy_readmit(fdet, index):
+            readmit(fdet, index)
+            counts["flips"] += 1
+
+        with mock.patch.object(_FleetRun, "_routing", spy_routing), \
+                mock.patch.object(FailureDetector, "_eject", spy_eject), \
+                mock.patch.object(FailureDetector, "_readmit", spy_readmit):
+            result = _fleet(toy_design, 8, 6.0, epochs=120, seed=3,
+                            scenario=scenario,
+                            detector=DetectorSpec(mode="probe"))
+        assert counts["rebuilds"] <= len(result.tenants) * (1 + counts["flips"])
+
     def test_probe_run_is_pinned(self, toy_design):
         """Power-of-two + chaos + probe detection with timeout failover,
         pinned dict-for-dict to a record made before routing was cached."""
@@ -717,7 +757,7 @@ class TestRoutingView:
         path = os.path.join(DATA_DIR, "probe_chaos_power_of_two_run.json")
         with open(path) as handle:
             pinned = json.load(handle)
-        assert json.loads(json.dumps(fleet_result_to_dict(result))) == pinned
+        assert json.loads(json.dumps(to_record(result))) == pinned
         assert result.total("failed_over") > 0
         assert result.resilience.mean_time_to_detect_cycles is not None
 
@@ -729,7 +769,7 @@ class TestRoutingView:
         path = os.path.join(DATA_DIR, "least_outstanding_drill_run.json")
         with open(path) as handle:
             pinned = json.load(handle)
-        assert json.loads(json.dumps(fleet_result_to_dict(result))) == pinned
+        assert json.loads(json.dumps(to_record(result))) == pinned
         assert result.total("failed_over") > 0
         tenant = result.tenants[0]
         assert tenant.drops and tenant.lost and tenant.expired
@@ -893,9 +933,9 @@ class TestSerialization:
     def test_detector_and_classes_round_trip(self, toy_design):
         result = _fleet(toy_design, 4, 2.5, seed=5, drain=True,
                         scenario="gray-failure")
-        record = json.loads(json.dumps(fleet_result_to_dict(result)))
+        record = json.loads(json.dumps(to_record(result)))
         assert record["detector"]["mode"] == "probe"
-        loaded = fleet_result_from_dict(record)
+        loaded = from_record(FleetResult, record)
         assert loaded.detector == result.detector
         assert [t.timed_out for t in loaded.tenants] == [
             t.timed_out for t in result.tenants
@@ -907,7 +947,7 @@ class TestSerialization:
                 == result.resilience.mean_time_to_detect_cycles)
 
     def test_plain_record_has_no_detector_keys(self, toy_design):
-        record = fleet_result_to_dict(_fleet(toy_design, 2, 1.0))
+        record = to_record(_fleet(toy_design, 2, 1.0))
         assert "detector" not in record
         for tenant in record["tenants"]:
             assert "timed_out" not in tenant
@@ -922,7 +962,7 @@ class TestSerialization:
         with open(path) as handle:
             record = json.load(handle)
         rewritten = json.loads(
-            json.dumps(fleet_result_to_dict(fleet_result_from_dict(record)))
+            json.dumps(to_record(from_record(FleetResult, record)))
         )
         assert json.dumps(rewritten, sort_keys=True) == json.dumps(
             record, sort_keys=True

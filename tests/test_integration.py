@@ -10,8 +10,9 @@ steady-state epoch, and the HLS manifest describes the same design.
 import pytest
 
 from repro.core.datatypes import DataType
+from repro.core.design import MultiCLPDesign
 from repro.core.schedule import build_schedule
-from repro.core.serialize import design_from_dict, design_to_dict
+from repro.core.serialize import from_record, to_record
 from repro.fpga.parts import budget_for
 from repro.hls import generate_system, implement_design, template_parameters
 from repro.networks import get_network
@@ -46,7 +47,7 @@ class TestFullPipeline:
 
     def test_serialization_round_trip(self, pipeline):
         _, _, design = pipeline
-        restored = design_from_dict(design_to_dict(design))
+        restored = from_record(MultiCLPDesign, to_record(design))
         assert restored.epoch_cycles == design.epoch_cycles
         assert restored.dsp == design.dsp
         assert restored.bram == design.bram

@@ -23,16 +23,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.serialize import (
-    fleet_result_from_dict,
-    fleet_result_to_dict,
-    serve_result_from_dict,
-    serve_result_to_dict,
-    timeseries_from_dict,
-    timeseries_to_dict,
-)
+from repro.core.serialize import from_record, to_record
 from repro.fleet import DeviceSpec, simulate_fleet
 from repro.fleet.detector import DetectorSpec
+from repro.fleet.metrics import FleetResult
 from repro.obs import (
     DEFAULT_WINDOWS,
     MetricsRecorder,
@@ -55,6 +49,7 @@ from repro.serve.overload import (
     OverloadController,
     OverloadSpec,
 )
+from repro.serve.metrics import ServeResult
 from repro.serve.simulator import Request
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -337,8 +332,8 @@ class TestBitNeutrality:
             obs=ObsSpec(timeseries=True, windows=8, trace=TraceRecorder()),
             **serve_kwargs(toy_design),
         )
-        assert scalars(serve_result_to_dict(base)) == scalars(
-            serve_result_to_dict(obs)
+        assert scalars(to_record(base)) == scalars(
+            to_record(obs)
         )
         assert obs.timeseries is not None
         assert base.timeseries is None
@@ -357,8 +352,8 @@ class TestBitNeutrality:
             obs=ObsSpec(timeseries=True, windows=8, trace=TraceRecorder()),
             **kwargs,
         )
-        assert scalars(fleet_result_to_dict(base)) == scalars(
-            fleet_result_to_dict(obs)
+        assert scalars(to_record(base)) == scalars(
+            to_record(obs)
         )
         assert obs.timeseries is not None
 
@@ -383,8 +378,8 @@ class TestBitNeutrality:
         )
         assert fast.timeseries is None
         assert event.timeseries is not None
-        assert scalars(serve_result_to_dict(fast)) == scalars(
-            serve_result_to_dict(event)
+        assert scalars(to_record(fast)) == scalars(
+            to_record(event)
         )
 
     def test_auto_engine_prefers_observability(self, toy_design, toy_tenants):
@@ -599,7 +594,7 @@ class TestSerialization:
         result = simulate_traffic(
             toy_design, toy_tenants, **serve_kwargs(toy_design)
         )
-        assert "timeseries" not in serve_result_to_dict(result)
+        assert "timeseries" not in to_record(result)
 
     def test_legacy_fleet_json_round_trips(self):
         # A pre-observability record (no timeseries key) must load and
@@ -609,9 +604,9 @@ class TestSerialization:
             record = json.load(handle)
         legacy = dict(record)
         legacy.pop("timeseries", None)
-        result = fleet_result_from_dict(legacy)
+        result = from_record(FleetResult, legacy)
         assert result.timeseries is None
-        rewritten = json.loads(json.dumps(fleet_result_to_dict(result)))
+        rewritten = json.loads(json.dumps(to_record(result)))
         assert rewritten == legacy
 
     def test_timeseries_round_trip(self, toy_design, toy_tenants):
@@ -621,8 +616,8 @@ class TestSerialization:
             obs=ObsSpec(timeseries=True, windows=8),
             **serve_kwargs(toy_design),
         )
-        record = json.loads(json.dumps(serve_result_to_dict(result)))
-        loaded = serve_result_from_dict(record)
+        record = json.loads(json.dumps(to_record(result)))
+        loaded = from_record(ServeResult, record)
         assert loaded.timeseries == result.timeseries
 
     def test_timeseries_dict_round_trip(self):
@@ -631,13 +626,14 @@ class TestSerialization:
             times=(10.0, 20.0),
             series={"q": (1.0, None)},
         )
-        assert timeseries_from_dict(timeseries_to_dict(ts)) == ts
-        assert timeseries_from_dict(None) is None
+        assert from_record(TimeSeries, to_record(ts)) == ts
+        with pytest.raises(ValueError, match="malformed telemetry record"):
+            from_record(TimeSeries, None)
 
     def test_sample_run_loads_with_timeseries(self):
         path = os.path.join(DATA_DIR, "sample_fleet_run.json")
         with open(path) as handle:
-            result = fleet_result_from_dict(json.load(handle))
+            result = from_record(FleetResult, json.load(handle))
         assert result.timeseries is not None
         assert len(result.timeseries.times) == 16
         assert result.scenario == "rolling-reboot"
@@ -689,7 +685,7 @@ def _path_runs(toy_design):
                 obs=ObsSpec(timeseries=timeseries, windows=12, trace=trace),
                 **kwargs,
             )
-            observed = {"record": fleet_result_to_dict(result)}
+            observed = {"record": to_record(result)}
             if trace is not None:
                 chrome = json.dumps(trace.to_chrome(), sort_keys=True)
                 observed["trace_sha256"] = hashlib.sha256(

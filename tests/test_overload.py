@@ -53,18 +53,10 @@ from repro.core.datatypes import FLOAT32
 from repro.core.design import MultiCLPDesign
 from repro.core.layer import ConvLayer
 from repro.core.network import Network
-from repro.core.serialize import (
-    fleet_result_from_dict,
-    fleet_result_to_dict,
-    scenario_spec_from_dict,
-    scenario_spec_to_dict,
-    serve_result_from_dict,
-    serve_result_to_dict,
-    slo_spec_from_dict,
-    slo_spec_to_dict,
-)
+from repro.core.serialize import from_record, to_record
 from repro.fleet import DeviceSpec, simulate_fleet
 from repro.fleet.detector import DetectorSpec
+from repro.fleet.metrics import FleetResult
 from repro.obs import ObsSpec, TraceRecorder
 from repro.opt.joint import JointDesign, combine_networks
 from repro.scenario import RackFailure, ScenarioSpec, get_scenario
@@ -76,6 +68,7 @@ from repro.serve.metrics import (
     REPORT_COUNTERS,
     SHED,
     TABLE_COUNTERS,
+    ServeResult,
     TenantStats,
 )
 from repro.serve.overload import (
@@ -88,8 +81,6 @@ from repro.serve.overload import (
     OverloadSpec,
     OverloadTenantState,
     RetryPolicy,
-    overload_spec_from_dict,
-    overload_spec_to_dict,
 )
 from repro.serve.simulator import Request, TenantState, simulate_traffic
 from repro.sim.fastpath import resolve_engine
@@ -277,7 +268,7 @@ class TestNoopDifferential:
         plain = _serve(toy_design, 1.5, seed=5, engine=engine)
         wired = _serve(toy_design, 1.5, seed=5, engine="event",
                        overload=OverloadSpec())
-        assert serve_result_to_dict(plain) == serve_result_to_dict(wired)
+        assert to_record(plain) == to_record(wired)
 
     @pytest.mark.parametrize("engine", ["fast", "event"])
     def test_fleet_default_spec_is_noop(self, toy_design, engine):
@@ -285,13 +276,13 @@ class TestNoopDifferential:
                        balancer="least-outstanding")
         wired = _fleet(toy_design, 3, 2.0, seed=5, engine="event",
                        balancer="least-outstanding", overload=OverloadSpec())
-        assert fleet_result_to_dict(plain) == fleet_result_to_dict(wired)
+        assert to_record(plain) == to_record(wired)
 
     def test_inactive_spec_keeps_fast_path(self, toy_design):
         """engine='auto' + default spec must still take the fast path."""
         result = _serve(toy_design, 1.0, overload=OverloadSpec())
         plain = _serve(toy_design, 1.0, engine="fast")
-        assert serve_result_to_dict(result) == serve_result_to_dict(plain)
+        assert to_record(result) == to_record(plain)
 
 
 # ------------------------------------------------------------- disciplines
@@ -447,8 +438,8 @@ class TestAdmission:
         a = _serve(toy_design, 2.0, seed=11, overload=spec)
         b = _serve(toy_design, 2.0, seed=11, overload=spec)
         c = _serve(toy_design, 2.0, seed=12, overload=spec)
-        assert serve_result_to_dict(a) == serve_result_to_dict(b)
-        assert serve_result_to_dict(a) != serve_result_to_dict(c)
+        assert to_record(a) == to_record(b)
+        assert to_record(a) != to_record(c)
 
 
 # ------------------------------------------------------------------ retries
@@ -601,7 +592,7 @@ class TestBrownout:
         a = self._run(toy_joint, seed=4)
         b = self._run(toy_joint, seed=4)
         _assert_conserved(a)
-        assert serve_result_to_dict(a) == serve_result_to_dict(b)
+        assert to_record(a) == to_record(b)
 
 
 # ----------------------------------------------------- metastability (demo)
@@ -734,7 +725,7 @@ class TestConservationProperty:
 # ------------------------------------------------------------- serialization
 class TestSerialization:
     def test_overload_free_record_has_no_new_keys(self, toy_design):
-        record = serve_result_to_dict(_serve(toy_design, 1.0))
+        record = to_record(_serve(toy_design, 1.0))
         assert "overload" not in record
         for tenant in record["tenants"]:
             for key in ("rejected", "expired", "retries", "hedges", "late",
@@ -742,7 +733,7 @@ class TestSerialization:
                 assert key not in tenant
 
     def test_fleet_overload_free_record_has_no_new_keys(self, toy_design):
-        record = fleet_result_to_dict(_fleet(toy_design, 2, 1.0))
+        record = to_record(_fleet(toy_design, 2, 1.0))
         assert "overload" not in record
         for tenant in record["tenants"]:
             assert "rejected" not in tenant and "priority" not in tenant
@@ -759,9 +750,9 @@ class TestSerialization:
         )
         result = _serve(toy_design, 2.5, overload=spec)
         assert result.tenants[0].rejected > 0
-        first = json.dumps(serve_result_to_dict(result), sort_keys=True)
-        loaded = serve_result_from_dict(json.loads(first))
-        second = json.dumps(serve_result_to_dict(loaded), sort_keys=True)
+        first = json.dumps(to_record(result), sort_keys=True)
+        loaded = from_record(ServeResult, json.loads(first))
+        second = json.dumps(to_record(loaded), sort_keys=True)
         assert first == second
         assert loaded.overload is not None
         assert loaded.overload.queue_policy == "edf"
@@ -769,9 +760,9 @@ class TestSerialization:
     def test_fleet_json_round_trip_stable(self, toy_design):
         spec = OverloadSpec(retry=RetryPolicy(max_attempts=2, base_ms=0.01))
         result = _fleet(toy_design, 2, 3.0, queue_depth=2, overload=spec)
-        first = json.dumps(fleet_result_to_dict(result), sort_keys=True)
-        loaded = fleet_result_from_dict(json.loads(first))
-        second = json.dumps(fleet_result_to_dict(loaded), sort_keys=True)
+        first = json.dumps(to_record(result), sort_keys=True)
+        loaded = from_record(FleetResult, json.loads(first))
+        second = json.dumps(to_record(loaded), sort_keys=True)
         assert first == second
         assert loaded.total("rejected") == result.total("rejected")
 
@@ -786,19 +777,19 @@ class TestSerialization:
                                     recover_factor=0.5),
             deadline_ms=6.0,
         )
-        assert overload_spec_from_dict(overload_spec_to_dict(spec)) == spec
-        assert overload_spec_from_dict(
-            overload_spec_to_dict(OverloadSpec())
+        assert from_record(OverloadSpec, to_record(spec)) == spec
+        assert from_record(OverloadSpec, 
+            to_record(OverloadSpec())
         ) == OverloadSpec()
 
     def test_slo_spec_round_trip_and_legacy(self):
         legacy = {"p99_ms": 5.0, "max_drop_rate": 0.01,
                   "min_throughput_rps": None}
-        assert slo_spec_to_dict(slo_spec_from_dict(legacy)) == legacy
+        assert to_record(from_record(SLOSpec, legacy)) == legacy
         rich = SLOSpec(p99_ms=5.0, deadline_ms=2.0, min_goodput_rps=100.0)
-        assert slo_spec_from_dict(slo_spec_to_dict(rich)) == rich
+        assert from_record(SLOSpec, to_record(rich)) == rich
         # New clauses absent -> not emitted, keeping old records stable.
-        assert "deadline_ms" not in slo_spec_to_dict(SLOSpec())
+        assert "deadline_ms" not in to_record(SLOSpec())
 
     def test_overload_scenarios_round_trip(self):
         for name in ("retry-storm", "brownout-drill"):
@@ -807,11 +798,11 @@ class TestSerialization:
             assert scenario.overload is not None
             assert scenario.overload.active
             assert not scenario.is_noop
-            record = scenario_spec_to_dict(scenario)
-            assert scenario_spec_from_dict(record) == scenario
+            record = to_record(scenario)
+            assert from_record(ScenarioSpec, record) == scenario
 
     def test_plain_scenario_record_has_no_overload_key(self):
-        assert "overload" not in scenario_spec_to_dict(get_scenario("steady"))
+        assert "overload" not in to_record(get_scenario("steady"))
 
 
 # ---------------------------------------------------------------------- SLO
@@ -1039,7 +1030,7 @@ def _observed_runs(toy_joint):
             )
             chrome = json.dumps(trace.to_chrome(), sort_keys=True)
             return {
-                "record": fleet_result_to_dict(result),
+                "record": to_record(result),
                 "trace_sha256": hashlib.sha256(chrome.encode()).hexdigest(),
             }
 

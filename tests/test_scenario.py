@@ -33,13 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.serialize import (
-    SCENARIO_SCHEMA_VERSION,
-    fleet_result_from_dict,
-    fleet_result_to_dict,
-    scenario_spec_from_dict,
-    scenario_spec_to_dict,
-)
+from repro.core.serialize import from_record, to_record
 from repro.fleet import (
     AutoscalerPolicy,
     DeviceSpec,
@@ -68,7 +62,7 @@ from repro.scenario import (
     describe_scenario,
     get_scenario,
 )
-from repro.scenario.faults import fault_from_dict, fault_to_dict
+from repro.scenario.faults import FaultSpec
 from repro.serve import SLOSpec, TenantSpec, make_arrival_process
 from repro.serve.metrics import LatencySummary, TenantStats
 
@@ -171,7 +165,7 @@ class TestFaultSpecs:
         RedundancyOutage(count=3, start=0.2, duration=0.5),
     ])
     def test_fault_json_round_trip(self, spec):
-        assert fault_from_dict(fault_to_dict(spec)) == spec
+        assert from_record(FaultSpec, to_record(spec)) == spec
 
     def test_validation_rejects_nonsense(self):
         with pytest.raises(ValueError):
@@ -261,16 +255,16 @@ class TestScenarioLibrary:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_library_json_round_trip(self, name):
         spec = get_scenario(name)
-        assert scenario_spec_from_dict(scenario_spec_to_dict(spec)) == spec
+        assert from_record(ScenarioSpec, to_record(spec)) == spec
 
     def test_core_serializer_stamps_schema(self):
-        record = scenario_spec_to_dict(get_scenario("flash-crowd"))
-        assert record["schema"] == SCENARIO_SCHEMA_VERSION
+        record = to_record(get_scenario("flash-crowd"))
+        assert record["schema"] == ScenarioSpec.record_schema
         json.dumps(record)  # JSON-clean
-        assert scenario_spec_from_dict(record) == get_scenario("flash-crowd")
+        assert from_record(ScenarioSpec, record) == get_scenario("flash-crowd")
         record["schema"] = 99
         with pytest.raises(ValueError):
-            scenario_spec_from_dict(record)
+            from_record(ScenarioSpec, record)
 
 
 # ---------------------------------------------------- no-op differential
@@ -536,14 +530,14 @@ class TestScenarioSerialization:
         result = _fleet(toy_design, 3, 2.5, seed=2, scenario="rack-loss",
                         drain=True)
         assert result.incidents  # non-trivial payload
-        record = json.loads(json.dumps(fleet_result_to_dict(result)))
-        assert fleet_result_from_dict(record) == result
+        record = json.loads(json.dumps(to_record(result)))
+        assert from_record(FleetResult, record) == result
 
     def test_pre_scenario_records_still_parse(self, toy_design):
         """Tolerant parsing: records written before this feature have no
         lost/scenario/incidents/resilience keys."""
         plain = _fleet(toy_design, 2, 2.0, seed=1)
-        record = fleet_result_to_dict(plain)
+        record = to_record(plain)
         for key in ("scenario", "incidents", "resilience"):
             record.pop(key)
         for entry in record["tenants"]:
@@ -551,7 +545,7 @@ class TestScenarioSerialization:
         for replica in record["replicas"]:
             for entry in replica["tenants"]:
                 entry.pop("lost")
-        assert fleet_result_from_dict(record) == plain
+        assert from_record(FleetResult, record) == plain
 
 
 # ------------------------------------------------------- resilience rank
@@ -606,7 +600,7 @@ class TestScenarioCli:
     def test_describe_round_trips_through_json(self, capsys):
         out = self._run(capsys, "scenario", "describe", "rack-loss",
                         "--json")
-        assert scenario_spec_from_dict(json.loads(out)) == \
+        assert from_record(ScenarioSpec, json.loads(out)) == \
             get_scenario("rack-loss")
 
     def test_describe_unknown_exits_nonzero(self, capsys):

@@ -14,32 +14,20 @@ from repro.core.design import MultiCLPDesign
 from repro.core.layer import ConvLayer
 from repro.core.network import Network
 from repro.core.serialize import (
-    SCHEMA_VERSION,
-    design_from_dict,
-    design_to_dict,
-    dump_design,
-    dump_fleet_result,
+    dump,
     fleet_result_from_dict,
-    layer_from_dict,
-    layer_to_dict,
-    load_design,
-    load_fleet_result,
-    network_from_dict,
-    network_to_dict,
-    scenario_spec_from_dict,
-    scenario_spec_to_dict,
-    serve_result_from_dict,
-    slo_spec_from_dict,
-    slo_spec_to_dict,
+    fleet_result_to_dict,
+    from_record,
+    load,
+    to_record,
 )
-from repro.fleet.detector import (
-    DetectorSpec,
-    detector_spec_from_dict,
-    detector_spec_to_dict,
-)
+from repro.fleet.detector import DetectorSpec
+from repro.fleet.metrics import FleetResult
 from repro.networks import alexnet
+from repro.obs.telemetry import TimeSeries
 from repro.scenario.faults import (
     DegradedReplica,
+    FaultSpec,
     FlakyReplica,
     LinkDelay,
     RackFailure,
@@ -47,13 +35,12 @@ from repro.scenario.faults import (
     RedundancyOutage,
     RollingReboot,
     ScheduledOutage,
-    fault_from_dict,
-    fault_to_dict,
 )
 from repro.scenario.library import (
     ChurnShape,
     DiurnalShape,
     FlashCrowdShape,
+    SCENARIO_NAMES,
     ScenarioSpec,
 )
 from repro.serve.overload import (
@@ -61,9 +48,8 @@ from repro.serve.overload import (
     BrownoutPolicy,
     OverloadSpec,
     RetryPolicy,
-    overload_spec_from_dict,
-    overload_spec_to_dict,
 )
+from repro.serve.metrics import ServeResult
 from repro.serve.slo import SLOSpec
 
 
@@ -84,31 +70,31 @@ def design():
 class TestLayerRoundTrip:
     def test_round_trip(self):
         layer = ConvLayer("x", n=3, m=48, r=55, c=55, k=11, s=4)
-        assert layer_from_dict(layer_to_dict(layer)) == layer
+        assert from_record(ConvLayer, to_record(layer)) == layer
 
     def test_missing_field(self):
         with pytest.raises(ValueError):
-            layer_from_dict({"name": "x", "n": 1})
+            from_record(ConvLayer, {"name": "x", "n": 1})
 
     def test_network_without_name_names_the_key(self):
         with pytest.raises(ValueError, match="malformed design record.*'name'"):
-            network_from_dict({"layers": []})
+            from_record(Network, {"layers": []})
 
 
 class TestNetworkRoundTrip:
     def test_round_trip(self):
         net = alexnet()
-        restored = network_from_dict(network_to_dict(net))
+        restored = from_record(Network, to_record(net))
         assert restored.name == net.name
         assert restored.layers == net.layers
 
     def test_json_serializable(self):
-        json.dumps(network_to_dict(alexnet()))
+        json.dumps(to_record(alexnet()))
 
 
 class TestDesignRoundTrip:
     def test_round_trip_preserves_everything(self, design):
-        restored = design_from_dict(design_to_dict(design))
+        restored = from_record(MultiCLPDesign, to_record(design))
         assert restored.dtype is design.dtype
         assert restored.epoch_cycles == design.epoch_cycles
         assert restored.dsp == design.dsp
@@ -118,15 +104,15 @@ class TestDesignRoundTrip:
         ]
 
     def test_summary_fields_present(self, design):
-        record = design_to_dict(design)
-        assert record["schema"] == SCHEMA_VERSION
+        record = to_record(design)
+        assert record["schema"] == MultiCLPDesign.record_schema
         assert record["summary"]["epoch_cycles"] == design.epoch_cycles
 
     def test_wrong_schema_rejected(self, design):
-        record = design_to_dict(design)
+        record = to_record(design)
         record["schema"] = 99
         with pytest.raises(ValueError):
-            design_from_dict(record)
+            from_record(MultiCLPDesign, record)
 
     def test_fixed16_round_trip(self):
         layer = ConvLayer("a", n=8, m=8, r=8, c=8, k=3)
@@ -134,13 +120,13 @@ class TestDesignRoundTrip:
         design = MultiCLPDesign(
             net, [CLPConfig(2, 4, [layer], FIXED16)], FIXED16
         )
-        restored = design_from_dict(design_to_dict(design))
+        restored = from_record(MultiCLPDesign, to_record(design))
         assert restored.dtype is FIXED16
 
     def test_file_round_trip(self, design, tmp_path):
         path = tmp_path / "design.json"
-        dump_design(design, str(path))
-        restored = load_design(str(path))
+        dump(design, str(path))
+        restored = load(MultiCLPDesign, str(path))
         assert restored.epoch_cycles == design.epoch_cycles
         # The file should be human-readable JSON.
         parsed = json.loads(path.read_text())
@@ -150,7 +136,7 @@ class TestDesignRoundTrip:
         from repro.analysis.tables import design_for
 
         design = design_for("alexnet", "485t", "float32", single=False)
-        restored = design_from_dict(design_to_dict(design))
+        restored = from_record(MultiCLPDesign, to_record(design))
         assert restored.epoch_cycles == design.epoch_cycles
         assert restored.arithmetic_utilization == pytest.approx(
             design.arithmetic_utilization
@@ -171,8 +157,8 @@ def _serve_record():
 
 
 _RECORDS = {
-    "fleet": (_fleet_record, fleet_result_from_dict),
-    "serve": (_serve_record, serve_result_from_dict),
+    "fleet": (_fleet_record, FleetResult),
+    "serve": (_serve_record, ServeResult),
 }
 
 #: Every top-level key of both records, plus one nested tenant key.
@@ -205,11 +191,11 @@ def _design_record():
         CLPConfig(4, 16, [layers[0]], FLOAT32, [(13, 13)]),
         CLPConfig(8, 16, [layers[1]], FLOAT32, [(7, 13)]),
     ]
-    return design_to_dict(MultiCLPDesign(Network("toy", layers), clps, FLOAT32))
+    return to_record(MultiCLPDesign(Network("toy", layers), clps, FLOAT32))
 
 
 def _scenario_record():
-    return scenario_spec_to_dict(ScenarioSpec(
+    return to_record(ScenarioSpec(
         name="drill",
         description="one fault, one surge",
         faults=(DegradedReplica(fraction=0.5),),
@@ -219,17 +205,15 @@ def _scenario_record():
     ))
 
 
-#: kind -> (fresh record, loader, the word its errors name it by).
+#: kind -> (fresh record, record class, the word its errors name it by).
 _SPEC_RECORDS = {
-    "design": (_design_record, design_from_dict, "design"),
-    "scenario": (_scenario_record, scenario_spec_from_dict, "scenario"),
-    "overload": (lambda: overload_spec_to_dict(_OVERLOAD),
-                 overload_spec_from_dict, "overload spec"),
-    "detector": (lambda: detector_spec_to_dict(_DETECTOR),
-                 detector_spec_from_dict, "detector spec"),
-    "slo": (lambda: slo_spec_to_dict(
+    "design": (_design_record, MultiCLPDesign, "design"),
+    "scenario": (_scenario_record, ScenarioSpec, "scenario"),
+    "overload": (lambda: to_record(_OVERLOAD), OverloadSpec, "overload spec"),
+    "detector": (lambda: to_record(_DETECTOR), DetectorSpec, "detector spec"),
+    "slo": (lambda: to_record(
         SLOSpec(p99_ms=5.0, deadline_ms=2.0, min_goodput_rps=100.0)),
-        slo_spec_from_dict, "SLO spec"),
+        SLOSpec, "SLO spec"),
 }
 
 
@@ -269,7 +253,7 @@ class TestMalformedRunRecords:
         ids=[f"{kind}-{'.'.join(map(str, p))}" for kind, p in _DELETIONS],
     )
     def test_missing_key_loads_or_names_the_key(self, kind, path):
-        make, load = _RECORDS[kind]
+        make, cls = _RECORDS[kind]
         record = make()
         parent = record
         for step in path[:-1]:
@@ -278,38 +262,38 @@ class TestMalformedRunRecords:
         # Optional keys load; required ones fail with a ValueError that
         # names the key.  A bare KeyError or TypeError fails the test.
         try:
-            load(record)
+            from_record(cls, record)
         except ValueError as exc:
             assert path[-1] in str(exc)
 
     @pytest.mark.parametrize("arrivals", ["many", None])
     @pytest.mark.parametrize("kind", sorted(_RECORDS))
     def test_mistyped_count_names_the_record_kind(self, kind, arrivals):
-        make, load = _RECORDS[kind]
+        make, cls = _RECORDS[kind]
         record = make()
         record["tenants"][0]["arrivals"] = arrivals
         with pytest.raises(ValueError, match=f"malformed {kind} run record"):
-            load(record)
+            from_record(cls, record)
 
     @pytest.mark.parametrize(
         "kind, path", _SPEC_DELETIONS, ids=_ids(_SPEC_DELETIONS)
     )
     def test_missing_key_loads_or_names_kind_and_key(self, kind, path):
-        make, load, word = _SPEC_RECORDS[kind]
+        make, cls, word = _SPEC_RECORDS[kind]
         record = make()
         parent = record
         for step in path[:-1]:
             parent = parent[step]
         del parent[path[-1]]
         try:
-            load(record)
+            from_record(cls, record)
         except ValueError as exc:
             assert _failure_named(exc, word), exc
             assert path[-1] in str(exc), exc
 
     @pytest.mark.parametrize("kind, path", _SPEC_CASES, ids=_ids(_SPEC_CASES))
     def test_mistyped_value_loads_or_names_kind(self, kind, path):
-        make, load, word = _SPEC_RECORDS[kind]
+        make, cls, word = _SPEC_RECORDS[kind]
         record = make()
         parent = record
         for step in path[:-1]:
@@ -318,13 +302,12 @@ class TestMalformedRunRecords:
         # where it holds a string.
         parent[path[-1]] = 7 if isinstance(parent[path[-1]], str) else "x"
         try:
-            load(record)
+            from_record(cls, record)
         except ValueError as exc:
             assert _failure_named(exc, word), exc
         else:
-            # Only the hand-written design loader may accept a mistyped
-            # value (a layer name, the ignored summary); the codec's
-            # kinds check every field against its type.
+            # Only a design may accept a mistyped value (in its summary
+            # block, which loading ignores); every other field is checked.
             assert kind == "design", f"{kind} record loaded a mistyped value"
 
     @pytest.mark.parametrize("record", [
@@ -332,11 +315,30 @@ class TestMalformedRunRecords:
         {"admission": {"rate_rps": 10.0, "future_knob": True}},
     ])
     def test_unknown_keys_load(self, record):
-        assert overload_spec_from_dict(record).active
+        assert from_record(OverloadSpec, record).active
+
+    @pytest.mark.parametrize("cls, word", [
+        (FleetResult, "fleet run"),
+        (ServeResult, "serve run"),
+        (MultiCLPDesign, "design"),
+        (Network, "design"),
+        (ScenarioSpec, "scenario"),
+        (OverloadSpec, "overload spec"),
+        (FaultSpec, "fault"),
+        (DetectorSpec, "detector spec"),
+        (SLOSpec, "SLO spec"),
+        (TimeSeries, "telemetry"),
+    ], ids=lambda value: getattr(value, "__name__", value))
+    def test_non_object_record_is_malformed(self, cls, word):
+        with pytest.raises(
+            ValueError,
+            match=f"^malformed {word} record: expected an object, got list \\[\\]$",
+        ):
+            from_record(cls, [])
 
     def test_unknown_fault_kind_names_the_kind(self):
         with pytest.raises(ValueError, match="malformed fault record.*'nope'"):
-            fault_from_dict({"kind": "nope"})
+            from_record(FaultSpec, {"kind": "nope"})
 
 
 # ------------------------------------------------------------ byte-exact pins
@@ -348,8 +350,75 @@ def test_dump_reproduces_pinned_record_byte_for_byte(name, tmp_path):
     survive a load and a dump unchanged."""
     pinned = DATA_DIR / name
     out = tmp_path / name
-    dump_fleet_result(load_fleet_result(str(pinned)), str(out))
+    dump(load(FleetResult, str(pinned)), str(out))
     assert out.read_text() == pinned.read_text()
+
+
+def test_schema_key_place_and_absence():
+    """Designs write ``schema`` first, the field walk writes it last; a
+    scenario record may leave it out, a design or run record may not."""
+    assert list(_design_record())[0] == "schema"
+    assert list(_scenario_record())[-1] == "schema"
+    scenario = _scenario_record()
+    del scenario["schema"]
+    assert from_record(ScenarioSpec, scenario).name == "drill"
+    for cls, record in ((MultiCLPDesign, _design_record()),
+                        (FleetResult, _fleet_record()),
+                        (ServeResult, _serve_record())):
+        del record["schema"]
+        with pytest.raises(ValueError, match=f"unsupported {cls.record_kind} "
+                                             "schema None; expected 1"):
+            from_record(cls, record)
+
+
+def test_kept_fleet_wrappers_are_the_codec():
+    """``fleet_result_to_dict``/``fleet_result_from_dict`` stay only as
+    names the benchmark harness patches; they must be the codec."""
+    record = _fleet_record()
+    loaded = fleet_result_from_dict(record)
+    assert loaded == from_record(FleetResult, record)
+    assert fleet_result_to_dict(loaded) == to_record(loaded) == record
+
+
+#: Read-only: the ``dump`` bytes of three optimized AlexNet designs and
+#: the ``repro scenario describe <name> --json`` output of every library
+#: scenario, recorded before designs moved onto the shared codec.
+_PIN = json.loads((DATA_DIR / "design_and_scenario_records.json").read_text())
+_PINNED_DESIGNS = {
+    "alexnet-485t-float32-multi": ("float32", False),
+    "alexnet-485t-fixed16-multi": ("fixed16", False),
+    "alexnet-485t-float32-single": ("float32", True),
+}
+
+
+def test_pin_covers_every_scenario_and_design():
+    assert sorted(_PIN["scenarios"]) == sorted(SCENARIO_NAMES)
+    assert sorted(_PIN["designs"]) == sorted(_PINNED_DESIGNS)
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_DESIGNS))
+def test_design_dump_matches_pin(name, tmp_path):
+    from repro.analysis.tables import design_for
+
+    dtype, single = _PINNED_DESIGNS[name]
+    pinned = tmp_path / "pinned.json"
+    pinned.write_text(_PIN["designs"][name])
+    out = tmp_path / "design.json"
+    dump(design_for("alexnet", "485t", dtype, single=single), str(out))
+    assert out.read_text() == pinned.read_text()
+    dump(load(MultiCLPDesign, str(pinned)), str(out))
+    assert out.read_text() == pinned.read_text()
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_scenario_describe_json_matches_pin(name, capsys):
+    from repro.cli import main
+
+    main(["scenario", "describe", name, "--json"])
+    pinned = _PIN["scenarios"][name]
+    assert capsys.readouterr().out == pinned
+    loaded = from_record(ScenarioSpec, json.loads(pinned))
+    assert json.dumps(to_record(loaded), indent=2) + "\n" == pinned
 
 
 # ---------------------------------------------------- round-trip property
@@ -422,15 +491,11 @@ _SLOS = st.builds(
     min_goodput_rps=st.none() | _factor,
 )
 _SPECS = st.one_of(
-    _FAULTS.map(lambda x: (x, fault_to_dict, fault_from_dict)),
-    _SURGES.map(lambda x: (
-        ScenarioSpec(name="surge", surge=x), scenario_spec_to_dict,
-        scenario_spec_from_dict)),
-    _OVERLOADS.map(lambda x: (x, overload_spec_to_dict,
-                              overload_spec_from_dict)),
-    _DETECTORS.map(lambda x: (x, detector_spec_to_dict,
-                              detector_spec_from_dict)),
-    _SLOS.map(lambda x: (x, slo_spec_to_dict, slo_spec_from_dict)),
+    _FAULTS.map(lambda x: (x, FaultSpec)),
+    _SURGES.map(lambda x: (ScenarioSpec(name="surge", surge=x), ScenarioSpec)),
+    _OVERLOADS.map(lambda x: (x, OverloadSpec)),
+    _DETECTORS.map(lambda x: (x, DetectorSpec)),
+    _SLOS.map(lambda x: (x, SLOSpec)),
 )
 
 
@@ -438,8 +503,8 @@ _SPECS = st.one_of(
           suppress_health_check=[HealthCheck.too_slow])
 @given(_SPECS)
 def test_spec_records_round_trip(case):
-    spec, to_dict, from_dict = case
-    record = to_dict(spec)
-    loaded = from_dict(json.loads(json.dumps(record)))
+    spec, cls = case
+    record = to_record(spec)
+    loaded = from_record(cls, json.loads(json.dumps(record)))
     assert loaded == spec
-    assert json.dumps(to_dict(loaded)) == json.dumps(record)
+    assert json.dumps(to_record(loaded)) == json.dumps(record)

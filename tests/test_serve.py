@@ -19,11 +19,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.serialize import (
-    serve_result_from_dict,
-    serve_result_to_dict,
-)
+from repro.core.serialize import from_record, load, to_record
 from repro.obs import ObsSpec, TraceRecorder
+from repro.serve.metrics import ServeResult
 from repro.serve import (
     AdmissionPolicy,
     BrownoutPolicy,
@@ -404,18 +402,18 @@ class TestEngineBehaviour:
 class TestSerialization:
     def test_round_trip(self, toy_design):
         result = _serve(toy_design, 1.5, epochs=25, seed=9, process="poisson")
-        assert serve_result_from_dict(serve_result_to_dict(result)) == result
+        assert from_record(ServeResult, to_record(result)) == result
 
     def test_round_trip_without_completions(self, toy_design):
         result = _serve(toy_design, 0.5, epochs=1)
         assert result.tenants[0].latency is None
-        assert serve_result_from_dict(serve_result_to_dict(result)) == result
+        assert from_record(ServeResult, to_record(result)) == result
 
     def test_rejects_unknown_schema(self, toy_design):
-        record = serve_result_to_dict(_serve(toy_design, 1.0, epochs=5))
+        record = to_record(_serve(toy_design, 1.0, epochs=5))
         record["schema"] = 99
         with pytest.raises(ValueError):
-            serve_result_from_dict(record)
+            from_record(ServeResult, record)
 
     def test_format_mentions_tenants_and_capacity(self, toy_design):
         text = _serve(toy_design, 1.0, epochs=20).format()
@@ -431,7 +429,7 @@ class TestSerialization:
 
 
 # ------------------------------------------------------------ pinned records
-#: Golden records of ``serve_result_to_dict`` (timeseries popped) for a
+#: Golden records of ``to_record`` (timeseries popped) for a
 #: fixed matrix of serve runs.  Regenerate them by hand, with a one-off
 #: script over ``_pinned_runs``, only when a change is *meant* to alter
 #: serve results.
@@ -528,7 +526,7 @@ def _pinned_runs(toy, joint):
 
 
 def _pinned_record(result):
-    record = serve_result_to_dict(result)
+    record = to_record(result)
     record.pop("timeseries", None)
     return record
 
@@ -631,8 +629,6 @@ class TestRankByTraffic:
 class TestServeCli:
     def test_serve_single_network(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.core.serialize import load_serve_result
-
         path = tmp_path / "default.json"
         assert main([
             "serve", "--network", "alexnet", "--rate", "40",
@@ -643,7 +639,7 @@ class TestServeCli:
         assert "p99 ms" in out
         # The CLI floors the window at 3 pipeline latencies, so even a
         # short --duration-ms completes requests and reports percentiles.
-        tenant = load_serve_result(str(path)).tenants[0]
+        tenant = load(ServeResult, str(path)).tenants[0]
         assert tenant.completions > 0
         assert tenant.latency is not None
 
@@ -659,14 +655,12 @@ class TestServeCli:
 
     def test_serve_save_round_trips(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.core.serialize import load_serve_result
-
         path = tmp_path / "serve.json"
         assert main([
             "serve", "--network", "alexnet", "--rate", "100",
             "--duration-ms", "150", "--drain", "--save", str(path),
         ]) == 0
-        result = load_serve_result(str(path))
+        result = load(ServeResult, str(path))
         assert result.tenants[0].arrivals > 0
 
     def test_serve_rejects_rate_mismatch(self):
