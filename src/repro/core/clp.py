@@ -75,9 +75,9 @@ class CLPConfig:
     def layer_names(self) -> Tuple[str, ...]:
         return tuple(layer.name for layer in self.layers)
 
-    def encode_record(self) -> Dict[str, Any]:
-        """This CLP's record: its layers by name, its dtype left to the
-        design that holds it."""
+    def design_record(self) -> Dict[str, Any]:
+        """This CLP's part of a design record: its layers by name, its
+        dtype left to the design that holds it."""
         return {
             "tn": self.tn,
             "tm": self.tm,
@@ -86,11 +86,11 @@ class CLPConfig:
         }
 
     @classmethod
-    def decode_record(
+    def from_design_record(
         cls, data: Dict[str, Any], network: Network, dtype: DataType
     ) -> "CLPConfig":
-        """Rebuild a CLP from its record, resolving layer names in
-        ``network``."""
+        """Rebuild a CLP from :meth:`design_record` output, resolving
+        layer names in ``network``."""
         return cls(
             tn=int(data["tn"]),
             tm=int(data["tm"]),

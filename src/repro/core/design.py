@@ -76,7 +76,7 @@ class MultiCLPDesign:
             "schema": self.record_schema,
             "dtype": self.dtype.label,
             "network": to_record(self.network),
-            "clps": [clp.encode_record() for clp in self.clps],
+            "clps": [clp.design_record() for clp in self.clps],
             # Redundant summary fields for human diffing; ignored on load.
             "summary": {
                 "epoch_cycles": self.epoch_cycles,
@@ -91,7 +91,7 @@ class MultiCLPDesign:
         network = from_record(Network, data["network"])
         dtype = DataType.from_name(data["dtype"])
         clps = [
-            CLPConfig.decode_record(record, network, dtype)
+            CLPConfig.from_design_record(record, network, dtype)
             for record in data["clps"]
         ]
         return cls(network=network, clps=clps, dtype=dtype)

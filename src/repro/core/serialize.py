@@ -12,17 +12,17 @@ read by :func:`from_record`; :func:`dump` and :func:`load` do the same
 through a file.  Each record class names itself once, as class
 attributes: ``record_kind`` is the word its errors use, and
 ``record_schema`` (where a record carries one) the ``schema`` key that
-:func:`to_record` writes last and :func:`from_record` checks.  A record
-without that key is rejected unless its class sets
-``record_schema_optional``.
+:func:`from_record` checks.  A record without that key is rejected
+unless its class sets ``record_schema_optional``.
 
-Most records are walks over the dataclass fields and their type hints.
-A class whose record is shaped otherwise (a design writes its schema
-first and a summary block; a CLP names its layers and takes its dtype
-from the design) defines ``encode_record``/``decode_record`` next to
-itself; a bare lookup or conversion error in the hook is reported as a
-malformed record, through :func:`malformed` where a caller hands a hook
-its context directly.  The field walk's contract:
+Most records are walks over the dataclass fields and their type hints,
+and :func:`to_record` writes their ``schema`` key last.  A class whose
+record is shaped otherwise defines ``encode_record``/``decode_record``
+next to itself and writes its own ``schema`` key: a design writes it
+first, then its CLPs (layers by name, dtype from the design) and a
+summary block.  A bare lookup or conversion error in a hook is reported
+as a malformed record, through :func:`malformed` where a caller rebuilds
+part of a record with its own context.  The field walk's contract:
 
 1. A field declared with :func:`omit_default` is left out of the record
    when it equals its default, so a record written by a run that never
@@ -193,10 +193,7 @@ class _Record:
 
     def __init__(self, cls: type) -> None:
         self.cls = cls
-        try:  # design records resolve without importing the simulator
-            hints = get_type_hints(cls)
-        except NameError:
-            hints = get_type_hints(cls, localns=_forward_refs())
+        hints = get_type_hints(cls, localns=_forward_refs())
         self.tag = getattr(cls, "kind", None)
         self.writes: List[Tuple[str, _Encode, bool, Any]] = []
         self.reads: List[Tuple[str, _Decode, Any]] = []
@@ -262,8 +259,8 @@ class _Tagged:
 
 @contextmanager
 def malformed(kind: str) -> Iterator[None]:
-    """Report a bare lookup or conversion error while a ``decode_record``
-    hook reads a record as ``malformed <kind> record``."""
+    """Report a bare lookup or conversion error while a hook or a caller
+    rebuilds (part of) a record as ``malformed <kind> record``."""
     try:
         yield
     except _MalformedRecord:
@@ -332,10 +329,10 @@ def _forward_refs() -> Dict[str, type]:
 def to_record(value: Any) -> Dict[str, Any]:
     """The JSON-ready record of a record object (see module docs)."""
     cls = type(value)
-    record = _schema(cls).encode(value)
+    codec = _schema(cls)
+    record = codec.encode(value)
     schema = getattr(cls, "record_schema", None)
-    if schema is not None:
-        # Last, unless ``encode_record`` already placed it.
+    if schema is not None and not isinstance(codec, _Hooked):
         record["schema"] = schema
     return record
 

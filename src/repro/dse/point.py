@@ -218,7 +218,7 @@ class SweepResult:
         dtype = DataType.from_name(self.point.dtype)
         with malformed(MultiCLPDesign.record_kind):
             clps = [
-                CLPConfig.decode_record(record, network, dtype)
+                CLPConfig.from_design_record(record, network, dtype)
                 for record in self.clps
             ]
         return MultiCLPDesign(network=network, clps=clps, dtype=dtype)

@@ -22,7 +22,7 @@ from typing import Any, Dict
 
 from ..core.datatypes import DataType
 from ..core.network import Network
-from ..core.serialize import from_record, to_record
+from ..core.serialize import from_record
 from ..fpga.parts import ResourceBudget
 from .driver import OptimizationError, optimize_multi_clp
 
@@ -92,6 +92,6 @@ def evaluate_point_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
             "iterations": report.iterations,
             "candidates_evaluated": report.candidates_evaluated,
         },
-        "clps": [to_record(clp) for clp in design.clps],
+        "clps": [clp.design_record() for clp in design.clps],
         "elapsed_s": round(time.perf_counter() - started, 6),
     }

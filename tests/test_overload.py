@@ -778,9 +778,7 @@ class TestSerialization:
             deadline_ms=6.0,
         )
         assert from_record(OverloadSpec, to_record(spec)) == spec
-        assert from_record(OverloadSpec, 
-            to_record(OverloadSpec())
-        ) == OverloadSpec()
+        assert from_record(OverloadSpec, to_record(OverloadSpec())) == OverloadSpec()
 
     def test_slo_spec_round_trip_and_legacy(self):
         legacy = {"p99_ms": 5.0, "max_drop_rate": 0.01,
