@@ -4,15 +4,21 @@ The paper's C++ optimizer "can complete an optimization of a Multi-CLP
 accelerator for the GoogLeNet network in several minutes" (Section 4.3).
 Our Python implementation must stay laptop-interactive: GoogLeNet within
 tens of seconds, AlexNet within seconds.  These are true repeated-timing
-benchmarks (no caching).
+benchmarks (no caching): every timed round starts from empty optimizer
+memo tables, as one CLI invocation does.
 """
 
 from repro.core.datatypes import FIXED16, FLOAT32
 from repro.fpga.parts import budget_for
 from repro.networks import alexnet, googlenet
-from repro.opt import optimize_multi_clp, optimize_single_clp
+from repro.opt import memory, optimize_multi_clp, optimize_single_clp
 from repro.opt.compute import SegmentSearch
 from repro.opt.heuristics import order_by_nm_distance
+
+
+def _empty_memo_tables():
+    memory._STRUCTURE_CACHE.clear()
+    memory.tile_candidates.cache_clear()
 
 
 def test_segment_search_build(benchmark):
@@ -21,7 +27,9 @@ def test_segment_search_build(benchmark):
     def build():
         return SegmentSearch(layers, FIXED16, dsp_budget=2880)
 
-    search = benchmark.pedantic(build, rounds=3, iterations=1)
+    search = benchmark.pedantic(
+        build, setup=_empty_memo_tables, rounds=3, iterations=1
+    )
     assert search.grid_count > 1000
 
 
@@ -43,7 +51,9 @@ def test_alexnet_single_clp_end_to_end(benchmark):
     def run():
         return optimize_single_clp(network, budget, FLOAT32)
 
-    design = benchmark.pedantic(run, rounds=3, iterations=1)
+    design = benchmark.pedantic(
+        run, setup=_empty_memo_tables, rounds=3, iterations=1
+    )
     assert design.epoch_cycles == 2005892
 
 
@@ -54,5 +64,7 @@ def test_googlenet_multi_clp_end_to_end(benchmark):
     def run():
         return optimize_multi_clp(network, budget, FIXED16)
 
-    design = benchmark.pedantic(run, rounds=1, iterations=1)
+    design = benchmark.pedantic(
+        run, setup=_empty_memo_tables, rounds=1, iterations=1
+    )
     assert design.num_clps >= 2

@@ -27,6 +27,7 @@ from .cost_model import (
 from .datatypes import DataType
 from .layer import ConvLayer
 from .network import Network
+from .serialize import field_value
 
 __all__ = ["CLPConfig"]
 
@@ -91,12 +92,13 @@ class CLPConfig:
     ) -> "CLPConfig":
         """Rebuild a CLP from :meth:`design_record` output, resolving
         layer names in ``network``."""
+        names = field_value(data, "layers", Tuple[str, ...])
         return cls(
-            tn=int(data["tn"]),
-            tm=int(data["tm"]),
-            layers=[network.layer_by_name(name) for name in data["layers"]],
+            tn=field_value(data, "tn", int),
+            tm=field_value(data, "tm", int),
+            layers=[network.layer_by_name(name) for name in names],
             dtype=dtype,
-            tile_plans=[tuple(plan) for plan in data["tile_plans"]],
+            tile_plans=field_value(data, "tile_plans", Tuple[Tuple[int, int], ...]),
         )
 
     def with_tile_plans(

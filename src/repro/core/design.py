@@ -16,7 +16,7 @@ from .bandwidth import min_bandwidths_for_cycles, transfer_arrays
 from .clp import CLPConfig
 from .datatypes import DataType
 from .network import Network
-from .serialize import from_record, to_record
+from .serialize import at, field_value, to_record
 
 __all__ = ["MultiCLPDesign", "DesignMetrics"]
 
@@ -88,12 +88,14 @@ class MultiCLPDesign:
 
     @classmethod
     def decode_record(cls, data: Dict[str, Any]) -> "MultiCLPDesign":
-        network = from_record(Network, data["network"])
-        dtype = DataType.from_name(data["dtype"])
-        clps = [
-            CLPConfig.from_design_record(record, network, dtype)
-            for record in data["clps"]
-        ]
+        network = field_value(data, "network", Network)
+        name = field_value(data, "dtype", str)
+        with at("dtype"):
+            dtype = DataType.from_name(name)
+        clps = []
+        for index, record in enumerate(field_value(data, "clps", Tuple[dict, ...])):
+            with at("clps", index):
+                clps.append(CLPConfig.from_design_record(record, network, dtype))
         return cls(network=network, clps=clps, dtype=dtype)
 
     # ------------------------------------------------------------- structure

@@ -20,9 +20,12 @@ and :func:`to_record` writes their ``schema`` key last.  A class whose
 record is shaped otherwise defines ``encode_record``/``decode_record``
 next to itself and writes its own ``schema`` key: a design writes it
 first, then its CLPs (layers by name, dtype from the design) and a
-summary block.  A bare lookup or conversion error in a hook is reported
-as a malformed record, through :func:`malformed` where a caller rebuilds
-part of a record with its own context.  The field walk's contract:
+summary block.  A hook reads its keys through :func:`field_value`, the
+field walk's typed decoders, and wraps its other steps in :func:`at`,
+so its errors name their path as the walk's do; a bare lookup or
+conversion error is still reported as a malformed record, through
+:func:`malformed` where a caller rebuilds part of a record with its own
+context.  The field walk's contract:
 
 1. A field declared with :func:`omit_default` is left out of the record
    when it equals its default, so a record written by a run that never
@@ -41,10 +44,12 @@ import reprlib
 from contextlib import contextmanager
 from dataclasses import MISSING, field, fields, is_dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -64,6 +69,8 @@ __all__ = [
     "dump",
     "load",
     "malformed",
+    "at",
+    "field_value",
     "fleet_result_to_dict",
     "fleet_result_from_dict",
 ]
@@ -115,16 +122,32 @@ _Encode = Optional[Callable[[Any], Any]]
 _Decode = Callable[[Any], Any]
 
 
+def _items(values: Any, decodes: Iterable[_Decode]) -> Tuple[Any, ...]:
+    """Each list item through its decoder; a failure names its index."""
+    items = []
+    for index, (decode, item) in enumerate(zip(decodes, values)):
+        try:
+            items.append(decode(item))
+        except _Bad as exc:
+            exc.path.append(index)
+            raise
+    return tuple(items)
+
+
 def _sequence(decode: _Decode) -> _Decode:
     def load(value: Any) -> Tuple[Any, ...]:
-        items = []
-        for index, item in enumerate(_expect(value, "a list", list, tuple)):
-            try:
-                items.append(decode(item))
-            except _Bad as exc:
-                exc.path.append(index)
-                raise
-        return tuple(items)
+        return _items(_expect(value, "a list", list, tuple), repeat(decode))
+
+    return load
+
+
+def _fixed(decodes: Tuple[_Decode, ...]) -> _Decode:
+    """A list of exactly one item per decoder, loaded as a tuple."""
+    def load(value: Any) -> Tuple[Any, ...]:
+        values = _expect(value, "a list", list, tuple)
+        if len(values) != len(decodes):
+            raise _Bad(f"expected {len(decodes)} items, got {len(values)}")
+        return _items(values, decodes)
 
     return load
 
@@ -160,6 +183,8 @@ def _codec(hint: Any) -> Tuple[_Encode, _Decode]:
             else lambda value: None if value is None else encode(value),
             lambda value: None if value is None else decode(value),
         )
+    if origin is tuple and args[-1] is not Ellipsis:  # Tuple[X, Y]
+        return list, _fixed(tuple(_codec(arg)[1] for arg in args))
     if origin is tuple:  # Tuple[X, ...]
         encode, decode = _codec(args[0])
         return (
@@ -258,19 +283,52 @@ class _Tagged:
 
 
 @contextmanager
-def malformed(kind: str) -> Iterator[None]:
-    """Report a bare lookup or conversion error while a hook or a caller
-    rebuilds (part of) a record as ``malformed <kind> record``."""
+def at(*path: Union[str, int]) -> Iterator[None]:
+    """Report a decoding error raised inside, typed or a bare lookup or
+    conversion error, at ``path`` (outermost key first) of the record
+    being decoded."""
     try:
         yield
     except _MalformedRecord:
         raise
-    except KeyError as exc:
-        raise _MalformedRecord(
-            f"malformed {kind} record: missing key {exc.args[0]!r}"
-        ) from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise _MalformedRecord(f"malformed {kind} record: {exc}") from None
+    except (_Bad, KeyError, TypeError, ValueError, AttributeError) as exc:
+        if isinstance(exc, _Bad):
+            bad = exc
+        elif isinstance(exc, KeyError):
+            bad = _Bad(f"missing key {exc.args[0]!r}")
+        else:
+            bad = _Bad(str(exc))
+        bad.path.extend(reversed(path))
+        raise bad from None
+
+
+def field_value(data: Any, key: str, hint: Any) -> Any:
+    """``data[key]`` through the field walk's decoder for ``hint``, for a
+    record class's own ``decode_record``; errors name the key's path."""
+    if key not in _expect(data, "an object", dict):
+        raise _Bad(f"missing key {key!r}")
+    with at(key):
+        return _codec(hint)[1](data[key])
+
+
+def _report(kind: str, exc: _Bad) -> _MalformedRecord:
+    where = "".join(
+        f"[{step}]" if isinstance(step, int) else f".{step}"
+        for step in reversed(exc.path)
+    ).lstrip(".")
+    at_path = f" at {where}" if where else ""
+    return _MalformedRecord(f"malformed {kind} record: {exc.detail}{at_path}")
+
+
+@contextmanager
+def malformed(kind: str) -> Iterator[None]:
+    """Report a decoding error while a caller rebuilds part of a record
+    as ``malformed <kind> record``."""
+    try:
+        with at():
+            yield
+    except _Bad as exc:
+        raise _report(kind, exc) from None
 
 
 class _Hooked:
@@ -284,7 +342,7 @@ class _Hooked:
         return value.encode_record()
 
     def decode(self, data: Any) -> Any:
-        with malformed(self.cls.record_kind):
+        with at():
             return self.cls.decode_record(data)
 
 
@@ -352,14 +410,7 @@ def from_record(cls: Type[T], data: Any) -> T:
                 )
         return _schema(cls).decode(data)
     except _Bad as exc:
-        where = "".join(
-            f"[{step}]" if isinstance(step, int) else f".{step}"
-            for step in reversed(exc.path)
-        ).lstrip(".")
-        at = f" at {where}" if where else ""
-        raise _MalformedRecord(
-            f"malformed {cls.record_kind} record: {exc.detail}{at}"
-        ) from None
+        raise _report(cls.record_kind, exc) from None
 
 
 def dump(value: Any, path: str) -> None:

@@ -7,8 +7,15 @@ within the target and the total DSP cost fits the budget.
 
 The search is exact within the contiguous-segment restriction:
 
-1. Enumerate all (Tn, Tm) grids up to caps (Tn <= 64, Tm <= 512, the
-   practical dot-product widths the paper's designs stay within).
+1. Enumerate the non-dominated (Tn, Tm) grids up to caps (Tn <= 64,
+   Tm <= 512, the practical dot-product widths the paper's designs stay
+   within).  Cycles depend on a grid only through each layer's
+   ``ceil(N/Tn)`` and ``ceil(M/Tm)``, so only the smallest Tn (Tm) of
+   each such step class over the layer list is kept.  Any other grid
+   ties a kept, no wider grid on every segment's cycles, costs at least
+   as many DSP slices and comes after it in the stable DSP order, so
+   dropping it changes no frontier, minimum DSP or tie-break: the
+   search stays exact while the grid count falls 2-10x.
 2. For every contiguous segment, precompute a *frontier*: the minimum
    achievable segment cycles as a function of the DSP spent on its CLP
    (non-increasing in DSP).  This is target-independent, so the paper's
@@ -88,6 +95,18 @@ def _layer_cycles_vector(
     return per_pos * n_steps.astype(np.int64) * m_steps.astype(np.int64)
 
 
+def step_sizes(dims: Sequence[int], top: int) -> np.ndarray:
+    """Sizes in [1, top], ascending, at which ``ceil(d / size)`` changes
+    for some ``d`` in ``dims``: the smallest size of each step class.
+
+    Any other size repeats the step counts of the largest of these below
+    it, so it moves no more data and takes no fewer cycles.
+    """
+    sizes = np.arange(1, top + 1)
+    steps = -(-np.array(sorted(set(dims)))[:, None] // sizes)
+    return sizes[np.r_[True, (steps[:, 1:] != steps[:, :-1]).any(axis=0)]]
+
+
 class SegmentSearch:
     """Precomputed segment frontiers for one ordered layer list.
 
@@ -118,13 +137,21 @@ class SegmentSearch:
         self._build_frontiers()
 
     # ------------------------------------------------------------- building
-    def _enumerate_grids(self, units_budget: int, tn_max: int, tm_max: int) -> None:
-        tn = np.arange(1, min(tn_max, units_budget) + 1)
-        tops = np.minimum(tm_max, units_budget // tn)
-        # Grids in (Tn, Tm) row-major order, Tm from 1 to its top per Tn.
-        self._tn = np.repeat(tn, tops)
+    def _grids(
+        self, units_budget: int, tn_max: int, tm_max: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(Tn, Tm) of every non-dominated affordable grid, in (Tn, Tm)
+        row-major order; step 1 of the module docstring says why the
+        others can be dropped."""
+        tn = step_sizes([layer.n for layer in self.layers], min(tn_max, units_budget))
+        tm = step_sizes([layer.m for layer in self.layers], tm_max)
+        tops = np.searchsorted(tm, units_budget // tn, side="right")
         starts = np.repeat(np.cumsum(tops) - tops, tops)
-        self._tm = np.arange(len(self._tn)) - starts + 1
+        tn = np.repeat(tn, tops)
+        return tn, tm[np.arange(len(tn)) - starts]
+
+    def _enumerate_grids(self, units_budget: int, tn_max: int, tm_max: int) -> None:
+        self._tn, self._tm = self._grids(units_budget, tn_max, tm_max)
         self._units = self._tn * self._tm
         spec = self.dtype.spec
         slices = spec.dsp_per_multiplier + spec.dsp_per_adder
@@ -153,20 +180,27 @@ class SegmentSearch:
         self._span = int(cum[-1].max()) + 1
         if num_segments * self._span > _INFEASIBLE:
             raise OverflowError("lifted segment frontiers overflow int64")
-        # Segment rows in (i, j) row-major order, built one at a time in
-        # two reused buffers: (segments x grids) temporaries ran to MBs
-        # and made the sweep's peak memory vary from run to run.
+        # Segment rows in (i, j) row-major order, one block per start
+        # layer i (rows j = i+1..count), built in reused buffers: fresh
+        # (segments x grids) temporaries ran to MBs and made the sweep's
+        # peak memory vary from run to run.
         self._seg_i, self._seg_j = np.triu_indices(count + 1, k=1)
-        pairs = list(zip(self._seg_i.tolist(), self._seg_j.tolist()))
+        pairs = zip(self._seg_i.tolist(), self._seg_j.tolist())
         self._segment_index = {pair: row for row, pair in enumerate(pairs)}
         frontier = np.empty((num_segments, num_classes), dtype=np.int64)
-        seg = np.empty(len(self._tn), dtype=np.int64)
-        per_class = np.empty(num_classes, dtype=np.int64)
-        for row, (i, j) in enumerate(pairs):
-            np.subtract(cum[j], cum[i], out=seg)
-            np.minimum.reduceat(seg, self._group_starts, out=per_class)
-            np.minimum.accumulate(per_class, out=per_class)
-            np.add(per_class[::-1], row * self._span, out=frontier[row])
+        seg = np.empty((count, len(self._tn)), dtype=np.int64)
+        per_class = np.empty((count, num_classes), dtype=np.int64)
+        lifts = np.arange(num_segments, dtype=np.int64)[:, None] * self._span
+        start = 0
+        for i in range(count):
+            rows = count - i
+            block, best = seg[:rows], per_class[:rows]
+            np.subtract(cum[i + 1:], cum[i], out=block)
+            np.minimum.reduceat(block, self._group_starts, axis=1, out=best)
+            np.minimum.accumulate(best, axis=1, out=best)
+            stop = start + rows
+            np.add(best[:, ::-1], lifts[start:stop], out=frontier[start:stop])
+            start = stop
         self._frontier = frontier.reshape(-1)
         self._cum = cum
 
@@ -327,5 +361,6 @@ class SegmentSearch:
     # ------------------------------------------------------------ reporting
     @property
     def grid_count(self) -> int:
-        """Number of enumerated (Tn, Tm) grids."""
+        """Number of (Tn, Tm) grids searched: the non-dominated ones,
+        the smallest Tn and Tm of each step class over the layers."""
         return len(self._tn)

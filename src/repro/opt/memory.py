@@ -10,17 +10,21 @@ by sweeping pairs of input/output bank caps.  Each layer's tile options
 (ranked from one array of every (Tr, Tc)'s transfer volume) are listed
 cheapest-transfer first, so under a pair of caps the layer's plan is the
 *first* option fitting both banks: one ``argmax`` over a boolean (option,
-in-cap, out-cap) array finds it for every pair.  Pairs that pick the same
-plans share one point, and one lockstep bisection prices every point's
-bandwidth for a cycle target.  The frontiers are
-merged across CLPs to allocate the BRAM budget, which also yields the
-system-level tradeoff curve of Figure 6.  Structures that do not depend
-on the cycle target are memoized, mirroring the paper's note that both
-optimization steps "use memoization to avoid redundant work".
+in-cap, out-cap) array finds it for every pair.  Options carry their
+bank and transfer words as arrays from the closed forms, so the search
+runs on those; a ``LayerTransfer`` is built only for the options that
+the frontier's kept points choose.  Pairs that pick the same plans
+share one point, and one lockstep bisection prices every point's
+bandwidth for a cycle target.  The frontiers are merged across CLPs to
+allocate the BRAM budget, which also yields the system-level tradeoff
+curve of Figure 6.  Structures that do not depend on the cycle target
+are memoized, mirroring the paper's note that both optimization steps
+"use memoization to avoid redundant work".
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -32,9 +36,10 @@ from ..core.bandwidth import min_bandwidths_for_cycles, transfer_arrays
 from ..core.cost_model import BufferSpec, bram_count
 from ..core.datatypes import DataType
 from ..core.layer import ConvLayer, input_extent
-from .compute import CLPCandidate, PartitionCandidate
+from .compute import CLPCandidate, PartitionCandidate, step_sizes
 
 __all__ = [
+    "TileOptions",
     "TilePoint",
     "ClpMemoryPlan",
     "MemorySolution",
@@ -85,27 +90,65 @@ class MemorySolution:
 
 
 def _tile_sizes(extent: int) -> List[int]:
-    """Distinct tile sizes worth considering along one dimension.
+    """Distinct tile sizes worth considering along one dimension: those
+    that change the number of tile steps, which transfer volume depends
+    on."""
+    return step_sizes([extent], extent).tolist()
 
-    The values ``ceil(extent/i)`` are exactly the tile sizes that change
-    the number of tile steps, which transfer volume depends on.
+
+class TileOptions(abc.Sequence):
+    """A layer's kept tile options on one (Tn, Tm) grid, cheapest first.
+
+    ``banks`` is a (3, options) int array: each option's input-bank,
+    output-bank and transfer words.  Items are ``(tr, tc, transfer)``;
+    each ``LayerTransfer`` is built on first access and kept here, so
+    only the options a curve point picks are ever built.
     """
-    return sorted({-(-extent // steps) for steps in range(1, extent + 1)})
+
+    def __init__(self, layer: ConvLayer, tn: int, tm: int,
+                 tiles: List[Tuple[int, int]], banks: np.ndarray):
+        self.layer, self.tn, self.tm = layer, tn, tm
+        self.tiles = tiles
+        self.banks = banks
+        self._transfers: List[Optional[LayerTransfer]] = [None] * len(tiles)
+
+    def __len__(self) -> int:
+        return len(self.tiles)
+
+    def __getitem__(self, index: int) -> Tuple[int, int, LayerTransfer]:
+        tr, tc = self.tiles[index]
+        transfer = self._transfers[index]
+        if transfer is None:
+            transfer = layer_transfer(self.layer, self.tn, self.tm, tr, tc)
+            self._transfers[index] = transfer
+        return tr, tc, transfer
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (TileOptions, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"TileOptions({tuple(self)!r})"
 
 
 @lru_cache(maxsize=None)
-def tile_candidates(
-    layer: ConvLayer, tn: int, tm: int
-) -> Tuple[Tuple[int, int, LayerTransfer], ...]:
+def tile_candidates(layer: ConvLayer, tn: int, tm: int) -> TileOptions:
     """Pareto-relevant (Tr, Tc, transfer) tile options for a layer,
     cheapest-transfer first; an option needing no less bank space than an
-    earlier one is dropped.  Results are memoized: the optimizer re-queries
-    the same (layer, grid) pairs across target-relaxation iterations.
+    earlier one is dropped.  Bank and transfer words come from the closed
+    forms for every option at once; an option's ``LayerTransfer`` is
+    built only when an item is read, which the curve does only for the
+    options its kept points choose.  Results are memoized (transfers
+    included, so emptying this cache leaves a cold solve): the optimizer
+    re-queries the same (layer, grid) pairs across target-relaxation
+    iterations.
     """
     s, k = layer.s, layer.k
     rows, cols = _tile_sizes(layer.r), _tile_sizes(layer.c)
     tr, tc = (grid.ravel() for grid in np.meshgrid(rows, cols, indexing="ij"))
-    order = np.argsort(sum(transfer_words(layer, tm, tr, tc)), kind="stable")
+    words = sum(transfer_words(layer, tm, tr, tc))
+    order = np.argsort(words, kind="stable")
     in_words = np.outer(
         [input_extent(t, s, k) for t in rows], [input_extent(t, s, k) for t in cols]
     ).ravel()[order]
@@ -114,11 +157,11 @@ def tile_candidates(
     # for any earlier such i drops the same set as checking kept options
     # only, since a dropped option's dominator also dominates its victims.
     covers = (in_words[:, None] <= in_words) & (out_words[:, None] <= out_words)
-    kept = order[~np.triu(covers, k=1).any(axis=0)]
-    return tuple(
-        (r, c, layer_transfer(layer, tn, tm, r, c))
-        for r, c in zip(tr[kept].tolist(), tc[kept].tolist())
-    )
+    keep = ~np.triu(covers, k=1).any(axis=0)
+    kept = order[keep]
+    tiles = list(zip(tr[kept].tolist(), tc[kept].tolist()))
+    banks = np.stack([in_words[keep], out_words[keep], words[kept]])
+    return TileOptions(layer, tn, tm, tiles, banks)
 
 
 def _sample(values: List[int], limit: int) -> List[int]:
@@ -149,15 +192,7 @@ def _clp_curve_structure(
     """
     layers = candidate.layers
     options = [tile_candidates(layer, candidate.tn, candidate.tm) for layer in layers]
-    # Per layer, (input-bank, output-bank, transfer) words of each option.
-    banks = [
-        np.array([
-            (input_extent(tr, layer.s, layer.k) * input_extent(tc, layer.s, layer.k),
-             tr * tc, transfer.total_words)
-            for tr, tc, transfer in layer_options
-        ]).T
-        for layer, layer_options in zip(layers, options)
-    ]
+    banks = [layer_options.banks for layer_options in options]
     in_caps, out_caps = (
         np.array(_sample(sorted(set(np.concatenate(words).tolist())), MAX_CAPS))
         for words in zip(*(bank[:2] for bank in banks))
@@ -197,7 +232,7 @@ def _clp_curve_structure(
         _CurvePoint(
             int(brams[index]),
             int(totals[index]),
-            tuple(opts[o][:2] for opts, o in zip(options, plan)),
+            tuple(opts.tiles[o] for opts, o in zip(options, plan)),
             tuple(opts[o][2] for opts, o in zip(options, plan)),
         )
         for index, plan in zip(kept.tolist(), plans[kept].tolist())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cost_model import layer_cycles
 from repro.core.datatypes import FIXED16, FLOAT32
@@ -268,3 +270,76 @@ def test_candidates_match_scan_dp(network, part, dtype, monkeypatch):
             get_network(network), budget_for(part), dtype, max_clps=max_clps
         )
     assert seen and all(seen)
+
+
+# ---------------------------------------------- grid-pruning differential
+class _EveryGridSearch(SegmentSearch):
+    """Oracle: the search over every affordable (Tn, Tm) grid up to the
+    caps, dominated ones included, in (Tn, Tm) row-major order."""
+
+    def _grids(self, units_budget, tn_max, tm_max):
+        tn = np.arange(1, min(tn_max, units_budget) + 1)
+        tops = np.minimum(tm_max, units_budget // tn)
+        starts = np.repeat(np.cumsum(tops) - tops, tops)
+        tn = np.repeat(tn, tops)
+        return tn, np.arange(len(tn)) - starts + 1
+
+
+@st.composite
+def grid_problems(draw):
+    """A short random layer list, a dtype, a small budget and grid caps."""
+    layers = [
+        ConvLayer(
+            f"l{index}", n=draw(st.integers(1, 48)), m=draw(st.integers(1, 96)),
+            r=draw(st.integers(1, 8)), c=draw(st.integers(1, 8)),
+            k=draw(st.sampled_from([1, 3])),
+        )
+        for index in range(draw(st.integers(1, 5)))
+    ]
+    dtype = draw(st.sampled_from([FLOAT32, FIXED16]))
+    return (
+        layers, dtype, draw(st.integers(5, 700)),
+        draw(st.integers(1, 24)), draw(st.integers(1, 96)),
+    )
+
+
+def _best_grid_or_error(search, i, j, cap):
+    try:
+        return search.best_grid(i, j, cap)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_problems(), st.data())
+def test_non_dominated_grids_search_like_every_grid(problem, data):
+    layers, dtype, budget, tn_max, tm_max = problem
+    pruned = SegmentSearch(layers, dtype, budget, tn_max, tm_max)
+    full = _EveryGridSearch(layers, dtype, budget, tn_max, tm_max)
+    assert pruned.grid_count <= full.grid_count
+    count = len(layers)
+    segments = [(i, j) for i in range(count) for j in range(i + 1, count + 1)]
+    for i, j in segments:
+        assert pruned.min_segment_cycles(i, j) == full.min_segment_cycles(i, j)
+
+    entries = np.unique(np.concatenate(
+        [full._cum[j] - full._cum[i] for i, j in segments]
+    )).tolist()
+    targets = data.draw(st.lists(
+        st.builds(lambda value, shift: value + shift,
+                  st.sampled_from(entries), st.sampled_from([-1, -0.5, 0, 0.5])),
+        min_size=1, max_size=4,
+    ))
+    for target in targets:
+        for i, j in segments:
+            assert pruned.min_dsp_for(i, j, target) == full.min_dsp_for(i, j, target)
+        max_clps = data.draw(st.integers(1, 4))
+        assert pruned.candidates(target, max_clps) == full.candidates(
+            target, max_clps
+        ), (target, max_clps)
+
+    for cap in data.draw(st.lists(st.integers(0, budget), min_size=1, max_size=4)):
+        for i, j in segments:
+            assert _best_grid_or_error(pruned, i, j, cap) == (
+                _best_grid_or_error(full, i, j, cap)
+            ), (cap, i, j)

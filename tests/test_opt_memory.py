@@ -14,7 +14,7 @@ from repro.core.layer import ConvLayer, input_extent
 from repro.fpga.parts import budget_for
 from repro.networks import get_network
 from repro.opt import memory, optimize_multi_clp
-from repro.opt.compute import CLPCandidate, PartitionCandidate
+from repro.opt.compute import CLPCandidate, PartitionCandidate, SegmentSearch
 from repro.opt.memory import (
     MAX_CAPS,
     MAX_CURVE_POINTS,
@@ -442,3 +442,14 @@ def test_cleared_caches_leave_a_cold_solve(monkeypatch):
         solves.append(dict(counts))
     assert solves[0]["transfer"] > 0 and solves[0]["structure"] > 0
     assert solves[1] == solves[0]
+    # Transfers are built only for the options curve points choose: a
+    # quarter of the 556 that building every kept option took.
+    assert solves[0]["transfer"] <= 556 // 4
+
+
+def test_alexnet_485t_float_search_keeps_only_non_dominated_grids():
+    """Every affordable (Tn, Tm) up to the caps was 2,097 grids here."""
+    search = SegmentSearch(
+        get_network("alexnet"), FLOAT32, budget_for("485t").dsp
+    )
+    assert search.grid_count < 2097

@@ -123,6 +123,25 @@ class TestDesignRoundTrip:
         restored = from_record(MultiCLPDesign, to_record(design))
         assert restored.dtype is FIXED16
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("dtype",), 7, r"expected str, got int 7 at dtype"),
+        (("dtype",), "float64", r"unknown datatype 'float64'; .* at dtype"),
+        (("clps", 0, "tile_plans", 0), "x",
+         r"expected a list, got str 'x' at clps\[0\]\.tile_plans\[0\]"),
+        (("clps", 1, "tile_plans", 0), [7],
+         r"expected 2 items, got 1 at clps\[1\]\.tile_plans\[0\]"),
+        (("clps", 1, "tn"), "abc", r"expected int, got str 'abc' at clps\[1\]\.tn"),
+        (("clps", 1, "tm"), "abc", r"expected int, got str 'abc' at clps\[1\]\.tm"),
+    ])
+    def test_bad_value_names_its_path(self, design, path, value, message):
+        record = to_record(design)
+        parent = record
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        with pytest.raises(ValueError, match=f"^malformed design record: {message}$"):
+            from_record(MultiCLPDesign, record)
+
     def test_file_round_trip(self, design, tmp_path):
         path = tmp_path / "design.json"
         dump(design, str(path))
