@@ -68,3 +68,19 @@ def test_googlenet_multi_clp_end_to_end(benchmark):
         run, setup=_empty_memo_tables, rounds=1, iterations=1
     )
     assert design.num_clps >= 2
+
+
+def test_googlenet_single_clp_end_to_end(benchmark):
+    """The longest layer list on a search capped at one CLP: one
+    frontier row, and the bisection skips the 116 infeasible targets."""
+    network = googlenet()
+    budget = budget_for("690t")
+
+    def run():
+        return optimize_single_clp(network, budget, FIXED16, return_report=True)
+
+    design, report = benchmark.pedantic(
+        run, setup=_empty_memo_tables, rounds=3, iterations=1
+    )
+    assert design.epoch_cycles == 1_301_734
+    assert report.iterations == 117

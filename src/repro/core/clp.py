@@ -27,7 +27,7 @@ from .cost_model import (
 from .datatypes import DataType
 from .layer import ConvLayer
 from .network import Network
-from .serialize import field_value
+from .serialize import at, field_value
 
 __all__ = ["CLPConfig"]
 
@@ -92,11 +92,19 @@ class CLPConfig:
     ) -> "CLPConfig":
         """Rebuild a CLP from :meth:`design_record` output, resolving
         layer names in ``network``."""
-        names = field_value(data, "layers", Tuple[str, ...])
+        layers = []
+        for index, name in enumerate(field_value(data, "layers", Tuple[str, ...])):
+            with at("layers", index):
+                try:
+                    layers.append(network.layer_by_name(name))
+                except KeyError:
+                    raise ValueError(
+                        f"unknown layer {name!r} in network {network.name!r}"
+                    ) from None
         return cls(
             tn=field_value(data, "tn", int),
             tm=field_value(data, "tm", int),
-            layers=[network.layer_by_name(name) for name in names],
+            layers=layers,
             dtype=dtype,
             tile_plans=field_value(data, "tile_plans", Tuple[Tuple[int, int], ...]),
         )

@@ -16,15 +16,21 @@ The search is exact within the contiguous-segment restriction:
    as many DSP slices and comes after it in the stable DSP order, so
    dropping it changes no frontier, minimum DSP or tie-break: the
    search stays exact while the grid count falls 2-10x.
-2. For every contiguous segment, precompute a *frontier*: the minimum
-   achievable segment cycles as a function of the DSP spent on its CLP
-   (non-increasing in DSP).  This is target-independent, so the paper's
+2. For every contiguous segment a partition into at most ``max_clps``
+   CLPs can use, precompute a *frontier*: the minimum achievable
+   segment cycles as a function of the DSP spent on its CLP
+   (non-increasing in DSP).  One CLP uses only the whole order, two use
+   a prefix and a suffix, three or more any segment; the default cap
+   builds every segment.  This is target-independent, so the paper's
    target-relaxation loop re-queries it cheaply (the paper notes both
    steps "use memoization to avoid redundant work").
 3. For a given cycle target, the minimum DSP for a segment is a binary
    search on its frontier, and the best partition is a small dynamic
    program over (number of CLPs, prefix of the order): one array step
    per CLP count over the (split, end) matrix of segment costs.
+   :meth:`SegmentSearch.feasible` runs the same program without
+   assembling partitions, so the driver can bisect for the first
+   target that any partition meets.
 
 All frontiers live in one flat array: each row is stored reversed (so
 non-decreasing) and lifted by ``row * span``, with ``span`` above every
@@ -112,6 +118,8 @@ class SegmentSearch:
 
     Build once per (ordered layers, datatype, DSP budget); query
     :meth:`candidates` for each cycle target of the relaxation loop.
+    ``max_clps`` caps the CLPs of the partitions it answers for, and so
+    the segments it builds frontiers for; ``None`` builds every segment.
     """
 
     def __init__(
@@ -121,12 +129,16 @@ class SegmentSearch:
         dsp_budget: int,
         tn_max: int = TN_MAX,
         tm_max: int = TM_MAX,
+        max_clps: Optional[int] = None,
     ):
         if not ordered_layers:
             raise ValueError("need at least one layer")
+        if max_clps is not None and max_clps < 1:
+            raise ValueError(f"max_clps must be >= 1, got {max_clps}")
         self.layers: Tuple[ConvLayer, ...] = tuple(ordered_layers)
         self.dtype = dtype
         self.dsp_budget = dsp_budget
+        self.max_clps = max_clps
         units_budget = max_units_for_budget(dsp_budget, dtype)
         if units_budget < 1:
             raise ValueError(
@@ -168,12 +180,26 @@ class SegmentSearch:
             self._dsp, return_index=True
         )
 
+    def _usable_segments(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(i, j) of every segment layers[i:j] a partition into at most
+        ``max_clps`` CLPs can use, in row-major order.  Every start i
+        keeps a run of ends up to ``count``."""
+        seg_i, seg_j = np.triu_indices(count + 1, k=1)
+        if self.max_clps == 1:
+            usable = (seg_i == 0) & (seg_j == count)
+        elif self.max_clps == 2:
+            usable = (seg_i == 0) | (seg_j == count)
+        else:
+            return seg_i, seg_j
+        return seg_i[usable], seg_j[usable]
+
     def _build_frontiers(self) -> None:
         count = len(self.layers)
         cum = np.zeros((count + 1, len(self._tn)), dtype=np.int64)
         for i, layer in enumerate(self.layers):
             cum[i + 1] = cum[i] + _layer_cycles_vector(layer, self._tn, self._tm)
-        num_segments = count * (count + 1) // 2
+        self._seg_i, self._seg_j = self._usable_segments(count)
+        num_segments = len(self._seg_i)
         num_classes = len(self.dsp_values)
         # No entry exceeds a grid's whole-order cycles, so lifting row r
         # by r * span keeps rows disjoint and the flat array sorted.
@@ -181,21 +207,21 @@ class SegmentSearch:
         if num_segments * self._span > _INFEASIBLE:
             raise OverflowError("lifted segment frontiers overflow int64")
         # Segment rows in (i, j) row-major order, one block per start
-        # layer i (rows j = i+1..count), built in reused buffers: fresh
-        # (segments x grids) temporaries ran to MBs and made the sweep's
-        # peak memory vary from run to run.
-        self._seg_i, self._seg_j = np.triu_indices(count + 1, k=1)
+        # layer i (rows j = count-rows+1..count), built in reused
+        # buffers: fresh (segments x grids) temporaries ran to MBs and
+        # made the sweep's peak memory vary from run to run.
         pairs = zip(self._seg_i.tolist(), self._seg_j.tolist())
         self._segment_index = {pair: row for row, pair in enumerate(pairs)}
+        starts, counts = np.unique(self._seg_i, return_counts=True)
+        width = int(counts.max())
         frontier = np.empty((num_segments, num_classes), dtype=np.int64)
-        seg = np.empty((count, len(self._tn)), dtype=np.int64)
-        per_class = np.empty((count, num_classes), dtype=np.int64)
+        seg = np.empty((width, len(self._tn)), dtype=np.int64)
+        per_class = np.empty((width, num_classes), dtype=np.int64)
         lifts = np.arange(num_segments, dtype=np.int64)[:, None] * self._span
         start = 0
-        for i in range(count):
-            rows = count - i
+        for i, rows in zip(starts.tolist(), counts.tolist()):
             block, best = seg[:rows], per_class[:rows]
-            np.subtract(cum[i + 1:], cum[i], out=block)
+            np.subtract(cum[count + 1 - rows:], cum[i], out=block)
             np.minimum.reduceat(block, self._group_starts, axis=1, out=best)
             np.minimum.accumulate(best, axis=1, out=best)
             stop = start + rows
@@ -205,15 +231,26 @@ class SegmentSearch:
         self._cum = cum
 
     # -------------------------------------------------------------- queries
+    def _row(self, i: int, j: int) -> int:
+        """The frontier row of layers[i:j]; raises for a segment the
+        search built no frontier for."""
+        row = self._segment_index.get((i, j))
+        if row is None:
+            raise ValueError(
+                f"no frontier for segment layers[{i}:{j}] of "
+                f"{len(self.layers)} layers with max_clps={self.max_clps}"
+            )
+        return row
+
     def min_segment_cycles(self, i: int, j: int) -> int:
         """Best cycles for layers[i:j] with the whole DSP budget."""
-        row = self._segment_index[(i, j)]
+        row = self._row(i, j)
         lifted = int(self._frontier[row * len(self.dsp_values)])
         return lifted - row * self._span
 
     def min_dsp_for(self, i: int, j: int, cycle_target: float) -> Optional[int]:
         """Smallest DSP cost letting layers[i:j] meet ``cycle_target``."""
-        row = self._segment_index[(i, j)]
+        row = self._row(i, j)
         count = int(self._meeting_counts(row, cycle_target))
         if count == 0:
             return None
@@ -262,21 +299,8 @@ class SegmentSearch:
         using the fewest DSP slices for that count, cheapest first.  An
         empty list means the target is unreachable within the budget.
         """
-        if max_clps < 1:
-            raise ValueError(f"max_clps must be >= 1, got {max_clps}")
+        dp, parent = self._partition_dp(cycle_target, max_clps)
         count = len(self.layers)
-        seg_dsp = self._segment_dsp_matrix(cycle_target)
-        # dp[k, j]: min DSP covering layers[:j] with exactly k CLPs.  One
-        # array step per k: column j of ``totals`` is every split point i,
-        # and argmin takes the first minimum, as a strict-< scan would.
-        dp = np.full((max_clps + 1, count + 1), np.inf)
-        parent = np.full((max_clps + 1, count + 1), -1)
-        dp[0, 0] = 0.0
-        for k in range(1, max_clps + 1):
-            totals = dp[k - 1][:, None] + seg_dsp
-            parent[k] = totals.argmin(axis=0)
-            dp[k] = totals.min(axis=0)
-
         return sorted(
             (
                 self._assemble(parent, k, count, cycle_target)
@@ -286,9 +310,43 @@ class SegmentSearch:
             key=lambda cand: (cand.total_dsp, cand.num_clps),
         )
 
+    def feasible(self, cycle_target: float, max_clps: int) -> bool:
+        """Whether :meth:`candidates` would return any partition, from
+        the DP alone.  Monotone in ``cycle_target``: no segment's minimum
+        DSP rises as the target grows, so no DP total does either."""
+        dp, _ = self._partition_dp(cycle_target, max_clps)
+        return bool((dp[1:, -1] <= self.dsp_budget).any())
+
+    def _partition_dp(
+        self, cycle_target: float, max_clps: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(dp, parent): dp[k, j] is the min DSP covering layers[:j]
+        with exactly k CLPs, parent[k, j] the split point it takes."""
+        if max_clps < 1:
+            raise ValueError(f"max_clps must be >= 1, got {max_clps}")
+        if self.max_clps is not None and max_clps > self.max_clps:
+            raise ValueError(
+                f"asked for up to {max_clps} CLPs of a search built for "
+                f"max_clps={self.max_clps}"
+            )
+        count = len(self.layers)
+        seg_dsp = self._segment_dsp_matrix(cycle_target)
+        # One array step per k: column j of ``totals`` is every split
+        # point i, and argmin takes the first minimum, as a strict-<
+        # scan would.
+        dp = np.full((max_clps + 1, count + 1), np.inf)
+        parent = np.full((max_clps + 1, count + 1), -1)
+        dp[0, 0] = 0.0
+        for k in range(1, max_clps + 1):
+            totals = dp[k - 1][:, None] + seg_dsp
+            parent[k] = totals.argmin(axis=0)
+            dp[k] = totals.min(axis=0)
+        return dp, parent
+
     def _segment_dsp_matrix(self, cycle_target: float) -> np.ndarray:
         """[i, j]: the min DSP letting layers[i:j] meet ``cycle_target``;
-        ``inf`` where no grid does, and for i >= j."""
+        ``inf`` where no grid does, for i >= j and for segments outside
+        the cap."""
         counts = self._meeting_counts(np.arange(len(self._seg_i)), cycle_target)
         matrix = np.full((len(self.layers) + 1,) * 2, np.inf)
         # A count of 0 indexes class 0 here; those segments stay inf.

@@ -7,6 +7,14 @@ find tile plans fitting the BRAM (and, if given, bandwidth) budget.  The
 first target with a complete solution is returned — by construction the
 highest-throughput design within the budget.
 
+Compute feasibility is monotone along the targets: every segment's
+minimum DSP is non-increasing in the cycle target, and so is every
+partition DP total.  The driver therefore bisects the target list for
+the first target some partition meets (a DP-only probe, no partitions
+assembled) and steps Listing 3's loop from there; the targets above it
+would have yielded no candidate, so the design and the report are the
+same as a loop from 100%.
+
 Constraining the partitioner to a single CLP reproduces the
 state-of-the-art baseline of Zhang et al. FPGA'15 (Section 3.1), which
 the paper's Section 6 uses for all Single-CLP comparisons.
@@ -14,6 +22,7 @@ the paper's Section 6 uses for all Single-CLP comparisons.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil
 from typing import List, Optional, Sequence, Tuple
@@ -52,6 +61,9 @@ class OptimizerReport:
 
     target: float
     target_cycles: float
+    #: Listing 3 targets stepped through, from 100% to ``target``; the
+    #: ones above the first compute-feasible target count although the
+    #: bisection skips them unevaluated.
     iterations: int
     candidates_evaluated: int
     epoch_cycles: int
@@ -72,6 +84,27 @@ def minimum_possible_cycles(
             f"budget of {dsp_budget} DSP slices affords no {dtype.label} unit"
         )
     return ceil(network.total_macs / units)
+
+
+def _relaxation_targets(step: float) -> List[float]:
+    """Listing 3's targets: 1.0 lowered by ``step`` while positive."""
+    targets = []
+    target = 1.0
+    while target > 0:
+        targets.append(target)
+        target = round(target - step, 10)
+    return targets
+
+
+def _first_feasible(
+    search: SegmentSearch, cycles_min: int, targets: List[float], max_clps: int
+) -> int:
+    """Index of the first target some partition into at most
+    ``max_clps`` CLPs meets, ``len(targets)`` if none; a bisection, as
+    the probe is monotone along the targets."""
+    return bisect_left(
+        targets, True, key=lambda t: search.feasible(cycles_min / t, max_clps)
+    )
 
 
 def _pick_ordering(name: str, budget: ResourceBudget) -> str:
@@ -120,15 +153,14 @@ def optimize_multi_clp(
         raise ValueError(f"step must be in (0, 1), got {step}")
     ordering_fn = get_ordering(_pick_ordering(ordering, budget))
     ordered_layers: List[ConvLayer] = ordering_fn(list(network))
-    search = SegmentSearch(ordered_layers, dtype, budget.dsp)
+    search = SegmentSearch(ordered_layers, dtype, budget.dsp, max_clps=max_clps)
     cycles_min = minimum_possible_cycles(network, budget.dsp, dtype)
     bandwidth_cap = budget.bytes_per_cycle()
 
-    target = 1.0
-    iterations = 0
+    targets = _relaxation_targets(step)
+    first = _first_feasible(search, cycles_min, targets, max_clps)
     candidates_seen = 0
-    while target > 0:
-        iterations += 1
+    for iterations, target in enumerate(targets[first:], start=first + 1):
         target_cycles = cycles_min / target
         candidates = search.candidates(target_cycles, max_clps)
         best: Optional[Tuple[MemorySolution, PartitionCandidate]] = None
@@ -161,7 +193,6 @@ def optimize_multi_clp(
                 )
                 return design, report
             return design
-        target = round(target - step, 10)
     raise OptimizationError(
         f"no {dtype.label} design for {network.name} fits "
         f"{budget.dsp} DSP / {budget.bram18k} BRAM"

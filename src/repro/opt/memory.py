@@ -10,10 +10,13 @@ by sweeping pairs of input/output bank caps.  Each layer's tile options
 (ranked from one array of every (Tr, Tc)'s transfer volume) are listed
 cheapest-transfer first, so under a pair of caps the layer's plan is the
 *first* option fitting both banks: one ``argmax`` over a boolean (option,
-in-cap, out-cap) array finds it for every pair.  Options carry their
-bank and transfer words as arrays from the closed forms, so the search
-runs on those; a ``LayerTransfer`` is built only for the options that
-the frontier's kept points choose.  Pairs that pick the same plans
+in-cap, out-cap) array finds it for every pair.  The ranking depends on
+the grid only through the layer's ``ceil(M/Tm)`` (the input re-fetch
+count; bank sizes depend on neither Tn nor Tm), so it is computed once
+per such Tm step class and shared by every (Tn, Tm) in it.  Options
+carry their bank and transfer words as arrays from the closed forms, so
+the search runs on those; a ``LayerTransfer`` is built only for the
+options that the frontier's kept points choose.  Pairs that pick the same plans
 share one point, and one lockstep bisection prices every point's
 bandwidth for a cycle target.  The frontiers are merged across CLPs to
 allocate the BRAM budget, which also yields the system-level tradeoff
@@ -139,11 +142,20 @@ def tile_candidates(layer: ConvLayer, tn: int, tm: int) -> TileOptions:
     earlier one is dropped.  Bank and transfer words come from the closed
     forms for every option at once; an option's ``LayerTransfer`` is
     built only when an item is read, which the curve does only for the
-    options its kept points choose.  Results are memoized (transfers
-    included, so emptying this cache leaves a cold solve): the optimizer
-    re-queries the same (layer, grid) pairs across target-relaxation
-    iterations.
+    options its kept points choose.
+
+    The ranking (order, pruning, bank and transfer words) depends on Tm
+    only through ``ceil(M/Tm)`` and not on Tn, so it is computed once per
+    step class, in this cache's entry for (layer, 1, the class's smallest
+    Tm), and shared by every other grid's options.  Results are memoized
+    (rankings and transfers included, so emptying this cache leaves a
+    cold solve): the optimizer re-queries the same (layer, grid) pairs
+    across target-relaxation iterations.
     """
+    class_tm = -(-layer.m // -(-layer.m // tm))
+    if (tn, tm) != (1, class_tm):
+        ranked = tile_candidates(layer, 1, class_tm)
+        return TileOptions(layer, tn, tm, ranked.tiles, ranked.banks)
     s, k = layer.s, layer.k
     rows, cols = _tile_sizes(layer.r), _tile_sizes(layer.c)
     tr, tc = (grid.ravel() for grid in np.meshgrid(rows, cols, indexing="ij"))

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from repro.core.cost_model import layer_cycles
 from repro.core.datatypes import FIXED16, FLOAT32
 from repro.core.layer import ConvLayer
+from repro.core.network import Network
 from repro.fpga.parts import budget_for
 from repro.networks import alexnet, get_network, squeezenet
-from repro.opt import optimize_multi_clp
+from repro.opt import minimum_possible_cycles, optimize_multi_clp
 from repro.opt.compute import SegmentSearch
+from repro.opt.driver import DEFAULT_STEP, _first_feasible, _relaxation_targets
 from repro.opt.heuristics import order_by_nm_distance
 
 
@@ -255,13 +257,20 @@ def _scan_candidates(search, cycle_target, max_clps):
 )
 def test_candidates_match_scan_dp(network, part, dtype, monkeypatch):
     """At every relaxation target `optimize_multi_clp` visits, single- and
-    multi-CLP, the array DP returns the scan's candidates in order."""
+    multi-CLP, the array DP returns the scan's candidates in order.  The
+    driver's search is capped at ``max_clps``, so the scan runs on an
+    uncapped search over the same layers."""
     seen = []
     candidates = SegmentSearch.candidates
+    uncapped = {}
 
     def spy(search, cycle_target, max_clps):
         found = candidates(search, cycle_target, max_clps)
-        seen.append(found == _scan_candidates(search, cycle_target, max_clps))
+        key = (search.layers, search.dtype, search.dsp_budget)
+        if key not in uncapped:
+            uncapped[key] = SegmentSearch(*key)
+        oracle = uncapped[key]
+        seen.append(found == _scan_candidates(oracle, cycle_target, max_clps))
         return found
 
     monkeypatch.setattr(SegmentSearch, "candidates", spy)
@@ -343,3 +352,83 @@ def test_non_dominated_grids_search_like_every_grid(problem, data):
             assert _best_grid_or_error(pruned, i, j, cap) == (
                 _best_grid_or_error(full, i, j, cap)
             ), (cap, i, j)
+
+
+# ------------------------------------------------- capped segment frontiers
+@pytest.mark.parametrize("max_clps", [1, 2, 3, 4])
+def test_capped_search_answers_like_uncapped(any_search, max_clps):
+    layers, dtype, budget = any_search.layers, any_search.dtype, any_search.dsp_budget
+    capped = SegmentSearch(layers, dtype, budget, max_clps=max_clps)
+    count = len(layers)
+    whole = any_search.min_segment_cycles(0, count)
+    for target in (whole - 1, whole, 1.2 * whole, 2 * whole, 4 * whole, 1e12):
+        assert capped.candidates(target, max_clps) == any_search.candidates(
+            target, max_clps
+        ), target
+
+
+@pytest.mark.parametrize("max_clps, outside", [(1, (0, 1)), (1, (1, 2)), (2, (1, 2))])
+def test_out_of_cap_queries_raise_naming_segment_and_cap(max_clps, outside):
+    search = SegmentSearch(
+        order_by_nm_distance(list(alexnet())), FLOAT32, 2240, max_clps=max_clps
+    )
+    i, j = outside
+    message = rf"layers\[{i}:{j}\] .* max_clps={max_clps}"
+    with pytest.raises(ValueError, match=message):
+        search.min_dsp_for(i, j, 4_000_000)
+    with pytest.raises(ValueError, match=message):
+        search.min_segment_cycles(i, j)
+    with pytest.raises(ValueError, match=rf"up to {max_clps + 1} CLPs .* "
+                                         rf"max_clps={max_clps}"):
+        search.candidates(4_000_000, max_clps + 1)
+
+
+# ------------------------------------------------------ feasibility probe
+@settings(max_examples=100, deadline=None)
+@given(grid_problems(), st.sampled_from([1, 2, 3, 6]),
+       st.sampled_from([DEFAULT_STEP, 0.02, 0.1]))
+def test_probe_matches_candidates_and_is_monotone(problem, max_clps, step):
+    """Along the driver's targets the probe flips from False to True at
+    most once, and says exactly whether ``candidates`` finds a partition."""
+    layers, dtype, budget, tn_max, tm_max = problem
+    search = SegmentSearch(layers, dtype, budget, tn_max, tm_max, max_clps=max_clps)
+    cycles_min = minimum_possible_cycles(Network("probe", layers), budget, dtype)
+    targets = _relaxation_targets(step)
+    probes = [search.feasible(cycles_min / t, max_clps) for t in targets]
+    assert probes == sorted(probes)
+    first = probes.index(True) if True in probes else len(probes)
+    assert _first_feasible(search, cycles_min, targets, max_clps) == first
+    for index in {0, first - 1, first, len(targets) - 1} & set(range(len(targets))):
+        cycle_target = cycles_min / targets[index]
+        assert probes[index] == bool(search.candidates(cycle_target, max_clps))
+
+
+def _linear_first_feasible(search, cycles_min, max_clps, step=DEFAULT_STEP):
+    """Oracle: Listing 3's loop stepping every target until ``candidates``
+    returns a partition; (index, target), or (count, None) if none does."""
+    target, index = 1.0, 0
+    while target > 0:
+        if search.candidates(cycles_min / target, max_clps):
+            return index, target
+        index += 1
+        target = round(target - step, 10)
+    return index, None
+
+
+@pytest.mark.parametrize("max_clps", [1, 6], ids=["single", "multi"])
+@pytest.mark.parametrize("dtype", [FLOAT32, FIXED16], ids=lambda d: d.label)
+@pytest.mark.parametrize("part", ["485t", "690t"])
+@pytest.mark.parametrize(
+    "network", ["alexnet", "vggnet-e", "squeezenet", "googlenet"]
+)
+def test_bisection_finds_the_linear_loops_first_target(network, part, dtype, max_clps):
+    net, budget = get_network(network), budget_for(part)
+    layers = order_by_nm_distance(list(net))
+    cycles_min = minimum_possible_cycles(net, budget.dsp, dtype)
+    index, target = _linear_first_feasible(
+        SegmentSearch(layers, dtype, budget.dsp), cycles_min, max_clps
+    )
+    capped = SegmentSearch(layers, dtype, budget.dsp, max_clps=max_clps)
+    targets = _relaxation_targets(DEFAULT_STEP)
+    assert _first_feasible(capped, cycles_min, targets, max_clps) == index
+    assert targets[index] == target

@@ -15,6 +15,7 @@ from repro.fpga.parts import budget_for
 from repro.networks import get_network
 from repro.opt import memory, optimize_multi_clp
 from repro.opt.compute import CLPCandidate, PartitionCandidate, SegmentSearch
+from repro.opt.heuristics import order_by_nm_distance
 from repro.opt.memory import (
     MAX_CAPS,
     MAX_CURVE_POINTS,
@@ -92,6 +93,16 @@ class TestTileCandidates:
         assert tile_candidates(conv2_layer, 7, 64) is tile_candidates(
             conv2_layer, 7, 64
         )
+
+    def test_one_ranking_per_tm_step_class(self, conv2_layer):
+        # M = 128: Tm 43..63 all take ceil(128 / Tm) = 3 steps, and share
+        # the ranking of the class's smallest Tm on a 1-wide grid.
+        ranked = tile_candidates(conv2_layer, 1, 43)
+        for tn, tm in ((7, 43), (7, 50), (16, 63)):
+            options = tile_candidates(conv2_layer, tn, tm)
+            assert options.tiles is ranked.tiles and options.banks is ranked.banks
+            assert (options.tn, options.tm) == (tn, tm)
+        assert tile_candidates(conv2_layer, 7, 64).banks is not ranked.banks
 
 
 class TestClpPareto:
@@ -433,6 +444,9 @@ def test_cleared_caches_leave_a_cold_solve(monkeypatch):
         memory, "_clp_curve_structure",
         counted("structure", memory._clp_curve_structure),
     )
+    monkeypatch.setattr(
+        memory, "transfer_words", counted("ranking", memory.transfer_words)
+    )
     solves = []
     for _ in range(2):
         memory._STRUCTURE_CACHE.clear()
@@ -440,11 +454,43 @@ def test_cleared_caches_leave_a_cold_solve(monkeypatch):
         counts.clear()
         optimize_multi_clp(get_network("alexnet"), budget_for("485t"), FLOAT32)
         solves.append(dict(counts))
-    assert solves[0]["transfer"] > 0 and solves[0]["structure"] > 0
+    assert all(solves[0][name] > 0 for name in ("transfer", "structure", "ranking"))
     assert solves[1] == solves[0]
     # Transfers are built only for the options curve points choose: a
     # quarter of the 556 that building every kept option took.
     assert solves[0]["transfer"] <= 556 // 4
+
+
+def test_cold_solve_skips_infeasible_targets_and_shares_rankings(monkeypatch):
+    """A cold AlexNet 485T float32 multi-CLP solve asks for candidates
+    only from the first compute-feasible target on (every target's
+    candidates were asked for before: 7 calls), and ranks each layer's
+    tiles once per Tm step class (14 rankings before)."""
+    counts = Counter()
+    targets = []
+    candidates, transfer_words = SegmentSearch.candidates, memory.transfer_words
+
+    def spy_candidates(search, cycle_target, max_clps):
+        targets.append(cycle_target)
+        return candidates(search, cycle_target, max_clps)
+
+    def spy_words(*args):
+        counts["ranking"] += 1
+        return transfer_words(*args)
+
+    monkeypatch.setattr(SegmentSearch, "candidates", spy_candidates)
+    monkeypatch.setattr(memory, "transfer_words", spy_words)
+    memory._STRUCTURE_CACHE.clear()
+    memory.tile_candidates.cache_clear()
+    network, budget = get_network("alexnet"), budget_for("485t")
+    _, report = optimize_multi_clp(network, budget, FLOAT32, return_report=True)
+    assert len(targets) == 1 and targets[0] == report.target_cycles
+    assert report.iterations == 7
+    # The target before the first one asked about has no partition.
+    uncapped = SegmentSearch(order_by_nm_distance(list(network)), FLOAT32, budget.dsp)
+    earlier = report.minimum_cycles / round(report.target + 0.005, 10)
+    assert candidates(uncapped, earlier, 6) == []
+    assert 0 < counts["ranking"] < 14
 
 
 def test_alexnet_485t_float_search_keeps_only_non_dominated_grids():

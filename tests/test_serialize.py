@@ -132,6 +132,8 @@ class TestDesignRoundTrip:
          r"expected 2 items, got 1 at clps\[1\]\.tile_plans\[0\]"),
         (("clps", 1, "tn"), "abc", r"expected int, got str 'abc' at clps\[1\]\.tn"),
         (("clps", 1, "tm"), "abc", r"expected int, got str 'abc' at clps\[1\]\.tm"),
+        (("clps", 0, "layers", 0), "nope",
+         r"unknown layer 'nope' in network 'toy' at clps\[0\]\.layers\[0\]"),
     ])
     def test_bad_value_names_its_path(self, design, path, value, message):
         record = to_record(design)
