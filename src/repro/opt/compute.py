@@ -27,7 +27,8 @@ The search is exact within the contiguous-segment restriction:
 3. For a given cycle target, the minimum DSP for a segment is a binary
    search on its frontier, and the best partition is a small dynamic
    program over (number of CLPs, prefix of the order): one array step
-   per CLP count over the (split, end) matrix of segment costs.
+   per CLP count over the (split, end) matrix of segment costs, with
+   the split points walked back only for the partitions returned.
    :meth:`SegmentSearch.feasible` runs the same program without
    assembling partitions, so the driver can bisect for the first
    target that any partition meets.
@@ -120,6 +121,7 @@ class SegmentSearch:
     :meth:`candidates` for each cycle target of the relaxation loop.
     ``max_clps`` caps the CLPs of the partitions it answers for, and so
     the segments it builds frontiers for; ``None`` builds every segment.
+    Queries default to the cap, so it is given once.
     """
 
     def __init__(
@@ -291,37 +293,40 @@ class SegmentSearch:
     def candidates(
         self,
         cycle_target: float,
-        max_clps: int,
+        max_clps: Optional[int] = None,
     ) -> List[PartitionCandidate]:
         """All minimum-DSP partitions meeting ``cycle_target``.
 
         Returns one candidate per feasible CLP count (1..max_clps), each
         using the fewest DSP slices for that count, cheapest first.  An
         empty list means the target is unreachable within the budget.
+        ``max_clps`` defaults to the search's cap (one CLP per layer if
+        it has none).
         """
-        dp, parent = self._partition_dp(cycle_target, max_clps)
+        max_clps = self._clp_limit(max_clps)
+        seg_dsp = self._segment_dsp_matrix(cycle_target)
+        dp = self._partition_dp(seg_dsp, max_clps)
         count = len(self.layers)
         return sorted(
             (
-                self._assemble(parent, k, count, cycle_target)
+                self._assemble(self._split_points(dp, seg_dsp, k), cycle_target)
                 for k in range(1, max_clps + 1)
                 if dp[k, count] <= self.dsp_budget
             ),
             key=lambda cand: (cand.total_dsp, cand.num_clps),
         )
 
-    def feasible(self, cycle_target: float, max_clps: int) -> bool:
+    def feasible(self, cycle_target: float, max_clps: Optional[int] = None) -> bool:
         """Whether :meth:`candidates` would return any partition, from
         the DP alone.  Monotone in ``cycle_target``: no segment's minimum
         DSP rises as the target grows, so no DP total does either."""
-        dp, _ = self._partition_dp(cycle_target, max_clps)
+        seg_dsp = self._segment_dsp_matrix(cycle_target)
+        dp = self._partition_dp(seg_dsp, self._clp_limit(max_clps))
         return bool((dp[1:, -1] <= self.dsp_budget).any())
 
-    def _partition_dp(
-        self, cycle_target: float, max_clps: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(dp, parent): dp[k, j] is the min DSP covering layers[:j]
-        with exactly k CLPs, parent[k, j] the split point it takes."""
+    def _clp_limit(self, max_clps: Optional[int]) -> int:
+        if max_clps is None:
+            return self.max_clps or len(self.layers)
         if max_clps < 1:
             raise ValueError(f"max_clps must be >= 1, got {max_clps}")
         if self.max_clps is not None and max_clps > self.max_clps:
@@ -329,19 +334,18 @@ class SegmentSearch:
                 f"asked for up to {max_clps} CLPs of a search built for "
                 f"max_clps={self.max_clps}"
             )
-        count = len(self.layers)
-        seg_dsp = self._segment_dsp_matrix(cycle_target)
-        # One array step per k: column j of ``totals`` is every split
-        # point i, and argmin takes the first minimum, as a strict-<
-        # scan would.
-        dp = np.full((max_clps + 1, count + 1), np.inf)
-        parent = np.full((max_clps + 1, count + 1), -1)
+        return max_clps
+
+    @staticmethod
+    def _partition_dp(seg_dsp: np.ndarray, max_clps: int) -> np.ndarray:
+        """dp[k, j]: the min DSP covering layers[:j] with exactly k CLPs,
+        from ``seg_dsp`` of :meth:`_segment_dsp_matrix`."""
+        dp = np.full((max_clps + 1, len(seg_dsp)), np.inf)
         dp[0, 0] = 0.0
+        # One array step per k: column j is the min over split points i.
         for k in range(1, max_clps + 1):
-            totals = dp[k - 1][:, None] + seg_dsp
-            parent[k] = totals.argmin(axis=0)
-            dp[k] = totals.min(axis=0)
-        return dp, parent
+            dp[k] = (dp[k - 1][:, None] + seg_dsp).min(axis=0)
+        return dp
 
     def _segment_dsp_matrix(self, cycle_target: float) -> np.ndarray:
         """[i, j]: the min DSP letting layers[i:j] meet ``cycle_target``;
@@ -355,20 +359,21 @@ class SegmentSearch:
         )
         return matrix
 
-    def _assemble(
-        self,
-        parent: np.ndarray,
-        num_clps: int,
-        count: int,
-        cycle_target: float,
-    ) -> PartitionCandidate:
-        # Walk parents to recover segment boundaries.
-        bounds = [count]
-        j = count
+    @staticmethod
+    def _split_points(
+        dp: np.ndarray, seg_dsp: np.ndarray, num_clps: int
+    ) -> List[int]:
+        """Segment bounds 0 = b0 < ... < b_k = len(layers) of the DP's
+        ``num_clps``-CLP optimum, walked back from the end; argmin takes
+        the first minimum, as a strict-< scan would."""
+        j = len(seg_dsp) - 1
+        bounds = [j]
         for k in range(num_clps, 0, -1):
-            j = int(parent[k, j])
+            j = int((dp[k - 1] + seg_dsp[:, j]).argmin())
             bounds.append(j)
-        bounds.reverse()
+        return bounds[::-1]
+
+    def _assemble(self, bounds: List[int], cycle_target: float) -> PartitionCandidate:
         spans = list(zip(bounds[:-1], bounds[1:]))
         clps: List[CLPCandidate] = []
         for i, j in spans:

@@ -22,7 +22,6 @@ the paper's Section 6 uses for all Single-CLP comparisons.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil
 from typing import List, Optional, Sequence, Tuple
@@ -97,14 +96,19 @@ def _relaxation_targets(step: float) -> List[float]:
 
 
 def _first_feasible(
-    search: SegmentSearch, cycles_min: int, targets: List[float], max_clps: int
+    search: SegmentSearch, cycles_min: int, targets: List[float]
 ) -> int:
-    """Index of the first target some partition into at most
-    ``max_clps`` CLPs meets, ``len(targets)`` if none; a bisection, as
-    the probe is monotone along the targets."""
-    return bisect_left(
-        targets, True, key=lambda t: search.feasible(cycles_min / t, max_clps)
-    )
+    """Index of the first target some partition within the search's CLP
+    cap meets, ``len(targets)`` if none; a bisection, as the probe is
+    monotone along the targets."""
+    lo, hi = 0, len(targets)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if search.feasible(cycles_min / targets[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _pick_ordering(name: str, budget: ResourceBudget) -> str:
@@ -158,11 +162,11 @@ def optimize_multi_clp(
     bandwidth_cap = budget.bytes_per_cycle()
 
     targets = _relaxation_targets(step)
-    first = _first_feasible(search, cycles_min, targets, max_clps)
+    first = _first_feasible(search, cycles_min, targets)
     candidates_seen = 0
     for iterations, target in enumerate(targets[first:], start=first + 1):
         target_cycles = cycles_min / target
-        candidates = search.candidates(target_cycles, max_clps)
+        candidates = search.candidates(target_cycles)
         best: Optional[Tuple[MemorySolution, PartitionCandidate]] = None
         for candidate in candidates:
             candidates_seen += 1

@@ -242,11 +242,13 @@ def _scan_candidates(search, cycle_target, max_clps):
                 if total < dp[k][j]:
                     dp[k][j] = total
                     parent[k][j] = i
-    results = [
-        search._assemble(np.array(parent), k, count, cycle_target)
-        for k in range(1, max_clps + 1)
-        if dp[k][count] <= search.dsp_budget
-    ]
+    results = []
+    for k in range(1, max_clps + 1):
+        if dp[k][count] <= search.dsp_budget:
+            bounds = [count]
+            for clps in range(k, 0, -1):
+                bounds.append(parent[clps][bounds[-1]])
+            results.append(search._assemble(bounds[::-1], cycle_target))
     return sorted(results, key=lambda cand: (cand.total_dsp, cand.num_clps))
 
 
@@ -264,8 +266,9 @@ def test_candidates_match_scan_dp(network, part, dtype, monkeypatch):
     candidates = SegmentSearch.candidates
     uncapped = {}
 
-    def spy(search, cycle_target, max_clps):
+    def spy(search, cycle_target, max_clps=None):
         found = candidates(search, cycle_target, max_clps)
+        max_clps = max_clps or search.max_clps
         key = (search.layers, search.dtype, search.dsp_budget)
         if key not in uncapped:
             uncapped[key] = SegmentSearch(*key)
@@ -362,9 +365,11 @@ def test_capped_search_answers_like_uncapped(any_search, max_clps):
     count = len(layers)
     whole = any_search.min_segment_cycles(0, count)
     for target in (whole - 1, whole, 1.2 * whole, 2 * whole, 4 * whole, 1e12):
-        assert capped.candidates(target, max_clps) == any_search.candidates(
-            target, max_clps
-        ), target
+        expected = any_search.candidates(target, max_clps)
+        assert capped.candidates(target, max_clps) == expected, target
+        # Queries default to the cap the search was built with.
+        assert capped.candidates(target) == expected, target
+        assert capped.feasible(target) == bool(expected), target
 
 
 @pytest.mark.parametrize("max_clps, outside", [(1, (0, 1)), (1, (1, 2)), (2, (1, 2))])
@@ -397,7 +402,7 @@ def test_probe_matches_candidates_and_is_monotone(problem, max_clps, step):
     probes = [search.feasible(cycles_min / t, max_clps) for t in targets]
     assert probes == sorted(probes)
     first = probes.index(True) if True in probes else len(probes)
-    assert _first_feasible(search, cycles_min, targets, max_clps) == first
+    assert _first_feasible(search, cycles_min, targets) == first
     for index in {0, first - 1, first, len(targets) - 1} & set(range(len(targets))):
         cycle_target = cycles_min / targets[index]
         assert probes[index] == bool(search.candidates(cycle_target, max_clps))
@@ -430,5 +435,5 @@ def test_bisection_finds_the_linear_loops_first_target(network, part, dtype, max
     )
     capped = SegmentSearch(layers, dtype, budget.dsp, max_clps=max_clps)
     targets = _relaxation_targets(DEFAULT_STEP)
-    assert _first_feasible(capped, cycles_min, targets, max_clps) == index
+    assert _first_feasible(capped, cycles_min, targets) == index
     assert targets[index] == target

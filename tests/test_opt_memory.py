@@ -470,9 +470,9 @@ def test_cold_solve_skips_infeasible_targets_and_shares_rankings(monkeypatch):
     targets = []
     candidates, transfer_words = SegmentSearch.candidates, memory.transfer_words
 
-    def spy_candidates(search, cycle_target, max_clps):
+    def spy_candidates(search, cycle_target, *args):
         targets.append(cycle_target)
-        return candidates(search, cycle_target, max_clps)
+        return candidates(search, cycle_target, *args)
 
     def spy_words(*args):
         counts["ranking"] += 1
