@@ -175,7 +175,7 @@ def main() -> None:
     print(f"Controlled run vs SLO: {'MEETS' if verdict.meets else 'MISSES'}")
     for tenant in verdict.tenants:
         print(f"  {tenant.name}: goodput {tenant.goodput_rps:.1f} r/s, "
-              f"charged drop rate {tenant.drop_rate:.1%}"
+              f"charged drop rate {tenant.charged_rate:.1%}"
               + (f", violations: {'; '.join(tenant.violations)}"
                  if tenant.violations else ""))
 

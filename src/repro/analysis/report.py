@@ -316,8 +316,8 @@ def _slo_section(results: Sequence[Any], slo: Optional["SLOSpec"]) -> str:
                     verdict.name,
                     "yes" if verdict.meets else "**NO**",
                     "-" if verdict.p99_ms is None else f"{verdict.p99_ms:.2f}",
-                    f"{verdict.shed_rate:.2%}",
-                    f"{verdict.throughput_rps:.1f}",
+                    f"{verdict.charged_rate:.2%}",
+                    f"{verdict.goodput_rps:.1f}",
                     "; ".join(verdict.violations) or "-",
                 )
             )

@@ -19,9 +19,11 @@ These were validated against Table 3: AlexNet 485T Single-CLP moves
 ~9.8 MB for conv1 in 732k cycles, giving the paper's ~1.4 GB/s at
 100 MHz.
 
-The closed forms work elementwise on numpy arrays of tile sizes, and the
-minimum-bandwidth bisection solves many operating points in lockstep; the
-single-CLP functions are its one-row case.
+The closed forms work elementwise on numpy arrays of tile sizes:
+:func:`layer_transfer` is the one-tile case, and :func:`plan_arrays`
+prices many tile plans of one CLP at once.  The minimum-bandwidth
+bisection solves many operating points in lockstep; the single-CLP
+functions are its one-row case.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .cost_model import layer_cycles
 from .datatypes import DataType
 from .layer import ConvLayer, input_extent
 
@@ -38,8 +41,10 @@ __all__ = [
     "LayerTransfer",
     "layer_transfer",
     "bandwidth_bound_cycles",
+    "fill_and_steady_words",
     "min_bandwidth_for_cycles",
     "min_bandwidths_for_cycles",
+    "plan_arrays",
     "transfer_arrays",
     "transfer_words",
 ]
@@ -86,6 +91,26 @@ def transfer_words(layer: ConvLayer, tm: int, tr, tc):
     return input_words, weight_words, m * r * c
 
 
+def fill_and_steady_words(layer: ConvLayer, tn: int, tm: int, tr, tc):
+    """(first-tile words, steady words/cycle); ``tr``/``tc`` may be int
+    arrays."""
+    n, m, _, _, k, s = layer.dims
+    # Each n-phase, the first (ping) tile included, moves a full Tr x Tc
+    # spatial tile of Tn input maps and one Tn x Tm weight set -- all
+    # clamped to the layer.
+    phase_in = min(n, tn) * input_extent(tr, s, k) * input_extent(tc, s, k)
+    phase_w = min(n, tn) * min(m, tm) * k * k
+    first_tile_words = phase_in + phase_w
+
+    # Steady state: each full n-phase computes K^2*Tr*Tc cycles while the
+    # next phase's inputs and weights stream in; output write-back of a
+    # finished (r, c, m) group is spread over the following group's
+    # nsteps phases.
+    phase_cycles = k * k * tr * tc
+    phase_out = min(m, tm) * tr * tc / _tile_steps(n, tn)
+    return first_tile_words, (first_tile_words + phase_out) / phase_cycles
+
+
 def layer_transfer(
     layer: ConvLayer,
     tn: int,
@@ -101,34 +126,15 @@ def layer_transfer(
         raise ValueError(
             f"tile ({tr}, {tc}) out of range for layer {layer.name!r}"
         )
-    n, m, r, c, k, s = layer.dims
-    nsteps = _tile_steps(n, tn)
-    input_words, weight_words, output_words = transfer_words(layer, tm, tr, tc)
-    compute_cycles = r * c * nsteps * _tile_steps(m, tm) * k * k
-
-    # Each n-phase, the first (ping) tile included, moves a full Tr x Tc
-    # spatial tile of Tn input maps and one Tn x Tm weight set -- all
-    # clamped to the layer.
-    phase_in = min(n, tn) * input_extent(tr, s, k) * input_extent(tc, s, k)
-    phase_w = min(n, tn) * min(m, tm) * k * k
-    first_tile_words = phase_in + phase_w
-
-    # Steady state: each full n-phase computes K^2*Tr*Tc cycles while the
-    # next phase's inputs and weights stream in; output write-back of a
-    # finished (r, c, m) group is spread over the following group's
-    # nsteps phases.
-    phase_cycles = k * k * tr * tc
-    phase_out = min(m, tm) * tr * tc / nsteps
-    steady_words_per_cycle = (first_tile_words + phase_out) / phase_cycles
-
+    first_tile_words, steady_words_per_cycle = fill_and_steady_words(
+        layer, tn, tm, tr, tc
+    )
     return LayerTransfer(
-        layer_name=layer.name,
-        compute_cycles=compute_cycles,
-        input_words=input_words,
-        weight_words=weight_words,
-        output_words=output_words,
-        first_tile_words=first_tile_words,
-        steady_words_per_cycle=steady_words_per_cycle,
+        layer.name,
+        layer_cycles(layer, tn, tm),
+        *transfer_words(layer, tm, tr, tc),
+        first_tile_words,
+        steady_words_per_cycle,
     )
 
 
@@ -151,6 +157,29 @@ def transfer_arrays(
         [[t.first_tile_words * word for t in row] for row in rows],
         [[t.steady_words_per_cycle * word for t in row] for row in rows],
     ], dtype=np.float64)
+
+
+def plan_arrays(
+    layers: Sequence[ConvLayer], tn: int, tm: int, plans: np.ndarray,
+    dtype: DataType,
+) -> np.ndarray:
+    """``transfer_arrays`` of tile plans of one (Tn, Tm) CLP computing
+    ``layers``: ``plans[i, j]`` is the (Tr, Tc) that row i runs layer j
+    at, a (rows, layers, 2) int array.
+
+    Built from the closed forms one layer (column) at a time, with the
+    same values :func:`layer_transfer` gives each tile.
+    """
+    word = dtype.word_bytes
+    arrays = np.empty((4, *plans.shape[:2]))
+    for j, layer in enumerate(layers):
+        tr, tc = plans[:, j].T
+        fill, steady = fill_and_steady_words(layer, tn, tm, tr, tc)
+        arrays[0, :, j] = layer_cycles(layer, tn, tm)
+        arrays[1, :, j] = sum(transfer_words(layer, tm, tr, tc)) * word
+        arrays[2, :, j] = fill * word
+        arrays[3, :, j] = steady * word
+    return arrays
 
 
 def _cycles_at(arrays: np.ndarray, rates: np.ndarray) -> np.ndarray:

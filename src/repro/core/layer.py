@@ -20,13 +20,14 @@ from typing import Iterator, Tuple
 __all__ = ["ConvLayer", "input_extent"]
 
 
-def input_extent(tile: int, stride: int, kernel: int) -> int:
+def input_extent(tile, stride: int, kernel: int):
     """Input pixels needed to produce ``tile`` contiguous outputs.
 
     This is the ``(T-1)*S+K`` expression used throughout the paper for
-    sizing input buffers and transfers.
+    sizing input buffers and transfers.  ``tile`` may be an int array.
     """
-    if tile <= 0:
+    bad = tile <= 0  # a bool for an int, cheaper than any numpy call
+    if bad if isinstance(bad, bool) else bad.any():
         raise ValueError(f"tile must be positive, got {tile}")
     return (tile - 1) * stride + kernel
 

@@ -332,7 +332,7 @@ def traffic_rank_table(
             ("CLPs", lambda entry: entry.serve.num_clps),
             ("goodput r/s", lambda entry: f"{entry.report.total_goodput_rps:.1f}"),
             ("p99 ms", lambda entry: _ms(entry.report.worst_p99_ms)),
-            ("shed", lambda entry: f"{entry.report.worst_shed_rate:.1%}"),
+            ("shed", lambda entry: f"{entry.report.worst_charged_rate:.1%}"),
         ),
         f"SLO ranking @ {rate_rps:g} r/s ({_slo_clauses(slo)})",
     )
@@ -578,7 +578,7 @@ def resilience_rank_table(
             ("avail", _availability),
             ("incident p99 ms", lambda entry: _ms(entry.during_p99_ms)),
             ("lost", lambda entry: entry.fleet.total("lost")),
-            ("shed", lambda entry: f"{entry.report.worst_shed_rate:.1%}"),
+            ("shed", lambda entry: f"{entry.report.worst_charged_rate:.1%}"),
         ),
         f"resilience ranking under {scenario} @ {rate_rps:g} r/s",
     )

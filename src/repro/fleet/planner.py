@@ -72,7 +72,7 @@ class PlanProbe:
     replicas: int
     meets: bool
     p99_ms: Optional[float]
-    drop_rate: float
+    charged_rate: float
     goodput_rps: float
 
 
@@ -105,7 +105,7 @@ class CapacityPlan:
             (
                 probe.replicas,
                 "-" if probe.p99_ms is None else f"{probe.p99_ms:.2f}",
-                f"{probe.drop_rate:.1%}",
+                f"{probe.charged_rate:.1%}",
                 f"{probe.goodput_rps:.1f}",
                 "yes" if probe.meets else "NO",
             )
@@ -267,7 +267,7 @@ def plan_capacity(
             replicas=n,
             meets=report.meets,
             p99_ms=report.worst_p99_ms,
-            drop_rate=report.worst_shed_rate,
+            charged_rate=report.worst_charged_rate,
             goodput_rps=report.total_goodput_rps,
         )
         for n, (result, report) in sorted(evaluations.items())

@@ -98,18 +98,6 @@ class LayerDescriptor:
             raise ValueError(f"descriptor must be 32 bytes, got {len(raw)}")
         return cls(*struct.unpack("<8i", raw))
 
-    @property
-    def rsteps(self) -> int:
-        return ceil(self.r / self.tr)
-
-    @property
-    def csteps(self) -> int:
-        return ceil(self.c / self.tc)
-
-    @property
-    def msteps(self) -> int:
-        return ceil(self.m / 1)  # placeholder; msteps depends on Tm
-
     def steps(self, tn: int, tm: int) -> Tuple[int, int, int, int]:
         """(rsteps, csteps, msteps, nsteps) for a (Tn, Tm) CLP."""
         return (

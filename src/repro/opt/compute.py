@@ -47,7 +47,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.cost_model import max_units_for_budget
+from ..core.cost_model import dsp_count, layer_cycles, max_units_for_budget
 from ..core.datatypes import DataType
 from ..core.layer import ConvLayer
 
@@ -92,16 +92,6 @@ class PartitionCandidate:
         return max(clp.cycles for clp in self.clps)
 
 
-def _layer_cycles_vector(
-    layer: ConvLayer, tn: np.ndarray, tm: np.ndarray
-) -> np.ndarray:
-    """Cycles of ``layer`` on every enumerated (Tn, Tm) grid."""
-    n_steps = -(-layer.n // tn)
-    m_steps = -(-layer.m // tm)
-    per_pos = np.int64(layer.r) * layer.c * layer.k * layer.k
-    return per_pos * n_steps.astype(np.int64) * m_steps.astype(np.int64)
-
-
 def step_sizes(dims: Sequence[int], top: int) -> np.ndarray:
     """Sizes in [1, top], ascending, at which ``ceil(d / size)`` changes
     for some ``d`` in ``dims``: the smallest size of each step class.
@@ -109,7 +99,7 @@ def step_sizes(dims: Sequence[int], top: int) -> np.ndarray:
     Any other size repeats the step counts of the largest of these below
     it, so it moves no more data and takes no fewer cycles.
     """
-    sizes = np.arange(1, top + 1)
+    sizes = np.arange(1, top + 1, dtype=np.int64)
     steps = -(-np.array(sorted(set(dims)))[:, None] // sizes)
     return sizes[np.r_[True, (steps[:, 1:] != steps[:, :-1]).any(axis=0)]]
 
@@ -166,16 +156,11 @@ class SegmentSearch:
 
     def _enumerate_grids(self, units_budget: int, tn_max: int, tm_max: int) -> None:
         self._tn, self._tm = self._grids(units_budget, tn_max, tm_max)
-        self._units = self._tn * self._tm
-        spec = self.dtype.spec
-        slices = spec.dsp_per_multiplier + spec.dsp_per_adder
-        group = spec.macs_per_dsp_group
-        self._dsp = -(-(self._units * slices) // group)
+        self._dsp = dsp_count(self._tn, self._tm, self.dtype)
         # Sort grids by DSP cost so frontiers are prefix minima.
         order = np.argsort(self._dsp, kind="stable")
         self._tn = self._tn[order]
         self._tm = self._tm[order]
-        self._units = self._units[order]
         self._dsp = self._dsp[order]
         # Group boundaries of equal-DSP runs.
         self.dsp_values, self._group_starts = np.unique(
@@ -199,7 +184,7 @@ class SegmentSearch:
         count = len(self.layers)
         cum = np.zeros((count + 1, len(self._tn)), dtype=np.int64)
         for i, layer in enumerate(self.layers):
-            cum[i + 1] = cum[i] + _layer_cycles_vector(layer, self._tn, self._tm)
+            cum[i + 1] = cum[i] + layer_cycles(layer, self._tn, self._tm)
         self._seg_i, self._seg_j = self._usable_segments(count)
         num_segments = len(self._seg_i)
         num_classes = len(self.dsp_values)

@@ -13,36 +13,33 @@ cheapest-transfer first, so under a pair of caps the layer's plan is the
 in-cap, out-cap) array finds it for every pair.  The ranking depends on
 the grid only through the layer's ``ceil(M/Tm)`` (the input re-fetch
 count; bank sizes depend on neither Tn nor Tm), so it is computed once
-per such Tm step class and shared by every (Tn, Tm) in it.  Options
-carry their bank and transfer words as arrays from the closed forms, so
-the search runs on those; a ``LayerTransfer`` is built only for the
-options that the frontier's kept points choose.  Pairs that pick the same plans
-share one point, and one lockstep bisection prices every point's
-bandwidth for a cycle target.  The frontiers are merged across CLPs to
-allocate the BRAM budget, which also yields the system-level tradeoff
-curve of Figure 6.  Structures that do not depend on the cycle target
+per such Tm step class and shared by every (Tn, Tm) in it.  Everything
+is priced by core's elementwise closed forms, in array passes: the
+options' bank and transfer words, every plan's BRAM in one
+``bram_count`` call, and the kept points' transfer arrays straight from
+their (Tr, Tc) plans.  Pairs that pick the same plans share one point,
+and one lockstep bisection prices every point's bandwidth for a cycle
+target.  The frontiers are merged across CLPs to allocate the BRAM
+budget, which also yields the system-level tradeoff curve of Figure 6.  Structures that do not depend on the cycle target
 are memoized, mirroring the paper's note that both optimization steps
 "use memoization to avoid redundant work".
 """
 
 from __future__ import annotations
 
-from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.bandwidth import LayerTransfer, layer_transfer, transfer_words
-from ..core.bandwidth import min_bandwidths_for_cycles, transfer_arrays
-from ..core.cost_model import BufferSpec, bram_count
+from ..core.bandwidth import min_bandwidths_for_cycles, plan_arrays, transfer_words
+from ..core.cost_model import BufferSpec, bank_words, bram_count
 from ..core.datatypes import DataType
-from ..core.layer import ConvLayer, input_extent
+from ..core.layer import ConvLayer
 from .compute import CLPCandidate, PartitionCandidate, step_sizes
 
 __all__ = [
-    "TileOptions",
     "TilePoint",
     "ClpMemoryPlan",
     "MemorySolution",
@@ -99,72 +96,31 @@ def _tile_sizes(extent: int) -> List[int]:
     return step_sizes([extent], extent).tolist()
 
 
-class TileOptions(abc.Sequence):
-    """A layer's kept tile options on one (Tn, Tm) grid, cheapest first.
-
-    ``banks`` is a (3, options) int array: each option's input-bank,
-    output-bank and transfer words.  Items are ``(tr, tc, transfer)``;
-    each ``LayerTransfer`` is built on first access and kept here, so
-    only the options a curve point picks are ever built.
-    """
-
-    def __init__(self, layer: ConvLayer, tn: int, tm: int,
-                 tiles: List[Tuple[int, int]], banks: np.ndarray):
-        self.layer, self.tn, self.tm = layer, tn, tm
-        self.tiles = tiles
-        self.banks = banks
-        self._transfers: List[Optional[LayerTransfer]] = [None] * len(tiles)
-
-    def __len__(self) -> int:
-        return len(self.tiles)
-
-    def __getitem__(self, index: int) -> Tuple[int, int, LayerTransfer]:
-        tr, tc = self.tiles[index]
-        transfer = self._transfers[index]
-        if transfer is None:
-            transfer = layer_transfer(self.layer, self.tn, self.tm, tr, tc)
-            self._transfers[index] = transfer
-        return tr, tc, transfer
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (TileOptions, tuple)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return f"TileOptions({tuple(self)!r})"
-
-
 @lru_cache(maxsize=None)
-def tile_candidates(layer: ConvLayer, tn: int, tm: int) -> TileOptions:
-    """Pareto-relevant (Tr, Tc, transfer) tile options for a layer,
-    cheapest-transfer first; an option needing no less bank space than an
-    earlier one is dropped.  Bank and transfer words come from the closed
-    forms for every option at once; an option's ``LayerTransfer`` is
-    built only when an item is read, which the curve does only for the
-    options its kept points choose.
+def tile_candidates(
+    layer: ConvLayer, tn: int, tm: int
+) -> Tuple[List[Tuple[int, int]], np.ndarray]:
+    """The layer's Pareto-relevant tile options on a (Tn, Tm) grid,
+    cheapest-transfer first: ``(tiles, banks)``, the kept (Tr, Tc) pairs
+    and a (3, options) int array of each one's input-bank, output-bank
+    and transfer words.  An option needing no less bank space than an
+    earlier one is dropped.
 
-    The ranking (order, pruning, bank and transfer words) depends on Tm
-    only through ``ceil(M/Tm)`` and not on Tn, so it is computed once per
-    step class, in this cache's entry for (layer, 1, the class's smallest
-    Tm), and shared by every other grid's options.  Results are memoized
-    (rankings and transfers included, so emptying this cache leaves a
-    cold solve): the optimizer re-queries the same (layer, grid) pairs
-    across target-relaxation iterations.
+    The ranking depends on Tm only through ``ceil(M/Tm)`` and not on Tn,
+    so every grid gets the very ranking of its step class, computed once
+    in this cache's entry for (layer, 1, the class's smallest Tm).
+    Results are memoized (emptying this cache leaves a cold solve): the
+    optimizer re-queries the same (layer, grid) pairs across
+    target-relaxation iterations.
     """
     class_tm = -(-layer.m // -(-layer.m // tm))
     if (tn, tm) != (1, class_tm):
-        ranked = tile_candidates(layer, 1, class_tm)
-        return TileOptions(layer, tn, tm, ranked.tiles, ranked.banks)
-    s, k = layer.s, layer.k
+        return tile_candidates(layer, 1, class_tm)
     rows, cols = _tile_sizes(layer.r), _tile_sizes(layer.c)
     tr, tc = (grid.ravel() for grid in np.meshgrid(rows, cols, indexing="ij"))
     words = sum(transfer_words(layer, tm, tr, tc))
     order = np.argsort(words, kind="stable")
-    in_words = np.outer(
-        [input_extent(t, s, k) for t in rows], [input_extent(t, s, k) for t in cols]
-    ).ravel()[order]
-    out_words = (tr * tc)[order]
+    in_words, out_words = (bank[order] for bank in bank_words(layer, tr, tc))
     # [i, j]: option i needs no bigger banks than option j.  Dropping j
     # for any earlier such i drops the same set as checking kept options
     # only, since a dropped option's dominator also dominates its victims.
@@ -172,8 +128,7 @@ def tile_candidates(layer: ConvLayer, tn: int, tm: int) -> TileOptions:
     keep = ~np.triu(covers, k=1).any(axis=0)
     kept = order[keep]
     tiles = list(zip(tr[kept].tolist(), tc[kept].tolist()))
-    banks = np.stack([in_words[keep], out_words[keep], words[kept]])
-    return TileOptions(layer, tn, tm, tiles, banks)
+    return tiles, np.stack([in_words[keep], out_words[keep], words[kept]])
 
 
 def _sample(values: List[int], limit: int) -> List[int]:
@@ -190,7 +145,6 @@ class _CurvePoint:
     bram: int
     total_words: int
     tile_plans: Tuple[Tuple[int, int], ...]
-    transfers: Tuple[LayerTransfer, ...]
 
 
 def _clp_curve_structure(
@@ -203,8 +157,9 @@ def _clp_curve_structure(
     of bank caps the first option fitting both (an ``argmax``) is best.
     """
     layers = candidate.layers
-    options = [tile_candidates(layer, candidate.tn, candidate.tm) for layer in layers]
-    banks = [layer_options.banks for layer_options in options]
+    tiles, banks = zip(*(
+        tile_candidates(layer, candidate.tn, candidate.tm) for layer in layers
+    ))
     in_caps, out_caps = (
         np.array(_sample(sorted(set(np.concatenate(words).tolist())), MAX_CAPS))
         for words in zip(*(bank[:2] for bank in banks))
@@ -226,13 +181,12 @@ def _clp_curve_structure(
     plans = np.array(list(dict.fromkeys(picks)))
     # (3, layers, plans): the words of each plan's chosen options.
     chosen = np.stack([bank[:, col] for bank, col in zip(banks, plans.T)], axis=1)
-    in_banks, out_banks = chosen[:2].max(axis=1).tolist()
+    in_banks, out_banks = chosen[:2].max(axis=1)
     totals = chosen[2].sum(axis=0)
     weight_bank = max(layer.k * layer.k for layer in layers)
-    brams = np.array([
-        bram_count(candidate.tn, candidate.tm, BufferSpec(i, weight_bank, o), dtype)
-        for i, o in zip(in_banks, out_banks)
-    ])
+    brams = bram_count(
+        candidate.tn, candidate.tm, BufferSpec(in_banks, weight_bank, out_banks), dtype
+    )
 
     # Pareto prune on (bram, total transfer volume): in (bram, words)
     # order, keep points below every earlier point's volume.
@@ -244,8 +198,7 @@ def _clp_curve_structure(
         _CurvePoint(
             int(brams[index]),
             int(totals[index]),
-            tuple(opts.tiles[o] for opts, o in zip(options, plan)),
-            tuple(opts[o][2] for opts, o in zip(options, plan)),
+            tuple(layer_tiles[o] for layer_tiles, o in zip(tiles, plan)),
         )
         for index, plan in zip(kept.tolist(), plans[kept].tolist())
     )
@@ -262,7 +215,8 @@ def _structure_for(
     key = (candidate.tn, candidate.tm, candidate.layers, dtype)
     if key not in _STRUCTURE_CACHE:
         structure = _clp_curve_structure(candidate, dtype)
-        arrays = transfer_arrays([point.transfers for point in structure], dtype)
+        plans = np.array([point.tile_plans for point in structure])
+        arrays = plan_arrays(candidate.layers, candidate.tn, candidate.tm, plans, dtype)
         _STRUCTURE_CACHE[key] = structure, arrays
     return _STRUCTURE_CACHE[key]
 

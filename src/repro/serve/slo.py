@@ -62,17 +62,15 @@ class SLOSpec:
 class TenantVerdict:
     """One tenant's measurements against each SLO clause.
 
-    ``drop_rate`` holds the tenant's **shed** rate — queue drops *plus*
-    requests lost to replica failures — because that is what the drop
-    budget is charged against (see :func:`evaluate_slo`).  The
-    :attr:`shed_rate` alias names it honestly; the original field name
-    is kept for stored-result compatibility.
+    ``charged_rate`` is the share of arrivals charged against the drop
+    budget (see :func:`evaluate_slo`): queue drops plus requests lost to
+    replica failures, plus late completions under a deadline clause.
     """
 
     name: str
     meets: bool
     p99_ms: Optional[float]
-    drop_rate: float
+    charged_rate: float
     throughput_rps: float
     violations: Tuple[str, ...]
     #: Deadline-aware completion rate: (completions - late) / horizon.
@@ -81,11 +79,6 @@ class TenantVerdict:
     goodput_rps: float = 0.0
     #: Priority class of the tenant (0 unless overload assigns one).
     priority: int = 0
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of arrivals not served (drops + fault losses)."""
-        return self.drop_rate
 
 
 @dataclass(frozen=True)
@@ -102,9 +95,9 @@ class SLOReport:
         return max(values) if values else None
 
     @property
-    def worst_shed_rate(self) -> float:
-        """Highest per-tenant shed rate (queue drops plus fault losses)."""
-        return max((t.drop_rate for t in self.tenants), default=0.0)
+    def worst_charged_rate(self) -> float:
+        """Highest per-tenant rate charged against the drop budget."""
+        return max((t.charged_rate for t in self.tenants), default=0.0)
 
     @property
     def total_goodput_rps(self) -> float:
@@ -200,7 +193,7 @@ def evaluate_slo(result: ServeResult, slo: SLOSpec) -> SLOReport:
                 name=tenant.name,
                 meets=not violations,
                 p99_ms=p99_ms,
-                drop_rate=charged,
+                charged_rate=charged,
                 throughput_rps=throughput,
                 violations=tuple(violations),
                 goodput_rps=goodput,

@@ -4,19 +4,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bandwidth import (
     LayerTransfer,
     bandwidth_bound_cycles,
+    fill_and_steady_words,
     layer_transfer,
     min_bandwidth_for_cycles,
     min_bandwidths_for_cycles,
+    plan_arrays,
     transfer_arrays,
 )
-from repro.core.datatypes import FIXED16, FLOAT32
-from repro.core.layer import ConvLayer
+from repro.core.datatypes import FIXED16, FLOAT32, INT8
+from repro.core.layer import ConvLayer, input_extent
 from repro.fpga.parts import budget_for
 from repro.networks import alexnet
 from repro.opt import memory, optimize_multi_clp
@@ -347,7 +349,13 @@ def test_every_alexnet_485t_point_matches_scalar_bisection(monkeypatch):
         structure, arrays = memory._structure_for(candidate, dtype)
         solved = min_bandwidths_for_cycles(arrays, cycle_budget).tolist()
         assert solved == [
-            _scalar_min_bandwidth(point.transfers, dtype, cycle_budget)
+            _scalar_min_bandwidth(
+                [
+                    layer_transfer(layer, candidate.tn, candidate.tm, tr, tc)
+                    for layer, (tr, tc) in zip(candidate.layers, point.tile_plans)
+                ],
+                dtype, cycle_budget,
+            )
             for point in structure
         ]
 
@@ -413,3 +421,56 @@ def test_design_bandwidths_match_per_clp_bisections(alexnet_485t_design):
         assert design.epoch_cycles_under_bandwidth(cap) == (
             _scalar_epoch_under_cap(design, cap)
         )
+
+
+# ------------------------------------------------ elementwise vs scalar
+def _scalar_fill_and_steady(layer, tn, tm, tr, tc):
+    """Oracle: ``layer_transfer``'s scalar first-tile and steady terms."""
+    n, m, _, _, k, s = layer.dims
+    nsteps = -(-n // tn)
+    phase_in = min(n, tn) * input_extent(tr, s, k) * input_extent(tc, s, k)
+    phase_w = min(n, tn) * min(m, tm) * k * k
+    first_tile_words = phase_in + phase_w
+    phase_cycles = k * k * tr * tc
+    phase_out = min(m, tm) * tr * tc / nsteps
+    return first_tile_words, (first_tile_words + phase_out) / phase_cycles
+
+
+@st.composite
+def tile_plans(draw):
+    """A layer, a grid and (Tr, Tc) plans of it; N < Tn and M < Tm come
+    up often, and one-row tiles (Tr = 1) always do."""
+    layer = ConvLayer(
+        "prop", n=draw(st.integers(1, 512)), m=draw(st.integers(1, 512)),
+        r=draw(st.integers(1, 60)), c=draw(st.integers(1, 60)),
+        k=draw(st.integers(1, 11)), s=draw(st.integers(1, 4)),
+    )
+    tiles = st.tuples(st.integers(1, layer.r), st.integers(1, layer.c))
+    plans = [(1, draw(st.integers(1, layer.c)))]
+    plans += draw(st.lists(tiles, max_size=8))
+    return layer, draw(st.integers(1, 64)), draw(st.integers(1, 512)), plans
+
+
+@settings(max_examples=150, deadline=None)
+@given(tile_plans(), st.sampled_from([FLOAT32, FIXED16, INT8]))
+@example(
+    (ConvLayer("k1s2", n=3, m=5, r=28, c=28, k=1, s=2), 64, 512,
+     [(1, 1), (1, 28), (28, 28)]),
+    FIXED16,
+)
+def test_plan_arrays_match_layer_transfer(problem, dtype):
+    """The elementwise fill and steady terms equal the scalar ones, and
+    ``plan_arrays`` equals ``transfer_arrays`` over ``layer_transfer``
+    rows, float for float."""
+    layer, tn, tm, plans = problem
+    tr, tc = (np.array(column) for column in zip(*plans))
+    with np.errstate(all="raise"):
+        fill, steady = fill_and_steady_words(layer, tn, tm, tr, tc)
+        arrays = plan_arrays([layer], tn, tm, np.array(plans)[:, None], dtype)
+    expected = [_scalar_fill_and_steady(layer, tn, tm, *plan) for plan in plans]
+    assert list(zip(fill.tolist(), steady.tolist())) == expected
+    for plan, want in zip(plans, expected):
+        transfer = layer_transfer(layer, tn, tm, *plan)
+        assert (transfer.first_tile_words, transfer.steady_words_per_cycle) == want
+    rows = [[layer_transfer(layer, tn, tm, *plan)] for plan in plans]
+    assert arrays.tolist() == transfer_arrays(rows, dtype).tolist()

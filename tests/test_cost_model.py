@@ -4,7 +4,12 @@ The cycle model must reproduce every row of Table 2 and the BRAM model
 every "model" column of Table 6 — these are exact, not approximate.
 """
 
+from math import ceil
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.cost_model import (
     BufferSpec,
@@ -15,8 +20,13 @@ from repro.core.cost_model import (
     layer_cycles,
     max_units_for_budget,
 )
-from repro.core.datatypes import FIXED16, FLOAT32
+from repro.core.datatypes import FIXED16, FLOAT32, INT8
 from repro.core.layer import ConvLayer
+from repro.fpga.parts import (
+    BRAM18K_SINGLE_BANK_WORDS,
+    BRAM18K_WORDS_32BIT,
+    LUTRAM_CUTOFF_WORDS,
+)
 from repro.networks import alexnet, squeezenet
 
 
@@ -228,3 +238,107 @@ class TestBramModelTable6:
         in_fixed, _, out_fixed = bram_breakdown(8, 8, spec, FIXED16)
         assert in_fixed * 2 == in_float
         assert out_fixed * 2 == out_float
+
+
+# ------------------------------------------------ elementwise vs scalar
+# The closed forms run elementwise on int arrays (the optimizer prices
+# every grid or tile plan in one call).  The oracles below are the scalar
+# bodies they replaced; every array entry must equal them exactly.
+def _scalar_layer_cycles(layer, tn, tm):
+    n_steps = -(-layer.n // tn)
+    m_steps = -(-layer.m // tm)
+    return layer.r * layer.c * n_steps * m_steps * layer.k * layer.k
+
+
+def _scalar_dsp_count(tn, tm, dtype):
+    spec = dtype.spec
+    slices = spec.dsp_per_multiplier + spec.dsp_per_adder
+    return ceil(tn * tm * slices / spec.macs_per_dsp_group)
+
+
+def _scalar_brams_per_bank(bank_words, needs_two_ports_per_copy):
+    if bank_words < LUTRAM_CUTOFF_WORDS:
+        return 0
+    if not needs_two_ports_per_copy and bank_words <= BRAM18K_SINGLE_BANK_WORDS:
+        return 1
+    return 2 * ceil(bank_words / BRAM18K_WORDS_32BIT)
+
+
+def _scalar_bram_breakdown(tn, tm, spec, dtype):
+    def banks(logical):
+        return ceil(logical / dtype.words_per_bram_entry)
+
+    return (
+        banks(tn) * _scalar_brams_per_bank(spec.input_bank_words, False),
+        banks(tn * tm) * _scalar_brams_per_bank(spec.weight_bank_words, False),
+        banks(tm) * _scalar_brams_per_bank(spec.output_bank_words, True),
+    )
+
+
+dtypes = st.sampled_from([FLOAT32, FIXED16, INT8])
+grids = st.lists(
+    st.tuples(st.integers(1, 64), st.integers(1, 512)), min_size=1, max_size=8
+)
+
+
+@st.composite
+def conv_layers(draw):
+    return ConvLayer(
+        "prop", n=draw(st.integers(1, 512)), m=draw(st.integers(1, 512)),
+        r=draw(st.integers(1, 60)), c=draw(st.integers(1, 60)),
+        k=draw(st.integers(1, 11)), s=draw(st.integers(1, 4)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(conv_layers(), grids, dtypes)
+@example(ConvLayer("k1s2", n=3, m=5, r=28, c=1, k=1, s=2), [(64, 512), (1, 1)],
+         INT8)
+def test_grid_arrays_match_scalar_cycles_and_dsp(layer, grid, dtype):
+    tn, tm = (np.array(column) for column in zip(*grid))
+    with np.errstate(all="raise"):
+        cycles = layer_cycles(layer, tn, tm)
+        dsp = dsp_count(tn, tm, dtype)
+    assert cycles.tolist() == [_scalar_layer_cycles(layer, *g) for g in grid]
+    assert dsp.tolist() == [_scalar_dsp_count(*g, dtype) for g in grid]
+    for (one_tn, one_tm), want in zip(grid, dsp.tolist()):
+        assert type(dsp_count(one_tn, one_tm, dtype)) is int
+        assert dsp_count(one_tn, one_tm, dtype) == want
+        assert layer_cycles(layer, one_tn, one_tm) == (
+            _scalar_layer_cycles(layer, one_tn, one_tm)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 64), st.integers(1, 512), dtypes,
+    st.lists(st.tuples(st.integers(1, 4000), st.integers(1, 4000)),
+             min_size=1, max_size=8),
+    st.integers(1, 300),
+)
+@example(7, 64, FLOAT32, [(9, 10), (10, 9), (256, 257), (257, 256),
+                          (512, 513), (1, 1)], 9)
+@example(1, 1, FIXED16, [(10, 10)], 256)
+def test_bank_arrays_match_scalar_bram(tn, tm, dtype, banks, weight_bank):
+    """One BRAM call over every plan's (input, output) bank words equals
+    the scalar model plan by plan, across the LUTRAM, single-BRAM and
+    block-size boundaries."""
+    in_words, out_words = (np.array(column) for column in zip(*banks))
+    with np.errstate(all="raise"):
+        spec = BufferSpec(in_words, weight_bank, out_words)
+        parts = bram_breakdown(tn, tm, spec, dtype)
+        total = bram_count(tn, tm, spec, dtype)
+    expected = [
+        _scalar_bram_breakdown(tn, tm, BufferSpec(i, weight_bank, o), dtype)
+        for i, o in banks
+    ]
+    # The weight term is one int: its bank size is the same for all.
+    columns = (np.broadcast_to(part, in_words.shape).tolist() for part in parts)
+    assert [list(plan) for plan in zip(*columns)] == (
+        [list(plan) for plan in expected]
+    )
+    assert total.tolist() == [sum(plan) for plan in expected]
+    i, o = banks[0]
+    scalar = bram_breakdown(tn, tm, BufferSpec(i, weight_bank, o), dtype)
+    assert scalar == expected[0]
+    assert all(type(value) is int for value in scalar)

@@ -552,14 +552,14 @@ class TestShedReportingRegression:
         )
         assert tenant.shed_rate > tenant.drop_rate
 
-    def test_slo_report_worst_shed_rate(self, drill):
+    def test_slo_report_worst_charged_rate(self, drill):
+        # No deadline clause: each tenant is charged its shed rate.
         report = evaluate_slo(drill, SLOSpec(max_drop_rate=0.0))
         worst = max(t.shed_rate for t in drill.tenants)
-        assert report.worst_shed_rate == worst
-        assert report.worst_shed_rate > 0
-        # verdicts expose the same value under both names
-        for verdict in report.tenants:
-            assert verdict.shed_rate == verdict.drop_rate
+        assert report.worst_charged_rate == worst
+        assert report.worst_charged_rate > 0
+        for verdict, tenant in zip(report.tenants, drill.tenants):
+            assert verdict.charged_rate == tenant.shed_rate
         assert not report.meets
 
 

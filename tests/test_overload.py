@@ -310,7 +310,7 @@ class TestQueueDisciplines:
     def test_goodput_columns_exclude_late_completions(self, toy_design):
         """Every printed "goodput r/s" counts good completions only, as
         the SLO report does: the serve and fleet tables and the report's
-        runs section."""
+        runs and SLO-attainment sections."""
         overload = OverloadSpec(
             queue_policy="fifo", deadline_ms=3 * _epoch_ms(toy_design)
         )
@@ -340,6 +340,11 @@ class TestQueueDisciplines:
                 for t in result.tenants
             )
             assert row.split("|")[column].strip() == f"{total:.1f}"
+            slo = report[report.index("## SLO attainment"):].splitlines()
+            header = next(line for line in slo if "goodput r/s" in line)
+            column = header.split("|").index(" goodput r/s ")
+            row = next(line for line in slo if f"| {tenant.name} |" in line)
+            assert row.split("|")[column].strip() == f"{good:.1f}"
 
     def test_priority_discipline_runs_conserved(self, toy_design):
         result = _serve(

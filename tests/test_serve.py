@@ -555,7 +555,7 @@ class TestSLO:
         result = _serve(toy_design, 4.0, epochs=40, queue_depth=2)
         report = evaluate_slo(result, SLOSpec(max_drop_rate=0.0))
         assert not report.meets
-        assert report.worst_shed_rate > 0
+        assert report.worst_charged_rate > 0
         assert any("drops" in v for t in report.tenants for v in t.violations)
 
     def test_tight_latency_violated(self, toy_design):
