@@ -59,11 +59,7 @@ def roofline_point(
     if bandwidth_gbps is None:
         bandwidth_gbps = design.required_bandwidth_gbps(frequency_mhz)
     total_ops = design.network.total_flops  # 2 ops per MAC
-    total_bytes = sum(
-        transfer.total_bytes(design.dtype)
-        for clp in design.clps
-        for transfer in clp.transfers
-    )
+    total_bytes = float(design.transfer_array[1].sum())
     ctc = total_ops / total_bytes
     cycles_per_second = frequency_mhz * 1e6
     peak_gops = design.total_units * 2 * cycles_per_second / 1e9

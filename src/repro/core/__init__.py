@@ -1,6 +1,5 @@
 """Core models: layers, networks, datatypes, CLPs, designs, and costs."""
 
-from .bandwidth import LayerTransfer, bandwidth_bound_cycles, layer_transfer
 from .clp import CLPConfig
 from .cost_model import (
     BufferSpec,
@@ -34,15 +33,12 @@ __all__ = [
     "MultiCLPDesign",
     "DesignMetrics",
     "BufferSpec",
-    "LayerTransfer",
     "layer_cycles",
     "dsp_count",
     "max_units_for_budget",
     "buffer_spec",
     "bram_count",
     "bram_breakdown",
-    "layer_transfer",
-    "bandwidth_bound_cycles",
     "input_extent",
     "EpochSchedule",
     "ScheduleEntry",

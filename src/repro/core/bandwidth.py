@@ -19,59 +19,33 @@ These were validated against Table 3: AlexNet 485T Single-CLP moves
 ~9.8 MB for conv1 in 732k cycles, giving the paper's ~1.4 GB/s at
 100 MHz.
 
-The closed forms work elementwise on numpy arrays of tile sizes:
-:func:`layer_transfer` is the one-tile case, and :func:`plan_arrays`
-prices many tile plans of one CLP at once.  The minimum-bandwidth
-bisection solves many operating points in lockstep; the single-CLP
-functions are its one-row case.
+The closed forms work elementwise, on Python ints or on numpy arrays
+of tile sizes.  The bandwidth model reads a (compute cycles, bytes,
+first-tile bytes, steady bytes/cycle) array with a row per operating
+point and a column per layer: :func:`plan_arrays` builds it for many
+tile plans of one CLP (the optimizer's curve points), :func:`clp_arrays`
+for the CLPs of a finished design.  The minimum-bandwidth bisection
+solves all rows in lockstep, each stopping where a lone bisection would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
+from .clp import CLPConfig
 from .cost_model import layer_cycles
 from .datatypes import DataType
 from .layer import ConvLayer, input_extent
 
 __all__ = [
-    "LayerTransfer",
-    "layer_transfer",
-    "bandwidth_bound_cycles",
+    "clp_arrays",
     "fill_and_steady_words",
-    "min_bandwidth_for_cycles",
     "min_bandwidths_for_cycles",
     "plan_arrays",
-    "transfer_arrays",
     "transfer_words",
 ]
-
-
-@dataclass(frozen=True)
-class LayerTransfer:
-    """Data movement of one layer executed on one CLP configuration."""
-
-    layer_name: str
-    compute_cycles: int
-    input_words: int
-    weight_words: int
-    output_words: int
-    first_tile_words: int  # input + weight words of the very first tile
-    steady_words_per_cycle: float  # worst-phase words/cycle to avoid stalls
-
-    @property
-    def total_words(self) -> int:
-        return self.input_words + self.weight_words + self.output_words
-
-    def total_bytes(self, dtype: DataType) -> int:
-        return self.total_words * dtype.word_bytes
-
-    def average_bytes_per_cycle(self, dtype: DataType) -> float:
-        """Layer-average transfer rate at full compute speed."""
-        return self.total_bytes(dtype) / self.compute_cycles
 
 
 def _tile_steps(total, tile):
@@ -111,64 +85,16 @@ def fill_and_steady_words(layer: ConvLayer, tn: int, tm: int, tr, tc):
     return first_tile_words, (first_tile_words + phase_out) / phase_cycles
 
 
-def layer_transfer(
-    layer: ConvLayer,
-    tn: int,
-    tm: int,
-    tr: int,
-    tc: int,
-) -> LayerTransfer:
-    """Transfer volumes and rates for one layer on a (Tn, Tm) CLP.
-
-    ``tr``/``tc`` are the layer's spatial tile sizes (Section 3.1).
-    """
-    if not 1 <= tr <= layer.r or not 1 <= tc <= layer.c:
-        raise ValueError(
-            f"tile ({tr}, {tc}) out of range for layer {layer.name!r}"
-        )
-    first_tile_words, steady_words_per_cycle = fill_and_steady_words(
-        layer, tn, tm, tr, tc
-    )
-    return LayerTransfer(
-        layer.name,
-        layer_cycles(layer, tn, tm),
-        *transfer_words(layer, tm, tr, tc),
-        first_tile_words,
-        steady_words_per_cycle,
-    )
-
-
-def transfer_arrays(
-    rows: Sequence[Sequence[LayerTransfer]], dtype: DataType
-) -> np.ndarray:
-    """(compute cycles, bytes, first-tile bytes, steady bytes/cycle) of
-    every layer of each transfer list: a (4, rows, layers) array.
-
-    float64 holds the integers (all below 2**53) exactly.  Zero-word
-    layers, which add exactly 0.0, pad rows to one length of at least one.
-    """
-    word = dtype.word_bytes
-    width = max([1, *map(len, rows)])
-    pad = LayerTransfer("", 0, 0, 0, 0, 0, 0.0)
-    rows = [list(row) + [pad] * (width - len(row)) for row in rows]
-    return np.array([
-        [[t.compute_cycles for t in row] for row in rows],
-        [[t.total_words * word for t in row] for row in rows],
-        [[t.first_tile_words * word for t in row] for row in rows],
-        [[t.steady_words_per_cycle * word for t in row] for row in rows],
-    ], dtype=np.float64)
-
-
 def plan_arrays(
     layers: Sequence[ConvLayer], tn: int, tm: int, plans: np.ndarray,
     dtype: DataType,
 ) -> np.ndarray:
-    """``transfer_arrays`` of tile plans of one (Tn, Tm) CLP computing
-    ``layers``: ``plans[i, j]`` is the (Tr, Tc) that row i runs layer j
-    at, a (rows, layers, 2) int array.
+    """The (4, rows, layers) transfer array of tile plans of one (Tn, Tm)
+    CLP computing ``layers``: ``plans[i, j]`` is the (Tr, Tc) that row i
+    runs layer j at, a (rows, layers, 2) int array.
 
-    Built from the closed forms one layer (column) at a time, with the
-    same values :func:`layer_transfer` gives each tile.
+    Built from the closed forms one layer (column) at a time.  float64
+    holds the integers (all below 2**53) exactly.
     """
     word = dtype.word_bytes
     arrays = np.empty((4, *plans.shape[:2]))
@@ -182,8 +108,27 @@ def plan_arrays(
     return arrays
 
 
+def clp_arrays(clps: Sequence[CLPConfig], dtype: DataType) -> np.ndarray:
+    """The (4, CLPs, layers) transfer array of CLPs at their own
+    ``tile_plans``, priced on Python ints: numpy calls on one-tile arrays
+    cost more than the arithmetic.  Zero-word layers, which add exactly
+    0.0, pad rows to one length of at least one."""
+    word = dtype.word_bytes
+    arrays = np.zeros((4, len(clps), max([1, *(len(c.layers) for c in clps)])))
+    for i, clp in enumerate(clps):
+        for j, (layer, (tr, tc)) in enumerate(zip(clp.layers, clp.tile_plans)):
+            fill, steady = fill_and_steady_words(layer, clp.tn, clp.tm, tr, tc)
+            arrays[:, i, j] = (
+                layer_cycles(layer, clp.tn, clp.tm),
+                sum(transfer_words(layer, clp.tm, tr, tc)) * word,
+                fill * word,
+                steady * word,
+            )
+    return arrays
+
+
 def _cycles_at(arrays: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Cycles of each row of ``transfer_arrays`` under its own rate.
+    """Cycles of each row of a transfer array under its own rate.
 
     With double buffering, each layer completes in the maximum of its
     compute time and its transfer time, plus the initial tile fill that
@@ -196,25 +141,10 @@ def _cycles_at(arrays: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def bandwidth_bound_cycles(
-    transfers: Sequence[LayerTransfer],
-    dtype: DataType,
-    bytes_per_cycle: Optional[float],
-) -> float:
-    """Cycles for a CLP to finish its layers under a bandwidth cap.
-
-    ``bytes_per_cycle=None`` means unconstrained: an infinite rate.
-    """
-    if bytes_per_cycle is not None and bytes_per_cycle <= 0:
-        raise ValueError("bytes_per_cycle must be positive when set")
-    rate = np.array([np.inf if bytes_per_cycle is None else bytes_per_cycle])
-    return float(_cycles_at(transfer_arrays([transfers], dtype), rate)[0])
-
-
 def min_bandwidths_for_cycles(
     arrays: np.ndarray, cycle_budget: float, tolerance: float = 1e-4
 ) -> np.ndarray:
-    """Smallest bytes/cycle letting each row of ``transfer_arrays`` finish
+    """Smallest bytes/cycle letting each row of a transfer array finish
     within ``cycle_budget`` (0.0 if it moves no bytes).
 
     Monotone in the bandwidth, so solved by bisection: all rows bisect in
@@ -255,14 +185,3 @@ def min_bandwidths_for_cycles(
         active = (high - low) / high > tolerance
     result[rows] = high
     return result
-
-
-def min_bandwidth_for_cycles(
-    transfers: Sequence[LayerTransfer],
-    dtype: DataType,
-    cycle_budget: float,
-    tolerance: float = 1e-4,
-) -> float:
-    """Smallest bytes/cycle letting one CLP finish within ``cycle_budget``."""
-    arrays = transfer_arrays([transfers], dtype)
-    return float(min_bandwidths_for_cycles(arrays, cycle_budget, tolerance)[0])

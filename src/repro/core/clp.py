@@ -7,15 +7,9 @@ This module combines the cost models into a single queryable object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from .bandwidth import (
-    LayerTransfer,
-    bandwidth_bound_cycles,
-    layer_transfer,
-    min_bandwidth_for_cycles,
-)
 from .cost_model import (
     BufferSpec,
     bram_breakdown,
@@ -170,24 +164,6 @@ class CLPConfig:
     def bram_by_buffer(self) -> Tuple[int, int, int]:
         """(input, weight, output) BRAM usage."""
         return bram_breakdown(self.tn, self.tm, self.buffers, self.dtype)
-
-    # ------------------------------------------------------------- transfers
-    @property
-    def transfers(self) -> Tuple[LayerTransfer, ...]:
-        return tuple(
-            layer_transfer(layer, self.tn, self.tm, tr, tc)
-            for layer, (tr, tc) in zip(self.layers, self.tile_plans)
-        )
-
-    @property
-    def total_transfer_words(self) -> int:
-        return sum(t.total_words for t in self.transfers)
-
-    def cycles_under_bandwidth(self, bytes_per_cycle: Optional[float]) -> float:
-        return bandwidth_bound_cycles(self.transfers, self.dtype, bytes_per_cycle)
-
-    def min_bandwidth_for(self, cycle_budget: float) -> float:
-        return min_bandwidth_for_cycles(self.transfers, self.dtype, cycle_budget)
 
     # ----------------------------------------------------------------- debug
     def describe(self) -> str:

@@ -8,11 +8,14 @@ epoch (Figure 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..fpga.parts import ResourceBudget
-from .bandwidth import min_bandwidths_for_cycles, transfer_arrays
+from .bandwidth import clp_arrays, min_bandwidths_for_cycles
 from .clp import CLPConfig
 from .datatypes import DataType
 from .network import Network
@@ -69,6 +72,11 @@ class MultiCLPDesign:
         object.__setattr__(self, "clps", tuple(clps))
         object.__setattr__(self, "dtype", dtype)
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # Only the fields: the cached derived numbers stay out of pickles,
+        # as of equality and records, and are recomputed on first read.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def encode_record(self) -> Dict[str, Any]:
         """A self-contained record: schema first, CLPs naming the
         network's layers."""
@@ -116,10 +124,24 @@ class MultiCLPDesign:
         }
 
     # ----------------------------------------------------------- performance
-    @property
+    @cached_property
+    def clp_cycles(self) -> Tuple[int, ...]:
+        """Each CLP's cycles to run its layers back to back."""
+        return tuple(clp.total_cycles for clp in self.clps)
+
+    @cached_property
     def epoch_cycles(self) -> int:
         """Slowest CLP's cycles: the interval between finished images."""
-        return max(clp.total_cycles for clp in self.clps)
+        return max(self.clp_cycles)
+
+    @cached_property
+    def transfer_array(self) -> np.ndarray:
+        """Read-only (compute cycles, bytes, first-tile bytes, steady
+        bytes/cycle) of every layer of each CLP: a (4, CLPs, layers)
+        array, zero-padded (see :func:`~repro.core.bandwidth.clp_arrays`)."""
+        arrays = clp_arrays(self.clps, self.dtype)
+        arrays.flags.writeable = False
+        return arrays
 
     @property
     def total_units(self) -> int:
@@ -196,13 +218,12 @@ class MultiCLPDesign:
     def required_bandwidth_bytes_per_cycle(self, slack: float = 0.02) -> float:
         """Total bytes/cycle for all CLPs to stay within ``slack`` of the
         unconstrained epoch (Section 6.3's 2% margin)."""
-        return sum(self._clp_bandwidths(self.epoch_cycles * (1 + slack)))
+        return sum(self.clp_bandwidths(self.epoch_cycles * (1 + slack)))
 
-    def _clp_bandwidths(self, cycle_budget: float) -> List[float]:
+    def clp_bandwidths(self, cycle_budget: float) -> List[float]:
         """Each CLP's smallest bytes/cycle to finish within ``cycle_budget``,
         all CLPs solved in one lockstep bisection."""
-        arrays = transfer_arrays([clp.transfers for clp in self.clps], self.dtype)
-        return min_bandwidths_for_cycles(arrays, cycle_budget).tolist()
+        return min_bandwidths_for_cycles(self.transfer_array, cycle_budget).tolist()
 
     def required_bandwidth_gbps(
         self, frequency_mhz: float, slack: float = 0.02
@@ -228,9 +249,9 @@ class MultiCLPDesign:
             raise ValueError("bytes_per_cycle must be positive when set")
 
         def feasible(epoch: float) -> bool:
-            if any(clp.total_cycles > epoch for clp in self.clps):
+            if self.epoch_cycles > epoch:
                 return False
-            return sum(self._clp_bandwidths(epoch)) <= bytes_per_cycle
+            return sum(self.clp_bandwidths(epoch)) <= bytes_per_cycle
 
         low = float(self.epoch_cycles) * (1 + slack)
         if feasible(low):
@@ -259,13 +280,9 @@ class MultiCLPDesign:
         cap = budget.bytes_per_cycle()
         epoch = self.epoch_cycles_under_bandwidth(cap, slack)
         throughput = self.throughput(budget.frequency_mhz, epoch)
-        if cap is None:
-            bandwidth = self.required_bandwidth_gbps(budget.frequency_mhz, slack)
-        else:
-            bandwidth = min(
-                self.required_bandwidth_gbps(budget.frequency_mhz, slack),
-                budget.bandwidth_gbps or 0.0,
-            )
+        bandwidth = self.required_bandwidth_gbps(budget.frequency_mhz, slack)
+        if cap is not None:
+            bandwidth = min(bandwidth, budget.bandwidth_gbps or 0.0)
         return DesignMetrics(
             epoch_cycles=epoch,
             throughput_images_per_s=throughput,

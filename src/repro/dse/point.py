@@ -26,7 +26,9 @@ from ..core.design import MultiCLPDesign
 from ..core.network import Network
 from ..core.serialize import from_record, malformed, to_record
 from ..fpga.parts import ResourceBudget, budget_for
-from ..opt.driver import DEFAULT_MAX_CLPS, DEFAULT_SLACK, DEFAULT_STEP
+from ..opt.driver import (
+    DEFAULT_MAX_CLPS, DEFAULT_SLACK, DEFAULT_STEP, check_settings,
+)
 from ..opt.heuristics import get_ordering
 from ..opt.worker import RESULT_SCHEMA_VERSION
 
@@ -101,6 +103,7 @@ class DesignPoint:
             raise ValueError("design point needs positive DSP and BRAM budgets")
         if self.max_clps < 1:
             raise ValueError("max_clps must be at least 1")
+        check_settings(self.step, self.slack)
         DataType.from_name(self.dtype)  # validate early, not in the worker
         if self.ordering != "auto":
             get_ordering(self.ordering)  # unknown ordering fails here, loudly

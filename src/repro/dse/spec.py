@@ -18,7 +18,9 @@ from typing import List, Optional, Tuple
 from ..core.datatypes import DataType
 from ..fpga.parts import budget_for
 from ..networks import get_network
-from ..opt.driver import DEFAULT_MAX_CLPS, DEFAULT_SLACK, DEFAULT_STEP
+from ..opt.driver import (
+    DEFAULT_MAX_CLPS, DEFAULT_SLACK, DEFAULT_STEP, check_settings,
+)
 from ..opt.heuristics import get_ordering
 from .point import DesignPoint
 
@@ -84,6 +86,7 @@ class SweepSpec:
         for cap in self.max_clps:
             if int(cap) < 1:
                 raise ValueError(f"max_clps axis value {cap} must be >= 1")
+        check_settings(self.step, self.slack)
 
     @property
     def size(self) -> int:

@@ -73,7 +73,12 @@ class DeviceSpec:
         return tuple(plans)
 
     def resolve_epoch(self) -> float:
-        """Epoch length in cycles under this spec's calibration mode."""
+        """Epoch length in cycles under this spec's calibration mode,
+        solved (or simulated) once per spec."""
+        return self._epoch
+
+    @cached_property
+    def _epoch(self) -> float:
         base, _ = self.plans()
         return resolve_epoch(base, self.bytes_per_cycle, self.calibrate)
 

@@ -23,8 +23,8 @@ the paper's Section 6 uses for all Single-CLP comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
-from typing import List, Optional, Sequence, Tuple
+from math import ceil, inf
+from typing import List, Optional, Tuple
 
 from ..core.clp import CLPConfig
 from ..core.cost_model import max_units_for_budget
@@ -40,6 +40,7 @@ from .memory import MemorySolution, optimize_memory
 __all__ = [
     "OptimizationError",
     "OptimizerReport",
+    "check_settings",
     "optimize_multi_clp",
     "optimize_single_clp",
     "minimum_possible_cycles",
@@ -52,6 +53,15 @@ DEFAULT_MAX_CLPS = 6
 
 class OptimizationError(RuntimeError):
     """No design meeting the constraints was found."""
+
+
+def check_settings(step: float, slack: float) -> None:
+    """Reject malformed optimizer settings: ``step`` must be in (0, 1)
+    and ``slack`` finite and non-negative (NaN fails both)."""
+    if not 0 < step < 1:
+        raise ValueError(f"step must be in (0, 1), got {step}")
+    if not 0 <= slack < inf:
+        raise ValueError(f"slack must be finite and >= 0, got {slack}")
 
 
 @dataclass(frozen=True)
@@ -153,8 +163,7 @@ def optimize_multi_clp(
     loop ends when the target reaches zero without a solution.  With
     ``return_report=True`` a (design, report) tuple is returned.
     """
-    if not 0 < step < 1:
-        raise ValueError(f"step must be in (0, 1), got {step}")
+    check_settings(step, slack)
     ordering_fn = get_ordering(_pick_ordering(ordering, budget))
     ordered_layers: List[ConvLayer] = ordering_fn(list(network))
     search = SegmentSearch(ordered_layers, dtype, budget.dsp, max_clps=max_clps)

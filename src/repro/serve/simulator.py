@@ -113,9 +113,8 @@ def tenant_plans(
             plans[network.name] = (len(network.layers), per_clp)
         return base, plans
     base = design
-    per_clp = tuple(clp.total_cycles for clp in base.clps)
     return base, {
-        base.network.name: (base.pipeline_depth_images, per_clp)
+        base.network.name: (base.pipeline_depth_images, base.clp_cycles)
     }
 
 

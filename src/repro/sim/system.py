@@ -258,7 +258,7 @@ def simulate_system(
     channel = SharedChannel(sim, bytes_per_cycle)
     if proportional_shares and bytes_per_cycle is not None:
         target = design.epoch_cycles * 1.02
-        weights = [max(clp.min_bandwidth_for(target), 1e-6) for clp in design.clps]
+        weights = [max(need, 1e-6) for need in design.clp_bandwidths(target)]
     else:
         weights = [1.0] * len(design.clps)
     agents: List[_ClpAgent] = []

@@ -1,6 +1,7 @@
 """Tests for the transfer-volume and bandwidth models."""
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,69 +9,155 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bandwidth import (
-    LayerTransfer,
-    bandwidth_bound_cycles,
+    _cycles_at,
+    clp_arrays,
     fill_and_steady_words,
-    layer_transfer,
-    min_bandwidth_for_cycles,
     min_bandwidths_for_cycles,
     plan_arrays,
-    transfer_arrays,
+    transfer_words,
 )
+from repro.core.clp import CLPConfig
+from repro.core.cost_model import layer_cycles
 from repro.core.datatypes import FIXED16, FLOAT32, INT8
+from repro.core.design import MultiCLPDesign
 from repro.core.layer import ConvLayer, input_extent
+from repro.core.network import Network
 from repro.fpga.parts import budget_for
 from repro.networks import alexnet
 from repro.opt import memory, optimize_multi_clp
 
 
-class TestLayerTransferVolumes:
+# ------------------------------------------------ scalar transfer oracle
+@dataclass(frozen=True)
+class LayerTransfer:
+    """Oracle: the data movement of one layer on one CLP, as scalars."""
+
+    layer_name: str
+    compute_cycles: int
+    input_words: int
+    weight_words: int
+    output_words: int
+    first_tile_words: int  # input + weight words of the very first tile
+    steady_words_per_cycle: float  # worst-phase words/cycle to avoid stalls
+
+    @property
+    def total_words(self):
+        return self.input_words + self.weight_words + self.output_words
+
+    def total_bytes(self, dtype):
+        return self.total_words * dtype.word_bytes
+
+
+def _scalar_fill_and_steady(layer, tn, tm, tr, tc):
+    """Oracle: the scalar first-tile and steady terms."""
+    n, m, _, _, k, s = layer.dims
+    nsteps = -(-n // tn)
+    phase_in = min(n, tn) * input_extent(tr, s, k) * input_extent(tc, s, k)
+    phase_w = min(n, tn) * min(m, tm) * k * k
+    first_tile_words = phase_in + phase_w
+    phase_cycles = k * k * tr * tc
+    phase_out = min(m, tm) * tr * tc / nsteps
+    return first_tile_words, (first_tile_words + phase_out) / phase_cycles
+
+
+def layer_transfer(layer, tn, tm, tr, tc):
+    """Oracle: one layer's ``LayerTransfer`` on a (Tn, Tm) CLP at tile
+    (Tr, Tc)."""
+    return LayerTransfer(
+        layer.name,
+        layer_cycles(layer, tn, tm),
+        *transfer_words(layer, tm, tr, tc),
+        *_scalar_fill_and_steady(layer, tn, tm, tr, tc),
+    )
+
+
+def clp_transfers(clp):
+    """Oracle: a CLP's ``LayerTransfer`` row, one per layer."""
+    return [
+        layer_transfer(layer, clp.tn, clp.tm, tr, tc)
+        for layer, (tr, tc) in zip(clp.layers, clp.tile_plans)
+    ]
+
+
+def transfer_arrays(rows, dtype):
+    """Oracle: (compute cycles, bytes, first-tile bytes, steady
+    bytes/cycle) of every layer of each ``LayerTransfer`` row, a
+    (4, rows, layers) array; zero-word layers pad rows to one length of
+    at least one."""
+    word = dtype.word_bytes
+    width = max([1, *map(len, rows)])
+    pad = LayerTransfer("", 0, 0, 0, 0, 0, 0.0)
+    rows = [list(row) + [pad] * (width - len(row)) for row in rows]
+    return np.array([
+        [[t.compute_cycles for t in row] for row in rows],
+        [[t.total_words * word for t in row] for row in rows],
+        [[t.first_tile_words * word for t in row] for row in rows],
+        [[t.steady_words_per_cycle * word for t in row] for row in rows],
+    ], dtype=np.float64)
+
+
+def row_cycles(transfers, dtype, bytes_per_cycle):
+    """The array model's cycles for one row (``None``: an infinite rate)."""
+    rate = np.inf if bytes_per_cycle is None else bytes_per_cycle
+    arrays = transfer_arrays([transfers], dtype)
+    return float(_cycles_at(arrays, np.array([rate]))[0])
+
+
+def row_bandwidth(transfers, dtype, cycle_budget):
+    """The lockstep bisection run on one row alone."""
+    arrays = transfer_arrays([transfers], dtype)
+    return float(min_bandwidths_for_cycles(arrays, cycle_budget)[0])
+
+
+class TestTransferVolumes:
     def test_single_tile_moves_everything_once(self):
         layer = ConvLayer("l", n=8, m=16, r=10, c=10, k=3)
-        t = layer_transfer(layer, tn=8, tm=16, tr=10, tc=10)
-        assert t.input_words == layer.input_words
-        assert t.weight_words == layer.weight_words
-        assert t.output_words == layer.output_words
+        words = transfer_words(layer, tm=16, tr=10, tc=10)
+        assert words == (
+            layer.input_words, layer.weight_words, layer.output_words
+        )
 
     def test_m_steps_reload_inputs(self):
         layer = ConvLayer("l", n=8, m=32, r=10, c=10, k=3)
-        t = layer_transfer(layer, tn=8, tm=16, tr=10, tc=10)  # msteps=2
-        assert t.input_words == 2 * layer.input_words
-        assert t.weight_words == layer.weight_words
+        inputs, weights, _ = transfer_words(layer, tm=16, tr=10, tc=10)
+        assert inputs == 2 * layer.input_words  # msteps=2
+        assert weights == layer.weight_words
 
     def test_spatial_steps_reload_weights(self):
         layer = ConvLayer("l", n=8, m=16, r=10, c=10, k=3)
-        t = layer_transfer(layer, tn=8, tm=16, tr=5, tc=5)  # 4 spatial tiles
-        assert t.weight_words == 4 * layer.weight_words
-        assert t.output_words == layer.output_words
+        _, weights, outputs = transfer_words(layer, tm=16, tr=5, tc=5)
+        assert weights == 4 * layer.weight_words  # 4 spatial tiles
+        assert outputs == layer.output_words
 
     def test_outputs_written_exactly_once(self):
         layer = ConvLayer("l", n=7, m=13, r=9, c=11, k=3, s=2)
-        t = layer_transfer(layer, tn=3, tm=5, tr=4, tc=5)
-        assert t.output_words == layer.output_words
+        assert transfer_words(layer, tm=5, tr=4, tc=5)[2] == layer.output_words
 
     def test_alexnet_conv1_bandwidth_matches_paper_scale(self):
         # Section 6.3/Table 3 cross-check: the 485T Single-CLP moves
         # ~4.9MB per conv1 half in 366k cycles (~1.3 GB/s at 100 MHz).
         layer = alexnet().layer_by_name("conv1a")
-        t = layer_transfer(layer, tn=7, tm=64, tr=8, tc=8)
-        gbps = t.average_bytes_per_cycle(FLOAT32) * 100e6 / 1e9
-        assert gbps == pytest.approx(1.34, abs=0.1)
+        words = sum(transfer_words(layer, 64, 8, 8))
+        bytes_per_cycle = words * FLOAT32.word_bytes / layer_cycles(layer, 7, 64)
+        assert bytes_per_cycle * 100e6 / 1e9 == pytest.approx(1.34, abs=0.1)
 
     def test_total_words(self):
         layer = ConvLayer("l", n=4, m=4, r=6, c=6, k=3)
-        t = layer_transfer(layer, 2, 2, 3, 3)
-        assert t.total_words == t.input_words + t.weight_words + t.output_words
+        clp = CLPConfig(2, 2, [layer], FLOAT32, [(3, 3)])
+        words = transfer_words(layer, 2, 3, 3)
+        assert clp_arrays([clp], FLOAT32)[1, 0, 0] == sum(words) * 4
 
     def test_byte_conversion(self):
         layer = ConvLayer("l", n=4, m=4, r=6, c=6, k=3)
-        t = layer_transfer(layer, 2, 2, 3, 3)
-        assert t.total_bytes(FLOAT32) == 2 * t.total_bytes(FIXED16)
+        clp = CLPConfig(2, 2, [layer], FLOAT32, [(3, 3)])
+        wide, narrow = (clp_arrays([clp], dtype) for dtype in (FLOAT32, FIXED16))
+        assert wide[1].tolist() == (2 * narrow[1]).tolist()
+        assert wide[1, 0, 0] > 0
 
     def test_bad_tile_rejected(self):
         layer = ConvLayer("l", n=4, m=4, r=6, c=6, k=3)
-        with pytest.raises(ValueError):
-            layer_transfer(layer, 2, 2, 7, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            CLPConfig(2, 2, [layer], FLOAT32, [(7, 3)])
 
 
 class TestBandwidthBoundCycles:
@@ -80,32 +167,38 @@ class TestBandwidthBoundCycles:
 
     def test_unconstrained_equals_compute(self):
         transfers = self._transfers()
-        assert bandwidth_bound_cycles(transfers, FLOAT32, None) == (
+        assert row_cycles(transfers, FLOAT32, None) == (
             transfers[0].compute_cycles
         )
 
     def test_generous_bandwidth_adds_only_fill(self):
         transfers = self._transfers()
-        cycles = bandwidth_bound_cycles(transfers, FLOAT32, 1e9)
+        cycles = row_cycles(transfers, FLOAT32, 1e9)
         assert cycles == pytest.approx(transfers[0].compute_cycles, rel=1e-6)
 
     def test_starved_bandwidth_is_transfer_dominated(self):
         transfers = self._transfers()
         bw = 0.01
-        cycles = bandwidth_bound_cycles(transfers, FLOAT32, bw)
+        cycles = row_cycles(transfers, FLOAT32, bw)
         assert cycles >= transfers[0].total_bytes(FLOAT32) / bw
 
     def test_monotone_in_bandwidth(self):
         transfers = self._transfers()
         values = [
-            bandwidth_bound_cycles(transfers, FLOAT32, bw)
+            row_cycles(transfers, FLOAT32, bw)
             for bw in (0.1, 0.5, 1.0, 5.0, 50.0)
         ]
         assert values == sorted(values, reverse=True)
 
     def test_rejects_nonpositive(self):
+        layer = ConvLayer("l", n=16, m=32, r=13, c=13, k=3)
+        design = MultiCLPDesign(
+            Network("one", [layer]),
+            [CLPConfig(4, 16, [layer], FLOAT32, [(13, 13)])],
+            FLOAT32,
+        )
         with pytest.raises(ValueError):
-            bandwidth_bound_cycles(self._transfers(), FLOAT32, 0)
+            design.epoch_cycles_under_bandwidth(0)
 
 
 class TestMinBandwidth:
@@ -116,20 +209,20 @@ class TestMinBandwidth:
     def test_found_bandwidth_meets_budget(self):
         transfers = self._transfers()
         budget = transfers[0].compute_cycles * 1.02
-        bw = min_bandwidth_for_cycles(transfers, FLOAT32, budget)
-        assert bandwidth_bound_cycles(transfers, FLOAT32, bw) <= budget
+        bw = row_bandwidth(transfers, FLOAT32, budget)
+        assert row_cycles(transfers, FLOAT32, bw) <= budget
 
     def test_tight_budget_needs_more_bandwidth(self):
         transfers = self._transfers()
         compute = transfers[0].compute_cycles
-        tight = min_bandwidth_for_cycles(transfers, FLOAT32, compute * 1.01)
-        loose = min_bandwidth_for_cycles(transfers, FLOAT32, compute * 2.0)
+        tight = row_bandwidth(transfers, FLOAT32, compute * 1.01)
+        loose = row_bandwidth(transfers, FLOAT32, compute * 2.0)
         assert tight > loose
 
     def test_impossible_budget_raises(self):
         transfers = self._transfers()
         with pytest.raises(ValueError):
-            min_bandwidth_for_cycles(
+            row_bandwidth(
                 transfers, FLOAT32, transfers[0].compute_cycles - 1
             )
 
@@ -137,8 +230,8 @@ class TestMinBandwidth:
         # The result should sit close to the feasibility boundary.
         transfers = self._transfers()
         budget = transfers[0].compute_cycles * 1.05
-        bw = min_bandwidth_for_cycles(transfers, FLOAT32, budget)
-        assert bandwidth_bound_cycles(transfers, FLOAT32, bw * 0.98) > budget
+        bw = row_bandwidth(transfers, FLOAT32, budget)
+        assert row_cycles(transfers, FLOAT32, bw * 0.98) > budget
 
 
 # ------------------------------------------------ lockstep-solver oracle
@@ -205,10 +298,10 @@ class TestLockstepSolver:
 
     def test_zero_byte_point_needs_no_bandwidth(self, quiet_numpy):
         idle = LayerTransfer("idle", 100, 0, 0, 0, 0, 0.0)
-        assert min_bandwidth_for_cycles([idle], FLOAT32, 150.0) == 0.0
+        assert row_bandwidth([idle], FLOAT32, 150.0) == 0.0
         assert _scalar_min_bandwidth([idle], FLOAT32, 150.0) == 0.0
-        assert min_bandwidth_for_cycles([], FLOAT32, 150.0) == 0.0
-        assert bandwidth_bound_cycles([], FLOAT32, 2.0) == 0.0
+        assert row_bandwidth([], FLOAT32, 150.0) == 0.0
+        assert row_cycles([], FLOAT32, 2.0) == 0.0
         # A zero-byte row beside a real one leaves the real row's answer.
         real = self._transfers()[0]
         budget = real.compute_cycles * 1.05
@@ -225,7 +318,7 @@ class TestLockstepSolver:
         expected = _outcome(_scalar_min_bandwidth, transfers, FLOAT32, budget)
         assert expected[0] is ValueError
         assert _outcome(
-            min_bandwidth_for_cycles, transfers, FLOAT32, budget
+            row_bandwidth, transfers, FLOAT32, budget
         ) == expected
 
     def test_bracket_doubling_path(self):
@@ -239,7 +332,7 @@ class TestLockstepSolver:
             transfers[0].steady_words_per_cycle * 4 * 2,
         )
         assert _scalar_bound_cycles(transfers, FLOAT32, first_high) > budget
-        assert min_bandwidth_for_cycles(transfers, FLOAT32, budget) == (
+        assert row_bandwidth(transfers, FLOAT32, budget) == (
             _scalar_min_bandwidth(transfers, FLOAT32, budget)
         )
 
@@ -251,7 +344,7 @@ class TestLockstepSolver:
             RuntimeError, "failed to bracket bandwidth requirement"
         )
         assert _outcome(
-            min_bandwidth_for_cycles, transfers, FLOAT32, budget
+            row_bandwidth, transfers, FLOAT32, budget
         ) == expected
 
     @settings(max_examples=60, deadline=None)
@@ -288,7 +381,7 @@ class TestLockstepSolver:
         else:
             assert solved.tolist() == expected
         for row, want in zip(rows, expected):
-            assert _outcome(min_bandwidth_for_cycles, row, dtype, budget) == want
+            assert _outcome(row_bandwidth, row, dtype, budget) == want
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -304,7 +397,7 @@ class TestLockstepSolver:
             float(sum(t.compute_cycles for t in transfers)) if rate is None
             else _scalar_bound_cycles(transfers, FLOAT32, rate)
         )
-        assert bandwidth_bound_cycles(transfers, FLOAT32, rate) == expected
+        assert row_cycles(transfers, FLOAT32, rate) == expected
 
 
 def test_long_rows_add_layers_left_to_right():
@@ -322,7 +415,7 @@ def test_long_rows_add_layers_left_to_right():
     ]
     for row in rows:
         for rate in (0.37, 3.1, 29.0):
-            assert bandwidth_bound_cycles(row, FLOAT32, rate) == (
+            assert row_cycles(row, FLOAT32, rate) == (
                 _scalar_bound_cycles(row, FLOAT32, rate)
             )
     budget = sum(t.compute_cycles for t in rows[0]) * 1.03
@@ -385,7 +478,7 @@ def _scalar_epoch_under_cap(design, cap, slack=0.02):
         for clp in design.clps:
             if clp.total_cycles > epoch:
                 return False
-            total += _scalar_min_bandwidth(clp.transfers, design.dtype, epoch)
+            total += _scalar_min_bandwidth(clp_transfers(clp), design.dtype, epoch)
             if total > cap:
                 return False
         return True
@@ -414,7 +507,7 @@ def test_design_bandwidths_match_per_clp_bisections(alexnet_485t_design):
     target = design.epoch_cycles * 1.02
     need = design.required_bandwidth_bytes_per_cycle()
     assert need == sum(
-        _scalar_min_bandwidth(clp.transfers, design.dtype, target)
+        _scalar_min_bandwidth(clp_transfers(clp), design.dtype, target)
         for clp in design.clps
     )
     for cap in (need * 2, need * 0.9, need * 0.3):
@@ -424,18 +517,6 @@ def test_design_bandwidths_match_per_clp_bisections(alexnet_485t_design):
 
 
 # ------------------------------------------------ elementwise vs scalar
-def _scalar_fill_and_steady(layer, tn, tm, tr, tc):
-    """Oracle: ``layer_transfer``'s scalar first-tile and steady terms."""
-    n, m, _, _, k, s = layer.dims
-    nsteps = -(-n // tn)
-    phase_in = min(n, tn) * input_extent(tr, s, k) * input_extent(tc, s, k)
-    phase_w = min(n, tn) * min(m, tm) * k * k
-    first_tile_words = phase_in + phase_w
-    phase_cycles = k * k * tr * tc
-    phase_out = min(m, tm) * tr * tc / nsteps
-    return first_tile_words, (first_tile_words + phase_out) / phase_cycles
-
-
 @st.composite
 def tile_plans(draw):
     """A layer, a grid and (Tr, Tc) plans of it; N < Tn and M < Tm come
@@ -470,7 +551,51 @@ def test_plan_arrays_match_layer_transfer(problem, dtype):
     expected = [_scalar_fill_and_steady(layer, tn, tm, *plan) for plan in plans]
     assert list(zip(fill.tolist(), steady.tolist())) == expected
     for plan, want in zip(plans, expected):
-        transfer = layer_transfer(layer, tn, tm, *plan)
-        assert (transfer.first_tile_words, transfer.steady_words_per_cycle) == want
+        assert fill_and_steady_words(layer, tn, tm, *plan) == want
     rows = [[layer_transfer(layer, tn, tm, *plan)] for plan in plans]
     assert arrays.tolist() == transfer_arrays(rows, dtype).tolist()
+
+
+@st.composite
+def designs(draw):
+    """A design whose CLPs compute different numbers of layers (one and
+    three at least), with random grids and tiles."""
+    dtype = draw(st.sampled_from([FLOAT32, FIXED16, INT8]))
+    counts = draw(st.permutations(
+        [1, 3] + draw(st.lists(st.integers(1, 3), max_size=2))
+    ))
+    clps, network = [], []
+    for index, count in enumerate(counts):
+        layers = [
+            ConvLayer(
+                f"l{index}.{j}", n=draw(st.integers(1, 512)),
+                m=draw(st.integers(1, 512)), r=draw(st.integers(1, 60)),
+                c=draw(st.integers(1, 60)), k=draw(st.integers(1, 11)),
+                s=draw(st.integers(1, 4)),
+            )
+            for j in range(count)
+        ]
+        plans = [
+            (draw(st.integers(1, layer.r)), draw(st.integers(1, layer.c)))
+            for layer in layers
+        ]
+        clps.append(CLPConfig(
+            draw(st.integers(1, 64)), draw(st.integers(1, 512)), layers,
+            dtype, plans,
+        ))
+        network += layers
+    return MultiCLPDesign(Network("prop", network), clps, dtype)
+
+
+@settings(max_examples=100, deadline=None)
+@given(designs())
+def test_design_array_matches_layer_transfer_rows(design):
+    """A design's cached transfer array equals ``transfer_arrays`` over
+    each CLP's ``layer_transfer`` row, float for float, padding included."""
+    with np.errstate(all="raise"):
+        arrays = design.transfer_array
+    expected = transfer_arrays(
+        [clp_transfers(clp) for clp in design.clps], design.dtype
+    )
+    assert arrays.shape == expected.shape
+    assert arrays.tolist() == expected.tolist()

@@ -1,7 +1,9 @@
 """Tests for the cycle-level CLP simulator."""
 
+import numpy as np
 import pytest
 
+from repro.core.bandwidth import _cycles_at, clp_arrays, transfer_words
 from repro.core.clp import CLPConfig
 from repro.core.datatypes import FLOAT32
 from repro.core.layer import ConvLayer
@@ -12,6 +14,12 @@ from repro.sim.clp_sim import simulate_clp, tile_sequence
 def small_clp():
     layer = ConvLayer("l", n=16, m=32, r=13, c=13, k=3)
     return CLPConfig(4, 16, [layer], FLOAT32, [(13, 13)])
+
+
+def _model_cycles(clp, bytes_per_cycle):
+    """The analytic bandwidth-bound cycles of a lone CLP."""
+    rate = np.array([bytes_per_cycle])
+    return float(_cycles_at(clp_arrays([clp], clp.dtype), rate)[0])
 
 
 class TestTileSequence:
@@ -41,14 +49,10 @@ class TestTileSequence:
             assert (job.write_words > 0) == expect_write
 
     def test_load_words_match_transfer_model(self):
-        from repro.core.bandwidth import layer_transfer
-
         layer = ConvLayer("l", n=7, m=13, r=9, c=11, k=3, s=2)
         jobs = tile_sequence(layer, 3, 5, 4, 5)
-        transfer = layer_transfer(layer, 3, 5, 4, 5)
-        assert sum(j.load_words for j in jobs) == (
-            transfer.input_words + transfer.weight_words
-        )
+        inputs, weights, _ = transfer_words(layer, 5, 4, 5)
+        assert sum(j.load_words for j in jobs) == inputs + weights
 
 
 class TestSimulateClp:
@@ -84,7 +88,9 @@ class TestSimulateClp:
 
     def test_transferred_words_match_model(self, small_clp):
         result = simulate_clp(small_clp, bytes_per_cycle=1.0)
-        assert result.transferred_words == small_clp.total_transfer_words
+        assert result.transferred_words == sum(
+            transfer_words(small_clp.layers[0], small_clp.tm, 13, 13)
+        )
 
     def test_sim_within_analytic_envelope(self, small_clp):
         # Deep in the transfer- or compute-bound regimes the analytic
@@ -93,13 +99,13 @@ class TestSimulateClp:
         # contention, so the envelope is wider there (~35%).
         for bw in (0.25, 0.5, 1.0, 2.0, 8.0):
             sim = simulate_clp(small_clp, bytes_per_cycle=bw).total_cycles
-            model = small_clp.cycles_under_bandwidth(bw)
+            model = _model_cycles(small_clp, bw)
             assert sim == pytest.approx(model, rel=0.35)
 
     def test_sim_matches_model_away_from_knee(self, small_clp):
         for bw in (0.25, 0.5):  # deeply transfer-bound
             sim = simulate_clp(small_clp, bytes_per_cycle=bw).total_cycles
-            model = small_clp.cycles_under_bandwidth(bw)
+            model = _model_cycles(small_clp, bw)
             assert sim == pytest.approx(model, rel=0.10)
 
     def test_multi_layer_back_to_back(self):

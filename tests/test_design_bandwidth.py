@@ -1,12 +1,22 @@
-"""Tests for the design-level bandwidth allocation semantics."""
+"""Tests for the design-level bandwidth allocation semantics, and for
+the derived numbers a design computes once."""
 
+import pickle
+
+import numpy as np
 import pytest
 
+from repro.core import design as design_module
+from repro.core.bandwidth import _cycles_at, min_bandwidths_for_cycles
 from repro.core.clp import CLPConfig
 from repro.core.datatypes import FLOAT32
 from repro.core.design import MultiCLPDesign
 from repro.core.layer import ConvLayer
 from repro.core.network import Network
+from repro.core.serialize import dump, from_record, to_record
+from repro.dse import DesignPoint
+from repro.networks import alexnet
+from repro.opt.worker import evaluate_point_payload
 
 
 @pytest.fixture
@@ -56,17 +66,19 @@ class TestEpochUnderBandwidth:
         # split can produce a shorter epoch.
         cap = 1.0
         optimal = design.epoch_cycles_under_bandwidth(cap)
-        equal = max(
-            clp.cycles_under_bandwidth(cap / len(design.clps))
-            for clp in design.clps
-        )
+        shares = np.full(design.num_clps, cap / design.num_clps)
+        equal = _cycles_at(design.transfer_array, shares).max()
         assert optimal <= equal * 1.001
 
 
 class TestRequiredBandwidth:
     def test_sum_of_clp_needs(self, design):
         target = design.epoch_cycles * 1.02
-        expected = sum(clp.min_bandwidth_for(target) for clp in design.clps)
+        # One lone bisection per CLP, each on its own row of the array.
+        expected = sum(
+            min_bandwidths_for_cycles(design.transfer_array[:, [i]], target)[0]
+            for i in range(design.num_clps)
+        )
         assert design.required_bandwidth_bytes_per_cycle() == pytest.approx(
             expected
         )
@@ -81,3 +93,79 @@ class TestRequiredBandwidth:
         tight = design.required_bandwidth_bytes_per_cycle(slack=0.01)
         loose = design.required_bandwidth_bytes_per_cycle(slack=0.20)
         assert loose <= tight
+
+
+# ------------------------------------------------------ derived numbers
+_DERIVED = ("clp_cycles", "epoch_cycles", "transfer_array")
+
+
+def _read_everything(design):
+    """Read every cached value and every method that uses them."""
+    design.transfer_array
+    design.clp_bandwidths(design.epoch_cycles * 1.5)
+    design.required_bandwidth_gbps(100.0)
+    design.epoch_cycles_under_bandwidth(0.5)
+
+
+class TestDerivedNumbers:
+    def test_cached_once_and_read_only(self, alexnet_485t_design):
+        fresh = from_record(MultiCLPDesign, to_record(alexnet_485t_design))
+        assert "transfer_array" not in vars(fresh)
+        arrays = fresh.transfer_array
+        assert fresh.transfer_array is arrays
+        assert arrays.shape == (
+            4, fresh.num_clps, max(len(clp.layers) for clp in fresh.clps)
+        )
+        assert not arrays.flags.writeable
+        with pytest.raises(ValueError):
+            arrays[0, 0, 0] = 1.0
+        assert fresh.clp_cycles == tuple(clp.total_cycles for clp in fresh.clps)
+        assert fresh.epoch_cycles == max(fresh.clp_cycles)
+
+    def test_records_ignore_cached_values(self, alexnet_485t_design, tmp_path):
+        fresh = from_record(MultiCLPDesign, to_record(alexnet_485t_design))
+        assert fresh == alexnet_485t_design
+        before, after = tmp_path / "before.json", tmp_path / "after.json"
+        dump(fresh, str(before))
+        text = repr(fresh)
+        _read_everything(fresh)
+        assert all(name in vars(fresh) for name in _DERIVED)
+        dump(fresh, str(after))
+        assert after.read_text() == before.read_text()
+        assert repr(fresh) == text
+        assert from_record(MultiCLPDesign, to_record(fresh)) == fresh
+
+    def test_pickles_carry_only_the_fields(self, design):
+        cold = pickle.dumps(design)
+        _read_everything(design)
+        assert pickle.dumps(design) == cold
+        copy = pickle.loads(cold)
+        assert copy == design and hash(copy) == hash(design)
+        assert not set(_DERIVED) & set(vars(copy))
+        assert copy.transfer_array.tolist() == design.transfer_array.tolist()
+
+    def test_a_solved_point_builds_its_array_once(self, monkeypatch):
+        """The sweep worker's design builds its transfer array once,
+        however many bandwidth-bound epoch probes follow."""
+        builds = []
+
+        def spy(clps, dtype):
+            builds.append(len(clps))
+            return clp_arrays(clps, dtype)
+
+        clp_arrays = design_module.clp_arrays
+        monkeypatch.setattr(design_module, "clp_arrays", spy)
+        point = DesignPoint.build("alexnet", part="485t", bandwidth_gbps=1.0)
+        payload = {"point": point.to_dict(), "network": to_record(alexnet())}
+        probes = []
+        feasible = design_module.min_bandwidths_for_cycles
+
+        def probe(arrays, cycle_budget):
+            probes.append(cycle_budget)
+            return feasible(arrays, cycle_budget)
+
+        monkeypatch.setattr(design_module, "min_bandwidths_for_cycles", probe)
+        record = evaluate_point_payload(payload)
+        assert record["ok"]
+        assert len(probes) > 3
+        assert len(builds) == 1 and builds[0] == record["metrics"]["num_clps"]

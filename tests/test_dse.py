@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import repro
+from repro.core.datatypes import FLOAT32
 from repro.dse import (
     DesignPoint,
     ResultStore,
@@ -21,6 +22,9 @@ from repro.dse import (
     run_sweep,
     summary_table,
 )
+from repro.fpga.parts import budget_for
+from repro.networks import alexnet
+from repro.opt import optimize_multi_clp
 
 # Small budgets keep each optimizer call fast; alexnet float32 at these
 # sizes solves in well under a second.
@@ -60,6 +64,23 @@ class TestDesignPoint:
             DesignPoint(network="alexnet", dsp=0, bram18k=16)
         with pytest.raises(ValueError):
             DesignPoint(network="alexnet", dsp=16, bram18k=16, dtype="float99")
+
+    @pytest.mark.parametrize("settings", [
+        {"step": 1.5}, {"step": 0.0}, {"step": float("nan")},
+        {"slack": -0.5}, {"slack": float("nan")}, {"slack": float("inf")},
+    ])
+    def test_malformed_settings_are_errors_not_infeasible_points(self, settings):
+        """A bad ``step``/``slack`` fails where it is given, so no sweep
+        stores it as an infeasible point, and the driver rejects it
+        before searching."""
+        message = "step must be in|slack must be finite"
+        with pytest.raises(ValueError, match=message):
+            DesignPoint.build("alexnet", part="485t", **settings)
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(networks=("alexnet",), parts=("485t",), **settings)
+        with pytest.raises(ValueError, match=message):
+            optimize_multi_clp(alexnet(), budget_for("485t"), FLOAT32, **settings)
+        assert DesignPoint.build("alexnet", part="485t", slack=0.0).slack == 0.0
 
     def test_dict_round_trip(self):
         point = DesignPoint.build(

@@ -80,6 +80,62 @@ class TestDeviceSpec:
         assert device.networks == ("toy",)
         assert device.resolve_epoch() == toy_design.epoch_cycles
 
+    def test_device_resolves_its_epoch_once(self, toy_design, monkeypatch):
+        """Sixteen boards of one simulate-calibrated spec run the system
+        simulator once, and the fleet record is what a per-board solve
+        gives."""
+        from repro.fleet import device as device_module
+        from repro.sim import system
+
+        calls = []
+        simulate = system.simulate_system
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(system, "simulate_system", spy)
+        spec = DeviceSpec(toy_design, bytes_per_cycle=2.0, calibrate="simulate")
+
+        def run():
+            return json.dumps(to_record(simulate_fleet(
+                spec.replicated(16), _tenants(toy_design, 8.0),
+                duration_cycles=40 * toy_design.epoch_cycles,
+            )))
+
+        record = run()
+        assert len(calls) == 1
+        # The same run with the epoch solved afresh for every board.
+        monkeypatch.setattr(
+            DeviceSpec, "resolve_epoch",
+            lambda self: device_module.resolve_epoch(
+                self.design, self.bytes_per_cycle, self.calibrate
+            ),
+        )
+        assert run() == record
+        assert len(calls) == 17
+
+    def test_epoch_resolved_once_per_distinct_spec(self, toy_design, monkeypatch):
+        from repro.fleet import device as device_module
+
+        calls = []
+        resolve = device_module.resolve_epoch
+
+        def spy(*args):
+            calls.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(device_module, "resolve_epoch", spy)
+        specs = [
+            DeviceSpec(toy_design, count=2048),
+            DeviceSpec(toy_design, count=2048, bytes_per_cycle=4.0),
+        ]
+        simulate_fleet(
+            specs, _tenants(toy_design, 1.0),
+            duration_cycles=2 * toy_design.epoch_cycles,
+        )
+        assert len(calls) == 2
+
     def test_replicated_keeps_template(self, toy_design):
         device = DeviceSpec(toy_design, part="485t", calibrate="model")
         four = device.replicated(4)

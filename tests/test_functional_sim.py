@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.bandwidth import layer_transfer
+from repro.core.bandwidth import transfer_words
 from repro.core.layer import ConvLayer
 from repro.sim.functional import (
     random_layer_data,
@@ -73,10 +73,10 @@ class TestTransferCounters:
         """Executed word counts equal the analytic bandwidth model."""
         layer = ConvLayer("l", **dims)
         counters = check_equivalence(layer, *grid, *tile)
-        transfer = layer_transfer(layer, grid[0], grid[1], tile[0], tile[1])
-        assert counters.input_words == transfer.input_words
-        assert counters.weight_words == transfer.weight_words
-        assert counters.output_words == transfer.output_words
+        inputs, weights, outputs = transfer_words(layer, grid[1], *tile)
+        assert counters.input_words == inputs
+        assert counters.weight_words == weights
+        assert counters.output_words == outputs
 
     def test_tile_count_matches_loop_trip_count(self):
         layer = ConvLayer("l", n=7, m=13, r=9, c=11, k=3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bandwidth import LayerTransfer, layer_transfer
+from repro.core.bandwidth import transfer_words
 from repro.core.cost_model import bram_count, buffer_spec
 from repro.core.datatypes import FIXED16, FLOAT32
 from repro.core.layer import ConvLayer, input_extent
@@ -90,7 +90,7 @@ class TestTileCandidates:
         for layer in layers:
             for tn, tm in ((1, 1), (7, 64), (16, 32), (64, 512)):
                 words = [
-                    layer_transfer(layer, tn, tm, tr, tc).total_words
+                    sum(transfer_words(layer, tm, tr, tc))
                     for tr, tc, _ in _options(layer, tn, tm)
                 ]
                 assert words == sorted(words), (layer.name, tn, tm)
@@ -244,13 +244,13 @@ def _min_scan_structure(candidate, dtype):
     """Oracle: the per-cap-pair minimum scan over every tile option.
 
     For each (input-cap, output-cap) pair it rescans all options of every
-    layer for the strict-``<`` minimum ``layer_transfer`` volume and
+    layer for the strict-``<`` minimum ``transfer_words`` volume and
     builds a point per pair, priced by the scalar BRAM model;
     ``_clp_curve_structure`` must produce the same frontier.
     """
     per_layer = [
         [
-            (tr, tc, layer_transfer(layer, candidate.tn, candidate.tm, tr, tc))
+            (tr, tc, sum(transfer_words(layer, candidate.tm, tr, tc)))
             for tr, tc in tile_candidates(layer, candidate.tn, candidate.tm)[0]
         ]
         for layer in candidate.layers
@@ -272,23 +272,23 @@ def _min_scan_structure(candidate, dtype):
     points = []
     for in_cap in in_caps:
         for out_cap in out_caps:
-            plans, transfers = [], []
+            plans, volumes = [], []
             for layer, options in zip(candidate.layers, per_layer):
                 best = None
-                for tr, tc, transfer in options:
+                for tr, tc, words in options:
                     if in_words(layer, tr, tc) > in_cap or tr * tc > out_cap:
                         continue
-                    if best is None or transfer.total_words < best[2].total_words:
-                        best = (tr, tc, transfer)
+                    if best is None or words < best[2]:
+                        best = (tr, tc, words)
                 if best is None:
                     break
                 plans.append((best[0], best[1]))
-                transfers.append(best[2])
+                volumes.append(best[2])
             else:
                 spec = buffer_spec(candidate.layers, plans)
                 points.append(_CurvePoint(
                     bram=bram_count(candidate.tn, candidate.tm, spec, dtype),
-                    total_words=sum(t.total_words for t in transfers),
+                    total_words=sum(volumes),
                     tile_plans=tuple(plans),
                 ))
     points.sort(key=lambda p: (p.bram, p.total_words))
@@ -366,7 +366,7 @@ def test_first_fit_structure_matches_min_scan_on_random_clps(candidate, dtype):
 
 # ------------------------------------------------ tile-option differential
 def _scan_tile_candidates(layer, tn, tm):
-    """Oracle: every (Tr, Tc) through ``layer_transfer``, a stable sort on
+    """Oracle: every (Tr, Tc) through ``transfer_words``, a stable sort on
     transfer volume, then a scan that drops an option when some kept
     option needs no bigger input and output banks.  Returns
     ``tile_candidates``' (tiles, banks) as lists."""
@@ -374,20 +374,20 @@ def _scan_tile_candidates(layer, tn, tm):
         return sorted({ceil(extent / steps) for steps in range(1, extent + 1)})
 
     raw = [
-        (tr, tc, layer_transfer(layer, tn, tm, tr, tc))
+        (tr, tc, sum(transfer_words(layer, tm, tr, tc)))
         for tr in sizes(layer.r)
         for tc in sizes(layer.c)
     ]
-    raw.sort(key=lambda option: option[2].total_words)
+    raw.sort(key=lambda option: option[2])
     kept, kept_banks = [], []
-    for tr, tc, transfer in raw:
+    for tr, tc, words in raw:
         in_words = input_extent(tr, layer.s, layer.k) * input_extent(
             tc, layer.s, layer.k
         )
         if any(k_in <= in_words and k_out <= tr * tc for k_in, k_out, _ in kept_banks):
             continue
         kept.append((tr, tc))
-        kept_banks.append((in_words, tr * tc, transfer.total_words))
+        kept_banks.append((in_words, tr * tc, words))
     return kept, [list(column) for column in zip(*kept_banks)]
 
 
@@ -422,7 +422,7 @@ def test_tied_volumes_keep_scan_order():
     # the order among ties decides which options survive.
     layer = ConvLayer("tie", n=32, m=64, r=20, c=20, k=2, s=2)
     words = [
-        layer_transfer(layer, 8, 16, tr, tc).total_words
+        sum(transfer_words(layer, 16, tr, tc))
         for tr in _tile_sizes(20) for tc in _tile_sizes(20)
     ]
     assert len(set(words)) < len(words)
@@ -436,8 +436,7 @@ def test_cleared_caches_leave_a_cold_solve(monkeypatch):
     two memo tables perfbench's ``clear_optimizer_caches()`` empties --
     makes a solve redo all of its tile and frontier work, so the
     benchmark keeps timing a cold optimizer.  The work is array passes
-    only: no ``LayerTransfer`` is built, and BRAM is priced once per
-    structure, for all of its plans."""
+    only: BRAM is priced once per structure, for all of its plans."""
     counts = Counter()
 
     def counted(name, fn):
@@ -451,12 +450,6 @@ def test_cleared_caches_leave_a_cold_solve(monkeypatch):
         counts["scalar bram" if scalar else "bram"] += 1
         return bram_count(tn, tm, spec, dtype)
 
-    def spy_init(self, *args):
-        counts["transfer"] += 1
-        init(self, *args)
-
-    init = LayerTransfer.__init__
-    monkeypatch.setattr(LayerTransfer, "__init__", spy_init)
     monkeypatch.setattr(memory, "bram_count", spy_bram)
     monkeypatch.setattr(
         memory, "_clp_curve_structure",

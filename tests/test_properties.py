@@ -5,7 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.bandwidth import bandwidth_bound_cycles, layer_transfer
+from repro.core.bandwidth import (
+    _cycles_at,
+    clp_arrays,
+    fill_and_steady_words,
+    transfer_words,
+)
+from repro.core.clp import CLPConfig
 from repro.core.cost_model import (
     bram_count,
     buffer_spec,
@@ -136,32 +142,34 @@ class TestTransferProperties:
     @given(layer_grid_tiles())
     def test_transfer_at_least_touches_data_once(self, args):
         layer, tn, tm, tr, tc = args
-        t = layer_transfer(layer, tn, tm, tr, tc)
+        inputs, weights, outputs = transfer_words(layer, tm, tr, tc)
         # When K < S the stride skips input pixels, so only K >= S
         # guarantees the whole input array is read at least once.
         if layer.k >= layer.s:
-            assert t.input_words >= layer.input_words
-        assert t.weight_words >= layer.weight_words
-        assert t.output_words == layer.output_words
+            assert inputs >= layer.input_words
+        assert weights >= layer.weight_words
+        assert outputs == layer.output_words
 
     @given(layer_grid_tiles())
     def test_full_tiles_minimize_weight_traffic(self, args):
         layer, tn, tm, tr, tc = args
-        t = layer_transfer(layer, tn, tm, tr, tc)
-        full = layer_transfer(layer, tn, tm, layer.r, layer.c)
-        assert full.weight_words <= t.weight_words
+        _, weights, _ = transfer_words(layer, tm, tr, tc)
+        _, full, _ = transfer_words(layer, tm, layer.r, layer.c)
+        assert full <= weights
 
     @given(layer_grid_tiles(), st.floats(0.1, 100.0))
     def test_bound_cycles_at_least_compute(self, args, bw):
         layer, tn, tm, tr, tc = args
-        t = layer_transfer(layer, tn, tm, tr, tc)
-        assert bandwidth_bound_cycles([t], FLOAT32, bw) >= t.compute_cycles
+        clp = CLPConfig(tn, tm, [layer], FLOAT32, [(tr, tc)])
+        cycles = _cycles_at(clp_arrays([clp], FLOAT32), np.array([bw]))[0]
+        assert cycles >= layer_cycles(layer, tn, tm)
 
     @given(layer_grid_tiles())
     def test_first_tile_bounded_by_totals(self, args):
         layer, tn, tm, tr, tc = args
-        t = layer_transfer(layer, tn, tm, tr, tc)
-        assert t.first_tile_words <= t.input_words + t.weight_words
+        first_tile, _ = fill_and_steady_words(layer, tn, tm, tr, tc)
+        inputs, weights, _ = transfer_words(layer, tm, tr, tc)
+        assert first_tile <= inputs + weights
 
 
 # ------------------------------------------------- functional simulation
@@ -193,7 +201,6 @@ class TestFunctionalProperties:
         )
         np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9)
         # Executed transfers must match the analytic model exactly.
-        t = layer_transfer(layer, tn, tm, tr, tc)
-        assert counters.input_words == t.input_words
-        assert counters.weight_words == t.weight_words
-        assert counters.output_words == t.output_words
+        assert (
+            counters.input_words, counters.weight_words, counters.output_words
+        ) == transfer_words(layer, tm, tr, tc)

@@ -155,8 +155,7 @@ class TestSimulateSystem:
         design = toy_design
         result = simulate_system(design, bytes_per_cycle=4.0)
         assert 0 < result.channel_utilization() <= 1.0 + 1e-9
-        words = sum(clp.total_transfer_words for clp in design.clps)
-        assert result.bytes_moved == pytest.approx(words * 4)
+        assert result.bytes_moved == pytest.approx(design.transfer_array[1].sum())
 
     def test_equal_share_mode(self, toy_design):
         design = toy_design
