@@ -3,7 +3,8 @@
 Each ``tableN()`` function runs the corresponding experiment with our
 optimizer and models and returns a structured result holding both our
 numbers and the paper's, plus a ``format()`` method that prints the
-side-by-side comparison the benchmarks emit.
+side-by-side comparison ``repro table1`` ... ``repro table9`` show;
+``tests/test_paper_bands.py`` holds the results to the paper's bands.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ def design_for(
     Scenarios follow Section 6: 80% resource budgets, bandwidth left
     unconstrained during design (bandwidth needs are reported after).
     SqueezeNet fixed-point runs use the compute-to-data ordering the
-    paper selects for bandwidth-heavy accelerators.
+    paper selects for bandwidth-heavy accelerators.  A DSE sweep keeps
+    ``auto`` ordering there, so its SqueezeNet fixed16 Multi-CLP designs
+    (and perfbench's Table 1 grid) differ from these.
     """
     dtype = DataType.from_name(dtype_name)
     budget = budget_for(part, frequency_mhz=FREQ_MHZ[dtype.label])

@@ -90,5 +90,12 @@ class DeviceSpec:
         return f"{design_name(self.design)}{part}"
 
     def replicated(self, count: int) -> "DeviceSpec":
-        """The same template at a different replica count."""
-        return replace(self, count=count)
+        """The same template at a different replica count.
+
+        The replica shares this template's design and calibration, so it
+        shares its solved plan and epoch too: every replica count a
+        planner probes resolves the epoch once, on the template.
+        """
+        replica = replace(self, count=count)
+        replica.__dict__.update(_plans=self._plans, _epoch=self._epoch)
+        return replica

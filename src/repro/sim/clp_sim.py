@@ -5,7 +5,11 @@ the exact tile sequence of Listing 4 — ``(r, c, m, n)`` order with
 boundary clamping — and resolves the timing recurrences of the
 double-buffered datapath:
 
-* the CLP's memory port executes transfers first-come-first-served;
+* the CLP's memory port executes transfers in program order, so the
+  load that follows a group's last tile waits for that group's output
+  write (:mod:`repro.sim.system` queues it as soon as its buffer frees,
+  ahead of the write: the two agree at unlimited bandwidth, and this
+  simulator reads up to 1.74x slower under a cap);
 * the input/weight transfer of tile *i* may start once the port is free
   and compute of tile *i-2* has released the ping-pong buffer;
 * compute of tile *i* starts when its transfer and the previous compute

@@ -6,9 +6,16 @@ active transfers split the total bandwidth equally, which models an AXI
 interconnect arbitrating fairly among the CLPs' DataMovers.
 
 Each CLP issues its tile stream through a private port-FIFO with the
-same double-buffering constraints as :mod:`repro.sim.clp_sim`; only the
-transfer *rate* is dynamic here.  The simulator reports per-CLP finish
-times (the epoch length is their maximum) and channel statistics.
+same ping-pong buffer constraints as :mod:`repro.sim.clp_sim`, but its
+memory port is ordered differently: a load joins the FIFO as soon as its
+input buffer frees, ahead of the output write of a group whose last tile
+is still computing, while :func:`~repro.sim.clp_sim.simulate_clp` issues
+transfers in program order, so there that load waits for the write.  At
+unlimited bandwidth the two agree exactly; under a cap ``simulate_clp``
+reads slower (1.0004-1.74x a one-CLP, equal-share run of this simulator
+over the catalog AlexNet, SqueezeNet and GoogLeNet CLPs at 1-16
+B/cycle).  The simulator reports per-CLP finish times (the epoch length
+is their maximum) and channel statistics.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -342,6 +343,35 @@ class TestSweepRunner:
         assert [strip(r) for r in serial.results] == [
             strip(r) for r in pooled.results
         ]
+
+    @pytest.mark.slow
+    def test_pooled_and_cached_sweeps(self):
+        """A catalog-sized sweep: serial and pooled runs compute every
+        point, a re-run against the store is pure cache and over 10x
+        faster, and with four or more cores the pool beats serial."""
+        spec = SweepSpec(
+            networks=("alexnet", "squeezenet"),
+            budgets=((1000, 800), (2240, 1648), (2880, 2352)),
+            dtypes=("float32", "fixed16"),
+            modes=("single", "multi"),
+        )
+
+        def timed(store, workers):
+            started = time.perf_counter()
+            outcome = SweepRunner(store=store, workers=workers).run(spec)
+            return outcome, time.perf_counter() - started
+
+        store = ResultStore()
+        serial, serial_s = timed(store, 1)
+        cores = os.cpu_count() or 1
+        pooled, pooled_s = timed(ResultStore(), cores)
+        assert serial.computed == pooled.computed == serial.total
+        warm, warm_s = timed(store, 1)
+        assert warm.computed == 0
+        assert warm.cached == warm.total == serial.total
+        assert warm_s < serial_s / 10
+        if cores >= 4:
+            assert pooled_s < serial_s
 
     @pytest.mark.slow
     def test_infeasible_point_is_captured_not_fatal(self):

@@ -115,6 +115,39 @@ class TestDeviceSpec:
         assert run() == record
         assert len(calls) == 17
 
+    def test_plan_resolves_the_template_epoch_once(
+        self, alexnet_485t_design, monkeypatch
+    ):
+        """Every replica count the planner probes reuses the template's
+        simulated epoch, and the plan is what a per-probe solve gives."""
+        from repro.sim import system
+
+        calls = []
+        simulate = system.simulate_system
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(system, "simulate_system", spy)
+
+        def plan():
+            result = plan_capacity(
+                DeviceSpec(alexnet_485t_design, calibrate="simulate"),
+                150.0, SLOSpec(p99_ms=600), max_replicas=16, duration_ms=100,
+            )
+            return result.format(), result.probes, to_record(result.result)
+
+        shared = plan()
+        assert len(calls) == 1
+        # The same plan with the epoch solved afresh for every probe.
+        monkeypatch.setattr(
+            DeviceSpec, "replicated",
+            lambda self, count: dataclasses.replace(self, count=count),
+        )
+        assert plan() == shared
+        assert len(calls) == 3
+
     def test_epoch_resolved_once_per_distinct_spec(self, toy_design, monkeypatch):
         from repro.fleet import device as device_module
 

@@ -93,6 +93,9 @@ class TestCandidates:
             assert cand.epoch_cycles <= target
             assert cand.total_dsp <= 2240
 
+    def test_relaxed_target_has_candidates(self, alexnet_search):
+        assert alexnet_search.candidates(2_200_000, max_clps=6)
+
     def test_candidates_partition_all_layers(self, alexnet_search):
         candidates = alexnet_search.candidates(2_200_000, max_clps=4)
         expected = sorted(l.name for l in alexnet_search.layers)
@@ -126,6 +129,12 @@ class TestCandidates:
 
 
 class TestFixedPoint:
+    def test_googlenet_keeps_over_a_thousand_grids(self):
+        # The longest layer list: pruning to non-dominated grids still
+        # leaves a real search.
+        layers = order_by_nm_distance(list(get_network("googlenet")))
+        assert SegmentSearch(layers, FIXED16, dsp_budget=2880).grid_count > 1000
+
     def test_fixed_budget_uses_one_dsp_per_unit(self):
         layers = [ConvLayer("l", n=64, m=64, r=28, c=28, k=3)]
         search = SegmentSearch(layers, FIXED16, dsp_budget=4096)
